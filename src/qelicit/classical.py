@@ -64,44 +64,49 @@ def clean_probs(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassicalScoringRule:
-    """Scoring rule s(report distribution, outcome index) -> R u {-inf}."""
+    """Scoring rule s(report distribution, outcome index) -> R u {-inf}.
 
-    score: Callable[[np.ndarray, int], float]
+    ``values(p)`` returns the whole payoff vector (s(p, 0), ..., s(p, m-1))
+    for a report p over m outcomes, with -inf allowed and +inf never.
+    ``rule(p, y)`` is ``values(p)[y]``.
+    """
+
+    values: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     domain: Callable[[np.ndarray], bool] | None = None
 
     def __call__(self, p, y: int) -> float:
-        return self.score(np.asarray(p, dtype=np.float64), int(y))
+        return float(self.values(np.asarray(p, dtype=np.float64))[int(y)])
 
 
 def brier_rule() -> ClassicalScoringRule:
     """Quadratic score s(p, y) = 2 p_y - ||p||^2; finite everywhere."""
 
-    def score(p, y):
-        return float(2.0 * p[y] - p @ p)
+    def values(p):
+        return 2.0 * p - p @ p
 
-    return ClassicalScoringRule(score, name="brier")
+    return ClassicalScoringRule(values, name="brier")
 
 
 def log_rule() -> ClassicalScoringRule:
     """Logarithmic score s(p, y) = log p_y, -inf at (numerically) zero mass."""
 
-    def score(p, y):
-        py = float(p[y])
-        if py <= PROB_ZERO_TOL:
-            return NEG_INF
-        return float(np.log(py))
+    def values(p):
+        out = np.full(len(p), NEG_INF)
+        pos = p > PROB_ZERO_TOL
+        out[pos] = np.log(p[pos])
+        return out
 
-    return ClassicalScoringRule(score, name="log")
+    return ClassicalScoringRule(values, name="log")
 
 
 def linear_rule() -> ClassicalScoringRule:
     """s(p, y) = p_y.  Improper: the expected score is maximized at a vertex."""
 
-    def score(p, y):
-        return float(p[y])
+    def values(p):
+        return np.array(p, dtype=np.float64)
 
-    return ClassicalScoringRule(score, name="linear")
+    return ClassicalScoringRule(values, name="linear")
 
 
 def _subgrad_pairing(d, delta) -> float:
@@ -119,6 +124,22 @@ def _subgrad_pairing(d, delta) -> float:
         return NEG_INF
     keep = ~neg
     return float(d[keep] @ delta[keep])
+
+
+def _bregman_values(g: float, d, p) -> np.ndarray:
+    """Payoffs g + <d, 1_y - p> for every outcome y, -inf where d_y is.
+
+    ``d`` is an (extended) subgradient at p; its -inf entries may only sit
+    where p has zero mass, else the oracle is invalid and this raises.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
+    if pairing == NEG_INF:
+        raise ValueError("dG has -inf mass where p is positive; invalid oracle")
+    out = np.full(len(d), NEG_INF)
+    fin = d > NEG_INF
+    out[fin] = float(g) + d[fin] - pairing
+    return out
 
 
 def from_convex(G, dG, dim: int, rng=None, check_samples: int = 64) -> ClassicalScoringRule:
@@ -140,25 +161,17 @@ def from_convex(G, dG, dim: int, rng=None, check_samples: int = 64) -> Classical
         if float(G(mid)) > 0.5 * (gp + gq) + PROPERNESS_MARGIN:
             raise ValueError("midpoint convexity violated; G is not convex")
 
-    def score(p, y):
-        d = np.asarray(dG(p), dtype=np.float64)
-        dy = float(d[y])
-        if dy == NEG_INF:
-            return NEG_INF
-        pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
-        if pairing == NEG_INF:
-            raise ValueError("dG has -inf mass where p is positive; invalid oracle")
-        return float(G(p)) + dy - pairing
+    def values(p):
+        return _bregman_values(G(p), dG(p), p)
 
-    return ClassicalScoringRule(score, name="from_convex")
+    return ClassicalScoringRule(values, name="from_convex")
 
 
 def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
     """Expected score of report q under belief p, in R u {-inf}."""
     q = np.asarray(q, dtype=np.float64)
     p = clean_probs(p)
-    values = [rule(q, y) for y in range(len(p))]
-    return ext_dot(p, values, zero_tol=EXT_WEIGHT_TOL)
+    return ext_dot(p, rule.values(q), zero_tol=EXT_WEIGHT_TOL)
 
 
 def _sample_report(p, dim, strategy, rng):
@@ -231,20 +244,15 @@ def properness_check(
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:
-    """Check s(p, y) == s(p relabeled, y relabeled) on random samples."""
+    """Check s(p, y) == s(p relabeled, y relabeled) for all y on random samples."""
     rng = np.random.default_rng(rng)
     for _ in range(trials):
         p = rng.dirichlet(np.ones(dim))
         perm = rng.permutation(dim)
-        inv = np.argsort(perm)
-        y = int(rng.integers(dim))
-        a = rule(p, y)
-        b = rule(p[perm], int(inv[y]))
-        if a == NEG_INF or b == NEG_INF:
-            if a != b:
-                return False
-            continue
-        if abs(a - b) > 1e-10:
+        a = np.asarray(rule.values(p), dtype=np.float64)
+        b = np.asarray(rule.values(p[perm]), dtype=np.float64)[np.argsort(perm)]
+        neg = (a == NEG_INF) | (b == NEG_INF)
+        if (a[neg] != b[neg]).any() or (np.abs(a[~neg] - b[~neg]) > 1e-10).any():
             return False
     return True
 

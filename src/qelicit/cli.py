@@ -161,24 +161,32 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     """Run all checks for one registry score and compare with its expectations.
 
     Fixed-measurement scores are dimension-specific, so each dimension
-    gets its own instance; trial counts are split evenly.
+    gets its own instance.  The trials are split as evenly as they go,
+    the first ``trials % len(dims)`` dimensions taking one more, so the
+    per-dimension truthfulness trials add up to ``trials``.
     """
     entry = SCORE_REGISTRY.get(score_name)
     if entry is None:
         known = ", ".join(sorted(SCORE_REGISTRY))
         raise KeyError(f"unknown score {score_name!r}; known scores: {known}")
+    dims = list(dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"every dimension must be at least 2 (checks are vacuous below), got {dims}")
+    if trials < len(dims):
+        raise ValueError(f"trials must be at least the number of dimensions ({len(dims)}), got {trials}")
     tol = tol or {}
     margin = float(tol.get("margin", 1e-9))
     distinct = float(tol.get("strict_distance", 1e-6))
     equiv = float(tol.get("equiv_tol", 1e-8))
     threads = default_threads()
 
-    per_dim = max(1, trials // max(1, len(dims)))
+    base, extra = divmod(trials, len(dims))
     children = np.random.SeedSequence(seed).spawn(3 * len(dims))
     sub_reports = []
     gains = ties = ui_fails = impl_fails = 0
     for i, dim in enumerate(dims):
         S = entry.make(dim)
+        per_dim = base + (i < extra)
         truth = truthfulness_check(
             S, per_dim, dims=(dim,), rng=np.random.default_rng(children[3 * i]),
             mode="strict", margin=margin, distinct_tol=distinct, threads=threads,
@@ -213,7 +221,7 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     }
     return {
         "score": score_name,
-        "dims": list(dims),
+        "dims": dims,
         "trials": trials,
         "seed": seed,
         "expected": expected,

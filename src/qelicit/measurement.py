@@ -21,7 +21,6 @@ from .linalg import (
     as_hermitian,
     as_unitary,
     hermitian_part,
-    hs_inner,
 )
 
 __all__ = [
@@ -52,33 +51,45 @@ PINV_RCOND = 1e-10
 
 
 class Measurement:
-    """POVM: ordered PSD elements over outcomes 0..len-1, summing to I."""
+    """POVM: ordered PSD elements over outcomes 0..len-1, summing to I.
+
+    ``elements`` is one read-only ``(m, n, n)`` complex array holding the
+    m elements in outcome order; indexing, iteration and ``len`` run over
+    its first axis.
+    """
 
     __slots__ = ("elements",)
 
     def __init__(self, elements, validate: bool = True):
-        elems = tuple(np.asarray(e, dtype=np.complex128) for e in elements)
-        if not elems:
+        if not isinstance(elements, np.ndarray):
+            elements = list(elements)
+            shapes = [np.shape(e) for e in elements]
+            for i, shape in enumerate(shapes):
+                if shape != shapes[0]:
+                    raise ValueError(f"element {i} has shape {shape}, expected {shapes[0]}")
+        elems = np.array(elements, dtype=np.complex128)
+        if not len(elems):
             raise ValueError("a measurement needs at least one element")
-        dim = elems[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, e in enumerate(elems):
-            if e.shape != (dim, dim):
-                raise ValueError(f"element {i} has shape {e.shape}, expected {(dim, dim)}")
-            if validate:
-                e = as_hermitian(e, f"element {i}")
-                wmin = float(np.linalg.eigvalsh(e)[0])
-                if wmin < -PSD_TOL:
-                    raise ValueError(f"element {i} is not PSD: min eigenvalue {wmin:.3e}")
-            total += e
-        dev = float(np.abs(total - np.eye(dim)).max())
+        if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
+            raise ValueError(f"elements must be square matrices of one shape, got {elems.shape}")
+        dim = elems.shape[1]
+        if validate:
+            for i, e in enumerate(elems):
+                as_hermitian(e, f"element {i}")
+            wmin = np.linalg.eigvalsh(elems)[:, 0]
+            bad = np.flatnonzero(wmin < -PSD_TOL)
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"element {i} is not PSD: min eigenvalue {wmin[i]:.3e}")
+        dev = float(np.abs(elems.sum(axis=0) - np.eye(dim)).max())
         if dev > POVM_SUM_TOL:
             raise ValueError(f"elements do not sum to identity: max deviation {dev:.3e}")
+        elems.flags.writeable = False
         self.elements = elems
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -90,11 +101,9 @@ class Measurement:
         return iter(self.elements)
 
     def approx_equal(self, other: "Measurement", tol: float = 1e-9) -> bool:
-        if len(self) != len(other) or self.dim != other.dim:
+        if self.elements.shape != other.elements.shape:
             return False
-        return all(
-            float(np.abs(a - b).max()) <= tol for a, b in zip(self.elements, other.elements)
-        )
+        return float(np.abs(self.elements - other.elements).max()) <= tol
 
     def to_json(self) -> dict:
         from .linalg import matrix_to_json
@@ -116,11 +125,24 @@ class Measurement:
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
-    """Outcome distribution p_y = <mu_y, rho>, cleaned of float noise."""
+    """Outcome distribution p_y = <mu_y, rho>, cleaned of float noise.
+
+    All outcomes come from one product of the stacked elements with rho.
+    For Hermitian rho, <mu_y, rho> = sum(conj(mu_y) * rho) is the
+    conjugate of sum(mu_y * rho.T), so no conjugate copy of the elements
+    is needed.  As in ``hs_inner``, an imaginary residual above 1e-12
+    relative to the value means an element was not Hermitian, and raises.
+    """
     rho = as_density(rho)
     if rho.shape[0] != mu.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
-    return clean_probs([hs_inner(e, rho) for e in mu])
+    vals = np.conj(mu.elements.reshape(len(mu), -1) @ rho.T.reshape(-1))
+    bad = np.flatnonzero(np.abs(vals.imag) > 1e-12 * np.maximum(1.0, np.abs(vals.real)))
+    if bad.size:
+        raise ValueError(
+            f"inner product has imaginary residual {vals.imag[bad[0]]:.3e}; inputs not Hermitian?"
+        )
+    return clean_probs(vals.real)
 
 
 def _inverse_cdf(cum: np.ndarray, u):
@@ -145,8 +167,7 @@ def sample_outcomes(mu: Measurement, rho, size: int, rng=None) -> np.ndarray:
 def basis_pvm(U) -> Measurement:
     """Rank-1 projective measurement onto the columns of a unitary."""
     U = as_unitary(U)
-    cols = [U[:, i : i + 1] for i in range(U.shape[0])]
-    return Measurement([c @ c.conj().T for c in cols], validate=False)
+    return Measurement(np.einsum("ik,jk->kij", U, U.conj()), validate=False)
 
 
 def standard_pvm(n: int) -> Measurement:
@@ -269,10 +290,7 @@ class TomographicMap:
     def adjoint(self, v) -> np.ndarray:
         """Adjoint map: an outcome-weight vector to sum_y v_y mu_y."""
         v = np.asarray(v, dtype=np.float64)
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for vy, e in zip(v, self.measurement):
-            total += vy * e
-        return hermitian_part(total)
+        return hermitian_part(np.tensordot(v, self.measurement.elements, axes=1))
 
     def pinv_adjoint(self, X) -> np.ndarray:
         """Adjoint of the pseudoinverse: a Hermitian matrix to an outcome vector."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from .classical import (
     ClassicalScoringRule,
+    _bregman_values,
     is_permutation_invariant,
     log_rule,
 )
@@ -27,7 +28,6 @@ from .extended import (
     EXT_WEIGHT_TOL,
     NEG_INF,
     ExtendedHermitian,
-    canonicalize_extended,
     ext_dot,
     ext_inner,
     matrix_log,
@@ -94,17 +94,25 @@ FULL_RANK_TOL = 1e-8  # smallest eigenvalue for "full rank" report domains
 
 @dataclass(frozen=True)
 class QuantumScore:
-    """Contract (scoring function, measurement function) for state reports.
+    """A score for state reports: a report-dependent POVM, one payoff per outcome.
 
-    ``score(report, y)`` takes values in R u {-inf}; ``measure(report)``
-    returns the POVM whose outcome is scored.  ``domain``, when present,
-    restricts the valid reports and beliefs (used by sampled checks).
+    ``payoff(report)`` returns ``(mu, s)``: the POVM ``mu`` to measure on
+    the true state, and the payoff vector ``s`` with one entry per outcome
+    of ``mu``, in R u {-inf}.  The expected score under belief rho is then
+    sum_y <mu_y, rho> s_y.  ``measure(report)`` and ``score(report, y)``
+    read one part of it.  ``domain``, when present, restricts the valid
+    reports and beliefs (used by sampled checks).
     """
 
-    score: Callable[[np.ndarray, int], float]
-    measure: Callable[[np.ndarray], Measurement]
+    payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
     name: str = ""
     domain: Callable[[np.ndarray], bool] | None = None
+
+    def measure(self, report) -> Measurement:
+        return self.payoff(report)[0]
+
+    def score(self, report, y: int) -> float:
+        return float(self.payoff(report)[1][int(y)])
 
 
 @dataclass(frozen=True)
@@ -121,36 +129,18 @@ class ExpectedScoreFn:
     domain: Callable[[np.ndarray], bool] | None = None
 
 
-def _single_slot(fn):
-    # Memoize the most recent argument by content: expected_score calls
-    # measure once and score |Y| times on the same report.
-    slot = {}
-
-    def wrapped(rho):
-        rho = np.asarray(rho, dtype=np.complex128)
-        key = (rho.shape, rho.tobytes())
-        entry = slot.get("entry")
-        if entry is None or entry[0] != key:
-            entry = (key, fn(rho))
-            slot["entry"] = entry
-        return entry[1]
-
-    return wrapped
-
-
 def expected_score(S, rho_prime, rho) -> float:
     """Expected payoff of reporting ``rho_prime`` under belief ``rho``.
 
-    Computed as the outcome distribution of measure(rho_prime) on rho,
-    paired with the score values under extended arithmetic (zero-mass
-    outcomes never contribute, even against -inf scores).
+    Computed from one ``payoff(rho_prime)``: the outcome distribution of
+    its measurement on rho, paired with its payoff vector under extended
+    arithmetic (zero-mass outcomes never contribute, even against -inf
+    scores).
     """
     if isinstance(S, ExpectedScoreFn):
         return S.expected(as_density(rho_prime), as_density(rho))
-    mu = S.measure(rho_prime)
-    p = apply_measurement(mu, rho)
-    values = [S.score(rho_prime, y) for y in range(len(mu))]
-    return ext_dot(p, values, zero_tol=EXT_WEIGHT_TOL)
+    mu, values = S.payoff(rho_prime)
+    return ext_dot(apply_measurement(mu, rho), values, zero_tol=EXT_WEIGHT_TOL)
 
 
 def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
@@ -159,10 +149,14 @@ def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
     Collapses sum_y mu(report)_y * s(report, y); the -inf score values
     populate the infinite part.
     """
-    mu = S.measure(rho_prime)
-    return canonicalize_extended(
-        (mu[y], S.score(rho_prime, y)) for y in range(len(mu))
-    )
+    mu, values = S.payoff(rho_prime)
+    values = np.asarray(values, dtype=np.float64)
+    if np.isposinf(values).any():
+        raise ValueError("+inf weights are not allowed")
+    neg = np.isneginf(values)
+    finite = np.tensordot(np.where(neg, 0.0, values), mu.elements, axes=1)
+    infinite = mu.elements[neg].sum(axis=0)
+    return ExtendedHermitian.from_parts(hermitian_part(finite), hermitian_part(infinite))
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +170,11 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     through its outcome distribution.  Strictly truthful exactly when the
     rule is strictly proper and the measurement tomographically complete.
     """
-    probs = _single_slot(lambda r: apply_measurement(mu, r))
 
-    def score(rho_p, y):
-        return rule(probs(rho_p), y)
+    def payoff(rho_p):
+        return mu, rule.values(apply_measurement(mu, rho_p))
 
-    return QuantumScore(score, lambda rho_p: mu, name=f"fixed:{rule.name}")
+    return QuantumScore(payoff, name=f"fixed:{rule.name}")
 
 
 def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int = 32) -> QuantumScore:
@@ -200,52 +193,42 @@ def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int 
         if float(f(q)) < float(f(p)) + ext_dot(q - p, d) - TRUTH_MARGIN:
             raise ValueError("subgradient inequality violated on sampled distributions")
 
-    probs = _single_slot(lambda r: apply_measurement(mu, r))
+    def payoff(rho_p):
+        p = apply_measurement(mu, rho_p)
+        return mu, _bregman_values(f(p), df(p), p)
 
-    def score(rho_p, y):
-        p = probs(rho_p)
-        d = np.asarray(df(p), dtype=np.float64)
-        dy = float(d[y])
-        if dy == NEG_INF:
-            return NEG_INF
-        return float(f(p)) + dy - ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
-
-    return QuantumScore(score, lambda rho_p: mu, name="fixed:convex")
+    return QuantumScore(payoff, name="fixed:convex")
 
 
 def binary_brier() -> QuantumScore:
     """Brier score realized with the two-outcome measurement {I - report, report}."""
-    purity = _single_slot(lambda r: hs_inner(as_density(r), r))
 
-    def measure(rho_p):
+    def payoff(rho_p):
         rho_p = as_density(rho_p)
-        eye = np.eye(rho_p.shape[0])
-        return Measurement([eye - rho_p, rho_p], validate=False)
+        purity = hs_inner(rho_p, rho_p)
+        return _overlap_measurement(rho_p), np.array([-purity, 2.0 - purity])
 
-    def score(rho_p, y):
-        return 2.0 * y - purity(rho_p)
+    return QuantumScore(payoff, name="binary-brier")
 
-    return QuantumScore(score, measure, name="binary-brier")
+
+def _overlap_measurement(rho_p) -> Measurement:
+    # {I - report, report}: outcome 1 fires with probability <report, rho>
+    return Measurement([np.eye(rho_p.shape[0]) - rho_p, rho_p], validate=False)
 
 
 def _spectral_parts(rho_p):
-    rho_p = as_density(rho_p)
-    dec = spectral_decompose(rho_p)
-    return dec.eigenvalues, dec.eigenvectors, hs_inner(rho_p, rho_p)
+    dec = spectral_decompose(as_density(rho_p))
+    return dec.eigenvalues, dec.eigenvectors
 
 
 def projective_brier() -> QuantumScore:
     """Brier score measured in the report's own eigenbasis."""
-    parts = _single_slot(_spectral_parts)
 
-    def measure(rho_p):
-        return basis_pvm(parts(rho_p)[1])
+    def payoff(rho_p):
+        lam, V = _spectral_parts(rho_p)
+        return basis_pvm(V), 2.0 * lam - lam @ lam
 
-    def score(rho_p, y):
-        lam, _, purity = parts(rho_p)
-        return float(2.0 * lam[y] - purity)
-
-    return QuantumScore(score, measure, name="projective-brier")
+    return QuantumScore(payoff, name="projective-brier")
 
 
 def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = True) -> QuantumScore:
@@ -258,15 +241,12 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
         for d in (2, 3):
             if not is_permutation_invariant(rule, d, rng=12345):
                 raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
-    parts = _single_slot(_spectral_parts)
 
-    def measure(rho_p):
-        return basis_pvm(parts(rho_p)[1])
+    def payoff(rho_p):
+        lam, V = _spectral_parts(rho_p)
+        return basis_pvm(V), rule.values(lam)
 
-    def score(rho_p, y):
-        return rule(parts(rho_p)[0], y)
-
-    return QuantumScore(score, measure, name=name or f"spectral:{rule.name}")
+    return QuantumScore(payoff, name=name or f"spectral:{rule.name}")
 
 
 def log_spectral() -> QuantumScore:
@@ -284,36 +264,23 @@ def log_det_score() -> QuantumScore:
     Spectral realization of the convex function -log det: payoff
     n - sum(log lambda) - 1/lambda_y in the report's eigenbasis.
     """
-    parts = _single_slot(_spectral_parts)
 
-    def measure(rho_p):
-        lam, V, _ = parts(rho_p)
+    def payoff(rho_p):
+        lam, V = _spectral_parts(rho_p)
         if float(lam[-1]) <= FULL_RANK_TOL:
             raise ValueError("log-det score requires a full-rank report")
-        return basis_pvm(V)
+        return basis_pvm(V), len(lam) - np.sum(np.log(lam)) - 1.0 / lam
 
-    def score(rho_p, y):
-        lam, _, _ = parts(rho_p)
-        if float(lam[-1]) <= FULL_RANK_TOL:
-            raise ValueError("log-det score requires a full-rank report")
-        n = len(lam)
-        return float(n - np.sum(np.log(lam)) - 1.0 / lam[y])
-
-    return QuantumScore(score, measure, name="ml:s2", domain=_full_rank)
+    return QuantumScore(payoff, name="ml:s2", domain=_full_rank)
 
 
 def trace_score() -> QuantumScore:
     """Overlap payoff <report, rho> via {I - report, report}; not truthful."""
 
-    def measure(rho_p):
-        rho_p = as_density(rho_p)
-        eye = np.eye(rho_p.shape[0])
-        return Measurement([eye - rho_p, rho_p], validate=False)
+    def payoff(rho_p):
+        return _overlap_measurement(as_density(rho_p)), np.array([0.0, 1.0])
 
-    def score(rho_p, y):
-        return float(y)
-
-    return QuantumScore(score, measure, name="ml:s3")
+    return QuantumScore(payoff, name="ml:s3")
 
 
 def log_trace_score() -> ExpectedScoreFn:
@@ -377,7 +344,7 @@ def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumS
     decomposed into a projective measurement with eigenvalue payoffs.
     """
 
-    def build(rho_p):
+    def payoff(rho_p):
         rho_p = as_density(rho_p)
         d = dF(rho_p)
         if not isinstance(d, ExtendedHermitian):
@@ -385,18 +352,9 @@ def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumS
         anchor = ext_inner(d, rho_p)
         if anchor == NEG_INF:
             raise ValueError("subgradient selection is -inf at its own base point")
-        E = d.add_scalar(float(F(rho_p)) - anchor)
-        return _ext_eigh(E)
+        return _projective(d.add_scalar(float(F(rho_p)) - anchor))
 
-    parts = _single_slot(build)
-
-    def measure(rho_p):
-        return basis_pvm(parts(rho_p)[1])
-
-    def score(rho_p, y):
-        return float(parts(rho_p)[0][y])
-
-    return QuantumScore(score, measure, name=name, domain=domain)
+    return QuantumScore(payoff, name=name, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +403,12 @@ def _ext_eigh(E: ExtendedHermitian):
     return vals, _fix_phases(U)
 
 
+def _projective(E: ExtendedHermitian):
+    # Eigenbasis measurement of E paired with its eigenvalues as payoffs.
+    vals, U = _ext_eigh(E)
+    return basis_pvm(U), vals
+
+
 def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
     """Re-express a finite score over a fixed complete measurement.
 
@@ -456,31 +420,22 @@ def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
         raise ValueError("fixed-measurement expression needs a tomographically complete POVM")
     tmap = tomographic_map(mu)
 
-    def alphas(rho_p):
+    def payoff(rho_p):
         E = score_coefficient(S, rho_p)
         if not E.is_finite():
             raise ValueError(f"score {S.name!r} takes -inf values; not expressible")
-        return tmap.pinv.T @ herm_coords(E.finite_part)
+        return mu, tmap.pinv.T @ herm_coords(E.finite_part)
 
-    cached = _single_slot(alphas)
-
-    def score(rho_p, y):
-        return float(cached(rho_p)[y])
-
-    return QuantumScore(score, lambda rho_p: mu, name=f"fixed-expr[{S.name}]")
+    return QuantumScore(payoff, name=f"fixed-expr[{S.name}]")
 
 
 def projective_expression(S: QuantumScore) -> QuantumScore:
     """Equivalent projective score: eigenbasis measurement, eigenvalue payoffs."""
-    parts = _single_slot(lambda rho_p: _ext_eigh(score_coefficient(S, rho_p)))
 
-    def measure(rho_p):
-        return basis_pvm(parts(rho_p)[1])
+    def payoff(rho_p):
+        return _projective(score_coefficient(S, rho_p))
 
-    def score(rho_p, y):
-        return float(parts(rho_p)[0][y])
-
-    return QuantumScore(score, measure, name=f"projective[{S.name}]", domain=S.domain)
+    return QuantumScore(payoff, name=f"projective[{S.name}]", domain=S.domain)
 
 
 # ---------------------------------------------------------------------------

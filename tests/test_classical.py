@@ -144,7 +144,7 @@ class TestPropernessCheck:
     def test_constant_rule_passes_weak_fails_strict(self):
         from qelicit.classical import ClassicalScoringRule
 
-        const = ClassicalScoringRule(lambda p, y: 1.0, name="const")
+        const = ClassicalScoringRule(lambda p: np.ones(len(p)), name="const")
         assert properness_check(const, 300, 3, rng=10, mode="weak").passed
         strict = properness_check(const, 300, 3, rng=10, mode="strict")
         assert not strict.passed
@@ -182,10 +182,62 @@ class TestPermutationInvariance:
     def test_position_weighted_rule_is_not(self):
         from qelicit.classical import ClassicalScoringRule
 
-        biased = ClassicalScoringRule(lambda p, y: float(y) * p[y], name="biased")
+        biased = ClassicalScoringRule(lambda p: np.arange(len(p)) * p, name="biased")
         assert not is_permutation_invariant(biased, 3, rng=16)
 
 
 def test_shannon_entropy_basics():
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(np.log(2))
     assert shannon_entropy([1.0, 0.0]) == 0.0
+
+
+class TestRuleValues:
+    """values(p) is the whole payoff vector; rule(p, y) reads one entry."""
+
+    def _rules(self):
+        def neg_entropy(p):
+            pos = p > 0
+            return float(p[pos] @ np.log(p[pos]))
+
+        return [
+            brier_rule(),
+            log_rule(),
+            linear_rule(),
+            from_convex(lambda p: p @ p, lambda p: 2 * p, dim=4, rng=21),
+            from_convex(
+                neg_entropy,
+                lambda p: np.where(p > 1e-12, 1.0 + np.log(np.clip(p, 1e-300, None)), NEG_INF),
+                dim=4,
+                rng=22,
+            ),
+        ]
+
+    def test_values_match_call_including_zero_mass(self, rng):
+        points = [
+            np.array([0.5, 0.0, 0.5, 0.0]),
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([0.25, 0.25, 0.25, 0.25]),
+            rng.dirichlet(np.ones(4)),
+        ]
+        for rule in self._rules():
+            for p in points:
+                v = rule.values(p)
+                assert len(v) == len(p)
+                for y in range(len(p)):
+                    assert v[y] == rule(p, y), (rule.name, p, y)
+
+    def test_log_values_neg_inf_at_zero_mass(self):
+        v = log_rule().values(np.array([0.5, 0.0, 0.5, 1e-13]))
+        assert v[1] == NEG_INF and v[3] == NEG_INF
+        assert v[0] == pytest.approx(np.log(0.5))
+
+    def test_expected_classical_uses_one_vector(self, rng):
+        calls = []
+        brier = brier_rule()
+        from qelicit.classical import ClassicalScoringRule
+
+        counted = ClassicalScoringRule(lambda p: calls.append(1) or brier.values(p), name="counted")
+        p = rng.dirichlet(np.ones(5))
+        q = rng.dirichlet(np.ones(5))
+        assert expected_classical(counted, q, p) == pytest.approx(2 * q @ p - q @ q, abs=1e-12)
+        assert len(calls) == 1

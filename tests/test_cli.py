@@ -92,6 +92,36 @@ class TestVerify:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_too_few_trials_exit_two(self, capsys):
+        for trials in ("-5", "0", "1"):  # 1 leaves dimension 3 without a trial
+            code, out, err = run_cli(
+                capsys, "verify", "--score", "spectral:log", "--dims", "2,3", "--trials", trials
+            )
+            assert code == 2, trials
+            assert "trials" in err
+            assert out == ""
+
+    def test_dimension_one_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--score", "ml:s3", "--dims", "1", "--trials", "10"
+        )
+        assert code == 2
+        assert "dimension" in err
+        assert out == ""
+
+    def test_trials_split_exactly_across_dims(self, capsys, tmp_path):
+        out = tmp_path / "split.json"
+        code, _, _ = run_cli(
+            capsys,
+            "verify", "--score", "binary-brier", "--dims", "2,3,4",
+            "--trials", "20", "--seed", "2", "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        per_dim = [sub["truthfulness"]["trials"] for sub in report["reports"]]
+        assert per_dim == [7, 7, 6]
+        assert sum(per_dim) == report["trials"] == 20
+
 
 class TestMeasure:
     @pytest.fixture

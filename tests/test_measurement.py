@@ -196,3 +196,84 @@ class TestTomographicMap:
         v = rng.standard_normal(4)
         X = random_hermitian(2, rng=rng)
         assert hs_inner(tmap.adjoint(v), X) == pytest.approx(v @ tmap.probs(X), abs=1e-10)
+
+
+def _random_rank_one_povm(n, m, rng):
+    # m rank-one elements x x*, normalized by congruence with T^(-1/2)
+    X = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    raw = np.einsum("ki,kj->kij", X, X.conj())
+    w, V = np.linalg.eigh(raw.sum(axis=0))
+    T_isqrt = (V / np.sqrt(w)) @ V.conj().T
+    return Measurement([T_isqrt @ e @ T_isqrt for e in raw], validate=False)
+
+
+class TestStackedKernel:
+    """apply_measurement's single contraction against the per-element sum."""
+
+    @staticmethod
+    def _per_element(mu, rho):
+        from qelicit.classical import clean_probs
+        from qelicit.linalg import hs_inner
+
+        return clean_probs([hs_inner(e, rho) for e in mu])
+
+    def test_canonical_complete_matches_per_element(self, rng):
+        for n in range(2, 17):
+            mu = canonical_complete(n)
+            for rank in (n, max(1, n // 2), 1):
+                rho = random_density(n, rank=rank, rng=rng)
+                p = apply_measurement(mu, rho)
+                assert np.abs(p - self._per_element(mu, rho)).max() <= 1e-13, (n, rank)
+
+    def test_random_rank_one_povms_match_per_element(self, rng):
+        for n in (2, 3, 5, 8, 16):
+            mu = _random_rank_one_povm(n, n + 2, rng)
+            for rank in (n, 1):
+                rho = random_density(n, rank=rank, rng=rng)
+                p = apply_measurement(mu, rho)
+                assert np.abs(p - self._per_element(mu, rho)).max() <= 1e-13, (n, rank)
+
+    def test_non_hermitian_element_raises(self):
+        from qelicit.linalg import hs_inner
+
+        A = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        mu = Measurement([A, np.eye(2) - A], validate=False)
+        plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        rho = np.outer(plus_i, plus_i.conj())
+        with pytest.raises(ValueError, match="imaginary residual"):
+            hs_inner(A, rho)
+        with pytest.raises(ValueError, match="imaginary residual"):
+            apply_measurement(mu, rho)
+
+    def test_state_is_still_validated(self):
+        with pytest.raises(ValueError, match="trace"):
+            apply_measurement(standard_pvm(2), np.eye(2))
+
+    def test_elements_are_one_read_only_stack(self, rng):
+        mu = canonical_complete(3)
+        assert mu.elements.shape == (9, 3, 3)
+        assert mu.elements.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            mu.elements[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mu[0][0, 0] = 1.0
+        assert len(list(mu)) == len(mu) == 9
+
+    def test_input_array_is_copied_not_frozen(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        mu = Measurement(stack)
+        stack[0, 0, 0] = 0.5  # the caller's array stays writable
+        assert mu[0][0, 0] == 1.0
+
+    def test_mismatched_element_shapes_rejected(self):
+        with pytest.raises(ValueError, match="element 1 has shape"):
+            Measurement([np.eye(2), np.eye(3)])
+
+    def test_approx_equal_is_elementwise(self, rng):
+        mu = basis_pvm(random_unitary(3, rng=rng))
+        assert mu.approx_equal(Measurement(mu.elements))
+        shifted = mu.elements.copy()
+        shifted[0] += 1e-6 * np.eye(3)
+        shifted[1] -= 1e-6 * np.eye(3)
+        assert not mu.approx_equal(Measurement(shifted, validate=False))
+        assert not mu.approx_equal(standard_pvm(2))

@@ -233,7 +233,7 @@ class TestSpectralScore:
     def test_rejects_non_invariant_rule(self):
         from qelicit.classical import ClassicalScoringRule
 
-        biased = ClassicalScoringRule(lambda p, y: float(y) * p[y], name="biased")
+        biased = ClassicalScoringRule(lambda p: np.arange(len(p)) * p, name="biased")
         with pytest.raises(ValueError, match="permutation"):
             spectral_score(biased)
 
@@ -344,8 +344,7 @@ class TestMlScores:
 class TestChecks:
     def test_constant_score_weak_not_strict(self, rng):
         const = QuantumScore(
-            lambda r, y: 1.0,
-            lambda r: standard_pvm(r.shape[0]),
+            lambda r: (standard_pvm(r.shape[0]), np.ones(r.shape[0])),
             name="const",
         )
         assert truthfulness_check(const, 300, dims=(2, 3), rng=14, mode="weak").passed
@@ -501,3 +500,94 @@ class TestSubgradientInequality:
             lambda r: -von_neumann_entropy(r), bad, 600, dims=(2, 3), rng=28
         )
         assert not report.passed
+
+
+class TestPayoffClosedForms:
+    """Every registry QuantumScore, through one payoff, against a closed form."""
+
+    @staticmethod
+    def _through_payoff(S, r, rho):
+        from qelicit.extended import ext_dot
+
+        mu, s = S.payoff(r)
+        assert len(s) == len(mu)
+        p = np.einsum("yij,ji->y", mu.elements, rho).real
+        return ext_dot(p, s, zero_tol=1e-12)
+
+    @staticmethod
+    def _log_pairing(r, rho):
+        # <log r, rho>, -inf when rho has mass off the support of r
+        w, V = np.linalg.eigh(r)
+        weights = np.einsum("iy,ij,jy->y", V.conj(), rho, V).real
+        pos = w > 1e-12
+        if (weights[~pos] > 1e-12).any():
+            return NEG_INF
+        return float(weights[pos] @ np.log(w[pos]))
+
+    @classmethod
+    def _closed_form(cls, name, r, rho, n):
+        from qelicit.measurement import canonical_complete
+
+        inner = np.vdot(r, rho).real
+        if name in ("binary-brier", "projective-brier", "spectral:brier"):
+            return 2.0 * inner - np.vdot(r, r).real
+        if name in ("spectral:log", "ml:s1"):
+            return cls._log_pairing(r, rho)
+        if name == "ml:s2":
+            w = np.linalg.eigvalsh(r)
+            return n - np.sum(np.log(w)) - np.vdot(np.linalg.inv(r), rho).real
+        if name == "ml:s3":
+            return inner
+        E = canonical_complete(n).elements
+        p = np.einsum("yij,ji->y", E, r).real
+        q = np.einsum("yij,ji->y", E, rho).real
+        if name == "fixed:brier":
+            return 2.0 * p @ q - p @ p
+        assert name == "fixed:log"
+        return float(q @ np.log(p))
+
+    def _pairs(self, n, rng):
+        full = (random_density(n, rng=rng), random_density(n, rng=rng))
+        deficient = (
+            random_density(n, rank=max(1, n // 2), rng=rng),
+            random_density(n, rank=1, rng=rng),
+        )
+        # belief inside the report's support: <log r, rho> stays finite
+        w, V = np.linalg.eigh(deficient[0])
+        Vs = V[:, w > 1e-12]
+        lam = rng.dirichlet(np.ones(Vs.shape[1]))
+        inside = (deficient[0], hermitian_part((Vs * lam) @ Vs.conj().T))
+        return {"full": full, "deficient": deficient, "inside": inside}
+
+    def test_registry_scores_match_closed_forms(self, rng):
+        from qelicit.registry import SCORE_REGISTRY, make_score
+
+        for n in (2, 8, 16):
+            pairs = self._pairs(n, rng)
+            for name in SCORE_REGISTRY:
+                S = make_score(name, n)
+                if not isinstance(S, QuantumScore):
+                    continue
+                for kind, (r, rho) in pairs.items():
+                    if name == "ml:s2" and kind != "full":
+                        continue  # full-rank domain only
+                    got = self._through_payoff(S, r, rho)
+                    want = self._closed_form(name, r, rho, n)
+                    if want == NEG_INF:
+                        assert got == NEG_INF, (name, n, kind, got)
+                    else:
+                        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (name, n, kind, got, want)
+                    assert expected_score(S, r, rho) == pytest.approx(got, rel=1e-12, abs=1e-12)
+
+    def test_log_scores_are_neg_inf_off_support(self, rng):
+        r = random_density(8, rank=3, rng=rng)
+        rho = random_density(8, rng=rng)
+        for S in (log_spectral(), ml_scores()["s1"]):
+            assert self._through_payoff(S, r, rho) == NEG_INF
+
+    def test_measure_and_score_read_payoff(self, rng):
+        r = random_density(4, rng=rng)
+        for S in (binary_brier(), projective_brier(), log_spectral(), ml_scores()["s2"]):
+            mu, s = S.payoff(r)
+            assert S.measure(r).approx_equal(mu, tol=0.0)
+            assert [S.score(r, y) for y in range(len(mu))] == list(map(float, s))
