@@ -88,7 +88,6 @@ from .scores import (
 from .properties import (
     ABSTAIN,
     IdentificationFunction,
-    PropertyScore,
     QuantumProperty,
     abstain_score,
     eigen_pair_score,

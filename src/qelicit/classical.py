@@ -194,6 +194,10 @@ def _sample_report(p, dim, strategy, rng):
     return q
 
 
+def _encode_distributions(p, q) -> dict:
+    return {"belief": p.tolist(), "report": q.tolist()}
+
+
 def properness_check(
     rule: ClassicalScoringRule,
     trials: int,
@@ -202,7 +206,6 @@ def properness_check(
     mode: str = "strict",
     margin: float = PROPERNESS_MARGIN,
     distinct_tol: float = DISTINCT_TOL,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Sample (belief, report) pairs and flag properness failures.
 
@@ -228,19 +231,7 @@ def properness_check(
             out.append(("tie", gap, p, q))
         return gap, out
 
-    for gap, found in run_trials(trials, trial, rng, threads):
-        if np.isfinite(gap):
-            report.record_gap(gap)
-        for kind, g, p, q in found:
-            report.add_violation(
-                {
-                    "kind": kind,
-                    "gap": float(g),
-                    "belief": p.tolist(),
-                    "report": q.tolist(),
-                }
-            )
-    return report
+    return run_trials(report, trial, _encode_distributions, rng)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:

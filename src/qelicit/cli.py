@@ -33,7 +33,7 @@ from .measurement import (
 )
 from .properties import find_level_set_witness, level_set_witness
 from .registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property
-from .reports import default_threads, json_safe
+from .reports import json_safe
 from .scores import (
     expected_score,
     binary_brier,
@@ -157,6 +157,16 @@ def paper_example_rows(tol: float = 1e-12) -> list:
     return rows
 
 
+_TOL_KEYS = ("margin", "strict_distance", "equiv_tol")
+
+
+def _check_dims(dims) -> list:
+    dims = list(dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"every dimension must be at least 2 (checks are vacuous below), got {dims}")
+    return dims
+
+
 def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None) -> dict:
     """Run all checks for one registry score and compare with its expectations.
 
@@ -169,16 +179,16 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     if entry is None:
         known = ", ".join(sorted(SCORE_REGISTRY))
         raise KeyError(f"unknown score {score_name!r}; known scores: {known}")
-    dims = list(dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"every dimension must be at least 2 (checks are vacuous below), got {dims}")
+    dims = _check_dims(dims)
     if trials < len(dims):
         raise ValueError(f"trials must be at least the number of dimensions ({len(dims)}), got {trials}")
     tol = tol or {}
+    unknown = sorted(set(tol) - set(_TOL_KEYS))
+    if unknown:
+        raise ValueError(f"unknown tolerance {unknown[0]!r}; known tolerances: {', '.join(_TOL_KEYS)}")
     margin = float(tol.get("margin", 1e-9))
     distinct = float(tol.get("strict_distance", 1e-6))
     equiv = float(tol.get("equiv_tol", 1e-8))
-    threads = default_threads()
 
     base, extra = divmod(trials, len(dims))
     children = np.random.SeedSequence(seed).spawn(3 * len(dims))
@@ -189,15 +199,15 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
         per_dim = base + (i < extra)
         truth = truthfulness_check(
             S, per_dim, dims=(dim,), rng=np.random.default_rng(children[3 * i]),
-            mode="strict", margin=margin, distinct_tol=distinct, threads=threads,
+            mode="strict", margin=margin, distinct_tol=distinct,
         )
         ui = unitary_invariance_check(
             S, max(1, per_dim // 4), dims=(dim,),
-            rng=np.random.default_rng(children[3 * i + 1]), tol=equiv, threads=threads,
+            rng=np.random.default_rng(children[3 * i + 1]), tol=equiv,
         )
         impl = implementability_check(
             S, max(1, per_dim // 4), dims=(dim,),
-            rng=np.random.default_rng(children[3 * i + 2]), tol=equiv, threads=threads,
+            rng=np.random.default_rng(children[3 * i + 2]), tol=equiv,
         )
         gains += truth.kind_counts.get("gain", 0) + truth.kind_counts.get("irregular", 0)
         ties += truth.kind_counts.get("tie", 0)
@@ -321,6 +331,8 @@ def _cmd_measure(args) -> int:
         mu = _named_basis(args.basis, rho.shape[0])
     if mu.dim != rho.shape[0]:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     draws = sample_outcomes(mu, rho, args.trials, rng=np.random.default_rng(args.seed))
     counts = np.bincount(draws, minlength=len(mu))
     probs = apply_measurement(mu, rho)
@@ -378,7 +390,9 @@ def _cmd_market(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    dims = _parse_dims(args.dims)
+    dims = _check_dims(_parse_dims(args.dims))
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     prop = make_property(args.property, dims[0])
     found = find_level_set_witness(
         prop, dims[0], probes=args.trials, rng=np.random.default_rng(args.seed)

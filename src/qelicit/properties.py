@@ -26,12 +26,11 @@ from .linalg import (
     spectral_decompose,
 )
 from .measurement import Measurement, TomographicMap, apply_measurement, basis_pvm
-from .extended import ext_dot
+from .scores import QuantumScore
 
 __all__ = [
     "ORTHO_TOL",
     "QuantumProperty",
-    "PropertyScore",
     "IdentificationFunction",
     "expectation_property",
     "top_eigenvector_score",
@@ -74,22 +73,6 @@ class QuantumProperty:
     name: str = ""
     set_valued: bool = False
     membership: Callable[[np.ndarray, Any], bool] | None = None
-
-
-@dataclass(frozen=True)
-class PropertyScore:
-    """Score over a report space, paired with a report-dependent POVM."""
-
-    score: Callable[[Any, int], float]
-    measure: Callable[[Any], Measurement]
-    name: str = ""
-    report_space: str = ""
-
-    def expected(self, r, rho) -> float:
-        mu = self.measure(r)
-        p = apply_measurement(mu, rho)
-        values = [self.score(r, y) for y in range(len(mu))]
-        return float(ext_dot(p, values))
 
 
 @dataclass(frozen=True)
@@ -140,7 +123,8 @@ def _projectors(cols: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# elicitable properties and their scores
+# elicitable properties and their scores: each score is a QuantumScore over
+# its own report space, its payoff giving the POVM and one payoff per outcome
 
 
 def expectation_property(z, mu: Measurement):
@@ -161,31 +145,25 @@ def expectation_property(z, mu: Measurement):
 
     prop = QuantumProperty(evaluate, name="expectation")
 
-    def score(r, y):
+    def payoff(r):
         r = np.asarray(r, dtype=np.float64)
-        return float(2.0 * np.dot(r, z[y]) - np.dot(r, r))
+        return mu, 2.0 * np.dot(z, r) - np.dot(r, r)
 
-    score_obj = PropertyScore(
-        score, lambda r: mu, name="expectation", report_space="real-vector"
-    )
-    return prop, score_obj
+    return prop, QuantumScore(payoff, name="expectation")
 
 
-def top_eigenvector_score() -> PropertyScore:
+def top_eigenvector_score() -> QuantumScore:
     """Elicits a top eigenvector: expected score <x x*, rho>."""
 
-    def measure(x):
+    def payoff(x):
         x = _as_unit_vector(x)
         proj = hermitian_part(np.outer(x, x.conj()))
-        return Measurement([np.eye(len(x)) - proj, proj], validate=False)
+        return Measurement([np.eye(len(x)) - proj, proj], validate=False), np.array([0.0, 1.0])
 
-    def score(x, y):
-        return 1.0 if y == 1 else 0.0
-
-    return PropertyScore(score, measure, name="eigvec-top", report_space="unit-sphere")
+    return QuantumScore(payoff, name="eigvec-top")
 
 
-def top_k_eigenvector_score(k: int, v) -> PropertyScore:
+def top_k_eigenvector_score(k: int, v) -> QuantumScore:
     """Elicits k orthonormal top eigenvectors with strictly decreasing payoffs.
 
     Reports are n x k column matrices; the expected score is
@@ -197,19 +175,16 @@ def top_k_eigenvector_score(k: int, v) -> PropertyScore:
     if v.shape != (k,) or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
         raise ValueError("weights must be strictly decreasing and positive")
 
-    def measure(X):
+    def payoff(X):
         X = _as_orthonormal(X, cols=k)
         projs = _projectors(X)
         rest = np.eye(X.shape[0], dtype=np.complex128) - sum(projs)
-        return Measurement(projs + [rest], validate=False)
+        return Measurement(projs + [rest], validate=False), np.append(v, 0.0)
 
-    def score(X, y):
-        return float(v[y]) if y < k else 0.0
-
-    return PropertyScore(score, measure, name="eigvec-topk", report_space=f"stiefel({k})")
+    return QuantumScore(payoff, name="eigvec-topk")
 
 
-def top_bottom_score(k: int, m: int, v) -> PropertyScore:
+def top_bottom_score(k: int, m: int, v) -> QuantumScore:
     """Elicits the k top and m bottom eigenvectors simultaneously.
 
     The weight vector v has length n: k strictly decreasing positive
@@ -230,23 +205,18 @@ def top_bottom_score(k: int, m: int, v) -> PropertyScore:
     if m and not (np.all(bot < 0) and np.all(np.diff(bot) < 0)):
         raise ValueError("bottom weights must be strictly decreasing and negative")
 
-    def measure(X):
+    def payoff(X):
         X = _as_orthonormal(X, cols=k + m)
         if X.shape[0] != n:
             raise ValueError(f"report vectors have dimension {X.shape[0]}, expected {n}")
         fill = _complete_basis(X)
         cols = np.concatenate([X[:, :k], fill, X[:, k:]], axis=1)
-        return Measurement(_projectors(cols), validate=False)
+        return Measurement(_projectors(cols), validate=False), v.copy()
 
-    def score(X, y):
-        return float(v[y])
-
-    return PropertyScore(
-        score, measure, name="eigvec-top-bottom", report_space=f"stiefel({k}+{m})"
-    )
+    return QuantumScore(payoff, name="eigvec-top-bottom")
 
 
-def eigen_pair_score(k: int) -> PropertyScore:
+def eigen_pair_score(k: int) -> QuantumScore:
     """Elicits the top-k eigenvalues together with matching eigenvectors.
 
     The report is a PSD matrix of rank at most k; measurement is its full
@@ -257,27 +227,20 @@ def eigen_pair_score(k: int) -> PropertyScore:
     full state when k is small.
     """
 
-    def _decompose(A):
-        A = as_hermitian(A)
-        dec = spectral_decompose(A)
+    def payoff(A):
+        dec = spectral_decompose(as_hermitian(A))
         lam = dec.eigenvalues
         if float(lam[-1]) < -PSD_TOL:
             raise ValueError(f"report is not PSD: min eigenvalue {lam[-1]:.3e}")
         if k < len(lam) and float(lam[k]) > 1e-8:
             raise ValueError(f"report rank exceeds {k}: eigenvalue {lam[k]:.3e} at index {k}")
-        return np.clip(lam, 0.0, None), dec.eigenvectors
+        alpha = np.clip(lam, 0.0, None)
+        return basis_pvm(dec.eigenvectors), 2.0 * alpha - alpha @ alpha
 
-    def measure(A):
-        return basis_pvm(_decompose(A)[1])
-
-    def score(A, y):
-        alpha = _decompose(A)[0]
-        return float(2.0 * alpha[y] - alpha @ alpha)
-
-    return PropertyScore(score, measure, name="eig-pair", report_space=f"psd-rank-{k}")
+    return QuantumScore(payoff, name="eig-pair")
 
 
-def with_value(base: PropertyScore, G, dG) -> PropertyScore:
+def with_value(base: QuantumScore, G, dG) -> QuantumScore:
     """Augment a score so the optimal expected value is itself elicited.
 
     Reports become pairs (alpha, r); the payoff G(alpha) +
@@ -286,22 +249,18 @@ def with_value(base: PropertyScore, G, dG) -> PropertyScore:
     increasing with positive subgradients.
     """
 
-    def score(report, y):
+    def payoff(report):
         alpha, r = report
         slope = float(dG(alpha))
         if slope <= 0:
             raise ValueError(f"dG must be positive, got {slope!r} at alpha={alpha!r}")
-        return float(G(alpha)) + slope * (base.score(r, y) - float(alpha))
+        mu, s = base.payoff(r)
+        return mu, float(G(alpha)) + slope * (np.asarray(s, dtype=np.float64) - float(alpha))
 
-    def measure(report):
-        return base.measure(report[1])
-
-    return PropertyScore(
-        score, measure, name=f"value+{base.name}", report_space=f"real x {base.report_space}"
-    )
+    return QuantumScore(payoff, name=f"value+{base.name}")
 
 
-def abstain_score(alpha: float, dim: int) -> PropertyScore:
+def abstain_score(alpha: float, dim: int) -> QuantumScore:
     """Eigenvector elicitation with an opt-out paying a flat ``alpha``.
 
     Reporting ABSTAIN earns alpha regardless of outcome; reporting a unit
@@ -311,18 +270,14 @@ def abstain_score(alpha: float, dim: int) -> PropertyScore:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     inner = top_eigenvector_score()
+    flat = Measurement([np.eye(dim, dtype=np.complex128)], validate=False)
 
-    def measure(r):
+    def payoff(r):
         if r is ABSTAIN:
-            return Measurement([np.eye(dim, dtype=np.complex128)], validate=False)
-        return inner.measure(r)
+            return flat, np.array([float(alpha)])
+        return inner.payoff(r)
 
-    def score(r, y):
-        if r is ABSTAIN:
-            return float(alpha)
-        return inner.score(r, y)
-
-    return PropertyScore(score, measure, name="abstain", report_space="unit-sphere | abstain")
+    return QuantumScore(payoff, name="abstain")
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +525,7 @@ def optimize_with_value(base_report, base_value):
     return (float(base_value), base_report)
 
 
-def optimize_abstain(score: PropertyScore, rho, restarts: int = 50, rng=None):
+def optimize_abstain(score: QuantumScore, rho, restarts: int = 50, rng=None):
     """Best report for the abstain score: compare opting out with the best vector."""
     x, v = optimize_top_eigenvector(rho, restarts=restarts, rng=rng)
     flat = score.expected(ABSTAIN, rho)

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ScoreReport", "run_trials", "default_threads", "json_safe"]
+__all__ = ["ScoreReport", "run_trials", "json_safe"]
 
 MAX_STORED_VIOLATIONS = 32
 
@@ -29,8 +27,8 @@ def json_safe(x):
 class ScoreReport:
     """Outcome of a sampled check: pass iff no violations were found.
 
-    ``violations`` stores at most MAX_STORED_VIOLATIONS entries;
-    ``n_violations`` counts them all.
+    ``violations`` stores at most MAX_STORED_VIOLATIONS entries, each with
+    the index of its trial as ``trial``; ``n_violations`` counts them all.
     """
 
     name: str
@@ -77,34 +75,22 @@ class ScoreReport:
         )
 
 
-def default_threads() -> int:
-    """Thread cap from QELICIT_THREADS (default 1)."""
-    raw = os.environ.get("QELICIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def run_trials(report: ScoreReport, trial, encode, rng=None) -> ScoreReport:
+    """Run ``trial(i, g)`` for each of ``report.trials`` trials and record them.
 
-
-def run_trials(trials: int, fn, rng=None, threads: int | None = None) -> list:
-    """Run fn(index, generator) over independent RNG streams.
-
-    Streams are spawned from one seed so results are identical whatever
-    the thread count; outputs are ordered by trial index.  Threads each
-    take one contiguous block of trials (per-task overhead would swamp
-    these small-matrix workloads otherwise).
+    Trial i draws from stream i spawned from the root seed ``rng``, so a
+    trial's stream does not depend on the trial count: re-running with
+    ``trials=i + 1`` and the same seed replays trial i.  ``trial``
+    returns ``(gap, found)``, with ``found`` a list of
+    ``(kind, gap, a, b)`` violations; finite gaps feed ``max_gap``, and
+    each violation is stored with its trial index and ``encode(a, b)``,
+    a dict describing its two states.
     """
-    streams = np.random.default_rng(rng).spawn(trials)
-    if threads is None:
-        threads = default_threads()
-    if threads <= 1 or trials <= 1:
-        return [fn(i, g) for i, g in enumerate(streams)]
-
-    bounds = np.linspace(0, trials, min(threads, trials) + 1).astype(int)
-
-    def block(lo, hi):
-        return [fn(i, streams[i]) for i in range(lo, hi)]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(block, bounds[:-1], bounds[1:])
-        return [item for chunk in chunks for item in chunk]
+    streams = np.random.default_rng(rng).spawn(report.trials)
+    for i, g in enumerate(streams):
+        gap, found = trial(i, g)
+        if np.isfinite(gap):
+            report.record_gap(gap)
+        for kind, value, a, b in found:
+            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+    return report

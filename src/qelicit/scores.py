@@ -94,14 +94,16 @@ FULL_RANK_TOL = 1e-8  # smallest eigenvalue for "full rank" report domains
 
 @dataclass(frozen=True)
 class QuantumScore:
-    """A score for state reports: a report-dependent POVM, one payoff per outcome.
+    """A score for reports: a report-dependent POVM, one payoff per outcome.
 
     ``payoff(report)`` returns ``(mu, s)``: the POVM ``mu`` to measure on
     the true state, and the payoff vector ``s`` with one entry per outcome
     of ``mu``, in R u {-inf}.  The expected score under belief rho is then
-    sum_y <mu_y, rho> s_y.  ``measure(report)`` and ``score(report, y)``
-    read one part of it.  ``domain``, when present, restricts the valid
-    reports and beliefs (used by sampled checks).
+    sum_y <mu_y, rho> s_y, which ``expected(report, rho)`` computes;
+    ``measure(report)`` and ``score(report, y)`` read one part of the
+    payoff.  Reports are states here; the property scores take vectors,
+    frames, pairs or ABSTAIN.  ``domain``, when present, restricts the
+    valid reports and beliefs (used by sampled checks).
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
@@ -114,6 +116,16 @@ class QuantumScore:
     def score(self, report, y: int) -> float:
         return float(self.payoff(report)[1][int(y)])
 
+    def expected(self, report, rho) -> float:
+        """Expected payoff of ``report`` under belief ``rho``, from one ``payoff``."""
+        return _pair(*self.payoff(report), rho)
+
+
+def _pair(mu: Measurement, values, rho) -> float:
+    # sum_y <mu_y, rho> values_y under extended arithmetic: zero-mass
+    # outcomes never contribute, even against -inf payoffs
+    return ext_dot(apply_measurement(mu, rho), values, zero_tol=EXT_WEIGHT_TOL)
+
 
 @dataclass(frozen=True)
 class ExpectedScoreFn:
@@ -121,7 +133,8 @@ class ExpectedScoreFn:
 
     Used for score-like functionals that are not extended-linear in the
     true state and therefore cannot be implemented by any measurement;
-    only their expected values are defined.
+    only their expected values ``expected(report, rho)`` are defined, and
+    the closure validates its own inputs.
     """
 
     expected: Callable[[np.ndarray, np.ndarray], float]
@@ -132,15 +145,11 @@ class ExpectedScoreFn:
 def expected_score(S, rho_prime, rho) -> float:
     """Expected payoff of reporting ``rho_prime`` under belief ``rho``.
 
-    Computed from one ``payoff(rho_prime)``: the outcome distribution of
-    its measurement on rho, paired with its payoff vector under extended
-    arithmetic (zero-mass outcomes never contribute, even against -inf
-    scores).
+    ``S.expected(rho_prime, rho)``: for a ``QuantumScore``, the outcome
+    distribution of its report's measurement on rho paired with the
+    payoff vector; for an ``ExpectedScoreFn``, its closure.
     """
-    if isinstance(S, ExpectedScoreFn):
-        return S.expected(as_density(rho_prime), as_density(rho))
-    mu, values = S.payoff(rho_prime)
-    return ext_dot(apply_measurement(mu, rho), values, zero_tol=EXT_WEIGHT_TOL)
+    return S.expected(rho_prime, rho)
 
 
 def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
@@ -287,7 +296,7 @@ def log_trace_score() -> ExpectedScoreFn:
     """log <report, rho>.  Not extended-linear in rho, hence not implementable."""
 
     def expected(rho_p, rho):
-        v = hs_inner(rho_p, rho)
+        v = hs_inner(as_density(rho_p), as_density(rho))
         if v <= EXT_WEIGHT_TOL:
             return NEG_INF
         return float(np.log(v))
@@ -305,7 +314,7 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     """
 
     def expected(rho_p, rho):
-        Ep, Er = matrix_log(rho_p), matrix_log(rho)
+        Ep, Er = matrix_log(as_density(rho_p)), matrix_log(as_density(rho))
         K = Ep.infinite_part + Er.infinite_part
         w, V = np.linalg.eigh(hermitian_part(K))
         Q = V[:, w <= 1e-10]
@@ -482,6 +491,25 @@ def _adversarial_report(S, rho, strategy, g):
     return rep
 
 
+def _encode_states(rho, rho_prime) -> dict:
+    return {"rho": matrix_to_json(rho), "rho_prime": matrix_to_json(rho_prime)}
+
+
+def _belief_and_report(S, dims, i, g):
+    # trial i: a belief at dims[i % len(dims)] against the (i % 4)-th adversary
+    rho = _sample_state(S, dims[i % len(dims)], g)
+    return rho, _adversarial_report(S, rho, i % 4, g)
+
+
+def _compare(kind, a, b, tol, x, y):
+    # |a - b| in R u {-inf} (0 when both are -inf, inf when one is), flagged above tol
+    if a == NEG_INF or b == NEG_INF:
+        gap = 0.0 if a == b else float("inf")
+    else:
+        gap = abs(a - b)
+    return gap, [(kind, gap, x, y)] if gap > tol else []
+
+
 def truthfulness_check(
     S,
     trials: int,
@@ -490,7 +518,6 @@ def truthfulness_check(
     mode: str = "strict",
     margin: float = TRUTH_MARGIN,
     distinct_tol: float = DISTINCT_TOL,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Probe S(report; belief) <= S(belief; belief) by sampling.
 
@@ -506,43 +533,24 @@ def truthfulness_check(
     report = ScoreReport(getattr(S, "name", "score"), mode, trials, dims)
 
     def trial(i, g):
-        dim = dims[i % len(dims)]
-        rho = _sample_state(S, dim, g)
-        rep = _adversarial_report(S, rho, i % 4, g)
+        rho, rep = _belief_and_report(S, dims, i, g)
         truthful = expected_score(S, rho, rho)
         if not np.isfinite(truthful):
             return NEG_INF, [("irregular", truthful, rho, rep)]
         other = expected_score(S, rep, rho)
         gap = other - truthful if other > NEG_INF else NEG_INF
-        out = []
         if gap > margin:
-            out.append(("gain", gap, rho, rep))
-        elif (
+            return gap, [("gain", gap, rho, rep)]
+        if (
             mode == "strict"
             and np.isfinite(gap)
             and abs(gap) <= margin
             and frob_dist(rho, rep) > distinct_tol
         ):
-            out.append(("tie", gap, rho, rep))
-        return gap, out
+            return gap, [("tie", gap, rho, rep)]
+        return gap, []
 
-    return _collect(report, trials, trial, rng, threads)
-
-
-def _collect(report, trials, trial, rng, threads):
-    for gap, found in run_trials(trials, trial, rng, threads):
-        if np.isfinite(gap):
-            report.record_gap(gap)
-        for kind, g, rho, rep in found:
-            report.add_violation(
-                {
-                    "kind": kind,
-                    "gap": float(g),
-                    "rho": matrix_to_json(rho),
-                    "rho_prime": matrix_to_json(rep),
-                }
-            )
-    return report
+    return run_trials(report, trial, _encode_states, rng)
 
 
 def equivalence_check(
@@ -552,7 +560,6 @@ def equivalence_check(
     dims=(2, 3, 4),
     rng=None,
     tol: float = EQUIV_TOL,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Compare expected scores pointwise; -inf must match -inf."""
     dims = tuple(dims)
@@ -560,22 +567,14 @@ def equivalence_check(
     report = ScoreReport(name, "equivalence", trials, dims)
 
     def trial(i, g):
-        dim = dims[i % len(dims)]
-        rho = _sample_state(S1, dim, g)
-        rep = _adversarial_report(S1, rho, i % 4, g)
+        rho, rep = _belief_and_report(S1, dims, i, g)
         if not (_in_domain(S2, rho) and _in_domain(S2, rep)):
             return 0.0, []
         a = expected_score(S1, rep, rho)
         b = expected_score(S2, rep, rho)
-        if a == NEG_INF or b == NEG_INF:
-            gap = 0.0 if a == b else float("inf")
-        else:
-            gap = abs(a - b)
-        if gap > tol:
-            return gap, [("mismatch", gap, rho, rep)]
-        return gap, []
+        return _compare("mismatch", a, b, tol, rho, rep)
 
-    return _collect(report, trials, trial, rng, threads)
+    return run_trials(report, trial, _encode_states, rng)
 
 
 def unitary_invariance_check(
@@ -584,32 +583,31 @@ def unitary_invariance_check(
     dims=(2, 3, 4),
     rng=None,
     tol: float = EQUIV_TOL,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Flag |S(r; rho) - S(U r U*; U rho U*)| above tolerance."""
     dims = tuple(dims)
     report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, dims)
 
     def trial(i, g):
-        dim = dims[i % len(dims)]
-        rho = _sample_state(S, dim, g)
-        rep = _adversarial_report(S, rho, i % 4, g)
-        U = random_unitary(dim, rng=g)
+        rho, rep = _belief_and_report(S, dims, i, g)
+        U = random_unitary(rho.shape[0], rng=g)
         a = expected_score(S, rep, rho)
         b = expected_score(
             S,
             hermitian_part(U @ rep @ U.conj().T),
             hermitian_part(U @ rho @ U.conj().T),
         )
-        if a == NEG_INF or b == NEG_INF:
-            gap = 0.0 if a == b else float("inf")
-        else:
-            gap = abs(a - b)
-        if gap > tol:
-            return gap, [("variance", gap, rho, rep)]
-        return gap, []
+        return _compare("variance", a, b, tol, rho, rep)
 
-    return _collect(report, trials, trial, rng, threads)
+    return run_trials(report, trial, _encode_states, rng)
+
+
+def _belief_scorer(S, report):
+    # rho -> S(report; rho); a QuantumScore's payoff is evaluated once
+    if not isinstance(S, QuantumScore):
+        return lambda rho: S.expected(report, rho)
+    mu, values = S.payoff(report)
+    return lambda rho: _pair(mu, values, rho)
 
 
 def implementability_check(
@@ -618,7 +616,6 @@ def implementability_check(
     dims=(2, 3, 4),
     rng=None,
     tol: float = EQUIV_TOL,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Extended linearity of expected score in the true state.
 
@@ -635,19 +632,12 @@ def implementability_check(
         rho2 = _sample_state(S, dim, g)
         rep = _adversarial_report(S, rho1, i % 4, g)
         t = float(g.random())
-        mix = hermitian_part(t * rho1 + (1.0 - t) * rho2)
-        lhs = expected_score(S, rep, mix)
-        parts = [expected_score(S, rep, rho1), expected_score(S, rep, rho2)]
-        rhs = ext_dot([t, 1.0 - t], parts, zero_tol=EXT_WEIGHT_TOL)
-        if lhs == NEG_INF or rhs == NEG_INF:
-            gap = 0.0 if lhs == rhs else float("inf")
-        else:
-            gap = abs(lhs - rhs)
-        if gap > tol:
-            return gap, [("nonlinear", gap, rho1, rho2)]
-        return gap, []
+        score = _belief_scorer(S, rep)
+        lhs = score(hermitian_part(t * rho1 + (1.0 - t) * rho2))
+        rhs = ext_dot([t, 1.0 - t], [score(rho1), score(rho2)], zero_tol=EXT_WEIGHT_TOL)
+        return _compare("nonlinear", lhs, rhs, tol, rho1, rho2)
 
-    return _collect(report, trials, trial, rng, threads)
+    return run_trials(report, trial, _encode_states, rng)
 
 
 def subgradient_inequality_check(
@@ -657,7 +647,6 @@ def subgradient_inequality_check(
     dims=(2, 3, 4),
     rng=None,
     margin: float = TRUTH_MARGIN,
-    threads: int | None = None,
 ) -> ScoreReport:
     """Check F(rho) >= F(r) + <dF(r), rho - r> on sampled state pairs.
 
@@ -686,4 +675,4 @@ def subgradient_inequality_check(
             return gap, [("violated", gap, rho, base)]
         return gap, []
 
-    return _collect(report, trials, trial, rng, threads)
+    return run_trials(report, trial, _encode_states, rng)

@@ -78,19 +78,15 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_thread_count_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("QELICIT_THREADS", threads)
-            path = tmp_path / f"t{threads}.json"
-            code, _, _ = run_cli(
-                capsys,
-                "verify", "--score", "spectral:brier", "--dims", "2",
-                "--trials", "120", "--seed", "3", "--out", str(path),
-            )
-            assert code == 0
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_unknown_tolerance_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--score", "binary-brier", "--dims", "2",
+            "--trials", "10", "--tol-overrides", "margn=0.5",
+        )
+        assert code == 2
+        assert out == ""
+        for name in ("margn", "margin", "strict_distance", "equiv_tol"):
+            assert name in err
 
     def test_too_few_trials_exit_two(self, capsys):
         for trials in ("-5", "0", "1"):  # 1 leaves dimension 3 without a trial
@@ -179,6 +175,12 @@ class TestMeasure:
         assert code == 2
         assert "trace" in err
 
+    def test_negative_trials_exit_two(self, capsys, state_file):
+        code, out, err = run_cli(capsys, "measure", "--state", state_file, "--trials", "-3")
+        assert code == 2
+        assert "--trials" in err
+        assert out == ""
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")
@@ -248,6 +250,20 @@ class TestWitness:
         code, _, err = run_cli(capsys, "witness", "--property", "nope", "--trials", "5")
         assert code == 2
         assert "unknown property" in err
+
+    def test_zero_trials_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--property", "entropy", "--trials", "0")
+        assert code == 2
+        assert "trials" in err
+        assert out == ""
+
+    def test_dimension_one_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "witness", "--property", "entropy", "--dims", "1", "--trials", "10"
+        )
+        assert code == 2
+        assert "dimension" in err
+        assert out == ""
 
 
 def test_verify_report_schema(capsys, tmp_path):

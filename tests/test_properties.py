@@ -403,3 +403,71 @@ class TestIdentificationTranslate:
         assert hs_inner(tmap.adjoint(v_row), rho) == pytest.approx(
             float(v_row @ tmap.probs(rho)), abs=1e-10
         )
+
+
+def _overlaps(X, rho):
+    # <x_i, rho x_i> for each column of X
+    return np.einsum("ij,ik,kj->j", X.conj(), rho, X).real
+
+
+def _random_frame(n, k, rng):
+    return np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+
+
+class TestExpectedClosedForms:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_property_score_matches_numpy(self, n, rng):
+        mu = canonical_complete(n)
+        z = rng.standard_normal(len(mu))
+        _, expectation = expectation_property(z, mu)
+        weights = np.r_[1.0, np.zeros(n - 2), -1.0]
+        k = max(1, n - 1)
+        scores = {
+            "top": top_eigenvector_score(),
+            "topk": top_k_eigenvector_score(2, [2.0, 1.0]),
+            "top-bottom": top_bottom_score(1, 1, weights),
+            "pair": eigen_pair_score(k),
+            "value": with_value(top_eigenvector_score(), lambda a: a * a, lambda a: 2 * a),
+            "abstain": abstain_score(0.3, n),
+        }
+        for _ in range(5):
+            rho = random_density(n, rank=int(rng.integers(1, n + 1)), rng=rng)
+            X = _random_frame(n, 2, rng)
+            x = X[:, 0]
+            b = _overlaps(X, rho)
+            assert scores["top"].expected(x, rho) == pytest.approx(b[0], abs=1e-12)
+            assert scores["topk"].expected(X, rho) == pytest.approx(2.0 * b[0] + b[1], abs=1e-12)
+            assert scores["top-bottom"].expected(X, rho) == pytest.approx(b[0] - b[1], abs=1e-12)
+            assert scores["abstain"].expected(x, rho) == pytest.approx(b[0], abs=1e-12)
+            assert scores["abstain"].expected(ABSTAIN, rho) == pytest.approx(0.3, abs=1e-12)
+            alpha = float(rng.random())
+            assert scores["value"].expected((alpha, x), rho) == pytest.approx(
+                2.0 * alpha * b[0] - alpha * alpha, abs=1e-12
+            )
+
+            V = _random_frame(n, n, rng)
+            a = np.r_[np.sort(rng.random(k))[::-1], np.zeros(n - k)]
+            A = (V * a) @ V.conj().T
+            p = _overlaps(V, rho)
+            assert scores["pair"].expected(A, rho) == pytest.approx(2.0 * a @ p - a @ a, abs=1e-12)
+
+            r = float(rng.standard_normal())
+            mean = float(z @ np.einsum("yij,ji->y", mu.elements, rho).real)
+            assert expectation.expected(r, rho) == pytest.approx(2.0 * r * mean - r * r, abs=1e-12)
+
+
+def test_eigen_pair_decomposes_report_once(rng, monkeypatch):
+    import qelicit.properties as properties
+
+    A, _ = optimize_eigen_pair(random_density(4, rng=rng), 2, restarts=2, rng=rng)
+    rho = random_density(4, rng=rng)
+    calls = []
+    real = properties.spectral_decompose
+
+    def counted(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(properties, "spectral_decompose", counted)
+    eigen_pair_score(2).expected(A, rho)
+    assert len(calls) == 1

@@ -1,27 +1,60 @@
-from qelicit.reports import ScoreReport, default_threads, json_safe, run_trials
+import json
+
+from qelicit.registry import make_score
+from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, json_safe, run_trials
+from qelicit.scores import truthfulness_check
 
 
-def _trial(i, g):
-    return i, float(g.random())
+def _encode(a, b):
+    return {"a": a, "b": b}
+
+
+def _run(trials, trial, rng=0):
+    return run_trials(ScoreReport("s", "strict", trials, (2,)), trial, _encode, rng)
 
 
 class TestRunTrials:
     def test_ordered_by_index(self):
-        out = run_trials(20, _trial, rng=3, threads=1)
-        assert [i for i, _ in out] == list(range(20))
+        seen = []
 
-    def test_thread_count_does_not_change_results(self):
-        serial = run_trials(64, _trial, rng=9, threads=1)
-        parallel = run_trials(64, _trial, rng=9, threads=4)
-        assert serial == parallel
+        def trial(i, g):
+            seen.append(i)
+            return 0.0, []
 
-    def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.setenv("QELICIT_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("QELICIT_THREADS", "junk")
-        assert default_threads() == 1
-        monkeypatch.delenv("QELICIT_THREADS")
-        assert default_threads() == 1
+        _run(20, trial, rng=3)
+        assert seen == list(range(20))
+
+    def test_finite_gaps_recorded(self):
+        gaps = [-1.0, float("-inf"), -0.25, float("inf"), -0.5]
+        report = _run(len(gaps), lambda i, g: (gaps[i], []))
+        assert report.max_gap == -0.25
+        assert report.passed
+
+    def test_kinds_counted_and_trial_index_recorded(self):
+        def trial(i, g):
+            return 0.5, [("gain" if i % 3 == 0 else "tie", 0.5, i, -i)]
+
+        report = _run(9, trial)
+        assert report.kind_counts == {"gain": 3, "tie": 6}
+        assert report.n_violations == 9
+        assert [v["trial"] for v in report.violations] == list(range(9))
+        assert report.violations[4] == {"kind": "tie", "gap": 0.5, "a": 4, "b": -4, "trial": 4}
+
+    def test_storage_capped(self):
+        report = _run(100, lambda i, g: (0.0, [("tie", 0.0, i, i)]))
+        assert report.n_violations == 100
+        assert report.kind_counts == {"tie": 100}
+        assert len(report.violations) == MAX_STORED_VIOLATIONS
+        assert [v["trial"] for v in report.violations] == list(range(MAX_STORED_VIOLATIONS))
+
+    def test_same_seed_gives_identical_bytes(self):
+        S = make_score("ml:s3", 3)
+        blobs = [
+            json.dumps(truthfulness_check(S, 80, dims=(3,), rng=5).to_json(), sort_keys=True)
+            for _ in range(2)
+        ]
+        assert blobs[0] == blobs[1]
+        assert '"trial"' in blobs[0]
 
 
 class TestScoreReport:

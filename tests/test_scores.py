@@ -13,6 +13,7 @@ from qelicit.linalg import (
     spectral_decompose,
 )
 from qelicit.measurement import canonical_complete, is_pvm, standard_pvm
+from qelicit.registry import make_score
 from qelicit.scores import (
     QuantumScore,
     binary_brier,
@@ -373,6 +374,31 @@ class TestChecks:
         report = truthfulness_check(S, 600, dims=(2, 3), rng=18)
         assert report.passed
         assert report.trials == 600
+
+
+class TestTrialReplay:
+    def test_violation_replays_from_its_trial_index(self):
+        S = make_score("ml:s3", 3)
+        full = truthfulness_check(S, 160, dims=(3,), rng=5)
+        assert full.n_violations
+        for v in full.violations[:3]:
+            i = v["trial"]
+            # trial i draws from stream i of the root seed, whatever the trial count
+            replay = truthfulness_check(S, i + 1, dims=(3,), rng=5)
+            assert replay.violations[-1] == v
+            assert replay.violations[-1]["gap"] == v["gap"]
+
+    def test_implementability_measures_each_report_once(self):
+        base = projective_brier()
+        calls = []
+
+        def payoff(report):
+            calls.append(1)
+            return base.payoff(report)
+
+        report = implementability_check(QuantumScore(payoff, name="counted"), 8, dims=(2, 3), rng=4)
+        assert report.passed
+        assert len(calls) == 8
 
 
 class TestExpressiveness:
