@@ -186,6 +186,9 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     unknown = sorted(set(tol) - set(_TOL_KEYS))
     if unknown:
         raise ValueError(f"unknown tolerance {unknown[0]!r}; known tolerances: {', '.join(_TOL_KEYS)}")
+    for key, val in tol.items():
+        if not (np.isfinite(val) and val >= 0):
+            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val!r}")
     margin = float(tol.get("margin", 1e-9))
     distinct = float(tol.get("strict_distance", 1e-6))
     equiv = float(tol.get("equiv_tol", 1e-8))

@@ -91,9 +91,9 @@ def as_unitary(M, name: str = "unitary") -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
-    """(M + M*) / 2, used to scrub float asymmetry off products."""
+    """(M + M*) / 2, used to scrub float asymmetry off products; M may be a stack."""
     A = np.asarray(M, dtype=np.complex128)
-    return (A + A.conj().T) / 2
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def hs_inner(A, B) -> float:

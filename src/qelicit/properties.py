@@ -415,54 +415,70 @@ def quantum_to_classical_identification(V, tmap: TomographicMap) -> Callable:
 
 
 def _orthonormalize_plain(X) -> np.ndarray:
-    gram = hermitian_part(X.conj().T @ X)
-    w, V = np.linalg.eigh(gram)
+    """Polar retraction of a stack of frames (R, n, k) onto the Stiefel manifold."""
+    w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
     w = np.clip(w, 1e-14, None)
-    return X @ ((V / np.sqrt(w)) @ V.conj().T)
+    return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
 
 
-def _ascend(X0, grad, value, iters: int = 300, step: float = 0.5, max_step: float = 64.0):
-    # monotone ascent with a step that doubles on success; near-degenerate
-    # spectra need the large steps to converge past linear-rate stalls
-    X, best = X0, value(X0)
-    s = step
-    for _ in range(iters):
-        G = grad(X)
-        improved = False
-        while s >= 1e-12:
-            Xn = _orthonormalize_plain(X + s * G)
-            vn = value(Xn)
-            if vn > best + 1e-15:
-                X, best, improved = Xn, vn, True
-                s = min(s * 2.0, max_step)
-                break
-            s *= 0.5
-        if not improved:
-            break
+def _ascend(X0, grad, value, iters: int, step: float = 0.5, max_step: float = 64.0):
+    """Monotone ascent of every restart in the stack X0 (R, n, k) at once.
+
+    grad maps frames (m, n, k) to ascent directions of the same shape and
+    value maps them to (m,).  Each restart keeps its own step, which
+    doubles on success (near-degenerate spectra need the large steps to
+    converge past linear-rate stalls) and halves on failure.  Every pass
+    tries one step for each live restart; a restart retires when its
+    step falls below 1e-12 or after ``iters`` accepted steps.
+    """
+    X, best = X0.copy(), value(X0)
+    s = np.full(len(X), step)
+    taken = np.zeros(len(X), dtype=int)
+    G = grad(X)
+    live = np.arange(len(X) if iters > 0 else 0)
+    while live.size:
+        Xn = _orthonormalize_plain(X[live] + s[live, None, None] * G[live])
+        vn = value(Xn)
+        up = vn > best[live] + 1e-15
+        won, lost = live[up], live[~up]
+        X[won], best[won] = Xn[up], vn[up]
+        s[won] = np.minimum(s[won] * 2.0, max_step)
+        taken[won] += 1
+        s[lost] *= 0.5
+        live = live[np.where(up, taken[live] < iters, s[live] >= 1e-12)]
+        if won.size:
+            G[won] = grad(X[won])
     return X, best
 
 
-def _random_stiefel(n, k, g):
-    Z = g.standard_normal((n, k)) + 1j * g.standard_normal((n, k))
-    return np.linalg.qr(Z)[0]
+def _random_stiefel(R, n, k, g):
+    """R random orthonormal frames (n, k), drawn as one block from g."""
+    Z = g.standard_normal((R, 2, n, k))
+    return np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
+
+
+def _starts(rho, restarts, k, name, rng):
+    """Validate an optimizer's arguments and draw its starting frames."""
+    rho = as_density(rho)
+    n = rho.shape[0]
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts!r}")
+    if not 1 <= k <= n:
+        raise ValueError(f"{name} must be between 1 and the dimension {n}, got {k!r}")
+    return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
+
+
+def _rayleigh(rho, X) -> np.ndarray:
+    """Rayleigh quotients <x_j, rho x_j> of every column of a frame stack: (m, k)."""
+    return np.einsum("rij,ik,rkj->rj", X.conj(), rho, X).real
 
 
 def optimize_top_eigenvector(rho, restarts: int = 50, iters: int = 200, rng=None):
     """Projected gradient ascent of <x, rho x> over the unit sphere."""
-    rho = as_density(rho)
-    g = np.random.default_rng(rng)
-    n = rho.shape[0]
-    best_x, best_v = None, -np.inf
-    for _ in range(restarts):
-        X, v = _ascend(
-            _random_stiefel(n, 1, g),
-            grad=lambda X: rho @ X,
-            value=lambda X: float((X.conj().T @ rho @ X)[0, 0].real),
-            iters=iters,
-        )
-        if v > best_v:
-            best_x, best_v = X[:, 0], v
-    return best_x, best_v
+    rho, X0 = _starts(rho, restarts, 1, "k", rng)
+    X, v = _ascend(X0, grad=lambda X: rho @ X, value=lambda X: _rayleigh(rho, X)[:, 0], iters=iters)
+    i = int(np.argmax(v))
+    return X[i, :, 0], float(v[i])
 
 
 def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: int = 300, rng=None):
@@ -471,20 +487,15 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: 
     Used for the top-k score (all weights positive) and the top+bottom
     score (signed weights on the reported columns).
     """
-    rho = as_density(rho)
     w = np.asarray(weights, dtype=np.float64)
-    g = np.random.default_rng(rng)
-    n = rho.shape[0]
-
-    def value(X):
-        return float(np.sum(w * np.einsum("ij,ik,kj->j", X.conj(), rho, X).real))
-
-    best_X, best_v = None, -np.inf
-    for _ in range(restarts):
-        X, v = _ascend(_random_stiefel(n, cols, g), grad=lambda X: rho @ X * w, value=value, iters=iters)
-        if v > best_v:
-            best_X, best_v = X, v
-    return best_X, best_v
+    if w.shape != (cols,):
+        raise ValueError(f"weights must have one entry per column (cols={cols}), got shape {w.shape}")
+    rho, X0 = _starts(rho, restarts, cols, "cols", rng)
+    X, v = _ascend(
+        X0, grad=lambda X: rho @ X * w, value=lambda X: np.sum(w * _rayleigh(rho, X), axis=1), iters=iters
+    )
+    i = int(np.argmax(v))
+    return X[i], float(v[i])
 
 
 def optimize_eigen_pair(rho, k: int, restarts: int = 50, iters: int = 300, rng=None):
@@ -494,30 +505,17 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, iters: int = 300, rng=N
     Rayleigh quotient, so the report collapses to the orthonormal frame;
     returns the assembled PSD report and its expected score.
     """
-    rho = as_density(rho)
-    g = np.random.default_rng(rng)
-    n = rho.shape[0]
-
-    def rayleigh(X):
-        return np.einsum("ij,ik,kj->j", X.conj(), rho, X).real
+    rho, X0 = _starts(rho, restarts, k, "k", rng)
 
     def value(X):
-        b = rayleigh(X)
-        return float(b @ b)
+        b = _rayleigh(rho, X)
+        return np.sum(b * b, axis=1)
 
-    best_X, best_v = None, -np.inf
-    for _ in range(restarts):
-        X, v = _ascend(
-            _random_stiefel(n, k, g),
-            grad=lambda X: rho @ X * rayleigh(X),
-            value=value,
-            iters=iters,
-        )
-        if v > best_v:
-            best_X, best_v = X, v
-    beta = rayleigh(best_X)
-    A = hermitian_part((best_X * beta) @ best_X.conj().T)
-    return A, best_v
+    X, v = _ascend(X0, grad=lambda X: rho @ X * _rayleigh(rho, X)[:, None, :], value=value, iters=iters)
+    i = int(np.argmax(v))
+    beta = _rayleigh(rho, X[i : i + 1])[0]
+    A = hermitian_part((X[i] * beta) @ X[i].conj().T)
+    return A, float(v[i])
 
 
 def optimize_with_value(base_report, base_value):

@@ -88,6 +88,17 @@ class TestVerify:
         for name in ("margn", "margin", "strict_distance", "equiv_tol"):
             assert name in err
 
+    @pytest.mark.parametrize("override", ["equiv_tol=nan", "margin=nan", "margin=inf", "strict_distance=-1"])
+    def test_non_finite_or_negative_tolerance_exits_two(self, capsys, override):
+        # a NaN tolerance would make its check vacuous, since gap > nan is never true
+        code, out, err = run_cli(
+            capsys, "verify", "--score", "fixed:brier", "--dims", "2",
+            "--trials", "40", "--seed", "1", "--tol-overrides", override,
+        )
+        assert code == 2
+        assert out == ""
+        assert override.partition("=")[0] in err
+
     def test_too_few_trials_exit_two(self, capsys):
         for trials in ("-5", "0", "1"):  # 1 leaves dimension 3 without a trial
             code, out, err = run_cli(

@@ -471,3 +471,106 @@ def test_eigen_pair_decomposes_report_once(rng, monkeypatch):
     monkeypatch.setattr(properties, "spectral_decompose", counted)
     eigen_pair_score(2).expected(A, rho)
     assert len(calls) == 1
+
+
+class TestOptimizerArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho: optimize_top_eigenvector(rho, restarts=0, rng=1),
+            lambda rho: optimize_weighted_basis(rho, [2.0, 1.0], 2, restarts=0, rng=1),
+            lambda rho: optimize_eigen_pair(rho, 2, restarts=0, rng=1),
+        ],
+        ids=["top", "weighted_basis", "eigen_pair"],
+    )
+    def test_zero_restarts_rejected(self, call, rng):
+        with pytest.raises(ValueError, match="restarts"):
+            call(random_density(3, rng=rng))
+
+    def test_eigen_pair_rank_above_dimension_rejected(self, rng):
+        with pytest.raises(ValueError, match="k must be between 1 and the dimension 3"):
+            optimize_eigen_pair(random_density(3, rng=rng), 5, rng=1)
+
+    def test_column_count_outside_dimension_rejected(self, rng):
+        rho = random_density(3, rng=rng)
+        for cols in (0, 4):
+            with pytest.raises(ValueError, match="cols"):
+                optimize_weighted_basis(rho, np.ones(cols), cols, rng=1)
+
+    def test_weight_count_must_match_columns(self, rng):
+        with pytest.raises(ValueError, match="weights"):
+            optimize_weighted_basis(random_density(3, rng=rng), [2.0, 1.0], 3, rng=1)
+
+
+def _serial_orthonormalize(X):
+    gram = hermitian_part(X.conj().T @ X)
+    w, V = np.linalg.eigh(gram)
+    w = np.clip(w, 1e-14, None)
+    return X @ ((V / np.sqrt(w)) @ V.conj().T)
+
+
+def _serial_ascend(X0, grad, value, iters, step=0.5, max_step=64.0):
+    """One restart of the ascent, run on its own: the reference for the stacked loop."""
+    X, best = X0, value(X0)
+    s = step
+    for _ in range(iters):
+        G = grad(X)
+        improved = False
+        while s >= 1e-12:
+            Xn = _serial_orthonormalize(X + s * G)
+            vn = value(Xn)
+            if vn > best + 1e-15:
+                X, best, improved = Xn, vn, True
+                s = min(s * 2.0, max_step)
+                break
+            s *= 0.5
+        if not improved:
+            break
+    return X, best
+
+
+def _serial_best(rho, k, grad, value, restarts, iters, g):
+    """Best value over restarts run one after another, each drawing its own start."""
+    best = -np.inf
+    for _ in range(restarts):
+        _, v = _serial_ascend(_random_frame(rho.shape[0], k, g), grad, value, iters)
+        best = max(best, v)
+    return best
+
+
+class TestStackedAscentMatchesSerial:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_starting_frames_are_the_serial_draws(self, k):
+        from qelicit.properties import _random_stiefel
+
+        g_stacked, g_serial = np.random.default_rng(k), np.random.default_rng(k)
+        frames = _random_stiefel(7, 4, k, g_stacked)
+        for r in range(7):
+            np.testing.assert_array_equal(frames[r], _random_frame(4, k, g_serial))
+        assert g_stacked.standard_normal() == g_serial.standard_normal()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_values_and_generator_use(self, n):
+        rho = random_density(n, rng=500 + n)
+        cases = {
+            "top": (
+                lambda g: optimize_top_eigenvector(rho, restarts=12, rng=g)[1],
+                1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200,
+            ),
+        }
+        for w in ([2.0, 1.0], [1.0, -1.0]):
+            w = np.array(w)
+            cases[f"weighted_basis {w}"] = (
+                lambda g, w=w: optimize_weighted_basis(rho, w, 2, restarts=12, rng=g)[1],
+                2, lambda X, w=w: rho @ X * w, lambda X, w=w: float(w @ _overlaps(X, rho)), 300,
+            )
+        cases["eigen_pair"] = (
+            lambda g: optimize_eigen_pair(rho, 2, restarts=12, rng=g)[1],
+            2, lambda X: rho @ X * _overlaps(X, rho), lambda X: float(_overlaps(X, rho) @ _overlaps(X, rho)), 300,
+        )
+        for name, (stacked, k, grad, value, iters) in cases.items():
+            g_stacked, g_serial = np.random.default_rng(n), np.random.default_rng(n)
+            got = stacked(g_stacked)
+            want = _serial_best(rho, k, grad, value, 12, iters, g_serial)
+            assert got == pytest.approx(want, abs=1e-12), name
+            assert g_stacked.standard_normal() == g_serial.standard_normal(), name
