@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
-from .reports import ScoreReport, run_trials
+from .reports import ScoreReport, _classify, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -73,7 +73,6 @@ class ClassicalScoringRule:
 
     values: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    domain: Callable[[np.ndarray], bool] | None = None
 
     def __call__(self, p, y: int) -> float:
         return float(self.values(np.asarray(p, dtype=np.float64))[int(y)])
@@ -109,37 +108,42 @@ def linear_rule() -> ClassicalScoringRule:
     return ClassicalScoringRule(values, name="linear")
 
 
-def _subgrad_pairing(d, delta) -> float:
-    # <d, delta> for an extended vector d against a signed direction delta.
-    # -inf entries of d may only meet nonnegative direction components
-    # (they sit where the base point has zero mass).
-    d = np.asarray(d, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    neg = np.isneginf(d)
-    if not neg.any():
-        return float(d @ delta)
-    if (delta[neg] < -EXT_WEIGHT_TOL).any():
-        raise ValueError("-inf subgradient entry paired with a negative direction")
-    if (delta[neg] > EXT_WEIGHT_TOL).any():
-        return NEG_INF
-    keep = ~neg
-    return float(d[keep] @ delta[keep])
+def _bregman_rule(G, dG, name: str) -> ClassicalScoringRule:
+    """Rule paying G(p) + <dG(p), 1_y - p> for every outcome y, -inf where dG(p)_y is.
 
-
-def _bregman_values(g: float, d, p) -> np.ndarray:
-    """Payoffs g + <d, 1_y - p> for every outcome y, -inf where d_y is.
-
-    ``d`` is an (extended) subgradient at p; its -inf entries may only sit
-    where p has zero mass, else the oracle is invalid and this raises.
+    dG(p) is an (extended) subgradient at p; its -inf entries may only
+    sit where p has zero mass, else the oracle is invalid and the rule
+    raises.
     """
-    d = np.asarray(d, dtype=np.float64)
-    pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
-    if pairing == NEG_INF:
-        raise ValueError("dG has -inf mass where p is positive; invalid oracle")
-    out = np.full(len(d), NEG_INF)
-    fin = d > NEG_INF
-    out[fin] = float(g) + d[fin] - pairing
-    return out
+
+    def values(p):
+        g, d = float(G(p)), np.asarray(dG(p), dtype=np.float64)
+        pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
+        if pairing == NEG_INF:
+            raise ValueError("dG has -inf mass where p is positive; invalid oracle")
+        out = np.full(len(d), NEG_INF)
+        fin = d > NEG_INF
+        out[fin] = g + d[fin] - pairing
+        return out
+
+    return ClassicalScoringRule(values, name=name)
+
+
+def _check_convex(G, dG, draw, rng, samples: int) -> None:
+    """Raise unless G is convex with subgradient dG on ``samples`` pairs (p, q) = draw(g).
+
+    Tests the subgradient inequality G(q) >= G(p) + <dG(p), q - p> and
+    midpoint convexity; an unseeded check draws from seed 2024.
+    """
+    g = np.random.default_rng(2024 if rng is None else rng)
+    for _ in range(samples):
+        p, q = draw(g)
+        gp, gq = float(G(p)), float(G(q))
+        pairing = ext_dot(q - p, np.asarray(dG(p), dtype=np.float64), zero_tol=EXT_WEIGHT_TOL)
+        if gq < gp + pairing - PROPERNESS_MARGIN:
+            raise ValueError("subgradient inequality violated; G not convex or dG wrong")
+        if float(G(0.5 * (p + q))) > 0.5 * (gp + gq) + PROPERNESS_MARGIN:
+            raise ValueError("midpoint convexity violated; G is not convex")
 
 
 def from_convex(G, dG, dim: int, rng=None, check_samples: int = 64) -> ClassicalScoringRule:
@@ -148,23 +152,12 @@ def from_convex(G, dG, dim: int, rng=None, check_samples: int = 64) -> Classical
     G must be convex on the simplex and dG a consistent (extended)
     subgradient oracle: dG(p) entries live in R u {-inf}, with -inf only
     where p_y = 0.  A sampled self-check of the subgradient inequality
-    and midpoint convexity runs at construction and raises on violation.
+    and midpoint convexity on Dirichlet pairs runs at construction and
+    raises on violation.
     """
-    rng = np.random.default_rng(rng)
-    for _ in range(check_samples):
-        p = rng.dirichlet(np.ones(dim))
-        q = rng.dirichlet(np.ones(dim))
-        gp, gq = float(G(p)), float(G(q))
-        if gq < gp + _subgrad_pairing(dG(p), q - p) - PROPERNESS_MARGIN:
-            raise ValueError("subgradient inequality violated; G not convex or dG wrong")
-        mid = 0.5 * (p + q)
-        if float(G(mid)) > 0.5 * (gp + gq) + PROPERNESS_MARGIN:
-            raise ValueError("midpoint convexity violated; G is not convex")
-
-    def values(p):
-        return _bregman_values(G(p), dG(p), p)
-
-    return ClassicalScoringRule(values, name="from_convex")
+    ones = np.ones(dim)
+    _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), rng, check_samples)
+    return _bregman_rule(G, dG, "from_convex")
 
 
 def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
@@ -209,8 +202,10 @@ def properness_check(
 ) -> ScoreReport:
     """Sample (belief, report) pairs and flag properness failures.
 
-    Flags expected-score gains above ``margin``; in strict mode also
-    flags exact ties (within ``margin``) between distinct reports.
+    Flags a truthful expected score that is not finite as
+    ``irregular`` and expected-score gains above ``margin``; in strict
+    mode also flags exact ties (within ``margin``) between distinct
+    reports.
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
@@ -219,17 +214,12 @@ def properness_check(
     def trial(i, g):
         p = g.dirichlet(np.ones(dim))
         q = _sample_report(p, dim, i % 4, g)
-        truthful = expected_classical(rule, p, p)
-        other = expected_classical(rule, q, p)
-        gap = other - truthful if other > NEG_INF else NEG_INF
-        tie = abs(gap) <= margin if np.isfinite(gap) else False
-        distinct = float(np.linalg.norm(p - q)) > distinct_tol
-        out = []
-        if gap > margin:
-            out.append(("gain", gap, p, q))
-        elif mode == "strict" and tie and distinct:
-            out.append(("tie", gap, p, q))
-        return gap, out
+        return _classify(
+            expected_classical(rule, p, p),
+            lambda: expected_classical(rule, q, p),
+            lambda: float(np.linalg.norm(p - q)) > distinct_tol,
+            margin, mode == "strict", p, q,
+        )
 
     return run_trials(report, trial, _encode_distributions, rng)
 

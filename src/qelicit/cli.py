@@ -35,6 +35,9 @@ from .properties import find_level_set_witness, level_set_witness
 from .registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property
 from .reports import json_safe
 from .scores import (
+    DISTINCT_TOL,
+    EQUIV_TOL,
+    TRUTH_MARGIN,
     expected_score,
     binary_brier,
     implementability_check,
@@ -173,7 +176,10 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     Fixed-measurement scores are dimension-specific, so each dimension
     gets its own instance.  The trials are split as evenly as they go,
     the first ``trials % len(dims)`` dimensions taking one more, so the
-    per-dimension truthfulness trials add up to ``trials``.
+    per-dimension truthfulness trials add up to ``trials``.  Each check
+    records as ``stream`` the index j of its root seed
+    ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
+    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.
     """
     entry = SCORE_REGISTRY.get(score_name)
     if entry is None:
@@ -189,9 +195,9 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     for key, val in tol.items():
         if not (np.isfinite(val) and val >= 0):
             raise ValueError(f"tolerance {key} must be finite and non-negative, got {val!r}")
-    margin = float(tol.get("margin", 1e-9))
-    distinct = float(tol.get("strict_distance", 1e-6))
-    equiv = float(tol.get("equiv_tol", 1e-8))
+    margin = float(tol.get("margin", TRUTH_MARGIN))
+    distinct = float(tol.get("strict_distance", DISTINCT_TOL))
+    equiv = float(tol.get("equiv_tol", EQUIV_TOL))
 
     base, extra = divmod(trials, len(dims))
     children = np.random.SeedSequence(seed).spawn(3 * len(dims))
@@ -200,25 +206,22 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     for i, dim in enumerate(dims):
         S = entry.make(dim)
         per_dim = base + (i < extra)
+        rngs = [np.random.default_rng(children[3 * i + k]) for k in range(3)]
         truth = truthfulness_check(
-            S, per_dim, dims=(dim,), rng=np.random.default_rng(children[3 * i]),
-            mode="strict", margin=margin, distinct_tol=distinct,
+            S, per_dim, dims=(dim,), rng=rngs[0], mode="strict", margin=margin, distinct_tol=distinct,
         )
-        ui = unitary_invariance_check(
-            S, max(1, per_dim // 4), dims=(dim,),
-            rng=np.random.default_rng(children[3 * i + 1]), tol=equiv,
-        )
-        impl = implementability_check(
-            S, max(1, per_dim // 4), dims=(dim,),
-            rng=np.random.default_rng(children[3 * i + 2]), tol=equiv,
-        )
+        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1], tol=equiv)
+        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2], tol=equiv)
         gains += truth.kind_counts.get("gain", 0) + truth.kind_counts.get("irregular", 0)
         ties += truth.kind_counts.get("tie", 0)
         ui_fails += ui.n_violations
         impl_fails += impl.n_violations
-        sub_reports.append(
-            {"dim": dim, "truthfulness": truth.to_json(), "unitary_invariance": ui.to_json(), "implementability": impl.to_json()}
-        )
+        sub = {"dim": dim}
+        for k, (key, check) in enumerate(
+            (("truthfulness", truth), ("unitary_invariance", ui), ("implementability", impl))
+        ):
+            sub[key] = {**check.to_json(), "stream": 3 * i + k}
+        sub_reports.append(sub)
 
     observed = {
         "truthful": gains == 0,
@@ -269,10 +272,7 @@ def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
 
 
 def _parse_dims(raw: str) -> list:
-    dims = [int(tok) for tok in raw.split(",") if tok.strip()]
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dims {raw!r}")
-    return dims
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _parse_tol(raw: str | None) -> dict:

@@ -179,13 +179,6 @@ class ExtendedHermitian:
             hermitian_part(self.finite_part + c * comp), self.infinite_part
         )
 
-    def conjugate_by(self, U) -> "ExtendedHermitian":
-        U = np.asarray(U, dtype=np.complex128)
-        return ExtendedHermitian(
-            hermitian_part(U @ self.finite_part @ U.conj().T),
-            hermitian_part(U @ self.infinite_part @ U.conj().T),
-        )
-
 
 def ext_inner(E: ExtendedHermitian, X) -> float:
     """Extended inner product <A - inf B, X> = <A, X> - inf <B, X>.
@@ -223,6 +216,21 @@ def matrix_log(rho) -> ExtendedHermitian:
     return ExtendedHermitian(A, B)
 
 
+def _collapse(elements, weights) -> ExtendedHermitian:
+    """sum_i weights_i * elements_i for an (m, n, n) stack of PSD matrices.
+
+    Elements with a -inf weight sum into the infinite part; +inf weights
+    are rejected.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if np.isposinf(w).any():
+        raise ValueError("+inf weights are not allowed")
+    neg = np.isneginf(w)
+    finite = np.tensordot(np.where(neg, 0.0, w), elements, axes=1)
+    infinite = elements[neg].sum(axis=0)
+    return ExtendedHermitian.from_parts(hermitian_part(finite), hermitian_part(infinite))
+
+
 def canonicalize_extended(pairs) -> ExtendedHermitian:
     """Collapse weighted PSD matrices into one extended Hermitian.
 
@@ -233,18 +241,11 @@ def canonicalize_extended(pairs) -> ExtendedHermitian:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (matrix, weight) pair")
-    dim = np.asarray(pairs[0][0]).shape[0]
-    finite = np.zeros((dim, dim), dtype=np.complex128)
-    infinite = np.zeros((dim, dim), dtype=np.complex128)
-    for i, (Ai, alpha) in enumerate(pairs):
+    elements = []
+    for i, (Ai, _) in enumerate(pairs):
         Ai = as_hermitian(Ai, f"pair {i}")
         wmin = float(np.linalg.eigvalsh(Ai)[0])
         if wmin < -PSD_TOL:
             raise ValueError(f"pair {i} is not PSD: min eigenvalue {wmin:.3e}")
-        if alpha == np.inf:
-            raise ValueError("+inf weights are not allowed")
-        if alpha == NEG_INF:
-            infinite += Ai
-        else:
-            finite += float(alpha) * Ai
-    return ExtendedHermitian.from_parts(hermitian_part(finite), hermitian_part(infinite))
+        elements.append(Ai)
+    return _collapse(np.stack(elements), [alpha for _, alpha in pairs])

@@ -26,7 +26,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .measurement import Measurement, TomographicMap, apply_measurement, basis_pvm
-from .scores import QuantumScore
+from .scores import QuantumScore, _overlap_measurement
 
 __all__ = [
     "ORTHO_TOL",
@@ -157,8 +157,7 @@ def top_eigenvector_score() -> QuantumScore:
 
     def payoff(x):
         x = _as_unit_vector(x)
-        proj = hermitian_part(np.outer(x, x.conj()))
-        return Measurement([np.eye(len(x)) - proj, proj], validate=False), np.array([0.0, 1.0])
+        return _overlap_measurement(hermitian_part(np.outer(x, x.conj()))), np.array([0.0, 1.0])
 
     return QuantumScore(payoff, name="eigvec-top")
 

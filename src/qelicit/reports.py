@@ -94,3 +94,23 @@ def run_trials(report: ScoreReport, trial, encode, rng=None) -> ScoreReport:
         for kind, value, a, b in found:
             report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
     return report
+
+
+def _classify(truthful: float, other, distinct, margin: float, strict: bool, a, b):
+    """``(gap, found)`` of one report against the truth, for a ``run_trials`` trial.
+
+    A truthful expected score that is not finite is ``irregular``.
+    Otherwise the gap is ``other() - truthful`` (-inf when ``other()``
+    is): above ``margin`` it is a ``gain``, and in strict mode a finite
+    gap within ``margin`` is a ``tie`` when ``distinct()`` holds.
+    ``other`` and ``distinct`` are called only when needed.
+    """
+    if not np.isfinite(truthful):
+        return -math.inf, [("irregular", truthful, a, b)]
+    value = other()
+    gap = value - truthful if value > -math.inf else -math.inf
+    if gap > margin:
+        return gap, [("gain", gap, a, b)]
+    if strict and np.isfinite(gap) and abs(gap) <= margin and distinct():
+        return gap, [("tie", gap, a, b)]
+    return gap, []

@@ -19,8 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .classical import (
+    DISTINCT_TOL,
     ClassicalScoringRule,
-    _bregman_values,
+    _bregman_rule,
+    _check_convex,
+    brier_rule,
     is_permutation_invariant,
     log_rule,
 )
@@ -28,6 +31,7 @@ from .extended import (
     EXT_WEIGHT_TOL,
     NEG_INF,
     ExtendedHermitian,
+    _collapse,
     ext_dot,
     ext_inner,
     matrix_log,
@@ -35,7 +39,6 @@ from .extended import (
 from .linalg import (
     ZERO_EIG_REL,
     as_density,
-    as_hermitian,
     frob_dist,
     hermitian_part,
     hs_inner,
@@ -53,7 +56,7 @@ from .measurement import (
     is_tomographically_complete,
     tomographic_map,
 )
-from .reports import ScoreReport, run_trials
+from .reports import ScoreReport, _classify, run_trials
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -87,7 +90,6 @@ __all__ = [
 ]
 
 TRUTH_MARGIN = 1e-9   # expected-score gain above this flags a truthfulness violation
-DISTINCT_TOL = 1e-6   # Frobenius distance above this counts reports as distinct
 EQUIV_TOL = 1e-8      # expected-score difference allowed between equivalent scores
 FULL_RANK_TOL = 1e-8  # smallest eigenvalue for "full rank" report domains
 
@@ -159,13 +161,7 @@ def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
     populate the infinite part.
     """
     mu, values = S.payoff(rho_prime)
-    values = np.asarray(values, dtype=np.float64)
-    if np.isposinf(values).any():
-        raise ValueError("+inf weights are not allowed")
-    neg = np.isneginf(values)
-    finite = np.tensordot(np.where(neg, 0.0, values), mu.elements, axes=1)
-    infinite = mu.elements[neg].sum(axis=0)
-    return ExtendedHermitian.from_parts(hermitian_part(finite), hermitian_part(infinite))
+    return _collapse(mu.elements, values)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +185,18 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
 def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int = 32) -> QuantumScore:
     """Truthful fixed-measurement score from a convex f on outcome distributions.
 
-    s(report, y) = f(p) + <df(p), 1_y - p> at p = the report's outcome
-    distribution.  A sampled self-check of the subgradient inequality on
-    reachable distributions runs at construction.
+    The fixed measurement of the Bregman rule of f: s(report, y) =
+    f(p) + <df(p), 1_y - p> at p = the report's outcome distribution.
+    The sampled self-check of ``from_convex`` (subgradient inequality and
+    midpoint convexity) runs at construction on reachable distributions.
     """
-    rng = np.random.default_rng(rng if rng is not None else 2024)
-    n = mu.dim
-    for _ in range(check_samples):
-        p = apply_measurement(mu, random_density(n, rng=rng))
-        q = apply_measurement(mu, random_density(n, rng=rng))
-        d = np.asarray(df(p), dtype=np.float64)
-        if float(f(q)) < float(f(p)) + ext_dot(q - p, d) - TRUTH_MARGIN:
-            raise ValueError("subgradient inequality violated on sampled distributions")
 
-    def payoff(rho_p):
-        p = apply_measurement(mu, rho_p)
-        return mu, _bregman_values(f(p), df(p), p)
+    def draw(g):
+        return (apply_measurement(mu, random_density(mu.dim, rng=g)),
+                apply_measurement(mu, random_density(mu.dim, rng=g)))
 
-    return QuantumScore(payoff, name="fixed:convex")
+    _check_convex(f, df, draw, rng, check_samples)
+    return fixed_measurement_score(_bregman_rule(f, df, "convex"), mu)
 
 
 def binary_brier() -> QuantumScore:
@@ -225,19 +215,9 @@ def _overlap_measurement(rho_p) -> Measurement:
     return Measurement([np.eye(rho_p.shape[0]) - rho_p, rho_p], validate=False)
 
 
-def _spectral_parts(rho_p):
-    dec = spectral_decompose(as_density(rho_p))
-    return dec.eigenvalues, dec.eigenvectors
-
-
 def projective_brier() -> QuantumScore:
-    """Brier score measured in the report's own eigenbasis."""
-
-    def payoff(rho_p):
-        lam, V = _spectral_parts(rho_p)
-        return basis_pvm(V), 2.0 * lam - lam @ lam
-
-    return QuantumScore(payoff, name="projective-brier")
+    """Brier score measured in the report's own eigenbasis: the spectral Brier score."""
+    return spectral_score(brier_rule(), name="projective-brier", check=False)
 
 
 def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = True) -> QuantumScore:
@@ -252,8 +232,8 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
                 raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
 
     def payoff(rho_p):
-        lam, V = _spectral_parts(rho_p)
-        return basis_pvm(V), rule.values(lam)
+        dec = spectral_decompose(as_density(rho_p))
+        return basis_pvm(dec.eigenvectors), rule.values(dec.eigenvalues)
 
     return QuantumScore(payoff, name=name or f"spectral:{rule.name}")
 
@@ -270,17 +250,17 @@ def _full_rank(rho) -> bool:
 def log_det_score() -> QuantumScore:
     """Log-determinant score, restricted to full-rank reports.
 
-    Spectral realization of the convex function -log det: payoff
-    n - sum(log lambda) - 1/lambda_y in the report's eigenbasis.
+    The spectral score of the Bregman rule of the convex -sum(log p):
+    payoff n - sum(log lambda) - 1/lambda_y in the report's eigenbasis.
     """
 
-    def payoff(rho_p):
-        lam, V = _spectral_parts(rho_p)
-        if float(lam[-1]) <= FULL_RANK_TOL:
+    def values(lam):
+        if float(lam.min()) <= FULL_RANK_TOL:
             raise ValueError("log-det score requires a full-rank report")
-        return basis_pvm(V), len(lam) - np.sum(np.log(lam)) - 1.0 / lam
+        return len(lam) - np.sum(np.log(lam)) - 1.0 / lam
 
-    return QuantumScore(payoff, name="ml:s2", domain=_full_rank)
+    spectral = spectral_score(ClassicalScoringRule(values, name="log-det"), check=False)
+    return QuantumScore(spectral.payoff, name="ml:s2", domain=_full_rank)
 
 
 def trace_score() -> QuantumScore:
@@ -314,7 +294,7 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     """
 
     def expected(rho_p, rho):
-        Ep, Er = matrix_log(as_density(rho_p)), matrix_log(as_density(rho))
+        Ep, Er = matrix_log(rho_p), matrix_log(rho)
         K = Ep.infinite_part + Er.infinite_part
         w, V = np.linalg.eigh(hermitian_part(K))
         Q = V[:, w <= 1e-10]
@@ -357,7 +337,7 @@ def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumS
         rho_p = as_density(rho_p)
         d = dF(rho_p)
         if not isinstance(d, ExtendedHermitian):
-            d = ExtendedHermitian.wrap(as_hermitian(d))
+            d = ExtendedHermitian.wrap(d)
         anchor = ext_inner(d, rho_p)
         if anchor == NEG_INF:
             raise ValueError("subgradient selection is -inf at its own base point")
@@ -372,7 +352,6 @@ def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumS
 
 def von_neumann_entropy(rho) -> float:
     """H(rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
-    rho = as_density(rho)
     return -ext_inner(matrix_log(rho), rho)
 
 
@@ -534,21 +513,12 @@ def truthfulness_check(
 
     def trial(i, g):
         rho, rep = _belief_and_report(S, dims, i, g)
-        truthful = expected_score(S, rho, rho)
-        if not np.isfinite(truthful):
-            return NEG_INF, [("irregular", truthful, rho, rep)]
-        other = expected_score(S, rep, rho)
-        gap = other - truthful if other > NEG_INF else NEG_INF
-        if gap > margin:
-            return gap, [("gain", gap, rho, rep)]
-        if (
-            mode == "strict"
-            and np.isfinite(gap)
-            and abs(gap) <= margin
-            and frob_dist(rho, rep) > distinct_tol
-        ):
-            return gap, [("tie", gap, rho, rep)]
-        return gap, []
+        return _classify(
+            expected_score(S, rho, rho),
+            lambda: expected_score(S, rep, rho),
+            lambda: frob_dist(rho, rep) > distinct_tol,
+            margin, mode == "strict", rho, rep,
+        )
 
     return run_trials(report, trial, _encode_states, rng)
 
@@ -663,7 +633,7 @@ def subgradient_inequality_check(
         base = random_density(dim, rank=int(g.integers(1, dim + 1)), rng=g)
         d = dF(base)
         if not isinstance(d, ExtendedHermitian):
-            d = ExtendedHermitian.wrap(as_hermitian(d))
+            d = ExtendedHermitian.wrap(d)
         try:
             pairing = ext_inner(d, hermitian_part(rho - base))
         except ValueError:

@@ -150,6 +150,16 @@ class TestPropernessCheck:
         assert not strict.passed
         assert strict.kind_counts.get("tie", 0) > 0
 
+    def test_neg_inf_self_score_is_irregular(self):
+        # a rule paying -inf everywhere has no finite truthful score to beat
+        from qelicit.classical import ClassicalScoringRule
+
+        doomed = ClassicalScoringRule(lambda p: np.full(len(p), NEG_INF), name="doomed")
+        report = properness_check(doomed, 200, 3, rng=1, mode="strict")
+        assert not report.passed
+        assert report.kind_counts == {"irregular": 200}
+        assert report.violations[0]["gap"] == NEG_INF
+
     def test_convex_battery_yields_proper_rules(self, rng):
         def neg_entropy(p):
             pos = p > 0

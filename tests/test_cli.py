@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qelicit.cli import example_mixture_state, main, paper_example_rows
+from qelicit.cli import example_mixture_state, main, paper_example_rows, run_verify
 from qelicit.linalg import matrix_to_json, random_density, random_hermitian
+from qelicit.registry import make_score
+from qelicit.scores import truthfulness_check
 
 
 def run_cli(capsys, *argv):
@@ -109,12 +111,25 @@ class TestVerify:
             assert out == ""
 
     def test_dimension_one_exits_two(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--score", "ml:s3", "--dims", "1", "--trials", "10"
-        )
-        assert code == 2
-        assert "dimension" in err
-        assert out == ""
+        for dims in ("1", "0", "2,-1", ","):  # also no dimension at all
+            code, out, err = run_cli(
+                capsys, "verify", "--score", "ml:s3", "--dims", dims, "--trials", "10"
+            )
+            assert code == 2, dims
+            assert "dimension" in err
+            assert out == ""
+
+    def test_violation_replays_from_its_stream(self):
+        seed = 7
+        report = run_verify("ml:s3", [2, 3], 80, seed)
+        sub = report["reports"][1]
+        keys = ("truthfulness", "unitary_invariance", "implementability")
+        assert [sub[k]["stream"] for k in keys] == [3, 4, 5]
+        truth = sub["truthfulness"]
+        v = next(v for v in truth["violations"] if v["kind"] == "gain")
+        g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(truth["stream"],)))
+        replay = truthfulness_check(make_score("ml:s3", sub["dim"]), v["trial"] + 1, dims=(sub["dim"],), rng=g)
+        assert replay.to_json()["violations"][-1] == v
 
     def test_trials_split_exactly_across_dims(self, capsys, tmp_path):
         out = tmp_path / "split.json"
@@ -269,12 +284,13 @@ class TestWitness:
         assert out == ""
 
     def test_dimension_one_exits_two(self, capsys):
-        code, out, err = run_cli(
-            capsys, "witness", "--property", "entropy", "--dims", "1", "--trials", "10"
-        )
-        assert code == 2
-        assert "dimension" in err
-        assert out == ""
+        for dims in ("1", "0", "2,-1", ","):  # also no dimension at all
+            code, out, err = run_cli(
+                capsys, "witness", "--property", "entropy", "--dims", dims, "--trials", "10"
+            )
+            assert code == 2, dims
+            assert "dimension" in err
+            assert out == ""
 
 
 def test_verify_report_schema(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qelicit.extended import (
@@ -59,13 +59,20 @@ class TestExtendedArithmetic:
         max_size=6,
     ),
 )
+@example(alpha=5e-324, values=[NEG_INF])  # the scaled weight underflows to 0.0
 def test_ext_dot_scaling_property(alpha, values):
     # positive scaling commutes with the weighted sum
     weights = np.abs(np.linspace(0.1, 1.0, len(values)))
+    scaled_weights = weights * abs(alpha)
     base = ext_dot(weights, values)
-    scaled = ext_dot(weights * abs(alpha), values)
-    if base == NEG_INF:
-        assert scaled == (NEG_INF if abs(alpha) > 0 else 0.0)
+    scaled = ext_dot(scaled_weights, values)
+    neg = np.isneginf(values)
+    if base == NEG_INF and (scaled_weights[neg] > 0).any():
+        assert scaled == NEG_INF
+    elif base == NEG_INF:
+        # every weight on a -inf value is 0.0 after scaling, and 0 * (-inf) = 0
+        finite = weights[~neg] @ np.asarray(values)[~neg]
+        assert scaled == pytest.approx(abs(alpha) * finite, abs=1e-9)
     else:
         assert scaled == pytest.approx(abs(alpha) * base, abs=1e-9)
 

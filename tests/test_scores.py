@@ -160,6 +160,19 @@ class TestFixedMeasFromConvex:
         with pytest.raises(ValueError, match="subgradient"):
             fixed_meas_from_convex(lambda p: float(p @ p), lambda p: 6 * p, mu)
 
+    def test_midpoint_convexity_checked(self):
+        # f is 0 on every sampled distribution and 1 at the midpoint of the
+        # last two, so the zero subgradient passes and only the midpoint fails
+        seen = []
+
+        def f(p):
+            bump = len(seen) >= 2 and np.allclose(p, 0.5 * (seen[-1] + seen[-2]))
+            seen.append(p)
+            return float(bump)
+
+        with pytest.raises(ValueError, match="midpoint convexity"):
+            fixed_meas_from_convex(f, lambda p: np.zeros(len(p)), canonical_complete(2))
+
 
 class TestBinaryAndProjectiveBrier:
     def test_pure_truthful_report_scores_one(self, rng):
