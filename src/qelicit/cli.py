@@ -272,7 +272,10 @@ def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
 
 
 def _parse_dims(raw: str) -> list:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {raw!r}") from None
 
 
 def _parse_tol(raw: str | None) -> dict:
@@ -283,9 +286,10 @@ def _parse_tol(raw: str | None) -> dict:
         if not piece.strip():
             continue
         key, _, val = piece.partition("=")
-        if not val:
-            raise ValueError(f"bad tolerance override {piece!r}, expected key=value")
-        out[key.strip()] = float(val)
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise ValueError(f"bad --tol-overrides entry {piece!r}, expected key=number") from None
     return out
 
 
@@ -363,6 +367,9 @@ def _cmd_market(args) -> int:
         truth = density_from_json(scenario["truth"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc
+    for label, M in [(f"trade {i}", R) for i, R in enumerate(trades)] + [("truth", truth)]:
+        if M.shape[0] != dim:
+            raise ValueError(f"{label} has dimension {M.shape[0]}, but the scenario dim is {dim}")
     market = MarketState(dim, cost=cost)
     ledger = []
     for i, R in enumerate(trades):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
     ZERO_EIG_REL,
+    _require_psd,
     as_density,
     as_hermitian,
     hermitian_part,
@@ -126,9 +126,7 @@ class ExtendedHermitian:
         B = as_hermitian(self.infinite_part, "infinite part")
         if A.shape != B.shape:
             raise ValueError("finite and infinite parts must share a shape")
-        wmin = float(np.linalg.eigvalsh(B)[0]) if B.size else 0.0
-        if wmin < -PSD_TOL:
-            raise ValueError(f"infinite part is not PSD: min eigenvalue {wmin:.3e}")
+        _require_psd(B, "infinite part")
         prod = float(np.abs(A @ B).max()) if A.size else 0.0
         if prod > KERNEL_PRODUCT_TOL:
             raise ValueError(f"parts do not annihilate each other: max |AB| = {prod:.3e}")
@@ -138,7 +136,7 @@ class ExtendedHermitian:
     @classmethod
     def wrap(cls, A) -> "ExtendedHermitian":
         """Purely finite extended matrix (infinite part zero)."""
-        A = as_hermitian(A)
+        A = np.asarray(A, dtype=np.complex128)
         return cls(A, np.zeros_like(A))
 
     @classmethod
@@ -241,11 +239,6 @@ def canonicalize_extended(pairs) -> ExtendedHermitian:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (matrix, weight) pair")
-    elements = []
-    for i, (Ai, _) in enumerate(pairs):
-        Ai = as_hermitian(Ai, f"pair {i}")
-        wmin = float(np.linalg.eigvalsh(Ai)[0])
-        if wmin < -PSD_TOL:
-            raise ValueError(f"pair {i} is not PSD: min eigenvalue {wmin:.3e}")
-        elements.append(Ai)
-    return _collapse(np.stack(elements), [alpha for _, alpha in pairs])
+    elements = np.stack([as_hermitian(Ai, f"pair {i}") for i, (Ai, _) in enumerate(pairs)])
+    _require_psd(elements, "pair")
+    return _collapse(elements, [alpha for _, alpha in pairs])

@@ -4,9 +4,12 @@ Validation helpers, the Hilbert-Schmidt inner product, spectral
 decomposition with a deterministic phase convention, random state
 generation, and a JSON wire format for complex matrices.
 
-All matrices are plain ``complex128`` numpy arrays.  Functions validate
-their inputs on entry and never mutate them; everything returned is safe
-to share between threads.
+All matrices are plain ``complex128`` numpy arrays, checked once, where
+they enter: public functions check their inputs and pass on exactly
+Hermitian arrays (``as_hermitian`` returns the Hermitian part of what it
+accepts), and values the library builds itself are made exactly
+Hermitian with ``hermitian_part`` and not checked again.  No function
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -61,13 +64,26 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def as_hermitian(M, name: str = "matrix") -> np.ndarray:
-    """Validate that M is Hermitian within HERM_TOL and return it."""
+    """Validate that M is Hermitian within HERM_TOL; return its Hermitian part.
+
+    An exactly Hermitian input is returned as it is, bit for bit.
+    """
     A = as_complex_matrix(M, name)
     scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
     dev = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
     if dev > HERM_TOL * scale:
         raise ValueError(f"{name} is not Hermitian: max |M - M*| = {dev:.3e}")
-    return A
+    return hermitian_part(A) if dev else A
+
+
+def _require_psd(A, name: str) -> None:
+    """Raise unless A, or each matrix i (named "name i") of a stack A, is PSD within PSD_TOL."""
+    wmin = np.linalg.eigvalsh(A)[..., :1].reshape(-1)
+    bad = np.flatnonzero(wmin < -PSD_TOL)
+    if bad.size:
+        i = int(bad[0])
+        label = f"{name} {i}" if A.ndim == 3 else name
+        raise ValueError(f"{label} is not PSD: min eigenvalue {wmin[i]:.3e}")
 
 
 def as_density(M, name: str = "state") -> np.ndarray:
@@ -76,9 +92,7 @@ def as_density(M, name: str = "state") -> np.ndarray:
     tr = float(np.trace(A).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace is {tr!r}, expected 1 within {TRACE_TOL}")
-    wmin = float(np.linalg.eigvalsh(A)[0])
-    if wmin < -PSD_TOL:
-        raise ValueError(f"{name} is not PSD: min eigenvalue {wmin:.3e}")
+    _require_psd(A, name)
     return A
 
 

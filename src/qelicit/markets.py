@@ -117,9 +117,8 @@ def market_price_state(Q) -> np.ndarray:
 
 def bundle_cost(Q, R) -> float:
     """Price of buying bundle R at share state Q."""
-    Q = as_hermitian(Q)
-    R = as_hermitian(R)
-    return lmsr_cost(Q + R) - lmsr_cost(Q)
+    base = lmsr_cost(Q)
+    return lmsr_cost(Q + as_hermitian(R)) - base
 
 
 def bundle_expected_payoff(R, rho) -> float:

@@ -16,11 +16,13 @@ import numpy as np
 
 from .classical import clean_probs
 from .linalg import (
-    PSD_TOL,
+    _require_psd,
     as_density,
     as_hermitian,
     as_unitary,
     hermitian_part,
+    matrix_from_json,
+    matrix_to_json,
 )
 
 __all__ = [
@@ -55,37 +57,34 @@ class Measurement:
 
     ``elements`` is one read-only ``(m, n, n)`` complex array holding the
     m elements in outcome order; indexing, iteration and ``len`` run over
-    its first axis.
+    its first axis.  Each element is validated and stored as its exactly
+    Hermitian part; POVMs the library builds come from ``_unchecked``.
     """
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, validate: bool = True):
-        if not isinstance(elements, np.ndarray):
-            elements = list(elements)
-            shapes = [np.shape(e) for e in elements]
-            for i, shape in enumerate(shapes):
-                if shape != shapes[0]:
-                    raise ValueError(f"element {i} has shape {shape}, expected {shapes[0]}")
-        elems = np.array(elements, dtype=np.complex128)
-        if not len(elems):
+    def __init__(self, elements):
+        elements = list(elements)
+        if not elements:
             raise ValueError("a measurement needs at least one element")
-        if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
-            raise ValueError(f"elements must be square matrices of one shape, got {elems.shape}")
-        dim = elems.shape[1]
-        if validate:
-            for i, e in enumerate(elems):
-                as_hermitian(e, f"element {i}")
-            wmin = np.linalg.eigvalsh(elems)[:, 0]
-            bad = np.flatnonzero(wmin < -PSD_TOL)
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(f"element {i} is not PSD: min eigenvalue {wmin[i]:.3e}")
-        dev = float(np.abs(elems.sum(axis=0) - np.eye(dim)).max())
+        for i, e in enumerate(elements):
+            if np.shape(e) != np.shape(elements[0]):
+                raise ValueError(f"element {i} has shape {np.shape(e)}, expected {np.shape(elements[0])}")
+        elems = np.stack([as_hermitian(e, f"element {i}") for i, e in enumerate(elements)])
+        _require_psd(elems, "element")
+        dev = float(np.abs(elems.sum(axis=0) - np.eye(elems.shape[1])).max())
         if dev > POVM_SUM_TOL:
             raise ValueError(f"elements do not sum to identity: max deviation {dev:.3e}")
         elems.flags.writeable = False
         self.elements = elems
+
+    @classmethod
+    def _unchecked(cls, elems: np.ndarray) -> "Measurement":
+        # a POVM the library built: a fresh complex (m, n, n) stack of Hermitian PSD elements summing to I
+        mu = object.__new__(cls)
+        elems.flags.writeable = False
+        mu.elements = elems
+        return mu
 
     @property
     def dim(self) -> int:
@@ -106,8 +105,6 @@ class Measurement:
         return float(np.abs(self.elements - other.elements).max()) <= tol
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {
             "dim": self.dim,
             "elements": [matrix_to_json(e) for e in self.elements],
@@ -115,8 +112,6 @@ class Measurement:
 
     @classmethod
     def from_json(cls, obj) -> "Measurement":
-        from .linalg import matrix_from_json
-
         try:
             elems = [matrix_from_json(e) for e in obj["elements"]]
         except (KeyError, TypeError) as exc:
@@ -125,24 +120,18 @@ class Measurement:
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
-    """Outcome distribution p_y = <mu_y, rho>, cleaned of float noise.
-
-    All outcomes come from one product of the stacked elements with rho.
-    For Hermitian rho, <mu_y, rho> = sum(conj(mu_y) * rho) is the
-    conjugate of sum(mu_y * rho.T), so no conjugate copy of the elements
-    is needed.  As in ``hs_inner``, an imaginary residual above 1e-12
-    relative to the value means an element was not Hermitian, and raises.
-    """
+    """Outcome distribution p_y = <mu_y, rho> of a validated state, cleaned of float noise."""
     rho = as_density(rho)
     if rho.shape[0] != mu.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
-    vals = np.conj(mu.elements.reshape(len(mu), -1) @ rho.T.reshape(-1))
-    bad = np.flatnonzero(np.abs(vals.imag) > 1e-12 * np.maximum(1.0, np.abs(vals.real)))
-    if bad.size:
-        raise ValueError(
-            f"inner product has imaginary residual {vals.imag[bad[0]]:.3e}; inputs not Hermitian?"
-        )
-    return clean_probs(vals.real)
+    return _outcome_probs(mu, rho)
+
+
+def _outcome_probs(mu: Measurement, rho: np.ndarray) -> np.ndarray:
+    # All outcomes from one product of the stacked elements with an exactly
+    # Hermitian rho of the measurement's dimension: <mu_y, rho> =
+    # sum(conj(mu_y) * rho) is real and equals sum(mu_y * rho.T).
+    return clean_probs((mu.elements.reshape(len(mu), -1) @ rho.T.reshape(-1)).real)
 
 
 def _inverse_cdf(cum: np.ndarray, u):
@@ -166,8 +155,12 @@ def sample_outcomes(mu: Measurement, rho, size: int, rng=None) -> np.ndarray:
 
 def basis_pvm(U) -> Measurement:
     """Rank-1 projective measurement onto the columns of a unitary."""
-    U = as_unitary(U)
-    return Measurement(np.einsum("ik,jk->kij", U, U.conj()), validate=False)
+    return _basis_pvm(as_unitary(U))
+
+
+def _basis_pvm(U) -> Measurement:
+    # rank-1 projectors u_k u_k* onto the columns of a unitary the library built (not checked)
+    return Measurement._unchecked(np.einsum("ik,jk->kij", U, U.conj()))
 
 
 def standard_pvm(n: int) -> Measurement:
@@ -255,7 +248,7 @@ def canonical_complete(n: int) -> Measurement:
     if float(w.min()) <= 0:
         raise ValueError("normalizer is not positive definite")
     T_isqrt = (V / np.sqrt(w)) @ V.conj().T
-    return Measurement([hermitian_part(T_isqrt @ M @ T_isqrt) for M in raw])
+    return Measurement._unchecked(np.stack([hermitian_part(T_isqrt @ M @ T_isqrt) for M in raw]))
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     as_density,
-    as_hermitian,
     hermitian_part,
+    matrix_to_json,
     random_density,
     random_unitary,
     spectral_decompose,
 )
-from .measurement import Measurement, TomographicMap, apply_measurement, basis_pvm
+from .measurement import Measurement, TomographicMap, _basis_pvm, apply_measurement
 from .scores import QuantumScore, _overlap_measurement
 
 __all__ = [
@@ -115,13 +115,6 @@ def _complete_basis(X) -> np.ndarray:
     return U[:, j:]
 
 
-def _projectors(cols: np.ndarray) -> list:
-    return [
-        hermitian_part(cols[:, i : i + 1] @ cols[:, i : i + 1].conj().T)
-        for i in range(cols.shape[1])
-    ]
-
-
 # ---------------------------------------------------------------------------
 # elicitable properties and their scores: each score is a QuantumScore over
 # its own report space, its payoff giving the POVM and one payoff per outcome
@@ -176,9 +169,9 @@ def top_k_eigenvector_score(k: int, v) -> QuantumScore:
 
     def payoff(X):
         X = _as_orthonormal(X, cols=k)
-        projs = _projectors(X)
-        rest = np.eye(X.shape[0], dtype=np.complex128) - sum(projs)
-        return Measurement(projs + [rest], validate=False), np.append(v, 0.0)
+        projs = np.einsum("ik,jk->kij", X, X.conj())
+        rest = np.eye(X.shape[0]) - projs.sum(axis=0)
+        return Measurement._unchecked(np.concatenate([projs, rest[None]])), np.append(v, 0.0)
 
     return QuantumScore(payoff, name="eigvec-topk")
 
@@ -210,7 +203,7 @@ def top_bottom_score(k: int, m: int, v) -> QuantumScore:
             raise ValueError(f"report vectors have dimension {X.shape[0]}, expected {n}")
         fill = _complete_basis(X)
         cols = np.concatenate([X[:, :k], fill, X[:, k:]], axis=1)
-        return Measurement(_projectors(cols), validate=False), v.copy()
+        return _basis_pvm(cols), v.copy()
 
     return QuantumScore(payoff, name="eigvec-top-bottom")
 
@@ -227,14 +220,14 @@ def eigen_pair_score(k: int) -> QuantumScore:
     """
 
     def payoff(A):
-        dec = spectral_decompose(as_hermitian(A))
+        dec = spectral_decompose(A)
         lam = dec.eigenvalues
         if float(lam[-1]) < -PSD_TOL:
             raise ValueError(f"report is not PSD: min eigenvalue {lam[-1]:.3e}")
         if k < len(lam) and float(lam[k]) > 1e-8:
             raise ValueError(f"report rank exceeds {k}: eigenvalue {lam[k]:.3e} at index {k}")
         alpha = np.clip(lam, 0.0, None)
-        return basis_pvm(dec.eigenvectors), 2.0 * alpha - alpha @ alpha
+        return _basis_pvm(dec.eigenvectors), 2.0 * alpha - alpha @ alpha
 
     return QuantumScore(payoff, name="eig-pair")
 
@@ -269,7 +262,7 @@ def abstain_score(alpha: float, dim: int) -> QuantumScore:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     inner = top_eigenvector_score()
-    flat = Measurement([np.eye(dim, dtype=np.complex128)], validate=False)
+    flat = Measurement._unchecked(np.eye(dim, dtype=np.complex128)[None])
 
     def payoff(r):
         if r is ABSTAIN:
@@ -307,8 +300,6 @@ class WitnessResult:
     rho_2: np.ndarray
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         def val(v):
             arr = np.asarray(v)
             return arr.tolist() if arr.ndim else float(arr)

@@ -50,8 +50,9 @@ from .linalg import (
 from .linalg import _fix_phases
 from .measurement import (
     Measurement,
+    _basis_pvm,
+    _outcome_probs,
     apply_measurement,
-    basis_pvm,
     herm_coords,
     is_tomographically_complete,
     tomographic_map,
@@ -120,13 +121,14 @@ class QuantumScore:
 
     def expected(self, report, rho) -> float:
         """Expected payoff of ``report`` under belief ``rho``, from one ``payoff``."""
-        return _pair(*self.payoff(report), rho)
+        mu, values = self.payoff(report)
+        return _pair(apply_measurement(mu, rho), values)
 
 
-def _pair(mu: Measurement, values, rho) -> float:
-    # sum_y <mu_y, rho> values_y under extended arithmetic: zero-mass
-    # outcomes never contribute, even against -inf payoffs
-    return ext_dot(apply_measurement(mu, rho), values, zero_tol=EXT_WEIGHT_TOL)
+def _pair(probs, values) -> float:
+    # sum_y p_y values_y under extended arithmetic: zero-mass outcomes
+    # never contribute, even against -inf payoffs
+    return ext_dot(probs, values, zero_tol=EXT_WEIGHT_TOL)
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,8 @@ def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int 
     """
 
     def draw(g):
-        return (apply_measurement(mu, random_density(mu.dim, rng=g)),
-                apply_measurement(mu, random_density(mu.dim, rng=g)))
+        return (_outcome_probs(mu, random_density(mu.dim, rng=g)),
+                _outcome_probs(mu, random_density(mu.dim, rng=g)))
 
     _check_convex(f, df, draw, rng, check_samples)
     return fixed_measurement_score(_bregman_rule(f, df, "convex"), mu)
@@ -212,7 +214,7 @@ def binary_brier() -> QuantumScore:
 
 def _overlap_measurement(rho_p) -> Measurement:
     # {I - report, report}: outcome 1 fires with probability <report, rho>
-    return Measurement([np.eye(rho_p.shape[0]) - rho_p, rho_p], validate=False)
+    return Measurement._unchecked(np.stack([np.eye(rho_p.shape[0]) - rho_p, rho_p]))
 
 
 def projective_brier() -> QuantumScore:
@@ -233,7 +235,7 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
 
     def payoff(rho_p):
         dec = spectral_decompose(as_density(rho_p))
-        return basis_pvm(dec.eigenvectors), rule.values(dec.eigenvalues)
+        return _basis_pvm(dec.eigenvectors), rule.values(dec.eigenvalues)
 
     return QuantumScore(payoff, name=name or f"spectral:{rule.name}")
 
@@ -394,7 +396,7 @@ def _ext_eigh(E: ExtendedHermitian):
 def _projective(E: ExtendedHermitian):
     # Eigenbasis measurement of E paired with its eigenvalues as payoffs.
     vals, U = _ext_eigh(E)
-    return basis_pvm(U), vals
+    return _basis_pvm(U), vals
 
 
 def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
@@ -489,6 +491,16 @@ def _compare(kind, a, b, tol, x, y):
     return gap, [(kind, gap, x, y)] if gap > tol else []
 
 
+def _belief_scorer(S, report):
+    # rho -> S(report; rho) for the exactly Hermitian states a check draws:
+    # a QuantumScore's payoff is evaluated (and its report validated) once,
+    # and the beliefs, built by the library, go unchecked to the contraction
+    if not isinstance(S, QuantumScore):
+        return lambda rho: S.expected(report, rho)
+    mu, values = S.payoff(report)
+    return lambda rho: _pair(_outcome_probs(mu, rho), values)
+
+
 def truthfulness_check(
     S,
     trials: int,
@@ -514,8 +526,8 @@ def truthfulness_check(
     def trial(i, g):
         rho, rep = _belief_and_report(S, dims, i, g)
         return _classify(
-            expected_score(S, rho, rho),
-            lambda: expected_score(S, rep, rho),
+            _belief_scorer(S, rho)(rho),
+            lambda: _belief_scorer(S, rep)(rho),
             lambda: frob_dist(rho, rep) > distinct_tol,
             margin, mode == "strict", rho, rep,
         )
@@ -540,8 +552,8 @@ def equivalence_check(
         rho, rep = _belief_and_report(S1, dims, i, g)
         if not (_in_domain(S2, rho) and _in_domain(S2, rep)):
             return 0.0, []
-        a = expected_score(S1, rep, rho)
-        b = expected_score(S2, rep, rho)
+        a = _belief_scorer(S1, rep)(rho)
+        b = _belief_scorer(S2, rep)(rho)
         return _compare("mismatch", a, b, tol, rho, rep)
 
     return run_trials(report, trial, _encode_states, rng)
@@ -561,23 +573,12 @@ def unitary_invariance_check(
     def trial(i, g):
         rho, rep = _belief_and_report(S, dims, i, g)
         U = random_unitary(rho.shape[0], rng=g)
-        a = expected_score(S, rep, rho)
-        b = expected_score(
-            S,
-            hermitian_part(U @ rep @ U.conj().T),
-            hermitian_part(U @ rho @ U.conj().T),
-        )
+        a = _belief_scorer(S, rep)(rho)
+        rotated = _belief_scorer(S, hermitian_part(U @ rep @ U.conj().T))
+        b = rotated(hermitian_part(U @ rho @ U.conj().T))
         return _compare("variance", a, b, tol, rho, rep)
 
     return run_trials(report, trial, _encode_states, rng)
-
-
-def _belief_scorer(S, report):
-    # rho -> S(report; rho); a QuantumScore's payoff is evaluated once
-    if not isinstance(S, QuantumScore):
-        return lambda rho: S.expected(report, rho)
-    mu, values = S.payoff(report)
-    return lambda rho: _pair(mu, values, rho)
 
 
 def implementability_check(

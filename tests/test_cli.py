@@ -119,6 +119,23 @@ class TestVerify:
             assert "dimension" in err
             assert out == ""
 
+    @pytest.mark.parametrize("dims", ["2,a", "3.5"])
+    def test_unparsable_dims_name_the_option(self, capsys, dims):
+        code, out, err = run_cli(capsys, "verify", "--score", "ml:s3", "--dims", dims, "--trials", "10")
+        assert code == 2
+        assert "--dims" in err and repr(dims) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("override", ["margin=abc", "margin", "equiv_tol="])
+    def test_unparsable_tolerance_names_the_option(self, capsys, override):
+        code, out, err = run_cli(
+            capsys, "verify", "--score", "binary-brier", "--dims", "2",
+            "--trials", "10", "--tol-overrides", override,
+        )
+        assert code == 2
+        assert "--tol-overrides" in err and repr(override) in err
+        assert out == ""
+
     def test_violation_replays_from_its_stream(self):
         seed = 7
         report = run_verify("ml:s3", [2, 3], 80, seed)
@@ -245,6 +262,22 @@ class TestMarketSim:
         )
         assert report["maker_loss"] <= report["loss_bound"] + 1e-9
 
+    def test_dimension_mismatch_names_the_matrix(self, capsys, tmp_path):
+        rng = np.random.default_rng(13)
+        good = matrix_to_json(random_hermitian(3, rng=rng))
+        truth = matrix_to_json(random_density(3, rng=rng))
+        for trades, truth_doc, label in (
+            ([good, matrix_to_json(random_hermitian(2, rng=rng))], truth, "trade 1"),
+            ([good], matrix_to_json(random_density(2, rng=rng)), "truth"),
+        ):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"dim": 3, "trades": trades, "truth": truth_doc}))
+            code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+            assert code == 2, label
+            assert f"{label} has dimension 2" in err
+            assert "broadcast" not in err
+            assert out == ""
+
     def test_missing_truth_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2, "trades": []}))
@@ -291,6 +324,12 @@ class TestWitness:
             assert code == 2, dims
             assert "dimension" in err
             assert out == ""
+
+    def test_unparsable_dims_name_the_option(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--property", "entropy", "--dims", "3.5")
+        assert code == 2
+        assert "--dims" in err and "'3.5'" in err
+        assert out == ""
 
 
 def test_verify_report_schema(capsys, tmp_path):

@@ -4,16 +4,26 @@ import pytest
 from qelicit.classical import brier_rule, linear_rule, log_rule, shannon_entropy
 from qelicit.extended import NEG_INF, ExtendedHermitian, ext_inner, matrix_log
 from qelicit.linalg import (
+    HERM_TOL,
+    as_density,
     eigenvalues_desc,
     frob_dist,
     hermitian_part,
     hs_inner,
     random_density,
+    random_hermitian,
     random_pure,
     spectral_decompose,
 )
-from qelicit.measurement import canonical_complete, is_pvm, standard_pvm
-from qelicit.registry import make_score
+from qelicit.measurement import (
+    Measurement,
+    apply_measurement,
+    canonical_complete,
+    hadamard_pvm,
+    is_pvm,
+    standard_pvm,
+)
+from qelicit.registry import SCORE_REGISTRY, make_score
 from qelicit.scores import (
     QuantumScore,
     binary_brier,
@@ -630,3 +640,41 @@ class TestPayoffClosedForms:
             mu, s = S.payoff(r)
             assert S.measure(r).approx_equal(mu, tol=0.0)
             assert [S.score(r, y) for y in range(len(mu))] == list(map(float, s))
+
+
+class TestNearHermitianInputs:
+    """A matrix within HERM_TOL of Hermitian is its Hermitian part everywhere."""
+
+    @staticmethod
+    def _perturbed(n, rng):
+        # a density matrix plus an anti-Hermitian part with max |M - M*| = HERM_TOL / 2
+        H = random_hermitian(n, rng=rng)
+        return random_density(n, rng=rng) + 1j * (HERM_TOL / 4) * H / np.abs(H).max()
+
+    def test_every_function_sees_the_hermitian_part(self, rng):
+        for n in range(2, 9):
+            rho, sigma = self._perturbed(n, rng), random_density(n, rng=rng)
+            herm = hermitian_part(rho)
+            assert float(np.abs(rho - rho.conj().T).max()) > 0.0
+            assert np.array_equal(as_density(rho), herm)
+            mus = [canonical_complete(n)] + ([hadamard_pvm()] if n == 2 else [])
+            for mu in mus:
+                assert np.array_equal(apply_measurement(mu, rho), apply_measurement(mu, herm)), n
+            assert von_neumann_entropy(rho) == von_neumann_entropy(herm), n
+            assert relative_entropy(rho, sigma) == relative_entropy(herm, sigma), n
+            assert relative_entropy(sigma, rho) == relative_entropy(sigma, herm), n
+            for name in SCORE_REGISTRY:
+                S = make_score(name, n)
+                for r, b, rh, bh in ((rho, rho, herm, herm), (rho, sigma, herm, sigma), (sigma, rho, sigma, herm)):
+                    assert expected_score(S, r, b) == expected_score(S, rh, bh), (name, n)
+
+    def test_measurement_with_asymmetric_elements_applies(self, rng):
+        elems = canonical_complete(3).elements.copy()
+        elems[0, 0, 1] += 1e-11j
+        elems[1, 0, 1] -= 1e-11j
+        mu = Measurement(elems)
+        assert np.array_equal(mu.elements, hermitian_part(elems))
+        rho = random_density(3, rng=rng)
+        p = apply_measurement(mu, rho)
+        assert np.array_equal(p, apply_measurement(Measurement(hermitian_part(elems)), rho))
+        assert abs(p.sum() - 1.0) <= 1e-12
