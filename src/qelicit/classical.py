@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
-from .reports import ScoreReport, _classify, run_trials
+from .reports import ScoreReport, _classify, _found, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -47,18 +47,23 @@ def clean_probs(p) -> np.ndarray:
     renormalized; anything more negative, or a total off 1 by more than
     1e-10, is an error.
     """
-    q = np.asarray(p, dtype=np.float64).copy()
+    q = np.asarray(p, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError(f"probability vector must be 1-d, got shape {q.shape}")
-    if not np.isfinite(q).all():
+    return _clean_rows(q[None])[0]
+
+
+def _clean_rows(P) -> np.ndarray:
+    # clean_probs of each row of an (N, m) array
+    if not np.isfinite(P).all():
         raise ValueError("probability vector has non-finite entries")
-    low = float(q.min()) if q.size else 0.0
-    if low < -PROB_CLIP:
-        raise ValueError(f"probability {low:.3e} is negative beyond the clip tolerance")
-    np.clip(q, 0.0, None, out=q)
-    total = float(q.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    if (P < -PROB_CLIP).any():
+        raise ValueError(f"probability {P.min():.3e} is negative beyond the clip tolerance")
+    q = np.maximum(P, 0.0)
+    total = q.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"probabilities sum to {float(total[np.argmax(off), 0])!r}, expected 1")
     return q / total
 
 
@@ -67,8 +72,9 @@ class ClassicalScoringRule:
     """Scoring rule s(report distribution, outcome index) -> R u {-inf}.
 
     ``values(p)`` returns the whole payoff vector (s(p, 0), ..., s(p, m-1))
-    for a report p over m outcomes, with -inf allowed and +inf never.
-    ``rule(p, y)`` is ``values(p)[y]``.
+    for a report p over m outcomes, with -inf allowed and +inf never.  It
+    works along the last axis: on an (N, m) stack of reports it returns
+    the (N, m) payoffs, row by row.  ``rule(p, y)`` is ``values(p)[y]``.
     """
 
     values: Callable[[np.ndarray], np.ndarray]
@@ -82,7 +88,7 @@ def brier_rule() -> ClassicalScoringRule:
     """Quadratic score s(p, y) = 2 p_y - ||p||^2; finite everywhere."""
 
     def values(p):
-        return 2.0 * p - p @ p
+        return 2.0 * p - np.vecdot(p, p)[..., None]
 
     return ClassicalScoringRule(values, name="brier")
 
@@ -91,7 +97,7 @@ def log_rule() -> ClassicalScoringRule:
     """Logarithmic score s(p, y) = log p_y, -inf at (numerically) zero mass."""
 
     def values(p):
-        out = np.full(len(p), NEG_INF)
+        out = np.full(np.shape(p), NEG_INF)
         pos = p > PROB_ZERO_TOL
         out[pos] = np.log(p[pos])
         return out
@@ -113,10 +119,10 @@ def _bregman_rule(G, dG, name: str) -> ClassicalScoringRule:
 
     dG(p) is an (extended) subgradient at p; its -inf entries may only
     sit where p has zero mass, else the oracle is invalid and the rule
-    raises.
+    raises.  G and dG take one distribution, so a stack is paid row by row.
     """
 
-    def values(p):
+    def one(p):
         g, d = float(G(p)), np.asarray(dG(p), dtype=np.float64)
         pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
         if pairing == NEG_INF:
@@ -125,6 +131,9 @@ def _bregman_rule(G, dG, name: str) -> ClassicalScoringRule:
         fin = d > NEG_INF
         out[fin] = g + d[fin] - pairing
         return out
+
+    def values(p):
+        return np.array([one(q) for q in p.reshape(-1, p.shape[-1])]).reshape(p.shape)
 
     return ClassicalScoringRule(values, name=name)
 
@@ -211,17 +220,20 @@ def properness_check(
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
     report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
 
-    def trial(i, g):
-        p = g.dirichlet(np.ones(dim))
-        q = _sample_report(p, dim, i % 4, g)
-        return _classify(
-            expected_classical(rule, p, p),
-            lambda: expected_classical(rule, q, p),
-            lambda: float(np.linalg.norm(p - q)) > distinct_tol,
-            margin, mode == "strict", p, q,
-        )
+    def draw(first, gens):
+        beliefs = [g.dirichlet(np.ones(dim)) for g in gens]
+        reports = [_sample_report(p, dim, (first + j) % 4, g) for j, (p, g) in enumerate(zip(beliefs, gens))]
+        return beliefs, reports
 
-    return run_trials(report, trial, _encode_distributions, rng)
+    def score(drawn):
+        beliefs, reports = drawn
+        truthful = [expected_classical(rule, p, p) for p in beliefs]
+        other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
+        distinct = np.array([float(np.linalg.norm(p - q)) > distinct_tol for p, q in zip(beliefs, reports)])
+        gaps, kinds, values = _classify(truthful, other, distinct, margin, mode == "strict")
+        return gaps, _found(kinds, values, beliefs, reports)
+
+    return run_trials(report, draw, _encode_distributions, rng, score=score)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:

@@ -170,7 +170,7 @@ def _check_dims(dims) -> list:
     return dims
 
 
-def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None) -> dict:
+def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None, profile=None) -> dict:
     """Run all checks for one registry score and compare with its expectations.
 
     Fixed-measurement scores are dimension-specific, so each dimension
@@ -179,7 +179,9 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     per-dimension truthfulness trials add up to ``trials``.  Each check
     records as ``stream`` the index j of its root seed
     ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
-    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.
+    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.  With ``profile``, a
+    text stream, each check writes one line to it: its trials, wall
+    seconds, trials/s and the split between drawing and scoring.
     """
     entry = SCORE_REGISTRY.get(score_name)
     if entry is None:
@@ -221,6 +223,8 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
             (("truthfulness", truth), ("unitary_invariance", ui), ("implementability", impl))
         ):
             sub[key] = {**check.to_json(), "stream": 3 * i + k}
+            if profile is not None:
+                _profile_line(profile, score_name, dim, key, check)
         sub_reports.append(sub)
 
     observed = {
@@ -245,6 +249,16 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
         "as_expected": observed == expected,
         "reports": sub_reports,
     }
+
+
+def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
+    t = check.timing
+    rate = check.trials / t["wall_s"] if t["wall_s"] > 0 else float("inf")
+    print(
+        f"profile {score_name} dim={dim} {key}: {check.trials} trials in {t['wall_s']:.4f} s, "
+        f"{rate:.0f} trials/s (draw {t['draw_s']:.4f} s, score {t['score_s']:.4f} s)",
+        file=stream,
+    )
 
 
 def _write_csv(rows: list, out: str) -> None:
@@ -300,7 +314,8 @@ def _load_json(path: str):
 
 def _cmd_verify(args) -> int:
     report = run_verify(
-        args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides)
+        args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides),
+        profile=sys.stderr if args.profile else None,
     )
     _dump(report, args.out)
     return 0 if report["as_expected"] else 1
@@ -435,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--tol-overrides", default=None, help="margin=..,strict_distance=..,equiv_tol=..")
+    p.add_argument("--profile", action="store_true",
+                   help="print each check's trials, seconds and draw/score split on stderr")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paper-examples", help="reproduce the worked examples and print pass/fail")

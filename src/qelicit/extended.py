@@ -20,8 +20,8 @@ from .linalg import (
     as_hermitian,
     hermitian_part,
     hs_inner,
-    spectral_decompose,
 )
+from .linalg import _decompose
 
 __all__ = [
     "NEG_INF",
@@ -74,12 +74,13 @@ def ext_sum(values) -> float:
     return float(total)
 
 
-def ext_dot(weights, values, zero_tol: float = 0.0) -> float:
+def ext_dot(weights, values, zero_tol: float = 0.0):
     """Weighted sum of extended values with the 0 * (-inf) = 0 convention.
 
     Weights with magnitude <= zero_tol are treated as exact zeros, which
     lets callers pair measurement probabilities carrying float noise with
-    -inf score values without manufacturing spurious infinities.
+    -inf score values without manufacturing spurious infinities.  Works
+    along the last axis: vectors give a float, (N, m) stacks give (N,) sums.
     """
     w = np.asarray(weights, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -87,17 +88,18 @@ def ext_dot(weights, values, zero_tol: float = 0.0) -> float:
         raise ValueError(f"shape mismatch: {w.shape} vs {v.shape}")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.isposinf(v).any():
+    if (v == np.inf).any():
         raise ValueError("+inf is not a valid extended score value")
     if zero_tol > 0:
         w = np.where(np.abs(w) <= zero_tol, 0.0, w)
-    neg = np.isneginf(v)
-    if (w[neg] < 0).any():
-        raise ValueError("negative weight on a -inf value would produce +inf")
-    if (w[neg] > 0).any():
-        return NEG_INF
-    keep = ~neg
-    return float(w[keep] @ v[keep])
+    neg = v == NEG_INF
+    if not neg.any():
+        total = (w * v).sum(axis=-1)
+    else:
+        if (w[neg] < 0).any():
+            raise ValueError("negative weight on a -inf value would produce +inf")
+        total = np.where((neg & (w > 0)).any(axis=-1), NEG_INF, (w * np.where(neg, 0.0, v)).sum(axis=-1))
+    return float(total) if total.ndim == 0 else total
 
 
 def range_projector(B, zero_tol: float | None = None) -> np.ndarray:
@@ -203,15 +205,35 @@ def matrix_log(rho) -> ExtendedHermitian:
     The finite part carries log(lambda) on the support; the infinite
     part is the projector onto the kernel, where the log is -inf.
     """
-    rho = as_density(rho)
-    zero_tol = ZERO_EIG_REL * float(np.trace(rho).real)
-    lam, V = spectral_decompose(rho)
-    pos = lam > zero_tol
-    Vp = V[:, pos]
-    A = hermitian_part((Vp * np.log(lam[pos])) @ Vp.conj().T)
-    Vk = V[:, ~pos]
-    B = hermitian_part(Vk @ Vk.conj().T) if Vk.shape[1] else np.zeros_like(A)
-    return ExtendedHermitian(A, B)
+    return _matrix_log(as_density(rho))
+
+
+def _matrix_log(rho) -> ExtendedHermitian:
+    # matrix_log of a density matrix that is already validated
+    A, B = _log_parts(rho[None])
+    return ExtendedHermitian(A[0], B[0])
+
+
+def _log_parts(states):
+    """Finite and infinite parts of matrix_log for an (N, n, n) stack of density matrices.
+
+    Eigenvalues at or below ZERO_EIG_REL * trace are the kernel; they
+    trail the support in the descending order, so each matrix of rank r
+    keeps its first r eigenvectors, and matrices of one rank share one
+    product.
+    """
+    lam, V = _decompose(states)
+    zero_tol = ZERO_EIG_REL * np.trace(states, axis1=-2, axis2=-1).real
+    rank = (lam > zero_tol[:, None]).sum(axis=-1)
+    A = np.zeros_like(states)
+    B = np.zeros_like(states)
+    for r in set(rank.tolist()):
+        k = np.flatnonzero(rank == r)
+        Vp, Vk = V[k, :, :r], V[k, :, r:]
+        A[k] = hermitian_part((Vp * np.log(lam[k, :r])[:, None, :]) @ Vp.conj().swapaxes(-1, -2))
+        if r < V.shape[-1]:
+            B[k] = hermitian_part(Vk @ Vk.conj().swapaxes(-1, -2))
+    return A, B
 
 
 def _collapse(elements, weights) -> ExtendedHermitian:

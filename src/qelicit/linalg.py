@@ -53,37 +53,52 @@ CLUSTER_TOL = 1e-9    # eigenvalue gap below which a degenerate cluster is assum
 ZERO_EIG_REL = 1e-12  # eigenvalue == 0 threshold, relative to the trace
 
 
-def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_complex_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries.
+
+    With ``stack``, coerce to a stack ``(N, n, n)`` of square matrices.
+    """
     A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2]:
+        what = "a stack of square matrices" if stack else "square"
+        raise ValueError(f"{name} must be {what}, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
 
-def as_hermitian(M, name: str = "matrix") -> np.ndarray:
+def _label(name: str, A, i) -> str:
+    # "name" for one matrix, "name i" for matrix i of a stack
+    return f"{name} {i}" if A.ndim == 3 else name
+
+
+def as_hermitian(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate that M is Hermitian within HERM_TOL; return its Hermitian part.
 
-    An exactly Hermitian input is returned as it is, bit for bit.
+    An exactly Hermitian input is returned as it is, bit for bit.  With
+    ``stack``, M is a stack ``(N, n, n)`` and each matrix is tested
+    against its own scale.
     """
-    A = as_complex_matrix(M, name)
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
-    dev = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
-    if dev > HERM_TOL * scale:
-        raise ValueError(f"{name} is not Hermitian: max |M - M*| = {dev:.3e}")
-    return hermitian_part(A) if dev else A
+    A = as_complex_matrix(M, name, stack)
+    if not A.size:
+        return A
+    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not dev.any():
+        return A
+    bad = dev > HERM_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{_label(name, A, i)} is not Hermitian: max |M - M*| = {dev.flat[i]:.3e}")
+    return hermitian_part(A)
 
 
 def _require_psd(A, name: str) -> None:
     """Raise unless A, or each matrix i (named "name i") of a stack A, is PSD within PSD_TOL."""
-    wmin = np.linalg.eigvalsh(A)[..., :1].reshape(-1)
-    bad = np.flatnonzero(wmin < -PSD_TOL)
-    if bad.size:
-        i = int(bad[0])
-        label = f"{name} {i}" if A.ndim == 3 else name
-        raise ValueError(f"{label} is not PSD: min eigenvalue {wmin[i]:.3e}")
+    wmin = np.linalg.eigvalsh(A)[..., 0]
+    bad = wmin < -PSD_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{_label(name, A, i)} is not PSD: min eigenvalue {wmin.flat[i]:.3e}")
 
 
 def as_density(M, name: str = "state") -> np.ndarray:
@@ -139,7 +154,8 @@ class SpectralDecomposition(NamedTuple):
     """Eigenvalues in non-increasing order with a matching orthonormal basis.
 
     ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``;
-    the columns form a unitary matrix.
+    the columns form a unitary matrix.  For a stack of matrices both
+    fields carry the stack's leading axis.
     """
 
     eigenvalues: np.ndarray
@@ -147,43 +163,58 @@ class SpectralDecomposition(NamedTuple):
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
-        return hermitian_part((V * self.eigenvalues) @ V.conj().T)
+        return hermitian_part((V * self.eigenvalues[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     # Make each column's largest-magnitude component real and positive so
-    # decompositions are deterministic despite the phase freedom.
-    idx = np.argmax(np.abs(V), axis=0)
-    lead = V[idx, np.arange(V.shape[1])]
-    mag = np.abs(lead)
-    phases = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
-    return V / phases
+    # decompositions are deterministic despite the phase freedom.  The
+    # columns are unit vectors, so that component is never zero.
+    n = V.shape[-1]
+    flat = V.reshape(-1, n, n)
+    lead = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
+    return V / (lead / np.abs(lead)).reshape(V.shape[:-2] + (1, n))
 
 
 def spectral_decompose(A) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each matrix of a stack (N, n, n).
 
     Eigenvalues are sorted in non-increasing order (ties keep the
     solver's order); eigenvectors within a near-degenerate cluster
     (gap <= CLUSTER_TOL) are re-orthonormalized together, and every
-    eigenvector's phase is fixed deterministically.
+    eigenvector's phase is fixed deterministically.  A stack is
+    decomposed with one solver call, and each of its matrices gets
+    exactly the result it would get alone.
     """
-    A = as_hermitian(A)
-    w, V = np.linalg.eigh(A)
-    order = np.argsort(-w, kind="stable")
-    w = np.ascontiguousarray(w[order])
-    V = np.ascontiguousarray(V[:, order])
+    return _decompose(as_hermitian(A, stack=np.ndim(A) == 3))
 
-    n = len(w)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop == n or w[stop - 1] - w[stop] > CLUSTER_TOL:
-            if stop - start > 1:
-                Q, _ = np.linalg.qr(V[:, start:stop])
-                V[:, start:stop] = Q
-            start = stop
-    V = _fix_phases(V)
-    return SpectralDecomposition(w, V)
+
+def _decompose(A: np.ndarray) -> SpectralDecomposition:
+    # spectral_decompose of an exactly Hermitian matrix or stack (not checked)
+    w, V = np.linalg.eigh(A)
+    gaps = w[..., 1:] - w[..., :-1]  # of the solver's ascending order
+    if (gaps == 0).any():
+        # a stable descending sort keeps the solver's order within exact ties
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w = np.take_along_axis(w, order, axis=-1)
+        V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    else:
+        w, V = w[..., ::-1].copy(), V[..., ::-1].copy()
+    if (gaps <= CLUSTER_TOL).any():
+        n = w.shape[-1]
+        flat_w, flat_V = w.reshape(-1, n), V.reshape(-1, n, n)
+        split = flat_w[:, :-1] - flat_w[:, 1:] > CLUSTER_TOL
+        runs = {}
+        for k in np.flatnonzero(~split.all(axis=1)):
+            runs.setdefault(tuple(np.flatnonzero(split[k]) + 1), []).append(k)
+        for cuts, idx in runs.items():
+            # QR within each run of eigenvalues closer than CLUSTER_TOL, for
+            # all the matrices whose runs fall at the same places at once
+            bounds = (0, *cuts, n)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                if stop - start > 1:
+                    flat_V[idx, :, start:stop] = np.linalg.qr(flat_V[idx, :, start:stop])[0]
+    return SpectralDecomposition(w, _fix_phases(V))
 
 
 def eigenvalues_desc(A) -> np.ndarray:
@@ -192,7 +223,12 @@ def eigenvalues_desc(A) -> np.ndarray:
 
 
 def _complex_gaussian(shape, rng) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # real parts, then imaginary parts, each a standard normal draw: the
+    # values of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    return out
 
 
 def random_density(n: int, rank: int | None = None, rng=None) -> np.ndarray:
@@ -206,17 +242,27 @@ def random_density(n: int, rank: int | None = None, rng=None) -> np.ndarray:
         rank = n
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in 1..{n}, got {rank}")
-    G = _complex_gaussian((n, rank), rng)
-    M = G @ G.conj().T
-    return hermitian_part(M / np.trace(M).real)
+    return _densities(_complex_gaussian((n, rank), rng)[None])[0]
+
+
+def _densities(G: np.ndarray) -> np.ndarray:
+    # G G* / Tr(G G*) for each matrix of a stack G of complex Gaussian draws;
+    # each equals what random_density makes of it alone
+    M = G @ G.conj().swapaxes(-1, -2)
+    return hermitian_part(M / np.trace(M, axis1=-2, axis2=-1).real[:, None, None])
 
 
 def random_unitary(n: int, rng=None) -> np.ndarray:
     """Haar-type random unitary via QR of a complex Gaussian matrix."""
     rng = np.random.default_rng(rng)
-    Q, R = np.linalg.qr(_complex_gaussian((n, n), rng))
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return _unitaries(_complex_gaussian((n, n), rng)[None])[0]
+
+
+def _unitaries(Z: np.ndarray) -> np.ndarray:
+    # random_unitary of each matrix of a stack Z of complex Gaussian draws, with one QR call
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[:, None, :]
 
 
 def random_pure(n: int, rng=None) -> np.ndarray:

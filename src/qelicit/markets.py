@@ -116,9 +116,11 @@ def market_price_state(Q) -> np.ndarray:
 
 
 def bundle_cost(Q, R) -> float:
-    """Price of buying bundle R at share state Q."""
-    base = lmsr_cost(Q)
-    return lmsr_cost(Q + as_hermitian(R)) - base
+    """Price of buying bundle R at share state Q; R must have Q's shape."""
+    Q, R = as_hermitian(Q, "share matrix"), as_hermitian(R, "bundle")
+    if R.shape != Q.shape:
+        raise ValueError(f"bundle has shape {R.shape}, but the share matrix has shape {Q.shape}")
+    return lmsr_cost(Q + R) - lmsr_cost(Q)
 
 
 def bundle_expected_payoff(R, rho) -> float:
@@ -147,7 +149,7 @@ class MarketState:
 
     def trade(self, R) -> float:
         """Execute a bundle purchase; returns the cost charged."""
-        R = as_hermitian(R)
+        R = as_hermitian(R, "bundle")
         price = bundle_cost(self.shares, R)
         self.shares = hermitian_part(self.shares + R)
         self.history.append({"bundle": R, "cost": price})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import clean_probs
+from .classical import _clean_rows
 from .linalg import (
     _require_psd,
     as_density,
@@ -82,6 +82,7 @@ class Measurement:
     def _unchecked(cls, elems: np.ndarray) -> "Measurement":
         # a POVM the library built: a fresh complex (m, n, n) stack of Hermitian PSD elements summing to I
         mu = object.__new__(cls)
+        elems = np.ascontiguousarray(elems)
         elems.flags.writeable = False
         mu.elements = elems
         return mu
@@ -98,6 +99,19 @@ class Measurement:
 
     def __iter__(self):
         return iter(self.elements)
+
+    def _probs(self, states: np.ndarray) -> np.ndarray:
+        # (N, m) outcome distributions of an (N, n, n) stack of exactly
+        # Hermitian states, each measured with this POVM.  <mu_y, rho> =
+        # sum(conj(mu_y) * rho) is real, so it is the dot product of the
+        # real and imaginary parts laid side by side; each state is its own
+        # product, so its distribution does not depend on the stack it is in.
+        flat = np.ascontiguousarray(states).reshape(len(states), 1, -1).view(np.float64)
+        return _clean_rows((flat @ self.elements.reshape(len(self), -1).view(np.float64).T)[:, 0])
+
+    def _at(self, k: int) -> "Measurement":
+        # the POVM of report k of a stack: the same one for every report
+        return self
 
     def approx_equal(self, other: "Measurement", tol: float = 1e-9) -> bool:
         if self.elements.shape != other.elements.shape:
@@ -124,14 +138,7 @@ def apply_measurement(mu: Measurement, rho) -> np.ndarray:
     rho = as_density(rho)
     if rho.shape[0] != mu.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
-    return _outcome_probs(mu, rho)
-
-
-def _outcome_probs(mu: Measurement, rho: np.ndarray) -> np.ndarray:
-    # All outcomes from one product of the stacked elements with an exactly
-    # Hermitian rho of the measurement's dimension: <mu_y, rho> =
-    # sum(conj(mu_y) * rho) is real and equals sum(mu_y * rho.T).
-    return clean_probs((mu.elements.reshape(len(mu), -1) @ rho.T.reshape(-1)).real)
+    return mu._probs(rho[None])[0]
 
 
 def _inverse_cdf(cum: np.ndarray, u):
@@ -161,6 +168,31 @@ def basis_pvm(U) -> Measurement:
 def _basis_pvm(U) -> Measurement:
     # rank-1 projectors u_k u_k* onto the columns of a unitary the library built (not checked)
     return Measurement._unchecked(np.einsum("ik,jk->kij", U, U.conj()))
+
+
+class _Bases:
+    """Eigenbasis measurements of a stack of reports, kept as their bases.
+
+    Outcome y of report k projects onto column y of ``bases[k]``, so the
+    outcome distribution of a state rho is diag(U* rho U); the (N, n, n, n)
+    stack of projectors is never formed.
+    """
+
+    __slots__ = ("bases",)
+
+    def __init__(self, bases: np.ndarray):
+        self.bases = bases
+
+    @property
+    def dim(self) -> int:
+        return self.bases.shape[-1]
+
+    def _probs(self, states: np.ndarray) -> np.ndarray:
+        U = self.bases
+        return _clean_rows((U.conj() * (states @ U)).real.sum(axis=-2))
+
+    def _at(self, k: int) -> Measurement:
+        return _basis_pvm(self.bases[k])
 
 
 def standard_pvm(n: int) -> Measurement:

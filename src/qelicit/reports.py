@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 __all__ = ["ScoreReport", "run_trials", "json_safe"]
 
 MAX_STORED_VIOLATIONS = 32
+TRIAL_BLOCK = 256  # trials drawn and scored together; bounds a check's memory for any trial count
 
 
 def json_safe(x):
@@ -29,6 +31,9 @@ class ScoreReport:
 
     ``violations`` stores at most MAX_STORED_VIOLATIONS entries, each with
     the index of its trial as ``trial``; ``n_violations`` counts them all.
+    ``timing`` holds the wall seconds of the run and their split between
+    drawing and scoring; it is not part of the JSON, which stays the same
+    for a fixed seed.
     """
 
     name: str
@@ -39,6 +44,7 @@ class ScoreReport:
     n_violations: int = 0
     max_gap: float = float("-inf")
     kind_counts: dict = field(default_factory=dict)
+    timing: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -75,42 +81,77 @@ class ScoreReport:
         )
 
 
-def run_trials(report: ScoreReport, trial, encode, rng=None) -> ScoreReport:
-    """Run ``trial(i, g)`` for each of ``report.trials`` trials and record them.
+def run_trials(report: ScoreReport, trial, encode, rng=None, score=None) -> ScoreReport:
+    """Run ``report.trials`` trials in blocks of TRIAL_BLOCK and record them.
 
     Trial i draws from stream i spawned from the root seed ``rng``, so a
-    trial's stream does not depend on the trial count: re-running with
-    ``trials=i + 1`` and the same seed replays trial i.  ``trial``
-    returns ``(gap, found)``, with ``found`` a list of
-    ``(kind, gap, a, b)`` violations; finite gaps feed ``max_gap``, and
-    each violation is stored with its trial index and ``encode(a, b)``,
-    a dict describing its two states.
+    trial's stream depends neither on the trial count nor on the block
+    size: re-running with ``trials=i + 1`` and the same seed replays
+    trial i.
+
+    Without ``score``, ``trial(i, g)`` runs trial i and returns
+    ``(gap, found)``, with ``found`` a list of ``(kind, gap, a, b)``
+    violations.  With ``score``, each block is drawn, then scored at once:
+    ``trial(first, gens)`` draws trials first, first + 1, ... from their
+    streams ``gens``, and ``score(drawn)`` returns the block's gaps and its
+    violations as ``(j, kind, value, a, b)`` for trial first + j, in trial
+    order (see ``_found``).  Finite gaps feed ``max_gap``; each violation
+    is stored with its trial index and ``encode(a, b)``, a dict describing
+    its two states.  ``report.timing`` gets the seconds spent in all, in
+    drawing and in scoring.
     """
-    streams = np.random.default_rng(rng).spawn(report.trials)
-    for i, g in enumerate(streams):
-        gap, found = trial(i, g)
-        if np.isfinite(gap):
-            report.record_gap(gap)
-        for kind, value, a, b in found:
-            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+    if score is None:
+        trial, score = _per_trial(trial)
+    root = np.random.default_rng(rng)
+    spent = {"draw_s": 0.0, "score_s": 0.0}
+    start = perf_counter()
+    for first in range(0, report.trials, TRIAL_BLOCK):
+        t0 = perf_counter()
+        drawn = trial(first, root.spawn(min(TRIAL_BLOCK, report.trials - first)))
+        t1 = perf_counter()
+        gaps, found = score(drawn)
+        spent["draw_s"] += t1 - t0
+        spent["score_s"] += perf_counter() - t1
+        finite = gaps[np.isfinite(gaps)]
+        if finite.size:
+            report.record_gap(float(finite.max()))
+        for j, kind, value, a, b in found:
+            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": first + j})
+    report.timing = {"wall_s": perf_counter() - start, **spent}
     return report
 
 
-def _classify(truthful: float, other, distinct, margin: float, strict: bool, a, b):
-    """``(gap, found)`` of one report against the truth, for a ``run_trials`` trial.
+def _per_trial(trial):
+    # the block form of a per-trial function: drawing runs the trials, scoring collects them
+    def draw(first, gens):
+        return [trial(i, g) for i, g in enumerate(gens, start=first)]
 
-    A truthful expected score that is not finite is ``irregular``.
-    Otherwise the gap is ``other() - truthful`` (-inf when ``other()``
-    is): above ``margin`` it is a ``gain``, and in strict mode a finite
-    gap within ``margin`` is a ``tie`` when ``distinct()`` holds.
-    ``other`` and ``distinct`` are called only when needed.
+    def score(results):
+        gaps = np.array([gap for gap, _ in results], dtype=np.float64)
+        return gaps, [(j, *v) for j, (_, found) in enumerate(results) for v in found]
+
+    return draw, score
+
+
+def _found(kinds, values, a, b) -> list:
+    """The violations of a scored block: ``(j, kind, value, a[j], b[j])`` for each trial j of kind not ""."""
+    return [(int(j), str(kinds[j]), values[j], a[j], b[j]) for j in np.flatnonzero(kinds != "")]
+
+
+def _classify(truthful, other, distinct, margin: float, strict: bool):
+    """``(gaps, kinds, values)`` of reports against the truth, one entry per trial.
+
+    A truthful expected score that is not finite is ``irregular``, with
+    gap -inf and its own value stored.  Otherwise the gap is
+    ``other - truthful`` (-inf when ``other`` is): above ``margin`` it is a
+    ``gain``, and in strict mode a finite gap within ``margin`` is a
+    ``tie`` where ``distinct`` holds.  Other trials get kind "".
     """
-    if not np.isfinite(truthful):
-        return -math.inf, [("irregular", truthful, a, b)]
-    value = other()
-    gap = value - truthful if value > -math.inf else -math.inf
-    if gap > margin:
-        return gap, [("gain", gap, a, b)]
-    if strict and np.isfinite(gap) and abs(gap) <= margin and distinct():
-        return gap, [("tie", gap, a, b)]
-    return gap, []
+    truthful, other = np.asarray(truthful, dtype=np.float64), np.asarray(other, dtype=np.float64)
+    irregular = ~np.isfinite(truthful)
+    with np.errstate(invalid="ignore"):
+        gaps = np.where(irregular | ~(other > -math.inf), -math.inf, other - truthful)
+    gain = gaps > margin
+    tie = strict & np.isfinite(gaps) & (np.abs(gaps) <= margin) & distinct
+    kinds = np.select([irregular, gain, tie], ["irregular", "gain", "tie"], "")
+    return gaps, kinds, np.where(irregular, truthful, gaps)

@@ -13,7 +13,8 @@ invariance, and physical implementability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .classical import (
     ClassicalScoringRule,
     _bregman_rule,
     _check_convex,
+    _clean_rows,
     brier_rule,
     is_permutation_invariant,
     log_rule,
@@ -32,6 +34,8 @@ from .extended import (
     NEG_INF,
     ExtendedHermitian,
     _collapse,
+    _log_parts,
+    _matrix_log,
     ext_dot,
     ext_inner,
     matrix_log,
@@ -39,25 +43,21 @@ from .extended import (
 from .linalg import (
     ZERO_EIG_REL,
     as_density,
-    frob_dist,
     hermitian_part,
-    hs_inner,
     matrix_to_json,
     random_density,
-    random_unitary,
     spectral_decompose,
 )
-from .linalg import _fix_phases
+from .linalg import _complex_gaussian, _decompose, _densities, _fix_phases, _unitaries
 from .measurement import (
     Measurement,
     _basis_pvm,
-    _outcome_probs,
-    apply_measurement,
+    _Bases,
     herm_coords,
     is_tomographically_complete,
     tomographic_map,
 )
-from .reports import ScoreReport, _classify, run_trials
+from .reports import ScoreReport, _classify, _found, run_trials
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -105,13 +105,23 @@ class QuantumScore:
     sum_y <mu_y, rho> s_y, which ``expected(report, rho)`` computes;
     ``measure(report)`` and ``score(report, y)`` read one part of the
     payoff.  Reports are states here; the property scores take vectors,
-    frames, pairs or ABSTAIN.  ``domain``, when present, restricts the
-    valid reports and beliefs (used by sampled checks).
+    frames, pairs or ABSTAIN.  ``domain``, when present, maps an
+    (N, n, n) stack of states to the mask of those that are valid reports
+    and beliefs (used by sampled checks).
+
+    ``stack``, when present, is the stack-native payoff: it maps an
+    (N, n, n) stack of density matrices the library built (not checked)
+    to the stacked measurement and the (N, m) payoffs, and ``payoff`` is
+    its N = 1 call on a validated report.  The stacked measurement is
+    never an (N, m, n, n) array: a fixed POVM is shared, an eigenbasis
+    measurement is its bases.  A score built from ``payoff`` alone is
+    stacked by calling it once per report.
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
     name: str = ""
-    domain: Callable[[np.ndarray], bool] | None = None
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
+    stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
 
     def measure(self, report) -> Measurement:
         return self.payoff(report)[0]
@@ -120,15 +130,74 @@ class QuantumScore:
         return float(self.payoff(report)[1][int(y)])
 
     def expected(self, report, rho) -> float:
-        """Expected payoff of ``report`` under belief ``rho``, from one ``payoff``."""
-        mu, values = self.payoff(report)
-        return _pair(apply_measurement(mu, rho), values)
+        """Expected payoff of ``report`` under belief ``rho``, from one payoff evaluation."""
+        outcomes, values = self._stacked([report] if self.stack is None else as_density(report)[None])
+        rho = as_density(rho)
+        if rho.shape[0] != outcomes.dim:
+            raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {outcomes.dim}")
+        return float(_pair(outcomes, values, rho[None])[0])
+
+    def _stacked(self, reports):
+        # stacked measurement and (N, m) payoffs of validated reports
+        if self.stack is None:
+            return _per_report(self.payoff, reports)
+        return self.stack(reports)
 
 
-def _pair(probs, values) -> float:
-    # sum_y p_y values_y under extended arithmetic: zero-mass outcomes
-    # never contribute, even against -inf payoffs
-    return ext_dot(probs, values, zero_tol=EXT_WEIGHT_TOL)
+def _stacked_score(stack, name: str) -> QuantumScore:
+    # a score from its stack-native payoff; the per-report payoff is its N = 1 call
+    def payoff(report):
+        outcomes, values = stack(as_density(report)[None])
+        return outcomes._at(0), values[0]
+
+    return QuantumScore(payoff, name=name, stack=stack)
+
+
+class _PerReport:
+    """The measurements of a stack of reports, one per report, as a list."""
+
+    __slots__ = ("mus",)
+
+    def __init__(self, mus):
+        self.mus = mus
+
+    @property
+    def dim(self) -> int:
+        return self.mus[0].dim
+
+    def _probs(self, states: np.ndarray) -> np.ndarray:
+        return np.array([mu._probs(rho[None])[0] for mu, rho in zip(self.mus, states)])
+
+    def _at(self, k: int) -> Measurement:
+        return self.mus[k]
+
+
+def _per_report(payoff, reports):
+    # the stacked form of a per-report payoff: one call per report
+    mus, values = zip(*map(payoff, reports))
+    return _PerReport(mus), np.array(values, dtype=np.float64)
+
+
+def _pair(outcomes, values, states) -> np.ndarray:
+    # sum_y p_ky values_ky for each report k against state k, under extended
+    # arithmetic: zero-mass outcomes never contribute, even against -inf payoffs
+    return ext_dot(outcomes._probs(states), values, zero_tol=EXT_WEIGHT_TOL)
+
+
+def _rule_values(rule: ClassicalScoringRule, P: np.ndarray) -> np.ndarray:
+    # the rule's payoffs for each row of P, one per outcome
+    values = np.asarray(rule.values(P), dtype=np.float64)
+    if values.shape != P.shape:
+        raise ValueError(f"rule {rule.name!r} must pay along the last axis: {values.shape} for {P.shape}")
+    return values
+
+
+def _hs_rows(A, B) -> np.ndarray:
+    # Re <A_k, B_k> for two (N, n, n) stacks: the real and imaginary parts
+    # of each matrix side by side, dotted
+    a = np.ascontiguousarray(A).reshape(len(A), -1).view(np.float64)
+    b = np.ascontiguousarray(B).reshape(len(B), -1).view(np.float64)
+    return np.einsum("ki,ki->k", a, b)
 
 
 @dataclass(frozen=True)
@@ -137,13 +206,21 @@ class ExpectedScoreFn:
 
     Used for score-like functionals that are not extended-linear in the
     true state and therefore cannot be implemented by any measurement;
-    only their expected values ``expected(report, rho)`` are defined, and
-    the closure validates its own inputs.
+    only their expected values are defined.  ``stack(reports, beliefs)``
+    maps two aligned (N, n, n) stacks of density matrices the library
+    built (not checked) to the (N,) expected scores, and
+    ``expected(report, rho)`` is its N = 1 call on validated inputs.
     """
 
-    expected: Callable[[np.ndarray, np.ndarray], float]
+    stack: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
-    domain: Callable[[np.ndarray], bool] | None = None
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def expected(self, report, rho) -> float:
+        report, rho = as_density(report), as_density(rho)
+        if report.shape != rho.shape:
+            raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
+        return float(self.stack(report[None], rho[None])[0])
 
 
 def expected_score(S, rho_prime, rho) -> float:
@@ -178,10 +255,12 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     rule is strictly proper and the measurement tomographically complete.
     """
 
-    def payoff(rho_p):
-        return mu, rule.values(apply_measurement(mu, rho_p))
+    def stack(reports):
+        if reports.shape[-1] != mu.dim:
+            raise ValueError(f"dimension mismatch: state {reports.shape[-1]}, measurement {mu.dim}")
+        return mu, _rule_values(rule, mu._probs(reports))
 
-    return QuantumScore(payoff, name=f"fixed:{rule.name}")
+    return _stacked_score(stack, f"fixed:{rule.name}")
 
 
 def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int = 32) -> QuantumScore:
@@ -194,22 +273,43 @@ def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int 
     """
 
     def draw(g):
-        return (_outcome_probs(mu, random_density(mu.dim, rng=g)),
-                _outcome_probs(mu, random_density(mu.dim, rng=g)))
+        return tuple(mu._probs(random_density(mu.dim, rng=g)[None])[0] for _ in range(2))
 
     _check_convex(f, df, draw, rng, check_samples)
     return fixed_measurement_score(_bregman_rule(f, df, "convex"), mu)
 
 
+class _Overlaps:
+    """The measurements {I - r_k, r_k} of a stack of reports r, kept as the reports.
+
+    Outcome 1 fires with probability <r_k, rho>.
+    """
+
+    __slots__ = ("reports",)
+
+    def __init__(self, reports: np.ndarray):
+        self.reports = reports
+
+    @property
+    def dim(self) -> int:
+        return self.reports.shape[-1]
+
+    def _probs(self, states: np.ndarray) -> np.ndarray:
+        hit = _hs_rows(self.reports, states)
+        return _clean_rows(np.stack([np.trace(states, axis1=-2, axis2=-1).real - hit, hit], axis=-1))
+
+    def _at(self, k: int) -> Measurement:
+        return _overlap_measurement(self.reports[k])
+
+
 def binary_brier() -> QuantumScore:
     """Brier score realized with the two-outcome measurement {I - report, report}."""
 
-    def payoff(rho_p):
-        rho_p = as_density(rho_p)
-        purity = hs_inner(rho_p, rho_p)
-        return _overlap_measurement(rho_p), np.array([-purity, 2.0 - purity])
+    def stack(reports):
+        purity = _hs_rows(reports, reports)
+        return _Overlaps(reports), np.stack([-purity, 2.0 - purity], axis=-1)
 
-    return QuantumScore(payoff, name="binary-brier")
+    return _stacked_score(stack, "binary-brier")
 
 
 def _overlap_measurement(rho_p) -> Measurement:
@@ -233,11 +333,11 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
             if not is_permutation_invariant(rule, d, rng=12345):
                 raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
 
-    def payoff(rho_p):
-        dec = spectral_decompose(as_density(rho_p))
-        return _basis_pvm(dec.eigenvectors), rule.values(dec.eigenvalues)
+    def stack(reports):
+        lam, V = _decompose(reports)
+        return _Bases(V), _rule_values(rule, lam)
 
-    return QuantumScore(payoff, name=name or f"spectral:{rule.name}")
+    return _stacked_score(stack, name or f"spectral:{rule.name}")
 
 
 def log_spectral() -> QuantumScore:
@@ -245,8 +345,9 @@ def log_spectral() -> QuantumScore:
     return spectral_score(log_rule(), name="spectral:log", check=False)
 
 
-def _full_rank(rho) -> bool:
-    return float(np.linalg.eigvalsh(as_density(rho))[0]) > FULL_RANK_TOL
+def _full_rank(states) -> np.ndarray:
+    # the states of an (N, n, n) stack whose smallest eigenvalue exceeds FULL_RANK_TOL
+    return np.linalg.eigvalsh(states)[:, 0] > FULL_RANK_TOL
 
 
 def log_det_score() -> QuantumScore:
@@ -257,33 +358,34 @@ def log_det_score() -> QuantumScore:
     """
 
     def values(lam):
-        if float(lam.min()) <= FULL_RANK_TOL:
+        if (lam.min(axis=-1) <= FULL_RANK_TOL).any():
             raise ValueError("log-det score requires a full-rank report")
-        return len(lam) - np.sum(np.log(lam)) - 1.0 / lam
+        return lam.shape[-1] - np.sum(np.log(lam), axis=-1, keepdims=True) - 1.0 / lam
 
     spectral = spectral_score(ClassicalScoringRule(values, name="log-det"), check=False)
-    return QuantumScore(spectral.payoff, name="ml:s2", domain=_full_rank)
+    return replace(spectral, name="ml:s2", domain=_full_rank)
 
 
 def trace_score() -> QuantumScore:
     """Overlap payoff <report, rho> via {I - report, report}; not truthful."""
 
-    def payoff(rho_p):
-        return _overlap_measurement(as_density(rho_p)), np.array([0.0, 1.0])
+    def stack(reports):
+        return _Overlaps(reports), np.tile([0.0, 1.0], (len(reports), 1))
 
-    return QuantumScore(payoff, name="ml:s3")
+    return _stacked_score(stack, "ml:s3")
 
 
 def log_trace_score() -> ExpectedScoreFn:
     """log <report, rho>.  Not extended-linear in rho, hence not implementable."""
 
-    def expected(rho_p, rho):
-        v = hs_inner(as_density(rho_p), as_density(rho))
-        if v <= EXT_WEIGHT_TOL:
-            return NEG_INF
-        return float(np.log(v))
+    def stack(reports, beliefs):
+        v = _hs_rows(reports, beliefs)
+        out = np.full(len(v), NEG_INF)
+        pos = v > EXT_WEIGHT_TOL
+        out[pos] = np.log(v[pos])
+        return out
 
-    return ExpectedScoreFn(expected, name="ml:s4")
+    return ExpectedScoreFn(stack, name="ml:s4")
 
 
 def log_trace_exp_score() -> ExpectedScoreFn:
@@ -292,22 +394,26 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     On rank-deficient inputs the logs are compressed onto the
     intersection of the supports (directions where either log is -inf
     contribute exp(-inf) = 0), which reproduces the commuting case
-    exactly.
+    exactly.  Pairs whose intersection has the same dimension share one
+    eigenvalue solve.
     """
 
-    def expected(rho_p, rho):
-        Ep, Er = matrix_log(rho_p), matrix_log(rho)
-        K = Ep.infinite_part + Er.infinite_part
-        w, V = np.linalg.eigh(hermitian_part(K))
-        Q = V[:, w <= 1e-10]
-        if Q.shape[1] == 0:
-            return NEG_INF
-        M = hermitian_part(Q.conj().T @ (Ep.finite_part + Er.finite_part) @ Q)
-        ev = np.linalg.eigvalsh(M)
-        top = float(ev.max())
-        return top + float(np.log(np.sum(np.exp(ev - top))))
+    def stack(reports, beliefs):
+        A_r, B_r = _log_parts(reports)
+        A_b, B_b = _log_parts(beliefs)
+        w, V = np.linalg.eigh(hermitian_part(B_r + B_b))
+        common = (w <= 1e-10).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
+        finite = A_r + A_b
+        out = np.full(len(reports), NEG_INF)
+        for c in set(common.tolist()) - {0}:
+            k = np.flatnonzero(common == c)
+            Q = V[k, :, :c]
+            ev = np.linalg.eigvalsh(hermitian_part(Q.conj().swapaxes(-1, -2) @ finite[k] @ Q))
+            top = ev.max(axis=-1)
+            out[k] = top + np.log(np.sum(np.exp(ev - top[:, None]), axis=-1))
+        return out
 
-    return ExpectedScoreFn(expected, name="ml:s5")
+    return ExpectedScoreFn(stack, name="ml:s5")
 
 
 def ml_scores() -> dict:
@@ -362,12 +468,13 @@ def relative_entropy(rho, sigma) -> float:
 
     Nonnegative, zero only at rho == sigma, and +inf when rho puts mass
     outside sigma's support (the cross term <log sigma, rho> is -inf).
+    Each state is validated once.
     """
-    rho = as_density(rho)
-    cross = ext_inner(matrix_log(sigma), rho)
+    rho, sigma = as_density(rho), as_density(sigma)
+    cross = ext_inner(_matrix_log(sigma), rho)
     if cross == NEG_INF:
         return float("inf")
-    return -von_neumann_entropy(rho) - cross
+    return ext_inner(_matrix_log(rho), rho) - cross
 
 
 # ---------------------------------------------------------------------------
@@ -432,73 +539,125 @@ def projective_expression(S: QuantumScore) -> QuantumScore:
 # sampled checks
 
 
-def _in_domain(S, rho) -> bool:
-    return S.domain is None or S.domain(rho)
+def _in_domain(S, states) -> np.ndarray:
+    # mask of the states of an (N, n, n) stack inside S's domain
+    if S.domain is None or not len(states):
+        return np.ones(len(states), dtype=bool)
+    return np.asarray(S.domain(states), dtype=bool)
 
 
-def _sample_state(S, dim, g):
-    rank = int(g.integers(1, dim + 1))
-    rho = random_density(dim, rank=rank, rng=g)
-    if not _in_domain(S, rho):
-        # blend toward maximally mixed until inside (full-rank domains)
-        eye = np.eye(dim) / dim
-        rho = hermitian_part(0.99 * random_density(dim, rng=g) + 0.01 * eye)
-    return rho
+def _blend(states):
+    # 99% of each state, 1% of the maximally mixed state: inside full-rank domains
+    dim = states.shape[-1]
+    return hermitian_part(0.99 * states + 0.01 * (np.eye(dim) / dim))
 
 
-def _adversarial_report(S, rho, strategy, g):
-    dim = rho.shape[0]
-    if strategy == 0:
-        return _sample_state(S, dim, g)
-    dec = spectral_decompose(rho)
-    if strategy == 1:  # permute eigenvalues in the belief's own basis
-        lam = dec.eigenvalues[g.permutation(dim)]
-        V = dec.eigenvectors
-        rep = hermitian_part((V * lam) @ V.conj().T)
-    elif strategy == 2:  # all mass on one eigenvector (top half the time)
-        j = 0 if g.random() < 0.5 else int(g.integers(dim))
-        x = dec.eigenvectors[:, j : j + 1]
-        rep = hermitian_part(x @ x.conj().T)
-    else:  # spectrum-preserving rotation
-        U = random_unitary(dim, rng=g)
-        rep = hermitian_part(U @ rho @ U.conj().T)
-    if not _in_domain(S, rep):
-        eye = np.eye(dim) / dim
-        rep = hermitian_part(0.99 * rep + 0.01 * eye)
+def _square_gaussians(dim, gens) -> np.ndarray:
+    # a complex Gaussian dim x dim matrix from each stream, stacked
+    return np.array([_complex_gaussian((dim, dim), g) for g in gens]).reshape(len(gens), dim, dim)
+
+
+def _sample_states(S, dim, gens):
+    # one state per stream, of a rank drawn from it; a state outside S's
+    # domain is replaced by a full-rank one drawn next from the same stream.
+    # The draws are those of random_density, and states of one rank are
+    # normalized in one stack.
+    ranks = [int(g.integers(1, dim + 1)) for g in gens]
+    G = [_complex_gaussian((dim, r), g) for r, g in zip(ranks, gens)]
+    rhos = np.empty((len(gens), dim, dim), dtype=np.complex128)
+    for r in set(ranks):
+        k = [j for j, rank in enumerate(ranks) if rank == r]
+        rhos[k] = _densities(np.array([G[j] for j in k]))
+    outside = np.flatnonzero(~_in_domain(S, rhos))
+    if outside.size:
+        rhos[outside] = _blend(_densities(_square_gaussians(dim, [gens[k] for k in outside])))
+    return rhos
+
+
+def _adversarial_reports(S, rhos, trials, gens):
+    # trial trials[k] reports against belief rhos[k] with adversary trials[k] % 4,
+    # drawing from stream gens[k]; each adversary builds its reports in one stack
+    dim = rhos.shape[-1]
+    strategy = np.asarray(trials) % 4
+    reps = np.empty_like(rhos)
+    fresh, permuted, pure, rotated = (np.flatnonzero(strategy == s) for s in range(4))
+    reps[fresh] = _sample_states(S, dim, [gens[k] for k in fresh])
+    if permuted.size:  # permute eigenvalues in the belief's own basis
+        lam, V = _decompose(rhos[permuted])
+        lam = np.array([w[gens[k].permutation(dim)] for k, w in zip(permuted, lam)])
+        reps[permuted] = hermitian_part((V * lam[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    if pure.size:  # all mass on one eigenvector (top half the time)
+        V = _decompose(rhos[pure]).eigenvectors
+        top = [0 if gens[k].random() < 0.5 else int(gens[k].integers(dim)) for k in pure]
+        x = V[np.arange(pure.size), :, top][:, :, None]
+        reps[pure] = hermitian_part(x @ x.conj().swapaxes(-1, -2))
+    if rotated.size:  # spectrum-preserving rotation
+        U = _unitaries(_square_gaussians(dim, [gens[k] for k in rotated]))
+        reps[rotated] = hermitian_part(U @ rhos[rotated] @ U.conj().swapaxes(-1, -2))
+    outside = np.flatnonzero(~_in_domain(S, reps))
+    reps[outside] = _blend(reps[outside])
     # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
     # tie within margin for quadratic scores; sample clear of that window
-    if DISTINCT_TOL < frob_dist(rho, rep) < 1e-4:
-        return _sample_state(S, dim, g)
-    return rep
+    d = _distance(rhos, reps)
+    near = np.flatnonzero((DISTINCT_TOL < d) & (d < 1e-4))
+    reps[near] = _sample_states(S, dim, [gens[k] for k in near])
+    return reps
+
+
+def _distance(A, B) -> np.ndarray:
+    # Frobenius distance between the matrices of two stacks
+    return np.linalg.norm(A - B, axis=(-2, -1))
 
 
 def _encode_states(rho, rho_prime) -> dict:
     return {"rho": matrix_to_json(rho), "rho_prime": matrix_to_json(rho_prime)}
 
 
-def _belief_and_report(S, dims, i, g):
-    # trial i: a belief at dims[i % len(dims)] against the (i % 4)-th adversary
-    rho = _sample_state(S, dims[i % len(dims)], g)
-    return rho, _adversarial_report(S, rho, i % 4, g)
+def _beliefs_and_reports(S, dim, trials, gens):
+    # each trial's belief, then its adversary's report
+    rhos = _sample_states(S, dim, gens)
+    return rhos, _adversarial_reports(S, rhos, trials, gens)
 
 
-def _compare(kind, a, b, tol, x, y):
-    # |a - b| in R u {-inf} (0 when both are -inf, inf when one is), flagged above tol
-    if a == NEG_INF or b == NEG_INF:
-        gap = 0.0 if a == b else float("inf")
-    else:
-        gap = abs(a - b)
-    return gap, [(kind, gap, x, y)] if gap > tol else []
+def _expected_stack(S, reports, *beliefs) -> list:
+    # S(reports[k]; b[k]) for each stack b of beliefs, from one payoff per report
+    if isinstance(S, QuantumScore):
+        outcomes, values = S._stacked(reports)
+        return [_pair(outcomes, values, b) for b in beliefs]
+    return [S.stack(reports, b) for b in beliefs]
 
 
-def _belief_scorer(S, report):
-    # rho -> S(report; rho) for the exactly Hermitian states a check draws:
-    # a QuantumScore's payoff is evaluated (and its report validated) once,
-    # and the beliefs, built by the library, go unchecked to the contraction
-    if not isinstance(S, QuantumScore):
-        return lambda rho: S.expected(report, rho)
-    mu, values = S.payoff(report)
-    return lambda rho: _pair(_outcome_probs(mu, rho), values)
+def _compare(kind, a, b, tol):
+    # (gaps, kinds, values) of |a - b| in R u {-inf} (0 when both are -inf,
+    # inf when one is), each flagged as ``kind`` above tol
+    with np.errstate(invalid="ignore"):
+        gaps = np.where((a == NEG_INF) | (b == NEG_INF), np.where(a == b, 0.0, np.inf), np.abs(a - b))
+    return gaps, np.where(gaps > tol, kind, ""), gaps
+
+
+def _state_trials(report: ScoreReport, dims, rng, draw, score) -> ScoreReport:
+    """``run_trials`` for a check on states, trial i at dimension dims[i % len(dims)].
+
+    Each block of trials is split into one stack per dimension:
+    ``draw(dim, trials, gens)`` draws those trials from their streams as a
+    tuple of stacks whose first two are the states each trial records, and
+    ``score(drawn)`` returns their ``(gaps, kinds, values)``.
+    """
+
+    def draw_block(first, gens):
+        trials = np.arange(first, first + len(gens))
+        at = np.asarray(dims)[trials % len(dims)]
+        groups = [np.flatnonzero(at == dim) for dim in dict.fromkeys(at.tolist())]
+        return [(k, draw(int(at[k[0]]), trials[k], [gens[j] for j in k])) for k in groups]
+
+    def score_block(groups):
+        gaps, found = np.empty(sum(len(k) for k, _ in groups)), []
+        for k, drawn in groups:
+            gaps[k], kinds, values = score(drawn)
+            found += [(int(k[j]), *v) for j, *v in _found(kinds, values, *drawn[:2])]
+        return gaps, sorted(found, key=lambda v: v[0])
+
+    return run_trials(report, draw_block, _encode_states, rng, score=score_block)
 
 
 def truthfulness_check(
@@ -516,23 +675,21 @@ def truthfulness_check(
     through random states and targeted adversaries (eigenvalue
     permutations, single-eigenvector mass, spectrum-preserving
     rotations).  Weak mode flags gains above ``margin``; strict mode
-    additionally flags ties between distinct states.
+    additionally flags ties between distinct states.  ``S`` is a
+    ``QuantumScore`` or an ``ExpectedScoreFn``; trials are scored in
+    stacks.
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
     dims = tuple(dims)
     report = ScoreReport(getattr(S, "name", "score"), mode, trials, dims)
 
-    def trial(i, g):
-        rho, rep = _belief_and_report(S, dims, i, g)
-        return _classify(
-            _belief_scorer(S, rho)(rho),
-            lambda: _belief_scorer(S, rep)(rho),
-            lambda: frob_dist(rho, rep) > distinct_tol,
-            margin, mode == "strict", rho, rep,
-        )
+    def score(drawn):
+        rhos, reps = drawn
+        (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
+        return _classify(truthful, other, _distance(rhos, reps) > distinct_tol, margin, mode == "strict")
 
-    return run_trials(report, trial, _encode_states, rng)
+    return _state_trials(report, dims, rng, partial(_beliefs_and_reports, S), score)
 
 
 def equivalence_check(
@@ -548,15 +705,17 @@ def equivalence_check(
     name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
     report = ScoreReport(name, "equivalence", trials, dims)
 
-    def trial(i, g):
-        rho, rep = _belief_and_report(S1, dims, i, g)
-        if not (_in_domain(S2, rho) and _in_domain(S2, rep)):
-            return 0.0, []
-        a = _belief_scorer(S1, rep)(rho)
-        b = _belief_scorer(S2, rep)(rho)
-        return _compare("mismatch", a, b, tol, rho, rep)
+    def score(drawn):
+        rhos, reps = drawn
+        # trials outside S2's domain are skipped with gap 0
+        gaps, kinds = np.zeros(len(rhos)), np.full(len(rhos), "", dtype=object)
+        keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
+        if keep.size:
+            (a,), (b,) = (_expected_stack(S, reps[keep], rhos[keep]) for S in (S1, S2))
+            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, tol)
+        return gaps, kinds, gaps
 
-    return run_trials(report, trial, _encode_states, rng)
+    return _state_trials(report, dims, rng, partial(_beliefs_and_reports, S1), score)
 
 
 def unitary_invariance_check(
@@ -570,15 +729,17 @@ def unitary_invariance_check(
     dims = tuple(dims)
     report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, dims)
 
-    def trial(i, g):
-        rho, rep = _belief_and_report(S, dims, i, g)
-        U = random_unitary(rho.shape[0], rng=g)
-        a = _belief_scorer(S, rep)(rho)
-        rotated = _belief_scorer(S, hermitian_part(U @ rep @ U.conj().T))
-        b = rotated(hermitian_part(U @ rho @ U.conj().T))
-        return _compare("variance", a, b, tol, rho, rep)
+    def draw(dim, trials, gens):
+        return *_beliefs_and_reports(S, dim, trials, gens), _unitaries(_square_gaussians(dim, gens))
 
-    return run_trials(report, trial, _encode_states, rng)
+    def score(drawn):
+        rhos, reps, U = drawn
+        Uh = U.conj().swapaxes(-1, -2)
+        (a,) = _expected_stack(S, reps, rhos)
+        (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
+        return _compare("variance", a, b, tol)
+
+    return _state_trials(report, dims, rng, draw, score)
 
 
 def implementability_check(
@@ -597,18 +758,21 @@ def implementability_check(
     dims = tuple(dims)
     report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, dims)
 
-    def trial(i, g):
-        dim = dims[i % len(dims)]
-        rho1 = _sample_state(S, dim, g)
-        rho2 = _sample_state(S, dim, g)
-        rep = _adversarial_report(S, rho1, i % 4, g)
-        t = float(g.random())
-        score = _belief_scorer(S, rep)
-        lhs = score(hermitian_part(t * rho1 + (1.0 - t) * rho2))
-        rhs = ext_dot([t, 1.0 - t], [score(rho1), score(rho2)], zero_tol=EXT_WEIGHT_TOL)
-        return _compare("nonlinear", lhs, rhs, tol, rho1, rho2)
+    def draw(dim, trials, gens):
+        rho1 = _sample_states(S, dim, gens)
+        rho2 = _sample_states(S, dim, gens)
+        reps = _adversarial_reports(S, rho1, trials, gens)
+        return rho1, rho2, reps, np.array([g.random() for g in gens])
 
-    return run_trials(report, trial, _encode_states, rng)
+    def score(drawn):
+        rho1, rho2, reps, t = drawn
+        w = t[:, None, None]
+        e1, e2, mixed = _expected_stack(S, reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
+        weights = np.stack([t, 1.0 - t], axis=-1)
+        linear = ext_dot(weights, np.stack([e1, e2], axis=-1), zero_tol=EXT_WEIGHT_TOL)
+        return _compare("nonlinear", mixed, linear, tol)
+
+    return _state_trials(report, dims, rng, draw, score)
 
 
 def subgradient_inequality_check(
