@@ -90,15 +90,10 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
         raise ValueError("weights must be finite")
     if (v == np.inf).any():
         raise ValueError("+inf is not a valid extended score value")
-    if zero_tol > 0:
-        w = np.where(np.abs(w) <= zero_tol, 0.0, w)
-    neg = v == NEG_INF
-    if not neg.any():
-        total = (w * v).sum(axis=-1)
-    else:
-        if (w[neg] < 0).any():
-            raise ValueError("negative weight on a -inf value would produce +inf")
-        total = np.where((neg & (w > 0)).any(axis=-1), NEG_INF, (w * np.where(neg, 0.0, v)).sum(axis=-1))
+    if ((v == NEG_INF) & (w < -zero_tol)).any():
+        raise ValueError("negative weight on a -inf value would produce +inf")
+    # weights within zero_tol contribute exact zeros, so 0 * (-inf) never happens
+    total = np.multiply(w, v, out=np.zeros(w.shape), where=np.abs(w) > zero_tol).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 

@@ -53,15 +53,18 @@ CLUSTER_TOL = 1e-9    # eigenvalue gap below which a degenerate cluster is assum
 ZERO_EIG_REL = 1e-12  # eigenvalue == 0 threshold, relative to the trace
 
 
-def as_complex_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries.
-
-    With ``stack``, coerce to a stack ``(N, n, n)`` of square matrices.
-    """
+def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries."""
     A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2]:
-        what = "a stack of square matrices" if stack else "square"
-        raise ValueError(f"{name} must be {what}, got shape {A.shape}")
+    if A.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    return _finite_squares(A, name)
+
+
+def _finite_squares(A: np.ndarray, name: str) -> np.ndarray:
+    # A, a complex128 array (..., n, n), once its matrices are known square and finite
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
@@ -72,14 +75,17 @@ def _label(name: str, A, i) -> str:
     return f"{name} {i}" if A.ndim == 3 else name
 
 
-def as_hermitian(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+def as_hermitian(M, name: str = "matrix") -> np.ndarray:
     """Validate that M is Hermitian within HERM_TOL; return its Hermitian part.
 
-    An exactly Hermitian input is returned as it is, bit for bit.  With
-    ``stack``, M is a stack ``(N, n, n)`` and each matrix is tested
-    against its own scale.
+    An exactly Hermitian input is returned as it is, bit for bit.
     """
-    A = as_complex_matrix(M, name, stack)
+    return _hermitian(as_complex_matrix(M, name), name)
+
+
+def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
+    # as_hermitian for each matrix of a finite square (..., n, n) array,
+    # each tested against its own scale
     if not A.size:
         return A
     dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -186,35 +192,32 @@ def spectral_decompose(A) -> SpectralDecomposition:
     decomposed with one solver call, and each of its matrices gets
     exactly the result it would get alone.
     """
-    return _decompose(as_hermitian(A, stack=np.ndim(A) == 3))
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim not in (2, 3):
+        raise ValueError(f"matrix must be square or a stack of square matrices, got shape {A.shape}")
+    return _decompose(_hermitian(_finite_squares(A, "matrix"), "matrix"))
 
 
 def _decompose(A: np.ndarray) -> SpectralDecomposition:
     # spectral_decompose of an exactly Hermitian matrix or stack (not checked)
-    w, V = np.linalg.eigh(A)
-    gaps = w[..., 1:] - w[..., :-1]  # of the solver's ascending order
-    if (gaps == 0).any():
-        # a stable descending sort keeps the solver's order within exact ties
-        order = np.argsort(-w, axis=-1, kind="stable")
-        w = np.take_along_axis(w, order, axis=-1)
-        V = np.take_along_axis(V, order[..., None, :], axis=-1)
-    else:
-        w, V = w[..., ::-1].copy(), V[..., ::-1].copy()
-    if (gaps <= CLUSTER_TOL).any():
-        n = w.shape[-1]
-        flat_w, flat_V = w.reshape(-1, n), V.reshape(-1, n, n)
-        split = flat_w[:, :-1] - flat_w[:, 1:] > CLUSTER_TOL
-        runs = {}
-        for k in np.flatnonzero(~split.all(axis=1)):
-            runs.setdefault(tuple(np.flatnonzero(split[k]) + 1), []).append(k)
-        for cuts, idx in runs.items():
-            # QR within each run of eigenvalues closer than CLUSTER_TOL, for
-            # all the matrices whose runs fall at the same places at once
-            bounds = (0, *cuts, n)
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                if stop - start > 1:
-                    flat_V[idx, :, start:stop] = np.linalg.qr(flat_V[idx, :, start:stop])[0]
-    return SpectralDecomposition(w, _fix_phases(V))
+    n = A.shape[-1]
+    w, V = np.linalg.eigh(A.reshape(-1, n, n))
+    # a stable descending sort keeps the solver's order within exact ties
+    order = np.argsort(-w, axis=-1, kind="stable")
+    k = np.arange(len(w))[:, None]
+    w, V = w[k, order], V[k[:, :, None], np.arange(n)[:, None], order[:, None, :]]
+    split = w[:, :-1] - w[:, 1:] > CLUSTER_TOL
+    runs = {}
+    for i in np.flatnonzero(~split.all(axis=1)):
+        runs.setdefault(tuple(np.flatnonzero(split[i]) + 1), []).append(i)
+    for cuts, idx in runs.items():
+        # QR within each run of eigenvalues closer than CLUSTER_TOL, for
+        # all the matrices whose runs fall at the same places at once
+        bounds = (0, *cuts, n)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop - start > 1:
+                V[idx, :, start:stop] = np.linalg.qr(V[idx, :, start:stop])[0]
+    return SpectralDecomposition(w.reshape(A.shape[:-1]), _fix_phases(V).reshape(A.shape))
 
 
 def eigenvalues_desc(A) -> np.ndarray:

@@ -192,6 +192,17 @@ def _rule_values(rule: ClassicalScoringRule, P: np.ndarray) -> np.ndarray:
     return values
 
 
+def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
+    # A rule must pay each row of a stack as it pays that row alone: one that
+    # reduces over the whole array is right for one report and wrong for a block.
+    P = np.random.default_rng(12345).dirichlet(np.ones(m), size=2)
+    rows = _rule_values(rule, P)
+    alone = np.stack([_rule_values(rule, p) for p in P])
+    neg = rows == NEG_INF
+    if (neg != (alone == NEG_INF)).any() or (np.abs(rows[~neg] - alone[~neg]) > 1e-12).any():
+        raise ValueError(f"rule {rule.name!r} must pay each row of a stack as it pays that row alone")
+
+
 def _hs_rows(A, B) -> np.ndarray:
     # Re <A_k, B_k> for two (N, n, n) stacks: the real and imaginary parts
     # of each matrix side by side, dotted
@@ -253,7 +264,11 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     The measurement is the same for every report; the report enters only
     through its outcome distribution.  Strictly truthful exactly when the
     rule is strictly proper and the measurement tomographically complete.
+    The rule must pay each row of a stack as it pays that row alone; this
+    is checked on a two-row stack at construction.
     """
+
+    _require_row_wise(rule, len(mu))
 
     def stack(reports):
         if reports.shape[-1] != mu.dim:
@@ -326,12 +341,15 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
     """Measure in the report's eigenbasis, scoring eigenvalues classically.
 
     The rule must be permutation-invariant (eigenbases carry no outcome
-    labels of their own); this is spot-checked at construction.
+    labels of their own); this is spot-checked at construction.  It must
+    also pay each row of a stack as it pays that row alone, which is
+    checked on a two-row stack.
     """
     if check:
         for d in (2, 3):
             if not is_permutation_invariant(rule, d, rng=12345):
                 raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
+    _require_row_wise(rule, 3)
 
     def stack(reports):
         lam, V = _decompose(reports)
@@ -543,7 +561,13 @@ def _in_domain(S, states) -> np.ndarray:
     # mask of the states of an (N, n, n) stack inside S's domain
     if S.domain is None or not len(states):
         return np.ones(len(states), dtype=bool)
-    return np.asarray(S.domain(states), dtype=bool)
+    mask = np.asarray(S.domain(states), dtype=bool)
+    if mask.shape != (len(states),):
+        raise ValueError(
+            f"domain of {S.name!r} must map an (N, n, n) stack to an (N,) mask: "
+            f"{mask.shape} for {states.shape}"
+        )
+    return mask
 
 
 def _blend(states):

@@ -8,6 +8,7 @@ checks to a per-trial copy of the loop they replace.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qelicit import reports
 from qelicit.cli import main, run_verify
 from qelicit.extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot, ext_inner, matrix_log
 from qelicit.linalg import (
+    as_hermitian,
     frob_dist,
     hermitian_part,
     matrix_to_json,
@@ -25,7 +27,8 @@ from qelicit.linalg import (
     random_unitary,
     spectral_decompose,
 )
-from qelicit.measurement import apply_measurement, standard_pvm
+from qelicit.classical import ClassicalScoringRule
+from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm
 from qelicit.registry import SCORE_REGISTRY, make_score
 from qelicit.scores import (
     DISTINCT_TOL,
@@ -36,9 +39,12 @@ from qelicit.scores import (
     binary_brier,
     equivalence_check,
     expected_score,
+    fixed_measurement_score,
     implementability_check,
+    log_spectral,
     projective_brier,
     relative_entropy,
+    spectral_score,
     truthfulness_check,
     unitary_invariance_check,
     von_neumann_entropy,
@@ -115,6 +121,34 @@ class TestStackedDecomposition:
         R[4, 0, 1] += 1e-3
         with pytest.raises(ValueError, match="matrix 4 is not Hermitian"):
             spectral_decompose(R)
+
+
+    def test_as_hermitian_takes_one_matrix_only(self):
+        with pytest.raises(ValueError, match="must be square"):
+            as_hermitian(np.zeros((2, 2, 2)))
+
+
+class TestStackContracts:
+    """Callables written for one report at a time are refused, not misread on a block."""
+
+    def test_rule_reducing_over_the_whole_array_is_refused(self):
+        # right for one report, wrong for every row of a block
+        rule = ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole-array")
+        with pytest.raises(ValueError, match="whole-array.*each row"):
+            spectral_score(rule, check=False)
+        with pytest.raises(ValueError, match="whole-array.*each row"):
+            fixed_measurement_score(rule, canonical_complete(2))
+
+    @pytest.mark.parametrize("domain", [
+        lambda rho: bool(np.linalg.eigvalsh(rho).min() > 1e-8),  # one bool for the stack
+        lambda rho: np.linalg.eigvalsh(rho)[0] > 1e-8,  # length n, not N
+    ])
+    def test_per_state_domain_is_refused(self, domain):
+        S = replace(log_spectral(), name="per-state", domain=domain)
+        with pytest.raises(ValueError, match="domain of 'per-state'"):
+            truthfulness_check(S, 10, dims=(3,), rng=0)
+        with pytest.raises(ValueError, match="domain of 'per-state'"):
+            equivalence_check(log_spectral(), S, 10, dims=(3,), rng=0)
 
 
 CHECKED = ("spectral:log", "ml:s2", "ml:s3", "ml:s4", "ml:s5", "binary-brier")
