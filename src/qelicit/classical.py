@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
-from .reports import ScoreReport, _classify, _found, run_trials
+from .reports import ScoreReport, _classify, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -220,20 +220,18 @@ def properness_check(
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
     report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
 
-    def draw(first, gens):
+    def draw(dim, trials, gens):
         beliefs = [g.dirichlet(np.ones(dim)) for g in gens]
-        reports = [_sample_report(p, dim, (first + j) % 4, g) for j, (p, g) in enumerate(zip(beliefs, gens))]
-        return beliefs, reports
+        return beliefs, [_sample_report(p, dim, t % 4, g) for p, t, g in zip(beliefs, trials, gens)]
 
     def score(drawn):
         beliefs, reports = drawn
         truthful = [expected_classical(rule, p, p) for p in beliefs]
         other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
         distinct = np.array([float(np.linalg.norm(p - q)) > distinct_tol for p, q in zip(beliefs, reports)])
-        gaps, kinds, values = _classify(truthful, other, distinct, margin, mode == "strict")
-        return gaps, _found(kinds, values, beliefs, reports)
+        return _classify(truthful, other, distinct, margin, mode == "strict")
 
-    return run_trials(report, draw, _encode_distributions, rng, score=score)
+    return run_trials(report, draw, score, _encode_distributions, rng)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:

@@ -485,6 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         msg = exc.args[0] if exc.args else exc

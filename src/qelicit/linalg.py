@@ -296,7 +296,7 @@ def matrix_from_json(obj) -> np.ndarray:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(

@@ -81,61 +81,52 @@ class ScoreReport:
         )
 
 
-def run_trials(report: ScoreReport, trial, encode, rng=None, score=None) -> ScoreReport:
+def run_trials(report: ScoreReport, draw, score, encode, rng=None) -> ScoreReport:
     """Run ``report.trials`` trials in blocks of TRIAL_BLOCK and record them.
 
-    Trial i draws from stream i spawned from the root seed ``rng``, so a
-    trial's stream depends neither on the trial count nor on the block
-    size: re-running with ``trials=i + 1`` and the same seed replays
-    trial i.
+    Trial i runs at dimension ``report.dims[i % len(report.dims)]`` and
+    draws from stream i spawned from the root seed ``rng``, so a trial's
+    stream depends neither on the trial count nor on the block size:
+    re-running with ``trials=i + 1`` and the same seed replays trial i.
 
-    Without ``score``, ``trial(i, g)`` runs trial i and returns
-    ``(gap, found)``, with ``found`` a list of ``(kind, gap, a, b)``
-    violations.  With ``score``, each block is drawn, then scored at once:
-    ``trial(first, gens)`` draws trials first, first + 1, ... from their
-    streams ``gens``, and ``score(drawn)`` returns the block's gaps and its
-    violations as ``(j, kind, value, a, b)`` for trial first + j, in trial
-    order (see ``_found``).  Finite gaps feed ``max_gap``; each violation
-    is stored with its trial index and ``encode(a, b)``, a dict describing
-    its two states.  ``report.timing`` gets the seconds spent in all, in
-    drawing and in scoring.
+    Each block is split into one group per dimension.  ``draw(dim, trials,
+    gens)`` draws a group's trials from their streams ``gens`` as a tuple
+    of stacks whose first two hold the states each trial records, and
+    ``score(drawn)`` returns the group's ``(gaps, kinds, values)``, one
+    entry per trial.  Finite gaps feed ``max_gap``; each trial of kind
+    not "" is a violation, stored in trial order with its trial index,
+    its value as ``gap`` and ``encode(a, b)``, a dict describing its two
+    states.  ``report.timing`` gets the seconds spent in all, in scoring,
+    and in the rest, mostly drawing, as ``draw_s``.
     """
-    if score is None:
-        trial, score = _per_trial(trial)
+    dims = np.asarray(report.dims)
+    if report.trials < 0:
+        raise ValueError(f"trials must be non-negative, got {report.trials}")
+    if dims.size == 0 or (dims < 2).any():
+        raise ValueError(f"dims must be non-empty and at least 2 (checks are vacuous below), got {report.dims}")
     root = np.random.default_rng(rng)
-    spent = {"draw_s": 0.0, "score_s": 0.0}
-    start = perf_counter()
+    score_s, start = 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
-        t0 = perf_counter()
-        drawn = trial(first, root.spawn(min(TRIAL_BLOCK, report.trials - first)))
-        t1 = perf_counter()
-        gaps, found = score(drawn)
-        spent["draw_s"] += t1 - t0
-        spent["score_s"] += perf_counter() - t1
+        trials = np.arange(first, min(first + TRIAL_BLOCK, report.trials))
+        gens = root.spawn(len(trials))
+        at = dims[trials % len(dims)]
+        gaps, found = np.empty(len(trials)), []
+        for dim in dict.fromkeys(at.tolist()):
+            k = np.flatnonzero(at == dim)
+            drawn = draw(dim, trials[k], [gens[j] for j in k])
+            t = perf_counter()
+            gaps[k], kinds, values = score(drawn)
+            score_s += perf_counter() - t
+            found += [(int(trials[k[j]]), str(kinds[j]), values[j], drawn[0][j], drawn[1][j])
+                      for j in np.flatnonzero(kinds != "")]
         finite = gaps[np.isfinite(gaps)]
         if finite.size:
             report.record_gap(float(finite.max()))
-        for j, kind, value, a, b in found:
-            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": first + j})
-    report.timing = {"wall_s": perf_counter() - start, **spent}
+        for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
+            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+    wall_s = perf_counter() - start
+    report.timing = {"wall_s": wall_s, "draw_s": wall_s - score_s, "score_s": score_s}
     return report
-
-
-def _per_trial(trial):
-    # the block form of a per-trial function: drawing runs the trials, scoring collects them
-    def draw(first, gens):
-        return [trial(i, g) for i, g in enumerate(gens, start=first)]
-
-    def score(results):
-        gaps = np.array([gap for gap, _ in results], dtype=np.float64)
-        return gaps, [(j, *v) for j, (_, found) in enumerate(results) for v in found]
-
-    return draw, score
-
-
-def _found(kinds, values, a, b) -> list:
-    """The violations of a scored block: ``(j, kind, value, a[j], b[j])`` for each trial j of kind not ""."""
-    return [(int(j), str(kinds[j]), values[j], a[j], b[j]) for j in np.flatnonzero(kinds != "")]
 
 
 def _classify(truthful, other, distinct, margin: float, strict: bool):

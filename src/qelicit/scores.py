@@ -57,7 +57,7 @@ from .measurement import (
     is_tomographically_complete,
     tomographic_map,
 )
-from .reports import ScoreReport, _classify, _found, run_trials
+from .reports import ScoreReport, _classify, run_trials
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -659,31 +659,6 @@ def _compare(kind, a, b, tol):
     return gaps, np.where(gaps > tol, kind, ""), gaps
 
 
-def _state_trials(report: ScoreReport, dims, rng, draw, score) -> ScoreReport:
-    """``run_trials`` for a check on states, trial i at dimension dims[i % len(dims)].
-
-    Each block of trials is split into one stack per dimension:
-    ``draw(dim, trials, gens)`` draws those trials from their streams as a
-    tuple of stacks whose first two are the states each trial records, and
-    ``score(drawn)`` returns their ``(gaps, kinds, values)``.
-    """
-
-    def draw_block(first, gens):
-        trials = np.arange(first, first + len(gens))
-        at = np.asarray(dims)[trials % len(dims)]
-        groups = [np.flatnonzero(at == dim) for dim in dict.fromkeys(at.tolist())]
-        return [(k, draw(int(at[k[0]]), trials[k], [gens[j] for j in k])) for k in groups]
-
-    def score_block(groups):
-        gaps, found = np.empty(sum(len(k) for k, _ in groups)), []
-        for k, drawn in groups:
-            gaps[k], kinds, values = score(drawn)
-            found += [(int(k[j]), *v) for j, *v in _found(kinds, values, *drawn[:2])]
-        return gaps, sorted(found, key=lambda v: v[0])
-
-    return run_trials(report, draw_block, _encode_states, rng, score=score_block)
-
-
 def truthfulness_check(
     S,
     trials: int,
@@ -705,15 +680,14 @@ def truthfulness_check(
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    dims = tuple(dims)
-    report = ScoreReport(getattr(S, "name", "score"), mode, trials, dims)
+    report = ScoreReport(getattr(S, "name", "score"), mode, trials, tuple(dims))
 
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > distinct_tol, margin, mode == "strict")
 
-    return _state_trials(report, dims, rng, partial(_beliefs_and_reports, S), score)
+    return run_trials(report, partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
 def equivalence_check(
@@ -725,9 +699,8 @@ def equivalence_check(
     tol: float = EQUIV_TOL,
 ) -> ScoreReport:
     """Compare expected scores pointwise; -inf must match -inf."""
-    dims = tuple(dims)
     name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
-    report = ScoreReport(name, "equivalence", trials, dims)
+    report = ScoreReport(name, "equivalence", trials, tuple(dims))
 
     def score(drawn):
         rhos, reps = drawn
@@ -739,7 +712,7 @@ def equivalence_check(
             gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, tol)
         return gaps, kinds, gaps
 
-    return _state_trials(report, dims, rng, partial(_beliefs_and_reports, S1), score)
+    return run_trials(report, partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
 def unitary_invariance_check(
@@ -750,8 +723,7 @@ def unitary_invariance_check(
     tol: float = EQUIV_TOL,
 ) -> ScoreReport:
     """Flag |S(r; rho) - S(U r U*; U rho U*)| above tolerance."""
-    dims = tuple(dims)
-    report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, dims)
+    report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, tuple(dims))
 
     def draw(dim, trials, gens):
         return *_beliefs_and_reports(S, dim, trials, gens), _unitaries(_square_gaussians(dim, gens))
@@ -763,7 +735,7 @@ def unitary_invariance_check(
         (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b, tol)
 
-    return _state_trials(report, dims, rng, draw, score)
+    return run_trials(report, draw, score, _encode_states, rng)
 
 
 def implementability_check(
@@ -779,8 +751,7 @@ def implementability_check(
     extended-linear; mixtures are compared against mixed expected
     values under the extended arithmetic.
     """
-    dims = tuple(dims)
-    report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, dims)
+    report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, tuple(dims))
 
     def draw(dim, trials, gens):
         rho1 = _sample_states(S, dim, gens)
@@ -796,7 +767,7 @@ def implementability_check(
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1), zero_tol=EXT_WEIGHT_TOL)
         return _compare("nonlinear", mixed, linear, tol)
 
-    return _state_trials(report, dims, rng, draw, score)
+    return run_trials(report, draw, score, _encode_states, rng)
 
 
 def subgradient_inequality_check(
@@ -813,25 +784,26 @@ def subgradient_inequality_check(
     lower bound passes trivially, and a selection whose infinite part
     overlaps negatively with the direction is itself flagged.
     """
-    dims = tuple(dims)
-    report = ScoreReport("subgradient", "inequality", trials, dims)
+    report = ScoreReport("subgradient", "inequality", trials, tuple(dims))
 
-    def trial(i, g):
-        dim = dims[i % len(dims)]
-        rho = random_density(dim, rank=int(g.integers(1, dim + 1)), rng=g)
-        base = random_density(dim, rank=int(g.integers(1, dim + 1)), rng=g)
-        d = dF(base)
-        if not isinstance(d, ExtendedHermitian):
-            d = ExtendedHermitian.wrap(d)
-        try:
-            pairing = ext_inner(d, hermitian_part(rho - base))
-        except ValueError:
-            return float("inf"), [("invalid-selection", float("inf"), rho, base)]
-        if pairing == NEG_INF:
-            return NEG_INF, []
-        gap = (float(F(base)) + pairing) - float(F(rho))
-        if gap > margin:
-            return gap, [("violated", gap, rho, base)]
-        return gap, []
+    def draw(dim, trials, gens):
+        # per stream: rho, then the base, each a rank then a state
+        pairs = [[random_density(dim, rank=int(g.integers(1, dim + 1)), rng=g) for _ in range(2)] for g in gens]
+        return tuple(zip(*pairs))
 
-    return run_trials(report, trial, _encode_states, rng)
+    def score(drawn):
+        gaps, invalid = np.empty(len(drawn[0])), np.zeros(len(drawn[0]), dtype=bool)
+        for j, (rho, base) in enumerate(zip(*drawn)):
+            d = dF(base)
+            if not isinstance(d, ExtendedHermitian):
+                d = ExtendedHermitian.wrap(d)
+            try:
+                pairing = ext_inner(d, hermitian_part(rho - base))
+            except ValueError:
+                gaps[j], invalid[j] = np.inf, True
+                continue
+            gaps[j] = NEG_INF if pairing == NEG_INF else (float(F(base)) + pairing) - float(F(rho))
+        kinds = np.select([invalid, gaps > margin], ["invalid-selection", "violated"], "")
+        return gaps, kinds, gaps
+
+    return run_trials(report, draw, score, _encode_states, rng)

@@ -342,3 +342,18 @@ def test_verify_report_schema(capsys, tmp_path):
     sub = report["reports"][0]["truthfulness"]
     for key in ("name", "trials", "dims", "verdict", "max_gap", "violations"):
         assert key in sub
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--score", "binary-brier", "--dims", "2", "--trials", "10"],
+    ["measure", "--state", "STATE", "--trials", "10"],
+    ["witness", "--property", "entropy", "--dims", "2", "--trials", "5"],
+], ids=["verify", "measure", "witness"])
+def test_negative_seed_names_the_option(capsys, tmp_path, command):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json(example_mixture_state())))
+    argv = [str(state) if a == "STATE" else a for a in command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert "--seed" in err
+    assert out == ""

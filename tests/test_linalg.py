@@ -217,8 +217,11 @@ class TestJson:
             density_from_json(matrix_to_json(np.eye(2)))
 
     def test_malformed_json(self):
-        with pytest.raises(ValueError, match="malformed"):
-            matrix_from_json({"dim": 2})
+        bad_dim = {"dim": "x", "re": [[1.0]], "im": [[0.0]]}
+        bad_entry = {"dim": 2, "re": [["a", 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        for obj in ({"dim": 2}, bad_dim, bad_entry):
+            with pytest.raises(ValueError, match="malformed matrix JSON"):
+                matrix_from_json(obj)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

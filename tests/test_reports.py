@@ -1,51 +1,84 @@
 import json
 
+import numpy as np
+import pytest
+
+from qelicit.classical import brier_rule, properness_check
+from qelicit.linalg import hs_inner
 from qelicit.registry import make_score
 from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, json_safe, run_trials
-from qelicit.scores import truthfulness_check
+from qelicit.scores import (
+    equivalence_check,
+    implementability_check,
+    subgradient_inequality_check,
+    truthfulness_check,
+    unitary_invariance_check,
+)
 
 
 def _encode(a, b):
     return {"a": a, "b": b}
 
 
-def _run(trials, trial, rng=0):
-    return run_trials(ScoreReport("s", "strict", trials, (2,)), trial, _encode, rng)
+def _run(trials, score, dims=(2,), rng=0):
+    # each trial draws its own index and its dimension as its two "states"
+    def draw(dim, trials, gens):
+        assert len(gens) == len(trials)
+        return trials, np.full(len(trials), dim)
+
+    return run_trials(ScoreReport("s", "strict", trials, dims), draw, score, _encode, rng)
+
+
+def _flag_all(kind, value):
+    def score(drawn):
+        n = len(drawn[0])
+        return np.full(n, value), np.full(n, kind), np.full(n, value)
+
+    return score
 
 
 class TestRunTrials:
     def test_ordered_by_index(self):
         seen = []
 
-        def trial(i, g):
-            seen.append(i)
-            return 0.0, []
+        def score(drawn):
+            seen.extend(drawn[0].tolist())
+            return _flag_all("", 0.0)(drawn)
 
-        _run(20, trial, rng=3)
+        _run(20, score, rng=3)
         assert seen == list(range(20))
 
     def test_finite_gaps_recorded(self):
-        gaps = [-1.0, float("-inf"), -0.25, float("inf"), -0.5]
-        report = _run(len(gaps), lambda i, g: (gaps[i], []))
+        gaps = np.array([-1.0, float("-inf"), -0.25, float("inf"), -0.5])
+        report = _run(len(gaps), lambda d: (gaps[d[0]], np.full(len(d[0]), ""), gaps[d[0]]))
         assert report.max_gap == -0.25
         assert report.passed
 
     def test_kinds_counted_and_trial_index_recorded(self):
-        def trial(i, g):
-            return 0.5, [("gain" if i % 3 == 0 else "tie", 0.5, i, -i)]
+        def score(drawn):
+            t = drawn[0]
+            return np.full(len(t), 0.5), np.where(t % 3 == 0, "gain", "tie"), np.full(len(t), 0.5)
 
-        report = _run(9, trial)
+        report = _run(9, score)
         assert report.kind_counts == {"gain": 3, "tie": 6}
         assert report.n_violations == 9
         assert [v["trial"] for v in report.violations] == list(range(9))
-        assert report.violations[4] == {"kind": "tie", "gap": 0.5, "a": 4, "b": -4, "trial": 4}
+        assert report.violations[4] == {"kind": "tie", "gap": 0.5, "a": 4, "b": 2, "trial": 4}
 
     def test_storage_capped(self):
-        report = _run(100, lambda i, g: (0.0, [("tie", 0.0, i, i)]))
+        report = _run(100, _flag_all("tie", 0.0))
         assert report.n_violations == 100
         assert report.kind_counts == {"tie": 100}
         assert len(report.violations) == MAX_STORED_VIOLATIONS
         assert [v["trial"] for v in report.violations] == list(range(MAX_STORED_VIOLATIONS))
+
+    def test_trials_stored_in_order_across_dimensions(self):
+        n = 25
+        report = _run(n, _flag_all("gain", 1.0), dims=(2, 3))
+        assert report.n_violations == n
+        assert [v["trial"] for v in report.violations] == list(range(n))
+        assert [v["a"] for v in report.violations] == list(range(n))
+        assert [v["b"] for v in report.violations] == [(2, 3)[i % 2] for i in range(n)]
 
     def test_same_seed_gives_identical_bytes(self):
         S = make_score("ml:s3", 3)
@@ -55,6 +88,28 @@ class TestRunTrials:
         ]
         assert blobs[0] == blobs[1]
         assert '"trial"' in blobs[0]
+
+
+S = make_score("spectral:log", 3)
+F, DF = (lambda r: hs_inner(r, r)), (lambda r: 2 * r)
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda: truthfulness_check(S, -5), "trials"),
+    (lambda: subgradient_inequality_check(F, DF, -3), "trials"),
+    (lambda: properness_check(brier_rule(), -4, 3), "trials"),
+    (lambda: truthfulness_check(S, 10, dims=()), "dims"),
+    (lambda: unitary_invariance_check(S, 10, dims=()), "dims"),
+    (lambda: subgradient_inequality_check(F, DF, 10, dims=()), "dims"),
+    (lambda: truthfulness_check(S, 10, dims=(1,)), "dims"),
+    (lambda: implementability_check(S, 10, dims=(2, 1)), "dims"),
+    (lambda: equivalence_check(S, S, 10, dims=(0,)), "dims"),
+    (lambda: properness_check(brier_rule(), 10, 1), "dim"),
+], ids=["truth-trials", "subgradient-trials", "properness-trials", "truth-empty", "unitary-empty",
+        "subgradient-empty", "truth-dim-1", "implementability-dim-1", "equivalence-dim-0", "properness-dim-1"])
+def test_bad_trials_or_dims_are_refused(run, name):
+    with pytest.raises(ValueError, match=name):
+        run()
 
 
 class TestScoreReport:

@@ -21,13 +21,14 @@ from qelicit.linalg import (
     as_hermitian,
     frob_dist,
     hermitian_part,
+    hs_inner,
     matrix_to_json,
     random_density,
     random_pure,
     random_unitary,
     spectral_decompose,
 )
-from qelicit.classical import ClassicalScoringRule
+from qelicit.classical import ClassicalScoringRule, linear_rule, properness_check
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm
 from qelicit.registry import SCORE_REGISTRY, make_score
 from qelicit.scores import (
@@ -45,6 +46,7 @@ from qelicit.scores import (
     projective_brier,
     relative_entropy,
     spectral_score,
+    subgradient_inequality_check,
     truthfulness_check,
     unitary_invariance_check,
     von_neumann_entropy,
@@ -166,6 +168,10 @@ def _check_reports(dims=(2, 3, 4)):
         out += [check(S, 20, dims=(3,), rng=6).to_json()
                 for check in (truthfulness_check, unitary_invariance_check, implementability_check)]
     out.append(equivalence_check(projective_brier(), binary_brier(), 30, dims=(2, 3), rng=7).to_json())
+    out.append(properness_check(linear_rule(), 40, 3, rng=8).to_json())
+    # a wrong gradient of the quadratic fails about half the pairs
+    out.append(subgradient_inequality_check(
+        lambda r: hs_inner(r, r), lambda r: -2 * r, 30, dims=(2, 3), rng=9).to_json())
     return out
 
 
