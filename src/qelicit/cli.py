@@ -22,6 +22,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
+from .linalg import _wire_dim
 from .markets import MarketState, bundle_expected_payoff
 from .measurement import (
     Measurement,
@@ -33,7 +34,7 @@ from .measurement import (
 )
 from .properties import find_level_set_witness, level_set_witness
 from .registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property
-from .reports import json_safe
+from .reports import _check_dims, json_safe
 from .scores import (
     DISTINCT_TOL,
     EQUIV_TOL,
@@ -161,13 +162,6 @@ def paper_example_rows(tol: float = 1e-12) -> list:
 
 
 _TOL_KEYS = ("margin", "strict_distance", "equiv_tol")
-
-
-def _check_dims(dims) -> list:
-    dims = list(dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"every dimension must be at least 2 (checks are vacuous below), got {dims}")
-    return dims
 
 
 def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None, profile=None) -> dict:
@@ -376,7 +370,7 @@ def _cmd_measure(args) -> int:
 def _cmd_market(args) -> int:
     scenario = _load_json(args.scenario)
     try:
-        dim = int(scenario["dim"])
+        dim = _wire_dim(scenario["dim"])
         cost = scenario.get("cost", "lmsr")
         trades = [matrix_from_json(t) for t in scenario.get("trades", [])]
         truth = density_from_json(scenario["truth"])
@@ -489,7 +483,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # a KeyError's text is the repr of its message; an OSError's first arg is its errno
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -51,27 +51,13 @@ def ext_mul(weight: float, value: float) -> float:
     ``weight`` must be finite.  A strictly negative weight on a -inf
     value would produce +inf, which is forbidden, so it raises.
     """
-    if not np.isfinite(weight):
-        raise ValueError(f"weight must be finite, got {weight}")
-    if value == NEG_INF:
-        if weight > 0:
-            return NEG_INF
-        if weight == 0:
-            return 0.0
-        raise ValueError("negative weight on a -inf value would produce +inf")
-    return float(weight * value)
+    return ext_dot([weight], [value])
 
 
 def ext_sum(values) -> float:
     """Sum over R u {-inf}; -inf is absorbing, +inf inputs are rejected."""
-    total = 0.0
-    for v in values:
-        if v == np.inf:
-            raise ValueError("+inf is not a valid extended score value")
-        if v == NEG_INF:
-            return NEG_INF
-        total += v
-    return float(total)
+    v = np.fromiter(values, dtype=np.float64)
+    return ext_dot(np.ones_like(v), v)
 
 
 def ext_dot(weights, values, zero_tol: float = 0.0):

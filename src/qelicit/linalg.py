@@ -23,7 +23,6 @@ __all__ = [
     "PSD_TOL",
     "TRACE_TOL",
     "UNITARY_TOL",
-    "CLUSTER_TOL",
     "ZERO_EIG_REL",
     "as_complex_matrix",
     "as_hermitian",
@@ -49,7 +48,6 @@ HERM_TOL = 1e-10      # Hermitian symmetry, relative to max(1, max entry)
 PSD_TOL = 1e-10       # eigenvalue floor for positive semidefiniteness
 TRACE_TOL = 1e-10     # |trace - 1| bound for density matrices
 UNITARY_TOL = 1e-9    # max-norm bound on U U* - I
-CLUSTER_TOL = 1e-9    # eigenvalue gap below which a degenerate cluster is assumed
 ZERO_EIG_REL = 1e-12  # eigenvalue == 0 threshold, relative to the trace
 
 
@@ -186,10 +184,10 @@ def spectral_decompose(A) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, or of each matrix of a stack (N, n, n).
 
     Eigenvalues are sorted in non-increasing order (ties keep the
-    solver's order); eigenvectors within a near-degenerate cluster
-    (gap <= CLUSTER_TOL) are re-orthonormalized together, and every
-    eigenvector's phase is fixed deterministically.  A stack is
-    decomposed with one solver call, and each of its matrices gets
+    solver's order), and every eigenvector's phase is fixed
+    deterministically.  The solver's eigenvectors are orthonormal
+    whatever the eigenvalue gaps, degenerate clusters included.  A stack
+    is decomposed with one solver call, and each of its matrices gets
     exactly the result it would get alone.
     """
     A = np.asarray(A, dtype=np.complex128)
@@ -204,19 +202,7 @@ def _decompose(A: np.ndarray) -> SpectralDecomposition:
     w, V = np.linalg.eigh(A.reshape(-1, n, n))
     # a stable descending sort keeps the solver's order within exact ties
     order = np.argsort(-w, axis=-1, kind="stable")
-    k = np.arange(len(w))[:, None]
-    w, V = w[k, order], V[k[:, :, None], np.arange(n)[:, None], order[:, None, :]]
-    split = w[:, :-1] - w[:, 1:] > CLUSTER_TOL
-    runs = {}
-    for i in np.flatnonzero(~split.all(axis=1)):
-        runs.setdefault(tuple(np.flatnonzero(split[i]) + 1), []).append(i)
-    for cuts, idx in runs.items():
-        # QR within each run of eigenvalues closer than CLUSTER_TOL, for
-        # all the matrices whose runs fall at the same places at once
-        bounds = (0, *cuts, n)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            if stop - start > 1:
-                V[idx, :, start:stop] = np.linalg.qr(V[idx, :, start:stop])[0]
+    w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None, :], -1)
     return SpectralDecomposition(w.reshape(A.shape[:-1]), _fix_phases(V).reshape(A.shape))
 
 
@@ -291,9 +277,16 @@ def matrix_to_json(M) -> dict:
     }
 
 
+def _wire_dim(raw) -> int:
+    # the "dim" of wire JSON: an integer (an integral float too), never a bool
+    if isinstance(raw, bool) or not (isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
+        raise TypeError(f"dim must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = _wire_dim(obj["dim"])
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:

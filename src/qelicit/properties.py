@@ -102,8 +102,7 @@ def _as_orthonormal(X, cols: int | None = None) -> np.ndarray:
     dev = float(np.abs(gram - np.eye(X.shape[1])).max())
     if dev > ORTHO_TOL:
         raise ValueError(f"report vectors are not orthonormal: deviation {dev:.3e}")
-    w, V = np.linalg.eigh(hermitian_part(gram))
-    return X @ ((V / np.sqrt(w)) @ V.conj().T)
+    return _orthonormalize_plain(X[None])[0]
 
 
 def _complete_basis(X) -> np.ndarray:

@@ -92,26 +92,6 @@ def make_score(name: str, dim: int):
     return entry.make(dim)
 
 
-def _eigenvalues_property() -> QuantumProperty:
-    return QuantumProperty(lambda rho: eigenvalues_desc(rho), name="eigenvalues")
-
-
-def _max_eigenvalue_property() -> QuantumProperty:
-    return QuantumProperty(lambda rho: float(eigenvalues_desc(rho)[0]), name="max-eigenvalue")
-
-
-def _entropy_property() -> QuantumProperty:
-    return QuantumProperty(lambda rho: von_neumann_entropy(rho), name="entropy")
-
-
-def _tsallis2_property() -> QuantumProperty:
-    return QuantumProperty(lambda rho: 1.0 - hs_inner(rho, rho), name="tsallis2")
-
-
-def _norm2_property() -> QuantumProperty:
-    return QuantumProperty(lambda rho: float(np.sqrt(hs_inner(rho, rho))), name="norm2")
-
-
 def _top_eigenvector_property() -> QuantumProperty:
     def evaluate(rho):
         return spectral_decompose(rho).eigenvectors[:, 0]
@@ -153,27 +133,27 @@ PROPERTY_REGISTRY: dict[str, dict] = {
         "elicitable": True,
     },
     "eigenvalues": {
-        "property": lambda dim: _eigenvalues_property(),
+        "property": lambda dim: QuantumProperty(eigenvalues_desc, name="eigenvalues"),
         "score": None,
         "elicitable": False,
     },
     "max-eigenvalue": {
-        "property": lambda dim: _max_eigenvalue_property(),
+        "property": lambda dim: QuantumProperty(lambda rho: float(eigenvalues_desc(rho)[0]), name="max-eigenvalue"),
         "score": None,
         "elicitable": False,
     },
     "entropy": {
-        "property": lambda dim: _entropy_property(),
+        "property": lambda dim: QuantumProperty(von_neumann_entropy, name="entropy"),
         "score": None,
         "elicitable": False,
     },
     "tsallis2": {
-        "property": lambda dim: _tsallis2_property(),
+        "property": lambda dim: QuantumProperty(lambda rho: 1.0 - hs_inner(rho, rho), name="tsallis2"),
         "score": None,
         "elicitable": False,
     },
     "norm2": {
-        "property": lambda dim: _norm2_property(),
+        "property": lambda dim: QuantumProperty(lambda rho: float(np.sqrt(hs_inner(rho, rho))), name="norm2"),
         "score": None,
         "elicitable": False,
     },

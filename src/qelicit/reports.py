@@ -81,6 +81,14 @@ class ScoreReport:
         )
 
 
+def _check_dims(dims) -> list:
+    # dims as a list, refused unless non-empty with every dimension at least 2
+    dims = list(dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"dims must be non-empty, every dimension at least 2 (checks are vacuous below), got {dims}")
+    return dims
+
+
 def run_trials(report: ScoreReport, draw, score, encode, rng=None) -> ScoreReport:
     """Run ``report.trials`` trials in blocks of TRIAL_BLOCK and record them.
 
@@ -96,14 +104,13 @@ def run_trials(report: ScoreReport, draw, score, encode, rng=None) -> ScoreRepor
     entry per trial.  Finite gaps feed ``max_gap``; each trial of kind
     not "" is a violation, stored in trial order with its trial index,
     its value as ``gap`` and ``encode(a, b)``, a dict describing its two
-    states.  ``report.timing`` gets the seconds spent in all, in scoring,
-    and in the rest, mostly drawing, as ``draw_s``.
+    states, which is called only for the violations that are stored.
+    ``report.timing`` gets the seconds spent in all, in scoring, and in
+    the rest, mostly drawing, as ``draw_s``.
     """
-    dims = np.asarray(report.dims)
     if report.trials < 0:
         raise ValueError(f"trials must be non-negative, got {report.trials}")
-    if dims.size == 0 or (dims < 2).any():
-        raise ValueError(f"dims must be non-empty and at least 2 (checks are vacuous below), got {report.dims}")
+    dims = np.asarray(_check_dims(report.dims))
     root = np.random.default_rng(rng)
     score_s, start = 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
@@ -123,7 +130,9 @@ def run_trials(report: ScoreReport, draw, score, encode, rng=None) -> ScoreRepor
         if finite.size:
             report.record_gap(float(finite.max()))
         for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
-            report.add_violation({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+            # only the violations that will be stored are encoded
+            states = encode(a, b) if len(report.violations) < MAX_STORED_VIOLATIONS else {}
+            report.add_violation({"kind": kind, "gap": float(value), **states, "trial": i})
     wall_s = perf_counter() - start
     report.timing = {"wall_s": wall_s, "draw_s": wall_s - score_s, "score_s": score_s}
     return report

@@ -46,14 +46,12 @@ from .linalg import (
     hermitian_part,
     matrix_to_json,
     random_density,
-    spectral_decompose,
 )
 from .linalg import _complex_gaussian, _decompose, _densities, _fix_phases, _unitaries
 from .measurement import (
     Measurement,
     _basis_pvm,
     _Bases,
-    herm_coords,
     is_tomographically_complete,
     tomographic_map,
 )
@@ -451,7 +449,7 @@ def ml_scores() -> dict:
     }
 
 
-def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumScore:
+def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
     """Truthful projective score realizing a convex expected-self-score F.
 
     ``dF`` maps a report to a subgradient (plain Hermitian or extended);
@@ -469,7 +467,7 @@ def score_from_convex(F, dF, name: str = "from-convex", domain=None) -> QuantumS
             raise ValueError("subgradient selection is -inf at its own base point")
         return _projective(d.add_scalar(float(F(rho_p)) - anchor))
 
-    return QuantumScore(payoff, name=name, domain=domain)
+    return QuantumScore(payoff, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +501,7 @@ def _ext_eigh(E: ExtendedHermitian):
     # Joint eigensystem of an extended Hermitian: finite eigenvalues on
     # the infinite part's kernel (descending), -inf on its range.
     if E.is_finite():
-        dec = spectral_decompose(E.finite_part)
-        return np.asarray(dec.eigenvalues, dtype=np.float64), dec.eigenvectors
+        return _decompose(E.finite_part)
     B = E.infinite_part
     w, V = np.linalg.eigh(B)
     tol = ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)
@@ -539,7 +536,7 @@ def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
         E = score_coefficient(S, rho_p)
         if not E.is_finite():
             raise ValueError(f"score {S.name!r} takes -inf values; not expressible")
-        return mu, tmap.pinv.T @ herm_coords(E.finite_part)
+        return mu, tmap.pinv_adjoint(E.finite_part)
 
     return QuantumScore(payoff, name=f"fixed-expr[{S.name}]")
 
@@ -558,8 +555,8 @@ def projective_expression(S: QuantumScore) -> QuantumScore:
 
 
 def _in_domain(S, states) -> np.ndarray:
-    # mask of the states of an (N, n, n) stack inside S's domain
-    if S.domain is None or not len(states):
+    # mask of the states of an (N, n, n) stack inside S's domain (S None has none)
+    if getattr(S, "domain", None) is None or not len(states):
         return np.ones(len(states), dtype=bool)
     mask = np.asarray(S.domain(states), dtype=bool)
     if mask.shape != (len(states),):
@@ -788,8 +785,7 @@ def subgradient_inequality_check(
 
     def draw(dim, trials, gens):
         # per stream: rho, then the base, each a rank then a state
-        pairs = [[random_density(dim, rank=int(g.integers(1, dim + 1)), rng=g) for _ in range(2)] for g in gens]
-        return tuple(zip(*pairs))
+        return _sample_states(None, dim, gens), _sample_states(None, dim, gens)
 
     def score(drawn):
         gaps, invalid = np.empty(len(drawn[0])), np.zeros(len(drawn[0]), dtype=bool)

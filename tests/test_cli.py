@@ -278,12 +278,34 @@ class TestMarketSim:
             assert "broadcast" not in err
             assert out == ""
 
+    @pytest.mark.parametrize("dim", [2.7, "x"])
+    def test_non_integer_dim_is_malformed(self, capsys, tmp_path, dim):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"dim": dim, "trades": [], "truth": matrix_to_json(random_density(2, rng=rng))}))
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert code == 2
+        assert "malformed scenario" in err and repr(dim) in err
+        assert out == ""
+
     def test_missing_truth_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2, "trades": []}))
         code, _, err = run_cli(capsys, "market-sim", "--scenario", str(path))
         assert code == 2
         assert "malformed" in err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["measure", "--state", "{d}/missing.json"], "{d}/missing.json"),
+    (["market-sim", "--scenario", "{d}/missing.json"], "{d}/missing.json"),
+    (["verify", "--score", "binary-brier", "--dims", "2", "--trials", "4", "--out", "{d}/no/such/dir/x.json"],
+     "{d}/no/such/dir/x.json"),
+], ids=["measure-state", "market-scenario", "verify-out"])
+def test_os_errors_name_the_file(capsys, tmp_path, argv, missing):
+    code, _, err = run_cli(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == 2
+    assert missing.format(d=tmp_path) in err
 
 
 class TestWitness:

@@ -149,6 +149,35 @@ class TestSpectralDecompose:
         dec = spectral_decompose(A)
         assert frob_dist(dec.reconstruct(), A) <= 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("kind", ["repeated", "rank-deficient", "near-pair", "maximally-mixed"])
+    def test_degenerate_spectra(self, rng, n, kind):
+        # the solver's eigenvectors must stay orthonormal and phase-fixed where
+        # eigenvalues repeat, vanish, or sit 1e-11 apart
+        U = random_unitary(n, rng=rng)
+        if kind == "repeated":
+            w = rng.choice([-1.5, 0.25, 2.0], size=n - 1)
+            w = np.append(w, w[0])
+            A = (U * w) @ U.conj().T
+        elif kind == "rank-deficient":
+            A = random_density(n, rank=max(1, n // 3), rng=rng)
+        elif kind == "near-pair":
+            w = rng.uniform(-2.0, 2.0, size=n)
+            w[1] = w[0] + 1e-11
+            A = (U * w) @ U.conj().T
+        else:
+            A = np.eye(n, dtype=complex) / n
+        A = (A + A.conj().T) / 2
+        dec = spectral_decompose(A)
+        V = dec.eigenvectors
+        assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12
+        assert np.abs(dec.reconstruct() - A).max() <= 1e-12
+        assert (np.diff(dec.eigenvalues) <= 0).all()
+        lead = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+        assert np.abs(lead.imag).max() <= 1e-12
+        assert (lead.real > 0).all()
+        assert np.array_equal(V, spectral_decompose(A.copy()).eigenvectors)
+
 
 class TestRandomStates:
     def test_rank_one_is_pure(self, rng):
@@ -219,7 +248,10 @@ class TestJson:
     def test_malformed_json(self):
         bad_dim = {"dim": "x", "re": [[1.0]], "im": [[0.0]]}
         bad_entry = {"dim": 2, "re": [["a", 0], [0, 1]], "im": [[0, 0], [0, 0]]}
-        for obj in ({"dim": 2}, bad_dim, bad_entry):
+        fractional_dim = {"dim": 2.7, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        bool_dim = {"dim": True, "re": [[1.0]], "im": [[0.0]]}
+        infinite_dim = {"dim": float("inf"), "re": [[1.0]], "im": [[0.0]]}
+        for obj in ({"dim": 2}, bad_dim, bad_entry, fractional_dim, bool_dim, infinite_dim):
             with pytest.raises(ValueError, match="malformed matrix JSON"):
                 matrix_from_json(obj)
 

@@ -20,13 +20,13 @@ def _encode(a, b):
     return {"a": a, "b": b}
 
 
-def _run(trials, score, dims=(2,), rng=0):
+def _run(trials, score, dims=(2,), rng=0, encode=_encode):
     # each trial draws its own index and its dimension as its two "states"
     def draw(dim, trials, gens):
         assert len(gens) == len(trials)
         return trials, np.full(len(trials), dim)
 
-    return run_trials(ScoreReport("s", "strict", trials, dims), draw, score, _encode, rng)
+    return run_trials(ScoreReport("s", "strict", trials, dims), draw, score, encode, rng)
 
 
 def _flag_all(kind, value):
@@ -71,6 +71,19 @@ class TestRunTrials:
         assert report.kind_counts == {"tie": 100}
         assert len(report.violations) == MAX_STORED_VIOLATIONS
         assert [v["trial"] for v in report.violations] == list(range(MAX_STORED_VIOLATIONS))
+
+    def test_only_stored_violations_are_encoded(self):
+        calls = []
+
+        def encode(a, b):
+            calls.append(a)
+            return _encode(a, b)
+
+        report = _run(100, _flag_all("gain", 1.0), dims=(2, 3), encode=encode)
+        assert report.n_violations == 100
+        assert report.kind_counts == {"gain": 100}
+        assert len(calls) <= MAX_STORED_VIOLATIONS
+        assert [v["a"] for v in report.violations] == list(range(MAX_STORED_VIOLATIONS))
 
     def test_trials_stored_in_order_across_dimensions(self):
         n = 25
