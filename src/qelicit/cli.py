@@ -1,9 +1,12 @@
 """Command-line harness: verification suites, worked examples, simulators.
 
-Subcommands: verify, paper-examples, measure, market-sim, witness.
-Exit codes: 0 when every observed verdict matches its expectation, 1 on a
-verdict mismatch, 2 on usage or IO errors.  Output is deterministic JSON
-for a fixed seed and configuration.
+Subcommands: verify, paper-examples, measure, market-sim, witness.  This
+module only parses arguments, reads and writes files and formats output:
+``registry.run_verify`` runs the checks and compares the verdicts, and
+``linalg.read_wire`` reads the measurement and market-scenario wire
+JSON.  Exit codes: 0 when every observed verdict matches its
+expectation, 1 on a verdict mismatch, 2 on usage or IO errors.  Output
+is deterministic JSON for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ import sys
 
 import numpy as np
 
-from .linalg import (
-    density_from_json,
-    frob_dist,
-    hermitian_part,
-    hs_inner,
-    matrix_from_json,
-    matrix_to_json,
-)
-from .linalg import _wire_dim
+from .linalg import as_density, density_from_json, frob_dist, hermitian_part, hs_inner, matrix_to_json, read_wire
 from .markets import MarketState, bundle_expected_payoff
 from .measurement import (
     Measurement,
@@ -33,19 +28,9 @@ from .measurement import (
     standard_pvm,
 )
 from .properties import find_level_set_witness, level_set_witness
-from .registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property
+from .registry import PROPERTY_REGISTRY, make_property, run_verify
 from .reports import _check_dims, json_safe
-from .scores import (
-    DISTINCT_TOL,
-    EQUIV_TOL,
-    TRUTH_MARGIN,
-    expected_score,
-    binary_brier,
-    implementability_check,
-    ml_scores,
-    truthfulness_check,
-    unitary_invariance_check,
-)
+from .scores import binary_brier, expected_score, ml_scores
 
 __all__ = ["main", "example_mixture_state", "paper_example_rows", "run_verify"]
 
@@ -54,222 +39,73 @@ def example_mixture_state() -> np.ndarray:
     """The worked-example qubit: 1/3 of a plus-state and 2/3 of |1><1|."""
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     one = np.array([0.0, 1.0])
-    return hermitian_part(
-        np.outer(plus, plus.conj()) / 3.0 + 2.0 * np.outer(one, one.conj()) / 3.0
-    )
-
-
-def _row(name, expected, observed, ok) -> dict:
-    return {
-        "name": name,
-        "expected": expected,
-        "observed": observed,
-        "pass": bool(ok),
-    }
+    return hermitian_part(np.outer(plus, plus.conj()) / 3.0 + 2.0 * np.outer(one, one.conj()) / 3.0)
 
 
 def paper_example_rows(tol: float = 1e-12) -> list:
     """Golden rows reproducing the worked examples; all must pass on a clean build."""
-    rows = []
     rho = example_mixture_state()
+    rows = []  # (name, expected, observed, pass)
+    for name, mu, want in (
+        ("standard", standard_pvm(2), [1.0 / 6.0, 5.0 / 6.0]),
+        ("hadamard", hadamard_pvm(), [2.0 / 3.0, 1.0 / 3.0]),
+    ):
+        p = apply_measurement(mu, rho)
+        rows.append((f"{name}-basis-probabilities", want, p.tolist(), np.abs(p - want).max() <= tol))
 
-    p_std = apply_measurement(standard_pvm(2), rho)
-    rows.append(
-        _row(
-            "standard-basis-probabilities",
-            [1.0 / 6.0, 5.0 / 6.0],
-            p_std.tolist(),
-            np.abs(p_std - [1.0 / 6.0, 5.0 / 6.0]).max() <= tol,
-        )
-    )
-
-    p_had = apply_measurement(hadamard_pvm(), rho)
-    rows.append(
-        _row(
-            "hadamard-basis-probabilities",
-            [2.0 / 3.0, 1.0 / 3.0],
-            p_had.tolist(),
-            np.abs(p_had - [2.0 / 3.0, 1.0 / 3.0]).max() <= tol,
-        )
-    )
-
+    # two states with the same spectrum whose mixture has another one
     rho1 = np.diag([0.25, 0.75]).astype(complex)
     rho2 = np.diag([0.75, 0.25]).astype(complex)
-    witness = level_set_witness(make_property("eigenvalues", 2), rho1, rho2, t=0.5)
-    rows.append(
-        _row(
-            "eigenvalue-level-set-counterexample",
-            {"value_both": [0.75, 0.25], "value_mix": [0.5, 0.5]},
-            {
-                "value_1": np.asarray(witness.value_1).tolist(),
-                "value_mix": np.asarray(witness.value_mix).tolist(),
-            },
-            witness.is_counterexample,
-        )
-    )
-    witness_top = level_set_witness(make_property("max-eigenvalue", 2), rho1, rho2, t=0.5)
-    rows.append(
-        _row(
-            "max-eigenvalue-level-set-counterexample",
-            {"value_both": 0.75, "value_mix": 0.5},
-            {"value_1": float(witness_top.value_1), "value_mix": float(witness_top.value_mix)},
-            witness_top.is_counterexample,
-        )
-    )
+    for name, prop, both, mix in (
+        ("eigenvalue", "eigenvalues", [0.75, 0.25], [0.5, 0.5]),
+        ("max-eigenvalue", "max-eigenvalue", 0.75, 0.5),
+    ):
+        w = level_set_witness(make_property(prop, 2), rho1, rho2, t=0.5)
+        rows.append((
+            f"{name}-level-set-counterexample",
+            {"value_both": both, "value_mix": mix},
+            {"value_1": np.asarray(w.value_1).tolist(), "value_mix": np.asarray(w.value_mix).tolist()},
+            w.is_counterexample,
+        ))
 
     S = binary_brier()
     rep = np.diag([0.3, 0.7]).astype(complex)
     val = expected_score(S, rep, rho)
     closed = 2.0 * hs_inner(rep, rho) - hs_inner(rep, rep)
     divergence = expected_score(S, rho, rho) - val
-    rows.append(
-        _row(
-            "binary-brier-expected-form",
-            {"closed_form": closed, "divergence": frob_dist(rho, rep) ** 2},
-            {"expected_score": val, "divergence": divergence},
-            abs(val - closed) <= 1e-10
-            and abs(divergence - frob_dist(rho, rep) ** 2) <= 1e-10,
-        )
-    )
+    rows.append((
+        "binary-brier-expected-form",
+        {"closed_form": closed, "divergence": frob_dist(rho, rep) ** 2},
+        {"expected_score": val, "divergence": divergence},
+        abs(val - closed) <= 1e-10 and abs(divergence - frob_dist(rho, rep) ** 2) <= 1e-10,
+    ))
 
+    # reporting the pure lie beats the truthful belief under s3, s4 and s5
     ml = ml_scores()
     belief = np.diag([0.6, 0.4]).astype(complex)
     lie = np.diag([1.0, 0.0]).astype(complex)
-    s3_truth = expected_score(ml["s3"], belief, belief)
-    s3_lie = expected_score(ml["s3"], lie, belief)
-    rows.append(
-        _row(
-            "trace-score-counterexample",
-            {"truthful": 0.52, "lie": 0.6},
-            {"truthful": s3_truth, "lie": s3_lie},
-            abs(s3_truth - 0.52) <= 1e-12 and abs(s3_lie - 0.6) <= 1e-12 and s3_lie > s3_truth,
-        )
-    )
-    for key in ("s4", "s5"):
-        truth_v = expected_score(ml[key], belief, belief)
-        lie_v = expected_score(ml[key], lie, belief)
-        rows.append(
-            _row(
-                f"{key}-log-counterexample",
-                {"truthful": float(np.log(0.52)), "lie": float(np.log(0.6))},
-                {"truthful": truth_v, "lie": lie_v},
-                abs(truth_v - np.log(0.52)) <= 1e-10
-                and abs(lie_v - np.log(0.6)) <= 1e-10
-                and lie_v > truth_v,
-            )
-        )
-    return rows
-
-
-_TOL_KEYS = ("margin", "strict_distance", "equiv_tol")
-
-
-def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None, profile=None) -> dict:
-    """Run all checks for one registry score and compare with its expectations.
-
-    Fixed-measurement scores are dimension-specific, so each dimension
-    gets its own instance.  The trials are split as evenly as they go,
-    the first ``trials % len(dims)`` dimensions taking one more, so the
-    per-dimension truthfulness trials add up to ``trials``.  Each check
-    records as ``stream`` the index j of its root seed
-    ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
-    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.  With ``profile``, a
-    text stream, each check writes one line to it: its trials, wall
-    seconds, trials/s and the split between drawing and scoring.
-    """
-    entry = SCORE_REGISTRY.get(score_name)
-    if entry is None:
-        known = ", ".join(sorted(SCORE_REGISTRY))
-        raise KeyError(f"unknown score {score_name!r}; known scores: {known}")
-    dims = _check_dims(dims)
-    if trials < len(dims):
-        raise ValueError(f"trials must be at least the number of dimensions ({len(dims)}), got {trials}")
-    tol = tol or {}
-    unknown = sorted(set(tol) - set(_TOL_KEYS))
-    if unknown:
-        raise ValueError(f"unknown tolerance {unknown[0]!r}; known tolerances: {', '.join(_TOL_KEYS)}")
-    for key, val in tol.items():
-        if not (np.isfinite(val) and val >= 0):
-            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val!r}")
-    margin = float(tol.get("margin", TRUTH_MARGIN))
-    distinct = float(tol.get("strict_distance", DISTINCT_TOL))
-    equiv = float(tol.get("equiv_tol", EQUIV_TOL))
-
-    base, extra = divmod(trials, len(dims))
-    children = np.random.SeedSequence(seed).spawn(3 * len(dims))
-    sub_reports = []
-    gains = ties = ui_fails = impl_fails = 0
-    for i, dim in enumerate(dims):
-        S = entry.make(dim)
-        per_dim = base + (i < extra)
-        rngs = [np.random.default_rng(children[3 * i + k]) for k in range(3)]
-        truth = truthfulness_check(
-            S, per_dim, dims=(dim,), rng=rngs[0], mode="strict", margin=margin, distinct_tol=distinct,
-        )
-        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1], tol=equiv)
-        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2], tol=equiv)
-        gains += truth.kind_counts.get("gain", 0) + truth.kind_counts.get("irregular", 0)
-        ties += truth.kind_counts.get("tie", 0)
-        ui_fails += ui.n_violations
-        impl_fails += impl.n_violations
-        sub = {"dim": dim}
-        for k, (key, check) in enumerate(
-            (("truthfulness", truth), ("unitary_invariance", ui), ("implementability", impl))
-        ):
-            sub[key] = {**check.to_json(), "stream": 3 * i + k}
-            if profile is not None:
-                _profile_line(profile, score_name, dim, key, check)
-        sub_reports.append(sub)
-
-    observed = {
-        "truthful": gains == 0,
-        "strictly_truthful": gains == 0 and ties == 0,
-        "implementable": impl_fails == 0,
-        "unitary_invariant": ui_fails == 0,
-    }
-    expected = {
-        "truthful": entry.truthful,
-        "strictly_truthful": entry.strictly_truthful,
-        "implementable": entry.implementable,
-        "unitary_invariant": entry.unitary_invariant,
-    }
-    return {
-        "score": score_name,
-        "dims": dims,
-        "trials": trials,
-        "seed": seed,
-        "expected": expected,
-        "observed": observed,
-        "as_expected": observed == expected,
-        "reports": sub_reports,
-    }
-
-
-def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
-    t = check.timing
-    rate = check.trials / t["wall_s"] if t["wall_s"] > 0 else float("inf")
-    print(
-        f"profile {score_name} dim={dim} {key}: {check.trials} trials in {t['wall_s']:.4f} s, "
-        f"{rate:.0f} trials/s (draw {t['draw_s']:.4f} s, score {t['score_s']:.4f} s)",
-        file=stream,
-    )
-
-
-def _write_csv(rows: list, out: str) -> None:
-    import csv
-
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(row.values())
+    for name, key, f, atol in (
+        ("trace-score", "s3", float, 1e-12),
+        ("s4-log", "s4", np.log, 1e-10),
+        ("s5-log", "s5", np.log, 1e-10),
+    ):
+        want = {"truthful": float(f(0.52)), "lie": float(f(0.6))}
+        got = {"truthful": expected_score(ml[key], belief, belief), "lie": expected_score(ml[key], lie, belief)}
+        ok = all(abs(got[k] - want[k]) <= atol for k in want) and got["lie"] > got["truthful"]
+        rows.append((f"{name}-counterexample", want, got, ok))
+    return [{"name": n, "expected": e, "observed": o, "pass": bool(ok)} for n, e, o, ok in rows]
 
 
 def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
     """Write a JSON report, or a flat CSV table when --out ends in .csv."""
     if out and out.endswith(".csv") and csv_rows is not None:
-        _write_csv(csv_rows, out)
+        import csv
+
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if csv_rows:
+                writer.writerow(csv_rows[0].keys())
+                writer.writerows(row.values() for row in csv_rows)
         return
     text = json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"
     if out:
@@ -294,8 +130,11 @@ def _parse_tol(raw: str | None) -> dict:
         if not piece.strip():
             continue
         key, _, val = piece.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"--tol-overrides {raw!r} sets {key} twice")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
             raise ValueError(f"bad --tol-overrides entry {piece!r}, expected key=number") from None
     return out
@@ -345,8 +184,6 @@ def _cmd_measure(args) -> int:
         mu = Measurement.from_json(_load_json(args.povm))
     else:
         mu = _named_basis(args.basis, rho.shape[0])
-    if mu.dim != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     draws = sample_outcomes(mu, rho, args.trials, rng=np.random.default_rng(args.seed))
@@ -359,38 +196,26 @@ def _cmd_measure(args) -> int:
         "probs": probs.tolist(),
         "counts": counts.tolist(),
     }
-    table = [
-        {"outcome": y, "count": int(c), "prob": float(p)}
-        for y, (c, p) in enumerate(zip(counts, probs))
-    ]
+    table = [{"outcome": y, "count": int(c), "prob": float(p)} for y, (c, p) in enumerate(zip(counts, probs))]
     _dump(report, args.out, csv_rows=table)
     return 0
 
 
 def _cmd_market(args) -> int:
     scenario = _load_json(args.scenario)
-    try:
-        dim = _wire_dim(scenario["dim"])
-        cost = scenario.get("cost", "lmsr")
-        trades = [matrix_from_json(t) for t in scenario.get("trades", [])]
-        truth = density_from_json(scenario["truth"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scenario: {exc}") from exc
-    for label, M in [(f"trade {i}", R) for i, R in enumerate(trades)] + [("truth", truth)]:
-        if M.shape[0] != dim:
-            raise ValueError(f"{label} has dimension {M.shape[0]}, but the scenario dim is {dim}")
+    dim, trades, truth = read_wire(scenario, "scenario", "trades", "truth")
+    truth = as_density(truth)
+    cost = scenario.get("cost", "lmsr")
     market = MarketState(dim, cost=cost)
     ledger = []
     for i, R in enumerate(trades):
         charged = market.trade(R)
-        ledger.append(
-            {
-                "trade": i,
-                "cost": charged,
-                "expected_payoff": bundle_expected_payoff(R, truth),
-                "price_after": matrix_to_json(market.price()),
-            }
-        )
+        ledger.append({
+            "trade": i,
+            "cost": charged,
+            "expected_payoff": bundle_expected_payoff(R, truth),
+            "price_after": matrix_to_json(market.price()),
+        })
     report = {
         "dim": dim,
         "cost": cost,
@@ -400,10 +225,7 @@ def _cmd_market(args) -> int:
         "maker_loss": market.maker_loss(truth),
         "loss_bound": float(np.log(dim)),
     }
-    table = [
-        {"trade": row["trade"], "cost": row["cost"], "expected_payoff": row["expected_payoff"]}
-        for row in ledger
-    ]
+    table = [{key: row[key] for key in ("trade", "cost", "expected_payoff")} for row in ledger]
     _dump(report, args.out, csv_rows=table)
     return 0
 
@@ -482,7 +304,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         # a KeyError's text is the repr of its message; an OSError's first arg is its errno
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

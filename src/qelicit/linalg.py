@@ -41,6 +41,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "density_from_json",
+    "read_wire",
 ]
 
 # Tolerances shared across the package.  All are absolute unless noted.
@@ -301,3 +302,29 @@ def matrix_from_json(obj) -> np.ndarray:
 def density_from_json(obj) -> np.ndarray:
     """Load a matrix from JSON and validate it as a density matrix."""
     return as_density(matrix_from_json(obj))
+
+
+def read_wire(obj, kind: str, *keys: str) -> tuple:
+    """Read a wire document ``obj``: its integer "dim", then the matrices under ``keys``.
+
+    A key ending in "s" ("elements", "trades") holds a list of matrices,
+    the i-th called "element i", "trade i" in errors, and a missing one is
+    empty; any other key ("truth") holds one matrix.  Every matrix must be
+    dim x dim.  Returns ``(dim, *values)``, one value per key.
+    """
+    try:
+        dim = _wire_dim(obj["dim"])
+        values = [list(obj.get(key, [])) if key.endswith("s") else obj[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind}: {exc}") from exc
+
+    def read(label, raw):
+        M = matrix_from_json(raw)
+        if M.shape[0] != dim:
+            raise ValueError(f"{label} has dimension {M.shape[0]}, but the {kind} dim is {dim}")
+        return M
+
+    return (dim, *[
+        [read(f"{key[:-1]} {i}", m) for i, m in enumerate(value)] if key.endswith("s") else read(key, value)
+        for key, value in zip(keys, values)
+    ])

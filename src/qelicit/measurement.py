@@ -21,8 +21,8 @@ from .linalg import (
     as_hermitian,
     as_unitary,
     hermitian_part,
-    matrix_from_json,
     matrix_to_json,
+    read_wire,
 )
 
 __all__ = [
@@ -126,11 +126,8 @@ class Measurement:
 
     @classmethod
     def from_json(cls, obj) -> "Measurement":
-        try:
-            elems = [matrix_from_json(e) for e in obj["elements"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed measurement JSON: {exc}") from exc
-        return cls(elems)
+        """Load the wire format {"dim": n, "elements": [matrix, ...]}, each element n x n."""
+        return cls(read_wire(obj, "measurement", "elements")[1])
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:

@@ -344,8 +344,13 @@ def find_level_set_witness(
     Pairs are built by conjugating a random state with a random unitary,
     which preserves every spectral statistic exactly; the midpoint
     mixture then typically moves the value.  Returns the first
-    counterexample or None.
+    counterexample or None.  ``probes`` below 1 or ``dim`` below 2 is
+    refused, since the search would test nothing.
     """
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2, got {dim}")
     rng = np.random.default_rng(rng)
     for _ in range(probes):
         rho1 = random_density(dim, rng=rng)

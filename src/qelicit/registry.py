@@ -1,8 +1,9 @@
 """Named registries of scores and properties for the CLI and test harness.
 
 Each score entry records the verdicts its checks are expected to
-produce, so the verification command can distinguish "this score fails
-truthfulness, as it should" from a genuine regression.
+produce, and ``run_verify`` runs the checks and compares, so the
+verification command can distinguish "this score fails truthfulness, as
+it should" from a genuine regression.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ from .classical import brier_rule, log_rule
 from .linalg import eigenvalues_desc, hs_inner, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, top_eigenvector_score, top_k_eigenvector_score
+from .reports import _check_dims
 from .scores import (
+    DISTINCT_TOL,
+    EQUIV_TOL,
+    TRUTH_MARGIN,
     binary_brier,
     fixed_measurement_score,
+    implementability_check,
     log_det_score,
     log_spectral,
     log_trace_exp_score,
@@ -26,10 +32,12 @@ from .scores import (
     projective_brier,
     spectral_score,
     trace_score,
+    truthfulness_check,
+    unitary_invariance_check,
     von_neumann_entropy,
 )
 
-__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "PROPERTY_REGISTRY", "make_property"]
+__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "run_verify", "PROPERTY_REGISTRY", "make_property"]
 
 
 @dataclass(frozen=True)
@@ -83,13 +91,101 @@ SCORE_REGISTRY: dict[str, ScoreEntry] = {
 }
 
 
-def make_score(name: str, dim: int):
+def _lookup(table: dict, name: str, kind: str, kinds: str):
     try:
-        entry = SCORE_REGISTRY[name]
+        return table[name]
     except KeyError:
-        known = ", ".join(sorted(SCORE_REGISTRY))
-        raise KeyError(f"unknown score {name!r}; known scores: {known}") from None
-    return entry.make(dim)
+        raise KeyError(f"unknown {kind} {name!r}; known {kinds}: {', '.join(sorted(table))}") from None
+
+
+def make_score(name: str, dim: int):
+    return _lookup(SCORE_REGISTRY, name, "score", "scores").make(dim)
+
+
+_TOL_DEFAULTS = {"margin": TRUTH_MARGIN, "strict_distance": DISTINCT_TOL, "equiv_tol": EQUIV_TOL}
+
+
+def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None, profile=None) -> dict:
+    """Run all checks for one registry score and compare with its expectations.
+
+    Fixed-measurement scores are dimension-specific, so each dimension
+    gets its own instance.  The trials are split as evenly as they go,
+    the first ``trials % len(dims)`` dimensions taking one more, so the
+    per-dimension truthfulness trials add up to ``trials``.  Each check
+    records as ``stream`` the index j of its root seed
+    ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
+    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.  ``tol`` overrides
+    any of ``margin``, ``strict_distance`` and ``equiv_tol``, each finite
+    and non-negative.  With ``profile``, a text stream, each check writes
+    one line to it: its trials, wall seconds, trials/s and the split
+    between drawing and scoring.
+    """
+    entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
+    dims = _check_dims(dims)
+    if trials < len(dims):
+        raise ValueError(f"trials must be at least the number of dimensions ({len(dims)}), got {trials}")
+    tol = tol or {}
+    unknown = sorted(set(tol) - set(_TOL_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown tolerance {unknown[0]!r}; known tolerances: {', '.join(_TOL_DEFAULTS)}")
+    for key, val in tol.items():
+        if not (np.isfinite(val) and val >= 0):
+            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val!r}")
+    margin, distinct, equiv = (float(tol.get(key, default)) for key, default in _TOL_DEFAULTS.items())
+
+    base, extra = divmod(trials, len(dims))
+    children = np.random.SeedSequence(seed).spawn(3 * len(dims))
+    sub_reports = []
+    gains = ties = ui_fails = impl_fails = 0
+    for i, dim in enumerate(dims):
+        S = entry.make(dim)
+        per_dim = base + (i < extra)
+        rngs = [np.random.default_rng(children[3 * i + k]) for k in range(3)]
+        truth = truthfulness_check(
+            S, per_dim, dims=(dim,), rng=rngs[0], mode="strict", margin=margin, distinct_tol=distinct,
+        )
+        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1], tol=equiv)
+        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2], tol=equiv)
+        gains += truth.kind_counts.get("gain", 0) + truth.kind_counts.get("irregular", 0)
+        ties += truth.kind_counts.get("tie", 0)
+        ui_fails += ui.n_violations
+        impl_fails += impl.n_violations
+        sub = {"dim": dim}
+        for k, (key, check) in enumerate(
+            (("truthfulness", truth), ("unitary_invariance", ui), ("implementability", impl))
+        ):
+            sub[key] = {**check.to_json(), "stream": 3 * i + k}
+            if profile is not None:
+                _profile_line(profile, score_name, dim, key, check)
+        sub_reports.append(sub)
+
+    observed = {
+        "truthful": gains == 0,
+        "strictly_truthful": gains == 0 and ties == 0,
+        "implementable": impl_fails == 0,
+        "unitary_invariant": ui_fails == 0,
+    }
+    expected = {key: getattr(entry, key) for key in observed}  # the entry's verdict fields
+    return {
+        "score": score_name,
+        "dims": dims,
+        "trials": trials,
+        "seed": seed,
+        "expected": expected,
+        "observed": observed,
+        "as_expected": observed == expected,
+        "reports": sub_reports,
+    }
+
+
+def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
+    t = check.timing
+    rate = check.trials / t["wall_s"] if t["wall_s"] > 0 else float("inf")
+    print(
+        f"profile {score_name} dim={dim} {key}: {check.trials} trials in {t['wall_s']:.4f} s, "
+        f"{rate:.0f} trials/s (draw {t['draw_s']:.4f} s, score {t['score_s']:.4f} s)",
+        file=stream,
+    )
 
 
 def _top_eigenvector_property() -> QuantumProperty:
@@ -167,11 +263,7 @@ def _expectation_for(dim: int):
 
 
 def make_property(name: str, dim: int) -> QuantumProperty:
-    try:
-        entry = PROPERTY_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(PROPERTY_REGISTRY))
-        raise KeyError(f"unknown property {name!r}; known properties: {known}") from None
+    entry = _lookup(PROPERTY_REGISTRY, name, "property", "properties")
     if entry["property"] is None:
         raise KeyError(f"property {name!r} has no level-set evaluator (score-only entry)")
     return entry["property"](dim)

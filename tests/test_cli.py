@@ -21,6 +21,23 @@ class TestPaperExamples:
         assert rows, "no rows produced"
         assert all(r["pass"] for r in rows), [r["name"] for r in rows if not r["pass"]]
 
+    def test_rows_and_expected_values_are_pinned(self):
+        rows = paper_example_rows()
+        # rho = [[1, 1], [1, 5]] / 6 and rep = diag(0.3, 0.7)
+        closed = 2.0 * (0.3 / 6.0 + 0.7 * 5.0 / 6.0) - (0.3**2 + 0.7**2)  # 2 <rep, rho> - <rep, rep>
+        divergence = 2.0 * (2.0 / 15.0) ** 2 + 2.0 / 36.0  # ||rho - rep||_F^2
+        assert [(r["name"], r["expected"]) for r in rows] == [
+            ("standard-basis-probabilities", [1.0 / 6.0, 5.0 / 6.0]),
+            ("hadamard-basis-probabilities", [2.0 / 3.0, 1.0 / 3.0]),
+            ("eigenvalue-level-set-counterexample", {"value_both": [0.75, 0.25], "value_mix": [0.5, 0.5]}),
+            ("max-eigenvalue-level-set-counterexample", {"value_both": 0.75, "value_mix": 0.5}),
+            ("binary-brier-expected-form", {"closed_form": pytest.approx(closed, abs=1e-12),
+                                            "divergence": pytest.approx(divergence, abs=1e-12)}),
+            ("trace-score-counterexample", {"truthful": 0.52, "lie": 0.6}),
+            ("s4-log-counterexample", {"truthful": np.log(0.52), "lie": np.log(0.6)}),
+            ("s5-log-counterexample", {"truthful": np.log(0.52), "lie": np.log(0.6)}),
+        ]
+
     def test_cli_prints_table_and_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "paper-examples")
         assert code == 0
@@ -126,7 +143,7 @@ class TestVerify:
         assert "--dims" in err and repr(dims) in err
         assert out == ""
 
-    @pytest.mark.parametrize("override", ["margin=abc", "margin", "equiv_tol="])
+    @pytest.mark.parametrize("override", ["margin=abc", "margin", "equiv_tol=", "margin=1e-9,margin=1e-3"])
     def test_unparsable_tolerance_names_the_option(self, capsys, override):
         code, out, err = run_cli(
             capsys, "verify", "--score", "binary-brier", "--dims", "2",
@@ -199,6 +216,23 @@ class TestMeasure:
         )
         assert code == 0
         assert len(json.loads(out)["counts"]) == 4
+
+    @pytest.mark.parametrize("dim", [7.5, 3, True, "x", -1, None],
+                             ids=["fraction", "three", "bool", "string", "negative", "missing"])
+    def test_povm_file_with_a_wrong_dim_exits_two(self, capsys, state_file, tmp_path, dim):
+        from qelicit.measurement import standard_pvm
+
+        doc = standard_pvm(2).to_json()
+        if dim is None:
+            del doc["dim"]
+        else:
+            doc["dim"] = dim
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "measure", "--state", state_file, "--povm", str(povm_path), "--trials", "10")
+        assert code == 2
+        assert out == ""
+        assert ("element 0 has dimension 2" if dim in (3, -1) else "malformed measurement") in err
 
     def test_csv_output(self, capsys, state_file, tmp_path):
         out = tmp_path / "counts.csv"

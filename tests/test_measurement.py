@@ -33,6 +33,22 @@ class TestMeasurementType:
         back = Measurement.from_json(mu.to_json())
         assert back.approx_equal(mu, tol=0.0)
 
+    @pytest.mark.parametrize("dim", [7.5, "x", True, None], ids=["fraction", "string", "bool", "missing"])
+    def test_json_non_integer_dim_is_malformed(self, dim):
+        doc = standard_pvm(2).to_json()
+        if dim is None:
+            del doc["dim"]
+        else:
+            doc["dim"] = dim
+        with pytest.raises(ValueError, match="malformed measurement"):
+            Measurement.from_json(doc)
+
+    @pytest.mark.parametrize("dim", [3, -1])
+    def test_json_element_of_another_dimension_is_named(self, dim):
+        doc = {**standard_pvm(2).to_json(), "dim": dim}
+        with pytest.raises(ValueError, match=f"element 0 has dimension 2, but the measurement dim is {dim}"):
+            Measurement.from_json(doc)
+
 
 class TestApplyMeasurement:
     def test_example_standard_basis(self, rho_example):

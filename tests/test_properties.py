@@ -307,6 +307,12 @@ class TestLevelSets:
         prop = make_property("eigvec-top", 2)
         assert find_level_set_witness(prop, 2, probes=50, rng=rng) is None
 
+    @pytest.mark.parametrize("dim, probes, name", [(2, -5, "probes"), (2, 0, "probes"), (1, 10, "dim")])
+    def test_search_that_tests_nothing_is_refused(self, dim, probes, name):
+        # a None here would read as "no counterexample" without a single probe
+        with pytest.raises(ValueError, match=name):
+            find_level_set_witness(make_property("entropy", 2), dim, probes=probes, rng=0)
+
 
 class TestInducedClassical:
     def test_identity_round_trip(self, rng):
