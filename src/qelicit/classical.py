@@ -176,23 +176,30 @@ def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
     return ext_dot(p, rule.values(q), zero_tol=EXT_WEIGHT_TOL)
 
 
-def _sample_report(p, dim, strategy, rng):
-    if strategy == 1:  # vertex report; exposes rules maximized at a corner
-        q = np.zeros(dim)
-        q[rng.integers(dim)] = 1.0
-        return q
-    if strategy == 2:  # relabeling of the belief
-        q = p[rng.permutation(dim)]
-    elif strategy == 3:  # belief blended toward a vertex
-        lam = rng.uniform(0.0, 0.9)
-        q = lam * p
-        q[rng.integers(dim)] += 1.0 - lam
-    else:
-        q = rng.dirichlet(np.ones(dim))
+def _rows(g, dim, m):
+    # m rows at dimension dim, drawn from g in this order: two distributions
+    # (the belief, then a fresh report), then dim + 2 uniforms for the adversaries
+    return g.dirichlet(np.ones(dim), (m, 2)), g.random((m, dim + 2))
+
+
+def _sample_reports(p, trials, fresh, u, spare):
+    # trial trials[k] reports against belief p[k] with adversary trials[k] % 4,
+    # reading the fresh report fresh[k] and the uniforms u[k] of its row
+    dim = p.shape[-1]
+    strategy = np.asarray(trials)[:, None] % 4
+    vertex = np.eye(dim)[(u[:, dim] * dim).astype(np.intp)]
+    lam = 0.9 * u[:, dim + 1:]
+    # a vertex (exposes rules maximized at a corner), a relabeling of the
+    # belief, the belief blended toward a vertex, or the fresh report
+    relabeled = np.take_along_axis(p, np.argsort(u[:, :dim], axis=1), axis=1)
+    blended = lam * p + (1.0 - lam) * vertex
+    q = np.select([strategy == 1, strategy == 2, strategy == 3], [vertex, relabeled, blended], fresh)
     # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
     # tie within margin for quadratic scores; sample clear of that window
-    if DISTINCT_TOL < float(np.linalg.norm(p - q)) < 1e-4:
-        return rng.dirichlet(np.ones(dim))
+    d = np.linalg.norm(p - q, axis=1)
+    near = (DISTINCT_TOL < d) & (d < 1e-4) & (strategy[:, 0] != 1)
+    if near.any():  # the fresh report of the spare row
+        q[near] = spare()[0][near, 1]
     return q
 
 
@@ -220,18 +227,18 @@ def properness_check(
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
     report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
 
-    def draw(dim, trials, gens):
-        beliefs = [g.dirichlet(np.ones(dim)) for g in gens]
-        return beliefs, [_sample_report(p, dim, t % 4, g) for p, t, g in zip(beliefs, trials, gens)]
+    def draw(dim, trials, rows, spare):
+        D, u = rows
+        return D[:, 0], _sample_reports(D[:, 0], trials, D[:, 1], u, spare)
 
     def score(drawn):
         beliefs, reports = drawn
         truthful = [expected_classical(rule, p, p) for p in beliefs]
         other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
-        distinct = np.array([float(np.linalg.norm(p - q)) > distinct_tol for p, q in zip(beliefs, reports)])
+        distinct = np.linalg.norm(beliefs - reports, axis=1) > distinct_tol
         return _classify(truthful, other, distinct, margin, mode == "strict")
 
-    return run_trials(report, draw, score, _encode_distributions, rng)
+    return run_trials(report, _rows, draw, score, _encode_distributions, rng)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:

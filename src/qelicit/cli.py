@@ -12,6 +12,7 @@ is deterministic JSON for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,8 +97,8 @@ def paper_example_rows(tol: float = 1e-12) -> list:
     return [{"name": n, "expected": e, "observed": o, "pass": bool(ok)} for n, e, o, ok in rows]
 
 
-def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
-    """Write a JSON report, or a flat CSV table when --out ends in .csv."""
+def _dump(obj, out: str | None, csv_rows: list | None = None, strict: bool = False) -> None:
+    """Write a JSON report (walked through ``json_safe`` unless already ``strict``), or a CSV table for a .csv --out."""
     if out and out.endswith(".csv") and csv_rows is not None:
         import csv
 
@@ -107,7 +108,7 @@ def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
                 writer.writerow(csv_rows[0].keys())
                 writer.writerows(row.values() for row in csv_rows)
         return
-    text = json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj if strict else json_safe(obj), indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -150,7 +151,7 @@ def _cmd_verify(args) -> int:
         args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides),
         profile=sys.stderr if args.profile else None,
     )
-    _dump(report, args.out)
+    _dump(report, args.out, strict=True)
     return 0 if report["as_expected"] else 1
 
 
@@ -252,6 +253,7 @@ def _cmd_witness(args) -> int:
     return 0 if (found is None) == elicitable else 1
 
 
+@functools.cache  # one parser per process: building one costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qelicit",

@@ -17,7 +17,7 @@ from .classical import brier_rule, log_rule
 from .linalg import eigenvalues_desc, hs_inner, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, top_eigenvector_score, top_k_eigenvector_score
-from .reports import _check_dims
+from .reports import RNG_FORMAT, _check_dims
 from .scores import (
     DISTINCT_TOL,
     EQUIV_TOL,
@@ -114,9 +114,10 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     per-dimension truthfulness trials add up to ``trials``.  Each check
     records as ``stream`` the index j of its root seed
     ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
-    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds.  ``tol`` overrides
-    any of ``margin``, ``strict_distance`` and ``equiv_tol``, each finite
-    and non-negative.  With ``profile``, a text stream, each check writes
+    ``SeedSequence(seed, spawn_key=(j,))`` rebuilds, and draws its trials
+    by the layout ``"rng"`` names (``reports.run_trials``).  ``tol``
+    overrides any of ``margin``, ``strict_distance`` and ``equiv_tol``, each
+    finite and non-negative.  With ``profile``, a text stream, each check writes
     one line to it: its trials, wall seconds, trials/s and the split
     between drawing and scoring.
     """
@@ -171,6 +172,7 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
         "dims": dims,
         "trials": trials,
         "seed": seed,
+        "rng": RNG_FORMAT,
         "expected": expected,
         "observed": observed,
         "as_expected": observed == expected,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -12,6 +13,8 @@ __all__ = ["ScoreReport", "run_trials", "json_safe"]
 
 MAX_STORED_VIOLATIONS = 32
 TRIAL_BLOCK = 256  # trials drawn and scored together; bounds a check's memory for any trial count
+RNG_BLOCK = 64  # trials per seeded block draw, fixed by the "rng": RNG_FORMAT of the verify JSON
+RNG_FORMAT = "block-v1"
 
 
 def json_safe(x):
@@ -61,24 +64,19 @@ class ScoreReport:
         if len(self.violations) < MAX_STORED_VIOLATIONS:
             self.violations.append(entry)
 
-    def record_gap(self, gap: float):
-        if gap > self.max_gap:
-            self.max_gap = gap
-
     def to_json(self) -> dict:
-        return json_safe(
-            {
-                "name": self.name,
-                "mode": self.mode,
-                "trials": self.trials,
-                "dims": list(self.dims),
-                "verdict": self.verdict,
-                "max_gap": self.max_gap,
-                "n_violations": self.n_violations,
-                "kind_counts": dict(sorted(self.kind_counts.items())),
-                "violations": self.violations,
-            }
-        )
+        """The report as strict JSON: only the gaps can be non-finite, as the stored states are finite."""
+        return {
+            "name": self.name,
+            "mode": self.mode,
+            "trials": self.trials,
+            "dims": list(self.dims),
+            "verdict": self.verdict,
+            "max_gap": json_safe(self.max_gap),
+            "n_violations": self.n_violations,
+            "kind_counts": dict(sorted(self.kind_counts.items())),
+            "violations": [{**v, "gap": json_safe(v["gap"])} for v in self.violations],
+        }
 
 
 def _check_dims(dims) -> list:
@@ -89,46 +87,63 @@ def _check_dims(dims) -> list:
     return dims
 
 
-def run_trials(report: ScoreReport, draw, score, encode, rng=None) -> ScoreReport:
+def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> ScoreReport:
     """Run ``report.trials`` trials in blocks of TRIAL_BLOCK and record them.
 
-    Trial i runs at dimension ``report.dims[i % len(report.dims)]`` and
-    draws from stream i spawned from the root seed ``rng``, so a trial's
-    stream depends neither on the trial count nor on the block size:
-    re-running with ``trials=i + 1`` and the same seed replays trial i.
+    Trial i runs at ``dims[j]``, ``j = i % len(dims)``, and reads its row
+    of block ``c = i // RNG_BLOCK``, drawn from child c of the root seed
+    ``rng`` (the child ``SeedSequence.spawn`` gives): for each index j in
+    turn, ``rows(g, dims[j], m)`` draws the block's m rows at j as arrays
+    whose first axis is the row.  The spare rows, for rare resamples, are
+    drawn the same way from the first child of the block's stream, when
+    first asked for.  A block is drawn whole, so trial i's rows depend on
+    neither the trial count nor TRIAL_BLOCK: ``trials=i + 1`` replays it.
 
-    Each block is split into one group per dimension.  ``draw(dim, trials,
-    gens)`` draws a group's trials from their streams ``gens`` as a tuple
-    of stacks whose first two hold the states each trial records, and
-    ``score(drawn)`` returns the group's ``(gaps, kinds, values)``, one
-    entry per trial.  Finite gaps feed ``max_gap``; each trial of kind
-    not "" is a violation, stored in trial order with its trial index,
-    its value as ``gap`` and ``encode(a, b)``, a dict describing its two
-    states, which is called only for the violations that are stored.
-    ``report.timing`` gets the seconds spent in all, in scoring, and in
-    the rest, mostly drawing, as ``draw_s``.
+    Each block of trials is split into one group per index j.
+    ``draw(dims[j], trials, rows, spare)`` builds a group from its rows,
+    stacked, and ``spare()``, their spare rows, as a tuple of stacks whose
+    first two hold the states a trial records; ``score(drawn)`` returns
+    ``(gaps, kinds, values)``, one entry per trial.  Finite gaps feed
+    ``max_gap``; each trial of kind not "" is a violation, stored in
+    trial order with its index as ``trial``, its value as ``gap`` and
+    ``encode(a, b)``, a dict describing its two states, called only for
+    the violations that are stored.  ``report.timing`` gets the seconds
+    spent in all, in scoring, and in the rest, mostly drawing (``draw_s``).
     """
     if report.trials < 0:
         raise ValueError(f"trials must be non-negative, got {report.trials}")
-    dims = np.asarray(_check_dims(report.dims))
-    root = np.random.default_rng(rng)
+    dims = _check_dims(report.dims)
+    L, root, blocks = len(dims), np.random.default_rng(rng), {}
+
+    def take(j, group, key="rows"):
+        # the rows (or the spare rows, key "spare") of a group of trials at index j,
+        # each block's drawn on first use; row r of a block is its (r // L)-th at j
+        parts = []
+        for c in range(group[0] // RNG_BLOCK, group[-1] // RNG_BLOCK + 1):
+            if key not in blocks[c]:
+                g = blocks[c]["gen"].spawn(1)[0] if key == "spare" else blocks[c]["gen"]
+                blocks[c][key] = [rows(g, dims[i], len(range((i - c * RNG_BLOCK) % L, RNG_BLOCK, L))) for i in range(L)]
+            parts.append([a[group[group // RNG_BLOCK == c] % RNG_BLOCK // L] for a in blocks[c][key][j]])
+        return [np.concatenate(p) for p in zip(*parts)]
+
     score_s, start = 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
         trials = np.arange(first, min(first + TRIAL_BLOCK, report.trials))
-        gens = root.spawn(len(trials))
-        at = dims[trials % len(dims)]
+        # the blocks this one reads: new ones are spawned in order, so that block c is child c
+        blocks = {c: blocks.get(c) or {"gen": root.spawn(1)[0]}
+                  for c in range(first // RNG_BLOCK, int(trials[-1]) // RNG_BLOCK + 1)}
         gaps, found = np.empty(len(trials)), []
-        for dim in dict.fromkeys(at.tolist()):
-            k = np.flatnonzero(at == dim)
-            drawn = draw(dim, trials[k], [gens[j] for j in k])
+        for j in dict.fromkeys((trials % L).tolist()):
+            k = np.flatnonzero(trials % L == j)
+            drawn = draw(dims[j], trials[k], take(j, trials[k]), partial(take, j, trials[k], "spare"))
             t = perf_counter()
             gaps[k], kinds, values = score(drawn)
             score_s += perf_counter() - t
-            found += [(int(trials[k[j]]), str(kinds[j]), values[j], drawn[0][j], drawn[1][j])
-                      for j in np.flatnonzero(kinds != "")]
+            found += [(int(trials[k[x]]), str(kinds[x]), values[x], drawn[0][x], drawn[1][x])
+                      for x in np.flatnonzero(kinds != "")]
         finite = gaps[np.isfinite(gaps)]
         if finite.size:
-            report.record_gap(float(finite.max()))
+            report.max_gap = max(report.max_gap, float(finite.max()))
         for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
             # only the violations that will be stored are encoded
             states = encode(a, b) if len(report.violations) < MAX_STORED_VIOLATIONS else {}

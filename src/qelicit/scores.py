@@ -573,55 +573,53 @@ def _blend(states):
     return hermitian_part(0.99 * states + 0.01 * (np.eye(dim) / dim))
 
 
-def _square_gaussians(dim, gens) -> np.ndarray:
-    # a complex Gaussian dim x dim matrix from each stream, stacked
-    return np.array([_complex_gaussian((dim, dim), g) for g in gens]).reshape(len(gens), dim, dim)
+def _rows(k, g, dim, m):
+    # m rows of k states at dimension dim, drawn from g in this order: the states'
+    # ranks, their dim x dim complex Gaussians (a state reads the first rank columns,
+    # a rotation all of them), then dim + 3 uniforms for the adversaries and weights
+    return g.integers(1, dim + 1, (m, k)), _complex_gaussian((m, k, dim, dim), g), g.random((m, dim + 3))
 
 
-def _sample_states(S, dim, gens):
-    # one state per stream, of a rank drawn from it; a state outside S's
-    # domain is replaced by a full-rank one drawn next from the same stream.
-    # The draws are those of random_density, and states of one rank are
-    # normalized in one stack.
-    ranks = [int(g.integers(1, dim + 1)) for g in gens]
-    G = [_complex_gaussian((dim, r), g) for r, g in zip(ranks, gens)]
-    rhos = np.empty((len(gens), dim, dim), dtype=np.complex128)
-    for r in set(ranks):
-        k = [j for j, rank in enumerate(ranks) if rank == r]
-        rhos[k] = _densities(np.array([G[j] for j in k]))
-    outside = np.flatnonzero(~_in_domain(S, rhos))
-    if outside.size:
-        rhos[outside] = _blend(_densities(_square_gaussians(dim, [gens[k] for k in outside])))
+def _states(S, ranks, G):
+    # each row's state: G with the columns from rank on zeroed, normalized; outside
+    # S's domain, the blended state of all of G, full rank and drawn as a fresh one
+    rhos = _densities(G * (np.arange(G.shape[-1]) < ranks[:, None])[:, None, :])
+    outside = ~_in_domain(S, rhos)
+    if outside.any():
+        rhos[outside] = _blend(_densities(G[outside]))
     return rhos
 
 
-def _adversarial_reports(S, rhos, trials, gens):
+def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
     # trial trials[k] reports against belief rhos[k] with adversary trials[k] % 4,
-    # drawing from stream gens[k]; each adversary builds its reports in one stack
+    # reading the state (ranks[k], G[k]) or the rotation G[k] and the uniforms
+    # u[k] of its row; each adversary builds its reports in one stack
     dim = rhos.shape[-1]
     strategy = np.asarray(trials) % 4
     reps = np.empty_like(rhos)
-    fresh, permuted, pure, rotated = (np.flatnonzero(strategy == s) for s in range(4))
-    reps[fresh] = _sample_states(S, dim, [gens[k] for k in fresh])
-    if permuted.size:  # permute eigenvalues in the belief's own basis
-        lam, V = _decompose(rhos[permuted])
-        lam = np.array([w[gens[k].permutation(dim)] for k, w in zip(permuted, lam)])
-        reps[permuted] = hermitian_part((V * lam[:, None, :]) @ V.conj().swapaxes(-1, -2))
-    if pure.size:  # all mass on one eigenvector (top half the time)
-        V = _decompose(rhos[pure]).eigenvectors
-        top = [0 if gens[k].random() < 0.5 else int(gens[k].integers(dim)) for k in pure]
-        x = V[np.arange(pure.size), :, top][:, :, None]
-        reps[pure] = hermitian_part(x @ x.conj().swapaxes(-1, -2))
-    if rotated.size:  # spectrum-preserving rotation
-        U = _unitaries(_square_gaussians(dim, [gens[k] for k in rotated]))
+    fresh, rotated = strategy == 0, strategy == 3
+    reps[fresh] = _states(S, ranks[fresh], G[fresh])
+    spectral = np.flatnonzero((strategy == 1) | (strategy == 2))
+    if spectral.size:  # in the belief's own basis, eigenvalues in ascending order:
+        lam, V = np.linalg.eigh(rhos[spectral])
+        # permute the eigenvalues, or put all mass on one eigenvector (the top one half the time)
+        perm = np.argsort(u[spectral, :dim], axis=1)
+        one = np.where(u[spectral, dim] < 0.5, dim - 1, (u[spectral, dim + 1] * dim).astype(np.intp))
+        lam = np.where(strategy[spectral, None] == 1, np.take_along_axis(lam, perm, axis=1),
+                       np.arange(dim) == one[:, None])
+        reps[spectral] = hermitian_part((V * lam[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    if rotated.any():  # spectrum-preserving rotation
+        U = _unitaries(G[rotated])
         reps[rotated] = hermitian_part(U @ rhos[rotated] @ U.conj().swapaxes(-1, -2))
-    outside = np.flatnonzero(~_in_domain(S, reps))
+    outside = ~_in_domain(S, reps)
     reps[outside] = _blend(reps[outside])
     # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
     # tie within margin for quadratic scores; sample clear of that window
     d = _distance(rhos, reps)
-    near = np.flatnonzero((DISTINCT_TOL < d) & (d < 1e-4))
-    reps[near] = _sample_states(S, dim, [gens[k] for k in near])
+    near = (DISTINCT_TOL < d) & (d < 1e-4)
+    if near.any():  # the first state of the spare row
+        ranks, G, _ = spare()
+        reps[near] = _states(S, ranks[near, 0], G[near, 0])
     return reps
 
 
@@ -634,10 +632,11 @@ def _encode_states(rho, rho_prime) -> dict:
     return {"rho": matrix_to_json(rho), "rho_prime": matrix_to_json(rho_prime)}
 
 
-def _beliefs_and_reports(S, dim, trials, gens):
-    # each trial's belief, then its adversary's report
-    rhos = _sample_states(S, dim, gens)
-    return rhos, _adversarial_reports(S, rhos, trials, gens)
+def _beliefs_and_reports(S, dim, trials, rows, spare):
+    # each trial's belief (state 0 of its row), then its adversary's report (state 1)
+    ranks, G, u = rows
+    rhos = _states(S, ranks[:, 0], G[:, 0])
+    return rhos, _adversarial_reports(S, rhos, trials, ranks[:, 1], G[:, 1], u, spare)
 
 
 def _expected_stack(S, reports, *beliefs) -> list:
@@ -684,7 +683,7 @@ def truthfulness_check(
         (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > distinct_tol, margin, mode == "strict")
 
-    return run_trials(report, partial(_beliefs_and_reports, S), score, _encode_states, rng)
+    return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
 def equivalence_check(
@@ -709,7 +708,7 @@ def equivalence_check(
             gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, tol)
         return gaps, kinds, gaps
 
-    return run_trials(report, partial(_beliefs_and_reports, S1), score, _encode_states, rng)
+    return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
 def unitary_invariance_check(
@@ -722,8 +721,8 @@ def unitary_invariance_check(
     """Flag |S(r; rho) - S(U r U*; U rho U*)| above tolerance."""
     report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, tuple(dims))
 
-    def draw(dim, trials, gens):
-        return *_beliefs_and_reports(S, dim, trials, gens), _unitaries(_square_gaussians(dim, gens))
+    def draw(dim, trials, rows, spare):
+        return *_beliefs_and_reports(S, dim, trials, rows, spare), _unitaries(rows[1][:, 2])
 
     def score(drawn):
         rhos, reps, U = drawn
@@ -732,7 +731,7 @@ def unitary_invariance_check(
         (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b, tol)
 
-    return run_trials(report, draw, score, _encode_states, rng)
+    return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
 def implementability_check(
@@ -750,11 +749,11 @@ def implementability_check(
     """
     report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, tuple(dims))
 
-    def draw(dim, trials, gens):
-        rho1 = _sample_states(S, dim, gens)
-        rho2 = _sample_states(S, dim, gens)
-        reps = _adversarial_reports(S, rho1, trials, gens)
-        return rho1, rho2, reps, np.array([g.random() for g in gens])
+    def draw(dim, trials, rows, spare):
+        # the report (state 1 of the row) against the beliefs, states 0 and 2
+        ranks, G, u = rows
+        rho1, rho2 = (_states(S, ranks[:, j], G[:, j]) for j in (0, 2))
+        return rho1, rho2, _adversarial_reports(S, rho1, trials, ranks[:, 1], G[:, 1], u, spare), u[:, -1]
 
     def score(drawn):
         rho1, rho2, reps, t = drawn
@@ -764,7 +763,7 @@ def implementability_check(
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1), zero_tol=EXT_WEIGHT_TOL)
         return _compare("nonlinear", mixed, linear, tol)
 
-    return run_trials(report, draw, score, _encode_states, rng)
+    return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
 def subgradient_inequality_check(
@@ -775,7 +774,7 @@ def subgradient_inequality_check(
     rng=None,
     margin: float = TRUTH_MARGIN,
 ) -> ScoreReport:
-    """Check F(rho) >= F(r) + <dF(r), rho - r> on sampled state pairs.
+    """Check F(rho) >= F(r) + <dF(r), rho - r> on sampled state pairs, half with rho near r.
 
     ``dF`` may return plain Hermitian matrices or extended ones; a -inf
     lower bound passes trivially, and a selection whose infinite part
@@ -783,9 +782,13 @@ def subgradient_inequality_check(
     """
     report = ScoreReport("subgradient", "inequality", trials, tuple(dims))
 
-    def draw(dim, trials, gens):
-        # per stream: rho, then the base, each a rank then a state
-        return _sample_states(None, dim, gens), _sample_states(None, dim, gens)
+    def draw(dim, trials, rows, spare):
+        # states 0 and 1 of the row, sigma and the base; rho is sigma, or in half the
+        # rows (by the last uniform, so in every dimension) 0.99 base + 0.01 sigma, so
+        # near the base that a wrong selection's first-order error beats the curvature
+        ranks, G, u = rows
+        sigma, base = (_states(None, ranks[:, j], G[:, j]) for j in (0, 1))
+        return np.where((u[:, -1] < 0.5)[:, None, None], 0.99 * base + 0.01 * sigma, sigma), base
 
     def score(drawn):
         gaps, invalid = np.empty(len(drawn[0])), np.zeros(len(drawn[0]), dtype=bool)
@@ -802,4 +805,4 @@ def subgradient_inequality_check(
         kinds = np.select([invalid, gaps > margin], ["invalid-selection", "violated"], "")
         return gaps, kinds, gaps
 
-    return run_trials(report, draw, score, _encode_states, rng)
+    return run_trials(report, partial(_rows, 2), draw, score, _encode_states, rng)

@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qelicit
+from qelicit import cli
 from qelicit.cli import example_mixture_state, main, paper_example_rows, run_verify
 from qelicit.linalg import matrix_to_json, random_density, random_hermitian
+from qelicit.measurement import standard_pvm
 from qelicit.registry import make_score
-from qelicit.scores import truthfulness_check
+from qelicit.reports import json_safe
+from qelicit.scores import QuantumScore, equivalence_check, log_spectral, projective_brier, truthfulness_check
 
 
 def run_cli(capsys, *argv):
@@ -413,3 +421,46 @@ def test_negative_seed_names_the_option(capsys, tmp_path, command):
     assert code == 2
     assert "--seed" in err
     assert out == ""
+
+
+def test_verify_report_names_its_rng_layout(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--score", "binary-brier", "--dims", "2", "--trials", "8", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["rng"] == "block-v1"
+
+
+def test_verify_report_is_written_as_one_json_safe_walk_writes_it(capsys, monkeypatch):
+    # a score paying -inf everywhere: every trial is irregular and max_gap stays -inf;
+    # the log score is -inf where the Brier score is finite: inf gaps
+    neg_inf = QuantumScore(lambda r: (standard_pvm(r.shape[0]), np.full(r.shape[0], -np.inf)), name="neg-inf")
+    truth = truthfulness_check(neg_inf, 8, dims=(2,), rng=1)
+    equiv = equivalence_check(log_spectral(), projective_brier(), 40, dims=(2,), rng=2)
+    assert truth.max_gap == -np.inf and truth.kind_counts == {"irregular": 8}
+    assert np.inf in [v["gap"] for v in equiv.violations]
+    report = {"score": "neg-inf", "as_expected": True, "reports": [
+        {"dim": 2, "truthfulness": {**truth.to_json(), "stream": 0}, "equivalence": {**equiv.to_json(), "stream": 1}},
+    ]}
+    monkeypatch.setattr(cli, "run_verify", lambda *args, **kwargs: report)
+    code, out, _ = run_cli(capsys, "verify", "--score", "binary-brier", "--dims", "2", "--trials", "8")
+    assert code == 0
+    assert out == json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
+    assert '"-inf"' in out and '"inf"' in out and "Infinity" not in out
+
+
+def test_repeated_main_calls_match_separate_processes(capsys):
+    calls = [
+        ["paper-examples"],
+        ["verify", "--score", "binary-brier", "--dims", "2", "--trials", "8", "--seed", "1"],
+        ["verify", "--score", "nope", "--dims", "2", "--trials", "8"],  # exit 2
+        ["witness", "--property", "entropy", "--dims", "2", "--trials", "5", "--seed", "2"],
+        ["verify", "--score", "spectral:log", "--dims", "3", "--trials", "12", "--seed", "4"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+    src = str(Path(qelicit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, (code, out, err) in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-m", "qelicit.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (alone.returncode, alone.stdout) == (code, out), argv
+        assert err in alone.stderr, argv  # a separate process may also warn that qelicit was imported first

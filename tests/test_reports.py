@@ -22,11 +22,14 @@ def _encode(a, b):
 
 def _run(trials, score, dims=(2,), rng=0, encode=_encode):
     # each trial draws its own index and its dimension as its two "states"
-    def draw(dim, trials, gens):
-        assert len(gens) == len(trials)
+    def rows(g, dim, m):
+        return (g.random(m),)
+
+    def draw(dim, trials, rows, spare):
+        assert len(rows[0]) == len(trials)
         return trials, np.full(len(trials), dim)
 
-    return run_trials(ScoreReport("s", "strict", trials, dims), draw, score, encode, rng)
+    return run_trials(ScoreReport("s", "strict", trials, dims), rows, draw, score, encode, rng)
 
 
 def _flag_all(kind, value):

@@ -9,12 +9,13 @@ checks to a per-trial copy of the loop they replace.
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import qelicit
-from qelicit import reports
+from qelicit import reports, scores
 from qelicit.cli import main, run_verify
 from qelicit.extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot, ext_inner, matrix_log
 from qelicit.linalg import (
@@ -185,43 +186,123 @@ class TestBlockSizeInvariance:
             assert _check_reports() == whole, block
 
 
+def _recorded(i, trials, rows, draw, dims=(2, 3, 4), rng=11):
+    # the states trial i records in a run of `trials` trials whose score flags trial i alone
+    def score(drawn):
+        hit = drawn[2] == i
+        return np.zeros(len(hit)), np.where(hit, "hit", ""), np.zeros(len(hit))
+
+    report = reports.run_trials(
+        reports.ScoreReport("s", "strict", trials, dims), rows,
+        lambda dim, group, r, spare: (*draw(dim, group, r, spare)[:2], group),
+        score, lambda a, b: {"a": a, "b": b}, rng,
+    )
+    (v,) = report.violations
+    assert v["trial"] == i
+    return v["a"], v["b"]
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("i", [reports.RNG_BLOCK - 1, reports.RNG_BLOCK, 2 * reports.RNG_BLOCK + 5])
+    def test_trial_replays_whatever_the_trial_count_and_block_size(self, monkeypatch, i):
+        S = make_score("ml:s2", 3)  # outside its domain a state reads all of its row's columns
+        rows, draw = partial(scores._rows, 2), partial(scores._beliefs_and_reports, S)
+        ranks, G, u = _ref_row(11, (2, 3, 4), i, 2)
+        want = _ref_state(S, ranks[0], G[0])
+        seen = []
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(reports, "TRIAL_BLOCK", block)
+            seen += [_recorded(i, trials, rows, draw) for trials in (i + 1, i + reports.RNG_BLOCK + 3)]
+        assert np.array_equal(seen[0][0], want)
+        for got in seen[1:]:
+            assert all(np.array_equal(x, y) for x, y in zip(got, seen[0]))
+
+    def test_spare_rows_come_from_the_first_child_of_the_block(self):
+        def draw(dim, group, rows, spare):
+            return spare()[1], rows[1]
+
+        for i in (5, reports.RNG_BLOCK + 2):
+            spare, common = _recorded(i, i + 10, partial(scores._rows, 2), draw)
+            assert np.array_equal(spare, _ref_row(11, (2, 3, 4), i, 2, spare=True)[1])
+            assert np.array_equal(common, _ref_row(11, (2, 3, 4), i, 2)[1])
+
+    def test_report_in_the_near_window_is_redrawn_from_the_spare_row(self):
+        g = np.random.default_rng(3)
+        rho = np.diag([0.5, 0.5 - 1e-5, 1e-5]).astype(complex)
+        ranks, G, u = scores._rows(2, g, 3, 1)
+        spare = scores._rows(2, g, 3, 1)
+        u[0, :3] = [0.1, 0.9, 0.2]  # the permuting adversary swaps the two top (last) eigenvalues
+        rep = scores._adversarial_reports(None, rho[None], np.array([1]), ranks[:, 1], G[:, 1], u, lambda: spare)
+        assert DISTINCT_TOL < frob_dist(rep[0], rho)
+        assert np.array_equal(rep, scores._states(None, spare[0][:, 0], spare[1][:, 0]))
+
+
 # ---------------------------------------------------------------------------
-# a per-trial copy of the sampled checks as they ran before they were stacked
+# a per-trial copy of the sampled checks, each trial reading its row of the
+# block draw ("rng": "block-v1") and scoring alone through expected_score
+
+
+def _ref_row(rng, dims, i, k, spare=False):
+    """(ranks, Gaussians, uniforms) of trial i's row: of its block's draw, or of its spare draw."""
+    b, r = divmod(i, reports.RNG_BLOCK)
+    g = np.random.default_rng(rng).spawn(b + 1)[b]  # block b is child b of the root seed
+    if spare:
+        g = g.spawn(1)[0]
+    at = [(b * reports.RNG_BLOCK + x) % len(dims) for x in range(reports.RNG_BLOCK)]  # each row's index of dims
+    for j, dim in enumerate(dims):  # the block's rows at each index of dims in turn
+        m = at.count(j)
+        ranks = g.integers(1, dim + 1, (m, k))
+        G = g.standard_normal((m, k, dim, dim)) + 1j * g.standard_normal((m, k, dim, dim))
+        u = g.random((m, dim + 3))
+        if j == at[r]:
+            x = at[:r].count(j)
+            return ranks[x], G[x], u[x]
 
 
 def _in_domain(S, rho):
     return S.domain is None or bool(S.domain(rho[None])[0])
 
 
-def _ref_sample_state(S, dim, g):
-    rank = int(g.integers(1, dim + 1))
-    rho = random_density(dim, rank=rank, rng=g)
+def _ref_density(G):
+    M = G @ G.conj().T
+    return hermitian_part(M / np.trace(M).real)
+
+
+def _ref_state(S, rank, G):
+    # the first rank columns of G, the others zeroed; outside S's domain, all of them, blended
+    rho = _ref_density(G * (np.arange(G.shape[1]) < rank))
     if not _in_domain(S, rho):
-        eye = np.eye(dim) / dim
-        rho = hermitian_part(0.99 * random_density(dim, rng=g) + 0.01 * eye)
+        dim = G.shape[0]
+        rho = hermitian_part(0.99 * _ref_density(G) + 0.01 * np.eye(dim) / dim)
     return rho
 
 
-def _ref_adversarial_report(S, rho, strategy, g):
+def _ref_unitary(Z):
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
+def _ref_adversarial_report(S, rho, strategy, rank, G, u, spare):
     dim = rho.shape[0]
     if strategy == 0:
-        return _ref_sample_state(S, dim, g)
-    dec = spectral_decompose(rho)
-    if strategy == 1:
-        lam = dec.eigenvalues[g.permutation(dim)]
-        V = dec.eigenvectors
-        rep = hermitian_part((V * lam) @ V.conj().T)
-    elif strategy == 2:
-        j = 0 if g.random() < 0.5 else int(g.integers(dim))
-        x = dec.eigenvectors[:, j : j + 1]
-        rep = hermitian_part(x @ x.conj().T)
+        rep = _ref_state(S, rank, G)
     else:
-        U = random_unitary(dim, rng=g)
-        rep = hermitian_part(U @ rho @ U.conj().T)
-    if not _in_domain(S, rep):
-        rep = hermitian_part(0.99 * rep + 0.01 * np.eye(dim) / dim)
+        if strategy == 3:
+            U = _ref_unitary(G)
+            rep = hermitian_part(U @ rho @ U.conj().T)
+        else:
+            lam, V = np.linalg.eigh(rho)  # eigenvalues in ascending order
+            if strategy == 1:
+                lam = lam[np.argsort(u[:dim])]
+            else:  # all mass on one eigenvector, the top (last) one half the time
+                lam = np.arange(dim) == (dim - 1 if u[dim] < 0.5 else int(u[dim + 1] * dim))
+            rep = hermitian_part((V * lam) @ V.conj().T)
+        if not _in_domain(S, rep):
+            rep = hermitian_part(0.99 * rep + 0.01 * np.eye(dim) / dim)
     if DISTINCT_TOL < frob_dist(rho, rep) < 1e-4:
-        return _ref_sample_state(S, dim, g)
+        ranks, G, _ = spare()
+        return _ref_state(S, ranks[0], G[0])
     return rep
 
 
@@ -247,25 +328,26 @@ def _ref_compare(kind, a, b, tol):
 def _ref_check(S, check, trials, dims, rng):
     """(gaps, violations) of the per-trial loop: violations as (trial, kind, value, a, b)."""
     gaps, found = [], []
-    for i, g in enumerate(np.random.default_rng(rng).spawn(trials)):
-        dim = dims[i % len(dims)]
+    k = 2 if check == "truthfulness" else 3
+    for i in range(trials):
+        ranks, G, u = _ref_row(rng, dims, i, k)
+        spare = lambda i=i: _ref_row(rng, dims, i, k, spare=True)
+        a = _ref_state(S, ranks[0], G[0])
         if check == "implementability":
-            a = _ref_sample_state(S, dim, g)
-            b = _ref_sample_state(S, dim, g)
-            rep = _ref_adversarial_report(S, a, i % 4, g)
-            t = float(g.random())
+            b = _ref_state(S, ranks[2], G[2])
+            rep = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
+            t = u[-1]
             e1, e2 = expected_score(S, rep, a), expected_score(S, rep, b)
             mixed = expected_score(S, rep, hermitian_part(t * a + (1.0 - t) * b))
             linear = ext_dot([t, 1.0 - t], [e1, e2], zero_tol=EXT_WEIGHT_TOL)
             gap, v = _ref_compare("nonlinear", mixed, linear, EQUIV_TOL)
         else:
-            a = _ref_sample_state(S, dim, g)
-            b = _ref_adversarial_report(S, a, i % 4, g)
+            b = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
             if check == "truthfulness":
                 gap, v = _ref_classify(expected_score(S, a, a), expected_score(S, b, a),
                                        frob_dist(a, b) > DISTINCT_TOL, TRUTH_MARGIN, True)
             else:
-                U = random_unitary(dim, rng=g)
+                U = _ref_unitary(G[2])
                 rotated = expected_score(S, hermitian_part(U @ b @ U.conj().T),
                                          hermitian_part(U @ a @ U.conj().T))
                 gap, v = _ref_compare("variance", expected_score(S, b, a), rotated, EQUIV_TOL)
@@ -314,9 +396,11 @@ class TestPerTrialReference:
         S1, S2 = projective_brier(), make_score("ml:s2", 2)
         got = equivalence_check(S1, S2, 60, dims=(2, 3), rng=8)
         skipped = mismatched = 0
-        for i, g in enumerate(np.random.default_rng(8).spawn(60)):
-            rho = _ref_sample_state(S1, (2, 3)[i % 2], g)
-            rep = _ref_adversarial_report(S1, rho, i % 4, g)
+        for i in range(60):
+            ranks, G, u = _ref_row(8, (2, 3), i, 2)
+            rho = _ref_state(S1, ranks[0], G[0])
+            rep = _ref_adversarial_report(S1, rho, i % 4, ranks[1], G[1], u,
+                                          lambda i=i: _ref_row(8, (2, 3), i, 2, spare=True))
             if not (_in_domain(S2, rho) and _in_domain(S2, rep)):
                 skipped += 1
                 continue
