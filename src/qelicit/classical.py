@@ -232,9 +232,11 @@ def properness_check(
         return D[:, 0], _sample_reports(D[:, 0], trials, D[:, 1], u, spare)
 
     def score(drawn):
+        # each block's beliefs cleaned once; the rule pays one report per call
         beliefs, reports = drawn
-        truthful = [expected_classical(rule, p, p) for p in beliefs]
-        other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
+        P = _clean_rows(beliefs)
+        pay = [np.array([rule.values(q) for q in Q], dtype=np.float64) for Q in (beliefs, reports)]
+        truthful, other = (ext_dot(P, V, zero_tol=EXT_WEIGHT_TOL) for V in pay)
         distinct = np.linalg.norm(beliefs - reports, axis=1) > distinct_tol
         return _classify(truthful, other, distinct, margin, mode == "strict")
 

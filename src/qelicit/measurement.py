@@ -265,19 +265,14 @@ def canonical_complete(n: int) -> Measurement:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     eye = np.eye(n, dtype=np.complex128)
-    raw = [np.outer(eye[k], eye[k].conj()) for k in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = eye[j] + eye[k]
-            raw.append(np.outer(v, v.conj()) / 2.0)
-            w = eye[j] + 1j * eye[k]
-            raw.append(np.outer(w, w.conj()) / 2.0)
-    T = hermitian_part(sum(raw))
-    w, V = np.linalg.eigh(T)
+    j, k = np.triu_indices(n, k=1)
+    pairs = np.stack([eye[j] + eye[k], eye[j] + 1j * eye[k]], axis=1).reshape(-1, n) / np.sqrt(2.0)
+    vecs = np.concatenate([eye, pairs])  # row i: the vector of element i, before normalizing
+    w, V = np.linalg.eigh(hermitian_part(vecs.T @ vecs.conj()))
     if float(w.min()) <= 0:
         raise ValueError("normalizer is not positive definite")
-    T_isqrt = (V / np.sqrt(w)) @ V.conj().T
-    return Measurement._unchecked(np.stack([hermitian_part(T_isqrt @ M @ T_isqrt) for M in raw]))
+    W = vecs @ ((V / np.sqrt(w)) @ V.conj().T).T  # row i: T^(-1/2) vecs[i]
+    return Measurement._unchecked(hermitian_part(W[:, :, None] * W.conj()[:, None, :]))
 
 
 @dataclass(frozen=True)

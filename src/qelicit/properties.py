@@ -105,13 +105,11 @@ def _as_orthonormal(X, cols: int | None = None) -> np.ndarray:
     return _orthonormalize_plain(X[None])[0]
 
 
-def _complete_basis(X) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of X's columns."""
-    n, j = X.shape
-    if j == n:
-        return np.zeros((n, 0), dtype=np.complex128)
-    U = np.linalg.svd(X, full_matrices=True)[0]
-    return U[:, j:]
+def _frame_payoff(X, weights):
+    """Projectors onto the columns of an orthonormal frame X paying ``weights``, then the rest paying 0."""
+    projs = np.einsum("ik,jk->kij", X, X.conj())
+    rest = np.eye(X.shape[0]) - projs.sum(axis=0)
+    return Measurement._unchecked(np.concatenate([projs, rest[None]])), np.append(weights, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +165,7 @@ def top_k_eigenvector_score(k: int, v) -> QuantumScore:
         raise ValueError("weights must be strictly decreasing and positive")
 
     def payoff(X):
-        X = _as_orthonormal(X, cols=k)
-        projs = np.einsum("ik,jk->kij", X, X.conj())
-        rest = np.eye(X.shape[0]) - projs.sum(axis=0)
-        return Measurement._unchecked(np.concatenate([projs, rest[None]])), np.append(v, 0.0)
+        return _frame_payoff(_as_orthonormal(X, cols=k), v)
 
     return QuantumScore(payoff, name="eigvec-topk")
 
@@ -180,9 +175,10 @@ def top_bottom_score(k: int, m: int, v) -> QuantumScore:
 
     The weight vector v has length n: k strictly decreasing positive
     entries, then zeros, then m strictly decreasing negative entries.
-    Reports supply k + m orthonormal columns (top block first); the
-    middle of the basis is completed arbitrarily and carries zero weight,
-    so the expected score does not depend on the completion.
+    Reports supply k + m orthonormal columns (top block first).  The
+    measurement projects onto each column, paying its weight, and onto
+    the rest of the space, paying the middle's zero, so it has k + m + 1
+    outcomes and no completion of the basis is chosen.
     """
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
@@ -200,9 +196,7 @@ def top_bottom_score(k: int, m: int, v) -> QuantumScore:
         X = _as_orthonormal(X, cols=k + m)
         if X.shape[0] != n:
             raise ValueError(f"report vectors have dimension {X.shape[0]}, expected {n}")
-        fill = _complete_basis(X)
-        cols = np.concatenate([X[:, :k], fill, X[:, k:]], axis=1)
-        return _basis_pvm(cols), v.copy()
+        return _frame_payoff(X, np.concatenate([top, bot]))
 
     return QuantumScore(payoff, name="eigvec-top-bottom")
 
@@ -323,8 +317,10 @@ def level_set_witness(prop: QuantumProperty, rho1, rho2, t: float = 0.5) -> Witn
     A counterexample has the property agreeing on rho1 and rho2 (within
     REPORT_TOL) but taking a different value (beyond DIFFER_TOL) on
     their t-mixture.  Any such witness proves the property cannot be
-    elicited.
+    elicited.  A t outside [0, 1] is refused: it gives no mixture.
     """
+    if not 0.0 <= t <= 1.0:  # a NaN fails too
+        raise ValueError(f"t must be a mixing weight in [0, 1], got {t!r}")
     rho1 = as_density(rho1)
     rho2 = as_density(rho2)
     mix = hermitian_part(t * rho1 + (1.0 - t) * rho2)

@@ -47,7 +47,7 @@ from .linalg import (
     matrix_to_json,
     random_density,
 )
-from .linalg import _complex_gaussian, _decompose, _densities, _fix_phases, _unitaries
+from .linalg import _complex_gaussian, _decompose, _densities, _unitaries
 from .measurement import (
     Measurement,
     _basis_pvm,
@@ -135,6 +135,11 @@ class QuantumScore:
             raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {outcomes.dim}")
         return float(_pair(outcomes, values, rho[None])[0])
 
+    def expected_stack(self, reports, *beliefs) -> list:
+        """S(reports[k]; b[k]) for each aligned stack b of unchecked states, from one payoff per report."""
+        outcomes, values = self._stacked(reports)
+        return [_pair(outcomes, values, b) for b in beliefs]
+
     def _stacked(self, reports):
         # stacked measurement and (N, m) payoffs of validated reports
         if self.stack is None:
@@ -165,9 +170,6 @@ class _PerReport:
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         return np.array([mu._probs(rho[None])[0] for mu, rho in zip(self.mus, states)])
-
-    def _at(self, k: int) -> Measurement:
-        return self.mus[k]
 
 
 def _per_report(payoff, reports):
@@ -230,6 +232,10 @@ class ExpectedScoreFn:
         if report.shape != rho.shape:
             raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
         return float(self.stack(report[None], rho[None])[0])
+
+    def expected_stack(self, reports, *beliefs) -> list:
+        """``stack(reports, b)`` for each (N, n, n) stack b of beliefs."""
+        return [self.stack(reports, b) for b in beliefs]
 
 
 def expected_score(S, rho_prime, rho) -> float:
@@ -497,28 +503,18 @@ def relative_entropy(rho, sigma) -> float:
 # expressiveness transforms
 
 
-def _ext_eigh(E: ExtendedHermitian):
-    # Joint eigensystem of an extended Hermitian: finite eigenvalues on
-    # the infinite part's kernel (descending), -inf on its range.
-    if E.is_finite():
-        return _decompose(E.finite_part)
+def _projective(E: ExtendedHermitian):
+    # Eigenbasis measurement of E paired with its eigenvalues as payoffs: the
+    # finite ones on the infinite part's kernel (descending), -inf on its range
     B = E.infinite_part
     w, V = np.linalg.eigh(B)
-    tol = ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)
-    inf_dirs = V[:, w > tol]
-    Q = V[:, w <= tol]
-    M = hermitian_part(Q.conj().T @ E.finite_part @ Q)
-    wA, W = np.linalg.eigh(M)
-    order = np.argsort(-wA, kind="stable")
-    U = np.concatenate([Q @ W[:, order], inf_dirs], axis=1)
-    vals = np.concatenate([wA[order], np.full(inf_dirs.shape[1], NEG_INF)])
-    return vals, _fix_phases(U)
-
-
-def _projective(E: ExtendedHermitian):
-    # Eigenbasis measurement of E paired with its eigenvalues as payoffs.
-    vals, U = _ext_eigh(E)
-    return _basis_pvm(U), vals
+    inf = (w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)) & (not E.is_finite())
+    Q = V[:, ~inf]
+    vals, W = np.empty(0), Q.T @ Q  # an E that is -inf everywhere has no finite part
+    if Q.size:
+        vals, W = _decompose(hermitian_part(Q.conj().T @ E.finite_part @ Q))
+    U = np.concatenate([Q @ W, V[:, inf]], axis=1)
+    return _basis_pvm(U), np.append(vals, np.full(inf.sum(), NEG_INF))
 
 
 def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
@@ -639,14 +635,6 @@ def _beliefs_and_reports(S, dim, trials, rows, spare):
     return rhos, _adversarial_reports(S, rhos, trials, ranks[:, 1], G[:, 1], u, spare)
 
 
-def _expected_stack(S, reports, *beliefs) -> list:
-    # S(reports[k]; b[k]) for each stack b of beliefs, from one payoff per report
-    if isinstance(S, QuantumScore):
-        outcomes, values = S._stacked(reports)
-        return [_pair(outcomes, values, b) for b in beliefs]
-    return [S.stack(reports, b) for b in beliefs]
-
-
 def _compare(kind, a, b, tol):
     # (gaps, kinds, values) of |a - b| in R u {-inf} (0 when both are -inf,
     # inf when one is), each flagged as ``kind`` above tol
@@ -680,7 +668,7 @@ def truthfulness_check(
 
     def score(drawn):
         rhos, reps = drawn
-        (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
+        (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > distinct_tol, margin, mode == "strict")
 
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
@@ -704,7 +692,7 @@ def equivalence_check(
         gaps, kinds = np.zeros(len(rhos)), np.full(len(rhos), "", dtype=object)
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
-            (a,), (b,) = (_expected_stack(S, reps[keep], rhos[keep]) for S in (S1, S2))
+            (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
             gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, tol)
         return gaps, kinds, gaps
 
@@ -727,8 +715,8 @@ def unitary_invariance_check(
     def score(drawn):
         rhos, reps, U = drawn
         Uh = U.conj().swapaxes(-1, -2)
-        (a,) = _expected_stack(S, reps, rhos)
-        (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
+        (a,) = S.expected_stack(reps, rhos)
+        (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b, tol)
 
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
@@ -758,7 +746,7 @@ def implementability_check(
     def score(drawn):
         rho1, rho2, reps, t = drawn
         w = t[:, None, None]
-        e1, e2, mixed = _expected_stack(S, reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
+        e1, e2, mixed = S.expected_stack(reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
         weights = np.stack([t, 1.0 - t], axis=-1)
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1), zero_tol=EXT_WEIGHT_TOL)
         return _compare("nonlinear", mixed, linear, tol)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from qelicit import classical
 from qelicit.classical import (
+    DISTINCT_TOL,
+    PROPERNESS_MARGIN,
+    ClassicalScoringRule,
     brier_rule,
     clean_probs,
     expected_classical,
@@ -13,6 +17,7 @@ from qelicit.classical import (
     shannon_entropy,
 )
 from qelicit.extended import NEG_INF
+from qelicit.reports import _classify
 
 
 class TestCleanProbs:
@@ -159,6 +164,42 @@ class TestPropernessCheck:
         assert not report.passed
         assert report.kind_counts == {"irregular": 200}
         assert report.violations[0]["gap"] == NEG_INF
+
+    @pytest.mark.parametrize("mode", ["weak", "strict"])
+    @pytest.mark.parametrize("name", ["brier", "log", "linear", "const", "doomed"])
+    def test_block_scoring_matches_a_per_trial_reference(self, monkeypatch, name, mode):
+        # each block is scored with one pairing per side; a per-trial expected_classical
+        # on the same draws must give the same gaps, kinds and values, bit for bit
+        rule = {
+            "brier": brier_rule(), "log": log_rule(), "linear": linear_rule(),
+            # these two pay one report per call only
+            "const": ClassicalScoringRule(lambda p: np.ones(len(p)), name="const"),
+            "doomed": ClassicalScoringRule(lambda p: np.full(len(p), NEG_INF), name="doomed"),
+        }[name]
+
+        def reference(drawn):
+            beliefs, reports = drawn
+            truthful = [expected_classical(rule, p, p) for p in beliefs]
+            other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
+            distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
+            return _classify(truthful, other, distinct, PROPERNESS_MARGIN, mode == "strict")
+
+        scored, real = [], classical.run_trials
+
+        def spy(report, rows, draw, score, encode, rng):
+            def both(drawn):
+                out = score(drawn)
+                for a, b in zip(out, reference(drawn)):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                scored.append(len(drawn[0]))
+                return out
+
+            return real(report, rows, draw, both, encode, rng)
+
+        monkeypatch.setattr(classical, "run_trials", spy)
+        for dim in (2, 3, 4):
+            properness_check(rule, 300, dim, rng=11, mode=mode)
+        assert sum(scored) == 900
 
     def test_convex_battery_yields_proper_rules(self, rng):
         def neg_entropy(p):

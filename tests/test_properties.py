@@ -178,6 +178,19 @@ class TestTopBottom:
         )
         assert score.expected(X, rho) == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("n, k, m", [(3, 1, 1), (4, 1, 1), (5, 2, 1), (4, 2, 2), (3, 0, 1)])
+    def test_measurement_is_the_frame_then_the_rest(self, rng, n, k, m):
+        # one outcome per reported column, paying its weight, then the rest of the space paying 0
+        v = np.r_[np.arange(k, 0, -1.0), np.zeros(n - k - m), -np.arange(1.0, m + 1)]
+        X = spectral_decompose(random_density(n, rng=rng)).eigenvectors[:, : k + m]
+        rho = random_density(n, rng=rng)
+        mu, s = top_bottom_score(k, m, v).payoff(X)
+        assert len(top_bottom_score(k, m, v).measure(X)) == len(mu) == len(s) == k + m + 1
+        assert np.abs(mu.elements.sum(axis=0) - np.eye(n)).max() <= 1e-12
+        weights = np.r_[v[:k], v[n - m:]]
+        direct = sum(w * np.vdot(x, rho @ x).real for w, x in zip(weights, X.T))
+        assert top_bottom_score(k, m, v).expected(X, rho) == pytest.approx(direct, abs=1e-12)
+
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="zero"):
             top_bottom_score(1, 1, [1.0, 0.5, -1.0])
@@ -290,6 +303,19 @@ class TestLevelSets:
         rho2 = np.diag([0.75, 0.25]).astype(complex)
         w = level_set_witness(make_property("max-eigenvalue", 2), rho1, rho2, t=0.5)
         assert w.is_counterexample
+
+    @pytest.mark.parametrize("t", [3.0, -0.5, 1.0 + 1e-9, float("nan"), float("inf")])
+    def test_weight_outside_the_unit_interval_is_refused(self, t):
+        # 3 rho1 - 2 rho2 = diag(0, 1) is an extrapolation: it once reported a false
+        # counterexample for eigvec-top, which is elicitable
+        rho1, rho2 = np.diag([0.6, 0.4]).astype(complex), np.diag([0.9, 0.1]).astype(complex)
+        with pytest.raises(ValueError, match="t must"):
+            level_set_witness(make_property("eigvec-top", 2), rho1, rho2, t=t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_weights_in_the_unit_interval_find_no_counterexample_for_eigvec_top(self, t):
+        rho1, rho2 = np.diag([0.6, 0.4]).astype(complex), np.diag([0.9, 0.1]).astype(complex)
+        assert not level_set_witness(make_property("eigvec-top", 2), rho1, rho2, t=t).is_counterexample
 
     def test_expectation_never_gives_counterexample(self, rng):
         mu = canonical_complete(2)

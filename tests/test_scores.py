@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qelicit.classical import brier_rule, linear_rule, log_rule, shannon_entropy
+from qelicit.classical import ClassicalScoringRule, brier_rule, linear_rule, log_rule, shannon_entropy
 from qelicit.extended import NEG_INF, ExtendedHermitian, ext_inner, matrix_log
 from qelicit.linalg import (
     HERM_TOL,
@@ -24,8 +24,10 @@ from qelicit.measurement import (
     standard_pvm,
 )
 from qelicit.registry import SCORE_REGISTRY, make_score
+from qelicit.measurement import _basis_pvm
 from qelicit.scores import (
     QuantumScore,
+    _projective,
     binary_brier,
     equivalence_check,
     expected_score,
@@ -462,6 +464,30 @@ class TestExpressiveness:
         S = projective_brier()
         report = equivalence_check(projective_expression(S), S, 300, dims=(2, 3), rng=22)
         assert report.passed
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_finite_coefficient_decomposes_as_its_finite_part(self, rng, n):
+        # the infinite part's kernel is all of the space, so nothing is rotated
+        A = random_hermitian(n, rng=rng)
+        mu, vals = _projective(ExtendedHermitian.wrap(A))
+        dec = spectral_decompose(A)
+        assert np.array_equal(vals, dec.eigenvalues)
+        assert np.array_equal(mu.elements, _basis_pvm(dec.eigenvectors).elements)
+
+    @pytest.mark.parametrize("n, rank", [(2, 1), (3, 1), (3, 2), (5, 3), (8, 2)])
+    def test_matrix_log_pays_neg_inf_once_per_kernel_direction(self, rng, n, rank):
+        mu, vals = _projective(matrix_log(random_density(n, rank=rank, rng=rng)))
+        assert int(np.isneginf(vals).sum()) == n - rank
+        assert np.isfinite(vals[:rank]).all()
+        assert np.abs(mu.elements.sum(axis=0) - np.eye(n)).max() <= 1e-12
+
+    def test_score_that_is_neg_inf_everywhere_has_no_finite_part(self, rng):
+        doomed = ClassicalScoringRule(lambda p: np.full(np.shape(p), NEG_INF), name="doomed")
+        S = projective_expression(fixed_measurement_score(doomed, standard_pvm(3)))
+        r = random_density(3, rng=rng)
+        mu, vals = S.payoff(r)
+        assert len(mu) == 3 and np.isneginf(vals).all()
+        assert S.expected(r, random_density(3, rng=rng)) == NEG_INF
 
     def test_projective_expression_handles_infinite_scores(self, rng):
         S = log_spectral()

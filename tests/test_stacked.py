@@ -37,7 +37,6 @@ from qelicit.scores import (
     EQUIV_TOL,
     TRUTH_MARGIN,
     QuantumScore,
-    _pair,
     binary_brier,
     equivalence_check,
     expected_score,
@@ -91,22 +90,31 @@ class TestStackedMatchesScalar:
             R = R[S.domain(R)]
         # beliefs: random states, and the reports themselves (truthful self-scores)
         for B in (np.array([random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in R]), R):
-            if isinstance(S, QuantumScore):
-                outcomes, values = S.stack(R)
-                assert values.shape[0] == len(R)
-                stacked = _pair(outcomes, values, B)
-                for k in range(len(R)):
-                    mu, v = S.payoff(R[k])
-                    _close(values[k], v)
-                    assert outcomes._at(k).approx_equal(mu, tol=1e-12)
-                    # the report's POVM elements measured on the belief, paired under
-                    # 0 * (-inf) = 0; rounding scales with the largest payoff
-                    largest = np.abs(v[np.isfinite(v)]).max(initial=1.0)
-                    _close(stacked[k], ext_dot(apply_measurement(mu, B[k]), v, zero_tol=EXT_WEIGHT_TOL),
-                           scale=largest)
-            else:
-                stacked = S.stack(R, B)
+            (stacked,) = S.expected_stack(R, B)
             _close(stacked, [expected_score(S, r, b) for r, b in zip(R, B)])
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("name", sorted(k for k, e in SCORE_REGISTRY.items() if e.implementable))
+    def test_stacked_measurement_is_each_reports_povm(self, name, n):
+        g = np.random.default_rng(1000 + n)
+        S = make_score(name, n)
+        R = _reports(n, g)
+        if S.domain is not None:
+            R = R[S.domain(R)]
+        outcomes, values = S.stack(R)
+        assert values.shape[0] == len(R)
+        # beliefs: random states, and the reports themselves (truthful self-scores)
+        beliefs = np.array([random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in R])
+        for B, stacked in zip((beliefs, R), S.expected_stack(R, beliefs, R)):
+            for k in range(len(R)):
+                mu, v = S.payoff(R[k])
+                _close(values[k], v)
+                assert outcomes._at(k).approx_equal(mu, tol=1e-12)
+                # the report's POVM elements measured on the belief, paired under
+                # 0 * (-inf) = 0; rounding scales with the largest payoff
+                largest = np.abs(v[np.isfinite(v)]).max(initial=1.0)
+                _close(stacked[k], ext_dot(apply_measurement(mu, B[k]), v, zero_tol=EXT_WEIGHT_TOL),
+                       scale=largest)
 
 
 class TestStackedDecomposition:
