@@ -155,17 +155,17 @@ def _check_convex(G, dG, draw, rng, samples: int) -> None:
             raise ValueError("midpoint convexity violated; G is not convex")
 
 
-def from_convex(G, dG, dim: int, rng=None, check_samples: int = 64) -> ClassicalScoringRule:
+def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
     """Proper scoring rule s(p, y) = G(p) + <dG(p), 1_y - p>.
 
     G must be convex on the simplex and dG a consistent (extended)
     subgradient oracle: dG(p) entries live in R u {-inf}, with -inf only
     where p_y = 0.  A sampled self-check of the subgradient inequality
-    and midpoint convexity on Dirichlet pairs runs at construction and
+    and midpoint convexity on 64 Dirichlet pairs runs at construction and
     raises on violation.
     """
     ones = np.ones(dim)
-    _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), rng, check_samples)
+    _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), rng, 64)
     return _bregman_rule(G, dG, "from_convex")
 
 
@@ -244,17 +244,19 @@ def properness_check(
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:
-    """Check s(p, y) == s(p relabeled, y relabeled) for all y on random samples."""
+    """Check s(p, y) == s(p relabeled, y relabeled) for all y on random samples.
+
+    The rule must work along the last axis: the ``trials`` samples are
+    paid as one (trials, dim) stack, then relabeled and paid again.
+    """
     rng = np.random.default_rng(rng)
-    for _ in range(trials):
-        p = rng.dirichlet(np.ones(dim))
-        perm = rng.permutation(dim)
-        a = np.asarray(rule.values(p), dtype=np.float64)
-        b = np.asarray(rule.values(p[perm]), dtype=np.float64)[np.argsort(perm)]
-        neg = (a == NEG_INF) | (b == NEG_INF)
-        if (a[neg] != b[neg]).any() or (np.abs(a[~neg] - b[~neg]) > 1e-10).any():
-            return False
-    return True
+    P = rng.dirichlet(np.ones(dim), trials)
+    perm = np.argsort(rng.random((trials, dim)), axis=-1)
+    a = np.asarray(rule.values(P), dtype=np.float64)
+    b = np.asarray(rule.values(np.take_along_axis(P, perm, -1)), dtype=np.float64)
+    b = np.take_along_axis(b, np.argsort(perm, axis=-1), -1)
+    neg = (a == NEG_INF) | (b == NEG_INF)
+    return not ((a[neg] != b[neg]).any() or (np.abs(a[~neg] - b[~neg]) > 1e-10).any())
 
 
 def shannon_entropy(p) -> float:

@@ -83,13 +83,11 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
     return float(total) if total.ndim == 0 else total
 
 
-def range_projector(B, zero_tol: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the range of a PSD matrix."""
+def range_projector(B) -> np.ndarray:
+    """Orthogonal projector onto the range of a PSD matrix (eigenvalues above ZERO_EIG_REL * max(trace, 1))."""
     B = as_hermitian(B)
-    if zero_tol is None:
-        zero_tol = ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)
     w, V = np.linalg.eigh(B)
-    cols = V[:, w > zero_tol]
+    cols = V[:, w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)]
     return hermitian_part(cols @ cols.conj().T)
 
 
@@ -142,8 +140,8 @@ class ExtendedHermitian:
     def dim(self) -> int:
         return self.finite_part.shape[0]
 
-    def is_finite(self, tol: float = INNER_ZERO_TOL) -> bool:
-        return float(np.abs(self.infinite_part).max()) <= tol
+    def is_finite(self) -> bool:
+        return float(np.abs(self.infinite_part).max()) <= INNER_ZERO_TOL
 
     def add_scalar(self, c: float) -> "ExtendedHermitian":
         """Add c * identity, restricted to the finite subspace.
@@ -186,12 +184,7 @@ def matrix_log(rho) -> ExtendedHermitian:
     The finite part carries log(lambda) on the support; the infinite
     part is the projector onto the kernel, where the log is -inf.
     """
-    return _matrix_log(as_density(rho))
-
-
-def _matrix_log(rho) -> ExtendedHermitian:
-    # matrix_log of a density matrix that is already validated
-    A, B = _log_parts(rho[None])
+    A, B = _log_parts(as_density(rho)[None])
     return ExtendedHermitian(A[0], B[0])
 
 

@@ -194,7 +194,9 @@ def spectral_decompose(A) -> SpectralDecomposition:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim not in (2, 3):
         raise ValueError(f"matrix must be square or a stack of square matrices, got shape {A.shape}")
-    return _decompose(_hermitian(_finite_squares(A, "matrix"), "matrix"))
+    if _finite_squares(A, "matrix").shape[-1] == 0:
+        raise ValueError(f"matrix is empty, got shape {A.shape}")
+    return _decompose(_hermitian(A, "matrix"))
 
 
 def _decompose(A: np.ndarray) -> SpectralDecomposition:

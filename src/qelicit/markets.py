@@ -16,7 +16,7 @@ import numpy as np
 from .extended import NEG_INF
 from .linalg import as_density, as_hermitian, hermitian_part, hs_inner
 from .measurement import sample_outcome
-from .scores import QuantumScore, expected_score, von_neumann_entropy
+from .scores import QuantumScore, _pair, expected_score, von_neumann_entropy
 
 __all__ = [
     "WageringRound",
@@ -47,17 +47,9 @@ class WageringRound:
             raise ValueError("wagering needs at least two agents")
         object.__setattr__(self, "reports", [as_density(r) for r in self.reports])
         object.__setattr__(self, "truth", as_density(self.truth))
-
-
-def _common_measurement(round_: WageringRound):
-    mus = [round_.score.measure(r) for r in round_.reports]
-    first = mus[0]
-    for i, mu in enumerate(mus[1:], start=1):
-        if not first.approx_equal(mu):
-            raise ValueError(
-                f"report {i} induces a different measurement; wagering requires a fixed one"
-            )
-    return first
+        shapes = sorted({r.shape for r in self.reports} | {self.truth.shape})
+        if len(shapes) > 1:
+            raise ValueError(f"reports and truth must share one dimension, got shapes {shapes}")
 
 
 def wagering_payoffs(round_: WageringRound, mode: str = "expected", rng=None, outcome=None) -> np.ndarray:
@@ -65,19 +57,24 @@ def wagering_payoffs(round_: WageringRound, mode: str = "expected", rng=None, ou
 
     ``expected`` mode scores against the truth state; ``realized`` mode
     draws one shared outcome from the common measurement (or uses the
-    given ``outcome``) and applies the scoring function directly.
-    Payoffs sum to zero by construction.
+    given ``outcome``) and reads each report's payoff for it.  Every
+    report is paid once, in one stacked call.  Payoffs sum to zero by
+    construction.
     """
-    mu = _common_measurement(round_)
-    m = len(round_.reports)
+    truth, m = round_.truth, len(round_.reports)
+    outcomes, values = round_.score._stacked(np.stack(round_.reports))
+    mu = outcomes._at(0)
+    for k in range(1, m):
+        if not mu.approx_equal(outcomes._at(k)):
+            raise ValueError(
+                f"report {k} induces a different measurement; wagering requires a fixed one"
+            )
     if mode == "expected":
-        scores = np.array(
-            [expected_score(round_.score, r, round_.truth) for r in round_.reports]
-        )
+        scores = _pair(outcomes, values, np.broadcast_to(truth, (m,) + truth.shape))
     elif mode == "realized":
         if outcome is None:
-            outcome = sample_outcome(mu, round_.truth, rng=rng)
-        scores = np.array([round_.score.score(r, int(outcome)) for r in round_.reports])
+            outcome = sample_outcome(mu, truth, rng=rng)
+        scores = values[:, int(outcome)]
     else:
         raise ValueError(f"mode must be 'expected' or 'realized', got {mode!r}")
     if not np.isfinite(scores).all():

@@ -62,17 +62,14 @@ ABSTAIN = None  # the abstain report
 
 @dataclass(frozen=True)
 class QuantumProperty:
-    """A statistic of density matrices, possibly set-valued.
+    """A statistic of density matrices.
 
     ``eval`` returns a canonical representative (sorted eigenvalues,
-    phase-fixed vectors); for set-valued properties ``membership`` tests
-    whether a report is a correct value for a state.
+    phase-fixed vectors).
     """
 
     eval: Callable[[np.ndarray], Any]
     name: str = ""
-    set_valued: bool = False
-    membership: Callable[[np.ndarray, Any], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -374,11 +371,7 @@ def induced_classical_property(prop: QuantumProperty, tmap: TomographicMap) -> Q
         M = tmap.reconstruct(p)
         return prop.eval(as_density(M, name="reconstructed state"))
 
-    return QuantumProperty(
-        evaluate,
-        name=f"{prop.name}-on-outcomes",
-        set_valued=prop.set_valued,
-    )
+    return QuantumProperty(evaluate, name=f"{prop.name}-on-outcomes")
 
 
 def classical_to_quantum_identification(v, tmap: TomographicMap) -> IdentificationFunction:

@@ -73,7 +73,7 @@ SCORE_REGISTRY: dict[str, ScoreEntry] = {
         True, True, True, False,
     ),
     "ml:s1": ScoreEntry(
-        lambda dim: spectral_score(log_rule(), name="ml:s1", check=False),
+        lambda dim: spectral_score(log_rule(), name="ml:s1"),
         True, True, True, True,
     ),
     "ml:s2": ScoreEntry(
@@ -194,12 +194,7 @@ def _top_eigenvector_property() -> QuantumProperty:
     def evaluate(rho):
         return spectral_decompose(rho).eigenvectors[:, 0]
 
-    def member(rho, x):
-        x = np.asarray(x, dtype=np.complex128)
-        lam = float(eigenvalues_desc(rho)[0])
-        return bool(np.linalg.norm(rho @ x - lam * x) <= 1e-8)
-
-    return QuantumProperty(evaluate, name="eigvec-top", set_valued=True, membership=member)
+    return QuantumProperty(evaluate, name="eigvec-top")
 
 
 # Factories keyed by CLI name.  Entries are (property factory, score factory);

@@ -35,10 +35,8 @@ from .extended import (
     ExtendedHermitian,
     _collapse,
     _log_parts,
-    _matrix_log,
     ext_dot,
     ext_inner,
-    matrix_log,
 )
 from .linalg import (
     ZERO_EIG_REL,
@@ -171,6 +169,9 @@ class _PerReport:
     def _probs(self, states: np.ndarray) -> np.ndarray:
         return np.array([mu._probs(rho[None])[0] for mu, rho in zip(self.mus, states)])
 
+    def _at(self, k: int) -> Measurement:
+        return self.mus[k]
+
 
 def _per_report(payoff, reports):
     # the stacked form of a per-report payoff: one call per report
@@ -225,7 +226,6 @@ class ExpectedScoreFn:
 
     stack: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
-    domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def expected(self, report, rho) -> float:
         report, rho = as_density(report), as_density(rho)
@@ -282,19 +282,20 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     return _stacked_score(stack, f"fixed:{rule.name}")
 
 
-def fixed_meas_from_convex(f, df, mu: Measurement, rng=None, check_samples: int = 32) -> QuantumScore:
+def fixed_meas_from_convex(f, df, mu: Measurement, rng=None) -> QuantumScore:
     """Truthful fixed-measurement score from a convex f on outcome distributions.
 
     The fixed measurement of the Bregman rule of f: s(report, y) =
     f(p) + <df(p), 1_y - p> at p = the report's outcome distribution.
     The sampled self-check of ``from_convex`` (subgradient inequality and
-    midpoint convexity) runs at construction on reachable distributions.
+    midpoint convexity) runs at construction on 32 pairs of reachable
+    distributions.
     """
 
     def draw(g):
         return tuple(mu._probs(random_density(mu.dim, rng=g)[None])[0] for _ in range(2))
 
-    _check_convex(f, df, draw, rng, check_samples)
+    _check_convex(f, df, draw, rng, 32)
     return fixed_measurement_score(_bregman_rule(f, df, "convex"), mu)
 
 
@@ -338,22 +339,21 @@ def _overlap_measurement(rho_p) -> Measurement:
 
 def projective_brier() -> QuantumScore:
     """Brier score measured in the report's own eigenbasis: the spectral Brier score."""
-    return spectral_score(brier_rule(), name="projective-brier", check=False)
+    return spectral_score(brier_rule(), name="projective-brier")
 
 
-def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = True) -> QuantumScore:
+def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
     """Measure in the report's eigenbasis, scoring eigenvalues classically.
 
-    The rule must be permutation-invariant (eigenbases carry no outcome
-    labels of their own); this is spot-checked at construction.  It must
-    also pay each row of a stack as it pays that row alone, which is
-    checked on a two-row stack.
+    The rule must pay each row of a stack as it pays that row alone
+    (checked on a two-row stack) and be permutation-invariant, since
+    eigenbases carry no outcome labels of their own (spot-checked on
+    stacks at n = 2 and 3).  Both checks run at construction.
     """
-    if check:
-        for d in (2, 3):
-            if not is_permutation_invariant(rule, d, rng=12345):
-                raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
     _require_row_wise(rule, 3)
+    for d in (2, 3):
+        if not is_permutation_invariant(rule, d, rng=12345):
+            raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
 
     def stack(reports):
         lam, V = _decompose(reports)
@@ -364,7 +364,7 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "", check: bool = Tru
 
 def log_spectral() -> QuantumScore:
     """Spectral log score; its expected self-score is von Neumann entropy negated."""
-    return spectral_score(log_rule(), name="spectral:log", check=False)
+    return spectral_score(log_rule(), name="spectral:log")
 
 
 def _full_rank(states) -> np.ndarray:
@@ -384,7 +384,7 @@ def log_det_score() -> QuantumScore:
             raise ValueError("log-det score requires a full-rank report")
         return lam.shape[-1] - np.sum(np.log(lam), axis=-1, keepdims=True) - 1.0 / lam
 
-    spectral = spectral_score(ClassicalScoringRule(values, name="log-det"), check=False)
+    spectral = spectral_score(ClassicalScoringRule(values, name="log-det"))
     return replace(spectral, name="ml:s2", domain=_full_rank)
 
 
@@ -445,7 +445,7 @@ def ml_scores() -> dict:
     are not extended-linear in the true state, so no measurement
     realizes them.
     """
-    s1 = spectral_score(log_rule(), name="ml:s1", check=False)
+    s1 = spectral_score(log_rule(), name="ml:s1")
     return {
         "s1": s1,
         "s2": log_det_score(),
@@ -480,23 +480,26 @@ def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
 # entropies
 
 
+_LOG = log_spectral()  # S, the spectral log score that defines both entropies
+
+
 def von_neumann_entropy(rho) -> float:
-    """H(rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
-    return -ext_inner(matrix_log(rho), rho)
+    """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
+    rho = as_density(rho)[None]
+    (self_score,) = _LOG.expected_stack(rho, rho)
+    return -float(self_score[0])
 
 
 def relative_entropy(rho, sigma) -> float:
-    """<log rho - log sigma, rho>, the divergence of the spectral log score.
+    """S(rho; rho) - S(sigma; rho) = <log rho - log sigma, rho>, the divergence of S.
 
     Nonnegative, zero only at rho == sigma, and +inf when rho puts mass
-    outside sigma's support (the cross term <log sigma, rho> is -inf).
-    Each state is validated once.
+    outside sigma's support (S(sigma; rho) is -inf).  Each state is
+    validated once, and both scores come from one stacked payoff.
     """
     rho, sigma = as_density(rho), as_density(sigma)
-    cross = ext_inner(_matrix_log(sigma), rho)
-    if cross == NEG_INF:
-        return float("inf")
-    return ext_inner(_matrix_log(rho), rho) - cross
+    (scores,) = _LOG.expected_stack(np.stack([rho, sigma]), np.stack([rho, rho]))
+    return float(scores[0] - scores[1])
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ class TestPermutationInvariance:
     def test_position_weighted_rule_is_not(self):
         from qelicit.classical import ClassicalScoringRule
 
-        biased = ClassicalScoringRule(lambda p: np.arange(len(p)) * p, name="biased")
+        biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
         assert not is_permutation_invariant(biased, 3, rng=16)
 
 

@@ -178,6 +178,11 @@ class TestSpectralDecompose:
         assert (lead.real > 0).all()
         assert np.array_equal(V, spectral_decompose(A.copy()).eigenvectors)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrix_is_named(self, shape):
+        with pytest.raises(ValueError, match=r"matrix is empty, got shape \(.*0, 0\)"):
+            spectral_decompose(np.zeros(shape))
+
 
 class TestRandomStates:
     def test_rank_one_is_pure(self, rng):

@@ -21,8 +21,10 @@ from qelicit.markets import (
 )
 from qelicit.measurement import canonical_complete
 from qelicit.scores import (
+    QuantumScore,
     binary_brier,
     expected_score,
+    fixed_meas_expression,
     fixed_measurement_score,
     log_spectral,
     von_neumann_entropy,
@@ -70,6 +72,41 @@ class TestWagering:
         rnd = WageringRound(reports, binary_brier(), random_density(2, rng=rng))
         with pytest.raises(ValueError, match="fixed"):
             wagering_payoffs(rnd)
+
+    def test_score_from_a_payoff_alone_wagers(self, rng):
+        # fixed_meas_expression has a per-report payoff and no stacked form
+        S = fixed_meas_expression(binary_brier(), canonical_complete(2))
+        reports = [random_density(2, rng=rng) for _ in range(3)]
+        truth = random_density(2, rng=rng)
+        rnd = WageringRound(reports, S, truth)
+        for mode, scores in (
+            ("expected", np.array([expected_score(S, r, truth) for r in reports])),
+            ("realized", np.array([S.score(r, 2) for r in reports])),
+        ):
+            pay = wagering_payoffs(rnd, mode=mode, outcome=2)
+            assert np.abs(pay - (scores - (scores.sum() - scores) / 2)).max() <= 1e-12
+            assert abs(pay.sum()) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["expected", "realized"])
+    def test_each_report_is_paid_once(self, rng, mode):
+        calls = []
+        base = fixed_brier(2)
+
+        def payoff(report):
+            calls.append(1)
+            return base.payoff(report)
+
+        reports = [random_density(2, rng=rng) for _ in range(4)]
+        rnd = WageringRound(reports, QuantumScore(payoff), random_density(2, rng=rng))
+        wagering_payoffs(rnd, mode=mode, rng=rng)
+        assert len(calls) == len(reports)
+
+    def test_reports_and_truth_share_one_dimension(self, rng):
+        rho2, rho3 = random_density(2, rng=rng), random_density(3, rng=rng)
+        with pytest.raises(ValueError, match="one dimension"):
+            WageringRound([rho2, rho3], fixed_brier(2), rho2)
+        with pytest.raises(ValueError, match="one dimension"):
+            WageringRound([rho2, rho2], fixed_brier(2), rho3)
 
     def test_needs_two_agents(self, rng):
         with pytest.raises(ValueError, match="two"):

@@ -249,7 +249,7 @@ class TestSpectralScore:
         from qelicit.classical import expected_classical
 
         rule = log_rule()
-        S = spectral_score(rule, check=False)
+        S = spectral_score(rule)
         lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
         tau = np.sort(rng.dirichlet(np.ones(4)))[::-1]
         quantum = expected_score(S, np.diag(lam).astype(complex), np.diag(tau).astype(complex))
@@ -259,7 +259,7 @@ class TestSpectralScore:
     def test_rejects_non_invariant_rule(self):
         from qelicit.classical import ClassicalScoringRule
 
-        biased = ClassicalScoringRule(lambda p: np.arange(len(p)) * p, name="biased")
+        biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
         with pytest.raises(ValueError, match="permutation"):
             spectral_score(biased)
 
@@ -296,6 +296,13 @@ class TestEntropies:
         assert ext_inner(matrix_log(sig), rho) == NEG_INF
         assert relative_entropy(rho, sig) == np.inf
 
+    @pytest.mark.parametrize("mass", [1.5e-12, 5e-12, 5e-11])
+    def test_small_mass_outside_the_support_diverges(self, mass):
+        # mass above the log rule's zero tolerance (1e-12) on sigma's kernel
+        # diverges; it never reads as a negative divergence
+        rho = np.diag([1.0 - mass, mass]).astype(complex)
+        assert relative_entropy(rho, np.diag([1.0, 0.0]).astype(complex)) == np.inf
+
     def test_log_spectral_divergence_is_relative_entropy(self, rng):
         S = log_spectral()
         for _ in range(20):
@@ -303,6 +310,28 @@ class TestEntropies:
             rep = random_density(3, rng=rng)
             gap = expected_score(S, rho, rho) - expected_score(S, rep, rho)
             assert gap == pytest.approx(relative_entropy(rho, rep), abs=1e-9)
+
+    def test_entropies_match_the_matrix_log_path(self):
+        # -<log rho, rho> and <log rho - log sigma, rho> through matrix_log and
+        # ext_inner, on 2,100 pairs of mixed ranks at n = 2..8: independent pairs
+        # (sigma rank-deficient mostly gives +inf) and sigma = (rho + tau) / 2,
+        # whose support holds rho's (finite, also when sigma is rank-deficient)
+        g = np.random.default_rng(2718)
+        infinite = 0
+        for n in range(2, 9):
+            for k in range(300):
+                rho, tau = (random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in range(2))
+                sigma = tau if k % 2 else hermitian_part((rho + tau) / 2)
+                log_rho = ext_inner(matrix_log(rho), rho)
+                cross = ext_inner(matrix_log(sigma), rho)
+                H, D = von_neumann_entropy(rho), relative_entropy(rho, sigma)
+                assert abs(H + log_rho) <= 1e-13 * max(1.0, abs(log_rho))
+                assert (D == np.inf) == (cross == NEG_INF)
+                if cross > NEG_INF:
+                    want = log_rho - cross
+                    assert abs(D - want) <= 1e-13 * max(1.0, abs(want))
+                infinite += D == np.inf
+        assert 300 < infinite < 1050
 
 
 class TestMlScores:

@@ -17,7 +17,7 @@ import pytest
 import qelicit
 from qelicit import reports, scores
 from qelicit.cli import main, run_verify
-from qelicit.extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot, ext_inner, matrix_log
+from qelicit.extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
 from qelicit.linalg import (
     as_hermitian,
     frob_dist,
@@ -86,7 +86,7 @@ class TestStackedMatchesScalar:
         g = np.random.default_rng(1000 + n)
         S = make_score(name, n)
         R = _reports(n, g)
-        if S.domain is not None:
+        if getattr(S, "domain", None) is not None:  # an ExpectedScoreFn has no domain
             R = R[S.domain(R)]
         # beliefs: random states, and the reports themselves (truthful self-scores)
         for B in (np.array([random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in R]), R):
@@ -146,7 +146,7 @@ class TestStackContracts:
         # right for one report, wrong for every row of a block
         rule = ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole-array")
         with pytest.raises(ValueError, match="whole-array.*each row"):
-            spectral_score(rule, check=False)
+            spectral_score(rule)
         with pytest.raises(ValueError, match="whole-array.*each row"):
             fixed_measurement_score(rule, canonical_complete(2))
 
@@ -268,7 +268,8 @@ def _ref_row(rng, dims, i, k, spare=False):
 
 
 def _in_domain(S, rho):
-    return S.domain is None or bool(S.domain(rho[None])[0])
+    # an ExpectedScoreFn has no domain
+    return getattr(S, "domain", None) is None or bool(S.domain(rho[None])[0])
 
 
 def _ref_density(G):
@@ -452,10 +453,26 @@ class TestValidationCounts:
         value = relative_entropy(rho, sigma)
         assert len(calls) == 2
         assert value == math.inf
+        L = log_spectral()
         for _ in range(5):
             rho, sigma = random_density(3, rank=2, rng=g), random_density(3, rng=g)
-            composed = -von_neumann_entropy(rho) - ext_inner(matrix_log(sigma), rho)
-            assert relative_entropy(rho, sigma) == composed
+            assert relative_entropy(rho, sigma) == L.expected(rho, rho) - L.expected(sigma, rho)
+
+    def test_entropies_are_the_log_scores_expected_values_bit_for_bit(self, monkeypatch):
+        # H(rho) = -S(rho; rho) and D(rho || sigma) = S(rho; rho) - S(sigma; rho)
+        # for the spectral log score S, from one validation per state
+        g = np.random.default_rng(14)
+        L = log_spectral()
+        calls = _count_as_density(monkeypatch)
+        for n in (2, 3, 4, 8):
+            for _ in range(10):
+                rho, sigma = (random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in range(2))
+                calls.clear()
+                H = von_neumann_entropy(rho)
+                assert len(calls) == 1
+                assert H == -L.expected(rho, rho)
+                want = L.expected(rho, rho) - L.expected(sigma, rho)
+                assert relative_entropy(rho, sigma) == want
 
 
 class TestMarketShapes:
