@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
-from .reports import ScoreReport, _classify, run_trials
+from .reports import ScoreReport, _check_dims, _classify, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -169,6 +169,25 @@ def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
     return _bregman_rule(G, dG, "from_convex")
 
 
+def _rule_values(rule: ClassicalScoringRule, P: np.ndarray) -> np.ndarray:
+    # the rule's payoffs for each row of P, one per outcome
+    values = np.asarray(rule.values(P), dtype=np.float64)
+    if values.shape != P.shape:
+        raise ValueError(f"rule {rule.name!r} must pay along the last axis: {values.shape} for {P.shape}")
+    return values
+
+
+def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
+    # A rule must pay each row of a stack as it pays that row alone: one that
+    # reduces over the whole array is right for one report and wrong for a block.
+    P = np.random.default_rng(12345).dirichlet(np.ones(m), size=2)
+    rows = _rule_values(rule, P)
+    alone = np.stack([_rule_values(rule, p) for p in P])
+    neg = rows == NEG_INF
+    if (neg != (alone == NEG_INF)).any() or (np.abs(rows[~neg] - alone[~neg]) > 1e-12).any():
+        raise ValueError(f"rule {rule.name!r} must pay each row of a stack as it pays that row alone")
+
+
 def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
     """Expected score of report q under belief p, in R u {-inf}."""
     q = np.asarray(q, dtype=np.float64)
@@ -221,10 +240,12 @@ def properness_check(
     Flags a truthful expected score that is not finite as
     ``irregular`` and expected-score gains above ``margin``; in strict
     mode also flags exact ties (within ``margin``) between distinct
-    reports.
+    reports.  Each side of a block of trials is paid in one call, so the
+    rule must pay each row of a stack as it pays that row alone.
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
+    _require_row_wise(rule, _check_dims((dim,))[0])
     report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
 
     def draw(dim, trials, rows, spare):
@@ -232,11 +253,10 @@ def properness_check(
         return D[:, 0], _sample_reports(D[:, 0], trials, D[:, 1], u, spare)
 
     def score(drawn):
-        # each block's beliefs cleaned once; the rule pays one report per call
+        # each block's beliefs cleaned once; the rule pays each side in one call
         beliefs, reports = drawn
         P = _clean_rows(beliefs)
-        pay = [np.array([rule.values(q) for q in Q], dtype=np.float64) for Q in (beliefs, reports)]
-        truthful, other = (ext_dot(P, V, zero_tol=EXT_WEIGHT_TOL) for V in pay)
+        truthful, other = (ext_dot(P, _rule_values(rule, Q), zero_tol=EXT_WEIGHT_TOL) for Q in (beliefs, reports))
         distinct = np.linalg.norm(beliefs - reports, axis=1) > distinct_tol
         return _classify(truthful, other, distinct, margin, mode == "strict")
 
@@ -246,14 +266,16 @@ def properness_check(
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:
     """Check s(p, y) == s(p relabeled, y relabeled) for all y on random samples.
 
-    The rule must work along the last axis: the ``trials`` samples are
-    paid as one (trials, dim) stack, then relabeled and paid again.
+    The ``trials`` samples are paid as one (trials, dim) stack, then
+    relabeled and paid again, so the rule must pay each row of a stack
+    as it pays that row alone.
     """
+    _require_row_wise(rule, dim)
     rng = np.random.default_rng(rng)
     P = rng.dirichlet(np.ones(dim), trials)
     perm = np.argsort(rng.random((trials, dim)), axis=-1)
-    a = np.asarray(rule.values(P), dtype=np.float64)
-    b = np.asarray(rule.values(np.take_along_axis(P, perm, -1)), dtype=np.float64)
+    a = _rule_values(rule, P)
+    b = _rule_values(rule, np.take_along_axis(P, perm, -1))
     b = np.take_along_axis(b, np.argsort(perm, axis=-1), -1)
     neg = (a == NEG_INF) | (b == NEG_INF)
     return not ((a[neg] != b[neg]).any() or (np.abs(a[~neg] - b[~neg]) > 1e-10).any())

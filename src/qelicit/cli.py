@@ -2,11 +2,12 @@
 
 Subcommands: verify, paper-examples, measure, market-sim, witness.  This
 module only parses arguments, reads and writes files and formats output:
-``registry.run_verify`` runs the checks and compares the verdicts, and
-``linalg.read_wire`` reads the measurement and market-scenario wire
-JSON.  Exit codes: 0 when every observed verdict matches its
-expectation, 1 on a verdict mismatch, 2 on usage or IO errors.  Output
-is deterministic JSON for a fixed seed and configuration.
+``registry.run_verify`` and ``registry.run_witness`` run the checks and
+compare the verdicts, and ``linalg.read_wire`` reads the measurement and
+market-scenario wire JSON.  Exit codes: 0 when every observed verdict
+matches its expectation, 1 on a verdict mismatch, 2 on usage or IO
+errors, a non-finite number in a JSON report among them.  Output is
+deterministic JSON for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .measurement import (
     sample_outcomes,
     standard_pvm,
 )
-from .properties import find_level_set_witness, level_set_witness
-from .registry import PROPERTY_REGISTRY, make_property, run_verify
-from .reports import _check_dims, json_safe
+from .properties import level_set_witness
+from .registry import make_property, run_verify, run_witness
 from .scores import binary_brier, expected_score, ml_scores
 
 __all__ = ["main", "example_mixture_state", "paper_example_rows", "run_verify"]
@@ -97,8 +97,8 @@ def paper_example_rows(tol: float = 1e-12) -> list:
     return [{"name": n, "expected": e, "observed": o, "pass": bool(ok)} for n, e, o, ok in rows]
 
 
-def _dump(obj, out: str | None, csv_rows: list | None = None, strict: bool = False) -> None:
-    """Write a JSON report (walked through ``json_safe`` unless already ``strict``), or a CSV table for a .csv --out."""
+def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
+    """Write a strict JSON report (a non-finite float is a ValueError), or a CSV table for a .csv --out."""
     if out and out.endswith(".csv") and csv_rows is not None:
         import csv
 
@@ -108,7 +108,7 @@ def _dump(obj, out: str | None, csv_rows: list | None = None, strict: bool = Fal
                 writer.writerow(csv_rows[0].keys())
                 writer.writerows(row.values() for row in csv_rows)
         return
-    text = json.dumps(obj if strict else json_safe(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> int:
         args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides),
         profile=sys.stderr if args.profile else None,
     )
-    _dump(report, args.out, strict=True)
+    _dump(report, args.out)
     return 0 if report["as_expected"] else 1
 
 
@@ -232,25 +232,9 @@ def _cmd_market(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    dims = _check_dims(_parse_dims(args.dims))
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    prop = make_property(args.property, dims[0])
-    found = find_level_set_witness(
-        prop, dims[0], probes=args.trials, rng=np.random.default_rng(args.seed)
-    )
-    elicitable = PROPERTY_REGISTRY[args.property]["elicitable"]
-    report = {
-        "property": args.property,
-        "dim": dims[0],
-        "probes": args.trials,
-        "seed": args.seed,
-        "expected_elicitable": elicitable,
-        "witness": found.to_json() if found else None,
-    }
+    report = run_witness(args.property, _parse_dims(args.dims), args.trials, args.seed)
     _dump(report, args.out)
-    # a counterexample is expected exactly when the property is not elicitable
-    return 0 if (found is None) == elicitable else 1
+    return 0 if report["as_expected"] else 1
 
 
 @functools.cache  # one parser per process: building one costs about 1 ms

@@ -83,11 +83,17 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
     return float(total) if total.ndim == 0 else total
 
 
+def _range_split(B):
+    # the eigenvectors of a Hermitian PSD matrix B and the mask of those spanning its
+    # range, eigenvalues above ZERO_EIG_REL * max(trace, 1); the kernel is the rest
+    w, V = np.linalg.eigh(B)
+    return V, w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)
+
+
 def range_projector(B) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix (eigenvalues above ZERO_EIG_REL * max(trace, 1))."""
-    B = as_hermitian(B)
-    w, V = np.linalg.eigh(B)
-    cols = V[:, w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)]
+    V, on = _range_split(as_hermitian(B))
+    cols = V[:, on]
     return hermitian_part(cols @ cols.conj().T)
 
 
@@ -116,25 +122,11 @@ class ExtendedHermitian:
 
     @classmethod
     def wrap(cls, A) -> "ExtendedHermitian":
-        """Purely finite extended matrix (infinite part zero)."""
+        """Purely finite extended matrix (infinite part zero); an extended one is returned as it is."""
+        if isinstance(A, cls):
+            return A
         A = np.asarray(A, dtype=np.complex128)
         return cls(A, np.zeros_like(A))
-
-    @classmethod
-    def from_parts(cls, A, B) -> "ExtendedHermitian":
-        """Build from a raw finite part, compressing it onto ker(B).
-
-        The finite part is replaced by (I - P) A (I - P) with P the
-        projector onto range(B); this keeps it Hermitian and enforces
-        A B = 0 without changing the induced functional on states that
-        assign the infinite part zero mass.
-        """
-        A = as_hermitian(A)
-        B = as_hermitian(B)
-        if float(np.abs(B).max()) == 0.0:
-            return cls(A, np.zeros_like(A))
-        comp = np.eye(A.shape[0]) - range_projector(B)
-        return cls(hermitian_part(comp @ A @ comp), B)
 
     @property
     def dim(self) -> int:
@@ -213,16 +205,21 @@ def _log_parts(states):
 def _collapse(elements, weights) -> ExtendedHermitian:
     """sum_i weights_i * elements_i for an (m, n, n) stack of PSD matrices.
 
-    Elements with a -inf weight sum into the infinite part; +inf weights
-    are rejected.
+    Elements with a -inf weight sum into the infinite part B (+inf
+    weights are rejected), and the finite part A is compressed to
+    (I - P) A (I - P), P the projector onto range(B): A B = 0, and the
+    value on states that give B zero mass is unchanged.
     """
     w = np.asarray(weights, dtype=np.float64)
     if np.isposinf(w).any():
         raise ValueError("+inf weights are not allowed")
     neg = np.isneginf(w)
-    finite = np.tensordot(np.where(neg, 0.0, w), elements, axes=1)
-    infinite = elements[neg].sum(axis=0)
-    return ExtendedHermitian.from_parts(hermitian_part(finite), hermitian_part(infinite))
+    A = hermitian_part(np.tensordot(np.where(neg, 0.0, w), elements, axes=1))
+    B = hermitian_part(elements[neg].sum(axis=0))
+    if B.any():
+        comp = np.eye(len(A)) - range_projector(B)
+        A = hermitian_part(comp @ A @ comp)
+    return ExtendedHermitian(A, B)
 
 
 def canonicalize_extended(pairs) -> ExtendedHermitian:

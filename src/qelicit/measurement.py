@@ -138,23 +138,16 @@ def apply_measurement(mu: Measurement, rho) -> np.ndarray:
     return mu._probs(rho[None])[0]
 
 
-def _inverse_cdf(cum: np.ndarray, u):
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1)
-
-
 def sample_outcome(mu: Measurement, rho, rng=None) -> int:
-    """Draw one outcome by inverse-CDF sampling of the outcome distribution."""
-    rng = np.random.default_rng(rng)
-    p = apply_measurement(mu, rho)
-    return int(_inverse_cdf(np.cumsum(p), rng.random()))
+    """Draw one outcome: the single draw of ``sample_outcomes``."""
+    return int(sample_outcomes(mu, rho, 1, rng)[0])
 
 
 def sample_outcomes(mu: Measurement, rho, size: int, rng=None) -> np.ndarray:
     """Vectorized inverse-CDF sampling of many outcomes at once."""
-    rng = np.random.default_rng(rng)
-    p = apply_measurement(mu, rho)
-    return _inverse_cdf(np.cumsum(p), rng.random(size)).astype(np.int64)
+    cum = np.cumsum(apply_measurement(mu, rho))
+    idx = np.searchsorted(cum, np.random.default_rng(rng).random(size), side="right")
+    return np.minimum(idx, len(cum) - 1).astype(np.int64)
 
 
 def basis_pvm(U) -> Measurement:

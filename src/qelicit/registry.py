@@ -1,9 +1,9 @@
 """Named registries of scores and properties for the CLI and test harness.
 
-Each score entry records the verdicts its checks are expected to
-produce, and ``run_verify`` runs the checks and compares, so the
-verification command can distinguish "this score fails truthfulness, as
-it should" from a genuine regression.
+Each entry records the verdicts its checks are expected to produce, and
+``run_verify`` (scores) and ``run_witness`` (properties) run the checks
+and compare, so the CLI can tell "this score fails truthfulness, as it
+should" from a genuine regression.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .classical import brier_rule, log_rule
 from .linalg import eigenvalues_desc, hs_inner, spectral_decompose
 from .measurement import canonical_complete
-from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, top_eigenvector_score, top_k_eigenvector_score
+from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims
 from .scores import (
     DISTINCT_TOL,
@@ -37,7 +37,7 @@ from .scores import (
     von_neumann_entropy,
 )
 
-__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "run_verify", "PROPERTY_REGISTRY", "make_property"]
+__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "run_verify", "PROPERTY_REGISTRY", "make_property", "run_witness"]
 
 
 @dataclass(frozen=True)
@@ -264,3 +264,28 @@ def make_property(name: str, dim: int) -> QuantumProperty:
     if entry["property"] is None:
         raise KeyError(f"property {name!r} has no level-set evaluator (score-only entry)")
     return entry["property"](dim)
+
+
+def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
+    """Search one registry property for a level-set counterexample and compare with its verdict.
+
+    The search probes the first of ``dims`` (each at least 2) ``trials``
+    times, seeded by ``seed``.  A counterexample is expected exactly when
+    the property is not elicitable; ``as_expected`` says whether the
+    search agreed.
+    """
+    dims = _check_dims(dims)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    prop = make_property(property_name, dims[0])
+    found = find_level_set_witness(prop, dims[0], probes=trials, rng=np.random.default_rng(seed))
+    elicitable = PROPERTY_REGISTRY[property_name]["elicitable"]
+    return {
+        "property": property_name,
+        "dim": dims[0],
+        "probes": trials,
+        "seed": seed,
+        "expected_elicitable": elicitable,
+        "witness": found.to_json() if found else None,
+        "as_expected": (found is None) == elicitable,
+    }

@@ -25,6 +25,8 @@ from .classical import (
     _bregman_rule,
     _check_convex,
     _clean_rows,
+    _require_row_wise,
+    _rule_values,
     brier_rule,
     is_permutation_invariant,
     log_rule,
@@ -35,11 +37,11 @@ from .extended import (
     ExtendedHermitian,
     _collapse,
     _log_parts,
+    _range_split,
     ext_dot,
     ext_inner,
 )
 from .linalg import (
-    ZERO_EIG_REL,
     as_density,
     hermitian_part,
     matrix_to_json,
@@ -185,25 +187,6 @@ def _pair(outcomes, values, states) -> np.ndarray:
     return ext_dot(outcomes._probs(states), values, zero_tol=EXT_WEIGHT_TOL)
 
 
-def _rule_values(rule: ClassicalScoringRule, P: np.ndarray) -> np.ndarray:
-    # the rule's payoffs for each row of P, one per outcome
-    values = np.asarray(rule.values(P), dtype=np.float64)
-    if values.shape != P.shape:
-        raise ValueError(f"rule {rule.name!r} must pay along the last axis: {values.shape} for {P.shape}")
-    return values
-
-
-def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
-    # A rule must pay each row of a stack as it pays that row alone: one that
-    # reduces over the whole array is right for one report and wrong for a block.
-    P = np.random.default_rng(12345).dirichlet(np.ones(m), size=2)
-    rows = _rule_values(rule, P)
-    alone = np.stack([_rule_values(rule, p) for p in P])
-    neg = rows == NEG_INF
-    if (neg != (alone == NEG_INF)).any() or (np.abs(rows[~neg] - alone[~neg]) > 1e-12).any():
-        raise ValueError(f"rule {rule.name!r} must pay each row of a stack as it pays that row alone")
-
-
 def _hs_rows(A, B) -> np.ndarray:
     # Re <A_k, B_k> for two (N, n, n) stacks: the real and imaginary parts
     # of each matrix side by side, dotted
@@ -345,12 +328,11 @@ def projective_brier() -> QuantumScore:
 def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
     """Measure in the report's eigenbasis, scoring eigenvalues classically.
 
-    The rule must pay each row of a stack as it pays that row alone
-    (checked on a two-row stack) and be permutation-invariant, since
-    eigenbases carry no outcome labels of their own (spot-checked on
-    stacks at n = 2 and 3).  Both checks run at construction.
+    The rule must pay each row of a stack as it pays that row alone and
+    be permutation-invariant, since eigenbases carry no outcome labels of
+    their own; ``is_permutation_invariant`` checks both on stacks at
+    n = 2 and 3, at construction.
     """
-    _require_row_wise(rule, 3)
     for d in (2, 3):
         if not is_permutation_invariant(rule, d, rng=12345):
             raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
@@ -465,9 +447,7 @@ def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
 
     def payoff(rho_p):
         rho_p = as_density(rho_p)
-        d = dF(rho_p)
-        if not isinstance(d, ExtendedHermitian):
-            d = ExtendedHermitian.wrap(d)
+        d = ExtendedHermitian.wrap(dF(rho_p))
         anchor = ext_inner(d, rho_p)
         if anchor == NEG_INF:
             raise ValueError("subgradient selection is -inf at its own base point")
@@ -509,9 +489,8 @@ def relative_entropy(rho, sigma) -> float:
 def _projective(E: ExtendedHermitian):
     # Eigenbasis measurement of E paired with its eigenvalues as payoffs: the
     # finite ones on the infinite part's kernel (descending), -inf on its range
-    B = E.infinite_part
-    w, V = np.linalg.eigh(B)
-    inf = (w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)) & (not E.is_finite())
+    V, on = _range_split(E.infinite_part)
+    inf = on & (not E.is_finite())
     Q = V[:, ~inf]
     vals, W = np.empty(0), Q.T @ Q  # an E that is -inf everywhere has no finite part
     if Q.size:
@@ -784,9 +763,7 @@ def subgradient_inequality_check(
     def score(drawn):
         gaps, invalid = np.empty(len(drawn[0])), np.zeros(len(drawn[0]), dtype=bool)
         for j, (rho, base) in enumerate(zip(*drawn)):
-            d = dF(base)
-            if not isinstance(d, ExtendedHermitian):
-                d = ExtendedHermitian.wrap(d)
+            d = ExtendedHermitian.wrap(dF(base))
             try:
                 pairing = ext_inner(d, hermitian_part(rho - base))
             except ValueError:

@@ -149,7 +149,7 @@ class TestPropernessCheck:
     def test_constant_rule_passes_weak_fails_strict(self):
         from qelicit.classical import ClassicalScoringRule
 
-        const = ClassicalScoringRule(lambda p: np.ones(len(p)), name="const")
+        const = ClassicalScoringRule(lambda p: np.ones(np.shape(p)), name="const")
         assert properness_check(const, 300, 3, rng=10, mode="weak").passed
         strict = properness_check(const, 300, 3, rng=10, mode="strict")
         assert not strict.passed
@@ -159,7 +159,7 @@ class TestPropernessCheck:
         # a rule paying -inf everywhere has no finite truthful score to beat
         from qelicit.classical import ClassicalScoringRule
 
-        doomed = ClassicalScoringRule(lambda p: np.full(len(p), NEG_INF), name="doomed")
+        doomed = ClassicalScoringRule(lambda p: np.full(np.shape(p), NEG_INF), name="doomed")
         report = properness_check(doomed, 200, 3, rng=1, mode="strict")
         assert not report.passed
         assert report.kind_counts == {"irregular": 200}
@@ -172,9 +172,8 @@ class TestPropernessCheck:
         # on the same draws must give the same gaps, kinds and values, bit for bit
         rule = {
             "brier": brier_rule(), "log": log_rule(), "linear": linear_rule(),
-            # these two pay one report per call only
-            "const": ClassicalScoringRule(lambda p: np.ones(len(p)), name="const"),
-            "doomed": ClassicalScoringRule(lambda p: np.full(len(p), NEG_INF), name="doomed"),
+            "const": ClassicalScoringRule(lambda p: np.ones(np.shape(p)), name="const"),
+            "doomed": ClassicalScoringRule(lambda p: np.full(np.shape(p), NEG_INF), name="doomed"),
         }[name]
 
         def reference(drawn):
@@ -235,6 +234,27 @@ class TestPermutationInvariance:
 
         biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
         assert not is_permutation_invariant(biased, 3, rng=16)
+
+
+class TestRuleContract:
+    # a rule pays along the last axis; one that takes a single report is refused by name
+    ONE_D = ClassicalScoringRule(lambda p: np.ones(len(p)), name="one-d")
+
+    @pytest.mark.parametrize("mode", ["weak", "strict"])
+    def test_properness_check_refuses_a_one_report_rule(self, mode):
+        with pytest.raises(ValueError, match="rule 'one-d' must pay along the last axis"):
+            properness_check(self.ONE_D, 50, 3, rng=1, mode=mode)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_permutation_check_refuses_a_one_report_rule(self, dim):
+        with pytest.raises(ValueError, match="rule 'one-d' must pay along the last axis"):
+            is_permutation_invariant(self.ONE_D, dim, rng=1)
+
+    def test_rule_reducing_over_the_whole_array_is_refused(self):
+        rule = ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole-array")
+        for check in (lambda: properness_check(rule, 50, 3, rng=1), lambda: is_permutation_invariant(rule, 3)):
+            with pytest.raises(ValueError, match="rule 'whole-array' must pay each row"):
+                check()
 
 
 def test_shannon_entropy_basics():

@@ -12,7 +12,8 @@ from qelicit import cli
 from qelicit.cli import example_mixture_state, main, paper_example_rows, run_verify
 from qelicit.linalg import matrix_to_json, random_density, random_hermitian
 from qelicit.measurement import standard_pvm
-from qelicit.registry import make_score
+from qelicit.properties import find_level_set_witness
+from qelicit.registry import make_property, make_score, run_witness
 from qelicit.reports import json_safe
 from qelicit.scores import QuantumScore, equivalence_check, log_spectral, projective_brier, truthfulness_check
 
@@ -394,6 +395,60 @@ class TestWitness:
         assert code == 2
         assert "--dims" in err and "'3.5'" in err
         assert out == ""
+
+
+class TestRunWitness:
+    @pytest.mark.parametrize("name, dim, trials, found", [("entropy", 3, 100, True), ("expectation", 2, 50, False)])
+    def test_verdict_is_compared_with_the_registry(self, name, dim, trials, found):
+        report = run_witness(name, [dim], trials, 2)
+        assert (report["witness"] is not None) == found
+        assert report["expected_elicitable"] == (not found)
+        assert report["as_expected"] is True
+
+    def test_a_claimed_verdict_that_the_search_contradicts_is_not_as_expected(self, monkeypatch):
+        monkeypatch.setitem(qelicit.registry.PROPERTY_REGISTRY, "entropy",
+                            {**qelicit.registry.PROPERTY_REGISTRY["entropy"], "elicitable": True})
+        report = run_witness("entropy", [3], 100, 2)
+        assert report["witness"] is not None and report["as_expected"] is False
+
+    def test_unknown_property_names_the_known_ones(self):
+        with pytest.raises(KeyError, match="unknown property 'nope'; known properties: abstain, eig-pair"):
+            run_witness("nope", [2], 5, 0)
+
+    @pytest.mark.parametrize("dims", [[1], [0], [2, -1], []])
+    def test_dimension_below_two_is_refused(self, dims):
+        with pytest.raises(ValueError, match="dimension at least 2"):
+            run_witness("entropy", dims, 5, 0)
+
+    @pytest.mark.parametrize("name, dim, trials, seed, elicitable", [
+        ("entropy", 3, 100, 2, False), ("expectation", 2, 50, 2, True), ("max-eigenvalue", 2, 30, 5, False),
+    ])
+    def test_stdout_is_the_search_and_its_verdict(self, capsys, name, dim, trials, seed, elicitable):
+        # the search's report, rebuilt from find_level_set_witness, plus its verdict
+        code, out, _ = run_cli(capsys, "witness", "--property", name, "--dims", str(dim),
+                               "--trials", str(trials), "--seed", str(seed))
+        found = find_level_set_witness(make_property(name, dim), dim, probes=trials, rng=np.random.default_rng(seed))
+        assert (found is None) == elicitable
+        want = {"property": name, "dim": dim, "probes": trials, "seed": seed, "expected_elicitable": elicitable,
+                "witness": found.to_json() if found else None}
+        assert code == 0
+        assert out == json.dumps({**want, "as_expected": True}, indent=2, sort_keys=True) + "\n"
+
+    def test_contradicted_verdict_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_witness", lambda *args, **kwargs: {"as_expected": False})
+        code, out, _ = run_cli(capsys, "witness", "--property", "entropy")
+        assert code == 1 and json.loads(out) == {"as_expected": False}
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_in_a_report_exits_two(self, capsys, monkeypatch, tmp_path, value):
+        monkeypatch.setattr(cli, "run_witness", lambda *args, **kwargs: {"as_expected": True, "gap": value})
+        code, out, err = run_cli(capsys, "witness", "--property", "entropy")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "JSON" in err
+        path = tmp_path / "w.json"
+        code, out, err = run_cli(capsys, "witness", "--property", "entropy", "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert not path.exists()
 
 
 def test_verify_report_schema(capsys, tmp_path):

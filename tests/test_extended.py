@@ -107,6 +107,14 @@ class TestExtInner:
         X = random_density(3, rng=rng)
         assert ext_inner(E, X) == pytest.approx(hs_inner(A, X), abs=1e-12)
 
+    def test_wrap_returns_an_extended_matrix_as_it_is(self, rng):
+        E = matrix_log(random_density(3, rank=2, rng=rng))
+        assert ExtendedHermitian.wrap(E) is E
+        A = random_density(3, rng=rng)
+        W = ExtendedHermitian.wrap(A)
+        assert ExtendedHermitian.wrap(W) is W
+        assert np.array_equal(W.finite_part, A) and not W.infinite_part.any()
+
     def test_kernel_overlap_gives_neg_inf(self, rng):
         x = random_pure(3, rng=rng)
         y = random_pure(3, rng=rng)

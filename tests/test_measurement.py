@@ -90,6 +90,24 @@ class TestSampling:
         p = 1 / 6
         assert abs(freq - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
+    # pinned draws of sample_outcome on random_density(n, rng=n) in canonical_complete(n):
+    # by seed 0..11, then 12 from one generator seeded 100 + n
+    PINNED = {
+        2: ([2, 2, 1, 0, 3, 3, 2, 2, 1, 3, 3, 0], [0, 2, 3, 1, 2, 2, 3, 2, 3, 1, 0, 1]),
+        3: ([5, 4, 0, 0, 7, 6, 4, 4, 2, 6, 7, 0], [2, 0, 0, 6, 6, 0, 1, 5, 5, 3, 3, 6]),
+        5: ([15, 13, 6, 2, 23, 20, 13, 15, 7, 22, 24, 3], [15, 24, 2, 12, 9, 5, 23, 13, 15, 7, 13, 19]),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_single_draw_is_pinned(self, n):
+        rho, mu = random_density(n, rng=n), canonical_complete(n)
+        by_seed, shared = self.PINNED[n]
+        assert [sample_outcome(mu, rho, rng=s) for s in range(12)] == by_seed
+        assert [int(sample_outcomes(mu, rho, 1, rng=s)[0]) for s in range(12)] == by_seed
+        g = np.random.default_rng(100 + n)
+        draws = [sample_outcome(mu, rho, rng=g) for _ in range(12)]
+        assert draws == shared and all(type(y) is int for y in draws)
+
     def test_golden_sequence(self, rho_example):
         seq = sample_outcomes(standard_pvm(2), rho_example, 20, rng=np.random.default_rng(123))
         assert seq.tolist() == [1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
