@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
+from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, ext_dot
 from .reports import ScoreReport, _check_dims, _classify, run_trials
 
 __all__ = [
@@ -38,6 +38,12 @@ PROB_CLIP = 1e-12        # negative entries in [-PROB_CLIP, 0) are clipped to 0
 PROB_ZERO_TOL = 1e-12    # probabilities at or below this count as zero
 PROPERNESS_MARGIN = 1e-9
 DISTINCT_TOL = 1e-6      # reports farther apart than this count as distinct
+
+
+def _near_tie(d) -> np.ndarray:
+    # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
+    # tie within margin for quadratic scores; samplers redraw them
+    return (DISTINCT_TOL < d) & (d < 1e-4)
 
 
 def clean_probs(p) -> np.ndarray:
@@ -183,8 +189,7 @@ def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
     P = np.random.default_rng(12345).dirichlet(np.ones(m), size=2)
     rows = _rule_values(rule, P)
     alone = np.stack([_rule_values(rule, p) for p in P])
-    neg = rows == NEG_INF
-    if (neg != (alone == NEG_INF)).any() or (np.abs(rows[~neg] - alone[~neg]) > 1e-12).any():
+    if (_ext_gap(rows, alone) > 1e-12).any():
         raise ValueError(f"rule {rule.name!r} must pay each row of a stack as it pays that row alone")
 
 
@@ -213,10 +218,7 @@ def _sample_reports(p, trials, fresh, u, spare):
     relabeled = np.take_along_axis(p, np.argsort(u[:, :dim], axis=1), axis=1)
     blended = lam * p + (1.0 - lam) * vertex
     q = np.select([strategy == 1, strategy == 2, strategy == 3], [vertex, relabeled, blended], fresh)
-    # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
-    # tie within margin for quadratic scores; sample clear of that window
-    d = np.linalg.norm(p - q, axis=1)
-    near = (DISTINCT_TOL < d) & (d < 1e-4) & (strategy[:, 0] != 1)
+    near = _near_tie(np.linalg.norm(p - q, axis=1)) & (strategy[:, 0] != 1)
     if near.any():  # the fresh report of the spare row
         q[near] = spare()[0][near, 1]
     return q
@@ -277,12 +279,10 @@ def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int =
     a = _rule_values(rule, P)
     b = _rule_values(rule, np.take_along_axis(P, perm, -1))
     b = np.take_along_axis(b, np.argsort(perm, axis=-1), -1)
-    neg = (a == NEG_INF) | (b == NEG_INF)
-    return not ((a[neg] != b[neg]).any() or (np.abs(a[~neg] - b[~neg]) > 1e-10).any())
+    return not (_ext_gap(a, b) > 1e-10).any()
 
 
 def shannon_entropy(p) -> float:
-    """Shannon entropy (natural log) with the 0 log 0 = 0 convention."""
+    """H(p) = -<p, log p>, the log rule's self-score negated; mass at or below 1e-12 contributes nothing."""
     q = clean_probs(p)
-    pos = q > 0
-    return float(-(q[pos] @ np.log(q[pos])))
+    return 0.0 - ext_dot(q, log_rule().values(q), zero_tol=EXT_WEIGHT_TOL)

@@ -43,7 +43,7 @@ def example_mixture_state() -> np.ndarray:
     return hermitian_part(np.outer(plus, plus.conj()) / 3.0 + 2.0 * np.outer(one, one.conj()) / 3.0)
 
 
-def paper_example_rows(tol: float = 1e-12) -> list:
+def paper_example_rows() -> list:
     """Golden rows reproducing the worked examples; all must pass on a clean build."""
     rho = example_mixture_state()
     rows = []  # (name, expected, observed, pass)
@@ -52,7 +52,7 @@ def paper_example_rows(tol: float = 1e-12) -> list:
         ("hadamard", hadamard_pvm(), [2.0 / 3.0, 1.0 / 3.0]),
     ):
         p = apply_measurement(mu, rho)
-        rows.append((f"{name}-basis-probabilities", want, p.tolist(), np.abs(p - want).max() <= tol))
+        rows.append((f"{name}-basis-probabilities", want, p.tolist(), np.abs(p - want).max() <= 1e-12))
 
     # two states with the same spectrum whose mixture has another one
     rho1 = np.diag([0.25, 0.75]).astype(complex)

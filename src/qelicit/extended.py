@@ -83,6 +83,12 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
     return float(total) if total.ndim == 0 else total
 
 
+def _ext_gap(a, b) -> np.ndarray:
+    # |a - b| over R u {-inf}: 0 where both are -inf, inf where only one is
+    with np.errstate(invalid="ignore"):
+        return np.where((a == NEG_INF) | (b == NEG_INF), np.where(a == b, 0.0, np.inf), np.abs(a - b))
+
+
 def _range_split(B):
     # the eigenvectors of a Hermitian PSD matrix B and the mask of those spanning its
     # range, eigenvalues above ZERO_EIG_REL * max(trace, 1); the kernel is the rest

@@ -173,10 +173,6 @@ class _Bases:
     def __init__(self, bases: np.ndarray):
         self.bases = bases
 
-    @property
-    def dim(self) -> int:
-        return self.bases.shape[-1]
-
     def _probs(self, states: np.ndarray) -> np.ndarray:
         U = self.bases
         return _clean_rows((U.conj() * (states @ U)).real.sum(axis=-2))

@@ -291,7 +291,10 @@ class WitnessResult:
 
     def to_json(self) -> dict:
         def val(v):
+            # a complex value as its parts, as the matrix wire format writes them
             arr = np.asarray(v)
+            if np.iscomplexobj(arr):
+                return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
             return arr.tolist() if arr.ndim else float(arr)
 
         return {
@@ -320,6 +323,8 @@ def level_set_witness(prop: QuantumProperty, rho1, rho2, t: float = 0.5) -> Witn
         raise ValueError(f"t must be a mixing weight in [0, 1], got {t!r}")
     rho1 = as_density(rho1)
     rho2 = as_density(rho2)
+    if rho1.shape != rho2.shape:
+        raise ValueError(f"dimension mismatch: rho1 {rho1.shape[0]}, rho2 {rho2.shape[0]}")
     mix = hermitian_part(t * rho1 + (1.0 - t) * rho2)
     r1 = prop.eval(rho1)
     r2 = prop.eval(rho2)
@@ -404,18 +409,19 @@ def _orthonormalize_plain(X) -> np.ndarray:
     return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
 
 
-def _ascend(X0, grad, value, iters: int, step: float = 0.5, max_step: float = 64.0):
+def _ascend(X0, grad, value, iters: int):
     """Monotone ascent of every restart in the stack X0 (R, n, k) at once.
 
     grad maps frames (m, n, k) to ascent directions of the same shape and
-    value maps them to (m,).  Each restart keeps its own step, which
-    doubles on success (near-degenerate spectra need the large steps to
-    converge past linear-rate stalls) and halves on failure.  Every pass
-    tries one step for each live restart; a restart retires when its
-    step falls below 1e-12 or after ``iters`` accepted steps.
+    value maps them to (m,).  Each restart keeps its own step, from 0.5,
+    which doubles on success up to 64 (near-degenerate spectra need the
+    large steps to converge past linear-rate stalls) and halves on
+    failure.  Every pass tries one step for each live restart; a restart
+    retires when its step falls below 1e-12 or after ``iters`` accepted
+    steps.
     """
     X, best = X0.copy(), value(X0)
-    s = np.full(len(X), step)
+    s = np.full(len(X), 0.5)
     taken = np.zeros(len(X), dtype=int)
     G = grad(X)
     live = np.arange(len(X) if iters > 0 else 0)
@@ -425,7 +431,7 @@ def _ascend(X0, grad, value, iters: int, step: float = 0.5, max_step: float = 64
         up = vn > best[live] + 1e-15
         won, lost = live[up], live[~up]
         X[won], best[won] = Xn[up], vn[up]
-        s[won] = np.minimum(s[won] * 2.0, max_step)
+        s[won] = np.minimum(s[won] * 2.0, 64.0)
         taken[won] += 1
         s[lost] *= 0.5
         live = live[np.where(up, taken[live] < iters, s[live] >= 1e-12)]

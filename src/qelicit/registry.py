@@ -190,18 +190,11 @@ def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
     )
 
 
-def _top_eigenvector_property() -> QuantumProperty:
-    def evaluate(rho):
-        return spectral_decompose(rho).eigenvectors[:, 0]
-
-    return QuantumProperty(evaluate, name="eigvec-top")
-
-
 # Factories keyed by CLI name.  Entries are (property factory, score factory);
 # either side may be None when the registry only exposes one of the two.
 PROPERTY_REGISTRY: dict[str, dict] = {
     "eigvec-top": {
-        "property": lambda dim: _top_eigenvector_property(),
+        "property": lambda dim: QuantumProperty(lambda rho: spectral_decompose(rho).eigenvectors[:, 0], name="eigvec-top"),
         "score": lambda dim: top_eigenvector_score(),
         "elicitable": True,
     },

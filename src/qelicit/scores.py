@@ -25,6 +25,7 @@ from .classical import (
     _bregman_rule,
     _check_convex,
     _clean_rows,
+    _near_tie,
     _require_row_wise,
     _rule_values,
     brier_rule,
@@ -36,6 +37,7 @@ from .extended import (
     NEG_INF,
     ExtendedHermitian,
     _collapse,
+    _ext_gap,
     _log_parts,
     _range_split,
     ext_dot,
@@ -112,8 +114,9 @@ class QuantumScore:
     to the stacked measurement and the (N, m) payoffs, and ``payoff`` is
     its N = 1 call on a validated report.  The stacked measurement is
     never an (N, m, n, n) array: a fixed POVM is shared, an eigenbasis
-    measurement is its bases.  A score built from ``payoff`` alone is
-    stacked by calling it once per report.
+    measurement is its bases.  It answers ``_probs(states)``, the (N, m)
+    outcome distributions, and ``_at(k)``, report k's POVM.  A score
+    built from ``payoff`` alone is stacked by calling it once per report.
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
@@ -129,10 +132,12 @@ class QuantumScore:
 
     def expected(self, report, rho) -> float:
         """Expected payoff of ``report`` under belief ``rho``, from one payoff evaluation."""
-        outcomes, values = self._stacked([report] if self.stack is None else as_density(report)[None])
+        reports = [report] if self.stack is None else as_density(report)[None]
+        outcomes, values = self._stacked(reports)
         rho = as_density(rho)
-        if rho.shape[0] != outcomes.dim:
-            raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {outcomes.dim}")
+        dim = outcomes._at(0).dim if self.stack is None else reports.shape[-1]
+        if rho.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {dim}")
         return float(_pair(outcomes, values, rho[None])[0])
 
     def expected_stack(self, reports, *beliefs) -> list:
@@ -163,10 +168,6 @@ class _PerReport:
 
     def __init__(self, mus):
         self.mus = mus
-
-    @property
-    def dim(self) -> int:
-        return self.mus[0].dim
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         return np.array([mu._probs(rho[None])[0] for mu, rho in zip(self.mus, states)])
@@ -293,10 +294,6 @@ class _Overlaps:
     def __init__(self, reports: np.ndarray):
         self.reports = reports
 
-    @property
-    def dim(self) -> int:
-        return self.reports.shape[-1]
-
     def _probs(self, states: np.ndarray) -> np.ndarray:
         hit = _hs_rows(self.reports, states)
         return _clean_rows(np.stack([np.trace(states, axis1=-2, axis2=-1).real - hit, hit], axis=-1))
@@ -383,11 +380,7 @@ def log_trace_score() -> ExpectedScoreFn:
     """log <report, rho>.  Not extended-linear in rho, hence not implementable."""
 
     def stack(reports, beliefs):
-        v = _hs_rows(reports, beliefs)
-        out = np.full(len(v), NEG_INF)
-        pos = v > EXT_WEIGHT_TOL
-        out[pos] = np.log(v[pos])
-        return out
+        return log_rule().values(_hs_rows(reports, beliefs))
 
     return ExpectedScoreFn(stack, name="ml:s4")
 
@@ -478,6 +471,8 @@ def relative_entropy(rho, sigma) -> float:
     validated once, and both scores come from one stacked payoff.
     """
     rho, sigma = as_density(rho), as_density(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape[0]}, sigma {sigma.shape[0]}")
     (scores,) = _LOG.expected_stack(np.stack([rho, sigma]), np.stack([rho, rho]))
     return float(scores[0] - scores[1])
 
@@ -591,10 +586,7 @@ def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
         reps[rotated] = hermitian_part(U @ rhos[rotated] @ U.conj().swapaxes(-1, -2))
     outside = ~_in_domain(S, reps)
     reps[outside] = _blend(reps[outside])
-    # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
-    # tie within margin for quadratic scores; sample clear of that window
-    d = _distance(rhos, reps)
-    near = (DISTINCT_TOL < d) & (d < 1e-4)
+    near = _near_tie(_distance(rhos, reps))
     if near.any():  # the first state of the spare row
         ranks, G, _ = spare()
         reps[near] = _states(S, ranks[near, 0], G[near, 0])
@@ -618,10 +610,8 @@ def _beliefs_and_reports(S, dim, trials, rows, spare):
 
 
 def _compare(kind, a, b, tol):
-    # (gaps, kinds, values) of |a - b| in R u {-inf} (0 when both are -inf,
-    # inf when one is), each flagged as ``kind`` above tol
-    with np.errstate(invalid="ignore"):
-        gaps = np.where((a == NEG_INF) | (b == NEG_INF), np.where(a == b, 0.0, np.inf), np.abs(a - b))
+    # (gaps, kinds, values) of |a - b| in R u {-inf}, each flagged as ``kind`` above tol
+    gaps = _ext_gap(a, b)
     return gaps, np.where(gaps > tol, kind, ""), gaps
 
 

@@ -312,3 +312,32 @@ class TestRuleValues:
         q = rng.dirichlet(np.ones(5))
         assert expected_classical(counted, q, p) == pytest.approx(2 * q @ p - q @ q, abs=1e-12)
         assert len(calls) == 1
+
+
+class TestShannonEntropy:
+    """H(p) is the log rule's self-score negated, under its zero-mass rule."""
+
+    def test_point_mass_is_positive_zero(self):
+        for p in ([1.0, 0.0], [0.0, 1.0, 0.0], [1.0]):
+            h = shannon_entropy(p)
+            assert h == 0.0 and np.copysign(1.0, h) == 1.0
+
+    def test_mass_at_or_below_the_zero_tolerance_contributes_nothing(self):
+        q = clean_probs([1.0 - 1e-12, 1e-12])
+        assert shannon_entropy(q) == pytest.approx(-q[0] * np.log(q[0]), rel=1e-9)
+
+    def test_equals_the_log_rules_negated_self_score(self, rng):
+        for n in (2, 3, 5):
+            p = rng.dirichlet(np.full(n, 0.3))
+            assert shannon_entropy(p) == pytest.approx(-expected_classical(log_rule(), p, p), abs=1e-15)
+
+
+def test_bregman_rule_refuses_neg_inf_where_p_is_positive():
+    rule = classical._bregman_rule(lambda p: 0.0, lambda p: np.full(len(p), NEG_INF), "doomed")
+    with pytest.raises(ValueError, match="invalid oracle"):
+        rule.values(np.array([0.5, 0.5]))
+
+
+def test_near_tie_band_is_open_on_both_ends():
+    d = np.array([1e-7, DISTINCT_TOL, 2e-6, 9.9e-5, 1e-4, 1e-3])
+    assert classical._near_tie(d).tolist() == [False, False, True, True, False, False]

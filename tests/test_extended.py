@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qelicit.extended import (
     NEG_INF,
     ExtendedHermitian,
+    _ext_gap,
     canonicalize_extended,
     ext_dot,
     ext_inner,
@@ -217,3 +218,9 @@ class TestExtendedHermitian:
         B = matrix_log(random_density(4, rank=2, rng=rng)).infinite_part
         P = range_projector(B)
         assert frob_dist(P @ P, P) <= 1e-10
+
+
+def test_ext_gap_on_the_half_extended_line():
+    a = np.array([NEG_INF, NEG_INF, 1.0, 2.0])
+    b = np.array([NEG_INF, 0.5, NEG_INF, -1.0])
+    assert _ext_gap(a, b).tolist() == [0.0, np.inf, np.inf, 3.0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qelicit.classical import brier_rule
+from qelicit.classical import brier_rule, log_rule
 from qelicit.linalg import (
     as_density,
     frob_dist,
@@ -19,7 +19,7 @@ from qelicit.markets import (
     trader_payoff,
     wagering_payoffs,
 )
-from qelicit.measurement import canonical_complete
+from qelicit.measurement import canonical_complete, standard_pvm
 from qelicit.scores import (
     QuantumScore,
     binary_brier,
@@ -230,3 +230,19 @@ class TestMarketState:
     def test_rejects_unknown_cost(self):
         with pytest.raises(ValueError, match="cost"):
             MarketState(2, cost="quadratic")
+
+
+class TestWageringRefusals:
+    def test_unknown_mode_is_refused(self, rng):
+        S = fixed_measurement_score(brier_rule(), standard_pvm(2))
+        rnd = WageringRound([random_density(2, rng=rng) for _ in range(2)], S, random_density(2, rng=rng))
+        with pytest.raises(ValueError, match="mode must be 'expected' or 'realized', got 'bogus'"):
+            wagering_payoffs(rnd, mode="bogus")
+
+    def test_non_finite_scores_are_refused(self):
+        # the log rule pays -inf on outcome 1 to a report with no mass there
+        S = fixed_measurement_score(log_rule(), standard_pvm(2))
+        truth = np.diag([0.5, 0.5]).astype(complex)
+        rnd = WageringRound([np.diag([1.0, 0.0]).astype(complex), truth], S, truth)
+        with pytest.raises(ValueError, match="wagering needs finite scores"):
+            wagering_payoffs(rnd)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -606,3 +608,23 @@ class TestStackedAscentMatchesSerial:
             want = _serial_best(rho, k, grad, value, 12, iters, g_serial)
             assert got == pytest.approx(want, abs=1e-12), name
             assert g_stacked.standard_normal() == g_serial.standard_normal(), name
+
+
+class TestWitnessEdges:
+    def test_complex_values_reach_json_as_their_parts(self):
+        r = random_density(2, rng=3)
+        w = level_set_witness(make_property("eigvec-top", 2), r, r)
+        x = spectral_decompose(r).eigenvectors[:, 0]
+        reports = json.loads(json.dumps(w.to_json()))["reports"]
+        assert reports["value_1"] == reports["value_mix"] == {"re": x.real.tolist(), "im": x.imag.tolist()}
+
+    def test_real_values_are_written_as_they_are(self):
+        rho1, rho2 = np.diag([0.25, 0.75]), np.diag([0.75, 0.25])
+        w = level_set_witness(make_property("eigenvalues", 2), rho1, rho2)
+        assert w.to_json()["reports"]["value_1"] == np.asarray(w.value_1).tolist()
+        top = level_set_witness(make_property("max-eigenvalue", 2), rho1, rho2).to_json()["reports"]
+        assert all(type(v) is float for v in top.values())
+
+    def test_states_of_different_dimensions_are_named(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: rho1 2, rho2 3$"):
+            level_set_witness(make_property("entropy", 2), random_density(2, rng=1), random_density(3, rng=2))

@@ -733,3 +733,40 @@ class TestNearHermitianInputs:
         p = apply_measurement(mu, rho)
         assert np.array_equal(p, apply_measurement(Measurement(hermitian_part(elems)), rho))
         assert abs(p.sum() - 1.0) <= 1e-12
+
+
+class TestRefusals:
+    """Refusals that no sampled check reaches, each with the message it names."""
+
+    def test_quantum_score_names_a_state_of_another_dimension(self):
+        rho2, rho3 = random_density(2, rng=1), random_density(3, rng=2)
+        for S in (log_spectral(), projective_expression(binary_brier())):  # stack-native, per-report
+            with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+                S.expected(rho2, rho3)
+
+    def test_expected_score_fn_names_a_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: report 2, state 3$"):
+            ml_scores()["s4"].expected(random_density(2, rng=1), random_density(3, rng=2))
+
+    def test_fixed_measurement_score_names_a_report_of_another_dimension(self):
+        S = fixed_measurement_score(brier_rule(), standard_pvm(2))
+        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+            S.payoff(random_density(3, rng=2))
+
+    def test_relative_entropy_names_states_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: rho 2, sigma 3$"):
+            relative_entropy(random_density(2, rng=1), random_density(3, rng=2))
+
+    def test_score_from_convex_refuses_a_selection_neg_inf_at_its_base(self):
+        S = score_from_convex(lambda r: 0.0, lambda r: ExtendedHermitian(np.zeros((2, 2)), np.eye(2)))
+        with pytest.raises(ValueError, match="-inf at its own base point"):
+            S.payoff(random_density(2, rng=1))
+
+    def test_subgradient_check_flags_an_invalid_selection(self):
+        # the infinite part diag(1, 0) overlaps negatively with rho - base wherever
+        # rho puts less mass on |0> than the base does
+        dF = lambda r: ExtendedHermitian(np.zeros((2, 2)), np.diag([1.0, 0.0]))
+        report = subgradient_inequality_check(lambda r: 0.0, dF, 64, dims=(2,), rng=0)
+        assert report.kind_counts == {"invalid-selection": 35}
+        assert all(v["gap"] == "inf" for v in report.to_json()["violations"])
+

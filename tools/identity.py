@@ -1,0 +1,108 @@
+"""Print one sha256 per seeded output, so two source trees can be compared.
+
+Run it once per tree and diff the listings:
+
+    PYTHONPATH=<tree>/src python3 tools/identity.py > <tree>.txt
+    diff a.txt b.txt
+
+Each line is ``<label> <sha256>``.  The outputs are the registry verdict
+reports, the classical properness and permutation checks, the expected
+scores of every registry score, the dimension-mismatch messages and the
+stdout and exit code of the ``paper-examples``, ``verify`` and
+``witness`` subcommands.  A value is hashed through its ``repr`` (floats
+round-trip exactly), a raised error through its type and message.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+import numpy as np
+
+import qelicit as q
+from qelicit.classical import is_permutation_invariant
+from qelicit.cli import main
+from qelicit.registry import SCORE_REGISTRY, make_score, run_verify
+
+
+def emit(label: str, text: str) -> None:
+    print(label, hashlib.sha256(text.encode()).hexdigest())
+
+
+def outcome(f, *args) -> str:
+    # repr of f(*args), or the type and message of what it raised
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - the message is the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def verify_reports() -> None:
+    for name in sorted(SCORE_REGISTRY):
+        for seed in (0, 7):
+            emit(f"run_verify {name} seed={seed}", json.dumps(run_verify(name, [2, 3, 4], 400, seed), sort_keys=True))
+
+
+def classical_checks() -> None:
+    rules = {"brier": q.brier_rule(), "log": q.log_rule(), "linear": q.linear_rule()}
+    for name, rule in rules.items():
+        for n in (2, 3, 4):
+            for mode in ("weak", "strict"):
+                emit(f"properness {name} n={n} {mode}", json.dumps(q.properness_check(rule, 300, n, rng=11, mode=mode).to_json(), sort_keys=True))
+    weighted = q.ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="weighted")
+    for name, rule in {**rules, "weighted": weighted}.items():
+        for n in (2, 3, 4):
+            emit(f"permutation {name} n={n}", repr([is_permutation_invariant(rule, n, rng=s) for s in range(4)]))
+
+
+def expected_scores() -> None:
+    for name in sorted(SCORE_REGISTRY):
+        for n in (2, 3, 4):
+            S = make_score(name, n)
+            states = [q.random_density(n, rank=r, rng=10 * n + r) for r in range(1, n + 1)]
+            values = [outcome(q.expected_score, S, a, b) for a in states for b in states]
+            emit(f"expected_score {name} n={n}", "\n".join(values))
+
+
+def mismatch_messages() -> None:
+    rho2, rho3 = q.random_density(2, rng=1), q.random_density(3, rng=2)
+    fixed = q.fixed_measurement_score(q.brier_rule(), q.standard_pvm(2))
+    per_report = q.projective_expression(q.binary_brier())
+    cases = {
+        "stacked": (make_score("spectral:log", 2).expected, rho2, rho3),
+        "per-report": (per_report.expected, rho2, rho3),
+        "fixed-report": (fixed.expected, rho3, rho2),
+        "fixed-state": (fixed.expected, rho2, rho3),
+        "closure": (make_score("ml:s4", 2).expected, rho2, rho3),
+        "apply_measurement": (q.apply_measurement, q.standard_pvm(2), rho3),
+    }
+    for label, (f, *args) in cases.items():
+        emit(f"mismatch {label}", outcome(f, *args))
+
+
+def cli_stdout() -> None:
+    runs = [
+        ["paper-examples"],
+        ["verify", "--score", "spectral:log", "--dims", "2,3", "--trials", "400", "--seed", "1"],
+        ["verify", "--score", "fixed:brier", "--dims", "2,4", "--trials", "400", "--seed", "3"],
+        ["verify", "--score", "ml:s5", "--dims", "3", "--trials", "400", "--seed", "1"],
+        ["witness", "--property", "entropy", "--dims", "3", "--trials", "100", "--seed", "2"],
+        ["witness", "--property", "expectation", "--dims", "2", "--trials", "50", "--seed", "0"],
+        ["witness", "--property", "max-eigenvalue", "--dims", "2", "--trials", "50", "--seed", "4"],
+    ]
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        emit(" ".join(argv[:3]) if argv[0] != "paper-examples" else argv[0], f"{code}\n{out.getvalue()}")
+
+
+if __name__ == "__main__":
+    verify_reports()
+    classical_checks()
+    expected_scores()
+    mismatch_messages()
+    cli_stdout()
