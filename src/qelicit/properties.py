@@ -403,7 +403,33 @@ def quantum_to_classical_identification(V, tmap: TomographicMap) -> Callable:
 
 
 def _orthonormalize_plain(X) -> np.ndarray:
-    """Polar retraction of a stack of frames (R, n, k) onto the Stiefel manifold."""
+    """Polar retraction X (X*X)^(-1/2) of a stack of frames (R, n, k) onto the Stiefel manifold.
+
+    One column is X / |X|.  For two columns with Gram matrix M = [[a, b],
+    [b*, d]], M^(-1/2) = adj(M + sI) / (s t) with s = sqrt(det M) and
+    t = sqrt(a + d + 2s), so X adj(M + sI) is two scaled column sums.
+    Wider frames, and a two-column stack in which any frame's smaller Gram
+    eigenvalue is at or below 1e-12, take one batched eigh of the Gram
+    matrices.  Squared column norms and Gram eigenvalues are clipped at 1e-14.
+    """
+    k = X.shape[-1]
+    sq = np.einsum("rij,rij->rj", X.conj(), X).real  # squared column norms
+    if k == 1:
+        return X / np.sqrt(np.maximum(sq, 1e-14))[:, None, :]
+    if k == 2:
+        (x, y), (a, d) = X.transpose(2, 0, 1), sq.T
+        b = np.einsum("ri,ri->r", x.conj(), y)
+        # det M from y's residual off x, |a y - b x|^2 = a det M: a d - |b|^2
+        # cancels to an error of about eps a d on near-dependent columns
+        q = a[:, None] * y - b[:, None] * x
+        a_det = np.einsum("ri,ri->r", q.conj(), q).real
+        if np.all(a_det > 1e-12 * a * ((a + d) / 2 + np.hypot((a - d) / 2, abs(b)))):
+            s = np.sqrt(a_det / a)
+            st = (s * np.sqrt(a + d + 2.0 * s))[:, None]
+            return np.stack(
+                [(x * (d + s)[:, None] - y * b.conj()[:, None]) / st, (y * (a + s)[:, None] - x * b[:, None]) / st],
+                axis=-1,
+            )
     w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
     w = np.clip(w, 1e-14, None)
     return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
@@ -446,12 +472,14 @@ def _random_stiefel(R, n, k, g):
     return np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
 
 
-def _starts(rho, restarts, k, name, rng):
+def _starts(rho, restarts, iters, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
     n = rho.shape[0]
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts!r}")
+    if not iters >= 0:  # a NaN fails too
+        raise ValueError(f"iters must be at least 0, got {iters!r}")
     if not 1 <= k <= n:
         raise ValueError(f"{name} must be between 1 and the dimension {n}, got {k!r}")
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
@@ -464,7 +492,7 @@ def _rayleigh(rho, X) -> np.ndarray:
 
 def optimize_top_eigenvector(rho, restarts: int = 50, iters: int = 200, rng=None):
     """Projected gradient ascent of <x, rho x> over the unit sphere."""
-    rho, X0 = _starts(rho, restarts, 1, "k", rng)
+    rho, X0 = _starts(rho, restarts, iters, 1, "k", rng)
     X, v = _ascend(X0, grad=lambda X: rho @ X, value=lambda X: _rayleigh(rho, X)[:, 0], iters=iters)
     i = int(np.argmax(v))
     return X[i, :, 0], float(v[i])
@@ -479,7 +507,9 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: 
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (cols,):
         raise ValueError(f"weights must have one entry per column (cols={cols}), got shape {w.shape}")
-    rho, X0 = _starts(rho, restarts, cols, "cols", rng)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w.tolist()!r}")
+    rho, X0 = _starts(rho, restarts, iters, cols, "cols", rng)
     X, v = _ascend(
         X0, grad=lambda X: rho @ X * w, value=lambda X: np.sum(w * _rayleigh(rho, X), axis=1), iters=iters
     )
@@ -494,7 +524,7 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, iters: int = 300, rng=N
     Rayleigh quotient, so the report collapses to the orthonormal frame;
     returns the assembled PSD report and its expected score.
     """
-    rho, X0 = _starts(rho, restarts, k, "k", rng)
+    rho, X0 = _starts(rho, restarts, iters, k, "k", rng)
 
     def value(X):
         b = _rayleigh(rho, X)

@@ -460,7 +460,7 @@ def von_neumann_entropy(rho) -> float:
     """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
     rho = as_density(rho)[None]
     (self_score,) = _LOG.expected_stack(rho, rho)
-    return -float(self_score[0])
+    return 0.0 - float(self_score[0])
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -33,6 +33,7 @@ from qelicit.properties import (
     top_k_eigenvector_score,
     with_value,
 )
+from qelicit.properties import _orthonormalize_plain
 from qelicit.registry import make_property
 from qelicit.scores import von_neumann_entropy
 
@@ -535,6 +536,26 @@ class TestOptimizerArguments:
         with pytest.raises(ValueError, match="weights"):
             optimize_weighted_basis(random_density(3, rng=rng), [2.0, 1.0], 3, rng=1)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_non_finite_weights_rejected(self, weights, rng):
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            optimize_weighted_basis(random_density(3, rng=rng), weights, 2, rng=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho, iters: optimize_top_eigenvector(rho, iters=iters, rng=0),
+            lambda rho, iters: optimize_weighted_basis(rho, [2.0, 1.0], 2, iters=iters, rng=0),
+            lambda rho, iters: optimize_eigen_pair(rho, 2, iters=iters, rng=0),
+        ],
+        ids=["top", "weighted_basis", "eigen_pair"],
+    )
+    def test_negative_iters_rejected_and_zero_kept(self, call, rng):
+        rho = random_density(3, rng=rng)
+        with pytest.raises(ValueError, match="^iters must be at least 0, got -1$"):
+            call(rho, -1)
+        call(rho, 0)
+
 
 def _serial_orthonormalize(X):
     gram = hermitian_part(X.conj().T @ X)
@@ -628,3 +649,54 @@ class TestWitnessEdges:
     def test_states_of_different_dimensions_are_named(self):
         with pytest.raises(ValueError, match="^dimension mismatch: rho1 2, rho2 3$"):
             level_set_witness(make_property("entropy", 2), random_density(2, rng=1), random_density(3, rng=2))
+
+
+def _eigh_polar(X):
+    # the batched eigh retraction, spectrum clipped at 1e-14: the path wide and near-singular stacks take
+    w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
+    w = np.clip(w, 1e-14, None)
+    return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
+
+
+def _complex_normal(g, shape):
+    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+
+class TestRetraction:
+    """The polar factor X (X*X)^(-1/2): closed form for one and two columns, eigh otherwise."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_form_matches_eigh(self, n, k):
+        # column scales up to 65: a unit column plus a step of at most 64
+        g = np.random.default_rng(10 * n + k)
+        X = _complex_normal(g, (40, n, k)) * g.uniform(1.0, 65.0, size=(40, 1, k))
+        Y = _orthonormalize_plain(X)
+        for r in range(len(X)):
+            np.testing.assert_allclose(Y[r], _serial_orthonormalize(X[r]), rtol=0, atol=1e-12)
+
+    def test_rank_deficient_stacks_take_the_clipped_eigh_path(self):
+        g = np.random.default_rng(3)
+        x = _complex_normal(g, (4, 3))
+        zero_column = np.stack([x, np.zeros_like(x)], axis=-1)
+        equal_columns = np.stack([x, x], axis=-1)
+        one_singular = _complex_normal(g, (4, 3, 2))
+        one_singular[2, :, 1] = one_singular[2, :, 0]
+        for X in (zero_column, zero_column[..., ::-1], equal_columns, one_singular, zero_column[..., :1] * 0.0):
+            np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar(X))
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_near_dependent_columns_are_no_farther_from_the_svd_polar_factor(self, gap):
+        # both forms start from the Gram matrix, so neither reaches 1e-12 here
+        for n in range(2, 7):
+            g = np.random.default_rng(n)
+            x = _complex_normal(g, (20, n))
+            X = np.stack([x, x + gap * _complex_normal(g, (20, n))], axis=-1)
+            U, _, Vh = np.linalg.svd(X, full_matrices=False)
+            polar = U @ Vh
+            closed = np.abs(_orthonormalize_plain(X) - polar).max()
+            assert closed <= np.abs(_eigh_polar(X) - polar).max(), (gap, n)
+
+    def test_three_columns_take_the_eigh_path(self):
+        X = _complex_normal(np.random.default_rng(7), (10, 5, 3))
+        np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar(X))

@@ -274,6 +274,11 @@ class TestEntropies:
         x = random_pure(4, rng=rng)
         assert von_neumann_entropy(np.outer(x, x.conj())) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pure_state_is_positive_zero(self, n):
+        h = von_neumann_entropy(np.diag(np.eye(n)[0]))
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0
+
     def test_diagonal_matches_shannon(self, rng):
         for _ in range(50):
             p = rng.dirichlet(np.ones(4))
