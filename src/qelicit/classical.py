@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, ext_dot
+from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, _ext_log, ext_dot
 from .reports import ScoreReport, _check_dims, _classify, run_trials
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 PROB_CLIP = 1e-12        # negative entries in [-PROB_CLIP, 0) are clipped to 0
-PROB_ZERO_TOL = 1e-12    # probabilities at or below this count as zero
+PROB_ZERO_TOL = EXT_WEIGHT_TOL  # probabilities at or below this count as zero
 PROPERNESS_MARGIN = 1e-9
 DISTINCT_TOL = 1e-6      # reports farther apart than this count as distinct
 
@@ -100,15 +100,8 @@ def brier_rule() -> ClassicalScoringRule:
 
 
 def log_rule() -> ClassicalScoringRule:
-    """Logarithmic score s(p, y) = log p_y, -inf at (numerically) zero mass."""
-
-    def values(p):
-        out = np.full(np.shape(p), NEG_INF)
-        pos = p > PROB_ZERO_TOL
-        out[pos] = np.log(p[pos])
-        return out
-
-    return ClassicalScoringRule(values, name="log")
+    """Logarithmic score s(p, y) = log p_y, -inf at mass at or below PROB_ZERO_TOL."""
+    return ClassicalScoringRule(_ext_log, name="log")
 
 
 def linear_rule() -> ClassicalScoringRule:
@@ -176,10 +169,12 @@ def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
 
 
 def _rule_values(rule: ClassicalScoringRule, P: np.ndarray) -> np.ndarray:
-    # the rule's payoffs for each row of P, one per outcome
+    # the rule's payoffs for each row of P, one per outcome; a rule that pays NaN is refused
     values = np.asarray(rule.values(P), dtype=np.float64)
     if values.shape != P.shape:
         raise ValueError(f"rule {rule.name!r} must pay along the last axis: {values.shape} for {P.shape}")
+    if np.isnan(values).any():
+        raise ValueError(f"rule {rule.name!r} pays NaN")
     return values
 
 

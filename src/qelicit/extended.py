@@ -84,16 +84,23 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
 
 
 def _ext_gap(a, b) -> np.ndarray:
-    # |a - b| over R u {-inf}: 0 where both are -inf, inf where only one is
+    # |a - b| over R u {-inf}: 0 where both are -inf, inf where only one is or where either is NaN
     with np.errstate(invalid="ignore"):
-        return np.where((a == NEG_INF) | (b == NEG_INF), np.where(a == b, 0.0, np.inf), np.abs(a - b))
+        gap = np.where((a == NEG_INF) | (b == NEG_INF), np.where(a == b, 0.0, np.inf), np.abs(a - b))
+    return np.where(np.isnan(gap), np.inf, gap)
+
+
+def _ext_log(p) -> np.ndarray:
+    # log p over R u {-inf}: mass or eigenvalues at or below EXT_WEIGHT_TOL are zero, log -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.greater(p, EXT_WEIGHT_TOL), np.log(p), NEG_INF)
 
 
 def _range_split(B):
-    # the eigenvectors of a Hermitian PSD matrix B and the mask of those spanning its
-    # range, eigenvalues above ZERO_EIG_REL * max(trace, 1); the kernel is the rest
+    # the eigenvectors of a Hermitian PSD matrix B (or of each of a stack) and the mask of those
+    # spanning its range, eigenvalues above ZERO_EIG_REL * max(trace, 1); the kernel is the rest
     w, V = np.linalg.eigh(B)
-    return V, w > ZERO_EIG_REL * max(float(np.trace(B).real), 1.0)
+    return V, w > ZERO_EIG_REL * np.maximum(np.trace(B, axis1=-2, axis2=-1).real, 1.0)[..., None]
 
 
 def range_projector(B) -> np.ndarray:
@@ -139,7 +146,8 @@ class ExtendedHermitian:
         return self.finite_part.shape[0]
 
     def is_finite(self) -> bool:
-        return float(np.abs(self.infinite_part).max()) <= INNER_ZERO_TOL
+        """True when the infinite part has no range: ``range_projector`` of it is zero."""
+        return not (self.infinite_part.any() and _range_split(self.infinite_part)[1].any())
 
     def add_scalar(self, c: float) -> "ExtendedHermitian":
         """Add c * identity, restricted to the finite subspace.
@@ -148,10 +156,7 @@ class ExtendedHermitian:
         finite constant to -inf changes nothing), so the identity is
         compressed onto the complement before adding.
         """
-        if self.is_finite():
-            comp = np.eye(self.dim)
-        else:
-            comp = np.eye(self.dim) - range_projector(self.infinite_part)
+        comp = np.eye(self.dim) - range_projector(self.infinite_part)
         return ExtendedHermitian(
             hermitian_part(self.finite_part + c * comp), self.infinite_part
         )
@@ -189,23 +194,13 @@ def matrix_log(rho) -> ExtendedHermitian:
 def _log_parts(states):
     """Finite and infinite parts of matrix_log for an (N, n, n) stack of density matrices.
 
-    Eigenvalues at or below ZERO_EIG_REL * trace are the kernel; they
-    trail the support in the descending order, so each matrix of rank r
-    keeps its first r eigenvectors, and matrices of one rank share one
-    product.
+    The logs of the eigenvalues are ``_ext_log``'s; the kernel is where
+    they are -inf, and each part is one stacked product.
     """
     lam, V = _decompose(states)
-    zero_tol = ZERO_EIG_REL * np.trace(states, axis1=-2, axis2=-1).real
-    rank = (lam > zero_tol[:, None]).sum(axis=-1)
-    A = np.zeros_like(states)
-    B = np.zeros_like(states)
-    for r in set(rank.tolist()):
-        k = np.flatnonzero(rank == r)
-        Vp, Vk = V[k, :, :r], V[k, :, r:]
-        A[k] = hermitian_part((Vp * np.log(lam[k, :r])[:, None, :]) @ Vp.conj().swapaxes(-1, -2))
-        if r < V.shape[-1]:
-            B[k] = hermitian_part(Vk @ Vk.conj().swapaxes(-1, -2))
-    return A, B
+    log, Vh = _ext_log(lam), V.conj().swapaxes(-1, -2)
+    A = hermitian_part((V * np.where(log > NEG_INF, log, 0.0)[:, None, :]) @ Vh)
+    return A, hermitian_part((V * (log == NEG_INF)[:, None, :]) @ Vh)
 
 
 def _collapse(elements, weights) -> ExtendedHermitian:

@@ -57,9 +57,9 @@ def wagering_payoffs(round_: WageringRound, mode: str = "expected", rng=None, ou
 
     ``expected`` mode scores against the truth state; ``realized`` mode
     draws one shared outcome from the common measurement (or uses the
-    given ``outcome``) and reads each report's payoff for it.  Every
-    report is paid once, in one stacked call.  Payoffs sum to zero by
-    construction.
+    given ``outcome``, an integer index into its outcomes) and reads each
+    report's payoff for it.  Every report is paid once, in one stacked
+    call.  Payoffs sum to zero by construction.
     """
     truth, m = round_.truth, len(round_.reports)
     outcomes, values = round_.score._stacked(np.stack(round_.reports))
@@ -74,7 +74,9 @@ def wagering_payoffs(round_: WageringRound, mode: str = "expected", rng=None, ou
     elif mode == "realized":
         if outcome is None:
             outcome = sample_outcome(mu, truth, rng=rng)
-        scores = values[:, int(outcome)]
+        elif isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < len(mu):
+            raise ValueError(f"outcome must be an integer in 0..{len(mu) - 1}, got {outcome!r}")
+        scores = values[:, outcome]
     else:
         raise ValueError(f"mode must be 'expected' or 'realized', got {mode!r}")
     if not np.isfinite(scores).all():
@@ -140,6 +142,8 @@ class MarketState:
     history: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.cost != "lmsr":
             raise ValueError(f"unknown cost function {self.cost!r}")
         self.shares = np.zeros((self.dim, self.dim), dtype=np.complex128)

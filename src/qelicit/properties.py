@@ -157,6 +157,8 @@ def top_k_eigenvector_score(k: int, v) -> QuantumScore:
     tuples because sorted-spectrum pairing is the only way to reach the
     eigenvalue upper bound.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (k,) or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
         raise ValueError("weights must be strictly decreasing and positive")
@@ -179,8 +181,8 @@ def top_bottom_score(k: int, m: int, v) -> QuantumScore:
     """
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
-    if k < 0 or m < 0 or k + m > n:
-        raise ValueError(f"invalid counts k={k}, m={m} for {n} weights")
+    if k < 0 or m < 0 or k + m < 1 or k + m > n:
+        raise ValueError(f"invalid counts k={k}, m={m} for {n} weights: need k, m >= 0 and 1 <= k + m <= {n}")
     top, mid, bot = v[:k], v[k : n - m], v[n - m :]
     if k and not (np.all(top > 0) and np.all(np.diff(top) < 0)):
         raise ValueError("top weights must be strictly decreasing and positive")

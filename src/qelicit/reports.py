@@ -156,17 +156,18 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
 def _classify(truthful, other, distinct, margin: float, strict: bool):
     """``(gaps, kinds, values)`` of reports against the truth, one entry per trial.
 
-    A truthful expected score that is not finite is ``irregular``, with
-    gap -inf and its own value stored.  Otherwise the gap is
-    ``other - truthful`` (-inf when ``other`` is): above ``margin`` it is a
-    ``gain``, and in strict mode a finite gap within ``margin`` is a
-    ``tie`` where ``distinct`` holds.  Other trials get kind "".
+    A truthful expected score that is not finite, or a NaN on either side,
+    is ``irregular``, with gap -inf and the NaN (else the truthful value)
+    stored.  Otherwise the gap is ``other - truthful`` (-inf when
+    ``other`` is): above ``margin`` it is a ``gain``, and in strict mode a
+    finite gap within ``margin`` is a ``tie`` where ``distinct`` holds.
+    Other trials get kind "".
     """
     truthful, other = np.asarray(truthful, dtype=np.float64), np.asarray(other, dtype=np.float64)
-    irregular = ~np.isfinite(truthful)
+    irregular = ~np.isfinite(truthful) | np.isnan(other)
     with np.errstate(invalid="ignore"):
         gaps = np.where(irregular | ~(other > -math.inf), -math.inf, other - truthful)
     gain = gaps > margin
     tie = strict & np.isfinite(gaps) & (np.abs(gaps) <= margin) & distinct
     kinds = np.select([irregular, gain, tie], ["irregular", "gain", "tie"], "")
-    return gaps, kinds, np.where(irregular, truthful, gaps)
+    return gaps, kinds, np.where(irregular, np.where(np.isnan(other), other, truthful), gaps)

@@ -398,8 +398,8 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     def stack(reports, beliefs):
         A_r, B_r = _log_parts(reports)
         A_b, B_b = _log_parts(beliefs)
-        w, V = np.linalg.eigh(hermitian_part(B_r + B_b))
-        common = (w <= 1e-10).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
+        V, on = _range_split(hermitian_part(B_r + B_b))
+        common = (~on).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
         finite = A_r + A_b
         out = np.full(len(reports), NEG_INF)
         for c in set(common.tolist()) - {0}:
@@ -484,8 +484,7 @@ def relative_entropy(rho, sigma) -> float:
 def _projective(E: ExtendedHermitian):
     # Eigenbasis measurement of E paired with its eigenvalues as payoffs: the
     # finite ones on the infinite part's kernel (descending), -inf on its range
-    V, on = _range_split(E.infinite_part)
-    inf = on & (not E.is_finite())
+    V, inf = _range_split(E.infinite_part)
     Q = V[:, ~inf]
     vals, W = np.empty(0), Q.T @ Q  # an E that is -inf everywhere has no finite part
     if Q.size:

@@ -341,3 +341,22 @@ def test_bregman_rule_refuses_neg_inf_where_p_is_positive():
 def test_near_tie_band_is_open_on_both_ends():
     d = np.array([1e-7, DISTINCT_TOL, 2e-6, 9.9e-5, 1e-4, 1e-3])
     assert classical._near_tie(d).tolist() == [False, False, True, True, False, False]
+
+
+class TestNanPayoffs:
+    ALL_NAN = ClassicalScoringRule(lambda p: np.full(np.shape(p), np.nan), name="all-nan")
+
+    def test_permutation_check_refuses_a_rule_that_pays_nan(self):
+        with pytest.raises(ValueError, match="rule 'all-nan' pays NaN"):
+            is_permutation_invariant(self.ALL_NAN, 3, rng=0)
+
+    def test_properness_check_refuses_a_rule_that_pays_nan(self):
+        with pytest.raises(ValueError, match="rule 'all-nan' pays NaN"):
+            properness_check(self.ALL_NAN, 50, 3, rng=1)
+
+    def test_classify_counts_a_nan_on_either_side_as_irregular(self):
+        truthful, other = np.array([0.0, np.nan, 0.0]), np.array([np.nan, 0.0, 1.0])
+        gaps, kinds, values = _classify(truthful, other, np.ones(3, dtype=bool), 1e-9, True)
+        assert kinds.tolist() == ["irregular", "irregular", "gain"]
+        assert gaps[:2].tolist() == [-np.inf, -np.inf]
+        assert np.isnan(values[:2]).all() and values[2] == 1.0

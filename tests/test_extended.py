@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qelicit.classical import log_rule
 from qelicit.extended import (
     NEG_INF,
     ExtendedHermitian,
@@ -224,3 +225,28 @@ def test_ext_gap_on_the_half_extended_line():
     a = np.array([NEG_INF, NEG_INF, 1.0, 2.0])
     b = np.array([NEG_INF, 0.5, NEG_INF, -1.0])
     assert _ext_gap(a, b).tolist() == [0.0, np.inf, np.inf, 3.0]
+
+
+def test_ext_gap_is_infinite_where_either_side_is_nan():
+    a = np.array([np.nan, 1.0, np.nan, NEG_INF])
+    b = np.array([1.0, np.nan, np.nan, np.nan])
+    assert _ext_gap(a, b).tolist() == [np.inf] * 4
+
+
+class TestOneOwnerPerDecision:
+    # the infinite part's range, and zero mass, are each decided in one place
+
+    def test_finiteness_inner_product_and_range_agree(self):
+        # entries at most 1e-10, yet an eigenvalue 3e-10 above the range threshold
+        E = ExtendedHermitian(np.zeros((3, 3)), 1e-10 * np.ones((3, 3)))
+        assert np.linalg.matrix_rank(range_projector(E.infinite_part)) == 1
+        assert ext_inner(E, np.ones((3, 3)) / 3) == NEG_INF
+        assert not E.is_finite()
+
+    def test_log_rule_and_matrix_log_share_the_zero_mass_rule(self):
+        lam = np.array([1.0 - 3e-12, 2e-12, 1e-12])
+        logs = log_rule().values(lam)
+        assert np.isfinite(logs[:2]).all() and logs[2] == NEG_INF
+        E = matrix_log(np.diag(lam).astype(complex))
+        assert np.diag(E.infinite_part).real.tolist() == [0.0, 0.0, 1.0]
+        assert np.allclose(np.diag(E.finite_part).real[:2], logs[:2], rtol=1e-12, atol=0)

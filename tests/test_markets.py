@@ -246,3 +246,23 @@ class TestWageringRefusals:
         rnd = WageringRound([np.diag([1.0, 0.0]).astype(complex), truth], S, truth)
         with pytest.raises(ValueError, match="wagering needs finite scores"):
             wagering_payoffs(rnd)
+
+
+class TestOutcomeAndDimensionRefusals:
+    @pytest.mark.parametrize("outcome", [-1, 2, 5, 1.7, True, "1"])
+    def test_realized_mode_refuses_an_outcome_outside_the_measurement(self, outcome, rng):
+        S = fixed_measurement_score(brier_rule(), standard_pvm(2))
+        rnd = WageringRound([random_density(2, rng=rng) for _ in range(3)], S, random_density(2, rng=rng))
+        with pytest.raises(ValueError, match=r"outcome must be an integer in 0\.\.1"):
+            wagering_payoffs(rnd, mode="realized", outcome=outcome)
+
+    def test_realized_mode_takes_a_numpy_integer(self, rng):
+        S = fixed_measurement_score(brier_rule(), standard_pvm(2))
+        rnd = WageringRound([random_density(2, rng=rng) for _ in range(3)], S, random_density(2, rng=rng))
+        assert np.array_equal(wagering_payoffs(rnd, mode="realized", outcome=np.int64(1)),
+                              wagering_payoffs(rnd, mode="realized", outcome=1))
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_market_refuses_a_dimension_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            MarketState(dim)

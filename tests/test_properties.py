@@ -700,3 +700,13 @@ class TestRetraction:
     def test_three_columns_take_the_eigh_path(self):
         X = _complex_normal(np.random.default_rng(7), (10, 5, 3))
         np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar(X))
+
+
+class TestEmptyFrameRefusals:
+    def test_top_k_refuses_k_zero(self):
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            top_k_eigenvector_score(0, [])
+
+    def test_top_bottom_refuses_no_columns(self):
+        with pytest.raises(ValueError, match=r"invalid counts k=0, m=0 .*1 <= k \+ m"):
+            top_bottom_score(0, 0, [0.0, 0.0])

@@ -26,6 +26,7 @@ from qelicit.measurement import (
 from qelicit.registry import SCORE_REGISTRY, make_score
 from qelicit.measurement import _basis_pvm
 from qelicit.scores import (
+    ExpectedScoreFn,
     QuantumScore,
     _projective,
     binary_brier,
@@ -775,3 +776,34 @@ class TestRefusals:
         assert report.kind_counts == {"invalid-selection": 35}
         assert all(v["gap"] == "inf" for v in report.to_json()["violations"])
 
+
+
+class TestNanPayoffs:
+    """A NaN payoff is flagged by every sampled check, or refused where a rule pays it."""
+
+    ALL_NAN = ExpectedScoreFn(lambda reports, beliefs: np.full(len(reports), np.nan), name="all-nan")
+
+    def test_nan_on_every_lie_is_irregular_in_strict_truthfulness(self):
+        def stack(reports, beliefs):
+            return np.where(np.linalg.norm(reports - beliefs, axis=(-2, -1)) == 0, 0.0, np.nan)
+
+        report = truthfulness_check(ExpectedScoreFn(stack, name="nan-lies"), 400, dims=(2, 3), rng=0)
+        assert report.n_violations == 400
+        assert report.kind_counts == {"irregular": 400}
+        assert all(v["gap"] == "nan" for v in report.to_json()["violations"])
+
+    @pytest.mark.parametrize("check", [unitary_invariance_check, implementability_check])
+    def test_all_nan_closure_fails_the_linear_checks(self, check):
+        report = check(self.ALL_NAN, 64, dims=(2, 3), rng=0)
+        assert report.n_violations == 64
+        assert report.max_gap == -np.inf
+
+    @pytest.mark.parametrize("check", [unitary_invariance_check, implementability_check])
+    def test_nan_payoff_of_a_measured_score_fails_the_linear_checks(self, check):
+        S = QuantumScore(lambda r: (standard_pvm(r.shape[0]), np.full(r.shape[0], np.nan)), name="nan-payoff")
+        assert check(S, 32, dims=(2,), rng=0).n_violations == 32
+
+    def test_spectral_score_refuses_a_rule_that_pays_nan(self):
+        rule = ClassicalScoringRule(lambda p: np.full(np.shape(p), np.nan), name="all-nan")
+        with pytest.raises(ValueError, match="rule 'all-nan' pays NaN"):
+            spectral_score(rule)

@@ -1,0 +1,63 @@
+"""Count the lines of each source file of qelicit by kind.
+
+    python3 tools/lines.py [source-dir]
+
+The directory defaults to ``src/qelicit`` beside this script's parent.
+Each ``.py`` file's lines are split four ways:
+
+- blank: a line that holds only whitespace, in a docstring too;
+- docstring: the other lines of the first string statement of a module,
+  class or function;
+- comment: a line that holds only a comment;
+- code: every other line.
+
+One row is printed per file, then the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+KINDS = ("code", "docstring", "comment", "blank")
+
+
+def docstring_lines(tree: ast.Module) -> set:
+    """The 1-based numbers of the lines that docstrings span."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def count(path: Path) -> dict:
+    """The file's lines by kind, and their total."""
+    text = path.read_text()
+    docs = docstring_lines(ast.parse(text))
+    counts = dict.fromkeys(KINDS, 0)
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        kind = ("blank" if not stripped else "docstring" if number in docs
+                else "comment" if stripped.startswith("#") else "code")
+        counts[kind] += 1
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "qelicit"
+    rows = {path.name: count(path) for path in sorted(root.glob("*.py"))}
+    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in (*KINDS, "total")}
+    print(f"{'file':16s} {'total':>6s} " + " ".join(f"{k:>9s}" for k in KINDS))
+    for name, r in rows.items():
+        print(f"{name:16s} {r['total']:6d} " + " ".join(f"{r[k]:9d}" for k in KINDS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
