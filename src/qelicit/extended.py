@@ -156,7 +156,9 @@ class ExtendedHermitian:
         finite constant to -inf changes nothing), so the identity is
         compressed onto the complement before adding.
         """
-        comp = np.eye(self.dim) - range_projector(self.infinite_part)
+        comp = np.eye(self.dim)
+        if self.infinite_part.any():
+            comp = comp - range_projector(self.infinite_part)
         return ExtendedHermitian(
             hermitian_part(self.finite_part + c * comp), self.infinite_part
         )

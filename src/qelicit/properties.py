@@ -444,25 +444,32 @@ def _ascend(X0, grad, value, iters: int):
     value maps them to (m,).  Each restart keeps its own step, from 0.5,
     which doubles on success up to 64 (near-degenerate spectra need the
     large steps to converge past linear-rate stalls) and halves on
-    failure.  Every pass tries one step for each live restart; a restart
-    retires when its step falls below 1e-12 or after ``iters`` accepted
-    steps.
+    failure.  A step is accepted when it gains more than ``margin``.
+    Every pass tries one step for each live restart; a restart retires
+    after ``iters`` accepted steps, when its step falls below 1e-12, or
+    after two failed steps in a row that each moved its value by at most
+    ``margin``: it has converged to rounding.  One such failure is not
+    enough, since a step can overshoot to a point of equal value while a
+    shorter one still gains.
     """
+    margin = 1e-15
     X, best = X0.copy(), value(X0)
     s = np.full(len(X), 0.5)
     taken = np.zeros(len(X), dtype=int)
+    flat = np.zeros(len(X), dtype=int)  # failed steps in a row that moved the value by at most margin
     G = grad(X)
     live = np.arange(len(X) if iters > 0 else 0)
     while live.size:
         Xn = _orthonormalize_plain(X[live] + s[live, None, None] * G[live])
         vn = value(Xn)
-        up = vn > best[live] + 1e-15
+        up = vn > best[live] + margin
+        flat[live] = np.where(~up & (np.abs(vn - best[live]) <= margin), flat[live] + 1, 0)
         won, lost = live[up], live[~up]
         X[won], best[won] = Xn[up], vn[up]
         s[won] = np.minimum(s[won] * 2.0, 64.0)
         taken[won] += 1
         s[lost] *= 0.5
-        live = live[np.where(up, taken[live] < iters, s[live] >= 1e-12)]
+        live = live[np.where(up, taken[live] < iters, (s[live] >= 1e-12) & (flat[live] < 2))]
         if won.size:
             G[won] = grad(X[won])
     return X, best
@@ -478,8 +485,8 @@ def _starts(rho, restarts, iters, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
     n = rho.shape[0]
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts!r}")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValueError(f"restarts must be an integer of at least 1, got {restarts!r}")
     if not iters >= 0:  # a NaN fails too
         raise ValueError(f"iters must be at least 0, got {iters!r}")
     if not 1 <= k <= n:

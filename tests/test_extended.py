@@ -215,6 +215,17 @@ class TestExtendedHermitian:
         comp = np.eye(3) - range_projector(E.infinite_part)
         assert frob_dist(shifted.finite_part, E.finite_part + comp) <= 1e-8
 
+    def test_add_scalar_of_a_finite_matrix_adds_the_identity(self, rng, monkeypatch):
+        def refuse(B):
+            raise AssertionError("range_projector called for a zero infinite part")
+
+        monkeypatch.setattr("qelicit.extended.range_projector", refuse)
+        E = ExtendedHermitian.wrap(random_density(3, rng=rng) - 0.4 * np.eye(3))
+        for c in (1.5, -0.25):
+            shifted = E.add_scalar(c)
+            np.testing.assert_array_equal(shifted.finite_part, E.finite_part + c * np.eye(3))
+            assert not shifted.infinite_part.any()
+
     def test_range_projector_idempotent(self, rng):
         B = matrix_log(random_density(4, rank=2, rng=rng)).infinite_part
         P = range_projector(B)

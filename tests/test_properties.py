@@ -33,7 +33,7 @@ from qelicit.properties import (
     top_k_eigenvector_score,
     with_value,
 )
-from qelicit.properties import _orthonormalize_plain
+from qelicit.properties import _ascend, _orthonormalize_plain
 from qelicit.registry import make_property
 from qelicit.scores import von_neumann_entropy
 
@@ -522,6 +522,23 @@ class TestOptimizerArguments:
         with pytest.raises(ValueError, match="restarts"):
             call(random_density(3, rng=rng))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho, r: optimize_top_eigenvector(rho, restarts=r, rng=1),
+            lambda rho, r: optimize_weighted_basis(rho, [2.0, 1.0], 2, restarts=r, rng=1),
+            lambda rho, r: optimize_eigen_pair(rho, 2, restarts=r, rng=1),
+            lambda rho, r: optimize_abstain(abstain_score(0.5, 3), rho, restarts=r, rng=1),
+        ],
+        ids=["top", "weighted_basis", "eigen_pair", "abstain"],
+    )
+    def test_non_integer_restarts_rejected(self, call, rng):
+        rho = random_density(3, rng=rng)
+        for restarts in (2.5, 2.0, "3", True):
+            with pytest.raises(ValueError, match=f"^restarts must be an integer of at least 1, got {restarts!r}$"):
+                call(rho, restarts)
+        call(rho, np.int64(2))
+
     def test_eigen_pair_rank_above_dimension_rejected(self, rng):
         with pytest.raises(ValueError, match="k must be between 1 and the dimension 3"):
             optimize_eigen_pair(random_density(3, rng=rng), 5, rng=1)
@@ -629,6 +646,40 @@ class TestStackedAscentMatchesSerial:
             want = _serial_best(rho, k, grad, value, 12, iters, g_serial)
             assert got == pytest.approx(want, abs=1e-12), name
             assert g_stacked.standard_normal() == g_serial.standard_normal(), name
+
+
+class TestAscentRetirement:
+    def test_restart_at_a_top_eigenvector_retires_after_two_flat_steps(self):
+        rho = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
+        calls = []
+
+        def value(X):
+            calls.append(len(X))
+            return np.einsum("rij,ik,rkj->r", X.conj(), rho, X).real
+
+        X0 = np.eye(3, 1, dtype=np.complex128)[None]
+        X, best = _ascend(X0, lambda X: rho @ X, value, iters=200)
+        assert len(calls) == 3  # the start, then two steps that leave the value where it is
+        assert best[0] == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_allclose(np.abs(X[0, :, 0]), [1.0, 0.0, 0.0], atol=1e-15)
+
+    def test_a_flat_overshoot_does_not_retire_the_restart(self):
+        # A tent in t = |x_1 / x_0| peaking at t = 0.25.  The first step (0.5)
+        # lands on its far foot t = 0.5, at the start's value 0; the halved
+        # step reaches the peak.
+        def grad(X):
+            G = np.zeros_like(X)
+            G[:, 1, 0] = 1.0
+            return G
+
+        def value(X):
+            t = np.abs(X[:, 1, 0] / X[:, 0, 0])
+            return np.minimum(t, 0.5 - t)
+
+        X0 = np.eye(2, 1, dtype=np.complex128)[None]
+        assert abs(value(_orthonormalize_plain(X0 + 0.5 * grad(X0)))[0]) <= 1e-15
+        _, best = _ascend(X0, grad, value, iters=1)
+        assert best[0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestWitnessEdges:
