@@ -25,7 +25,6 @@ from .linalg import _decompose
 
 __all__ = [
     "NEG_INF",
-    "INNER_ZERO_TOL",
     "KERNEL_PRODUCT_TOL",
     "EXT_WEIGHT_TOL",
     "ext_mul",
@@ -40,7 +39,6 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-INNER_ZERO_TOL = 1e-10     # |<B, X>| below this counts as zero overlap
 KERNEL_PRODUCT_TOL = 1e-8  # max-norm bound on A @ B for a valid pair
 EXT_WEIGHT_TOL = 1e-12     # weights at most this in magnitude count as exact 0
 
@@ -99,6 +97,8 @@ def _ext_log(p) -> np.ndarray:
 def _range_split(B):
     # the eigenvectors of a Hermitian PSD matrix B (or of each of a stack) and the mask of those
     # spanning its range, eigenvalues above ZERO_EIG_REL * max(trace, 1); the kernel is the rest
+    if not B.any():  # no range: eigh's identity vectors, without the eigh
+        return np.eye(B.shape[-1]) + np.zeros_like(B), np.zeros(B.shape[:-1], dtype=bool)
     w, V = np.linalg.eigh(B)
     return V, w > ZERO_EIG_REL * np.maximum(np.trace(B, axis1=-2, axis2=-1).real, 1.0)[..., None]
 
@@ -147,7 +147,7 @@ class ExtendedHermitian:
 
     def is_finite(self) -> bool:
         """True when the infinite part has no range: ``range_projector`` of it is zero."""
-        return not (self.infinite_part.any() and _range_split(self.infinite_part)[1].any())
+        return not _range_split(self.infinite_part)[1].any()
 
     def add_scalar(self, c: float) -> "ExtendedHermitian":
         """Add c * identity, restricted to the finite subspace.
@@ -167,16 +167,16 @@ class ExtendedHermitian:
 def ext_inner(E: ExtendedHermitian, X) -> float:
     """Extended inner product <A - inf B, X> = <A, X> - inf <B, X>.
 
-    Returns -inf when X puts positive mass on the infinite part, the
-    finite value <A, X> when the overlap is zero, and raises when the
-    overlap is genuinely negative (impossible for PSD X, so it signals
-    inconsistent input).
+    Returns -inf when X's mass <P, X> on the range P of B is above
+    EXT_WEIGHT_TOL, <A, X> when it is within EXT_WEIGHT_TOL of zero, and
+    raises when it is below -EXT_WEIGHT_TOL (impossible for PSD X, so it
+    signals inconsistent input).
     """
     X = as_hermitian(X)
-    b = hs_inner(E.infinite_part, X)
-    if b > INNER_ZERO_TOL:
+    b = hs_inner(range_projector(E.infinite_part), X)
+    if b > EXT_WEIGHT_TOL:
         return NEG_INF
-    if b < -INNER_ZERO_TOL:
+    if b < -EXT_WEIGHT_TOL:
         raise ValueError(
             f"negative overlap {b:.3e} with the infinite part; input not PSD?"
         )

@@ -74,6 +74,11 @@ def _label(name: str, A, i) -> str:
     return f"{name} {i}" if A.ndim == 3 else name
 
 
+def _is_int(x) -> bool:
+    # a Python or numpy integer, never a bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def as_hermitian(M, name: str = "matrix") -> np.ndarray:
     """Validate that M is Hermitian within HERM_TOL; return its Hermitian part.
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import (
     PSD_TOL,
+    _is_int,
     as_density,
     hermitian_part,
     matrix_to_json,
@@ -210,6 +211,8 @@ def eigen_pair_score(k: int) -> QuantumScore:
     carries 2nk - k^2 real parameters, far fewer than the n^2 - 1 of a
     full state when k is small.
     """
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
 
     def payoff(A):
         dec = spectral_decompose(A)
@@ -485,10 +488,10 @@ def _starts(rho, restarts, iters, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
     n = rho.shape[0]
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+    if not _is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be an integer of at least 1, got {restarts!r}")
-    if not iters >= 0:  # a NaN fails too
-        raise ValueError(f"iters must be at least 0, got {iters!r}")
+    if not (_is_int(iters) and iters >= 0):
+        raise ValueError(f"iters must be {'at least' if _is_int(iters) else 'an integer of at least'} 0, got {iters!r}")
     if not 1 <= k <= n:
         raise ValueError(f"{name} must be between 1 and the dimension {n}, got {k!r}")
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))

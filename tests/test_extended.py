@@ -8,6 +8,7 @@ from qelicit.extended import (
     NEG_INF,
     ExtendedHermitian,
     _ext_gap,
+    _range_split,
     canonicalize_extended,
     ext_dot,
     ext_inner,
@@ -17,6 +18,13 @@ from qelicit.extended import (
     range_projector,
 )
 from qelicit.linalg import frob_dist, hs_inner, random_density, random_pure, spectral_decompose
+from qelicit.properties import (
+    eigen_pair_score,
+    optimize_eigen_pair,
+    optimize_top_eigenvector,
+    optimize_weighted_basis,
+)
+from qelicit.scores import log_spectral
 
 
 class TestExtendedArithmetic:
@@ -261,3 +269,50 @@ class TestOneOwnerPerDecision:
         E = matrix_log(np.diag(lam).astype(complex))
         assert np.diag(E.infinite_part).real.tolist() == [0.0, 0.0, 1.0]
         assert np.allclose(np.diag(E.finite_part).real[:2], logs[:2], rtol=1e-12, atol=0)
+
+    def test_inner_product_reads_the_range_and_the_zero_mass_rule(self):
+        # entries 2e-11: the weighted overlap <B, J/3> = 6e-11 is below 1e-10, the range mass 1 is not
+        J = np.ones((3, 3))
+        E = ExtendedHermitian(np.zeros((3, 3)), 2e-11 * J)
+        assert not E.is_finite()
+        assert ext_inner(E, J / 3) == NEG_INF
+
+    def test_inner_product_and_log_score_share_the_zero_mass_rule(self):
+        sigma, rho = np.diag([1.0, 0.0]), np.diag([1 - 5e-11, 5e-11])
+        assert ext_inner(matrix_log(sigma), rho) == log_spectral().expected(sigma, rho) == NEG_INF
+
+    def test_negative_mass_above_the_zero_mass_rule_is_refused(self):
+        with pytest.raises(ValueError, match="overlap"):
+            ext_inner(matrix_log(np.diag([1.0, 0.0])), np.diag([1 + 5e-11, -5e-11]))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_zero_matrix_split_matches_eigh_without_calling_it(self, n, monkeypatch):
+        zeros = [np.zeros((n, n), dtype=complex), np.zeros((5, n, n), dtype=complex)]
+        vectors = [np.linalg.eigh(B)[1] for B in zeros]
+        monkeypatch.setattr(np.linalg, "eigh", lambda B: pytest.fail("eigh called on a zero matrix"))
+        for B, W in zip(zeros, vectors):
+            V, on = _range_split(B)
+            assert V.dtype == W.dtype and V.shape == W.shape and V.tobytes() == W.tobytes()
+            assert on.shape == B.shape[:-1] and not on.any()
+        E = ExtendedHermitian.wrap(np.diag(np.arange(n, dtype=float)))
+        assert E.is_finite()
+        assert ext_inner(E, np.diag(np.eye(n)[-1])) == n - 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho, iters: optimize_top_eigenvector(rho, iters=iters, rng=0),
+            lambda rho, iters: optimize_weighted_basis(rho, [2.0, 1.0], 2, iters=iters, rng=0),
+            lambda rho, iters: optimize_eigen_pair(rho, 2, iters=iters, rng=0),
+        ],
+        ids=["top", "weighted_basis", "eigen_pair"],
+    )
+    @pytest.mark.parametrize("iters", [2.5, True, np.nan])
+    def test_non_integer_iters_refused(self, call, iters):
+        with pytest.raises(ValueError, match=f"^iters must be an integer of at least 0, got {iters!r}$"):
+            call(np.diag([0.6, 0.3, 0.1]), iters)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_eigen_pair_rank_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer of at least 1, got {k!r}$"):
+            eigen_pair_score(k)

@@ -7,10 +7,14 @@ Run it once per tree and diff the listings:
 
 Each line is ``<label> <sha256>``.  The outputs are the registry verdict
 reports, the classical properness and permutation checks, the expected
-scores of every registry score, the dimension-mismatch messages and the
+scores of every registry score, the dimension-mismatch messages, the
 stdout and exit code of the ``paper-examples``, ``verify`` and
-``witness`` subcommands.  A value is hashed through its ``repr`` (floats
-round-trip exactly), a raised error through its type and message.
+``witness`` subcommands, the extended inner products of ``matrix_log``
+and of every registry ``QuantumScore``'s coefficient, three zero-mass
+edge cases of ``ext_inner``, and what the four property optimizers
+return at one state for seeds 0-2.  A value is hashed through its
+``repr`` (floats round-trip exactly, arrays are written as lists), a
+raised error through its type and message.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 import qelicit as q
 from qelicit.classical import is_permutation_invariant
 from qelicit.cli import main
+from qelicit.properties import optimize_abstain, optimize_eigen_pair, optimize_top_eigenvector, optimize_weighted_basis
 from qelicit.registry import SCORE_REGISTRY, make_score, run_verify
 
 
@@ -58,11 +63,16 @@ def classical_checks() -> None:
             emit(f"permutation {name} n={n}", repr([is_permutation_invariant(rule, n, rng=s) for s in range(4)]))
 
 
+def seeded_states(n: int) -> list:
+    # one state of each rank 1..n
+    return [q.random_density(n, rank=r, rng=10 * n + r) for r in range(1, n + 1)]
+
+
 def expected_scores() -> None:
     for name in sorted(SCORE_REGISTRY):
         for n in (2, 3, 4):
             S = make_score(name, n)
-            states = [q.random_density(n, rank=r, rng=10 * n + r) for r in range(1, n + 1)]
+            states = seeded_states(n)
             values = [outcome(q.expected_score, S, a, b) for a in states for b in states]
             emit(f"expected_score {name} n={n}", "\n".join(values))
 
@@ -100,9 +110,59 @@ def cli_stdout() -> None:
         emit(" ".join(argv[:3]) if argv[0] != "paper-examples" else argv[0], f"{code}\n{out.getvalue()}")
 
 
+def extended_inner_products() -> None:
+    for n in (2, 3, 4):
+        states = seeded_states(n)
+        values = [outcome(q.ext_inner, E, b) for E in map(q.matrix_log, states) for b in states]
+        emit(f"ext_inner matrix_log n={n}", "\n".join(values))
+    for name in sorted(SCORE_REGISTRY):
+        for n in (2, 3, 4):
+            S = make_score(name, n)
+            if not isinstance(S, q.QuantumScore):
+                continue
+            states = seeded_states(n)
+            # a report the score refuses (ml:s2's rank-deficient ones) lists the refusal
+            values = [outcome(lambda a, b: q.ext_inner(q.score_coefficient(S, a), b), a, b) for a in states for b in states]
+            emit(f"ext_inner score_coefficient {name} n={n}", "\n".join(values))
+
+
+def zero_mass_edges() -> None:
+    J = np.ones((3, 3))
+    log_10 = q.matrix_log(np.diag([1.0, 0.0]))
+    cases = {
+        "range of 2e-11 J": (q.ExtendedHermitian(np.zeros((3, 3)), 2e-11 * J), J / 3),
+        "mass 5e-11 on the kernel": (log_10, np.diag([1 - 5e-11, 5e-11])),
+        "mass -5e-11 on the kernel": (log_10, np.diag([1 + 5e-11, -5e-11])),
+    }
+    for label, args in cases.items():
+        emit(f"ext_inner edge {label}", outcome(q.ext_inner, *args))
+
+
+def listed(result) -> tuple:
+    # an optimizer's (report, value), the report as a list so its entries round-trip (an abstain report is None)
+    report, value = result
+    return np.asarray(report).tolist(), value
+
+
+def optimizers() -> None:
+    rho = q.random_density(3, rng=5)  # top eigenvalue 0.667: abstaining at 0.7 wins
+    calls = {
+        "top_eigenvector": lambda g: optimize_top_eigenvector(rho, rng=g),
+        "weighted_basis": lambda g: optimize_weighted_basis(rho, [2.0, 1.0], 2, rng=g),
+        "eigen_pair": lambda g: optimize_eigen_pair(rho, 2, rng=g),
+        "abstain": lambda g: optimize_abstain(q.abstain_score(0.7, 3), rho, rng=g),
+    }
+    for name, f in calls.items():
+        values = [outcome(lambda g: listed(f(g)), g) for g in range(3)]
+        emit(f"optimize {name}", "\n".join(values))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
     expected_scores()
     mismatch_messages()
     cli_stdout()
+    extended_inner_products()
+    zero_mass_edges()
+    optimizers()
