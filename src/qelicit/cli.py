@@ -6,8 +6,8 @@ module only parses arguments, reads and writes files and formats output:
 compare the verdicts, and ``linalg.read_wire`` reads the measurement and
 market-scenario wire JSON.  Exit codes: 0 when every observed verdict
 matches its expectation, 1 on a verdict mismatch, 2 on usage or IO
-errors, a non-finite number in a JSON report among them.  Output is
-deterministic JSON for a fixed seed and configuration.
+errors, a non-finite number in a JSON report among them.  Output is one
+line of sorted-key JSON, deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -97,8 +98,15 @@ def paper_example_rows() -> list:
     return [{"name": n, "expected": e, "observed": o, "pass": bool(ok)} for n, e, o, ok in rows]
 
 
-def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
-    """Write a strict JSON report (a non-finite float is a ValueError), or a CSV table for a .csv --out."""
+def _dump(obj, out: str | None, csv_rows: list | None = None) -> int | None:
+    """Write a CSV table for a .csv --out, else a report as one line of sorted-key, strict JSON.
+
+    The JSON goes to ``out`` or stdout, the same bytes either way.  It is
+    compact because json's C encoder writes only that; pretty-printing runs
+    the pure-Python encoder, at about half of a large verify run.  A
+    non-finite float is a ValueError and writes nothing.  Returns the
+    number of JSON bytes written.
+    """
     if out and out.endswith(".csv") and csv_rows is not None:
         import csv
 
@@ -107,13 +115,14 @@ def _dump(obj, out: str | None, csv_rows: list | None = None) -> None:
             if csv_rows:
                 writer.writerow(csv_rows[0].keys())
                 writer.writerows(row.values() for row in csv_rows)
-        return
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return None
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return len(text)  # ensure_ascii: one byte per character
 
 
 def _parse_dims(raw: str) -> list:
@@ -146,12 +155,23 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _json_only(args) -> None:
+    # verify and witness write no CSV table: refuse a .csv --out before running
+    if args.out and args.out.endswith(".csv"):
+        raise ValueError(f"{args.command} writes JSON only, not CSV: --out {args.out!r}")
+
+
 def _cmd_verify(args) -> int:
+    _json_only(args)
     report = run_verify(
         args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides),
         profile=sys.stderr if args.profile else None,
     )
-    _dump(report, args.out)
+    start = time.perf_counter()
+    size = _dump(report, args.out)
+    if args.profile:
+        print(f"profile {args.score} report: {size} bytes encoded and written in "
+              f"{time.perf_counter() - start:.4f} s", file=sys.stderr)
     return 0 if report["as_expected"] else 1
 
 
@@ -232,6 +252,7 @@ def _cmd_market(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _json_only(args)
     report = run_witness(args.property, _parse_dims(args.dims), args.trials, args.seed)
     _dump(report, args.out)
     return 0 if report["as_expected"] else 1
@@ -250,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="2,3", help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--out", default=None, help="write the JSON report here (JSON only, not .csv)")
     p.add_argument("--tol-overrides", default=None, help="margin=..,strict_distance=..,equiv_tol=..")
     p.add_argument("--profile", action="store_true",
-                   help="print each check's trials, seconds and draw/score split on stderr")
+                   help="print each check's trials, seconds and draw/score split, then the report's bytes "
+                        "and write seconds, on stderr")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paper-examples", help="reproduce the worked examples and print pass/fail")
@@ -279,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="2", help="dimension to probe (first entry used)")
     p.add_argument("--trials", type=int, default=100, help="number of probes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the JSON report here (JSON only, not .csv)")
     p.set_defaults(func=_cmd_witness)
     return parser
 

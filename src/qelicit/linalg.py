@@ -292,11 +292,27 @@ def _wire_dim(raw) -> int:
     return int(raw)
 
 
+def _wire_numbers(obj: dict, key: str) -> np.ndarray:
+    # the nested lists under ``key``, every entry a JSON number: never a bool, string or null
+    raw = obj[key]
+    todo = [raw]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{key} entry {x!r} is not a number")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def matrix_from_json(obj) -> np.ndarray:
+    """Read the wire format of ``matrix_to_json``; an entry must be a JSON number."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON must be an object with dim, re, im, got {type(obj).__name__}")
     try:
         dim = _wire_dim(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
+        re = _wire_numbers(obj, "re")
+        im = _wire_numbers(obj, "im")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

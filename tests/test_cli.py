@@ -273,6 +273,27 @@ class TestMeasure:
         code, _, _ = run_cli(capsys, "measure", "--state", str(path), "--trials", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("key, rows", [
+        ("re", [["0.5", 0], [0, 0.5]]),
+        ("re", [[True, 0], [0, False]]),
+        ("re", [[None, 0], [0, 1.0]]),
+        ("im", [[0, "0"], [0, 0]]),
+    ], ids=["string-re", "bool-re", "null-re", "string-im"])
+    def test_an_entry_that_is_not_a_number_names_its_key(self, capsys, tmp_path, key, rows):
+        doc = {**matrix_to_json(np.diag([0.5, 0.5])), key: rows}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "measure", "--state", str(path), "--trials", "10")
+        assert (code, out) == (2, "")
+        assert f"malformed matrix JSON: {key} entry" in err and "is not a number" in err
+
+    def test_a_document_that_is_not_an_object_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps([[0.5, 0], [0, 0.5]]))
+        code, out, err = run_cli(capsys, "measure", "--state", str(path), "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "matrix JSON must be an object with dim, re, im" in err
+
 
 class TestMarketSim:
     def scenario(self, tmp_path, n_trades):
@@ -330,6 +351,15 @@ class TestMarketSim:
         assert code == 2
         assert "malformed scenario" in err and repr(dim) in err
         assert out == ""
+
+    def test_a_string_entry_in_a_trade_is_refused(self, capsys, tmp_path):
+        trade = matrix_to_json(np.diag([1.0, 0.0]))
+        trade["re"][0][0] = "1.0"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"dim": 2, "trades": [trade], "truth": matrix_to_json(np.diag([0.5, 0.5]))}))
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "re entry '1.0' is not a number" in err
 
     def test_missing_truth_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -432,7 +462,7 @@ class TestRunWitness:
         want = {"property": name, "dim": dim, "probes": trials, "seed": seed, "expected_elicitable": elicitable,
                 "witness": found.to_json() if found else None}
         assert code == 0
-        assert out == json.dumps({**want, "as_expected": True}, indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps({**want, "as_expected": True}, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_contradicted_verdict_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_witness", lambda *args, **kwargs: {"as_expected": False})
@@ -498,7 +528,7 @@ def test_verify_report_is_written_as_one_json_safe_walk_writes_it(capsys, monkey
     monkeypatch.setattr(cli, "run_verify", lambda *args, **kwargs: report)
     code, out, _ = run_cli(capsys, "verify", "--score", "binary-brier", "--dims", "2", "--trials", "8")
     assert code == 0
-    assert out == json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(json_safe(report), sort_keys=True, separators=(",", ":")) + "\n"
     assert '"-inf"' in out and '"inf"' in out and "Infinity" not in out
 
 
@@ -519,3 +549,37 @@ def test_repeated_main_calls_match_separate_processes(capsys):
                                capture_output=True, text=True, env=env, timeout=120)
         assert (alone.returncode, alone.stdout) == (code, out), argv
         assert err in alone.stderr, argv  # a separate process may also warn that qelicit was imported first
+
+
+def test_verify_out_file_holds_the_bytes_of_stdout_on_one_line(capsys, tmp_path):
+    argv = ["verify", "--score", "fixed:brier", "--dims", "2", "--trials", "40", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "r.json"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["reports"][0]["unitary_invariance"]["violations"]  # stored matrices are in it
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--score", "binary-brier", "--dims", "2", "--trials", "8"],
+    ["witness", "--property", "entropy", "--dims", "2", "--trials", "5"],
+], ids=["verify", "witness"])
+def test_a_csv_out_is_refused_where_only_json_is_written(capsys, tmp_path, argv):
+    path = tmp_path / "r.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} writes JSON only" in err and str(path) in err
+    assert not path.exists()
+
+
+def test_profile_ends_with_the_report_write(capsys, tmp_path):
+    argv = ["verify", "--score", "ml:s3", "--dims", "2", "--trials", "40", "--seed", "2", "--profile"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    line = err.splitlines()[-1]
+    assert line.startswith(f"profile ml:s3 report: {len(out)} bytes encoded and written in ") and line.endswith(" s")
+    path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert f"report: {path.stat().st_size} bytes" in err.splitlines()[-1]

@@ -498,5 +498,6 @@ class TestProfile:
         assert profiled.out == plain.out
         assert plain.err == ""
         lines = profiled.err.splitlines()
-        assert len(lines) == 6
-        assert all("trials/s" in line and "draw" in line and "score" in line for line in lines)
+        assert len(lines) == 7
+        assert all("trials/s" in line and "draw" in line and "score" in line for line in lines[:6])
+        assert f"report: {len(plain.out)} bytes" in lines[6]

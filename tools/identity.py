@@ -8,8 +8,9 @@ Run it once per tree and diff the listings:
 Each line is ``<label> <sha256>``.  The outputs are the registry verdict
 reports, the classical properness and permutation checks, the expected
 scores of every registry score, the dimension-mismatch messages, the
-stdout and exit code of the ``paper-examples``, ``verify`` and
-``witness`` subcommands, the extended inner products of ``matrix_log``
+exit code and stdout of the ``paper-examples``, ``verify`` and
+``witness`` subcommands (a JSON stdout as its parsed content, re-encoded
+with sorted keys), the extended inner products of ``matrix_log``
 and of every registry ``QuantumScore``'s coefficient, three zero-mass
 edge cases of ``ext_inner``, and what the four property optimizers
 return at one state for seeds 0-2.  A value is hashed through its
@@ -107,7 +108,10 @@ def cli_stdout() -> None:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
-        emit(" ".join(argv[:3]) if argv[0] != "paper-examples" else argv[0], f"{code}\n{out.getvalue()}")
+        if argv[0] == "paper-examples":  # a text table, hashed as printed
+            emit(argv[0], f"{code}\n{out.getvalue()}")
+        else:  # a JSON report, hashed by content so that its whitespace does not count
+            emit(" ".join(argv[:3]), f"{code}\n{json.dumps(json.loads(out.getvalue()), sort_keys=True)}")
 
 
 def extended_inner_products() -> None:
