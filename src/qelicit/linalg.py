@@ -293,15 +293,21 @@ def _wire_dim(raw) -> int:
 
 
 def _wire_numbers(obj: dict, key: str) -> np.ndarray:
-    # the nested lists under ``key``, every entry a JSON number: never a bool, string or null
+    # the rows under ``key``: every row as long as the first, every entry a JSON number (never a
+    # bool, string, null or list), so numpy never meets a ragged array; a bare number or a flat
+    # list passes here and fails the caller's shape test
     raw = obj[key]
-    todo = [raw]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, list):
-            todo.extend(x)
-        elif isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(f"{key} entry {x!r} is not a number")
+    rows = raw if isinstance(raw, list) else [raw]
+
+    def size(row):
+        return f"{len(row)} entries" if isinstance(row, list) else "one number"
+
+    for i, row in enumerate(rows):
+        if size(row) != size(rows[0]):
+            raise TypeError(f"{key} row {i} has {size(row)}, expected {size(rows[0])}")
+        for x in row if isinstance(row, list) else [row]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise TypeError(f"{key} entry {x!r} is not a number")
     return np.asarray(raw, dtype=np.float64)
 
 
@@ -335,6 +341,8 @@ def read_wire(obj, kind: str, *keys: str) -> tuple:
     empty; any other key ("truth") holds one matrix.  Every matrix must be
     dim x dim.  Returns ``(dim, *values)``, one value per key.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} JSON must be an object with dim, {', '.join(keys)}, got {type(obj).__name__}")
     try:
         dim = _wire_dim(obj["dim"])
         values = [list(obj.get(key, [])) if key.endswith("s") else obj[key] for key in keys]

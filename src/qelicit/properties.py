@@ -348,12 +348,13 @@ def find_level_set_witness(
     which preserves every spectral statistic exactly; the midpoint
     mixture then typically moves the value.  Returns the first
     counterexample or None.  ``probes`` below 1 or ``dim`` below 2 is
-    refused, since the search would test nothing.
+    refused, since the search would test nothing, and so is either one
+    that is not an integer (a Python or numpy integer, never a ``bool``).
     """
-    if probes < 1:
-        raise ValueError(f"probes must be at least 1, got {probes}")
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
+    for name, x, least in (("probes", probes, 1), ("dim", dim, 2)):
+        if not (_is_int(x) and x >= least):
+            must = "at least" if _is_int(x) else "an integer of at least"
+            raise ValueError(f"{name} must be {must} {least}, got {x!r}")
     rng = np.random.default_rng(rng)
     for _ in range(probes):
         rho1 = random_density(dim, rng=rng)
@@ -440,41 +441,44 @@ def _orthonormalize_plain(X) -> np.ndarray:
     return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
 
 
-def _ascend(X0, grad, value, iters: int):
+def _ascend(X0, f, iters: int):
     """Monotone ascent of every restart in the stack X0 (R, n, k) at once.
 
-    grad maps frames (m, n, k) to ascent directions of the same shape and
-    value maps them to (m,).  Each restart keeps its own step, from 0.5,
-    which doubles on success up to 64 (near-degenerate spectra need the
-    large steps to converge past linear-rate stalls) and halves on
+    f maps frames (m, n, k) to their values (m,) and ascent directions
+    (m, n, k), both from one evaluation, so an accepted step's direction
+    is the one its value came with.  Each restart keeps its own step, from
+    0.5, which doubles on success up to 64 (near-degenerate spectra need
+    the large steps to converge past linear-rate stalls) and halves on
     failure.  A step is accepted when it gains more than ``margin``.
     Every pass tries one step for each live restart; a restart retires
     after ``iters`` accepted steps, when its step falls below 1e-12, or
     after two failed steps in a row that each moved its value by at most
     ``margin``: it has converged to rounding.  One such failure is not
     enough, since a step can overshoot to a point of equal value while a
-    shorter one still gains.
+    shorter one still gains.  The live restarts are kept as compact
+    arrays; a retiring restart writes its frame and value back once.
     """
     margin = 1e-15
-    X, best = X0.copy(), value(X0)
-    s = np.full(len(X), 0.5)
+    X = X0.copy()
+    best, G = f(X)
+    idx = np.arange(len(X) if iters > 0 else 0)  # each live restart's row in X and best
+    Xl, vl, s = X, best, np.full(len(X), 0.5)
     taken = np.zeros(len(X), dtype=int)
     flat = np.zeros(len(X), dtype=int)  # failed steps in a row that moved the value by at most margin
-    G = grad(X)
-    live = np.arange(len(X) if iters > 0 else 0)
-    while live.size:
-        Xn = _orthonormalize_plain(X[live] + s[live, None, None] * G[live])
-        vn = value(Xn)
-        up = vn > best[live] + margin
-        flat[live] = np.where(~up & (np.abs(vn - best[live]) <= margin), flat[live] + 1, 0)
-        won, lost = live[up], live[~up]
-        X[won], best[won] = Xn[up], vn[up]
-        s[won] = np.minimum(s[won] * 2.0, 64.0)
-        taken[won] += 1
-        s[lost] *= 0.5
-        live = live[np.where(up, taken[live] < iters, (s[live] >= 1e-12) & (flat[live] < 2))]
-        if won.size:
-            G[won] = grad(X[won])
+    while idx.size:
+        Xn = _orthonormalize_plain(Xl + s[:, None, None] * G)
+        vn, Gn = f(Xn)
+        up = vn > vl + margin
+        flat = np.where(~up & (np.abs(vn - vl) <= margin), flat + 1, 0)
+        up3 = up[:, None, None]
+        Xl, G = np.where(up3, Xn, Xl), np.where(up3, Gn, G)
+        vl, s = np.where(up, vn, vl), np.where(up, np.minimum(s * 2.0, 64.0), s * 0.5)
+        taken = taken + up
+        keep = np.where(up, taken < iters, (s >= 1e-12) & (flat < 2))
+        if not keep.all():
+            gone = ~keep
+            X[idx[gone]], best[idx[gone]] = Xl[gone], vl[gone]
+            idx, Xl, vl, G, s, taken, flat = (a[keep] for a in (idx, Xl, vl, G, s, taken, flat))
     return X, best
 
 
@@ -497,15 +501,21 @@ def _starts(rho, restarts, iters, k, name, rng):
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
 
 
-def _rayleigh(rho, X) -> np.ndarray:
-    """Rayleigh quotients <x_j, rho x_j> of every column of a frame stack: (m, k)."""
-    return np.einsum("rij,ik,rkj->rj", X.conj(), rho, X).real
+def _rayleigh(rho, X):
+    """Rayleigh quotients <x_j, rho x_j> of a frame stack's columns (m, k), with rho X from the same product."""
+    RX = rho @ X
+    return np.einsum("rij,rij->rj", X.conj(), RX).real, RX
 
 
 def optimize_top_eigenvector(rho, restarts: int = 50, iters: int = 200, rng=None):
     """Projected gradient ascent of <x, rho x> over the unit sphere."""
     rho, X0 = _starts(rho, restarts, iters, 1, "k", rng)
-    X, v = _ascend(X0, grad=lambda X: rho @ X, value=lambda X: _rayleigh(rho, X)[:, 0], iters=iters)
+
+    def f(X):
+        b, RX = _rayleigh(rho, X)
+        return b[:, 0], RX
+
+    X, v = _ascend(X0, f, iters)
     i = int(np.argmax(v))
     return X[i, :, 0], float(v[i])
 
@@ -522,9 +532,12 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: 
     if not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite, got {w.tolist()!r}")
     rho, X0 = _starts(rho, restarts, iters, cols, "cols", rng)
-    X, v = _ascend(
-        X0, grad=lambda X: rho @ X * w, value=lambda X: np.sum(w * _rayleigh(rho, X), axis=1), iters=iters
-    )
+
+    def f(X):
+        b, RX = _rayleigh(rho, X)
+        return b @ w, RX * w
+
+    X, v = _ascend(X0, f, iters)
     i = int(np.argmax(v))
     return X[i], float(v[i])
 
@@ -538,13 +551,13 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, iters: int = 300, rng=N
     """
     rho, X0 = _starts(rho, restarts, iters, k, "k", rng)
 
-    def value(X):
-        b = _rayleigh(rho, X)
-        return np.sum(b * b, axis=1)
+    def f(X):
+        b, RX = _rayleigh(rho, X)
+        return np.sum(b * b, axis=1), RX * b[:, None, :]
 
-    X, v = _ascend(X0, grad=lambda X: rho @ X * _rayleigh(rho, X)[:, None, :], value=value, iters=iters)
+    X, v = _ascend(X0, f, iters)
     i = int(np.argmax(v))
-    beta = _rayleigh(rho, X[i : i + 1])[0]
+    beta = _rayleigh(rho, X[i : i + 1])[0][0]  # the winner's Rayleigh quotients
     A = hermitian_part((X[i] * beta) @ X[i].conj().T)
     return A, float(v[i])
 

@@ -294,6 +294,22 @@ class TestMeasure:
         assert (code, out) == (2, "")
         assert "matrix JSON must be an object with dim, re, im" in err
 
+    def test_a_povm_document_that_is_not_an_object_is_refused(self, capsys, state_file, tmp_path):
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps([[1, 0]]))
+        code, out, err = run_cli(capsys, "measure", "--state", state_file, "--povm", str(path), "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "measurement JSON must be an object with dim, elements, got list" in err
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_a_ragged_row_names_its_key_and_row(self, capsys, tmp_path, key):
+        doc = {**matrix_to_json(np.diag([0.5, 0.5])), key: [[0.5 if key == "re" else 0, 0], [0]]}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "measure", "--state", str(path), "--trials", "10")
+        assert (code, out) == (2, "")
+        assert f"malformed matrix JSON: {key} row 1 has 1 entries, expected 2 entries" in err
+
 
 class TestMarketSim:
     def scenario(self, tmp_path, n_trades):
@@ -360,6 +376,13 @@ class TestMarketSim:
         code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert "re entry '1.0' is not a number" in err
+
+    def test_a_scenario_that_is_not_an_object_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([1]))
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "scenario JSON must be an object with dim, trades, truth, got list" in err
 
     def test_missing_truth_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

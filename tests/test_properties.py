@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ class TestLevelSets:
         with pytest.raises(ValueError, match=name):
             find_level_set_witness(make_property("entropy", 2), dim, probes=probes, rng=0)
 
+    @pytest.mark.parametrize("dim, probes, message", [
+        (2, 2.5, "probes must be an integer of at least 1, got 2.5"),
+        (2, True, "probes must be an integer of at least 1, got True"),
+        (3.0, 5, "dim must be an integer of at least 2, got 3.0"),
+        (2, 0, "probes must be at least 1, got 0"),
+        (1, 10, "dim must be at least 2, got 1"),
+    ])
+    def test_non_integer_counts_are_refused_and_low_ones_keep_their_messages(self, dim, probes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_level_set_witness(make_property("entropy", 2), dim, probes=probes, rng=0)
+
 
 class TestInducedClassical:
     def test_identity_round_trip(self, rng):
@@ -658,7 +670,7 @@ class TestAscentRetirement:
             return np.einsum("rij,ik,rkj->r", X.conj(), rho, X).real
 
         X0 = np.eye(3, 1, dtype=np.complex128)[None]
-        X, best = _ascend(X0, lambda X: rho @ X, value, iters=200)
+        X, best = _ascend(X0, lambda X: (value(X), rho @ X), iters=200)
         assert len(calls) == 3  # the start, then two steps that leave the value where it is
         assert best[0] == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(np.abs(X[0, :, 0]), [1.0, 0.0, 0.0], atol=1e-15)
@@ -678,8 +690,33 @@ class TestAscentRetirement:
 
         X0 = np.eye(2, 1, dtype=np.complex128)[None]
         assert abs(value(_orthonormalize_plain(X0 + 0.5 * grad(X0)))[0]) <= 1e-15
-        _, best = _ascend(X0, grad, value, iters=1)
+        _, best = _ascend(X0, lambda X: (value(X), grad(X)), iters=1)
         assert best[0] == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("iters", [1, 3, 50])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_restart_returns_its_own_frame_and_value(self, k, iters):
+        # restarts retire on different passes (the eigenvector starts after two flat
+        # steps, the rest after iters); each must come back with the frame it ended
+        # on and the value f gives there, as when it ascends alone
+        from qelicit.properties import _random_stiefel
+
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
+        w = np.array([2.0, 1.0][:k])
+
+        def f(X):
+            RX = rho @ X
+            return np.einsum("rij,rij->rj", X.conj(), RX).real @ w, RX * w
+
+        X0 = _random_stiefel(12, 4, k, np.random.default_rng(k))
+        X0[[0, 5, 9]] = np.eye(4, k)
+        X, best = _ascend(X0, f, iters)
+        np.testing.assert_array_equal(best, f(X)[0])
+        assert np.count_nonzero(best > f(X0)[0]) == 9
+        for r in range(12):
+            Xr, best_r = _ascend(X0[r : r + 1], f, iters)
+            np.testing.assert_array_equal(X[r], Xr[0])
+            assert best[r] == best_r[0]
 
 
 class TestWitnessEdges:
