@@ -12,8 +12,12 @@ exit code and stdout of the ``paper-examples``, ``verify`` and
 ``witness`` subcommands (a JSON stdout as its parsed content, re-encoded
 with sorted keys), the extended inner products of ``matrix_log``
 and of every registry ``QuantumScore``'s coefficient, three zero-mass
-edge cases of ``ext_inner``, and what the four property optimizers
-return at one state for seeds 0-2.  A value is hashed through its
+edge cases of ``ext_inner``, what the four property optimizers return
+at one state for seeds 0-2, the von Neumann and relative entropies of
+the seeded states (``+inf`` where sigma's support misses rho's), every
+registry ``QuantumScore``'s measurement elements and payoff vector at
+each seeded state, and ``spectral_decompose`` of states with exact
+eigenvalue ties, alone and in a stack.  A value is hashed through its
 ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -142,6 +146,37 @@ def zero_mass_edges() -> None:
         emit(f"ext_inner edge {label}", outcome(q.ext_inner, *args))
 
 
+def entropies() -> None:
+    for n in (2, 3, 4):
+        states = seeded_states(n)
+        emit(f"von_neumann_entropy n={n}", "\n".join(outcome(q.von_neumann_entropy, a) for a in states))
+        emit(f"relative_entropy n={n}", "\n".join(outcome(q.relative_entropy, a, b) for a in states for b in states))
+
+
+def payoffs() -> None:
+    def listing(S, a):
+        return S.measure(a).elements.tolist(), S.payoff(a)[1].tolist()
+
+    for name in sorted(SCORE_REGISTRY):
+        for n in (2, 3, 4):
+            S = make_score(name, n)
+            if isinstance(S, q.QuantumScore):
+                emit(f"payoff {name} n={n}", "\n".join(outcome(listing, S, a) for a in seeded_states(n)))
+
+
+def tied_decompositions() -> None:
+    cases = {
+        "maximally mixed n=3": np.eye(3) / 3,
+        "diag(0.5, 0.25, 0.25)": np.diag([0.5, 0.25, 0.25]),
+        "diag(0.25, 0.5, 0.25)": np.diag([0.25, 0.5, 0.25]),
+        "diag(1, 0, 0, 0)": np.diag([1.0, 0.0, 0.0, 0.0]),
+        "diag(1, -1, 1)": np.diag([1.0, -1.0, 1.0]),
+        "stack of tied and untied": np.stack([np.eye(3) / 3, np.diag([0.5, 0.25, 0.25]), *seeded_states(3)]),
+    }
+    for label, A in cases.items():
+        emit(f"spectral_decompose {label}", outcome(lambda A: [x.tolist() for x in q.spectral_decompose(A)], A))
+
+
 def listed(result) -> tuple:
     # an optimizer's (report, value), the report as a list so its entries round-trip (an abstain report is None)
     report, value = result
@@ -170,3 +205,6 @@ if __name__ == "__main__":
     extended_inner_products()
     zero_mass_edges()
     optimizers()
+    entropies()
+    payoffs()
+    tied_decompositions()
