@@ -16,12 +16,11 @@ import numpy as np
 from .linalg import (
     ZERO_EIG_REL,
     _require_psd,
-    as_density,
     as_hermitian,
     hermitian_part,
     hs_inner,
 )
-from .linalg import _decompose
+from .linalg import _decomposed_densities
 
 __all__ = [
     "NEG_INF",
@@ -134,6 +133,14 @@ class ExtendedHermitian:
         object.__setattr__(self, "infinite_part", B)
 
     @classmethod
+    def _unchecked(cls, A: np.ndarray, B: np.ndarray) -> "ExtendedHermitian":
+        # an extended matrix the library built: A and B exactly Hermitian, B PSD, A B = 0
+        E = object.__new__(cls)
+        object.__setattr__(E, "finite_part", A)
+        object.__setattr__(E, "infinite_part", B)
+        return E
+
+    @classmethod
     def wrap(cls, A) -> "ExtendedHermitian":
         """Purely finite extended matrix (infinite part zero); an extended one is returned as it is."""
         if isinstance(A, cls):
@@ -189,24 +196,24 @@ def matrix_log(rho) -> ExtendedHermitian:
     The finite part carries log(lambda) on the support; the infinite
     part is the projector onto the kernel, where the log is -inf.
     """
-    A, B = _log_parts(as_density(rho)[None])
-    return ExtendedHermitian(A[0], B[0])
+    _, (lam, V) = _decomposed_densities(rho)
+    A, B = _log_parts(lam, V)
+    return ExtendedHermitian._unchecked(A[0], B[0])
 
 
-def _log_parts(states):
-    """Finite and infinite parts of matrix_log for an (N, n, n) stack of density matrices.
+def _log_parts(lam, V):
+    """Finite and infinite parts of matrix_log for a stack of density matrices, given its ``_decompose``.
 
-    The logs of the eigenvalues are ``_ext_log``'s; the kernel is where
-    they are -inf, and each part is one stacked product.
+    The logs of the eigenvalues ``lam`` (N, n) are ``_ext_log``'s; the
+    kernel is where they are -inf, and each part is one stacked product.
     """
-    lam, V = _decompose(states)
     log, Vh = _ext_log(lam), V.conj().swapaxes(-1, -2)
     A = hermitian_part((V * np.where(log > NEG_INF, log, 0.0)[:, None, :]) @ Vh)
     return A, hermitian_part((V * (log == NEG_INF)[:, None, :]) @ Vh)
 
 
-def _collapse(elements, weights) -> ExtendedHermitian:
-    """sum_i weights_i * elements_i for an (m, n, n) stack of PSD matrices.
+def _collapse(elements, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The parts (A, B) of sum_i weights_i * elements_i for an (m, n, n) stack of PSD matrices.
 
     Elements with a -inf weight sum into the infinite part B (+inf
     weights are rejected), and the finite part A is compressed to
@@ -222,7 +229,7 @@ def _collapse(elements, weights) -> ExtendedHermitian:
     if B.any():
         comp = np.eye(len(A)) - range_projector(B)
         A = hermitian_part(comp @ A @ comp)
-    return ExtendedHermitian(A, B)
+    return A, B
 
 
 def canonicalize_extended(pairs) -> ExtendedHermitian:
@@ -237,4 +244,4 @@ def canonicalize_extended(pairs) -> ExtendedHermitian:
         raise ValueError("need at least one (matrix, weight) pair")
     elements = np.stack([as_hermitian(Ai, f"pair {i}") for i, (Ai, _) in enumerate(pairs)])
     _require_psd(elements, "pair")
-    return _collapse(elements, [alpha for _, alpha in pairs])
+    return ExtendedHermitian(*_collapse(elements, [alpha for _, alpha in pairs]))

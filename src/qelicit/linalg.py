@@ -102,9 +102,12 @@ def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
     return hermitian_part(A)
 
 
-def _require_psd(A, name: str) -> None:
-    """Raise unless A, or each matrix i (named "name i") of a stack A, is PSD within PSD_TOL."""
-    wmin = np.linalg.eigvalsh(A)[..., 0]
+def _require_psd(A, name: str, wmin=None) -> None:
+    """Raise unless A, or each matrix i (named "name i") of a stack A, is PSD within PSD_TOL.
+
+    ``wmin``, if known, is the smallest eigenvalue of A (of each matrix of a stack).
+    """
+    wmin = np.linalg.eigvalsh(A)[..., 0] if wmin is None else wmin
     bad = wmin < -PSD_TOL
     if bad.any():
         i = int(np.argmax(bad))
@@ -113,12 +116,29 @@ def _require_psd(A, name: str) -> None:
 
 def as_density(M, name: str = "state") -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD within PSD_TOL, trace 1."""
+    A = _unit_trace(M, name)
+    _require_psd(A, name)
+    return A
+
+
+def _unit_trace(M, name: str) -> np.ndarray:
+    # as_density's Hermitian and trace checks
     A = as_hermitian(M, name)
     tr = float(np.trace(A).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace is {tr!r}, expected 1 within {TRACE_TOL}")
-    _require_psd(A, name)
     return A
+
+
+def _decomposed_densities(*states):
+    # as_density of each state, for callers that decompose them anyway: the Hermitian and trace
+    # checks state by state, one _decompose of their (k, n, n) stack (one shape), then the PSD
+    # test of each from its eigenvalues; returns the stack and its decomposition
+    A = np.array([_unit_trace(M, "state") for M in states])
+    dec = _decompose(A)
+    for k in range(len(A)):
+        _require_psd(A[k], "state", dec.eigenvalues[k, -1])
+    return A, dec
 
 
 def as_unitary(M, name: str = "unitary") -> np.ndarray:
@@ -208,9 +228,11 @@ def _decompose(A: np.ndarray) -> SpectralDecomposition:
     # spectral_decompose of an exactly Hermitian matrix or stack (not checked)
     n = A.shape[-1]
     w, V = np.linalg.eigh(A.reshape(-1, n, n))
-    # a stable descending sort keeps the solver's order within exact ties
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None, :], -1)
+    if (w[:, 1:] > w[:, :-1]).all():  # ascending with no exact ties: descending is the reverse
+        w, V = w[:, ::-1].copy(), V[..., ::-1].copy()  # C-contiguous, as the gather below returns
+    else:  # a stable descending sort keeps the solver's order within exact ties
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None, :], -1)
     return SpectralDecomposition(w.reshape(A.shape[:-1]), _fix_phases(V).reshape(A.shape))
 
 

@@ -9,6 +9,8 @@ from time import perf_counter
 
 import numpy as np
 
+from .linalg import _is_int
+
 __all__ = ["ScoreReport", "run_trials", "json_safe"]
 
 MAX_STORED_VIOLATIONS = 32
@@ -80,10 +82,11 @@ class ScoreReport:
 
 
 def _check_dims(dims) -> list:
-    # dims as a list, refused unless non-empty with every dimension at least 2
+    # dims as a list, refused unless non-empty with every dimension an integer of at least 2
     dims = list(dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"dims must be non-empty, every dimension at least 2 (checks are vacuous below), got {dims}")
+    if not dims or not all(_is_int(d) and d >= 2 for d in dims):
+        must = "at least" if all(map(_is_int, dims)) else "an integer of at least"
+        raise ValueError(f"dims must be non-empty, every dimension {must} 2 (checks are vacuous below), got {dims}")
     return dims
 
 

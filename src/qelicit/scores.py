@@ -44,12 +44,13 @@ from .extended import (
     ext_inner,
 )
 from .linalg import (
+    as_complex_matrix,
     as_density,
     hermitian_part,
     matrix_to_json,
     random_density,
 )
-from .linalg import _complex_gaussian, _decompose, _densities, _unitaries
+from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _unitaries
 from .measurement import (
     Measurement,
     _basis_pvm,
@@ -117,12 +118,15 @@ class QuantumScore:
     measurement is its bases.  It answers ``_probs(states)``, the (N, m)
     outcome distributions, and ``_at(k)``, report k's POVM.  A score
     built from ``payoff`` alone is stacked by calling it once per report.
+    A spectral score's ``stack`` is its private map (lambda, V) -> payoff
+    after ``_decompose``; a report it validates is PSD-tested from that (lambda, V).
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
     name: str = ""
     domain: Callable[[np.ndarray], np.ndarray] | None = None
     stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
+    _spectral: Callable[[tuple], tuple[object, np.ndarray]] | None = None
 
     def measure(self, report) -> Measurement:
         return self.payoff(report)[0]
@@ -132,10 +136,12 @@ class QuantumScore:
 
     def expected(self, report, rho) -> float:
         """Expected payoff of ``report`` under belief ``rho``, from one payoff evaluation."""
-        reports = [report] if self.stack is None else as_density(report)[None]
-        outcomes, values = self._stacked(reports)
+        if self.stack is None:
+            outcomes, values = _per_report(self.payoff, [report])
+            dim = outcomes._at(0).dim
+        else:
+            dim, outcomes, values = _validated(self.stack, self._spectral, report)
         rho = as_density(rho)
-        dim = outcomes._at(0).dim if self.stack is None else reports.shape[-1]
         if rho.shape[0] != dim:
             raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {dim}")
         return float(_pair(outcomes, values, rho[None])[0])
@@ -152,13 +158,23 @@ class QuantumScore:
         return self.stack(reports)
 
 
-def _stacked_score(stack, name: str) -> QuantumScore:
+def _stacked_score(stack, name: str, spectral=None) -> QuantumScore:
     # a score from its stack-native payoff; the per-report payoff is its N = 1 call
     def payoff(report):
-        outcomes, values = stack(as_density(report)[None])
+        _, outcomes, values = _validated(stack, spectral, report)
         return outcomes._at(0), values[0]
 
-    return QuantumScore(payoff, name=name, stack=stack)
+    return QuantumScore(payoff, name=name, stack=stack, _spectral=spectral)
+
+
+def _validated(stack, spectral, report):
+    # the dimension, stacked measurement and (1, m) payoffs of one report, validated; a spectral
+    # score's report is PSD-tested from the decomposition its map ``spectral`` pays from
+    if spectral is None:
+        reports = as_density(report)[None]
+        return reports.shape[-1], *stack(reports)
+    states, dec = _decomposed_densities(report)
+    return states.shape[-1], *spectral(dec)
 
 
 class _PerReport:
@@ -239,7 +255,7 @@ def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
     populate the infinite part.
     """
     mu, values = S.payoff(rho_prime)
-    return _collapse(mu.elements, values)
+    return ExtendedHermitian._unchecked(*_collapse(mu.elements, values))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +350,11 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
         if not is_permutation_invariant(rule, d, rng=12345):
             raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
 
-    def stack(reports):
-        lam, V = _decompose(reports)
+    def spectral(dec):
+        lam, V = dec
         return _Bases(V), _rule_values(rule, lam)
 
-    return _stacked_score(stack, name or f"spectral:{rule.name}")
+    return _stacked_score(lambda reports: spectral(_decompose(reports)), name or f"spectral:{rule.name}", spectral)
 
 
 def log_spectral() -> QuantumScore:
@@ -396,8 +412,8 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     """
 
     def stack(reports, beliefs):
-        A_r, B_r = _log_parts(reports)
-        A_b, B_b = _log_parts(beliefs)
+        A_r, B_r = _log_parts(*_decompose(reports))
+        A_b, B_b = _log_parts(*_decompose(beliefs))
         V, on = _range_split(hermitian_part(B_r + B_b))
         common = (~on).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
         finite = A_r + A_b
@@ -458,9 +474,8 @@ _LOG = log_spectral()  # S, the spectral log score that defines both entropies
 
 def von_neumann_entropy(rho) -> float:
     """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
-    rho = as_density(rho)[None]
-    (self_score,) = _LOG.expected_stack(rho, rho)
-    return 0.0 - float(self_score[0])
+    states, dec = _decomposed_densities(rho)
+    return 0.0 - float(_pair(*_LOG._spectral(dec), states)[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -468,12 +483,13 @@ def relative_entropy(rho, sigma) -> float:
 
     Nonnegative, zero only at rho == sigma, and +inf when rho puts mass
     outside sigma's support (S(sigma; rho) is -inf).  Each state is
-    validated once, and both scores come from one stacked payoff.
+    validated once, and both scores come from one stacked decomposition and payoff.
     """
-    rho, sigma = as_density(rho), as_density(sigma)
+    rho, sigma = as_complex_matrix(rho, "state"), as_complex_matrix(sigma, "state")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape[0]}, sigma {sigma.shape[0]}")
-    (scores,) = _LOG.expected_stack(np.stack([rho, sigma]), np.stack([rho, rho]))
+    states, dec = _decomposed_densities(rho, sigma)
+    scores = _pair(*_LOG._spectral(dec), states[[0, 0]])
     return float(scores[0] - scores[1])
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,18 @@ class TestPaperExamples:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("call, message", [
+        (([2.0], 40), "dims must be non-empty, every dimension an integer of at least 2 "
+                      "(checks are vacuous below), got [2.0]"),
+        (([2], 40.0), "trials must be an integer of at least the number of dimensions (1), got 40.0"),
+        (([2], True), "trials must be an integer of at least the number of dimensions (1), got True"),
+        (([2, 3], 1), "trials must be at least the number of dimensions (2), got 1"),
+        (([1], 40), "dims must be non-empty, every dimension at least 2 (checks are vacuous below), got [1]"),
+    ])
+    def test_counts_that_are_not_integers_are_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_verify("fixed:brier", *call, 0)
+
     def test_truthful_score_exits_zero(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run_cli(
@@ -472,6 +485,18 @@ class TestRunWitness:
     def test_dimension_below_two_is_refused(self, dims):
         with pytest.raises(ValueError, match="dimension at least 2"):
             run_witness("entropy", dims, 5, 0)
+
+    @pytest.mark.parametrize("call, message", [
+        (("entropy", [3], 2.5), "trials must be an integer of at least 1, got 2.5"),
+        (("entropy", [3], True), "trials must be an integer of at least 1, got True"),
+        (("entropy", [3.0], 5), "dims must be non-empty, every dimension an integer of at least 2 "
+                                "(checks are vacuous below), got [3.0]"),
+        (("entropy", [3], 0), "trials must be at least 1, got 0"),
+        (("entropy", [1], 5), "dims must be non-empty, every dimension at least 2 (checks are vacuous below), got [1]"),
+    ])
+    def test_counts_are_refused_by_the_names_the_caller_passed(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_witness(*call, 0)
 
     @pytest.mark.parametrize("name, dim, trials, seed, elicitable", [
         ("entropy", 3, 100, 2, False), ("expectation", 2, 50, 2, True), ("max-eigenvalue", 2, 30, 5, False),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qelicit.classical import log_rule
 from qelicit.extended import (
+    KERNEL_PRODUCT_TOL,
     NEG_INF,
     ExtendedHermitian,
     _ext_gap,
@@ -17,14 +18,15 @@ from qelicit.extended import (
     matrix_log,
     range_projector,
 )
-from qelicit.linalg import frob_dist, hs_inner, random_density, random_pure, spectral_decompose
+from qelicit.linalg import PSD_TOL, frob_dist, hs_inner, random_density, random_pure, spectral_decompose
 from qelicit.properties import (
     eigen_pair_score,
     optimize_eigen_pair,
     optimize_top_eigenvector,
     optimize_weighted_basis,
 )
-from qelicit.scores import log_spectral
+from qelicit.registry import SCORE_REGISTRY, make_score
+from qelicit.scores import QuantumScore, log_spectral, score_coefficient
 
 
 class TestExtendedArithmetic:
@@ -238,6 +240,38 @@ class TestExtendedHermitian:
         B = matrix_log(random_density(4, rank=2, rng=rng)).infinite_part
         P = range_projector(B)
         assert frob_dist(P @ P, P) <= 1e-10
+
+
+def _states_of_every_rank(n):
+    return [random_density(n, rank=r, rng=100 * n + 10 * r + s) for r in range(1, n + 1) for s in range(3)]
+
+
+class TestLibraryBuiltExtendedMatrices:
+    """matrix_log and score_coefficient build their ExtendedHermitian unchecked; its invariants hold."""
+
+    @staticmethod
+    def _assert_invariants(E):
+        A, B = E.finite_part, E.infinite_part
+        assert np.array_equal(A, A.conj().T) and np.array_equal(B, B.conj().T)
+        assert np.linalg.eigvalsh(B)[0] >= -PSD_TOL
+        assert np.abs(A @ B).max() <= KERNEL_PRODUCT_TOL
+        checked = ExtendedHermitian(A, B)  # the public constructor takes the parts as they are
+        assert checked.finite_part is A and checked.infinite_part is B
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_matrix_log_parts(self, n):
+        for rho in _states_of_every_rank(n):
+            self._assert_invariants(matrix_log(rho))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("name", sorted(k for k in SCORE_REGISTRY if isinstance(make_score(k, 2), QuantumScore)))
+    def test_score_coefficient_parts(self, name, n):
+        S = make_score(name, n)
+        reports = np.array(_states_of_every_rank(n))
+        if S.domain is not None:  # ml:s2 refuses rank-deficient reports
+            reports = reports[S.domain(reports)]
+        for report in reports:
+            self._assert_invariants(score_coefficient(S, report))
 
 
 def test_ext_gap_on_the_half_extended_line():

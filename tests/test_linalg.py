@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelicit.linalg import (
+    _decompose,
+    _fix_phases,
     as_density,
     as_hermitian,
     as_unitary,
@@ -182,6 +184,44 @@ class TestSpectralDecompose:
     def test_empty_matrix_is_named(self, shape):
         with pytest.raises(ValueError, match=r"matrix is empty, got shape \(.*0, 0\)"):
             spectral_decompose(np.zeros(shape))
+
+
+def _stable_descending(A):
+    # eigh, a stable descending sort of every row, then the phase fix
+    n = A.shape[-1]
+    w, V = np.linalg.eigh(A.reshape(-1, n, n))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None, :], -1)
+    return w.reshape(A.shape[:-1]), _fix_phases(V).reshape(A.shape)
+
+
+class TestDecomposeOrder:
+    """Without exact ties _decompose reverses eigh's ascending order; with them it sorts stably."""
+
+    CASES = {
+        "full rank": (random_density(4, rng=3), False),
+        "rank 2": (random_density(4, rank=2, rng=4), False),
+        "maximally mixed": (np.eye(3, dtype=complex) / 3, True),
+        "diag(0.5, 0.25, 0.25)": (np.diag([0.5, 0.25, 0.25]).astype(complex), True),
+        "diag(1, -1, 1)": (np.diag([1.0, -1.0, 1.0]).astype(complex), True),
+        "untied stack": (np.stack([random_density(3, rng=s) for s in range(4)]), False),
+        "tied and untied stack": (np.stack([random_density(3, rng=5), np.eye(3) / 3,
+                                            np.diag([0.5, 0.25, 0.25]), random_density(3, rank=2, rng=6)]), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_stable_descending_sort_bit_for_bit(self, case, monkeypatch):
+        A, tied = self.CASES[case]
+        gathers = []
+        real = np.take_along_axis
+        monkeypatch.setattr(np, "take_along_axis", lambda *args: gathers.append(1) or real(*args))
+        lam, V = _decompose(A)
+        monkeypatch.undo()
+        want_lam, want_V = _stable_descending(A)
+        assert np.array_equal(lam, want_lam)
+        assert np.array_equal(V, want_V)
+        assert bool(gathers) == tied  # the gather runs only where some row has an exact tie
+        assert lam.flags.c_contiguous and V.flags.c_contiguous
 
 
 class TestRandomStates:

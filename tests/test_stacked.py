@@ -425,16 +425,25 @@ class TestPerTrialReference:
 
 
 def _count_as_density(monkeypatch):
+    # one count per state validated, by as_density or by _decomposed_densities (the owner
+    # for states whose call decomposes them, which validates each of its states once)
     calls = []
-    real = qelicit.linalg.as_density
+    real, real_decomposed = qelicit.linalg.as_density, qelicit.linalg._decomposed_densities
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counted_decomposed(*states):
+        calls.extend([1] * len(states))
+        return real_decomposed(*states)
+
     for name, mod in list(sys.modules.items()):
-        if (name == "qelicit" or name.startswith("qelicit.")) and getattr(mod, "as_density", None) is real:
-            monkeypatch.setattr(mod, "as_density", counted)
+        if name == "qelicit" or name.startswith("qelicit."):
+            for attr, original, fake in (("as_density", real, counted),
+                                         ("_decomposed_densities", real_decomposed, counted_decomposed)):
+                if getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, fake)
     return calls
 
 
@@ -473,6 +482,50 @@ class TestValidationCounts:
                 assert H == -L.expected(rho, rho)
                 want = L.expected(rho, rho) - L.expected(sigma, rho)
                 assert relative_entropy(rho, sigma) == want
+
+
+SPECTRAL = ("projective-brier", "spectral:brier", "spectral:log", "ml:s1", "ml:s2")
+BAD_STATES = {
+    "non-Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "wrong trace": np.diag([0.7, 0.7]),
+    "non-PSD": np.diag([1.2, -0.2]),
+    "NaN": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+}
+
+
+def _refusal(f, *args) -> str:
+    with pytest.raises(ValueError) as caught:
+        f(*args)
+    return str(caught.value)
+
+
+class TestValidatedDecomposition:
+    """Calls that decompose a state PSD-test it from that decomposition, refusing as as_density does."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_STATES))
+    def test_each_rerouted_call_refuses_with_as_densitys_message(self, kind):
+        bad, good = BAD_STATES[kind], random_density(2, rng=3)
+        want = _refusal(qelicit.as_density, bad)
+        calls = [(von_neumann_entropy, bad), (relative_entropy, bad, good), (relative_entropy, good, bad),
+                 (qelicit.matrix_log, bad)]
+        for name in SPECTRAL:
+            S = make_score(name, 2)
+            calls += [(S.payoff, bad), (S.measure, bad), (S.expected, bad, good),
+                      (qelicit.score_coefficient, S, bad)]
+        for f, *args in calls:
+            assert _refusal(f, *args) == want, (f, kind)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 8))
+    @pytest.mark.parametrize("name", SPECTRAL)
+    def test_a_stacked_row_equals_its_n1_payoff_bit_for_bit(self, name, n):
+        S = make_score(name, n)
+        R = _reports(n, np.random.default_rng(50 + n))
+        R = R[S.domain(R)] if S.domain is not None else R
+        outcomes, values = S.stack(R)
+        for k, r in enumerate(R):
+            mu, v = S.payoff(r)
+            assert np.array_equal(values[k], v)
+            assert np.array_equal(outcomes._at(k).elements, mu.elements)
 
 
 class TestMarketShapes:
