@@ -16,8 +16,11 @@ edge cases of ``ext_inner``, what the four property optimizers return
 at one state for seeds 0-2, the von Neumann and relative entropies of
 the seeded states (``+inf`` where sigma's support misses rho's), every
 registry ``QuantumScore``'s measurement elements and payoff vector at
-each seeded state, and ``spectral_decompose`` of states with exact
-eigenvalue ties, alone and in a stack.  A value is hashed through its
+each seeded state, ``spectral_decompose`` of states with exact
+eigenvalue ties, alone and in a stack, and what every entry point that
+takes a count or a dimension makes of 2.5, ``True``, ``"3"``, the
+integer just below its floor and ``np.int64`` of a valid value.  A
+value is hashed through its
 ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -32,10 +35,16 @@ import json
 import numpy as np
 
 import qelicit as q
-from qelicit.classical import is_permutation_invariant
+from qelicit.classical import from_convex, is_permutation_invariant
 from qelicit.cli import main
-from qelicit.properties import optimize_abstain, optimize_eigen_pair, optimize_top_eigenvector, optimize_weighted_basis
-from qelicit.registry import SCORE_REGISTRY, make_score, run_verify
+from qelicit.properties import (
+    find_level_set_witness,
+    optimize_abstain,
+    optimize_eigen_pair,
+    optimize_top_eigenvector,
+    optimize_weighted_basis,
+)
+from qelicit.registry import SCORE_REGISTRY, make_property, make_score, run_verify, run_witness
 
 
 def emit(label: str, text: str) -> None:
@@ -196,6 +205,61 @@ def optimizers() -> None:
         emit(f"optimize {name}", "\n".join(values))
 
 
+def count_arguments() -> None:
+    # one line per entry point and count argument: (call of the count, its floor, a valid value)
+    rho = q.random_density(3, rng=5)
+    S, brier = make_score("spectral:log", 2), q.brier_rule()
+    frame = q.random_unitary(3, rng=6)
+    wager = q.WageringRound([q.random_density(2, rng=s) for s in (1, 2)],
+                            q.fixed_measurement_score(brier, q.standard_pvm(2)), q.random_density(2, rng=3))
+
+    def report(check, *args):
+        return lambda x: check(*args, x, dims=(2,), rng=0).to_json()
+
+    rows = {
+        "truthfulness_check trials": (report(q.truthfulness_check, S), 0, 8),
+        "equivalence_check trials": (report(q.equivalence_check, S, S), 0, 8),
+        "unitary_invariance_check trials": (report(q.unitary_invariance_check, S), 0, 8),
+        "implementability_check trials": (report(q.implementability_check, S), 0, 8),
+        "subgradient_inequality_check trials": (
+            report(q.subgradient_inequality_check, lambda r: float(np.trace(r @ r).real), lambda r: 2.0 * r), 0, 8),
+        "properness_check trials": (lambda x: q.properness_check(brier, x, 3, rng=0).to_json(), 0, 8),
+        "properness_check dim": (lambda x: q.properness_check(brier, 8, x, rng=0).to_json(), 2, 3),
+        "is_permutation_invariant dim": (lambda x: is_permutation_invariant(brier, x, rng=0), 1, 3),
+        "is_permutation_invariant trials": (lambda x: is_permutation_invariant(brier, 3, x, rng=0), 0, 8),
+        "from_convex dim": (
+            lambda x: from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)).tolist(), 1, 3),
+        "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), 1, 8),
+        "run_witness trials": (lambda x: run_witness("entropy", [3], x, 0), 1, 5),
+        "find_level_set_witness probes": (
+            lambda x: find_level_set_witness(make_property("entropy", 3), 3, probes=x, rng=0).to_json(), 1, 5),
+        "find_level_set_witness dim": (
+            lambda x: find_level_set_witness(make_property("entropy", 3), x, probes=5, rng=0).to_json(), 2, 3),
+        "optimize_top_eigenvector restarts": (lambda x: listed(optimize_top_eigenvector(rho, restarts=x, rng=0)), 1, 3),
+        "optimize_top_eigenvector iters": (lambda x: listed(optimize_top_eigenvector(rho, iters=x, rng=0)), 0, 5),
+        "optimize_weighted_basis cols": (lambda x: listed(optimize_weighted_basis(rho, [2.0, 1.0], x, rng=0)), 1, 2),
+        "optimize_eigen_pair k": (lambda x: listed(optimize_eigen_pair(rho, x, rng=0)), 1, 2),
+        "eigen_pair_score k": (lambda x: q.eigen_pair_score(x).expected(q.random_density(3, rank=2, rng=7), rho), 1, 2),
+        "top_k_eigenvector_score k": (lambda x: q.top_k_eigenvector_score(x, [2.0, 1.0]).expected(frame[:, :2], rho), 1, 2),
+        "top_bottom_score k": (lambda x: q.top_bottom_score(x, 1, [1.0, 0.0, -1.0]).expected(frame[:, :2], rho), 0, 1),
+        "top_bottom_score m": (lambda x: q.top_bottom_score(1, x, [1.0, 0.0, -1.0]).expected(frame[:, :2], rho), 0, 1),
+        "abstain_score dim": (lambda x: q.abstain_score(0.7, x).expected(None, rho), 1, 3),
+        "MarketState dim": (lambda x: q.MarketState(x).price().tolist(), 1, 3),
+        "wagering_payoffs outcome": (lambda x: q.wagering_payoffs(wager, "realized", outcome=x).tolist(), 0, 1),
+        "canonical_complete n": (lambda x: q.canonical_complete(x).elements.tolist(), 1, 2),
+        "standard_pvm n": (lambda x: q.standard_pvm(x).elements.tolist(), 1, 2),
+        "random_density n": (lambda x: q.random_density(x, rng=0).tolist(), 1, 3),
+        "random_density rank": (lambda x: q.random_density(3, rank=x, rng=0).tolist(), 1, 2),
+        "random_unitary n": (lambda x: q.random_unitary(x, rng=0).tolist(), 1, 3),
+        "random_pure n": (lambda x: q.random_pure(x, rng=0).tolist(), 1, 3),
+        "random_hermitian n": (lambda x: q.random_hermitian(x, rng=0).tolist(), 1, 3),
+        "sample_outcomes size": (lambda x: q.sample_outcomes(q.standard_pvm(3), rho, x, rng=0).tolist(), 0, 5),
+    }
+    for label, (call, floor, valid) in rows.items():
+        values = [outcome(call, x) for x in (2.5, True, "3", floor - 1, np.int64(valid))]
+        emit(f"count {label}", "\n".join(values))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -208,3 +272,4 @@ if __name__ == "__main__":
     entropies()
     payoffs()
     tied_decompositions()
+    count_arguments()
