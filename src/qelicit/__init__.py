@@ -31,8 +31,6 @@ from .extended import (
     canonicalize_extended,
     ext_dot,
     ext_inner,
-    ext_mul,
-    ext_sum,
     matrix_log,
 )
 from .classical import (

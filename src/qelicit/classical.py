@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, _ext_log, ext_dot
-from .reports import ScoreReport, _check_dims, _classify, run_trials
+from .linalg import _count
+from .reports import ScoreReport, _classify, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -163,7 +164,7 @@ def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
     and midpoint convexity on 64 Dirichlet pairs runs at construction and
     raises on violation.
     """
-    ones = np.ones(dim)
+    ones = np.ones(_count(dim, "dim", 1))
     _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), rng, 64)
     return _bregman_rule(G, dG, "from_convex")
 
@@ -242,7 +243,7 @@ def properness_check(
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    _require_row_wise(rule, _check_dims((dim,))[0])
+    _require_row_wise(rule, _count(dim, "dim", 2))
     report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
 
     def draw(dim, trials, rows, spare):
@@ -267,7 +268,8 @@ def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int =
     relabeled and paid again, so the rule must pay each row of a stack
     as it pays that row alone.
     """
-    _require_row_wise(rule, dim)
+    _require_row_wise(rule, _count(dim, "dim", 1))
+    _count(trials, "trials", 0)
     rng = np.random.default_rng(rng)
     P = rng.dirichlet(np.ones(dim), trials)
     perm = np.argsort(rng.random((trials, dim)), axis=-1)

@@ -26,8 +26,6 @@ __all__ = [
     "NEG_INF",
     "KERNEL_PRODUCT_TOL",
     "EXT_WEIGHT_TOL",
-    "ext_mul",
-    "ext_sum",
     "ext_dot",
     "ExtendedHermitian",
     "range_projector",
@@ -40,21 +38,6 @@ NEG_INF = float("-inf")
 
 KERNEL_PRODUCT_TOL = 1e-8  # max-norm bound on A @ B for a valid pair
 EXT_WEIGHT_TOL = 1e-12     # weights at most this in magnitude count as exact 0
-
-
-def ext_mul(weight: float, value: float) -> float:
-    """weight * value under the 0 * (-inf) = 0 convention.
-
-    ``weight`` must be finite.  A strictly negative weight on a -inf
-    value would produce +inf, which is forbidden, so it raises.
-    """
-    return ext_dot([weight], [value])
-
-
-def ext_sum(values) -> float:
-    """Sum over R u {-inf}; -inf is absorbing, +inf inputs are rejected."""
-    v = np.fromiter(values, dtype=np.float64)
-    return ext_dot(np.ones_like(v), v)
 
 
 def ext_dot(weights, values, zero_tol: float = 0.0):

@@ -79,6 +79,22 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _count(x, name: str, least: int, most: int | None = None, floor: str | None = None):
+    """Return x if it is an integer (``_is_int``) in least..most, else raise one ValueError naming it.
+
+    "{name} must be at least {least}" ("an integer of at least" for a
+    non-integer), or with an upper bound "{name} must be an integer in
+    {least}..{most}", then "got {x!r}".  ``floor`` words the lower bound
+    in place of its number.
+    """
+    if _is_int(x) and least <= x and (most is None or x <= most):
+        return x
+    if most is not None:
+        raise ValueError(f"{name} must be an integer in {least}..{most}, got {x!r}")
+    must = "at least" if _is_int(x) else "an integer of at least"
+    raise ValueError(f"{name} must be {must} {floor or least}, got {x!r}")
+
+
 def as_hermitian(M, name: str = "matrix") -> np.ndarray:
     """Validate that M is Hermitian within HERM_TOL; return its Hermitian part.
 
@@ -256,11 +272,9 @@ def random_density(n: int, rank: int | None = None, rng=None) -> np.ndarray:
     With rank = n this samples from the Hilbert-Schmidt-type ensemble;
     smaller ranks produce rank-deficient states almost surely.
     """
+    _count(n, "n", 1)
+    rank = n if rank is None else _count(rank, "rank", 1, n)
     rng = np.random.default_rng(rng)
-    if rank is None:
-        rank = n
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must be in 1..{n}, got {rank}")
     return _densities(_complex_gaussian((n, rank), rng)[None])[0]
 
 
@@ -273,6 +287,7 @@ def _densities(G: np.ndarray) -> np.ndarray:
 
 def random_unitary(n: int, rng=None) -> np.ndarray:
     """Haar-type random unitary via QR of a complex Gaussian matrix."""
+    _count(n, "n", 1)
     rng = np.random.default_rng(rng)
     return _unitaries(_complex_gaussian((n, n), rng)[None])[0]
 
@@ -286,6 +301,7 @@ def _unitaries(Z: np.ndarray) -> np.ndarray:
 
 def random_pure(n: int, rng=None) -> np.ndarray:
     """Random unit vector (normalized complex Gaussian)."""
+    _count(n, "n", 1)
     rng = np.random.default_rng(rng)
     v = _complex_gaussian(n, rng)
     return v / np.linalg.norm(v)
@@ -293,6 +309,7 @@ def random_pure(n: int, rng=None) -> np.ndarray:
 
 def random_hermitian(n: int, rng=None, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix (GUE-type, entries O(scale))."""
+    _count(n, "n", 1)
     rng = np.random.default_rng(rng)
     return hermitian_part(scale * _complex_gaussian((n, n), rng))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extended import NEG_INF
-from .linalg import _is_int, as_density, as_hermitian, hermitian_part, hs_inner
+from .linalg import _count, as_density, as_hermitian, hermitian_part, hs_inner
 from .measurement import sample_outcome
 from .scores import QuantumScore, _pair, expected_score, von_neumann_entropy
 
@@ -74,9 +74,7 @@ def wagering_payoffs(round_: WageringRound, mode: str = "expected", rng=None, ou
     elif mode == "realized":
         if outcome is None:
             outcome = sample_outcome(mu, truth, rng=rng)
-        elif not _is_int(outcome) or not 0 <= outcome < len(mu):
-            raise ValueError(f"outcome must be an integer in 0..{len(mu) - 1}, got {outcome!r}")
-        scores = values[:, outcome]
+        scores = values[:, _count(outcome, "outcome", 0, len(mu) - 1)]
     else:
         raise ValueError(f"mode must be 'expected' or 'realized', got {mode!r}")
     if not np.isfinite(scores).all():
@@ -142,8 +140,7 @@ class MarketState:
     history: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if not _is_int(self.dim) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        _count(self.dim, "dim", 1)
         if self.cost != "lmsr":
             raise ValueError(f"unknown cost function {self.cost!r}")
         self.shares = np.zeros((self.dim, self.dim), dtype=np.complex128)

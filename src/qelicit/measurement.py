@@ -16,6 +16,7 @@ import numpy as np
 
 from .classical import _clean_rows
 from .linalg import (
+    _count,
     _require_psd,
     as_density,
     as_hermitian,
@@ -146,7 +147,7 @@ def sample_outcome(mu: Measurement, rho, rng=None) -> int:
 def sample_outcomes(mu: Measurement, rho, size: int, rng=None) -> np.ndarray:
     """Vectorized inverse-CDF sampling of many outcomes at once."""
     cum = np.cumsum(apply_measurement(mu, rho))
-    idx = np.searchsorted(cum, np.random.default_rng(rng).random(size), side="right")
+    idx = np.searchsorted(cum, np.random.default_rng(rng).random(_count(size, "size", 0)), side="right")
     return np.minimum(idx, len(cum) - 1).astype(np.int64)
 
 
@@ -182,7 +183,7 @@ class _Bases:
 
 
 def standard_pvm(n: int) -> Measurement:
-    return basis_pvm(np.eye(n))
+    return basis_pvm(np.eye(_count(n, "n", 1)))
 
 
 def hadamard_pvm() -> Measurement:
@@ -251,9 +252,7 @@ def canonical_complete(n: int) -> Measurement:
     by congruence with T^(-1/2) where T is their sum.  The congruence is
     a linear bijection on Hermitian matrices, so the span is preserved.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(_count(n, "n", 1), dtype=np.complex128)
     j, k = np.triu_indices(n, k=1)
     pairs = np.stack([eye[j] + eye[k], eye[j] + 1j * eye[k]], axis=1).reshape(-1, n) / np.sqrt(2.0)
     vecs = np.concatenate([eye, pairs])  # row i: the vector of element i, before normalizing

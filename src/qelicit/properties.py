@@ -17,8 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
-    _is_int,
+    _count,
+    _require_psd,
     as_density,
     hermitian_part,
     matrix_to_json,
@@ -158,8 +158,7 @@ def top_k_eigenvector_score(k: int, v) -> QuantumScore:
     tuples because sorted-spectrum pairing is the only way to reach the
     eigenvalue upper bound.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _count(k, "k", 1)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (k,) or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
         raise ValueError("weights must be strictly decreasing and positive")
@@ -180,10 +179,12 @@ def top_bottom_score(k: int, m: int, v) -> QuantumScore:
     the rest of the space, paying the middle's zero, so it has k + m + 1
     outcomes and no completion of the basis is chosen.
     """
+    _count(k, "k", 0)
+    _count(m, "m", 0)
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
-    if k < 0 or m < 0 or k + m < 1 or k + m > n:
-        raise ValueError(f"invalid counts k={k}, m={m} for {n} weights: need k, m >= 0 and 1 <= k + m <= {n}")
+    if not 1 <= k + m <= n:
+        raise ValueError(f"invalid counts k={k}, m={m} for {n} weights: need 1 <= k + m <= {n}")
     top, mid, bot = v[:k], v[k : n - m], v[n - m :]
     if k and not (np.all(top > 0) and np.all(np.diff(top) < 0)):
         raise ValueError("top weights must be strictly decreasing and positive")
@@ -211,14 +212,12 @@ def eigen_pair_score(k: int) -> QuantumScore:
     carries 2nk - k^2 real parameters, far fewer than the n^2 - 1 of a
     full state when k is small.
     """
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    _count(k, "k", 1)
 
     def payoff(A):
         dec = spectral_decompose(A)
         lam = dec.eigenvalues
-        if float(lam[-1]) < -PSD_TOL:
-            raise ValueError(f"report is not PSD: min eigenvalue {lam[-1]:.3e}")
+        _require_psd(lam, "report", lam[-1])
         if k < len(lam) and float(lam[k]) > 1e-8:
             raise ValueError(f"report rank exceeds {k}: eigenvalue {lam[k]:.3e} at index {k}")
         alpha = np.clip(lam, 0.0, None)
@@ -256,6 +255,7 @@ def abstain_score(alpha: float, dim: int) -> QuantumScore:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _count(dim, "dim", 1)
     inner = top_eigenvector_score()
     flat = Measurement._unchecked(np.eye(dim, dtype=np.complex128)[None])
 
@@ -348,13 +348,10 @@ def find_level_set_witness(
     which preserves every spectral statistic exactly; the midpoint
     mixture then typically moves the value.  Returns the first
     counterexample or None.  ``probes`` below 1 or ``dim`` below 2 is
-    refused, since the search would test nothing, and so is either one
-    that is not an integer (a Python or numpy integer, never a ``bool``).
+    refused, since the search would test nothing.
     """
-    for name, x, least in (("probes", probes, 1), ("dim", dim, 2)):
-        if not (_is_int(x) and x >= least):
-            must = "at least" if _is_int(x) else "an integer of at least"
-            raise ValueError(f"{name} must be {must} {least}, got {x!r}")
+    _count(probes, "probes", 1)
+    _count(dim, "dim", 2)
     rng = np.random.default_rng(rng)
     for _ in range(probes):
         rho1 = random_density(dim, rng=rng)
@@ -492,12 +489,9 @@ def _starts(rho, restarts, iters, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
     n = rho.shape[0]
-    if not _is_int(restarts) or restarts < 1:
-        raise ValueError(f"restarts must be an integer of at least 1, got {restarts!r}")
-    if not (_is_int(iters) and iters >= 0):
-        raise ValueError(f"iters must be {'at least' if _is_int(iters) else 'an integer of at least'} 0, got {iters!r}")
-    if not 1 <= k <= n:
-        raise ValueError(f"{name} must be between 1 and the dimension {n}, got {k!r}")
+    _count(restarts, "restarts", 1)
+    _count(iters, "iters", 0)
+    _count(k, name, 1, n)
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
 
 
@@ -526,12 +520,12 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: 
     Used for the top-k score (all weights positive) and the top+bottom
     score (signed weights on the reported columns).
     """
+    rho, X0 = _starts(rho, restarts, iters, cols, "cols", rng)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (cols,):
         raise ValueError(f"weights must have one entry per column (cols={cols}), got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite, got {w.tolist()!r}")
-    rho, X0 = _starts(rho, restarts, iters, cols, "cols", rng)
 
     def f(X):
         b, RX = _rayleigh(rho, X)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _is_int, eigenvalues_desc, hs_inner, spectral_decompose
+from .linalg import _count, eigenvalues_desc, hs_inner, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims
@@ -123,9 +123,7 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     """
     entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
     dims = _check_dims(dims)
-    if not (_is_int(trials) and trials >= len(dims)):
-        must = "at least" if _is_int(trials) else "an integer of at least"
-        raise ValueError(f"trials must be {must} the number of dimensions ({len(dims)}), got {trials}")
+    _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
     tol = tol or {}
     unknown = sorted(set(tol) - set(_TOL_DEFAULTS))
     if unknown:
@@ -269,9 +267,7 @@ def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
     search agreed.
     """
     dims = _check_dims(dims)
-    if not (_is_int(trials) and trials >= 1):
-        must = "at least" if _is_int(trials) else "an integer of at least"
-        raise ValueError(f"trials must be {must} 1, got {trials}")
+    _count(trials, "trials", 1)
     prop = make_property(property_name, dims[0])
     found = find_level_set_witness(prop, dims[0], probes=trials, rng=np.random.default_rng(seed))
     elicitable = PROPERTY_REGISTRY[property_name]["elicitable"]

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .linalg import _is_int
+from .linalg import _count, _is_int
 
 __all__ = ["ScoreReport", "run_trials", "json_safe"]
 
@@ -113,8 +113,7 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
     the violations that are stored.  ``report.timing`` gets the seconds
     spent in all, in scoring, and in the rest, mostly drawing (``draw_s``).
     """
-    if report.trials < 0:
-        raise ValueError(f"trials must be non-negative, got {report.trials}")
+    _count(report.trials, "trials", 0)
     dims = _check_dims(report.dims)
     L, root, blocks = len(dims), np.random.default_rng(rng), {}
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qelicit as q
+from qelicit.classical import is_permutation_invariant
 from qelicit.linalg import (
     _decompose,
     _fix_phases,
@@ -21,6 +23,13 @@ from qelicit.linalg import (
     random_unitary,
     spectral_decompose,
 )
+from qelicit.properties import (
+    find_level_set_witness,
+    optimize_eigen_pair,
+    optimize_top_eigenvector,
+    optimize_weighted_basis,
+)
+from qelicit.registry import make_property, make_score, run_verify, run_witness
 
 
 class TestValidation:
@@ -303,3 +312,84 @@ class TestJson:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
+
+
+def _report(check, *args):
+    return lambda x: check(*args, x, dims=(2,), rng=0).to_json()
+
+
+_RHO = random_density(3, rng=5)
+_FRAME = random_unitary(3, rng=6)
+_S = make_score("spectral:log", 2)
+_WAGER = q.WageringRound([random_density(2, rng=s) for s in (1, 2)],
+                         q.fixed_measurement_score(q.brier_rule(), q.standard_pvm(2)), random_density(2, rng=3))
+
+# every entry point that takes a count or a dimension: (its call of the count, the
+# argument's name, its floor, a valid value); every one is refused by linalg._count
+COUNTS = {
+    "truthfulness_check trials": (_report(q.truthfulness_check, _S), "trials", 0, 8),
+    "equivalence_check trials": (_report(q.equivalence_check, _S, _S), "trials", 0, 8),
+    "unitary_invariance_check trials": (_report(q.unitary_invariance_check, _S), "trials", 0, 8),
+    "implementability_check trials": (_report(q.implementability_check, _S), "trials", 0, 8),
+    "subgradient_inequality_check trials": (
+        _report(q.subgradient_inequality_check, lambda r: float(np.trace(r @ r).real), lambda r: 2.0 * r),
+        "trials", 0, 8),
+    "properness_check trials": (lambda x: q.properness_check(q.brier_rule(), x, 3, rng=0).to_json(), "trials", 0, 8),
+    "properness_check dim": (lambda x: q.properness_check(q.brier_rule(), 8, x, rng=0).to_json(), "dim", 2, 3),
+    "is_permutation_invariant dim": (lambda x: is_permutation_invariant(q.brier_rule(), x, rng=0), "dim", 1, 3),
+    "is_permutation_invariant trials": (lambda x: is_permutation_invariant(q.brier_rule(), 3, x, rng=0), "trials", 0, 8),
+    "from_convex dim": (
+        lambda x: q.from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)), "dim", 1, 3),
+    "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), "trials", 1, 8),
+    "run_witness trials": (lambda x: run_witness("entropy", [3], x, 0), "trials", 1, 5),
+    "find_level_set_witness probes": (
+        lambda x: find_level_set_witness(make_property("entropy", 3), 3, probes=x, rng=0).to_json(), "probes", 1, 5),
+    "find_level_set_witness dim": (
+        lambda x: find_level_set_witness(make_property("entropy", 3), x, probes=5, rng=0).to_json(), "dim", 2, 3),
+    "optimize_top_eigenvector restarts": (lambda x: optimize_top_eigenvector(_RHO, restarts=x, rng=0), "restarts", 1, 3),
+    "optimize_top_eigenvector iters": (lambda x: optimize_top_eigenvector(_RHO, iters=x, rng=0), "iters", 0, 5),
+    "optimize_weighted_basis cols": (lambda x: optimize_weighted_basis(_RHO, [2.0, 1.0], x, rng=0), "cols", 1, 2),
+    "optimize_eigen_pair k": (lambda x: optimize_eigen_pair(_RHO, x, rng=0), "k", 1, 2),
+    "eigen_pair_score k": (lambda x: q.eigen_pair_score(x).expected(random_density(3, rank=2, rng=7), _RHO), "k", 1, 2),
+    "top_k_eigenvector_score k": (
+        lambda x: q.top_k_eigenvector_score(x, [2.0, 1.0]).expected(_FRAME[:, :2], _RHO), "k", 1, 2),
+    "top_bottom_score k": (lambda x: q.top_bottom_score(x, 1, [1.0, 0.0, -1.0]).expected(_FRAME[:, :2], _RHO), "k", 0, 1),
+    "top_bottom_score m": (lambda x: q.top_bottom_score(1, x, [1.0, 0.0, -1.0]).expected(_FRAME[:, :2], _RHO), "m", 0, 1),
+    "abstain_score dim": (lambda x: q.abstain_score(0.7, x).expected(None, _RHO), "dim", 1, 3),
+    "MarketState dim": (lambda x: q.MarketState(x).price(), "dim", 1, 3),
+    "wagering_payoffs outcome": (lambda x: q.wagering_payoffs(_WAGER, "realized", outcome=x), "outcome", 0, 1),
+    "canonical_complete n": (lambda x: q.canonical_complete(x).elements, "n", 1, 2),
+    "standard_pvm n": (lambda x: q.standard_pvm(x).elements, "n", 1, 2),
+    "random_density n": (lambda x: random_density(x, rng=0), "n", 1, 3),
+    "random_density rank": (lambda x: random_density(3, rank=x, rng=0), "rank", 1, 2),
+    "random_unitary n": (lambda x: random_unitary(x, rng=0), "n", 1, 3),
+    "random_pure n": (lambda x: random_pure(x, rng=0), "n", 1, 3),
+    "random_hermitian n": (lambda x: random_hermitian(x, rng=0), "n", 1, 3),
+    "sample_outcomes size": (lambda x: q.sample_outcomes(q.standard_pvm(3), _RHO, x, rng=0), "size", 0, 5),
+}
+
+
+def _bits(x):
+    # x as nested Python values whose repr pins every bit (numpy scalars and arrays as Python values)
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return _bits(x.tolist())
+    return x
+
+
+@pytest.mark.parametrize("call, name, floor, valid", COUNTS.values(), ids=COUNTS)
+class TestCountArguments:
+    @pytest.mark.parametrize("x", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_a_non_integer_is_refused_by_name(self, call, name, floor, valid, x):
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer of at least|an integer in) .*, got {x!r}$"):
+            call(x)
+
+    def test_an_integer_below_the_floor_is_refused_by_name(self, call, name, floor, valid):
+        with pytest.raises(ValueError, match=f"^{name} must be .*{floor}.*, got {floor - 1}$"):
+            call(floor - 1)
+
+    def test_a_numpy_integer_gives_the_python_result(self, call, name, floor, valid):
+        assert repr(_bits(call(np.int64(valid)))) == repr(_bits(call(valid)))

@@ -219,6 +219,10 @@ class TestEigenPair:
         with pytest.raises(ValueError, match="rank"):
             score.measure(np.diag([0.6, 0.4]).astype(complex))
 
+    def test_report_that_is_not_psd_refused(self):
+        with pytest.raises(ValueError, match=r"^report is not PSD: min eigenvalue -5\.000e-01$"):
+            eigen_pair_score(2).measure(np.diag([1.5, 0.0, -0.5]))
+
     def test_optimizer_matches_truncated_projection(self, rng):
         score = eigen_pair_score(2)
         for _ in range(8):
@@ -552,7 +556,7 @@ class TestOptimizerArguments:
         call(rho, np.int64(2))
 
     def test_eigen_pair_rank_above_dimension_rejected(self, rng):
-        with pytest.raises(ValueError, match="k must be between 1 and the dimension 3"):
+        with pytest.raises(ValueError, match=r"^k must be an integer in 1\.\.3, got 5$"):
             optimize_eigen_pair(random_density(3, rng=rng), 5, rng=1)
 
     def test_column_count_outside_dimension_rejected(self, rng):
