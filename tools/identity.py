@@ -17,12 +17,16 @@ at one state for seeds 0-2, the von Neumann and relative entropies of
 the seeded states (``+inf`` where sigma's support misses rho's), every
 registry ``QuantumScore``'s measurement elements and payoff vector at
 each seeded state, ``spectral_decompose`` of states with exact
-eigenvalue ties, alone and in a stack, and what every entry point that
+eigenvalue ties, alone and in a stack, what every entry point that
 takes a count or a dimension makes of 2.5, ``True``, ``"3"``, the
-integer just below its floor and ``np.int64`` of a valid value.  A
-value is hashed through its
-``repr`` (floats round-trip exactly, arrays are written as lists), a
-raised error through its type and message.
+integer just below its floor and ``np.int64`` of a valid value, and the
+tomographic reduction: completeness, the map's matrix and pseudoinverse,
+and its ``reconstruct``, ``adjoint`` and ``pinv_adjoint`` of seeded
+inputs for ``canonical_complete(1..4)``, ``standard_pvm(3)`` and a POVM
+whose coordinates are rank-deficient only at 1e-9, then the payoff of
+binary Brier re-expressed over ``canonical_complete(2)``.  A value is
+hashed through its ``repr`` (floats round-trip exactly, arrays are
+written as lists), a raised error through its type and message.
 """
 
 from __future__ import annotations
@@ -162,15 +166,16 @@ def entropies() -> None:
         emit(f"relative_entropy n={n}", "\n".join(outcome(q.relative_entropy, a, b) for a in states for b in states))
 
 
-def payoffs() -> None:
-    def listing(S, a):
-        return S.measure(a).elements.tolist(), S.payoff(a)[1].tolist()
+def payoff_listing(S, a) -> tuple:
+    return S.measure(a).elements.tolist(), S.payoff(a)[1].tolist()
 
+
+def payoffs() -> None:
     for name in sorted(SCORE_REGISTRY):
         for n in (2, 3, 4):
             S = make_score(name, n)
             if isinstance(S, q.QuantumScore):
-                emit(f"payoff {name} n={n}", "\n".join(outcome(listing, S, a) for a in seeded_states(n)))
+                emit(f"payoff {name} n={n}", "\n".join(outcome(payoff_listing, S, a) for a in seeded_states(n)))
 
 
 def tied_decompositions() -> None:
@@ -184,6 +189,28 @@ def tied_decompositions() -> None:
     }
     for label, A in cases.items():
         emit(f"spectral_decompose {label}", outcome(lambda A: [x.tolist() for x in q.spectral_decompose(A)], A))
+
+
+def tomography() -> None:
+    eps = 1e-9  # coordinate singular values (1, 1, 3.8e-10, 2.9e-10) relative to the largest
+    povms = {f"canonical_complete({n})": q.canonical_complete(n) for n in (1, 2, 3, 4)}
+    povms["standard_pvm(3)"] = q.standard_pvm(3)
+    povms["eps=1e-9 mix"] = q.Measurement([*(1 - eps) * q.standard_pvm(2).elements, *eps * q.canonical_complete(2).elements])
+    for label, mu in povms.items():
+        tmap, n, m = q.tomographic_map(mu), mu.dim, len(mu)
+        g = np.random.default_rng(m)
+        states = seeded_states(n)
+        emit(f"tomographic_map {label}",
+             repr((q.is_tomographically_complete(mu), tmap.matrix.tolist(), tmap.pinv.tolist())))
+        emit(f"reconstruct {label}", "\n".join(
+            outcome(lambda p: tmap.reconstruct(p).tolist(), p) for p in [*map(tmap.probs, states), g.standard_normal(m)]))
+        vs = g.standard_normal((3, m))
+        emit(f"adjoint {label}", "\n".join(outcome(lambda v: tmap.adjoint(v).tolist(), v) for v in [*vs, vs]))
+        emit(f"pinv_adjoint {label}", "\n".join(
+            outcome(lambda X: tmap.pinv_adjoint(X).tolist(), X) for X in [*states, q.random_hermitian(n, rng=g)]))
+    S = q.fixed_meas_expression(q.binary_brier(), q.canonical_complete(2))
+    emit("payoff fixed_meas_expression(binary_brier, canonical_complete(2))",
+         "\n".join(outcome(payoff_listing, S, a) for a in seeded_states(2)))
 
 
 def listed(result) -> tuple:
@@ -207,7 +234,7 @@ def optimizers() -> None:
 
 def count_arguments() -> None:
     # one line per entry point and count argument: (call of the count, its floor, a valid value)
-    rho = q.random_density(3, rng=5)
+    rho, rho2 = q.random_density(3, rng=5), q.random_density(2, rng=4)
     S, brier = make_score("spectral:log", 2), q.brier_rule()
     frame = q.random_unitary(3, rng=6)
     wager = q.WageringRound([q.random_density(2, rng=s) for s in (1, 2)],
@@ -254,6 +281,9 @@ def count_arguments() -> None:
         "random_pure n": (lambda x: q.random_pure(x, rng=0).tolist(), 1, 3),
         "random_hermitian n": (lambda x: q.random_hermitian(x, rng=0).tolist(), 1, 3),
         "sample_outcomes size": (lambda x: q.sample_outcomes(q.standard_pvm(3), rho, x, rng=0).tolist(), 0, 5),
+        "make_score spectral:log dim": (lambda x: q.expected_score(make_score("spectral:log", x), rho2, rho2), 1, 2),
+        "make_score fixed:brier dim": (lambda x: q.expected_score(make_score("fixed:brier", x), rho2, rho2), 1, 2),
+        "make_property entropy dim": (lambda x: make_property("entropy", x).eval(rho2), 1, 2),
     }
     for label, (call, floor, valid) in rows.items():
         values = [outcome(call, x) for x in (2.5, True, "3", floor - 1, np.int64(valid))]
@@ -273,3 +303,4 @@ if __name__ == "__main__":
     payoffs()
     tied_decompositions()
     count_arguments()
+    tomography()
