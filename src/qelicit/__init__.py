@@ -85,13 +85,11 @@ from .scores import (
 )
 from .properties import (
     ABSTAIN,
-    IdentificationFunction,
     QuantumProperty,
     abstain_score,
     eigen_pair_score,
     expectation_property,
     find_level_set_witness,
-    induced_classical_property,
     level_set_witness,
     top_bottom_score,
     top_eigenvector_score,

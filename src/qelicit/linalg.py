@@ -80,7 +80,7 @@ def _is_int(x) -> bool:
 
 
 def _count(x, name: str, least: int, most: int | None = None, floor: str | None = None):
-    """Return x if it is an integer (``_is_int``) in least..most, else raise one ValueError naming it.
+    """Return x as a Python int if it is an integer (``_is_int``) in least..most, else raise one ValueError naming it.
 
     "{name} must be at least {least}" ("an integer of at least" for a
     non-integer), or with an upper bound "{name} must be an integer in
@@ -88,7 +88,7 @@ def _count(x, name: str, least: int, most: int | None = None, floor: str | None 
     in place of its number.
     """
     if _is_int(x) and least <= x and (most is None or x <= most):
-        return x
+        return int(x)
     if most is not None:
         raise ValueError(f"{name} must be an integer in {least}..{most}, got {x!r}")
     must = "at least" if _is_int(x) else "an integer of at least"

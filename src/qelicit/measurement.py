@@ -17,6 +17,8 @@ import numpy as np
 from .classical import _clean_rows
 from .linalg import (
     _count,
+    _finite_squares,
+    _hermitian,
     _require_psd,
     as_density,
     as_hermitian,
@@ -30,7 +32,6 @@ __all__ = [
     "POVM_SUM_TOL",
     "PVM_TOL",
     "COMPLETENESS_RTOL",
-    "PINV_RCOND",
     "Measurement",
     "apply_measurement",
     "sample_outcome",
@@ -40,7 +41,6 @@ __all__ = [
     "hadamard_pvm",
     "is_pvm",
     "herm_coords",
-    "herm_from_coords",
     "is_tomographically_complete",
     "canonical_complete",
     "TomographicMap",
@@ -49,8 +49,7 @@ __all__ = [
 
 POVM_SUM_TOL = 1e-9       # max-norm bound on sum(mu_y) - I
 PVM_TOL = 1e-8            # idempotence / orthogonality bound for PVMs
-COMPLETENESS_RTOL = 1e-8  # singular values below rtol * largest count as zero
-PINV_RCOND = 1e-10
+COMPLETENESS_RTOL = 1e-8  # singular values at or below rtol * largest count as zero, for rank and pseudoinverse
 
 
 class Measurement:
@@ -204,44 +203,27 @@ def is_pvm(mu: Measurement) -> bool:
 
 
 def herm_coords(X) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in a fixed orthonormal basis.
+    """Real coordinates of a Hermitian matrix, or of each of an (..., n, n) stack, in a fixed orthonormal basis.
 
     Basis: diagonal units; (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
     for j < k.  The map is an isometry: <X, Y> = coords(X) . coords(Y).
     """
-    X = as_hermitian(X)
-    n = X.shape[0]
-    j, k = np.triu_indices(n, k=1)
-    upper = X[j, k]
+    X = np.asarray(X, dtype=np.complex128)
+    return _coords(_hermitian(_finite_squares(X, "matrix"), "matrix"))
+
+
+def _coords(X: np.ndarray) -> np.ndarray:
+    # herm_coords of an exactly Hermitian (..., n, n) array (not checked)
+    j, k = np.triu_indices(X.shape[-1], k=1)
+    upper = X[..., j, k]
     return np.concatenate(
-        [X.diagonal().real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
+        [np.diagonal(X, axis1=-2, axis2=-1).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1
     )
 
 
-def herm_from_coords(c, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (n * n,):
-        raise ValueError(f"expected {n * n} coordinates, got shape {c.shape}")
-    X = np.zeros((n, n), dtype=np.complex128)
-    X[np.diag_indices(n)] = c[:n]
-    j, k = np.triu_indices(n, k=1)
-    m = len(j)
-    upper = (c[n : n + m] + 1j * c[n + m :]) / np.sqrt(2.0)
-    X[j, k] = upper
-    X[k, j] = upper.conj()
-    return X
-
-
-def _coords_matrix(mu: Measurement) -> np.ndarray:
-    return np.stack([herm_coords(e) for e in mu])
-
-
 def is_tomographically_complete(mu: Measurement) -> bool:
-    """True iff the elements span the real space of Hermitian matrices."""
-    phi = _coords_matrix(mu)
-    sv = np.linalg.svd(phi, compute_uv=False)
-    rank = int(np.sum(sv > COMPLETENESS_RTOL * sv[0]))
-    return rank == mu.dim**2
+    """True iff the elements span the real space of Hermitian matrices: rank n^2 at COMPLETENESS_RTOL."""
+    return int(np.linalg.matrix_rank(_coords(mu.elements), rtol=COMPLETENESS_RTOL)) == mu.dim**2
 
 
 def canonical_complete(n: int) -> Measurement:
@@ -268,9 +250,15 @@ class TomographicMap:
     """The linear map from states to outcome probabilities, with pseudoinverse.
 
     ``matrix`` has one row per outcome holding the real coordinates of
-    that element; ``pinv`` is its Moore-Penrose pseudoinverse.  For a
-    complete measurement ``pinv @ matrix`` is the identity on Hermitian
-    coordinates, so ``reconstruct`` inverts ``probs`` exactly.
+    that element; ``pinv`` is its Moore-Penrose pseudoinverse, cut at
+    COMPLETENESS_RTOL, the rank rule of ``is_tomographically_complete``.
+    So ``pinv @ matrix`` is the identity on Hermitian coordinates exactly
+    when the measurement is complete, and then ``reconstruct`` inverts
+    ``probs``.  These three maps translate between the two settings: a
+    property of states is one of outcome laws through ``reconstruct``, an
+    outcome-space identification function v pulls back to states as
+    ``adjoint(v)``, and a state-space one V pushes to outcomes as
+    ``pinv_adjoint(V)``.
     """
 
     measurement: Measurement
@@ -290,18 +278,23 @@ class TomographicMap:
         p = np.asarray(p, dtype=np.float64)
         if p.shape != (len(self.measurement),):
             raise ValueError(f"expected {len(self.measurement)} outcome values")
-        return herm_from_coords(self.pinv @ p, self.dim)
+        c, n = self.pinv @ p, self.dim
+        j, k = np.triu_indices(n, k=1)
+        upper = (c[n : n + len(j)] + 1j * c[n + len(j) :]) / np.sqrt(2.0)
+        X = np.diag(c[:n]).astype(np.complex128)
+        X[j, k], X[k, j] = upper, upper.conj()
+        return X
 
     def adjoint(self, v) -> np.ndarray:
-        """Adjoint map: an outcome-weight vector to sum_y v_y mu_y."""
+        """Adjoint map: an outcome-weight vector to sum_y v_y mu_y, or a (k, m) stack of them to k matrices."""
         v = np.asarray(v, dtype=np.float64)
         return hermitian_part(np.tensordot(v, self.measurement.elements, axes=1))
 
     def pinv_adjoint(self, X) -> np.ndarray:
-        """Adjoint of the pseudoinverse: a Hermitian matrix to an outcome vector."""
-        return self.pinv.T @ herm_coords(X)
+        """Adjoint of the pseudoinverse: a Hermitian matrix, or each of a stack, to an outcome vector."""
+        return herm_coords(X) @ self.pinv
 
 
 def tomographic_map(mu: Measurement) -> TomographicMap:
-    phi = _coords_matrix(mu)
-    return TomographicMap(mu, phi, np.linalg.pinv(phi, rcond=PINV_RCOND))
+    phi = _coords(mu.elements)
+    return TomographicMap(mu, phi, np.linalg.pinv(phi, rtol=COMPLETENESS_RTOL))

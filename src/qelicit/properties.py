@@ -4,9 +4,9 @@ Expectation values and eigenvector families are elicitable; eigenvalues,
 entropies, and norms are not, because their level sets fail to be
 convex.  This module provides the elicitable scores (with numeric
 optimizers used to verify their maximizers), level-set counterexample
-witnesses for the non-elicitable statistics, and the translation of
-properties and identification functions across a tomographically
-complete measurement.
+witnesses for the non-elicitable statistics.  Properties and
+identification functions move across a tomographically complete
+measurement through ``measurement.TomographicMap``'s maps.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .linalg import (
     random_unitary,
     spectral_decompose,
 )
-from .measurement import Measurement, TomographicMap, _basis_pvm, apply_measurement
+from .measurement import Measurement, _basis_pvm, apply_measurement
 from .scores import QuantumScore, _overlap_measurement
 
 __all__ = [
     "ORTHO_TOL",
     "QuantumProperty",
-    "IdentificationFunction",
     "expectation_property",
     "top_eigenvector_score",
     "top_k_eigenvector_score",
@@ -44,9 +43,6 @@ __all__ = [
     "WitnessResult",
     "level_set_witness",
     "find_level_set_witness",
-    "induced_classical_property",
-    "classical_to_quantum_identification",
-    "quantum_to_classical_identification",
     "optimize_top_eigenvector",
     "optimize_weighted_basis",
     "optimize_eigen_pair",
@@ -70,14 +66,6 @@ class QuantumProperty:
     """
 
     eval: Callable[[np.ndarray], Any]
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class IdentificationFunction:
-    """Linear constraints vanishing exactly on a property's level sets."""
-
-    matrices: Callable[[Any], list]
     name: str = ""
 
 
@@ -361,44 +349,6 @@ def find_level_set_witness(
         if w.is_counterexample:
             return w
     return None
-
-
-# ---------------------------------------------------------------------------
-# translation across a tomographically complete measurement
-
-
-def induced_classical_property(prop: QuantumProperty, tmap: TomographicMap) -> QuantumProperty:
-    """The property lifted to outcome distributions via the pseudoinverse.
-
-    Evaluating at p reconstructs the unique state mapping to p and
-    applies the property; p outside the reachable set (the reconstruction
-    is not a valid state) is an error.
-    """
-
-    def evaluate(p):
-        M = tmap.reconstruct(p)
-        return prop.eval(as_density(M, name="reconstructed state"))
-
-    return QuantumProperty(evaluate, name=f"{prop.name}-on-outcomes")
-
-
-def classical_to_quantum_identification(v, tmap: TomographicMap) -> IdentificationFunction:
-    """Pull an outcome-space identification back to states: V(r)_i = adjoint(v(r)_i)."""
-
-    def matrices(r):
-        rows = np.atleast_2d(np.asarray(v(r), dtype=np.float64))
-        return [tmap.adjoint(row) for row in rows]
-
-    return IdentificationFunction(matrices, name="from-classical")
-
-
-def quantum_to_classical_identification(V, tmap: TomographicMap) -> Callable:
-    """Push a state-space identification to outcomes: v(r)_i = pinv-adjoint(V(r)_i)."""
-
-    def vectors(r):
-        return np.stack([tmap.pinv_adjoint(M) for M in V(r)])
-
-    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _lookup(table: dict, name: str, kind: str, kinds: str):
 
 
 def make_score(name: str, dim: int):
-    return _lookup(SCORE_REGISTRY, name, "score", "scores").make(dim)
+    return _lookup(SCORE_REGISTRY, name, "score", "scores").make(_count(dim, "dim", 1))
 
 
 _TOL_DEFAULTS = {"margin": TRUTH_MARGIN, "strict_distance": DISTINCT_TOL, "equiv_tol": EQUIV_TOL}
@@ -123,7 +123,7 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     """
     entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
     dims = _check_dims(dims)
-    _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
+    trials = _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
     tol = tol or {}
     unknown = sorted(set(tol) - set(_TOL_DEFAULTS))
     if unknown:
@@ -255,7 +255,7 @@ def make_property(name: str, dim: int) -> QuantumProperty:
     entry = _lookup(PROPERTY_REGISTRY, name, "property", "properties")
     if entry["property"] is None:
         raise KeyError(f"property {name!r} has no level-set evaluator (score-only entry)")
-    return entry["property"](dim)
+    return entry["property"](_count(dim, "dim", 1))
 
 
 def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
@@ -267,7 +267,7 @@ def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
     search agreed.
     """
     dims = _check_dims(dims)
-    _count(trials, "trials", 1)
+    trials = _count(trials, "trials", 1)
     prop = make_property(property_name, dims[0])
     found = find_level_set_witness(prop, dims[0], probes=trials, rng=np.random.default_rng(seed))
     elicitable = PROPERTY_REGISTRY[property_name]["elicitable"]

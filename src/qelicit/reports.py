@@ -82,12 +82,12 @@ class ScoreReport:
 
 
 def _check_dims(dims) -> list:
-    # dims as a list, refused unless non-empty with every dimension an integer of at least 2
+    # dims as a list of Python ints, refused unless non-empty with every dimension an integer of at least 2
     dims = list(dims)
     if not dims or not all(_is_int(d) and d >= 2 for d in dims):
         must = "at least" if all(map(_is_int, dims)) else "an integer of at least"
         raise ValueError(f"dims must be non-empty, every dimension {must} 2 (checks are vacuous below), got {dims}")
-    return dims
+    return [int(d) for d in dims]
 
 
 def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> ScoreReport:
@@ -113,8 +113,9 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
     the violations that are stored.  ``report.timing`` gets the seconds
     spent in all, in scoring, and in the rest, mostly drawing (``draw_s``).
     """
-    _count(report.trials, "trials", 0)
+    report.trials = _count(report.trials, "trials", 0)
     dims = _check_dims(report.dims)
+    report.dims = tuple(dims)
     L, root, blocks = len(dims), np.random.default_rng(rng), {}
 
     def take(j, group, key="rows"):

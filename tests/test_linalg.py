@@ -319,6 +319,7 @@ def _report(check, *args):
 
 
 _RHO = random_density(3, rng=5)
+_RHO2 = random_density(2, rng=4)
 _FRAME = random_unitary(3, rng=6)
 _S = make_score("spectral:log", 2)
 _WAGER = q.WageringRound([random_density(2, rng=s) for s in (1, 2)],
@@ -366,6 +367,9 @@ COUNTS = {
     "random_pure n": (lambda x: random_pure(x, rng=0), "n", 1, 3),
     "random_hermitian n": (lambda x: random_hermitian(x, rng=0), "n", 1, 3),
     "sample_outcomes size": (lambda x: q.sample_outcomes(q.standard_pvm(3), _RHO, x, rng=0), "size", 0, 5),
+    "make_score spectral:log dim": (lambda x: q.expected_score(make_score("spectral:log", x), _RHO2, _RHO2), "dim", 1, 2),
+    "make_score fixed:brier dim": (lambda x: q.expected_score(make_score("fixed:brier", x), _RHO2, _RHO2), "dim", 1, 2),
+    "make_property dim": (lambda x: make_property("entropy", x).eval(_RHO2), "dim", 1, 2),
 }
 
 

@@ -9,7 +9,6 @@ from qelicit.measurement import (
     canonical_complete,
     hadamard_pvm,
     herm_coords,
-    herm_from_coords,
     is_pvm,
     is_tomographically_complete,
     sample_outcome,
@@ -166,10 +165,25 @@ class TestCoordinates:
         assert herm_coords(A) @ herm_coords(B) == pytest.approx(hs_inner(A, B), abs=1e-10)
 
     def test_round_trip(self, rng):
+        # a complete map's reconstruct inverts the coordinates of any Hermitian matrix
         from qelicit.linalg import random_hermitian
 
         A = random_hermitian(3, rng=rng)
-        assert frob_dist(herm_from_coords(herm_coords(A), 3), A) <= 1e-12
+        tmap = tomographic_map(canonical_complete(3))
+        assert frob_dist(tmap.reconstruct(tmap.probs(A)), A) <= 1e-12
+
+    def test_stack_gives_each_matrix_its_coordinates(self, rng):
+        from qelicit.linalg import random_hermitian
+
+        A = np.stack([random_hermitian(3, rng=rng) for _ in range(4)]).reshape(2, 2, 3, 3)
+        C = herm_coords(A)
+        assert C.shape == (2, 2, 9)
+        for a, c in zip(A.reshape(4, 3, 3), C.reshape(4, 9)):
+            assert np.array_equal(herm_coords(a), c)
+
+    def test_non_hermitian_matrix_of_a_stack_is_refused(self):
+        with pytest.raises(ValueError, match="^matrix 1 is not Hermitian"):
+            herm_coords(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 class TestCompleteness:
@@ -199,6 +213,23 @@ class TestCompleteness:
         assert frob_dist(sum(mu.elements), np.eye(2)) <= 1e-10
 
 
+def _nearly_complete(eps):
+    # (1 - eps) of the qubit standard basis measurement, eps of the complete canonical POVM
+    return Measurement([*(1 - eps) * standard_pvm(2).elements, *eps * canonical_complete(2).elements])
+
+
+_POVMS = {
+    **{f"canonical_complete({n})": canonical_complete(n) for n in range(1, 7)},
+    "standard_pvm(3)": standard_pvm(3),
+    "hadamard_pvm": hadamard_pvm(),
+    "[I_1]": Measurement([np.eye(1)]),
+    "[I_2]": Measurement([np.eye(2)]),
+    "[I_2 / 2, I_2 / 2]": Measurement([np.eye(2) / 2, np.eye(2) / 2]),
+    "eps=1e-9": _nearly_complete(1e-9),
+    "eps=1e-3": _nearly_complete(1e-3),
+}
+
+
 class TestTomographicMap:
     def test_probs_match_apply(self, rng):
         mu = canonical_complete(3)
@@ -221,6 +252,35 @@ class TestTomographicMap:
         P = tmap.pinv @ tmap.matrix
         assert np.abs(P @ P - P).max() <= 1e-8
         assert np.abs(P - np.eye(9)).max() > 0.5
+
+    def test_nearly_complete_is_cut_by_the_completeness_rule(self):
+        # coordinate singular values (1, 1, 3.8e-10, 2.9e-10) relative to the largest: not
+        # complete, so the pseudoinverse drops the two small ones and pinv @ matrix projects
+        mu = _nearly_complete(1e-9)
+        tmap = tomographic_map(mu)
+        P = tmap.pinv @ tmap.matrix
+        assert not is_tomographically_complete(mu)
+        assert np.abs(P @ P - P).max() <= 1e-8
+        assert np.abs(P - np.eye(4)).max() > 0.5
+        assert np.abs(tmap.pinv).max() <= 2.0
+
+    @pytest.mark.parametrize("mu", _POVMS.values(), ids=list(_POVMS))
+    def test_left_inverse_exactly_when_complete(self, mu):
+        tmap = tomographic_map(mu)
+        inverts = np.abs(tmap.pinv @ tmap.matrix - np.eye(mu.dim**2)).max() <= 1e-8
+        assert inverts == is_tomographically_complete(mu)
+
+    def test_adjoint_maps_take_stacks(self, rng):
+        from qelicit.linalg import random_hermitian
+
+        tmap = tomographic_map(canonical_complete(3))
+        V = rng.standard_normal((4, 9))
+        X = np.stack([random_hermitian(3, rng=rng) for _ in range(4)])
+        adj, pinv_adj = tmap.adjoint(V), tmap.pinv_adjoint(X)
+        assert adj.shape == (4, 3, 3) and pinv_adj.shape == (4, 9)
+        for k in range(4):
+            assert np.abs(adj[k] - tmap.adjoint(V[k])).max() <= 1e-14
+            assert np.abs(pinv_adj[k] - tmap.pinv_adjoint(X[k])).max() <= 1e-12
 
     def test_adjoint_identity(self, rng):
         # <adjoint(v), X> == v . probs(X)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qelicit.linalg import (
+    as_density,
     eigenvalues_desc,
     frob_dist,
     hermitian_part,
@@ -17,18 +18,15 @@ from qelicit.measurement import apply_measurement, canonical_complete, standard_
 from qelicit.properties import (
     ABSTAIN,
     abstain_score,
-    classical_to_quantum_identification,
     eigen_pair_score,
     expectation_property,
     find_level_set_witness,
-    induced_classical_property,
     level_set_witness,
     optimize_abstain,
     optimize_eigen_pair,
     optimize_top_eigenvector,
     optimize_weighted_basis,
     optimize_with_value,
-    quantum_to_classical_identification,
     top_bottom_score,
     top_eigenvector_score,
     top_k_eigenvector_score,
@@ -360,91 +358,59 @@ class TestLevelSets:
 
 
 class TestInducedClassical:
+    """A property of states is one of outcome laws through a complete map's reconstruct."""
+
     def test_identity_round_trip(self, rng):
         tmap = tomographic_map(canonical_complete(2))
-        from qelicit.properties import QuantumProperty
-
-        ident = QuantumProperty(lambda rho: rho, name="identity")
-        lifted = induced_classical_property(ident, tmap)
         rho = random_density(2, rng=rng)
-        assert frob_dist(lifted.eval(tmap.probs(rho)), rho) <= 1e-8
+        assert frob_dist(as_density(tmap.reconstruct(tmap.probs(rho))), rho) <= 1e-8
 
     def test_entropy_factors_through_outcomes(self, rng):
         tmap = tomographic_map(canonical_complete(2))
-        lifted = induced_classical_property(make_property("entropy", 2), tmap)
+        entropy = make_property("entropy", 2)
         for _ in range(10):
             rho = random_density(2, rng=rng)
-            assert lifted.eval(tmap.probs(rho)) == pytest.approx(
+            assert entropy.eval(as_density(tmap.reconstruct(tmap.probs(rho)))) == pytest.approx(
                 von_neumann_entropy(rho), abs=1e-8
             )
 
     def test_unreachable_distribution_rejected(self):
         tmap = tomographic_map(canonical_complete(2))
-        lifted = induced_classical_property(make_property("entropy", 2), tmap)
         bad = np.array([0.97, 0.01, 0.01, 0.01])
         with pytest.raises(ValueError):
-            lifted.eval(bad)
-
-    def test_functorial_in_report_postmaps(self, rng):
-        # lifting commutes with post-composition on the report space
-        from qelicit.properties import QuantumProperty
-
-        tmap = tomographic_map(canonical_complete(2))
-        base = make_property("eigenvalues", 2)
-        post = lambda lam: float(lam[0] - lam[1])
-        composed = QuantumProperty(lambda rho: post(base.eval(rho)), name="gap")
-        lift_then_post = induced_classical_property(base, tmap)
-        post_of_lift = induced_classical_property(composed, tmap)
-        for _ in range(10):
-            p = tmap.probs(random_density(2, rng=rng))
-            assert post(lift_then_post.eval(p)) == pytest.approx(
-                post_of_lift.eval(p), abs=1e-10
-            )
+            as_density(tmap.reconstruct(bad))
 
 
 class TestIdentificationTranslate:
+    """Identification functions move through a complete map's adjoint and pinv_adjoint."""
+
     def test_mean_identification_translates(self, rng):
+        # the mean's outcome-space identification z - r pulls back to adjoint(z - r)
         mu = canonical_complete(2)
         tmap = tomographic_map(mu)
         z = rng.standard_normal(len(mu))
         prop, _ = expectation_property(z, mu)
-
-        def v(r):
-            return (z - r).reshape(1, -1)
-
-        ident = classical_to_quantum_identification(v, tmap)
         for _ in range(20):
             rho = random_density(2, rng=rng)
             r = prop.eval(rho)
-            V = ident.matrices(r)
-            assert abs(hs_inner(V[0], rho)) <= 1e-9
-            off = r + 0.25
-            V_off = ident.matrices(off)
-            assert abs(hs_inner(V_off[0], rho)) > 1e-6
+            assert abs(hs_inner(tmap.adjoint(z - r), rho)) <= 1e-9
+            assert abs(hs_inner(tmap.adjoint(z - (r + 0.25)), rho)) > 1e-6
 
     def test_zero_maps_to_zero(self, rng):
         tmap = tomographic_map(canonical_complete(2))
-        ident = classical_to_quantum_identification(lambda r: np.zeros((1, 4)), tmap)
-        assert np.abs(ident.matrices(0.0)[0]).max() == 0.0
+        assert np.abs(tmap.adjoint(np.zeros((1, 4)))[0]).max() == 0.0
 
     def test_round_trip_on_adjoint_range(self, rng):
         # classical -> quantum -> classical preserves the pairing with
         # reachable outcome vectors
         tmap = tomographic_map(canonical_complete(2))
         z = rng.standard_normal(4)
-
-        def v(r):
-            return (z - r).reshape(1, -1)
-
-        ident = classical_to_quantum_identification(v, tmap)
-        back = quantum_to_classical_identification(lambda r: ident.matrices(r), tmap)
         for _ in range(20):
             rho = random_density(2, rng=rng)
             p = tmap.probs(rho)
-            r = float(rng.standard_normal())
-            direct = float(np.atleast_2d(v(r))[0] @ p)
-            translated = float(back(r)[0] @ p)
-            assert translated == pytest.approx(direct, abs=1e-10)
+            v = z - float(rng.standard_normal())
+            translated = float(tmap.pinv_adjoint(tmap.adjoint(v)) @ p)
+            assert translated == pytest.approx(float(v @ p), abs=1e-10)
 
     def test_pairing_identity(self, rng):
         # <adjoint(v), rho> == <v, probs(rho)> for every row

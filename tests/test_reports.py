@@ -5,7 +5,7 @@ import pytest
 
 from qelicit.classical import brier_rule, properness_check
 from qelicit.linalg import hs_inner
-from qelicit.registry import make_score
+from qelicit.registry import make_score, run_verify, run_witness
 from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, json_safe, run_trials
 from qelicit.scores import (
     equivalence_check,
@@ -150,3 +150,14 @@ class TestScoreReport:
         import json
 
         json.dumps(blob, allow_nan=False)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_verify("fixed:brier", [2], np.int64(8), 0),
+    lambda: run_verify("fixed:brier", [np.int64(2)], 8, 0),
+    lambda: run_witness("entropy", [3], np.int64(5), 0),
+    lambda: truthfulness_check(make_score("spectral:log", 2), np.int64(8), dims=(2,), rng=0).to_json(),
+], ids=["run_verify trials", "run_verify dims", "run_witness trials", "truthfulness_check trials"])
+def test_numpy_integer_counts_serialize(call):
+    # json.dumps refuses numpy integers: a report keeps the Python ints its count checks return
+    json.dumps(call())
