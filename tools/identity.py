@@ -24,9 +24,16 @@ tomographic reduction: completeness, the map's matrix and pseudoinverse,
 and its ``reconstruct``, ``adjoint`` and ``pinv_adjoint`` of seeded
 inputs for ``canonical_complete(1..4)``, ``standard_pvm(3)`` and a POVM
 whose coordinates are rank-deficient only at 1e-9, then the payoff of
-binary Brier re-expressed over ``canonical_complete(2)``.  A value is
-hashed through its ``repr`` (floats round-trip exactly, arrays are
-written as lists), a raised error through its type and message.
+binary Brier re-expressed over ``canonical_complete(2)``.  Last come
+the market maker and the options around it: the exit code and stdout of
+``market-sim`` for one seeded scenario whose ``cost`` is ``"lmsr"``,
+absent and ``"quadratic"``, and of ``verify`` for ``ml:s2`` with and
+without ``--tol-overrides`` (an argparse refusal is listed by its exit
+code); ``lmsr_cost``, ``maker_loss`` and ``conjugacy_gap`` of seeded
+share matrices at n = 2, 4 and 8; and the JSON of ``run_verify`` and
+``run_witness`` given a numpy integer seed.  A value is hashed through
+its ``repr`` (floats round-trip exactly, arrays are written as lists), a
+raised error through its type and message.
 """
 
 from __future__ import annotations
@@ -35,12 +42,15 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import qelicit as q
 from qelicit.classical import from_convex, is_permutation_invariant
 from qelicit.cli import main
+from qelicit.linalg import matrix_to_json
 from qelicit.properties import (
     find_level_set_witness,
     optimize_abstain,
@@ -290,6 +300,43 @@ def count_arguments() -> None:
         emit(f"count {label}", "\n".join(values))
 
 
+def cli_run(argv) -> str:
+    # exit code and stdout of one CLI run; argparse refuses an unknown option by SystemExit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    return f"{code}\n{json.dumps(json.loads(text), sort_keys=True) if text else ''}"
+
+
+def markets() -> None:
+    g = np.random.default_rng(13)
+    doc = {"dim": 2, "trades": [matrix_to_json(q.random_hermitian(2, rng=g)) for _ in range(3)],
+           "truth": matrix_to_json(q.random_density(2, rng=g))}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, extra in (("lmsr", {"cost": "lmsr"}), ("no cost", {}), ("quadratic", {"cost": "quadratic"})):
+            path = Path(tmp, "scenario.json")
+            path.write_text(json.dumps({**doc, **extra}))
+            emit(f"market-sim {label}", cli_run(["market-sim", "--scenario", str(path)]))
+    verify = ["verify", "--score", "ml:s2", "--dims", "2,3", "--trials", "1000", "--seed", "1"]
+    emit("verify ml:s2 seed=1", cli_run(verify))
+    emit("verify ml:s2 seed=1 --tol-overrides equiv_tol=1e-6", cli_run([*verify, "--tol-overrides", "equiv_tol=1e-6"]))
+    for n in (2, 4, 8):
+        g = np.random.default_rng(n)
+        market = q.MarketState(n)
+        for _ in range(3):
+            market.trade(q.random_hermitian(n, rng=g, scale=2.0))
+        truth = q.random_density(n, rng=g)
+        emit(f"market n={n}", repr((q.lmsr_cost(market.shares), market.maker_loss(truth), market.conjugacy_gap())))
+    emit("run_verify seed np.int64(0)",
+         outcome(lambda: json.dumps(run_verify("fixed:brier", [2], 8, np.int64(0)), sort_keys=True)))
+    emit("run_witness seed np.int64(0)",
+         outcome(lambda: json.dumps(run_witness("entropy", [3], 5, np.int64(0)), sort_keys=True)))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -304,3 +351,4 @@ if __name__ == "__main__":
     tied_decompositions()
     count_arguments()
     tomography()
+    markets()
