@@ -132,24 +132,6 @@ def _parse_dims(raw: str) -> list:
         raise ValueError(f"--dims must be comma-separated integers, got {raw!r}") from None
 
 
-def _parse_tol(raw: str | None) -> dict:
-    if not raw:
-        return {}
-    out = {}
-    for piece in raw.split(","):
-        if not piece.strip():
-            continue
-        key, _, val = piece.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ValueError(f"--tol-overrides {raw!r} sets {key} twice")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise ValueError(f"bad --tol-overrides entry {piece!r}, expected key=number") from None
-    return out
-
-
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -164,7 +146,7 @@ def _json_only(args) -> None:
 def _cmd_verify(args) -> int:
     _json_only(args)
     report = run_verify(
-        args.score, _parse_dims(args.dims), args.trials, args.seed, _parse_tol(args.tol_overrides),
+        args.score, _parse_dims(args.dims), args.trials, args.seed,
         profile=sys.stderr if args.profile else None,
     )
     start = time.perf_counter()
@@ -226,8 +208,9 @@ def _cmd_market(args) -> int:
     scenario = _load_json(args.scenario)
     dim, trades, truth = read_wire(scenario, "scenario", "trades", "truth")
     truth = as_density(truth)
-    cost = scenario.get("cost", "lmsr")
-    market = MarketState(dim, cost=cost)
+    if scenario.get("cost", "lmsr") != "lmsr":
+        raise ValueError(f"scenario cost must be 'lmsr', the only market maker, got {scenario['cost']!r}")
+    market = MarketState(dim)
     ledger = []
     for i, R in enumerate(trades):
         charged = market.trade(R)
@@ -239,7 +222,6 @@ def _cmd_market(args) -> int:
         })
     report = {
         "dim": dim,
-        "cost": cost,
         "ledger": ledger,
         "total_cost": sum(row["cost"] for row in ledger),
         "total_expected_payoff": sum(row["expected_payoff"] for row in ledger),
@@ -272,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here (JSON only, not .csv)")
-    p.add_argument("--tol-overrides", default=None, help="margin=..,strict_distance=..,equiv_tol=..")
     p.add_argument("--profile", action="store_true",
                    help="print each check's trials, seconds and draw/score split, then the report's bytes "
                         "and write seconds, on stderr")

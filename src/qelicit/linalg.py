@@ -257,6 +257,12 @@ def eigenvalues_desc(A) -> np.ndarray:
     return np.linalg.eigvalsh(as_hermitian(A))[::-1].copy()
 
 
+def _log_sum_exp(w: np.ndarray) -> np.ndarray:
+    # log sum exp over the last axis of ascending eigenvalues (or a stack of them), less the largest before exp
+    top = w[..., -1]
+    return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
+
+
 def _complex_gaussian(shape, rng) -> np.ndarray:
     # real parts, then imaginary parts, each a standard normal draw: the
     # values of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

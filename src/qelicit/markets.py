@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extended import NEG_INF
-from .linalg import _count, as_density, as_hermitian, hermitian_part, hs_inner
+from .linalg import _count, _log_sum_exp, as_density, as_hermitian, hermitian_part, hs_inner
 from .measurement import sample_outcome
 from .scores import QuantumScore, _pair, expected_score, von_neumann_entropy
 
@@ -98,9 +98,7 @@ def trader_payoff(S, rho_prev, rho_new, truth) -> float:
 
 def lmsr_cost(Q) -> float:
     """log sum exp of the eigenvalues, stabilized by max subtraction."""
-    w = np.linalg.eigvalsh(as_hermitian(Q))
-    top = float(w[-1])
-    return top + float(np.log(np.sum(np.exp(w - top))))
+    return float(_log_sum_exp(np.linalg.eigvalsh(as_hermitian(Q))))
 
 
 def market_price_state(Q) -> np.ndarray:
@@ -135,14 +133,11 @@ class MarketState:
     """
 
     dim: int
-    cost: str = "lmsr"
     shares: np.ndarray = field(init=False)
     history: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
         _count(self.dim, "dim", 1)
-        if self.cost != "lmsr":
-            raise ValueError(f"unknown cost function {self.cost!r}")
         self.shares = np.zeros((self.dim, self.dim), dtype=np.complex128)
 
     def trade(self, R) -> float:

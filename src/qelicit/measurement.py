@@ -238,9 +238,7 @@ def canonical_complete(n: int) -> Measurement:
     j, k = np.triu_indices(n, k=1)
     pairs = np.stack([eye[j] + eye[k], eye[j] + 1j * eye[k]], axis=1).reshape(-1, n) / np.sqrt(2.0)
     vecs = np.concatenate([eye, pairs])  # row i: the vector of element i, before normalizing
-    w, V = np.linalg.eigh(hermitian_part(vecs.T @ vecs.conj()))
-    if float(w.min()) <= 0:
-        raise ValueError("normalizer is not positive definite")
+    w, V = np.linalg.eigh(hermitian_part(vecs.T @ vecs.conj()))  # T includes the basis projectors, so T >= I
     W = vecs @ ((V / np.sqrt(w)) @ V.conj().T).T  # row i: T^(-1/2) vecs[i]
     return Measurement._unchecked(hermitian_part(W[:, :, None] * W.conj()[:, None, :]))
 

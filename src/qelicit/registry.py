@@ -19,9 +19,6 @@ from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims
 from .scores import (
-    DISTINCT_TOL,
-    EQUIV_TOL,
-    TRUTH_MARGIN,
     binary_brier,
     fixed_measurement_score,
     implementability_check,
@@ -102,10 +99,7 @@ def make_score(name: str, dim: int):
     return _lookup(SCORE_REGISTRY, name, "score", "scores").make(_count(dim, "dim", 1))
 
 
-_TOL_DEFAULTS = {"margin": TRUTH_MARGIN, "strict_distance": DISTINCT_TOL, "equiv_tol": EQUIV_TOL}
-
-
-def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None = None, profile=None) -> dict:
+def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> dict:
     """Run all checks for one registry score and compare with its expectations.
 
     Fixed-measurement scores are dimension-specific, so each dimension
@@ -115,23 +109,15 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
     records as ``stream`` the index j of its root seed
     ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
     ``SeedSequence(seed, spawn_key=(j,))`` rebuilds, and draws its trials
-    by the layout ``"rng"`` names (``reports.run_trials``).  ``tol``
-    overrides any of ``margin``, ``strict_distance`` and ``equiv_tol``, each
-    finite and non-negative.  With ``profile``, a text stream, each check writes
-    one line to it: its trials, wall seconds, trials/s and the split
-    between drawing and scoring.
+    by the layout ``"rng"`` names (``reports.run_trials``).  Every check
+    runs at its own default tolerances.  With ``profile``, a text stream,
+    each check writes one line to it: its trials, wall seconds, trials/s
+    and the split between drawing and scoring.
     """
     entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
     dims = _check_dims(dims)
     trials = _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
-    tol = tol or {}
-    unknown = sorted(set(tol) - set(_TOL_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown tolerance {unknown[0]!r}; known tolerances: {', '.join(_TOL_DEFAULTS)}")
-    for key, val in tol.items():
-        if not (np.isfinite(val) and val >= 0):
-            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val!r}")
-    margin, distinct, equiv = (float(tol.get(key, default)) for key, default in _TOL_DEFAULTS.items())
+    seed = _count(seed, "seed", 0)  # a Python int, so the report serializes
 
     base, extra = divmod(trials, len(dims))
     children = np.random.SeedSequence(seed).spawn(3 * len(dims))
@@ -141,11 +127,9 @@ def run_verify(score_name: str, dims, trials: int, seed: int, tol: dict | None =
         S = entry.make(dim)
         per_dim = base + (i < extra)
         rngs = [np.random.default_rng(children[3 * i + k]) for k in range(3)]
-        truth = truthfulness_check(
-            S, per_dim, dims=(dim,), rng=rngs[0], mode="strict", margin=margin, distinct_tol=distinct,
-        )
-        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1], tol=equiv)
-        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2], tol=equiv)
+        truth = truthfulness_check(S, per_dim, dims=(dim,), rng=rngs[0], mode="strict")
+        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1])
+        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2])
         gains += truth.kind_counts.get("gain", 0) + truth.kind_counts.get("irregular", 0)
         ties += truth.kind_counts.get("tie", 0)
         ui_fails += ui.n_violations
@@ -268,6 +252,7 @@ def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
     """
     dims = _check_dims(dims)
     trials = _count(trials, "trials", 1)
+    seed = _count(seed, "seed", 0)  # a Python int, so the report serializes
     prop = make_property(property_name, dims[0])
     found = find_level_set_witness(prop, dims[0], probes=trials, rng=np.random.default_rng(seed))
     elicitable = PROPERTY_REGISTRY[property_name]["elicitable"]

@@ -50,7 +50,7 @@ from .linalg import (
     matrix_to_json,
     random_density,
 )
-from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _unitaries
+from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _log_sum_exp, _unitaries
 from .measurement import (
     Measurement,
     _basis_pvm,
@@ -421,9 +421,7 @@ def log_trace_exp_score() -> ExpectedScoreFn:
         for c in set(common.tolist()) - {0}:
             k = np.flatnonzero(common == c)
             Q = V[k, :, :c]
-            ev = np.linalg.eigvalsh(hermitian_part(Q.conj().swapaxes(-1, -2) @ finite[k] @ Q))
-            top = ev.max(axis=-1)
-            out[k] = top + np.log(np.sum(np.exp(ev - top[:, None]), axis=-1))
+            out[k] = _log_sum_exp(np.linalg.eigvalsh(hermitian_part(Q.conj().swapaxes(-1, -2) @ finite[k] @ Q)))
         return out
 
     return ExpectedScoreFn(stack, name="ml:s5")

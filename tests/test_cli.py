@@ -108,38 +108,6 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_tol_overrides_parsed(self, capsys, tmp_path):
-        out = tmp_path / "r.json"
-        code, _, _ = run_cli(
-            capsys,
-            "verify", "--score", "binary-brier", "--dims", "2",
-            "--trials", "50", "--seed", "1",
-            "--tol-overrides", "margin=1e-8,strict_distance=1e-5",
-            "--out", str(out),
-        )
-        assert code == 0
-
-    def test_unknown_tolerance_exits_two(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--score", "binary-brier", "--dims", "2",
-            "--trials", "10", "--tol-overrides", "margn=0.5",
-        )
-        assert code == 2
-        assert out == ""
-        for name in ("margn", "margin", "strict_distance", "equiv_tol"):
-            assert name in err
-
-    @pytest.mark.parametrize("override", ["equiv_tol=nan", "margin=nan", "margin=inf", "strict_distance=-1"])
-    def test_non_finite_or_negative_tolerance_exits_two(self, capsys, override):
-        # a NaN tolerance would make its check vacuous, since gap > nan is never true
-        code, out, err = run_cli(
-            capsys, "verify", "--score", "fixed:brier", "--dims", "2",
-            "--trials", "40", "--seed", "1", "--tol-overrides", override,
-        )
-        assert code == 2
-        assert out == ""
-        assert override.partition("=")[0] in err
-
     def test_too_few_trials_exit_two(self, capsys):
         for trials in ("-5", "0", "1"):  # 1 leaves dimension 3 without a trial
             code, out, err = run_cli(
@@ -163,16 +131,6 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--score", "ml:s3", "--dims", dims, "--trials", "10")
         assert code == 2
         assert "--dims" in err and repr(dims) in err
-        assert out == ""
-
-    @pytest.mark.parametrize("override", ["margin=abc", "margin", "equiv_tol=", "margin=1e-9,margin=1e-3"])
-    def test_unparsable_tolerance_names_the_option(self, capsys, override):
-        code, out, err = run_cli(
-            capsys, "verify", "--score", "binary-brier", "--dims", "2",
-            "--trials", "10", "--tol-overrides", override,
-        )
-        assert code == 2
-        assert "--tol-overrides" in err and repr(override) in err
         assert out == ""
 
     def test_violation_replays_from_its_stream(self):
@@ -256,6 +214,22 @@ class TestMeasure:
         assert out == ""
         assert ("element 0 has dimension 2" if dim in (3, -1) else "malformed measurement") in err
 
+    def test_canonical_basis_has_dim_squared_outcomes(self, capsys, state_file):
+        code, out, _ = run_cli(capsys, "measure", "--state", state_file, "--basis", "canonical", "--trials", "10")
+        assert code == 0
+        assert len(json.loads(out)["counts"]) == 4
+
+    @pytest.mark.parametrize("basis, dim, message", [
+        ("hadamard", 3, "the hadamard basis is only defined for dimension 2"),
+        ("bogus", 2, "unknown basis 'bogus'; use standard, hadamard, or canonical"),
+    ])
+    def test_a_basis_that_does_not_exist_exits_two(self, capsys, tmp_path, basis, dim, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(dim) / dim)))
+        code, out, err = run_cli(capsys, "measure", "--state", str(path), "--basis", basis, "--trials", "10")
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+
     def test_csv_output(self, capsys, state_file, tmp_path):
         out = tmp_path / "counts.csv"
         code, _, _ = run_cli(
@@ -325,14 +299,15 @@ class TestMeasure:
 
 
 class TestMarketSim:
-    def scenario(self, tmp_path, n_trades):
+    def scenario(self, tmp_path, n_trades, cost="lmsr"):
         rng = np.random.default_rng(13)
         doc = {
             "dim": 2,
-            "cost": "lmsr",
             "trades": [matrix_to_json(random_hermitian(2, rng=rng)) for _ in range(n_trades)],
             "truth": matrix_to_json(random_density(2, rng=rng)),
         }
+        if cost is not None:
+            doc["cost"] = cost
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         return str(path)
@@ -354,6 +329,19 @@ class TestMarketSim:
             report["total_expected_payoff"] - report["total_cost"], abs=1e-9
         )
         assert report["maker_loss"] <= report["loss_bound"] + 1e-9
+
+    def test_cost_lmsr_or_absent_gives_one_report_without_cost(self, capsys, tmp_path):
+        outs = [run_cli(capsys, "market-sim", "--scenario", self.scenario(tmp_path, 3, cost)) for cost in ("lmsr", None)]
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
+        assert code == 0
+        assert sorted(json.loads(out)) == [
+            "dim", "ledger", "loss_bound", "maker_loss", "total_cost", "total_expected_payoff"]
+
+    def test_a_cost_other_than_lmsr_is_refused(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", self.scenario(tmp_path, 3, "quadratic"))
+        assert (code, out) == (2, "")
+        assert "scenario cost must be 'lmsr', the only market maker, got 'quadratic'" in err
 
     def test_dimension_mismatch_names_the_matrix(self, capsys, tmp_path):
         rng = np.random.default_rng(13)

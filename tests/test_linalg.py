@@ -325,7 +325,7 @@ _S = make_score("spectral:log", 2)
 _WAGER = q.WageringRound([random_density(2, rng=s) for s in (1, 2)],
                          q.fixed_measurement_score(q.brier_rule(), q.standard_pvm(2)), random_density(2, rng=3))
 
-# every entry point that takes a count or a dimension: (its call of the count, the
+# every entry point that takes a count, a dimension or a root seed: (its call of the count, the
 # argument's name, its floor, a valid value); every one is refused by linalg._count
 COUNTS = {
     "truthfulness_check trials": (_report(q.truthfulness_check, _S), "trials", 0, 8),
@@ -343,6 +343,8 @@ COUNTS = {
         lambda x: q.from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)), "dim", 1, 3),
     "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), "trials", 1, 8),
     "run_witness trials": (lambda x: run_witness("entropy", [3], x, 0), "trials", 1, 5),
+    "run_verify seed": (lambda x: run_verify("fixed:brier", [2], 8, x), "seed", 0, 0),
+    "run_witness seed": (lambda x: run_witness("entropy", [3], 5, x), "seed", 0, 0),
     "find_level_set_witness probes": (
         lambda x: find_level_set_witness(make_property("entropy", 3), 3, probes=x, rng=0).to_json(), "probes", 1, 5),
     "find_level_set_witness dim": (

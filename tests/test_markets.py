@@ -227,10 +227,6 @@ class TestMarketState:
         rho = random_density(3, rng=rng)
         assert bundle_expected_payoff(R, rho) == pytest.approx(hs_inner(R, rho), abs=1e-12)
 
-    def test_rejects_unknown_cost(self):
-        with pytest.raises(ValueError, match="cost"):
-            MarketState(2, cost="quadratic")
-
 
 class TestWageringRefusals:
     def test_unknown_mode_is_refused(self, rng):

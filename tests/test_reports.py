@@ -157,7 +157,10 @@ class TestScoreReport:
     lambda: run_verify("fixed:brier", [np.int64(2)], 8, 0),
     lambda: run_witness("entropy", [3], np.int64(5), 0),
     lambda: truthfulness_check(make_score("spectral:log", 2), np.int64(8), dims=(2,), rng=0).to_json(),
-], ids=["run_verify trials", "run_verify dims", "run_witness trials", "truthfulness_check trials"])
+    lambda: run_verify("fixed:brier", [2], 8, np.int64(0)),
+    lambda: run_witness("entropy", [3], 5, np.int64(0)),
+], ids=["run_verify trials", "run_verify dims", "run_witness trials", "truthfulness_check trials",
+        "run_verify seed", "run_witness seed"])
 def test_numpy_integer_counts_serialize(call):
-    # json.dumps refuses numpy integers: a report keeps the Python ints its count checks return
+    # json.dumps refuses numpy integers: a report keeps the Python ints its count and seed checks return
     json.dumps(call())
