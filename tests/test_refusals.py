@@ -55,6 +55,9 @@ REFUSALS = {
     "top_bottom_score of equal top weights": (
         lambda: q.top_bottom_score(2, 0, [1.0, 1.0, 0.0]),
         ValueError, "top weights must be strictly decreasing and positive"),
+    "top_bottom_score of equal bottom weights": (
+        lambda: q.top_bottom_score(0, 2, [0.0, -1.0, -1.0]),
+        ValueError, "bottom weights must be strictly decreasing and negative"),
     "top_bottom_score report of the wrong dimension": (
         lambda: q.top_bottom_score(1, 1, [1.0, 0.0, -1.0]).payoff(np.eye(2)),
         ValueError, "report vectors have dimension 2, expected 3"),
