@@ -31,7 +31,11 @@ absent and ``"quadratic"``, and of ``verify`` for ``ml:s2`` with and
 without ``--tol-overrides`` (an argparse refusal is listed by its exit
 code); ``lmsr_cost``, ``maker_loss`` and ``conjugacy_gap`` of seeded
 share matrices at n = 2, 4 and 8; and the JSON of ``run_verify`` and
-``run_witness`` given a numpy integer seed.  A value is hashed through
+``run_witness`` given a numpy integer seed.  Last of all, the tolerance
+keywords of the checks, of ``ext_dot`` and of ``approx_equal``: one call
+per keyword, passing its default value; the two strict checks that a
+larger ``margin`` fails with ties between distinct reports; and
+``ext_dot`` of a weight of 1e-13 on -inf.  A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -337,6 +341,40 @@ def markets() -> None:
          outcome(lambda: json.dumps(run_witness("entropy", [3], 5, np.int64(0)), sort_keys=True)))
 
 
+def tolerance_keywords() -> None:
+    S, brier = make_score("spectral:log", 2), q.brier_rule()
+    mu = q.standard_pvm(2)
+
+    def report(check, *args, **keyword):
+        return lambda: check(*args, 8, dims=(2,), rng=0, **keyword).to_json()
+
+    def properness(**keyword):
+        return lambda: q.properness_check(brier, 8, 3, rng=0, **keyword).to_json()
+
+    F, dF = (lambda r: float(np.trace(r @ r).real)), (lambda r: 2.0 * r)
+    rows = {
+        "truthfulness_check margin": report(q.truthfulness_check, S, margin=1e-9),
+        "truthfulness_check distinct_tol": report(q.truthfulness_check, S, distinct_tol=1e-6),
+        "properness_check margin": properness(margin=1e-9),
+        "properness_check distinct_tol": properness(distinct_tol=1e-6),
+        "equivalence_check tol": report(q.equivalence_check, S, S, tol=1e-8),
+        "unitary_invariance_check tol": report(q.unitary_invariance_check, S, tol=1e-8),
+        "implementability_check tol": report(q.implementability_check, S, tol=1e-8),
+        "subgradient_inequality_check margin": report(q.subgradient_inequality_check, F, dF, margin=1e-9),
+        "ext_dot zero_tol": lambda: q.ext_dot([0.5, 0.5], [1.0, q.NEG_INF], zero_tol=1e-12),
+        "approx_equal tol": lambda: mu.approx_equal(mu, tol=1e-9),
+    }
+    for label, call in rows.items():
+        emit(f"keyword {label}", outcome(call))
+    # strictly proper scores that a margin above the samplers' near-tie band fails with ties
+    emit("properness_check brier n=3 trials=20000 margin=1e-5", outcome(
+        lambda: q.properness_check(brier, 20000, 3, rng=0, mode="strict", margin=1e-5).to_json()))
+    emit("truthfulness_check projective-brier trials=8000 margin=1e-6", outcome(
+        lambda: q.truthfulness_check(make_score("projective-brier", 2), 8000, dims=(2, 3), rng=0, mode="strict",
+                                     margin=1e-6).to_json()))
+    emit("ext_dot weight 1e-13 on -inf", outcome(q.ext_dot, [1e-13, 1.0], [q.NEG_INF, 3.0]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -352,3 +390,4 @@ if __name__ == "__main__":
     count_arguments()
     tomography()
     markets()
+    tolerance_keywords()
