@@ -42,8 +42,8 @@ DISTINCT_TOL = 1e-6      # reports farther apart than this count as distinct
 
 
 def _near_tie(d) -> np.ndarray:
-    # reports in (DISTINCT_TOL, ~sqrt(margin)] are distinct by distance yet
-    # tie within margin for quadratic scores; samplers redraw them
+    # reports in (DISTINCT_TOL, 1e-4) are distinct by distance yet, for quadratic scores,
+    # tie within PROPERNESS_MARGIN or TRUTH_MARGIN (up to sqrt(1e-9)); samplers redraw them
     return (DISTINCT_TOL < d) & (d < 1e-4)
 
 
@@ -124,7 +124,7 @@ def _bregman_rule(G, dG, name: str) -> ClassicalScoringRule:
 
     def one(p):
         g, d = float(G(p)), np.asarray(dG(p), dtype=np.float64)
-        pairing = ext_dot(p, d, zero_tol=EXT_WEIGHT_TOL)
+        pairing = ext_dot(p, d)
         if pairing == NEG_INF:
             raise ValueError("dG has -inf mass where p is positive; invalid oracle")
         out = np.full(len(d), NEG_INF)
@@ -148,7 +148,7 @@ def _check_convex(G, dG, draw, rng, samples: int) -> None:
     for _ in range(samples):
         p, q = draw(g)
         gp, gq = float(G(p)), float(G(q))
-        pairing = ext_dot(q - p, np.asarray(dG(p), dtype=np.float64), zero_tol=EXT_WEIGHT_TOL)
+        pairing = ext_dot(q - p, np.asarray(dG(p), dtype=np.float64))
         if gq < gp + pairing - PROPERNESS_MARGIN:
             raise ValueError("subgradient inequality violated; G not convex or dG wrong")
         if float(G(0.5 * (p + q))) > 0.5 * (gp + gq) + PROPERNESS_MARGIN:
@@ -193,7 +193,7 @@ def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
     """Expected score of report q under belief p, in R u {-inf}."""
     q = np.asarray(q, dtype=np.float64)
     p = clean_probs(p)
-    return ext_dot(p, rule.values(q), zero_tol=EXT_WEIGHT_TOL)
+    return ext_dot(p, rule.values(q))
 
 
 def _rows(g, dim, m):
@@ -224,22 +224,15 @@ def _encode_distributions(p, q) -> dict:
     return {"belief": p.tolist(), "report": q.tolist()}
 
 
-def properness_check(
-    rule: ClassicalScoringRule,
-    trials: int,
-    dim: int,
-    rng=None,
-    mode: str = "strict",
-    margin: float = PROPERNESS_MARGIN,
-    distinct_tol: float = DISTINCT_TOL,
-) -> ScoreReport:
+def properness_check(rule: ClassicalScoringRule, trials: int, dim: int, rng=None, mode: str = "strict") -> ScoreReport:
     """Sample (belief, report) pairs and flag properness failures.
 
     Flags a truthful expected score that is not finite as
-    ``irregular`` and expected-score gains above ``margin``; in strict
-    mode also flags exact ties (within ``margin``) between distinct
-    reports.  Each side of a block of trials is paid in one call, so the
-    rule must pay each row of a stack as it pays that row alone.
+    ``irregular`` and expected-score gains above PROPERNESS_MARGIN; in
+    strict mode also flags ties (within PROPERNESS_MARGIN) between
+    reports farther apart than DISTINCT_TOL.  Each side of a block of
+    trials is paid in one call, so the rule must pay each row of a stack
+    as it pays that row alone.
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
@@ -254,9 +247,9 @@ def properness_check(
         # each block's beliefs cleaned once; the rule pays each side in one call
         beliefs, reports = drawn
         P = _clean_rows(beliefs)
-        truthful, other = (ext_dot(P, _rule_values(rule, Q), zero_tol=EXT_WEIGHT_TOL) for Q in (beliefs, reports))
-        distinct = np.linalg.norm(beliefs - reports, axis=1) > distinct_tol
-        return _classify(truthful, other, distinct, margin, mode == "strict")
+        truthful, other = (ext_dot(P, _rule_values(rule, Q)) for Q in (beliefs, reports))
+        distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
+        return _classify(truthful, other, distinct, PROPERNESS_MARGIN, mode == "strict")
 
     return run_trials(report, _rows, draw, score, _encode_distributions, rng)
 
@@ -282,4 +275,4 @@ def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int =
 def shannon_entropy(p) -> float:
     """H(p) = -<p, log p>, the log rule's self-score negated; mass at or below 1e-12 contributes nothing."""
     q = clean_probs(p)
-    return 0.0 - ext_dot(q, log_rule().values(q), zero_tol=EXT_WEIGHT_TOL)
+    return 0.0 - ext_dot(q, log_rule().values(q))

@@ -40,13 +40,13 @@ KERNEL_PRODUCT_TOL = 1e-8  # max-norm bound on A @ B for a valid pair
 EXT_WEIGHT_TOL = 1e-12     # weights at most this in magnitude count as exact 0
 
 
-def ext_dot(weights, values, zero_tol: float = 0.0):
+def ext_dot(weights, values):
     """Weighted sum of extended values with the 0 * (-inf) = 0 convention.
 
-    Weights with magnitude <= zero_tol are treated as exact zeros, which
-    lets callers pair measurement probabilities carrying float noise with
-    -inf score values without manufacturing spurious infinities.  Works
-    along the last axis: vectors give a float, (N, m) stacks give (N,) sums.
+    Weights with magnitude at or below EXT_WEIGHT_TOL are treated as exact
+    zeros, which lets callers pair measurement probabilities carrying float
+    noise with -inf score values without manufacturing spurious infinities.
+    Works along the last axis: vectors give a float, (N, m) stacks give (N,) sums.
     """
     w = np.asarray(weights, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -56,10 +56,10 @@ def ext_dot(weights, values, zero_tol: float = 0.0):
         raise ValueError("weights must be finite")
     if (v == np.inf).any():
         raise ValueError("+inf is not a valid extended score value")
-    if ((v == NEG_INF) & (w < -zero_tol)).any():
+    if ((v == NEG_INF) & (w < -EXT_WEIGHT_TOL)).any():
         raise ValueError("negative weight on a -inf value would produce +inf")
-    # weights within zero_tol contribute exact zeros, so 0 * (-inf) never happens
-    total = np.multiply(w, v, out=np.zeros(w.shape), where=np.abs(w) > zero_tol).sum(axis=-1)
+    # weights within EXT_WEIGHT_TOL contribute exact zeros, so 0 * (-inf) never happens
+    total = np.multiply(w, v, out=np.zeros(w.shape), where=np.abs(w) > EXT_WEIGHT_TOL).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -144,14 +144,15 @@ class ExtendedHermitian:
 
         On the infinite part's range the value stays -inf (adding a
         finite constant to -inf changes nothing), so the identity is
-        compressed onto the complement before adding.
+        compressed onto the complement before adding; (I - P) B = 0
+        keeps the parts annihilating, so the result is not re-checked.
         """
+        if not np.isfinite(c):
+            raise ValueError(f"c must be finite, got {c}")
         comp = np.eye(self.dim)
         if self.infinite_part.any():
             comp = comp - range_projector(self.infinite_part)
-        return ExtendedHermitian(
-            hermitian_part(self.finite_part + c * comp), self.infinite_part
-        )
+        return ExtendedHermitian._unchecked(hermitian_part(self.finite_part + c * comp), self.infinite_part)
 
 
 def ext_inner(E: ExtendedHermitian, X) -> float:

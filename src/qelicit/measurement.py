@@ -113,10 +113,11 @@ class Measurement:
         # the POVM of report k of a stack: the same one for every report
         return self
 
-    def approx_equal(self, other: "Measurement", tol: float = 1e-9) -> bool:
+    def approx_equal(self, other: "Measurement") -> bool:
+        """True iff the two element stacks share a shape and differ by at most 1e-9 in each entry."""
         if self.elements.shape != other.elements.shape:
             return False
-        return float(np.abs(self.elements - other.elements).max()) <= tol
+        return float(np.abs(self.elements - other.elements).max()) <= 1e-9
 
     def to_json(self) -> dict:
         return {

@@ -33,7 +33,6 @@ from .classical import (
     log_rule,
 )
 from .extended import (
-    EXT_WEIGHT_TOL,
     NEG_INF,
     ExtendedHermitian,
     _collapse,
@@ -201,7 +200,7 @@ def _per_report(payoff, reports):
 def _pair(outcomes, values, states) -> np.ndarray:
     # sum_y p_ky values_ky for each report k against state k, under extended
     # arithmetic: zero-mass outcomes never contribute, even against -inf payoffs
-    return ext_dot(outcomes._probs(states), values, zero_tol=EXT_WEIGHT_TOL)
+    return ext_dot(outcomes._probs(states), values)
 
 
 def _hs_rows(A, B) -> np.ndarray:
@@ -628,24 +627,16 @@ def _compare(kind, a, b, tol):
     return gaps, np.where(gaps > tol, kind, ""), gaps
 
 
-def truthfulness_check(
-    S,
-    trials: int,
-    dims=(2, 3, 4),
-    rng=None,
-    mode: str = "strict",
-    margin: float = TRUTH_MARGIN,
-    distinct_tol: float = DISTINCT_TOL,
-) -> ScoreReport:
+def truthfulness_check(S, trials: int, dims=(2, 3, 4), rng=None, mode: str = "strict") -> ScoreReport:
     """Probe S(report; belief) <= S(belief; belief) by sampling.
 
     Beliefs mix full-rank and rank-deficient states; reports cycle
     through random states and targeted adversaries (eigenvalue
     permutations, single-eigenvector mass, spectrum-preserving
-    rotations).  Weak mode flags gains above ``margin``; strict mode
-    additionally flags ties between distinct states.  ``S`` is a
-    ``QuantumScore`` or an ``ExpectedScoreFn``; trials are scored in
-    stacks.
+    rotations).  Weak mode flags gains above TRUTH_MARGIN; strict mode
+    additionally flags ties within it between states farther apart than
+    DISTINCT_TOL.  ``S`` is a ``QuantumScore`` or an ``ExpectedScoreFn``;
+    trials are scored in stacks.
     """
     if mode not in ("weak", "strict"):
         raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
@@ -654,20 +645,13 @@ def truthfulness_check(
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
-        return _classify(truthful, other, _distance(rhos, reps) > distinct_tol, margin, mode == "strict")
+        return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL, TRUTH_MARGIN, mode == "strict")
 
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
-def equivalence_check(
-    S1,
-    S2,
-    trials: int,
-    dims=(2, 3, 4),
-    rng=None,
-    tol: float = EQUIV_TOL,
-) -> ScoreReport:
-    """Compare expected scores pointwise; -inf must match -inf."""
+def equivalence_check(S1, S2, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+    """Compare expected scores pointwise, flagging gaps above EQUIV_TOL; -inf must match -inf."""
     name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
     report = ScoreReport(name, "equivalence", trials, tuple(dims))
 
@@ -678,20 +662,14 @@ def equivalence_check(
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
             (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
-            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, tol)
+            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, EQUIV_TOL)
         return gaps, kinds, gaps
 
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
-def unitary_invariance_check(
-    S,
-    trials: int,
-    dims=(2, 3, 4),
-    rng=None,
-    tol: float = EQUIV_TOL,
-) -> ScoreReport:
-    """Flag |S(r; rho) - S(U r U*; U rho U*)| above tolerance."""
+def unitary_invariance_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+    """Flag |S(r; rho) - S(U r U*; U rho U*)| above EQUIV_TOL."""
     report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, tuple(dims))
 
     def draw(dim, trials, rows, spare):
@@ -702,23 +680,17 @@ def unitary_invariance_check(
         Uh = U.conj().swapaxes(-1, -2)
         (a,) = S.expected_stack(reps, rhos)
         (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
-        return _compare("variance", a, b, tol)
+        return _compare("variance", a, b, EQUIV_TOL)
 
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
-def implementability_check(
-    S,
-    trials: int,
-    dims=(2, 3, 4),
-    rng=None,
-    tol: float = EQUIV_TOL,
-) -> ScoreReport:
+def implementability_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
     """Extended linearity of expected score in the true state.
 
     A score is physically implementable iff rho -> S(report; rho) is
     extended-linear; mixtures are compared against mixed expected
-    values under the extended arithmetic.
+    values under the extended arithmetic, within EQUIV_TOL.
     """
     report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, tuple(dims))
 
@@ -733,21 +705,14 @@ def implementability_check(
         w = t[:, None, None]
         e1, e2, mixed = S.expected_stack(reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
         weights = np.stack([t, 1.0 - t], axis=-1)
-        linear = ext_dot(weights, np.stack([e1, e2], axis=-1), zero_tol=EXT_WEIGHT_TOL)
-        return _compare("nonlinear", mixed, linear, tol)
+        linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
+        return _compare("nonlinear", mixed, linear, EQUIV_TOL)
 
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
-def subgradient_inequality_check(
-    F,
-    dF,
-    trials: int,
-    dims=(2, 3, 4),
-    rng=None,
-    margin: float = TRUTH_MARGIN,
-) -> ScoreReport:
-    """Check F(rho) >= F(r) + <dF(r), rho - r> on sampled state pairs, half with rho near r.
+def subgradient_inequality_check(F, dF, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+    """Check F(rho) >= F(r) + <dF(r), rho - r> - TRUTH_MARGIN on sampled state pairs, half with rho near r.
 
     ``dF`` may return plain Hermitian matrices or extended ones; a -inf
     lower bound passes trivially, and a selection whose infinite part
@@ -773,7 +738,7 @@ def subgradient_inequality_check(
                 gaps[j], invalid[j] = np.inf, True
                 continue
             gaps[j] = NEG_INF if pairing == NEG_INF else (float(F(base)) + pairing) - float(F(rho))
-        kinds = np.select([invalid, gaps > margin], ["invalid-selection", "violated"], "")
+        kinds = np.select([invalid, gaps > TRUTH_MARGIN], ["invalid-selection", "violated"], "")
         return gaps, kinds, gaps
 
     return run_trials(report, partial(_rows, 2), draw, score, _encode_states, rng)

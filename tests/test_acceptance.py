@@ -98,9 +98,9 @@ def test_criterion_02_classical_properness():
     with criterion(2, "brier/log strictly proper, linear score fails", 10.0):
         for rule in (brier_rule(), log_rule()):
             for dim in (2, 3, 4, 5, 6):
-                report = properness_check(rule, 2000, dim, rng=dim, mode="strict", margin=1e-9)
+                report = properness_check(rule, 2000, dim, rng=dim, mode="strict")
                 assert report.passed, (rule.name, dim, report.violations[:2])
-        failing = properness_check(linear_rule(), 2000, 3, rng=0, mode="weak", margin=1e-9)
+        failing = properness_check(linear_rule(), 2000, 3, rng=0, mode="weak")
         assert not failing.passed
         recorded = failing.violations[0]
         assert recorded["gap"] > 1e-9

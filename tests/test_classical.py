@@ -18,6 +18,7 @@ from qelicit.classical import (
 )
 from qelicit.extended import NEG_INF
 from qelicit.reports import _classify
+from qelicit.scores import TRUTH_MARGIN
 
 
 class TestCleanProbs:
@@ -341,6 +342,12 @@ def test_bregman_rule_refuses_neg_inf_where_p_is_positive():
 def test_near_tie_band_is_open_on_both_ends():
     d = np.array([1e-7, DISTINCT_TOL, 2e-6, 9.9e-5, 1e-4, 1e-3])
     assert classical._near_tie(d).tolist() == [False, False, True, True, False, False]
+
+
+def test_near_tie_band_reaches_the_distance_a_quadratic_score_ties_at():
+    # a quadratic score's loss at a report d away is of order d**2, within the margin up to sqrt(margin),
+    # so the samplers must redraw reports up to there for a strict check to see no false tie
+    assert classical._near_tie(np.sqrt([TRUTH_MARGIN, PROPERNESS_MARGIN])).all()
 
 
 class TestNanPayoffs:

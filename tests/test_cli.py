@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -53,6 +54,17 @@ class TestPaperExamples:
         assert code == 0
         assert "standard-basis-probabilities" in out
         assert "FAIL" not in out
+
+    def test_out_writes_the_report_as_json_or_the_table_as_csv(self, capsys, tmp_path):
+        rows = paper_example_rows()
+        code, _, _ = run_cli(capsys, "paper-examples", "--out", str(tmp_path / "x.json"))
+        assert code == 0
+        assert json.loads((tmp_path / "x.json").read_text()) == json_safe({"rows": rows, "all_pass": True})
+        code, _, _ = run_cli(capsys, "paper-examples", "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        with open(tmp_path / "x.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table == [["name", "pass"], *([r["name"], "True"] for r in rows)]
 
 
 class TestVerify:

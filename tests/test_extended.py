@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qelicit.classical import log_rule
 from qelicit.extended import (
+    EXT_WEIGHT_TOL,
     KERNEL_PRODUCT_TOL,
     NEG_INF,
     ExtendedHermitian,
@@ -56,8 +57,11 @@ class TestExtendedArithmetic:
             ext_dot([-0.1, 1.1], [NEG_INF, 2.0])
 
     def test_dot_zero_tolerance(self):
-        # noise-level weights against -inf count as exact zeros
-        assert ext_dot([1e-13, 1.0], [NEG_INF, 3.0], zero_tol=1e-12) == 3.0
+        # noise-level weights against -inf count as exact zeros, up to EXT_WEIGHT_TOL
+        assert ext_dot([1e-13, 1.0], [NEG_INF, 3.0]) == 3.0
+        assert ext_dot([EXT_WEIGHT_TOL, 1.0], [NEG_INF, 3.0]) == 3.0
+        assert ext_dot([2 * EXT_WEIGHT_TOL, 1.0], [NEG_INF, 3.0]) == NEG_INF
+        assert ext_dot([-1e-13, 1.0], [NEG_INF, 3.0]) == 3.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,6 +74,7 @@ class TestExtendedArithmetic:
     ),
 )
 @example(alpha=5e-324, values=[NEG_INF])  # the scaled weight underflows to 0.0
+@example(alpha=1e-12, values=[NEG_INF, 1.0])  # the scaled weight 1e-13 on -inf is within EXT_WEIGHT_TOL
 def test_ext_dot_scaling_property(alpha, values):
     # positive scaling commutes with the weighted sum
     weights = np.abs(np.linspace(0.1, 1.0, len(values)))
@@ -77,10 +82,10 @@ def test_ext_dot_scaling_property(alpha, values):
     base = ext_dot(weights, values)
     scaled = ext_dot(scaled_weights, values)
     neg = np.isneginf(values)
-    if base == NEG_INF and (scaled_weights[neg] > 0).any():
+    if base == NEG_INF and (scaled_weights[neg] > EXT_WEIGHT_TOL).any():
         assert scaled == NEG_INF
     elif base == NEG_INF:
-        # every weight on a -inf value is 0.0 after scaling, and 0 * (-inf) = 0
+        # every weight on a -inf value is at most EXT_WEIGHT_TOL after scaling, so it counts as 0
         finite = weights[~neg] @ np.asarray(values)[~neg]
         assert scaled == pytest.approx(abs(alpha) * finite, abs=1e-9)
     else:
@@ -157,7 +162,7 @@ class TestExtInner:
         a = 0.3
         lhs = ext_inner(E, a * X + (1 - a) * Y)
         parts = [ext_inner(E, X), ext_inner(E, Y)]
-        rhs = ext_dot([a, 1 - a], parts, zero_tol=1e-12)
+        rhs = ext_dot([a, 1 - a], parts)
         if lhs == NEG_INF or rhs == NEG_INF:
             assert lhs == rhs
         else:
@@ -193,7 +198,7 @@ class TestCanonicalize:
         E = canonicalize_extended(zip(elements, weights))
         for _ in range(100):
             rho = random_density(2, rank=int(rng.integers(1, 3)), rng=rng)
-            direct = ext_dot([hs_inner(M, rho) for M in elements], weights, zero_tol=1e-12)
+            direct = ext_dot([hs_inner(M, rho) for M in elements], weights)
             val = ext_inner(E, rho)
             if direct == NEG_INF or val == NEG_INF:
                 assert val == direct
@@ -245,7 +250,7 @@ def _states_of_every_rank(n):
 
 
 class TestLibraryBuiltExtendedMatrices:
-    """matrix_log and score_coefficient build their ExtendedHermitian unchecked; its invariants hold."""
+    """matrix_log, score_coefficient and add_scalar build their ExtendedHermitian unchecked; its invariants hold."""
 
     @staticmethod
     def _assert_invariants(E):
@@ -260,6 +265,12 @@ class TestLibraryBuiltExtendedMatrices:
     def test_matrix_log_parts(self, n):
         for rho in _states_of_every_rank(n):
             self._assert_invariants(matrix_log(rho))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_add_scalar_parts(self, n):
+        for rho in _states_of_every_rank(n):
+            for c in (0.7, -2.5, 1e6):
+                self._assert_invariants(matrix_log(rho).add_scalar(c))
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     @pytest.mark.parametrize("name", sorted(k for k in SCORE_REGISTRY if isinstance(make_score(k, 2), QuantumScore)))

@@ -32,3 +32,34 @@ def test_counts_each_kind_of_line(tmp_path):
         "        return 2\n"
     )
     assert _lines().count(source) == {"code": 5, "docstring": 5, "comment": 1, "blank": 5, "total": 16}
+
+
+def test_options_are_the_defaulted_public_parameters_and_fields(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from dataclasses import dataclass\n"
+        "LIMIT: int = 3\n"
+        "\n"
+        "def f(a, b=1, *args, c, d=2, _e=3, **kw):\n"
+        "    def inner(x=1):\n"
+        "        return x\n"
+        "\n"
+        "def _private(a=1):\n"
+        "    pass\n"
+        "\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    _z: int = 0\n"
+        "\n"
+        "    def __init__(self, w=1):\n"
+        "        pass\n"
+        "\n"
+        "    def m(self, p, /, q=2):\n"
+        "        pass\n"
+        "\n"
+        "class _Hidden:\n"
+        "    v: int = 1\n"
+    )
+    assert _lines().options(source) == ["f.b", "f.d", "C.y", "C.m.q"]

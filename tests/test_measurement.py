@@ -3,6 +3,7 @@ import pytest
 
 from qelicit.linalg import frob_dist, random_density, random_unitary
 from qelicit.measurement import (
+    PVM_TOL,
     Measurement,
     apply_measurement,
     basis_pvm,
@@ -30,7 +31,7 @@ class TestMeasurementType:
     def test_json_round_trip(self, rng):
         mu = canonical_complete(2)
         back = Measurement.from_json(mu.to_json())
-        assert back.approx_equal(mu, tol=0.0)
+        assert np.array_equal(back.elements, mu.elements)
 
     @pytest.mark.parametrize("dim", [7.5, "x", True, None], ids=["fraction", "string", "bool", "missing"])
     def test_json_non_integer_dim_is_malformed(self, dim):
@@ -146,6 +147,14 @@ class TestPvm:
 
     def test_is_pvm_true_for_basis(self, rng):
         assert is_pvm(basis_pvm(random_unitary(3, rng=rng)))
+
+    def test_is_pvm_false_when_a_projector_overlaps_a_later_element(self):
+        # element 0 is a projector within PVM_TOL, and its product with element 1 is 3e-5
+        a, x = 5e-9, 3e-5
+        first = np.diag([1.0 - a, 0.0])
+        assert np.abs(first @ first - first).max() <= PVM_TOL
+        assert not is_pvm(Measurement([first, [[a / 2, x], [x, 0.5]], [[a / 2, -x], [-x, 0.5]]]))
+        assert is_pvm(Measurement([first, np.diag([a, 1.0])]))  # the overlap 5e-9 is within PVM_TOL
 
     def test_binary_state_measurement_not_pvm(self, rng):
         rho = random_density(2, rng=rng)  # mixed almost surely

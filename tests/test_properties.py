@@ -17,6 +17,7 @@ from qelicit.linalg import (
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm, tomographic_map
 from qelicit.properties import (
     ABSTAIN,
+    QuantumProperty,
     abstain_score,
     eigen_pair_score,
     expectation_property,
@@ -707,6 +708,14 @@ class TestWitnessEdges:
     def test_states_of_different_dimensions_are_named(self):
         with pytest.raises(ValueError, match="^dimension mismatch: rho1 2, rho2 3$"):
             level_set_witness(make_property("entropy", 2), random_density(2, rng=1), random_density(3, rng=2))
+
+    def test_a_value_of_another_shape_is_another_value(self):
+        # the nonzero eigenvalues: one value for a pure state, two for a mixed one
+        support = QuantumProperty(lambda rho: np.linalg.eigvalsh(rho)[np.linalg.eigvalsh(rho) > 1e-9], "support")
+        pure, mixed = np.diag([1.0, 0.0]), np.diag([0.5, 0.5])
+        assert not level_set_witness(support, pure, mixed).is_counterexample
+        # two pure states agree, and their even mixture has two nonzero eigenvalues
+        assert level_set_witness(support, pure, np.diag([0.0, 1.0])).is_counterexample
 
 
 def _eigh_polar(X):

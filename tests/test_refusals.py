@@ -21,6 +21,10 @@ REFUSALS = {
     "ExtendedHermitian parts of two shapes": (
         lambda: q.ExtendedHermitian(np.zeros((2, 2)), np.zeros((3, 3))),
         ValueError, "finite and infinite parts must share a shape"),
+    "add_scalar of a NaN": (
+        lambda: q.matrix_log(np.diag([1.0, 0.0])).add_scalar(np.nan), ValueError, "c must be finite, got nan"),
+    "add_scalar of an infinity": (
+        lambda: q.ExtendedHermitian.wrap(np.eye(2)).add_scalar(-np.inf), ValueError, "c must be finite, got -inf"),
     "canonicalize_extended of no pair": (
         lambda: q.canonicalize_extended([]), ValueError, "need at least one (matrix, weight) pair"),
     "ext_dot of two shapes": (

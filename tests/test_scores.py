@@ -148,8 +148,8 @@ class TestFixedMeasFromConvex:
         mu = canonical_complete(2)
         S1 = fixed_meas_from_convex(lambda p: float(p @ p), lambda p: 2 * p, mu)
         S2 = fixed_measurement_score(brier_rule(), mu)
-        report = equivalence_check(S1, S2, 300, dims=(2,), rng=5, tol=1e-9)
-        assert report.passed
+        report = equivalence_check(S1, S2, 300, dims=(2,), rng=5)
+        assert report.passed and report.max_gap <= 1e-9
 
     def test_constant_function(self, rng):
         mu = canonical_complete(2)
@@ -622,7 +622,7 @@ class TestPayoffClosedForms:
         mu, s = S.payoff(r)
         assert len(s) == len(mu)
         p = np.einsum("yij,ji->y", mu.elements, rho).real
-        return ext_dot(p, s, zero_tol=1e-12)
+        return ext_dot(p, s)
 
     @staticmethod
     def _log_pairing(r, rho):
@@ -699,7 +699,7 @@ class TestPayoffClosedForms:
         r = random_density(4, rng=rng)
         for S in (binary_brier(), projective_brier(), log_spectral(), ml_scores()["s2"]):
             mu, s = S.payoff(r)
-            assert S.measure(r).approx_equal(mu, tol=0.0)
+            assert np.array_equal(S.measure(r).elements, mu.elements)
             assert [S.score(r, y) for y in range(len(mu))] == list(map(float, s))
 
 

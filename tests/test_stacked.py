@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import qelicit
-from qelicit import reports, scores
+from qelicit import classical, reports, scores
 from qelicit.cli import main, run_verify
-from qelicit.extended import EXT_WEIGHT_TOL, NEG_INF, ext_dot
+from qelicit.extended import NEG_INF, ext_dot
 from qelicit.linalg import (
     as_hermitian,
     frob_dist,
@@ -109,12 +109,12 @@ class TestStackedMatchesScalar:
             for k in range(len(R)):
                 mu, v = S.payoff(R[k])
                 _close(values[k], v)
-                assert outcomes._at(k).approx_equal(mu, tol=1e-12)
+                at_k = outcomes._at(k).elements
+                assert at_k.shape == mu.elements.shape and np.abs(at_k - mu.elements).max() <= 1e-12
                 # the report's POVM elements measured on the belief, paired under
                 # 0 * (-inf) = 0; rounding scales with the largest payoff
                 largest = np.abs(v[np.isfinite(v)]).max(initial=1.0)
-                _close(stacked[k], ext_dot(apply_measurement(mu, B[k]), v, zero_tol=EXT_WEIGHT_TOL),
-                       scale=largest)
+                _close(stacked[k], ext_dot(apply_measurement(mu, B[k]), v), scale=largest)
 
 
 class TestStackedDecomposition:
@@ -244,6 +244,16 @@ class TestBlockRows:
         assert DISTINCT_TOL < frob_dist(rep[0], rho)
         assert np.array_equal(rep, scores._states(None, spare[0][:, 0], spare[1][:, 0]))
 
+    def test_fresh_distribution_in_the_near_window_is_redrawn_from_the_spare_row(self):
+        g = np.random.default_rng(3)
+        D, u = classical._rows(g, 3, 1)
+        spare = classical._rows(g, 3, 1)
+        p = D[:, 0]
+        fresh = p + 1e-5 * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)  # 1e-5 from the belief
+        q = classical._sample_reports(p, np.array([0]), fresh, u, lambda: spare)  # trial 0 reads the fresh report
+        assert DISTINCT_TOL < np.linalg.norm(fresh - p) < 1e-4
+        assert np.array_equal(q, spare[0][:, 1])
+
 
 # ---------------------------------------------------------------------------
 # a per-trial copy of the sampled checks, each trial reading its row of the
@@ -348,7 +358,7 @@ def _ref_check(S, check, trials, dims, rng):
             t = u[-1]
             e1, e2 = expected_score(S, rep, a), expected_score(S, rep, b)
             mixed = expected_score(S, rep, hermitian_part(t * a + (1.0 - t) * b))
-            linear = ext_dot([t, 1.0 - t], [e1, e2], zero_tol=EXT_WEIGHT_TOL)
+            linear = ext_dot([t, 1.0 - t], [e1, e2])
             gap, v = _ref_compare("nonlinear", mixed, linear, EQUIV_TOL)
         else:
             b = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)

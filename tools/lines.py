@@ -1,4 +1,4 @@
-"""Count the lines of each source file of qelicit by kind.
+"""Count the lines of each source file of qelicit by kind, and its options.
 
     python3 tools/lines.py [source-dir]
 
@@ -11,7 +11,11 @@ Each ``.py`` file's lines are split four ways:
 - comment: a line that holds only a comment;
 - code: every other line.
 
-One row is printed per file, then the total.
+A file's options are the parameters with a default of its public
+functions and of the public methods of its public classes, and the
+fields with a default of its public classes; a name is public unless it
+starts with an underscore.  They are read from the syntax tree, so the
+package is not imported.  One row is printed per file, then the total.
 """
 
 from __future__ import annotations
@@ -48,14 +52,41 @@ def count(path: Path) -> dict:
     return counts
 
 
+def _defaulted(fn) -> list:
+    # the names of fn's parameters that have a default
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    named = positional[len(positional) - len(a.defaults):] + [
+        k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return [p.arg for p in named]
+
+
+def options(path: Path) -> list:
+    """The file's options as ``function.parameter``, ``Class.method.parameter`` or ``Class.field``."""
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if getattr(node, "name", "_").startswith("_"):  # a private name, or no name (an import, an assignment)
+            continue
+        if isinstance(node, functions):
+            found += [f"{node.name}.{p}" for p in _defaulted(node)]
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    found += [f"{node.name}.{item.name}.{p}" for p in _defaulted(item)]
+                elif isinstance(item, ast.AnnAssign) and item.value is not None and isinstance(item.target, ast.Name):
+                    found.append(f"{node.name}.{item.target.id}")
+    return [name for name in found if not name.rsplit(".", 1)[1].startswith("_")]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "qelicit"
-    rows = {path.name: count(path) for path in sorted(root.glob("*.py"))}
-    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in (*KINDS, "total")}
-    print(f"{'file':16s} {'total':>6s} " + " ".join(f"{k:>9s}" for k in KINDS))
+    rows = {path.name: {**count(path), "options": len(options(path))} for path in sorted(root.glob("*.py"))}
+    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in (*KINDS, "total", "options")}
+    print(f"{'file':16s} {'total':>6s} " + " ".join(f"{k:>9s}" for k in (*KINDS, "options")))
     for name, r in rows.items():
-        print(f"{name:16s} {r['total']:6d} " + " ".join(f"{r[k]:9d}" for k in KINDS))
+        print(f"{name:16s} {r['total']:6d} " + " ".join(f"{r[k]:9d}" for k in (*KINDS, "options")))
     return 0
 
 
