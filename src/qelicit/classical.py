@@ -224,7 +224,13 @@ def _encode_distributions(p, q) -> dict:
     return {"belief": p.tolist(), "report": q.tolist()}
 
 
-def properness_check(rule: ClassicalScoringRule, trials: int, dim: int, rng=None, mode: str = "strict") -> ScoreReport:
+def properness_check(
+    rule: ClassicalScoringRule,
+    trials: int,
+    dim: int,
+    rng=None,
+    mode: str = "strict",
+) -> ScoreReport:
     """Sample (belief, report) pairs and flag properness failures.
 
     Flags a truthful expected score that is not finite as

@@ -627,7 +627,13 @@ def _compare(kind, a, b, tol):
     return gaps, np.where(gaps > tol, kind, ""), gaps
 
 
-def truthfulness_check(S, trials: int, dims=(2, 3, 4), rng=None, mode: str = "strict") -> ScoreReport:
+def truthfulness_check(
+    S,
+    trials: int,
+    dims=(2, 3, 4),
+    rng=None,
+    mode: str = "strict",
+) -> ScoreReport:
     """Probe S(report; belief) <= S(belief; belief) by sampling.
 
     Beliefs mix full-rank and rank-deficient states; reports cycle
@@ -650,7 +656,13 @@ def truthfulness_check(S, trials: int, dims=(2, 3, 4), rng=None, mode: str = "st
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
-def equivalence_check(S1, S2, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+def equivalence_check(
+    S1,
+    S2,
+    trials: int,
+    dims=(2, 3, 4),
+    rng=None,
+) -> ScoreReport:
     """Compare expected scores pointwise, flagging gaps above EQUIV_TOL; -inf must match -inf."""
     name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
     report = ScoreReport(name, "equivalence", trials, tuple(dims))
@@ -668,7 +680,12 @@ def equivalence_check(S1, S2, trials: int, dims=(2, 3, 4), rng=None) -> ScoreRep
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
-def unitary_invariance_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+def unitary_invariance_check(
+    S,
+    trials: int,
+    dims=(2, 3, 4),
+    rng=None,
+) -> ScoreReport:
     """Flag |S(r; rho) - S(U r U*; U rho U*)| above EQUIV_TOL."""
     report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, tuple(dims))
 
@@ -685,7 +702,12 @@ def unitary_invariance_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreR
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
-def implementability_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+def implementability_check(
+    S,
+    trials: int,
+    dims=(2, 3, 4),
+    rng=None,
+) -> ScoreReport:
     """Extended linearity of expected score in the true state.
 
     A score is physically implementable iff rho -> S(report; rho) is
@@ -711,7 +733,13 @@ def implementability_check(S, trials: int, dims=(2, 3, 4), rng=None) -> ScoreRep
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
-def subgradient_inequality_check(F, dF, trials: int, dims=(2, 3, 4), rng=None) -> ScoreReport:
+def subgradient_inequality_check(
+    F,
+    dF,
+    trials: int,
+    dims=(2, 3, 4),
+    rng=None,
+) -> ScoreReport:
     """Check F(rho) >= F(r) + <dF(r), rho - r> - TRUTH_MARGIN on sampled state pairs, half with rho near r.
 
     ``dF`` may return plain Hermitian matrices or extended ones; a -inf
