@@ -63,3 +63,21 @@ def test_options_are_the_defaulted_public_parameters_and_fields(tmp_path):
         "    v: int = 1\n"
     )
     assert _lines().options(source) == ["f.b", "f.d", "C.y", "C.m.q"]
+
+
+def test_a_field_the_constructor_does_not_take_is_no_option(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    a: list = field(default_factory=list)\n"
+        "    b: int = field(init=False)\n"
+        "    c: list = field(init=False, default_factory=list)\n"
+        "    d: int = dataclasses.field(default=0, init=False)\n"
+        "    e: int = field(default=0, init=True)\n"
+        "    f: int = other(init=False)\n"
+    )
+    assert _lines().options(source) == ["C.a", "C.e", "C.f"]

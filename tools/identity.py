@@ -35,7 +35,17 @@ share matrices at n = 2, 4 and 8; and the JSON of ``run_verify`` and
 keywords of the checks, of ``ext_dot`` and of ``approx_equal``: one call
 per keyword, passing its default value; the two strict checks that a
 larger ``margin`` fails with ties between distinct reports; and
-``ext_dot`` of a weight of 1e-13 on -inf.  A value is hashed through
+``ext_dot`` of a weight of 1e-13 on -inf.  Then the knobs that became
+constants: one call per optimizer ``iters``, ``level_set_witness``'s
+``t`` and ``is_permutation_invariant``'s ``trials`` at its default,
+one ``ScoreReport`` per counter passed at its empty value, and three
+calls whose value switches a check off (``trials=0`` on a rule that
+weights the outcomes, ``t=0`` and ``t=1`` on two states with the same
+spectrum, ``iters=0`` on ``diag(0.6, 0.3, 0.1)``); what five entry
+points that need a measurement make of ``ml:s4`` and ``ml:s5``; the exit
+code, stdout and stderr of ``verify``, ``witness`` and ``measure`` with
+``--seed -1`` and of ``witness --dims 3,7``; and
+``optimize_with_value``.  A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -53,10 +63,12 @@ import numpy as np
 
 import qelicit as q
 from qelicit.classical import from_convex, is_permutation_invariant
+from qelicit import properties
 from qelicit.cli import main
 from qelicit.linalg import matrix_to_json
 from qelicit.properties import (
     find_level_set_witness,
+    level_set_witness,
     optimize_abstain,
     optimize_eigen_pair,
     optimize_top_eigenvector,
@@ -304,16 +316,17 @@ def count_arguments() -> None:
         emit(f"count {label}", "\n".join(values))
 
 
-def cli_run(argv) -> str:
-    # exit code and stdout of one CLI run; argparse refuses an unknown option by SystemExit
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def cli_run(argv, stderr: bool = False) -> str:
+    # exit code and stdout of one CLI run, then its stderr if asked; argparse refuses an unknown option by SystemExit
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     text = out.getvalue()
-    return f"{code}\n{json.dumps(json.loads(text), sort_keys=True) if text else ''}"
+    listing = f"{code}\n{json.dumps(json.loads(text), sort_keys=True) if text else ''}"
+    return f"{listing}\n{err.getvalue()}" if stderr else listing
 
 
 def markets() -> None:
@@ -375,6 +388,64 @@ def tolerance_keywords() -> None:
     emit("ext_dot weight 1e-13 on -inf", outcome(q.ext_dot, [1e-13, 1.0], [q.NEG_INF, 3.0]))
 
 
+def fixed_knobs() -> None:
+    rho, brier = q.random_density(3, rng=5), q.brier_rule()
+    weighted = q.ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="weighted")
+    eigenvalues = make_property("eigenvalues", 2)
+    same_spectrum = (np.diag([0.25, 0.75]).astype(complex), np.diag([0.75, 0.25]).astype(complex))
+    rows = {
+        "optimize_top_eigenvector iters=200": lambda: listed(optimize_top_eigenvector(rho, iters=200, rng=0)),
+        "optimize_weighted_basis iters=300": lambda: listed(
+            optimize_weighted_basis(rho, [2.0, 1.0], 2, iters=300, rng=0)),
+        "optimize_eigen_pair iters=300": lambda: listed(optimize_eigen_pair(rho, 2, iters=300, rng=0)),
+        "level_set_witness t=0.5": lambda: level_set_witness(eigenvalues, *same_spectrum, t=0.5).to_json(),
+        "is_permutation_invariant trials=32": lambda: is_permutation_invariant(brier, 3, trials=32, rng=0),
+        # values that switch a check off
+        "is_permutation_invariant weighted trials=0": lambda: is_permutation_invariant(weighted, 3, trials=0, rng=0),
+        "level_set_witness t=0": lambda: level_set_witness(eigenvalues, *same_spectrum, t=0).to_json(),
+        "level_set_witness t=1": lambda: level_set_witness(eigenvalues, *same_spectrum, t=1).to_json(),
+        "optimize_top_eigenvector diag(0.6, 0.3, 0.1) iters=0": lambda: listed(
+            optimize_top_eigenvector(np.diag([0.6, 0.3, 0.1]), iters=0, rng=0)),
+    }
+    for counter, empty in (("violations", []), ("n_violations", 0), ("max_gap", float("-inf")),
+                           ("kind_counts", {}), ("timing", {})):
+        rows[f"ScoreReport {counter}"] = lambda c=counter, e=empty: q.ScoreReport("s", "strict", 8, (2,), **{c: e}).to_json()
+    for label, call in rows.items():
+        emit(f"knob {label}", outcome(call))
+
+
+def measurement_free_scores() -> None:
+    rho2 = q.random_density(2, rng=1)
+    reports = [q.random_density(2, rng=s) for s in (2, 3)]
+    F, dF = (lambda a: a * a), (lambda a: 2.0 * a)
+    for name in ("ml:s4", "ml:s5"):
+        S = make_score(name, 2)
+        calls = {
+            "score_coefficient": lambda: q.score_coefficient(S, rho2),
+            "projective_expression": lambda: q.projective_expression(S).expected(rho2, rho2),
+            "fixed_meas_expression": lambda: q.fixed_meas_expression(S, q.canonical_complete(2)).expected(rho2, rho2),
+            "with_value": lambda: q.with_value(S, F, dF).expected((0.5, rho2), rho2),
+            "wagering_payoffs": lambda: q.wagering_payoffs(q.WageringRound(reports, S, rho2)).tolist(),
+        }
+        for label, call in calls.items():
+            emit(f"no measurement {label} {name}", outcome(call))
+
+
+def cli_refusals() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp, "state.json")
+        state.write_text(json.dumps(matrix_to_json(q.random_density(2, rng=1))))
+        runs = {
+            "verify --seed -1": ["verify", "--score", "fixed:brier", "--dims", "2", "--trials", "8", "--seed", "-1"],
+            "witness --seed -1": ["witness", "--property", "entropy", "--dims", "3", "--trials", "5", "--seed", "-1"],
+            "measure --seed -1": ["measure", "--state", str(state), "--trials", "5", "--seed", "-1"],
+            "witness --dims 3,7": ["witness", "--property", "entropy", "--dims", "3,7", "--trials", "5", "--seed", "0"],
+        }
+        for label, argv in runs.items():
+            emit(f"cli {label}", cli_run(argv, stderr=True))
+    emit("optimize_with_value", outcome(lambda: properties.optimize_with_value(np.eye(2)[0], 0.5)))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -391,3 +462,6 @@ if __name__ == "__main__":
     tomography()
     markets()
     tolerance_keywords()
+    fixed_knobs()
+    measurement_free_scores()
+    cli_refusals()

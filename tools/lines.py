@@ -14,7 +14,8 @@ Each ``.py`` file's lines are split four ways:
 A file's options are the parameters with a default of its public
 functions and of the public methods of its public classes, and the
 fields with a default of its public classes; a name is public unless it
-starts with an underscore.  They are read from the syntax tree, so the
+starts with an underscore.  A field declared ``field(init=False, ...)``
+is not an option, since no caller can set it.  They are read from the syntax tree, so the
 package is not imported.  One row is printed per file, then the total.
 """
 
@@ -61,6 +62,14 @@ def _defaulted(fn) -> list:
     return [p.arg for p in named]
 
 
+def _settable(value) -> bool:
+    # False for field(init=False, ...), a field the constructor does not take
+    name = getattr(value, "func", None)
+    return not (isinstance(value, ast.Call) and getattr(name, "id", getattr(name, "attr", None)) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                        for k in value.keywords))
+
+
 def options(path: Path) -> list:
     """The file's options as ``function.parameter``, ``Class.method.parameter`` or ``Class.field``."""
     found = []
@@ -74,7 +83,8 @@ def options(path: Path) -> list:
             for item in node.body:
                 if isinstance(item, functions) and not item.name.startswith("_"):
                     found += [f"{node.name}.{item.name}.{p}" for p in _defaulted(item)]
-                elif isinstance(item, ast.AnnAssign) and item.value is not None and isinstance(item.target, ast.Name):
+                elif (isinstance(item, ast.AnnAssign) and item.value is not None and isinstance(item.target, ast.Name)
+                      and _settable(item.value)):
                     found.append(f"{node.name}.{item.target.id}")
     return [name for name in found if not name.rsplit(".", 1)[1].startswith("_")]
 
