@@ -59,7 +59,7 @@ for state in (np.eye(2) / 2, np.diag([0.9, 0.1]).astype(complex)):
 # Non-elicitability witnesses: same spectrum, different spectrum at the mix.
 rho1 = np.diag([0.25, 0.75]).astype(complex)
 rho2 = np.diag([0.75, 0.25]).astype(complex)
-w = level_set_witness(make_property("eigenvalues", 2), rho1, rho2, t=0.5)
+w = level_set_witness(make_property("eigenvalues", 2), rho1, rho2)
 print("\neigenvalue level sets convex?", not w.is_counterexample)
 for name in ("entropy", "tsallis2", "norm2"):
     w = find_level_set_witness(make_property(name, 3), 3, probes=100, rng=rng)

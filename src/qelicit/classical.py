@@ -260,18 +260,16 @@ def properness_check(
     return run_trials(report, _rows, draw, score, _encode_distributions, rng)
 
 
-def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, trials: int = 32, rng=None) -> bool:
-    """Check s(p, y) == s(p relabeled, y relabeled) for all y on random samples.
+def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, rng=None) -> bool:
+    """Check s(p, y) == s(p relabeled, y relabeled) for all y on 32 random samples.
 
-    The ``trials`` samples are paid as one (trials, dim) stack, then
-    relabeled and paid again, so the rule must pay each row of a stack
-    as it pays that row alone.
+    The samples are paid as one (32, dim) stack, then relabeled and paid
+    again, so the rule must pay each row as it pays that row alone.
     """
     _require_row_wise(rule, _count(dim, "dim", 1))
-    _count(trials, "trials", 0)
     rng = np.random.default_rng(rng)
-    P = rng.dirichlet(np.ones(dim), trials)
-    perm = np.argsort(rng.random((trials, dim)), axis=-1)
+    P = rng.dirichlet(np.ones(dim), 32)
+    perm = np.argsort(rng.random((32, dim)), axis=-1)
     a = _rule_values(rule, P)
     b = _rule_values(rule, np.take_along_axis(P, perm, -1))
     b = np.take_along_axis(b, np.argsort(perm, axis=-1), -1)

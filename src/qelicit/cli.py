@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .linalg import as_density, density_from_json, frob_dist, hermitian_part, hs_inner, matrix_to_json, read_wire
+from .linalg import _count, as_density, density_from_json, frob_dist, hermitian_part, hs_inner, matrix_to_json, read_wire
 from .markets import MarketState, bundle_expected_payoff
 from .measurement import (
     Measurement,
@@ -62,7 +62,7 @@ def paper_example_rows() -> list:
         ("eigenvalue", "eigenvalues", [0.75, 0.25], [0.5, 0.5]),
         ("max-eigenvalue", "max-eigenvalue", 0.75, 0.5),
     ):
-        w = level_set_witness(make_property(prop, 2), rho1, rho2, t=0.5)
+        w = level_set_witness(make_property(prop, 2), rho1, rho2)
         rows.append((
             f"{name}-level-set-counterexample",
             {"value_both": both, "value_mix": mix},
@@ -189,6 +189,7 @@ def _cmd_measure(args) -> int:
         mu = _named_basis(args.basis, rho.shape[0])
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    _count(args.seed, "seed", 0)  # verify and witness refuse theirs in the registry
     draws = sample_outcomes(mu, rho, args.trials, rng=np.random.default_rng(args.seed))
     counts = np.bincount(draws, minlength=len(mu))
     probs = apply_measurement(mu, rho)
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search for a level-set counterexample of a property")
     p.add_argument("--property", required=True, help="registry name, e.g. entropy")
-    p.add_argument("--dims", default="2", help="dimension to probe (first entry used)")
+    p.add_argument("--dims", default="2", help="the one dimension to probe")
     p.add_argument("--trials", type=int, default=100, help="number of probes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here (JSON only, not .csv)")
@@ -290,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (KeyError, ValueError, OSError) as exc:
         # a KeyError's text is the repr of its message; an OSError's first arg is its errno

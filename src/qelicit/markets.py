@@ -16,7 +16,7 @@ import numpy as np
 from .extended import NEG_INF
 from .linalg import _count, _log_sum_exp, as_density, as_hermitian, hermitian_part, hs_inner
 from .measurement import sample_outcome
-from .scores import QuantumScore, _pair, expected_score, von_neumann_entropy
+from .scores import QuantumScore, _measured, _pair, expected_score, von_neumann_entropy
 
 __all__ = [
     "WageringRound",
@@ -35,7 +35,7 @@ class WageringRound:
     """Simultaneous reports scored against one truth.
 
     The score must use the same measurement for every report: one
-    physical measurement settles all agents.
+    physical measurement settles all agents.  An ``ExpectedScoreFn``, which has none, is refused.
     """
 
     reports: list
@@ -43,6 +43,7 @@ class WageringRound:
     truth: np.ndarray
 
     def __post_init__(self):
+        _measured(self.score)
         if len(self.reports) < 2:
             raise ValueError("wagering needs at least two agents")
         object.__setattr__(self, "reports", [as_density(r) for r in self.reports])

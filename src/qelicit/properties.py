@@ -27,7 +27,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .measurement import Measurement, _basis_pvm, apply_measurement
-from .scores import QuantumScore, _overlap_measurement
+from .scores import QuantumScore, _measured, _overlap_measurement
 
 __all__ = [
     "ORTHO_TOL",
@@ -46,7 +46,6 @@ __all__ = [
     "optimize_top_eigenvector",
     "optimize_weighted_basis",
     "optimize_eigen_pair",
-    "optimize_with_value",
     "optimize_abstain",
 ]
 
@@ -220,8 +219,9 @@ def with_value(base: QuantumScore, G, dG) -> QuantumScore:
     Reports become pairs (alpha, r); the payoff G(alpha) +
     dG(alpha) (s(r, y) - alpha) is maximized by the base-optimal r with
     alpha equal to its expected score, provided G is strictly convex
-    increasing with positive subgradients.
+    increasing with positive subgradients.  An ``ExpectedScoreFn`` base is refused.
     """
+    _measured(base)
 
     def payoff(report):
         alpha, r = report
@@ -304,27 +304,25 @@ class WitnessResult:
         }
 
 
-def level_set_witness(prop: QuantumProperty, rho1, rho2, t: float = 0.5) -> WitnessResult:
+def level_set_witness(prop: QuantumProperty, rho1, rho2) -> WitnessResult:
     """Test one candidate witness of non-convex level sets.
 
     A counterexample has the property agreeing on rho1 and rho2 (within
     REPORT_TOL) but taking a different value (beyond DIFFER_TOL) on
-    their t-mixture.  Any such witness proves the property cannot be
-    elicited.  A t outside [0, 1] is refused: it gives no mixture.
+    their midpoint (rho1 + rho2) / 2.  Any such witness proves the
+    property cannot be elicited.
     """
-    if not 0.0 <= t <= 1.0:  # a NaN fails too
-        raise ValueError(f"t must be a mixing weight in [0, 1], got {t!r}")
     rho1 = as_density(rho1)
     rho2 = as_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: rho1 {rho1.shape[0]}, rho2 {rho2.shape[0]}")
-    mix = hermitian_part(t * rho1 + (1.0 - t) * rho2)
+    mix = hermitian_part(0.5 * (rho1 + rho2))
     r1 = prop.eval(rho1)
     r2 = prop.eval(rho2)
     rm = prop.eval(mix)
     equal = _value_dist(r1, r2) <= REPORT_TOL
     differs = _value_dist(rm, r1) > DIFFER_TOL
-    return WitnessResult(prop.name, bool(equal and differs), float(t), r1, r2, rm, rho1, rho2)
+    return WitnessResult(prop.name, bool(equal and differs), 0.5, r1, r2, rm, rho1, rho2)
 
 
 def find_level_set_witness(
@@ -345,7 +343,7 @@ def find_level_set_witness(
         rho1 = random_density(dim, rng=rng)
         U = random_unitary(dim, rng=rng)
         rho2 = hermitian_part(U @ rho1 @ U.conj().T)
-        w = level_set_witness(prop, rho1, rho2, t=0.5)
+        w = level_set_witness(prop, rho1, rho2)
         if w.is_counterexample:
             return w
     return None
@@ -408,7 +406,7 @@ def _ascend(X0, f, iters: int):
     margin = 1e-15
     X = X0.copy()
     best, G = f(X)
-    idx = np.arange(len(X) if iters > 0 else 0)  # each live restart's row in X and best
+    idx = np.arange(len(X))  # each live restart's row in X and best
     Xl, vl, s = X, best, np.full(len(X), 0.5)
     taken = np.zeros(len(X), dtype=int)
     flat = np.zeros(len(X), dtype=int)  # failed steps in a row that moved the value by at most margin
@@ -435,12 +433,11 @@ def _random_stiefel(R, n, k, g):
     return np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
 
 
-def _starts(rho, restarts, iters, k, name, rng):
+def _starts(rho, restarts, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
     n = rho.shape[0]
     _count(restarts, "restarts", 1)
-    _count(iters, "iters", 0)
     _count(k, name, 1, n)
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
 
@@ -451,26 +448,26 @@ def _rayleigh(rho, X):
     return np.einsum("rij,rij->rj", X.conj(), RX).real, RX
 
 
-def optimize_top_eigenvector(rho, restarts: int = 50, iters: int = 200, rng=None):
-    """Projected gradient ascent of <x, rho x> over the unit sphere."""
-    rho, X0 = _starts(rho, restarts, iters, 1, "k", rng)
+def optimize_top_eigenvector(rho, restarts: int = 50, rng=None):
+    """Projected gradient ascent of <x, rho x> over the unit sphere, at most 200 accepted steps per restart."""
+    rho, X0 = _starts(rho, restarts, 1, "k", rng)
 
     def f(X):
         b, RX = _rayleigh(rho, X)
         return b[:, 0], RX
 
-    X, v = _ascend(X0, f, iters)
+    X, v = _ascend(X0, f, 200)
     i = int(np.argmax(v))
     return X[i, :, 0], float(v[i])
 
 
-def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: int = 300, rng=None):
-    """Ascent of sum_i w_i <x_i, rho x_i> over orthonormal column tuples.
+def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=None):
+    """Ascent of sum_i w_i <x_i, rho x_i> over orthonormal column tuples, at most 300 accepted steps per restart.
 
     Used for the top-k score (all weights positive) and the top+bottom
     score (signed weights on the reported columns).
     """
-    rho, X0 = _starts(rho, restarts, iters, cols, "cols", rng)
+    rho, X0 = _starts(rho, restarts, cols, "cols", rng)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (cols,):
         raise ValueError(f"weights must have one entry per column (cols={cols}), got shape {w.shape}")
@@ -481,34 +478,29 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, iters: 
         b, RX = _rayleigh(rho, X)
         return b @ w, RX * w
 
-    X, v = _ascend(X0, f, iters)
+    X, v = _ascend(X0, f, 300)
     i = int(np.argmax(v))
     return X[i], float(v[i])
 
 
-def optimize_eigen_pair(rho, k: int, restarts: int = 50, iters: int = 300, rng=None):
-    """Ascent for the eigen-pair score: maximize sum_i <x_i, rho x_i>^2.
+def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
+    """Ascent for the eigen-pair score: maximize sum_i <x_i, rho x_i>^2, at most 300 accepted steps per restart.
 
     The optimal payoff weight for each reported vector is its own
     Rayleigh quotient, so the report collapses to the orthonormal frame;
     returns the assembled PSD report and its expected score.
     """
-    rho, X0 = _starts(rho, restarts, iters, k, "k", rng)
+    rho, X0 = _starts(rho, restarts, k, "k", rng)
 
     def f(X):
         b, RX = _rayleigh(rho, X)
         return np.sum(b * b, axis=1), RX * b[:, None, :]
 
-    X, v = _ascend(X0, f, iters)
+    X, v = _ascend(X0, f, 300)
     i = int(np.argmax(v))
     beta = _rayleigh(rho, X[i : i + 1])[0][0]  # the winner's Rayleigh quotients
     A = hermitian_part((X[i] * beta) @ X[i].conj().T)
     return A, float(v[i])
-
-
-def optimize_with_value(base_report, base_value):
-    """Optimal augmented report: attach the achieved expected score."""
-    return (float(base_value), base_report)
 
 
 def optimize_abstain(score: QuantumScore, rho, restarts: int = 50, rng=None):

@@ -245,12 +245,14 @@ def make_property(name: str, dim: int) -> QuantumProperty:
 def run_witness(property_name: str, dims, trials: int, seed: int) -> dict:
     """Search one registry property for a level-set counterexample and compare with its verdict.
 
-    The search probes the first of ``dims`` (each at least 2) ``trials``
-    times, seeded by ``seed``.  A counterexample is expected exactly when
-    the property is not elicitable; ``as_expected`` says whether the
-    search agreed.
+    The search probes the one dimension in ``dims`` (at least 2)
+    ``trials`` times, seeded by ``seed``; more than one dimension is
+    refused.  A counterexample is expected exactly when the property is
+    not elicitable; ``as_expected`` says whether the search agreed.
     """
     dims = _check_dims(dims)
+    if len(dims) > 1:
+        raise ValueError(f"a witness search probes one dimension, got dims {dims}")
     trials = _count(trials, "trials", 1)
     seed = _count(seed, "seed", 0)  # a Python int, so the report serializes
     prop = make_property(property_name, dims[0])

@@ -34,22 +34,22 @@ def json_safe(x):
 class ScoreReport:
     """Outcome of a sampled check: pass iff no violations were found.
 
-    ``violations`` stores at most MAX_STORED_VIOLATIONS entries, each with
-    the index of its trial as ``trial``; ``n_violations`` counts them all.
-    ``timing`` holds the wall seconds of the run and their split between
-    drawing and scoring; it is not part of the JSON, which stays the same
-    for a fixed seed.
+    A report starts empty and ``run_trials`` fills it.  ``violations``
+    holds at most MAX_STORED_VIOLATIONS entries, each with its trial's
+    index as ``trial``; ``n_violations`` counts them all.  ``timing``, the
+    run's wall seconds split into drawing and scoring, is not in the JSON,
+    which stays the same for a fixed seed.
     """
 
     name: str
     mode: str
     trials: int
     dims: tuple[int, ...]
-    violations: list = field(default_factory=list)
-    n_violations: int = 0
-    max_gap: float = float("-inf")
-    kind_counts: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict, repr=False, compare=False)
+    violations: list = field(init=False, default_factory=list)
+    n_violations: int = field(init=False, default=0)
+    max_gap: float = field(init=False, default=float("-inf"))
+    kind_counts: dict = field(init=False, default_factory=dict)
+    timing: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:

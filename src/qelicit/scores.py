@@ -237,6 +237,13 @@ class ExpectedScoreFn:
         return [self.stack(reports, b) for b in beliefs]
 
 
+def _measured(S):
+    # S, refused by name when it is an ExpectedScoreFn, which no measurement realizes
+    if isinstance(S, ExpectedScoreFn):
+        raise ValueError(f"score {S.name!r} has no measurement: only its expected values are defined")
+    return S
+
+
 def expected_score(S, rho_prime, rho) -> float:
     """Expected payoff of reporting ``rho_prime`` under belief ``rho``.
 
@@ -251,9 +258,9 @@ def score_coefficient(S: QuantumScore, rho_prime) -> ExtendedHermitian:
     """The extended Hermitian E with <E, rho> equal to the expected score.
 
     Collapses sum_y mu(report)_y * s(report, y); the -inf score values
-    populate the infinite part.
+    populate the infinite part.  An ``ExpectedScoreFn`` is refused.
     """
-    mu, values = S.payoff(rho_prime)
+    mu, values = _measured(S).payoff(rho_prime)
     return ExtendedHermitian._unchecked(*_collapse(mu.elements, values))
 
 
@@ -511,8 +518,9 @@ def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
 
     Solves sum_y alpha_y mu_y = coefficient(S, report) for the payoff
     vector alpha; exact because the elements span the Hermitian space.
-    Raises if the measurement is incomplete or the score takes -inf.
+    Raises on an ``ExpectedScoreFn``, an incomplete measurement or a score that takes -inf.
     """
+    _measured(S)
     if not is_tomographically_complete(mu):
         raise ValueError("fixed-measurement expression needs a tomographically complete POVM")
     tmap = tomographic_map(mu)
@@ -527,12 +535,12 @@ def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
 
 
 def projective_expression(S: QuantumScore) -> QuantumScore:
-    """Equivalent projective score: eigenbasis measurement, eigenvalue payoffs."""
+    """Equivalent projective score: eigenbasis measurement, eigenvalue payoffs.  An ``ExpectedScoreFn`` is refused."""
 
     def payoff(rho_p):
         return _projective(score_coefficient(S, rho_p))
 
-    return QuantumScore(payoff, name=f"projective[{S.name}]", domain=S.domain)
+    return QuantumScore(payoff, name=f"projective[{S.name}]", domain=_measured(S).domain)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +629,10 @@ def _beliefs_and_reports(S, dim, trials, rows, spare):
     return rhos, _adversarial_reports(S, rhos, trials, ranks[:, 1], G[:, 1], u, spare)
 
 
-def _compare(kind, a, b, tol):
-    # (gaps, kinds, values) of |a - b| in R u {-inf}, each flagged as ``kind`` above tol
+def _compare(kind, a, b):
+    # (gaps, kinds, values) of |a - b| in R u {-inf}, each flagged as ``kind`` above EQUIV_TOL
     gaps = _ext_gap(a, b)
-    return gaps, np.where(gaps > tol, kind, ""), gaps
+    return gaps, np.where(gaps > EQUIV_TOL, kind, ""), gaps
 
 
 def truthfulness_check(
@@ -674,7 +682,7 @@ def equivalence_check(
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
             (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
-            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b, EQUIV_TOL)
+            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b)
         return gaps, kinds, gaps
 
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S1), score, _encode_states, rng)
@@ -697,7 +705,7 @@ def unitary_invariance_check(
         Uh = U.conj().swapaxes(-1, -2)
         (a,) = S.expected_stack(reps, rhos)
         (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
-        return _compare("variance", a, b, EQUIV_TOL)
+        return _compare("variance", a, b)
 
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 
@@ -728,7 +736,7 @@ def implementability_check(
         e1, e2, mixed = S.expected_stack(reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
         weights = np.stack([t, 1.0 - t], axis=-1)
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
-        return _compare("nonlinear", mixed, linear, EQUIV_TOL)
+        return _compare("nonlinear", mixed, linear)
 
     return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
 

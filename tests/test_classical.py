@@ -236,6 +236,24 @@ class TestPermutationInvariance:
         biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
         assert not is_permutation_invariant(biased, 3, rng=16)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_each_check_pays_32_samples_then_their_relabeling(self, dim):
+        from qelicit.classical import ClassicalScoringRule
+
+        shapes = []
+
+        def values(p):
+            shapes.append(p.shape)
+            return brier_rule().values(p)
+
+        assert is_permutation_invariant(ClassicalScoringRule(values, name="recorded"), dim, rng=0)
+        assert shapes[-2:] == [(32, dim), (32, dim)]
+
+    def test_the_sample_count_is_fixed(self):
+        # trials=0 once sampled nothing and passed any rule
+        with pytest.raises(TypeError, match="trials"):
+            is_permutation_invariant(brier_rule(), 3, trials=0, rng=0)
+
 
 class TestRuleContract:
     # a rule pays along the last axis; one that takes a single report is refused by name

@@ -486,6 +486,14 @@ class TestRunWitness:
         with pytest.raises(ValueError, match="dimension at least 2"):
             run_witness("entropy", dims, 5, 0)
 
+    def test_more_than_one_dimension_is_refused(self, capsys):
+        # the search probes one dimension; a second one was once dropped unreported
+        with pytest.raises(ValueError, match=r"^a witness search probes one dimension, got dims \[3, 7\]$"):
+            run_witness("entropy", [3, 7], 5, 0)
+        code, out, err = run_cli(capsys, "witness", "--property", "entropy", "--dims", "3,7", "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: a witness search probes one dimension, got dims [3, 7]\n"
+
     @pytest.mark.parametrize("call, message", [
         (("entropy", [3], 2.5), "trials must be an integer of at least 1, got 2.5"),
         (("entropy", [3], True), "trials must be an integer of at least 1, got True"),
@@ -552,7 +560,7 @@ def test_negative_seed_names_the_option(capsys, tmp_path, command):
     argv = [str(state) if a == "STATE" else a for a in command]
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
     assert code == 2
-    assert "--seed" in err
+    assert err == "error: seed must be at least 0, got -1\n"
     assert out == ""
 
 

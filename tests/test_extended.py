@@ -341,20 +341,6 @@ class TestOneOwnerPerDecision:
         assert E.is_finite()
         assert ext_inner(E, np.diag(np.eye(n)[-1])) == n - 1
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda rho, iters: optimize_top_eigenvector(rho, iters=iters, rng=0),
-            lambda rho, iters: optimize_weighted_basis(rho, [2.0, 1.0], 2, iters=iters, rng=0),
-            lambda rho, iters: optimize_eigen_pair(rho, 2, iters=iters, rng=0),
-        ],
-        ids=["top", "weighted_basis", "eigen_pair"],
-    )
-    @pytest.mark.parametrize("iters", [2.5, True, np.nan])
-    def test_non_integer_iters_refused(self, call, iters):
-        with pytest.raises(ValueError, match=f"^iters must be an integer of at least 0, got {iters!r}$"):
-            call(np.diag([0.6, 0.3, 0.1]), iters)
-
     @pytest.mark.parametrize("k", [0, -1, 2.5, True])
     def test_eigen_pair_rank_must_be_a_positive_integer(self, k):
         must = "an integer of at least" if isinstance(k, (bool, float)) else "at least"

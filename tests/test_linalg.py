@@ -338,7 +338,6 @@ COUNTS = {
     "properness_check trials": (lambda x: q.properness_check(q.brier_rule(), x, 3, rng=0).to_json(), "trials", 0, 8),
     "properness_check dim": (lambda x: q.properness_check(q.brier_rule(), 8, x, rng=0).to_json(), "dim", 2, 3),
     "is_permutation_invariant dim": (lambda x: is_permutation_invariant(q.brier_rule(), x, rng=0), "dim", 1, 3),
-    "is_permutation_invariant trials": (lambda x: is_permutation_invariant(q.brier_rule(), 3, x, rng=0), "trials", 0, 8),
     "from_convex dim": (
         lambda x: q.from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)), "dim", 1, 3),
     "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), "trials", 1, 8),
@@ -350,7 +349,6 @@ COUNTS = {
     "find_level_set_witness dim": (
         lambda x: find_level_set_witness(make_property("entropy", 3), x, probes=5, rng=0).to_json(), "dim", 2, 3),
     "optimize_top_eigenvector restarts": (lambda x: optimize_top_eigenvector(_RHO, restarts=x, rng=0), "restarts", 1, 3),
-    "optimize_top_eigenvector iters": (lambda x: optimize_top_eigenvector(_RHO, iters=x, rng=0), "iters", 0, 5),
     "optimize_weighted_basis cols": (lambda x: optimize_weighted_basis(_RHO, [2.0, 1.0], x, rng=0), "cols", 1, 2),
     "optimize_eigen_pair k": (lambda x: optimize_eigen_pair(_RHO, x, rng=0), "k", 1, 2),
     "eigen_pair_score k": (lambda x: q.eigen_pair_score(x).expected(random_density(3, rank=2, rng=7), _RHO), "k", 1, 2),

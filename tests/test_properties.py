@@ -27,12 +27,12 @@ from qelicit.properties import (
     optimize_eigen_pair,
     optimize_top_eigenvector,
     optimize_weighted_basis,
-    optimize_with_value,
     top_bottom_score,
     top_eigenvector_score,
     top_k_eigenvector_score,
     with_value,
 )
+from qelicit import properties
 from qelicit.properties import _ascend, _orthonormalize_plain
 from qelicit.registry import make_property
 from qelicit.scores import von_neumann_entropy
@@ -260,7 +260,7 @@ class TestWithValue:
         for _ in range(8):
             rho = random_density(3, rng=rng)
             x, v = optimize_top_eigenvector(rho, restarts=15, rng=rng)
-            alpha, _ = optimize_with_value(x, v)
+            alpha = v  # the augmented report attaches the achieved expected score
             lam1 = eigenvalues_desc(rho)[0]
             assert alpha == pytest.approx(lam1, abs=1e-6)
             assert aug.expected((alpha, x), rho) == pytest.approx(lam1**2, abs=1e-6)
@@ -300,7 +300,7 @@ class TestLevelSets:
     def test_eigenvalue_counterexample(self):
         rho1 = np.diag([0.25, 0.75]).astype(complex)
         rho2 = np.diag([0.75, 0.25]).astype(complex)
-        w = level_set_witness(make_property("eigenvalues", 2), rho1, rho2, t=0.5)
+        w = level_set_witness(make_property("eigenvalues", 2), rho1, rho2)
         assert w.is_counterexample
         assert np.allclose(w.value_1, [0.75, 0.25])
         assert np.allclose(w.value_mix, [0.5, 0.5])
@@ -308,21 +308,19 @@ class TestLevelSets:
     def test_max_eigenvalue_counterexample(self):
         rho1 = np.diag([0.25, 0.75]).astype(complex)
         rho2 = np.diag([0.75, 0.25]).astype(complex)
-        w = level_set_witness(make_property("max-eigenvalue", 2), rho1, rho2, t=0.5)
+        w = level_set_witness(make_property("max-eigenvalue", 2), rho1, rho2)
         assert w.is_counterexample
 
-    @pytest.mark.parametrize("t", [3.0, -0.5, 1.0 + 1e-9, float("nan"), float("inf")])
-    def test_weight_outside_the_unit_interval_is_refused(self, t):
-        # 3 rho1 - 2 rho2 = diag(0, 1) is an extrapolation: it once reported a false
-        # counterexample for eigvec-top, which is elicitable
-        rho1, rho2 = np.diag([0.6, 0.4]).astype(complex), np.diag([0.9, 0.1]).astype(complex)
-        with pytest.raises(ValueError, match="t must"):
-            level_set_witness(make_property("eigvec-top", 2), rho1, rho2, t=t)
+    def test_a_found_witness_reports_the_midpoint(self):
+        w = find_level_set_witness(make_property("entropy", 3), 3, probes=20, rng=0)
+        assert w.is_counterexample and w.t == 0.5 and w.to_json()["t"] == 0.5
+        mix = (w.rho_1 + w.rho_2) / 2
+        assert w.value_mix == pytest.approx(make_property("entropy", 3).eval(mix), abs=1e-12)
 
-    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
-    def test_weights_in_the_unit_interval_find_no_counterexample_for_eigvec_top(self, t):
+    def test_midpoint_finds_no_counterexample_for_eigvec_top(self):
         rho1, rho2 = np.diag([0.6, 0.4]).astype(complex), np.diag([0.9, 0.1]).astype(complex)
-        assert not level_set_witness(make_property("eigvec-top", 2), rho1, rho2, t=t).is_counterexample
+        w = level_set_witness(make_property("eigvec-top", 2), rho1, rho2)
+        assert w.t == 0.5 and not w.is_counterexample
 
     def test_expectation_never_gives_counterexample(self, rng):
         mu = canonical_complete(2)
@@ -492,6 +490,33 @@ def test_eigen_pair_decomposes_report_once(rng, monkeypatch):
 
 
 class TestOptimizerArguments:
+    @pytest.mark.parametrize("call", [
+        # iters=0 once returned the first restarts' value, t=0 or t=1 a mixture that is one of the states
+        lambda: optimize_top_eigenvector(np.diag([0.6, 0.3, 0.1]), iters=0, rng=0),
+        lambda: optimize_weighted_basis(np.diag([0.6, 0.3, 0.1]), [2.0, 1.0], 2, iters=0, rng=0),
+        lambda: optimize_eigen_pair(np.diag([0.6, 0.3, 0.1]), 2, iters=0, rng=0),
+        lambda: level_set_witness(make_property("eigenvalues", 2), np.diag([0.25, 0.75]), np.diag([0.75, 0.25]), t=0),
+    ], ids=["top", "weighted_basis", "eigen_pair", "level_set_witness"])
+    def test_a_fixed_budget_or_weight_is_not_an_argument(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
+
+    @pytest.mark.parametrize("call, budget", [
+        (lambda rho: optimize_top_eigenvector(rho, restarts=2, rng=0), 200),
+        (lambda rho: optimize_weighted_basis(rho, [2.0, 1.0], 2, restarts=2, rng=0), 300),
+        (lambda rho: optimize_eigen_pair(rho, 2, restarts=2, rng=0), 300),
+    ], ids=["top", "weighted_basis", "eigen_pair"])
+    def test_each_optimizer_ascends_with_its_fixed_step_budget(self, call, budget, monkeypatch):
+        budgets = []
+
+        def ascend(X0, f, iters):
+            budgets.append(iters)
+            return _ascend(X0, f, iters)
+
+        monkeypatch.setattr(properties, "_ascend", ascend)
+        call(np.diag([0.6, 0.3, 0.1]))
+        assert budgets == [budget]
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -541,20 +566,6 @@ class TestOptimizerArguments:
         with pytest.raises(ValueError, match="^weights must be finite"):
             optimize_weighted_basis(random_density(3, rng=rng), weights, 2, rng=0)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda rho, iters: optimize_top_eigenvector(rho, iters=iters, rng=0),
-            lambda rho, iters: optimize_weighted_basis(rho, [2.0, 1.0], 2, iters=iters, rng=0),
-            lambda rho, iters: optimize_eigen_pair(rho, 2, iters=iters, rng=0),
-        ],
-        ids=["top", "weighted_basis", "eigen_pair"],
-    )
-    def test_negative_iters_rejected_and_zero_kept(self, call, rng):
-        rho = random_density(3, rng=rng)
-        with pytest.raises(ValueError, match="^iters must be at least 0, got -1$"):
-            call(rho, -1)
-        call(rho, 0)
 
 
 def _serial_orthonormalize(X):

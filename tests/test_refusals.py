@@ -75,3 +75,24 @@ REFUSALS = {
 def test_refusal_names_what_is_wrong(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(repr(message) if error is KeyError else message)}$"):
         call()
+
+
+_RHO2 = q.random_density(2, rng=1)
+
+# the entry points that need a score's measurement, each given an ExpectedScoreFn, which has none;
+# those that build something refuse it when they build
+NEEDS_A_MEASUREMENT = {
+    "score_coefficient": lambda S: q.score_coefficient(S, _RHO2),
+    "projective_expression": lambda S: q.projective_expression(S),
+    "fixed_meas_expression": lambda S: q.fixed_meas_expression(S, q.canonical_complete(2)),
+    "with_value": lambda S: q.with_value(S, lambda a: a * a, lambda a: 2.0 * a),
+    "WageringRound": lambda S: q.WageringRound([q.random_density(2, rng=s) for s in (2, 3)], S, _RHO2),
+}
+
+
+@pytest.mark.parametrize("name", ["ml:s4", "ml:s5"])
+@pytest.mark.parametrize("call", NEEDS_A_MEASUREMENT.values(), ids=NEEDS_A_MEASUREMENT)
+def test_a_score_without_a_measurement_is_refused_by_name(call, name):
+    message = f"score {name!r} has no measurement: only its expected values are defined"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(make_score(name, 2))

@@ -129,6 +129,16 @@ def test_bad_trials_or_dims_are_refused(run, name):
 
 
 class TestScoreReport:
+    @pytest.mark.parametrize("counter, value", [
+        ("violations", []), ("n_violations", 0), ("max_gap", float("-inf")), ("kind_counts", {}), ("timing", {}),
+    ])
+    def test_a_report_starts_empty(self, counter, value):
+        report = ScoreReport("s", "strict", 10, (2,))
+        assert (report.violations, report.n_violations, report.max_gap) == ([], 0, float("-inf"))
+        assert report.kind_counts == {} and report.timing == {}
+        with pytest.raises(TypeError, match=counter):
+            ScoreReport("s", "strict", 10, (2,), **{counter: value})
+
     def test_verdict_tracks_violations(self):
         report = ScoreReport("s", "strict", 10, (2,))
         assert report.passed and report.verdict == "pass"

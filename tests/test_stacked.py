@@ -344,6 +344,13 @@ def _ref_compare(kind, a, b, tol):
     return gap, (kind, gap) if gap > tol else None
 
 
+def test_compare_flags_a_gap_above_equiv_tol():
+    a = np.array([0.0, 0.0, NEG_INF, NEG_INF])
+    gaps, kinds, values = scores._compare("mismatch", a, np.array([EQUIV_TOL, 2 * EQUIV_TOL, NEG_INF, 0.0]))
+    assert kinds.tolist() == ["", "mismatch", "", "mismatch"]
+    assert gaps.tolist() == values.tolist() == [EQUIV_TOL, 2 * EQUIV_TOL, 0.0, math.inf]
+
+
 def _ref_check(S, check, trials, dims, rng):
     """(gaps, violations) of the per-trial loop: violations as (trial, kind, value, a, b)."""
     gaps, found = [], []
