@@ -250,7 +250,7 @@ class TestPermutationInvariance:
         assert shapes[-2:] == [(32, dim), (32, dim)]
 
     def test_the_sample_count_is_fixed(self):
-        # trials=0 once sampled nothing and passed any rule
+        # a count of 0 would test nothing and pass any rule
         with pytest.raises(TypeError, match="trials"):
             is_permutation_invariant(brier_rule(), 3, trials=0, rng=0)
 

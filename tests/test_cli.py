@@ -487,7 +487,7 @@ class TestRunWitness:
             run_witness("entropy", dims, 5, 0)
 
     def test_more_than_one_dimension_is_refused(self, capsys):
-        # the search probes one dimension; a second one was once dropped unreported
+        # a second dimension would go unprobed
         with pytest.raises(ValueError, match=r"^a witness search probes one dimension, got dims \[3, 7\]$"):
             run_witness("entropy", [3, 7], 5, 0)
         code, out, err = run_cli(capsys, "witness", "--property", "entropy", "--dims", "3,7", "--trials", "5")

@@ -491,7 +491,7 @@ def test_eigen_pair_decomposes_report_once(rng, monkeypatch):
 
 class TestOptimizerArguments:
     @pytest.mark.parametrize("call", [
-        # iters=0 once returned the first restarts' value, t=0 or t=1 a mixture that is one of the states
+        # a budget of 0 returns a starting value, and t=0 or t=1 "mixes" to one of the two states
         lambda: optimize_top_eigenvector(np.diag([0.6, 0.3, 0.1]), iters=0, rng=0),
         lambda: optimize_weighted_basis(np.diag([0.6, 0.3, 0.1]), [2.0, 1.0], 2, iters=0, rng=0),
         lambda: optimize_eigen_pair(np.diag([0.6, 0.3, 0.1]), 2, iters=0, rng=0),
