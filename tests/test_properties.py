@@ -642,6 +642,65 @@ class TestStackedAscentMatchesSerial:
             assert g_stacked.standard_normal() == g_serial.standard_normal(), name
 
 
+_WIDE = [(6, 5), (6, 6), (8, 5), (8, 6), (8, 8)]  # (n, k)
+
+
+def _descending(k):
+    return np.arange(k, 0, -1.0)
+
+
+class TestColumnOrderedAscent:
+    """Each column's direction is scaled by its weight's rank, so both k-column optimizers converge per column."""
+
+    def test_close_eigenvalues_reach_the_eigen_pair_bound(self):
+        rho = random_density(4, rng=103)  # lambda_1, lambda_2 = 0.512, 0.444
+        lam = eigenvalues_desc(rho)
+        _, value = optimize_eigen_pair(rho, 2, rng=3)
+        assert abs(value - lam[:2] @ lam[:2]) <= 1e-12
+
+    @pytest.mark.parametrize("n, k", _WIDE)
+    def test_wide_frames_reach_their_eigenvalue_bounds(self, n, k):
+        rho = random_density(n, rng=77)
+        lam = eigenvalues_desc(rho)[:k]
+        _, value = optimize_weighted_basis(rho, _descending(k), k, rng=0)
+        assert abs(value - _descending(k) @ lam) <= 1e-12
+        _, value = optimize_eigen_pair(rho, k, rng=0)
+        assert abs(value - lam @ lam) <= 1e-12
+
+    @pytest.mark.parametrize("n, k", _WIDE)
+    def test_wide_frames_stay_orthonormal_and_below_their_bounds(self, n, k):
+        rho = random_density(n, rng=77)
+        lam = eigenvalues_desc(rho)[:k]
+        X, value = optimize_weighted_basis(rho, _descending(k), k, rng=0)
+        assert value - _descending(k) @ lam <= 1e-13
+        assert np.abs(X.conj().T @ X - np.eye(k)).max() <= 1e-13
+        A, value = optimize_eigen_pair(rho, k, rng=0)
+        assert value - lam @ lam <= 1e-13
+        assert abs(np.trace(A @ A).real - value) <= 1e-13  # A = X diag(b) X* on an orthonormal frame X
+        # the retraction of the largest steps the ascent tries: scales up to 64 * k * 256^(k-1)
+        X0 = np.linalg.qr(_complex_normal(np.random.default_rng(k), (20, n, k)))[0]
+        c = _descending(k) * 256.0 ** np.arange(k - 1, -1, -1)
+        for s in (0.5, 64.0):
+            Y = _orthonormalize_plain(X0 + s * (rho @ X0) * c)
+            assert np.abs(Y.conj().swapaxes(-1, -2) @ Y - np.eye(k)).max() <= 1e-13, s
+
+    def test_signed_weights_of_equal_magnitude_ascend_along_the_weights(self):
+        # c = w here: the same frame and value, bit for bit, as an ascent along rho X diag(w)
+        from qelicit.properties import _random_stiefel
+
+        rho, w = random_density(8, rng=1138), np.array([1.0, -1.0])
+        X, value = optimize_weighted_basis(rho, [1, -1], 2, rng=2)
+
+        def f(X):
+            b, RX = properties._rayleigh(rho, X)
+            return b @ w, RX * w
+
+        Xs, vs = _ascend(_random_stiefel(50, 8, 2, np.random.default_rng(2)), f, 300)
+        i = int(np.argmax(vs))
+        np.testing.assert_array_equal(X, Xs[i])
+        assert value == float(vs[i])
+
+
 class TestAscentRetirement:
     def test_restart_at_a_top_eigenvector_retires_after_two_flat_steps(self):
         rho = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)

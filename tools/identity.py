@@ -45,7 +45,12 @@ spectrum, ``iters=0`` on ``diag(0.6, 0.3, 0.1)``); what five entry
 points that need a measurement make of ``ml:s4`` and ``ml:s5``; the exit
 code, stdout and stderr of ``verify``, ``witness`` and ``measure`` with
 ``--seed -1`` and of ``witness --dims 3,7``; and
-``optimize_with_value``.  A value is hashed through
+``optimize_with_value``.  Last, four optimizer calls that the column
+order of the ascent directions decides: the eigen pair at two close
+eigenvalues (0.512, 0.444) and at k = n = 8, the weighted basis at
+k = n = 8 with weights 8..1 and its largest deviation from
+orthonormality, and the weighted basis with weights (1, -1), whose
+directions are the weights themselves.  A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -446,6 +451,25 @@ def cli_refusals() -> None:
     emit("optimize_with_value", outcome(lambda: properties.optimize_with_value(np.eye(2)[0], 0.5)))
 
 
+def ordered_ascent() -> None:
+    rho8, w8 = q.random_density(8, rng=77), np.arange(8, 0, -1.0)
+
+    def frame_and_deviation():
+        X, value = optimize_weighted_basis(rho8, w8, 8, rng=0)
+        return listed((X, value)), float(np.abs(X.conj().T @ X - np.eye(8)).max())
+
+    rows = {
+        "eigen_pair random_density(4, rng=103) k=2 rng=3": lambda: listed(
+            optimize_eigen_pair(q.random_density(4, rng=103), 2, rng=3)),
+        "eigen_pair random_density(8, rng=77) k=8 rng=0": lambda: listed(optimize_eigen_pair(rho8, 8, rng=0)),
+        "weighted_basis random_density(8, rng=77) weights 8..1 rng=0": frame_and_deviation,
+        "weighted_basis random_density(8, rng=1138) weights (1, -1) rng=2": lambda: listed(
+            optimize_weighted_basis(q.random_density(8, rng=1138), [1, -1], 2, rng=2)),
+    }
+    for label, call in rows.items():
+        emit(f"optimize {label}", outcome(call))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -465,3 +489,4 @@ if __name__ == "__main__":
     fixed_knobs()
     measurement_free_scores()
     cli_refusals()
+    ordered_ascent()
