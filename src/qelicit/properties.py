@@ -360,8 +360,10 @@ def _orthonormalize_plain(X) -> np.ndarray:
     [b*, d]], M^(-1/2) = adj(M + sI) / (s t) with s = sqrt(det M) and
     t = sqrt(a + d + 2s), so X adj(M + sI) is two scaled column sums.
     Wider frames, and a two-column stack in which any frame's smaller Gram
-    eigenvalue is at or below 1e-12, take one batched eigh of the Gram
-    matrices.  Squared column norms and Gram eigenvalues are clipped at 1e-14.
+    eigenvalue is at or below 1e-12, take a batched eigh of the Gram
+    matrices twice: the ascent scales columns by up to 256^(k-1), and one
+    pass leaves such a frame off orthonormal by about 1e-9 at k = 8.
+    Squared column norms and Gram eigenvalues are clipped at 1e-14.
     """
     k = X.shape[-1]
     sq = np.einsum("rij,rij->rj", X.conj(), X).real  # squared column norms
@@ -381,9 +383,11 @@ def _orthonormalize_plain(X) -> np.ndarray:
                 [(x * (d + s)[:, None] - y * b.conj()[:, None]) / st, (y * (a + s)[:, None] - x * b[:, None]) / st],
                 axis=-1,
             )
-    w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
-    w = np.clip(w, 1e-14, None)
-    return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    for _ in range(2):  # the second pass mends what the first loses to widely scaled columns
+        w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
+        w = np.clip(w, 1e-14, None)
+        X = X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    return X
 
 
 def _ascend(X0, f, iters: int):
@@ -433,6 +437,25 @@ def _random_stiefel(R, n, k, g):
     return np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
 
 
+def _ordered_scales(w):
+    """Column scales c of the ascent direction rho X diag(c) for weights w.
+
+    A positive weight is multiplied by 256^r, r its rank among the positive
+    weights (the smallest has rank 0; on a tie the earlier column ranks
+    higher); any other weight is kept.  Each c_i has the sign of w_i, so the
+    direction pairs with the gradient as sum_i w_i c_i |rho x_i|^2 >= 0,
+    and as the step grows the polar retraction of X + s rho X diag(c)
+    approaches Gram-Schmidt in rank order: each column converges at the
+    orthogonal-iteration rate lambda_(i+1) / lambda_i, not at a rate set
+    by the weights.
+    """
+    pos = np.flatnonzero(w > 0)
+    order = pos[np.argsort(-w[pos], kind="stable")]  # highest weight first, the earlier column on a tie
+    c = w.copy()
+    c[order] *= 256.0 ** np.arange(len(order) - 1, -1, -1)
+    return c
+
+
 def _starts(rho, restarts, k, name, rng):
     """Validate an optimizer's arguments and draw its starting frames."""
     rho = as_density(rho)
@@ -465,7 +488,8 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
     """Ascent of sum_i w_i <x_i, rho x_i> over orthonormal column tuples, at most 300 accepted steps per restart.
 
     Used for the top-k score (all weights positive) and the top+bottom
-    score (signed weights on the reported columns).
+    score (signed weights on the reported columns).  Column i ascends
+    along rho x_i times ``_ordered_scales(weights)[i]``.
     """
     rho, X0 = _starts(rho, restarts, cols, "cols", rng)
     w = np.asarray(weights, dtype=np.float64)
@@ -474,9 +498,11 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
     if not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite, got {w.tolist()!r}")
 
+    c = _ordered_scales(w)
+
     def f(X):
         b, RX = _rayleigh(rho, X)
-        return b @ w, RX * w
+        return b @ w, RX * c
 
     X, v = _ascend(X0, f, 300)
     i = int(np.argmax(v))
@@ -488,13 +514,15 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
 
     The optimal payoff weight for each reported vector is its own
     Rayleigh quotient, so the report collapses to the orthonormal frame;
-    returns the assembled PSD report and its expected score.
+    returns the assembled PSD report and its expected score.  The columns
+    ascend as the weighted basis's do with weights all 1.
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
+    c = _ordered_scales(np.ones(k))
 
     def f(X):
         b, RX = _rayleigh(rho, X)
-        return np.sum(b * b, axis=1), RX * b[:, None, :]
+        return np.sum(b * b, axis=1), RX * c
 
     X, v = _ascend(X0, f, 300)
     i = int(np.argmax(v))

@@ -624,15 +624,16 @@ class TestStackedAscentMatchesSerial:
                 1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200,
             ),
         }
-        for w in ([2.0, 1.0], [1.0, -1.0]):
-            w = np.array(w)
+        # each column's direction is rho x_i times its weight, and a positive weight times 256^(its rank)
+        for w, c in (([2.0, 1.0], [512.0, 1.0]), ([1.0, -1.0], [1.0, -1.0])):
+            w, c = np.array(w), np.array(c)
             cases[f"weighted_basis {w}"] = (
                 lambda g, w=w: optimize_weighted_basis(rho, w, 2, restarts=12, rng=g)[1],
-                2, lambda X, w=w: rho @ X * w, lambda X, w=w: float(w @ _overlaps(X, rho)), 300,
+                2, lambda X, c=c: rho @ X * c, lambda X, w=w: float(w @ _overlaps(X, rho)), 300,
             )
         cases["eigen_pair"] = (
             lambda g: optimize_eigen_pair(rho, 2, restarts=12, rng=g)[1],
-            2, lambda X: rho @ X * _overlaps(X, rho), lambda X: float(_overlaps(X, rho) @ _overlaps(X, rho)), 300,
+            2, lambda X: rho @ X * [256.0, 1.0], lambda X: float(_overlaps(X, rho) @ _overlaps(X, rho)), 300,
         )
         for name, (stacked, k, grad, value, iters) in cases.items():
             g_stacked, g_serial = np.random.default_rng(n), np.random.default_rng(n)
@@ -789,10 +790,15 @@ class TestWitnessEdges:
 
 
 def _eigh_polar(X):
-    # the batched eigh retraction, spectrum clipped at 1e-14: the path wide and near-singular stacks take
+    # one pass of the batched eigh retraction, spectrum clipped at 1e-14
     w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
     w = np.clip(w, 1e-14, None)
     return X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
+
+
+def _eigh_polar_twice(X):
+    # the path wide and near-singular stacks take: a second pass mends what widely scaled columns cost the first
+    return _eigh_polar(_eigh_polar(X))
 
 
 def _complex_normal(g, shape):
@@ -800,14 +806,14 @@ def _complex_normal(g, shape):
 
 
 class TestRetraction:
-    """The polar factor X (X*X)^(-1/2): closed form for one and two columns, eigh otherwise."""
+    """The polar factor X (X*X)^(-1/2): closed form for one and two columns, two eigh passes otherwise."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_closed_form_matches_eigh(self, n, k):
-        # column scales up to 65: a unit column plus a step of at most 64
+        # column scales up to 1 + 64 * 512: a unit column plus a step of at most 64 along rho x times 2 * 256
         g = np.random.default_rng(10 * n + k)
-        X = _complex_normal(g, (40, n, k)) * g.uniform(1.0, 65.0, size=(40, 1, k))
+        X = _complex_normal(g, (40, n, k)) * g.uniform(1.0, 1.0 + 64.0 * 512.0, size=(40, 1, k))
         Y = _orthonormalize_plain(X)
         for r in range(len(X)):
             np.testing.assert_allclose(Y[r], _serial_orthonormalize(X[r]), rtol=0, atol=1e-12)
@@ -820,7 +826,7 @@ class TestRetraction:
         one_singular = _complex_normal(g, (4, 3, 2))
         one_singular[2, :, 1] = one_singular[2, :, 0]
         for X in (zero_column, zero_column[..., ::-1], equal_columns, one_singular, zero_column[..., :1] * 0.0):
-            np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar(X))
+            np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar_twice(X))
 
     @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
     def test_near_dependent_columns_are_no_farther_from_the_svd_polar_factor(self, gap):
@@ -836,7 +842,7 @@ class TestRetraction:
 
     def test_three_columns_take_the_eigh_path(self):
         X = _complex_normal(np.random.default_rng(7), (10, 5, 3))
-        np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar(X))
+        np.testing.assert_array_equal(_orthonormalize_plain(X), _eigh_polar_twice(X))
 
 
 class TestEmptyFrameRefusals:
