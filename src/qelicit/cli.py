@@ -182,14 +182,14 @@ def _named_basis(name: str, dim: int) -> Measurement:
 
 
 def _cmd_measure(args) -> int:
+    # the counts first, before any file is read; verify and witness refuse theirs in the registry
+    _count(args.trials, "trials", 0)
+    _count(args.seed, "seed", 0)
     rho = density_from_json(_load_json(args.state))
     if args.povm:
         mu = Measurement.from_json(_load_json(args.povm))
     else:
         mu = _named_basis(args.basis, rho.shape[0])
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
-    _count(args.seed, "seed", 0)  # verify and witness refuse theirs in the registry
     draws = sample_outcomes(mu, rho, args.trials, rng=np.random.default_rng(args.seed))
     counts = np.bincount(draws, minlength=len(mu))
     probs = apply_measurement(mu, rho)

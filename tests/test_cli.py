@@ -263,7 +263,17 @@ class TestMeasure:
     def test_negative_trials_exit_two(self, capsys, state_file):
         code, out, err = run_cli(capsys, "measure", "--state", state_file, "--trials", "-3")
         assert code == 2
-        assert "--trials" in err
+        assert err == "error: trials must be at least 0, got -3\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("count, want", [
+        (["--trials", "-1"], "error: trials must be at least 0, got -1\n"),
+        (["--seed", "-1"], "error: seed must be at least 0, got -1\n"),
+    ], ids=["trials", "seed"])
+    def test_counts_are_checked_before_the_files_are_read(self, capsys, tmp_path, count, want):
+        code, out, err = run_cli(capsys, "measure", "--state", str(tmp_path / "missing.json"), *count)
+        assert code == 2
+        assert err == want
         assert out == ""
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):

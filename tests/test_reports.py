@@ -20,16 +20,18 @@ def _encode(a, b):
     return {"a": a, "b": b}
 
 
-def _run(trials, score, dims=(2,), rng=0, encode=_encode):
+def _rows(g, dim, m):
+    return (g.random(m),)
+
+
+def _draw(dim, trials, rows, spare):
     # each trial draws its own index and its dimension as its two "states"
-    def rows(g, dim, m):
-        return (g.random(m),)
+    assert len(rows[0]) == len(trials)
+    return trials, np.full(len(trials), dim)
 
-    def draw(dim, trials, rows, spare):
-        assert len(rows[0]) == len(trials)
-        return trials, np.full(len(trials), dim)
 
-    return run_trials(ScoreReport("s", "strict", trials, dims), rows, draw, score, encode, rng)
+def _run(trials, score, dims=(2,), rng=0, encode=_encode):
+    return run_trials(ScoreReport("s", "strict", trials, dims), _rows, _draw, score, encode, rng)
 
 
 def _flag_all(kind, value):
@@ -95,6 +97,19 @@ class TestRunTrials:
         assert [v["trial"] for v in report.violations] == list(range(n))
         assert [v["a"] for v in report.violations] == list(range(n))
         assert [v["b"] for v in report.violations] == [(2, 3)[i % 2] for i in range(n)]
+
+    def test_a_report_that_has_run_is_refused(self):
+        # a second run would add its counts to the first's: 10 violations in 10 trials
+        def flag_even(drawn):
+            n = len(drawn[0])
+            return np.zeros(n), np.where(drawn[0] % 2 == 0, "gain", ""), np.zeros(n)
+
+        report = _run(10, flag_even)
+        before = report.to_json()
+        with pytest.raises(ValueError, match=r"^report 's' has already run; run_trials needs an empty ScoreReport$"):
+            run_trials(report, _rows, _draw, flag_even, _encode, 0)
+        assert report.to_json() == before
+        assert before["n_violations"] == 5
 
     def test_same_seed_gives_identical_bytes(self):
         S = make_score("ml:s3", 3)
