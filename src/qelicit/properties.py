@@ -515,9 +515,14 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
     The optimal payoff weight for each reported vector is its own
     Rayleigh quotient, so the report collapses to the orthonormal frame;
     returns the assembled PSD report and its expected score.  The columns
-    ascend as the weighted basis's do with weights all 1.
+    ascend as the weighted basis's do with weights all 1, each start's
+    columns first sorted by falling Rayleigh quotient.
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
+    # each start's columns in falling order of their Rayleigh quotients, the order of the scales c:
+    # columns out of that order would set out along a direction that descends within their span
+    b0 = _rayleigh(rho, X0)[0]
+    X0 = np.take_along_axis(X0, np.argsort(-b0, axis=1, kind="stable")[:, None, :], axis=2)
     c = _ordered_scales(np.ones(k))
 
     def f(X):

@@ -595,11 +595,15 @@ def _serial_ascend(X0, grad, value, iters, step=0.5, max_step=64.0):
     return X, best
 
 
-def _serial_best(rho, k, grad, value, restarts, iters, g):
-    """Best value over restarts run one after another, each drawing its own start."""
+def _unchanged(X):
+    return X
+
+
+def _serial_best(rho, k, grad, value, restarts, iters, g, start=_unchanged):
+    """Best value over restarts run one after another, each drawing its own start and passing it through ``start``."""
     best = -np.inf
     for _ in range(restarts):
-        _, v = _serial_ascend(_random_frame(rho.shape[0], k, g), grad, value, iters)
+        _, v = _serial_ascend(start(_random_frame(rho.shape[0], k, g)), grad, value, iters)
         best = max(best, v)
     return best
 
@@ -621,7 +625,7 @@ class TestStackedAscentMatchesSerial:
         cases = {
             "top": (
                 lambda g: optimize_top_eigenvector(rho, restarts=12, rng=g)[1],
-                1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200,
+                1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200, _unchanged,
             ),
         }
         # each column's direction is rho x_i times its weight, and a positive weight times 256^(its rank)
@@ -629,16 +633,18 @@ class TestStackedAscentMatchesSerial:
             w, c = np.array(w), np.array(c)
             cases[f"weighted_basis {w}"] = (
                 lambda g, w=w: optimize_weighted_basis(rho, w, 2, restarts=12, rng=g)[1],
-                2, lambda X, c=c: rho @ X * c, lambda X, w=w: float(w @ _overlaps(X, rho)), 300,
+                2, lambda X, c=c: rho @ X * c, lambda X, w=w: float(w @ _overlaps(X, rho)), 300, _unchanged,
             )
+        # the eigen pair first sorts each start's columns by falling Rayleigh quotient
         cases["eigen_pair"] = (
             lambda g: optimize_eigen_pair(rho, 2, restarts=12, rng=g)[1],
             2, lambda X: rho @ X * [256.0, 1.0], lambda X: float(_overlaps(X, rho) @ _overlaps(X, rho)), 300,
+            lambda X: X[:, np.argsort(-_overlaps(X, rho), kind="stable")],
         )
-        for name, (stacked, k, grad, value, iters) in cases.items():
+        for name, (stacked, k, grad, value, iters, start) in cases.items():
             g_stacked, g_serial = np.random.default_rng(n), np.random.default_rng(n)
             got = stacked(g_stacked)
-            want = _serial_best(rho, k, grad, value, 12, iters, g_serial)
+            want = _serial_best(rho, k, grad, value, 12, iters, g_serial, start)
             assert got == pytest.approx(want, abs=1e-12), name
             assert g_stacked.standard_normal() == g_serial.standard_normal(), name
 
@@ -658,6 +664,15 @@ class TestColumnOrderedAscent:
         lam = eigenvalues_desc(rho)
         _, value = optimize_eigen_pair(rho, 2, rng=3)
         assert abs(value - lam[:2] @ lam[:2]) <= 1e-12
+
+    def test_every_eigen_pair_restart_reaches_the_bound(self):
+        # at n = k = 2 a start whose first column has the smaller Rayleigh quotient, left in that
+        # order, would only descend within its span and retire where it started
+        for seed in range(40):
+            rho = random_density(2, rng=200 + seed)
+            lam = eigenvalues_desc(rho)
+            _, value = optimize_eigen_pair(rho, 2, restarts=1, rng=seed)
+            assert abs(value - lam @ lam) <= 1e-12, seed
 
     @pytest.mark.parametrize("n, k", _WIDE)
     def test_wide_frames_reach_their_eigenvalue_bounds(self, n, k):
