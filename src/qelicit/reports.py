@@ -112,10 +112,11 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
     ``encode(a, b)``, a dict describing its two states, called only for
     the violations that are stored.  ``report.timing`` gets the seconds
     spent in all, in scoring, and in the rest, mostly drawing (``draw_s``).
-    A report whose ``timing`` is set has already run and is refused, since
-    its counts would add up over both runs.
+    A report that holds counts, or whose ``timing`` is set, has run before
+    (perhaps in part, up to an exception) and is refused, since its counts
+    would add up over both runs.
     """
-    if report.timing:
+    if report.timing or report.n_violations or report.max_gap > float("-inf"):
         raise ValueError(f"report {report.name!r} has already run; run_trials needs an empty ScoreReport")
     report.trials = _count(report.trials, "trials", 0)
     dims = _check_dims(report.dims)

@@ -111,6 +111,30 @@ class TestRunTrials:
         assert report.to_json() == before
         assert before["n_violations"] == 5
 
+    @pytest.mark.parametrize("kind", ["", "gain"])
+    def test_a_report_whose_run_raised_partway_is_refused(self, kind):
+        # the first block's gap (and, of kind "gain", its violations) are in before the second block raises
+        def fail_second_block(drawn):
+            if drawn[0][0] > 0:
+                raise RuntimeError("second block")
+            return _flag_all(kind, -1.0)(drawn)
+
+        report = ScoreReport("s", "strict", 300, (2,))
+        with pytest.raises(RuntimeError, match="second block"):
+            run_trials(report, _rows, _draw, fail_second_block, _encode, 0)
+        assert report.max_gap == -1.0 and not report.timing
+        with pytest.raises(ValueError, match=r"^report 's' has already run; run_trials needs an empty ScoreReport$"):
+            run_trials(report, _rows, _draw, _flag_all("", 0.0), _encode, 0)
+
+    def test_a_report_whose_run_raised_before_counting_runs_again(self):
+        def fail(drawn):
+            raise RuntimeError("first block")
+
+        report = ScoreReport("s", "strict", 10, (2,))
+        with pytest.raises(RuntimeError, match="first block"):
+            run_trials(report, _rows, _draw, fail, _encode, 0)
+        assert run_trials(report, _rows, _draw, _flag_all("gain", 1.0), _encode, 0).n_violations == 10
+
     def test_same_seed_gives_identical_bytes(self):
         S = make_score("ml:s3", 3)
         blobs = [
