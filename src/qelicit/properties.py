@@ -360,11 +360,11 @@ def _orthonormalize_plain(X) -> np.ndarray:
     [b*, d]], M^(-1/2) = adj(M + sI) / (s t) with s = sqrt(det M) and
     t = sqrt(a + d + 2s), so X adj(M + sI) is two scaled column sums.
     Wider frames, and a two-column stack in which any frame's smaller Gram
-    eigenvalue is at or below 1e-12, take a batched eigh of the Gram
-    matrices twice: the ascent scales columns by up to 256^(k-1), and one
-    pass leaves such a frame off orthonormal by up to about 5e-11 at
-    k = 5..8, two passes by about 3e-15.
-    Squared column norms and Gram eigenvalues are clipped at 1e-14.
+    eigenvalue is at or below 1e-12, take U V* from a batched SVD X = U S V*,
+    which is orthonormal to rounding whatever the column scales and their
+    order (the ascent scales columns by up to 256^7) and completes a
+    rank-deficient frame to an orthonormal one.  A single column's squared
+    norm is clipped at 1e-14.
     """
     k = X.shape[-1]
     sq = np.einsum("rij,rij->rj", X.conj(), X).real  # squared column norms
@@ -384,11 +384,8 @@ def _orthonormalize_plain(X) -> np.ndarray:
                 [(x * (d + s)[:, None] - y * b.conj()[:, None]) / st, (y * (a + s)[:, None] - x * b[:, None]) / st],
                 axis=-1,
             )
-    for _ in range(2):  # the second pass mends what the first loses to widely scaled columns
-        w, V = np.linalg.eigh(hermitian_part(X.conj().swapaxes(-1, -2) @ X))
-        w = np.clip(w, 1e-14, None)
-        X = X @ ((V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2))
-    return X
+    U, _, Vh = np.linalg.svd(X, full_matrices=False)
+    return U @ Vh
 
 
 def _ascend(X0, f, iters: int):
@@ -441,12 +438,16 @@ def _random_stiefel(R, n, k, g):
 def _ordered_scales(w):
     """Column scales c of the ascent direction rho X diag(c) for weights w.
 
-    A positive weight is multiplied by 256^r, r its rank among the positive
-    weights (the smallest has rank 0; on a tie the earlier column ranks
-    higher); any other weight is kept.  Each c_i has the sign of w_i, and c
-    is ordered as w, so the direction pairs with the gradient non-negatively
-    off the frame's span (sum_i w_i c_i |(I - XX*) rho x_i|^2) and within
-    it (sum_(i<j) |x_i* rho x_j|^2 (w_i - w_j)(c_i - c_j)).  As the step
+    A positive weight is multiplied by base^r, r its rank among the m
+    positive weights (the smallest has rank 0; on a tie the earlier column
+    ranks higher); any other weight is kept.  The base is 256 for m <= 8
+    and 256^(7 / (m - 1)) beyond, so the scales never span more than
+    256^7, the spread of the widest frames measured (k = 8): with more,
+    the smallest columns sink below rounding next to the largest, and
+    256^(m-1) itself overflows from m = 129.  Each c_i has the sign of
+    w_i, and c is ordered as w, so the direction pairs with the gradient
+    non-negatively off the frame's span (sum_i w_i c_i |(I - XX*) rho x_i|^2)
+    and within it (sum_(i<j) |x_i* rho x_j|^2 (w_i - w_j)(c_i - c_j)).  As the step
     grows, the polar retraction of X + s rho X diag(c) approaches
     Gram-Schmidt in rank order: each column converges at the
     orthogonal-iteration rate lambda_(i+1) / lambda_i, not at a rate set
@@ -455,7 +456,9 @@ def _ordered_scales(w):
     pos = np.flatnonzero(w > 0)
     order = pos[np.argsort(-w[pos], kind="stable")]  # highest weight first, the earlier column on a tie
     c = w.copy()
-    c[order] *= 256.0 ** np.arange(len(order) - 1, -1, -1)
+    m = len(order)
+    base = 256.0 ** min(1.0, 7 / max(m - 1, 1))  # 256, or less past eight positive weights: a span of 256^7
+    c[order] *= base ** np.arange(m - 1, -1, -1)
     return c
 
 
@@ -518,19 +521,18 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
     The optimal payoff weight for each reported vector is its own
     Rayleigh quotient, so the report collapses to the orthonormal frame;
     returns the assembled PSD report and its expected score.  The columns
-    ascend as the weighted basis's do with weights all 1, each start's
-    columns first sorted by falling Rayleigh quotient.
+    ascend as the weighted basis's do with weights all 1, on every pass
+    in the order of their Rayleigh quotients b: the gradient's factors are
+    the b_i, so the scales must stand in b's order, which can change
+    during the ascent, or the direction would descend within the span.
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
-    # each start's columns in falling order of their Rayleigh quotients, the order of the scales c:
-    # columns out of that order would set out along a direction that descends within their span
-    b0 = _rayleigh(rho, X0)[0]
-    X0 = np.take_along_axis(X0, np.argsort(-b0, axis=1, kind="stable")[:, None, :], axis=2)
-    c = _ordered_scales(np.ones(k))
+    c = _ordered_scales(np.ones(k))  # falling: 256^(k-1), ..., 1
 
     def f(X):
         b, RX = _rayleigh(rho, X)
-        return np.sum(b * b, axis=1), RX * c
+        rank = np.argsort(np.argsort(-b, axis=1, kind="stable"), axis=1)  # 0 for the largest b, the earlier column on a tie
+        return np.sum(b * b, axis=1), RX * c[rank][:, None, :]
 
     X, v = _ascend(X0, f, 300)
     i = int(np.argmax(v))

@@ -1,0 +1,69 @@
+"""Passes, wall time and distance to the bound of the two k-column optimizers.
+
+    PYTHONPATH=<tree>/src python3 tools/ascent_cost.py [n:k ...]
+
+The cases default to 4:3 4:4 8:3 8:4 8:8.  For each (n, k) and each of
+five states ``random_density(n, rng=s)``, s = 1..5, it runs
+``optimize_weighted_basis`` with weights k..1 and ``optimize_eigen_pair``
+with 50 restarts at ``rng=0``, and prints per optimizer: the passes of
+the ascent (one per evaluation of the whole live stack after the first),
+the restart-passes (the live restarts summed over those passes), the
+best of three wall times in ms, and the largest shortfall from the
+eigenvalue bound over the five states.  Run it once per tree to compare
+them; the generator use is fixed, so both trees see the same starts.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+import numpy as np
+
+from qelicit import properties
+from qelicit.linalg import eigenvalues_desc, random_density
+
+_ascend = properties._ascend
+_live: list[int] = []
+
+
+def _counting_ascend(X0, f, iters):
+    def g(X):
+        _live.append(len(X))
+        return f(X)
+
+    return _ascend(X0, g, iters)
+
+
+def _run(name, n, k, rho):
+    lam = eigenvalues_desc(rho)[:k]
+    if name == "weighted_basis":
+        w = np.arange(k, 0, -1.0)
+        return lambda: properties.optimize_weighted_basis(rho, w, k, rng=0)[1], w @ lam
+    return lambda: properties.optimize_eigen_pair(rho, k, rng=0)[1], lam @ lam
+
+
+def main(cases):
+    properties._ascend = _counting_ascend
+    print("n  k  optimizer       passes  restart-passes  ms      max shortfall")
+    for n, k in cases:
+        for name in ("weighted_basis", "eigen_pair"):
+            passes = restart_passes = ms = short = 0.0
+            for s in range(1, 6):
+                call, bound = _run(name, n, k, random_density(n, rng=s))
+                _live.clear()
+                value = call()
+                passes += len(_live) - 1
+                restart_passes += sum(_live[1:])
+                times = []
+                for _ in range(3):
+                    t = time.perf_counter()
+                    call()
+                    times.append(time.perf_counter() - t)
+                ms += 1e3 * min(times)
+                short = max(short, bound - value)
+            print(f"{n:<2d} {k:<2d} {name:15s} {passes:6.0f}  {restart_passes:14.0f}  {ms:7.1f}  {short:9.1e}")
+
+
+if __name__ == "__main__":
+    main([tuple(map(int, a.split(":"))) for a in sys.argv[1:]] or [(4, 3), (4, 4), (8, 3), (8, 4), (8, 8)])
