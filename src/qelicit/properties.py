@@ -495,7 +495,10 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
 
     Used for the top-k score (all weights positive) and the top+bottom
     score (signed weights on the reported columns).  Column i ascends
-    along rho x_i times ``_ordered_scales(weights)[i]``.
+    along rho x_i times ``_ordered_scales(weights)[i]``; the ascent runs
+    on the columns in falling order of these scales, the order in which
+    the SVD retraction keeps the small columns most accurate, and returns
+    them in the order of the weights.
     """
     rho, X0 = _starts(rho, restarts, cols, "cols", rng)
     w = np.asarray(weights, dtype=np.float64)
@@ -505,14 +508,16 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
         raise ValueError(f"weights must be finite, got {w.tolist()!r}")
 
     c = _ordered_scales(w)
+    p = np.argsort(-c, kind="stable")  # the identity for weights that do not rise
+    wp, cp = w[p], c[p]
 
     def f(X):
         b, RX = _rayleigh(rho, X)
-        return b @ w, RX * c
+        return b @ wp, RX * cp
 
-    X, v = _ascend(X0, f, 300)
+    X, v = _ascend(X0[:, :, p], f, 300)
     i = int(np.argmax(v))
-    return X[i], float(v[i])
+    return X[i][:, np.argsort(p)], float(v[i])
 
 
 def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
@@ -525,8 +530,13 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
     in the order of their Rayleigh quotients b: the gradient's factors are
     the b_i, so the scales must stand in b's order, which can change
     during the ascent, or the direction would descend within the span.
+    Each start's columns are first sorted by falling b, so that the
+    scales mostly fall from the first column to the last, the order in
+    which the SVD retraction keeps the small columns most accurate.
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
+    b0 = _rayleigh(rho, X0)[0]
+    X0 = np.take_along_axis(X0, np.argsort(-b0, axis=1, kind="stable")[:, None, :], axis=2)
     c = _ordered_scales(np.ones(k))  # falling: 256^(k-1), ..., 1
 
     def f(X):

@@ -595,11 +595,15 @@ def _serial_ascend(X0, grad, value, iters, step=0.5, max_step=64.0):
     return X, best
 
 
-def _serial_best(rho, k, grad, value, restarts, iters, g):
-    """Best value over restarts run one after another, each drawing its own start."""
+def _unchanged(X):
+    return X
+
+
+def _serial_best(rho, k, grad, value, restarts, iters, g, start=_unchanged):
+    """Best value over restarts run one after another, each drawing its own start and passing it through ``start``."""
     best = -np.inf
     for _ in range(restarts):
-        _, v = _serial_ascend(_random_frame(rho.shape[0], k, g), grad, value, iters)
+        _, v = _serial_ascend(start(_random_frame(rho.shape[0], k, g)), grad, value, iters)
         best = max(best, v)
     return best
 
@@ -621,7 +625,7 @@ class TestStackedAscentMatchesSerial:
         cases = {
             "top": (
                 lambda g: optimize_top_eigenvector(rho, restarts=12, rng=g)[1],
-                1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200,
+                1, lambda X: rho @ X, lambda X: float(_overlaps(X, rho)[0]), 200, _unchanged,
             ),
         }
         # each column's direction is rho x_i times its weight, and a positive weight times 256^(its rank)
@@ -629,20 +633,22 @@ class TestStackedAscentMatchesSerial:
             w, c = np.array(w), np.array(c)
             cases[f"weighted_basis {w}"] = (
                 lambda g, w=w: optimize_weighted_basis(rho, w, 2, restarts=12, rng=g)[1],
-                2, lambda X, c=c: rho @ X * c, lambda X, w=w: float(w @ _overlaps(X, rho)), 300,
+                2, lambda X, c=c: rho @ X * c, lambda X, w=w: float(w @ _overlaps(X, rho)), 300, _unchanged,
             )
-        # the eigen pair scales the column of the larger Rayleigh quotient by 256, the first on a tie
+        # the eigen pair sorts each start's columns by falling Rayleigh quotient, then scales the column
+        # of the larger quotient by 256 on every pass, the first on a tie
         cases["eigen_pair"] = (
             lambda g: optimize_eigen_pair(rho, 2, restarts=12, rng=g)[1],
             2,
             lambda X: rho @ X * ([256.0, 1.0] if _overlaps(X, rho)[0] >= _overlaps(X, rho)[1] else [1.0, 256.0]),
             lambda X: float(_overlaps(X, rho) @ _overlaps(X, rho)),
             300,
+            lambda X: X[:, np.argsort(-_overlaps(X, rho), kind="stable")],
         )
-        for name, (stacked, k, grad, value, iters) in cases.items():
+        for name, (stacked, k, grad, value, iters, start) in cases.items():
             g_stacked, g_serial = np.random.default_rng(n), np.random.default_rng(n)
             got = stacked(g_stacked)
-            want = _serial_best(rho, k, grad, value, 12, iters, g_serial)
+            want = _serial_best(rho, k, grad, value, 12, iters, g_serial, start)
             assert got == pytest.approx(want, abs=1e-12), name
             assert g_stacked.standard_normal() == g_serial.standard_normal(), name
 
@@ -666,6 +672,7 @@ def _frame_bound_checks(rho, k, w, restarts=50):
     bound = np.sort(w)[::-1] @ lam
     assert value - bound <= 1e-13
     assert np.abs(X.conj().T @ X - np.eye(k)).max() <= 1e-13
+    assert abs(w @ _overlaps(X, rho) - value) <= 1e-13  # the columns come back in the order of the weights
     A, pair_value = optimize_eigen_pair(rho, k, restarts=restarts, rng=0)
     assert pair_value - lam @ lam <= 1e-13
     assert abs(np.trace(A @ A).real - pair_value) <= 1e-13  # A = X diag(b) X* on an orthonormal frame X
@@ -733,8 +740,9 @@ class TestColumnOrderedAscent:
             assert c[0] / (c[-1] * k) == pytest.approx(256.0 ** min(k - 1, 7), rel=1e-12)
         np.testing.assert_array_equal(properties._ordered_scales(_weights(8)), _weights(8) * 256.0 ** np.arange(7, -1, -1))
 
-    def test_sixteen_columns_reach_their_bounds(self):
-        gaps = _frame_bound_checks(random_density(16, rng=77), 16, _weights(16), restarts=4)
+    @pytest.mark.parametrize("order", ["descending", "ascending"])
+    def test_sixteen_columns_reach_their_bounds(self, order):
+        gaps = _frame_bound_checks(random_density(16, rng=77), 16, _weights(16, order), restarts=4)
         assert max(map(abs, gaps)) <= 1e-12
 
     @pytest.mark.parametrize("order", ["descending", "ascending"])
