@@ -52,6 +52,7 @@ __all__ = [
 ORTHO_TOL = 1e-8     # allowed deviation from orthonormality before rejection
 REPORT_TOL = 1e-8    # reports closer than this count as the same value
 DIFFER_TOL = 1e-6    # property values farther than this count as different
+CERT_TOL = 1e-13     # an optimizer call stops once its best restart is proven this close to the optimum
 
 ABSTAIN = None  # the abstain report
 
@@ -316,11 +317,21 @@ def level_set_witness(prop: QuantumProperty, rho1, rho2) -> WitnessResult:
     rho2 = as_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: rho1 {rho1.shape[0]}, rho2 {rho2.shape[0]}")
-    mix = hermitian_part(0.5 * (rho1 + rho2))
+    return _witness(prop, rho1, rho2, screen=False)
+
+
+def _witness(prop, rho1, rho2, screen: bool):
+    """level_set_witness of two valid states of one shape; with ``screen``, None once their values differ.
+
+    A pair whose values differ is no counterexample whatever the midpoint's
+    value, so a search skips the midpoint's evaluation for it.
+    """
     r1 = prop.eval(rho1)
     r2 = prop.eval(rho2)
-    rm = prop.eval(mix)
     equal = _value_dist(r1, r2) <= REPORT_TOL
+    if screen and not equal:
+        return None
+    rm = prop.eval(hermitian_part(0.5 * (rho1 + rho2)))
     differs = _value_dist(rm, r1) > DIFFER_TOL
     return WitnessResult(prop.name, bool(equal and differs), 0.5, r1, r2, rm, rho1, rho2)
 
@@ -343,8 +354,8 @@ def find_level_set_witness(
         rho1 = random_density(dim, rng=rng)
         U = random_unitary(dim, rng=rng)
         rho2 = hermitian_part(U @ rho1 @ U.conj().T)
-        w = level_set_witness(prop, rho1, rho2)
-        if w.is_counterexample:
+        w = _witness(prop, rho1, rho2, screen=True)
+        if w is not None and w.is_counterexample:
             return w
     return None
 
@@ -388,7 +399,36 @@ def _orthonormalize_plain(X) -> np.ndarray:
     return U @ Vh
 
 
-def _ascend(X0, f, iters: int):
+def _shortfall_bound(rho, X, w=None) -> float:
+    """An upper bound on how far the frame X (n, k) is below the optimum, read from X alone.
+
+    With Theta = X* rho X, R = rho X - X Theta and C rho compressed to the
+    complement of X's span, lambda_max(C) <= min(|C|_F, tr rho - tr Theta),
+    C being PSD, where |C|_F^2 = |rho|_F^2 - 2 |rho X|_F^2 + |Theta|_F^2.  If
+    delta = mu_k(Theta) - lambda_max(C) - |R|_2 > 0, each of the top k
+    eigenvalues of rho is within eps = |R|_2^2 / delta of Theta's eigenvalue
+    mu_i of the same rank (the quadratic residual bound: Mathias, SIMAX
+    1998; Parlett, The Symmetric Eigenvalue Problem, 1998).  The bound is
+    then w (mu + eps) - w diag(Theta) for weights w falling and
+    non-negative, and sum (mu_i + eps)^2 - sum Theta_ii^2, the eigen pair's,
+    for ``w`` None; if delta <= 0 it is inf.  At k = n, R and C vanish and
+    the bound is the within-span shortfall against rho's own spectrum.
+    """
+    RX = rho @ X
+    theta = X.conj().T @ RX  # eigvalsh reads its lower triangle
+    R = RX - X @ theta
+    mu, rr = np.linalg.eigvalsh(np.array([theta, R.conj().T @ R]))  # Theta's spectrum and |R|_2^2, in one call
+    mu, r2, b = mu[::-1], max(rr[-1], 0.0), theta.diagonal().real
+    c_fro2 = np.vdot(rho, rho).real - 2.0 * np.vdot(RX, RX).real + mu @ mu
+    c_max = min(np.sqrt(max(c_fro2, 0.0)), max(rho.trace().real - b.sum(), 0.0))
+    delta = mu[-1] - c_max - np.sqrt(r2)
+    if not delta > 0:
+        return float("inf")
+    top = mu + r2 / delta
+    return float(top @ top - b @ b if w is None else w @ top - w @ b)
+
+
+def _ascend(X0, f, iters: int, cert=None):
     """Monotone ascent of every restart in the stack X0 (R, n, k) at once.
 
     f maps frames (m, n, k) to their values (m,) and ascent directions
@@ -404,6 +444,12 @@ def _ascend(X0, f, iters: int):
     enough, since a step can overshoot to a point of equal value while a
     shorter one still gains.  The live restarts are kept as compact
     arrays; a retiring restart writes its frame and value back once.
+
+    ``cert``, if given, maps one frame (n, k) to a bound on its shortfall
+    from the optimum.  It is read on a pass where the live restart with the
+    highest value took a step that gained at most 1e-9, for that restart's
+    frame; once it is at most CERT_TOL, the live restarts write back and
+    the call returns.
     """
     margin = 1e-15
     X = X0.copy()
@@ -416,10 +462,16 @@ def _ascend(X0, f, iters: int):
         Xn = _orthonormalize_plain(Xl + s[:, None, None] * G)
         vn, Gn = f(Xn)
         up = vn > vl + margin
+        near = up & (vn - vl <= 1e-9)  # accepted steps that gained at most 1e-9
         flat = np.where(~up & (np.abs(vn - vl) <= margin), flat + 1, 0)
         up3 = up[:, None, None]
         Xl, G = np.where(up3, Xn, Xl), np.where(up3, Gn, G)
         vl, s = np.where(up, vn, vl), np.where(up, np.minimum(s * 2.0, 64.0), s * 0.5)
+        if cert is not None:
+            j = int(np.argmax(vl))
+            if near[j] and cert(Xl[j]) <= CERT_TOL:
+                X[idx], best[idx] = Xl, vl
+                return X, best
         taken = taken + up
         keep = np.where(up, taken < iters, (s >= 1e-12) & (flat < 2))
         if not keep.all():
@@ -478,14 +530,19 @@ def _rayleigh(rho, X):
 
 
 def optimize_top_eigenvector(rho, restarts: int = 50, rng=None):
-    """Projected gradient ascent of <x, rho x> over the unit sphere, at most 200 accepted steps per restart."""
+    """Projected gradient ascent of <x, rho x> over the unit sphere, at most 200 accepted steps per restart.
+
+    The call stops once its best restart is certified within CERT_TOL of
+    lambda_1 (``_shortfall_bound``).
+    """
     rho, X0 = _starts(rho, restarts, 1, "k", rng)
 
     def f(X):
         b, RX = _rayleigh(rho, X)
         return b[:, 0], RX
 
-    X, v = _ascend(X0, f, 200)
+    one = np.ones(1)
+    X, v = _ascend(X0, f, 200, lambda X: _shortfall_bound(rho, X, one))
     i = int(np.argmax(v))
     return X[i, :, 0], float(v[i])
 
@@ -498,7 +555,9 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
     along rho x_i times ``_ordered_scales(weights)[i]``; the ascent runs
     on the columns in falling order of these scales, the order in which
     the SVD retraction keeps the small columns most accurate, and returns
-    them in the order of the weights.
+    them in the order of the weights.  Weights that are all non-negative
+    stop the call once its best restart is certified within CERT_TOL of
+    the optimum (``_shortfall_bound``); signed weights get no certificate.
     """
     rho, X0 = _starts(rho, restarts, cols, "cols", rng)
     w = np.asarray(weights, dtype=np.float64)
@@ -515,7 +574,8 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
         b, RX = _rayleigh(rho, X)
         return b @ wp, RX * cp
 
-    X, v = _ascend(X0[:, :, p], f, 300)
+    cert = (lambda X: _shortfall_bound(rho, X, wp)) if np.all(w >= 0) else None  # wp falls
+    X, v = _ascend(X0[:, :, p], f, 300, cert)
     i = int(np.argmax(v))
     return X[i][:, np.argsort(p)], float(v[i])
 
@@ -532,7 +592,9 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
     during the ascent, or the direction would descend within the span.
     Each start's columns are first sorted by falling b, so that the
     scales mostly fall from the first column to the last, the order in
-    which the SVD retraction keeps the small columns most accurate.
+    which the SVD retraction keeps the small columns most accurate.  The
+    call stops once its best restart is certified within CERT_TOL of
+    sum_(i<=k) lambda_i^2 (``_shortfall_bound``).
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
     b0 = _rayleigh(rho, X0)[0]
@@ -544,7 +606,7 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
         rank = np.argsort(np.argsort(-b, axis=1, kind="stable"), axis=1)  # 0 for the largest b, the earlier column on a tie
         return np.sum(b * b, axis=1), RX * c[rank][:, None, :]
 
-    X, v = _ascend(X0, f, 300)
+    X, v = _ascend(X0, f, 300, lambda X: _shortfall_bound(rho, X))
     i = int(np.argmax(v))
     beta = _rayleigh(rho, X[i : i + 1])[0][0]  # the winner's Rayleigh quotients
     A = hermitian_part((X[i] * beta) @ X[i].conj().T)

@@ -338,6 +338,30 @@ class TestLevelSets:
         prop = make_property("eigvec-top", 2)
         assert find_level_set_witness(prop, 2, probes=50, rng=rng) is None
 
+    def test_a_search_evaluates_a_midpoint_only_where_the_pair_agrees(self):
+        # an elicitable property's pairs never agree, so each probe costs two evaluations, not three
+        base = make_property("eigvec-top", 3)
+        evals = []
+        prop = QuantumProperty(lambda rho: evals.append(1) or base.eval(rho), base.name)
+        assert find_level_set_witness(prop, 3, probes=20, rng=0) is None
+        assert len(evals) == 40
+
+    @pytest.mark.parametrize("name", ["eigenvalues", "max-eigenvalue", "entropy", "tsallis2", "norm2"])
+    def test_a_found_witness_is_what_level_set_witness_gives_its_pair(self, name):
+        # the search's draws, one probe after another, each pair judged by level_set_witness
+        from qelicit.linalg import random_unitary
+
+        prop = make_property(name, 3)
+        found = find_level_set_witness(prop, 3, probes=20, rng=7)
+        g = np.random.default_rng(7)
+        for _ in range(20):
+            rho1 = random_density(3, rng=g)
+            U = random_unitary(3, rng=g)
+            w = level_set_witness(prop, rho1, hermitian_part(U @ rho1 @ U.conj().T))
+            if w.is_counterexample:
+                break
+        assert found is not None and found.to_json() == w.to_json()
+
     @pytest.mark.parametrize("dim, probes, name", [(2, -5, "probes"), (2, 0, "probes"), (1, 10, "dim")])
     def test_search_that_tests_nothing_is_refused(self, dim, probes, name):
         # a None here would read as "no counterexample" without a single probe
@@ -509,9 +533,9 @@ class TestOptimizerArguments:
     def test_each_optimizer_ascends_with_its_fixed_step_budget(self, call, budget, monkeypatch):
         budgets = []
 
-        def ascend(X0, f, iters):
+        def ascend(X0, f, iters, cert=None):
             budgets.append(iters)
-            return _ascend(X0, f, iters)
+            return _ascend(X0, f, iters, cert)
 
         monkeypatch.setattr(properties, "_ascend", ascend)
         call(np.diag([0.6, 0.3, 0.1]))
@@ -703,8 +727,8 @@ class TestColumnOrderedAscent:
         # 4 of these 500 restarts at n = k = 3 more than 1e-9 short, whose quotients crossed during the ascent
         ends = []
 
-        def spy(X0, f, iters):
-            X, best = _ascend(X0, f, iters)
+        def spy(X0, f, iters, cert=None):
+            X, best = _ascend(X0, f, iters)  # without the certified stop, which leaves the losing restarts unconverged
             ends.append(best)
             return X, best
 
@@ -824,6 +848,138 @@ class TestAscentRetirement:
             Xr, best_r = _ascend(X0[r : r + 1], f, iters)
             np.testing.assert_array_equal(X[r], Xr[0])
             assert best[r] == best_r[0]
+
+
+def _ascent_of(call):
+    """The start stack, value-direction map and certificate with which ``call()`` ascends."""
+    seen = []
+
+    def spy(X0, f, iters, cert=None):
+        seen.append((X0, f, cert))
+        return _ascend(X0, f, iters, cert)
+
+    real, properties._ascend = properties._ascend, spy
+    try:
+        call()
+    finally:
+        properties._ascend = real
+    return seen[0]
+
+
+def _shortfalls(rho, frames, w):
+    """Each frame's distance below the optimum, from rho's spectrum: falling weights w, or the eigen pair's for None."""
+    lam = eigenvalues_desc(rho)[: frames.shape[-1]]
+    b = np.einsum("rij,ik,rkj->rj", frames.conj(), rho, frames).real
+    return lam @ lam - np.sum(b * b, axis=1) if w is None else w @ lam - b @ w
+
+
+def _random_stiefel_stack(n, k, count):
+    return np.linalg.qr(_complex_normal(np.random.default_rng(n * 10 + k), (count, n, k)))[0]
+
+
+class TestCertificate:
+    """_shortfall_bound reads an upper bound on a frame's shortfall from the frame alone, and a call stops on it."""
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["weighted_basis", "eigen_pair"])
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 9) for k in range(1, min(n, 3) + 1)])
+    def test_bound_covers_the_true_shortfall(self, n, k, pair):
+        # frames 1-5 accepted steps into the ascent and frames it ran to the end, without the stop
+        rho, w = random_density(n, rng=40 + n), np.arange(k, 0, -1.0)
+        if pair:
+            X0, f, _ = _ascent_of(lambda: optimize_eigen_pair(rho, k, restarts=10, rng=k))
+        else:
+            X0, f, _ = _ascent_of(lambda: optimize_weighted_basis(rho, w, k, restarts=10, rng=k))
+        w = None if pair else w
+        finite = 0  # frames 1-5 steps in that pass the gap test
+        for iters in (1, 2, 3, 4, 5, 300):
+            frames = _ascend(X0, f, iters)[0]
+            bounds = np.array([properties._shortfall_bound(rho, X, w) for X in frames])
+            short = _shortfalls(rho, frames, w)
+            assert np.all(bounds >= short - 1e-14), iters  # to rounding: eigenvalues of n <= 8 to a few eps, weights <= 3
+            finite += np.count_nonzero(np.isfinite(bounds)) if iters <= 5 else 0
+        assert bounds.max() <= 1e-12  # every frame of the finished ascent is certified
+        assert finite > 0 or n >= 7  # from n = 7 the gap test can fail on every frame 5 steps in
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_at_k_equal_n_the_bound_is_the_oracle_itself(self, n):
+        # R and C vanish at k = n: Theta's eigenvalues are rho's, so the certificate is the
+        # within-span shortfall against rho's own spectrum, the very oracle it stands in for
+        rho, w = random_density(n, rng=60 + n), np.arange(n, 0, -1.0)
+        frames = _random_stiefel_stack(n, n, 5)
+        for X, short in zip(frames, _shortfalls(rho, frames, w)):
+            assert properties._shortfall_bound(rho, X, w) == pytest.approx(short, abs=1e-14)
+        for X, short in zip(frames, _shortfalls(rho, frames, None)):
+            assert properties._shortfall_bound(rho, X) == pytest.approx(short, abs=1e-14)
+
+    @pytest.mark.parametrize("n, rank, k", [(3, 1, 2), (4, 2, 3), (4, 1, 4), (6, 3, 6)])
+    def test_rank_below_k_fails_the_gap_test(self, n, rank, k):
+        # mu_k(Theta) <= lambda_k(rho) = 0, so delta <= -|R|: no bound, even for a frame at the optimum
+        rho = random_density(n, rank=rank, rng=n)
+        X = spectral_decompose(rho).eigenvectors[:, :k]
+        for Y in (X, *_random_stiefel_stack(n, k, 3)):
+            assert properties._shortfall_bound(rho, Y, np.arange(k, 0, -1.0)) == np.inf
+            assert properties._shortfall_bound(rho, Y) == np.inf
+
+    def test_signed_weights_get_no_certificate(self):
+        # the (1, -1) call that stops 3.9e-6 short of its bound keeps its uncertified ascent, bit for bit
+        rho = random_density(8, rng=1138)
+        X0, f, cert = _ascent_of(lambda: optimize_weighted_basis(rho, [1, -1], 2, rng=2))
+        assert cert is None
+        X, value = optimize_weighted_basis(rho, [1, -1], 2, rng=2)
+        Xs, vs = _ascend(X0, f, 300)
+        np.testing.assert_array_equal(X, Xs[int(np.argmax(vs))])
+        assert value == float(vs.max())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_elicit_shaped_call_stops_on_its_certificate(self, n, monkeypatch):
+        # the calls of the elicit workload: top eigenvector, weights (2, 1), eigen pair k = 2, abstain
+        stops = []
+
+        def spy(X0, f, iters, cert=None):
+            last = []
+
+            def counted(X):
+                last.append(cert(X))
+                return last[-1]
+
+            out = _ascend(X0, f, iters, counted)
+            stops.append(bool(last) and last[-1] <= properties.CERT_TOL)
+            return out
+
+        monkeypatch.setattr(properties, "_ascend", spy)
+        for seed in range(10):
+            rho = random_density(n, rng=seed)
+            lam = eigenvalues_desc(rho)
+            for value, bound in (
+                (optimize_top_eigenvector(rho, rng=seed)[1], lam[0]),
+                (optimize_weighted_basis(rho, [2.0, 1.0], 2, rng=seed)[1], 2 * lam[0] + lam[1]),
+                (optimize_eigen_pair(rho, 2, rng=seed)[1], lam[:2] @ lam[:2]),
+                (optimize_abstain(abstain_score(0.05, n), rho, rng=seed)[1], lam[0]),
+            ):
+                assert -1e-15 <= bound - value <= properties.CERT_TOL + 1e-15, seed
+        assert stops == [True] * 40
+
+    def test_a_stopped_ascent_writes_back_every_live_restart(self):
+        # a certificate that always holds stops the call on the first pass on which the best
+        # restart gains at most 1e-9; each restart still returns the frame it holds and its value
+        from qelicit.properties import _random_stiefel
+
+        rho, w = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128), np.array([2.0, 1.0])
+        calls = []
+
+        def f(X):
+            calls.append(len(X))
+            RX = rho @ X
+            return np.einsum("rij,rij->rj", X.conj(), RX).real @ w, RX * w
+
+        X0 = _random_stiefel(12, 4, 2, np.random.default_rng(5))
+        X, best = _ascend(X0, f, 300, lambda X: 0.0)
+        stopped = len(calls)
+        np.testing.assert_array_equal(best, f(X)[0])
+        assert 2.0 * 0.4 + 0.3 - best.max() <= 1e-8
+        calls.clear()
+        _ascend(X0, f, 300)
+        assert stopped < len(calls)
 
 
 class TestWitnessEdges:

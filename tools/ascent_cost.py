@@ -8,9 +8,13 @@ five states ``random_density(n, rng=s)``, s = 1..5, it runs
 with 50 restarts at ``rng=0``, and prints per optimizer: the passes of
 the ascent (one per evaluation of the whole live stack after the first),
 the restart-passes (the live restarts summed over those passes), the
-best of three wall times in ms, and the largest shortfall from the
-eigenvalue bound over the five states.  Run it once per tree to compare
-them; the generator use is fixed, so both trees see the same starts.
+best of three wall times in ms, the largest shortfall from the
+eigenvalue bound over the five states, the calls that stopped on their
+certificate (a last evaluation at or below ``CERT_TOL``) and the
+certificate's evaluations over the five calls.  Run it once per tree to
+compare them; the generator use is fixed, so both trees see the same
+starts, and a tree whose optimizers pass no certificate reads 0 in both
+of the last columns.
 """
 
 from __future__ import annotations
@@ -25,14 +29,21 @@ from qelicit.linalg import eigenvalues_desc, random_density
 
 _ascend = properties._ascend
 _live: list[int] = []
+_certs: list[float] = []  # the certificate's values in the last call
 
 
-def _counting_ascend(X0, f, iters):
+def _counting_ascend(X0, f, iters, cert=None):
     def g(X):
         _live.append(len(X))
         return f(X)
 
-    return _ascend(X0, g, iters)
+    def counted(X):
+        _certs.append(cert(X))
+        return _certs[-1]
+
+    if cert is None:  # also a tree whose _ascend takes no certificate
+        return _ascend(X0, g, iters)
+    return _ascend(X0, g, iters, counted)
 
 
 def _run(name, n, k, rho):
@@ -45,16 +56,19 @@ def _run(name, n, k, rho):
 
 def main(cases):
     properties._ascend = _counting_ascend
-    print("n  k  optimizer       passes  restart-passes  ms      max shortfall")
+    print("n  k  optimizer       passes  restart-passes  ms      max shortfall  certified  cert evals")
     for n, k in cases:
         for name in ("weighted_basis", "eigen_pair"):
-            passes = restart_passes = ms = short = 0.0
+            passes = restart_passes = ms = short = certified = evals = 0.0
             for s in range(1, 6):
                 call, bound = _run(name, n, k, random_density(n, rng=s))
                 _live.clear()
+                _certs.clear()
                 value = call()
                 passes += len(_live) - 1
                 restart_passes += sum(_live[1:])
+                certified += bool(_certs) and _certs[-1] <= properties.CERT_TOL
+                evals += len(_certs)
                 times = []
                 for _ in range(3):
                     t = time.perf_counter()
@@ -62,7 +76,8 @@ def main(cases):
                     times.append(time.perf_counter() - t)
                 ms += 1e3 * min(times)
                 short = max(short, bound - value)
-            print(f"{n:<2d} {k:<2d} {name:15s} {passes:6.0f}  {restart_passes:14.0f}  {ms:7.1f}  {short:9.1e}")
+            print(f"{n:<2d} {k:<2d} {name:15s} {passes:6.0f}  {restart_passes:14.0f}  {ms:7.1f}  {short:9.1e}"
+                  f"      {certified:5.0f}  {evals:10.0f}")
 
 
 if __name__ == "__main__":
