@@ -411,8 +411,10 @@ def _shortfall_bound(rho, X, w=None) -> float:
     1998; Parlett, The Symmetric Eigenvalue Problem, 1998).  The bound is
     then w (mu + eps) - w diag(Theta) for weights w falling and
     non-negative, and sum (mu_i + eps)^2 - sum Theta_ii^2, the eigen pair's,
-    for ``w`` None; if delta <= 0 it is inf.  At k = n, R and C vanish and
-    the bound is the within-span shortfall against rho's own spectrum.
+    for ``w`` None; if delta <= 0 it is inf.  The bound adds 16 eps times
+    the first term for the rounding of its own evaluation.  At k = n, R and
+    C vanish and the bound is the within-span shortfall against rho's own
+    spectrum.
     """
     RX = rho @ X
     theta = X.conj().T @ RX  # eigvalsh reads its lower triangle
@@ -425,7 +427,8 @@ def _shortfall_bound(rho, X, w=None) -> float:
     if not delta > 0:
         return float("inf")
     top = mu + r2 / delta
-    return float(top @ top - b @ b if w is None else w @ top - w @ b)
+    reach = top @ top if w is None else w @ top  # the optimum is at most this
+    return float(reach - (b @ b if w is None else w @ b) + 16 * np.finfo(float).eps * reach)  # and its rounding
 
 
 def _ascend(X0, f, iters: int, cert=None):
