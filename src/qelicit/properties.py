@@ -406,14 +406,14 @@ def _shortfall_bound(rho, X, w=None) -> float:
     complement of X's span, lambda_max(C) <= min(|C|_F, tr rho - tr Theta),
     C being PSD, where |C|_F^2 = |rho|_F^2 - 2 |rho X|_F^2 + |Theta|_F^2.  If
     delta = mu_k(Theta) - lambda_max(C) - |R|_2 > 0, each of the top k
-    eigenvalues of rho is within eps = |R|_2^2 / delta of Theta's eigenvalue
+    eigenvalues of rho is within e = |R|_2^2 / delta of Theta's eigenvalue
     mu_i of the same rank (the quadratic residual bound: Mathias, SIMAX
     1998; Parlett, The Symmetric Eigenvalue Problem, 1998).  The bound is
-    then w (mu + eps) - w diag(Theta) for weights w falling and
-    non-negative, and sum (mu_i + eps)^2 - sum Theta_ii^2, the eigen pair's,
-    for ``w`` None; if delta <= 0 it is inf.  The bound adds 16 eps times
-    the first term for the rounding of its own evaluation.  At k = n, R and
-    C vanish and the bound is the within-span shortfall against rho's own
+    then w (mu + e) - w diag(Theta) for weights w falling and non-negative,
+    and sum (mu_i + e)^2 - sum Theta_ii^2, the eigen pair's, for ``w``
+    None; if delta <= 0 it is inf.  It adds 16 machine epsilons times its
+    first term for the rounding of its own evaluation.  At k = n, R and C
+    vanish and the bound is the within-span shortfall against rho's own
     spectrum.
     """
     RX = rho @ X
