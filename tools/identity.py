@@ -6,11 +6,13 @@ Run it once per tree and diff the listings:
     diff a.txt b.txt
 
 Each line is ``<label> <sha256>``.  The outputs are the registry verdict
-reports, the classical properness and permutation checks, the expected
-scores of every registry score, the dimension-mismatch messages, the
-exit code and stdout of the ``paper-examples``, ``verify`` and
-``witness`` subcommands (a JSON stdout as its parsed content, re-encoded
-with sorted keys), the extended inner products of ``matrix_log``
+reports, the classical properness checks (each strict report, and the
+weak verdict it holds: no gain and no irregular trial, with its counts
+less the ties), the permutation checks, the expected scores of every
+registry score, the dimension-mismatch messages, the exit code and
+stdout of the ``paper-examples``, ``verify`` and ``witness``
+subcommands (a JSON stdout as its parsed content, re-encoded with
+sorted keys), the extended inner products of ``matrix_log``
 and of every registry ``QuantumScore``'s coefficient, three zero-mass
 edge cases of ``ext_inner``, what the four property optimizers return
 at one state for seeds 0-2, the von Neumann and relative entropies of
@@ -19,7 +21,9 @@ registry ``QuantumScore``'s measurement elements and payoff vector at
 each seeded state, ``spectral_decompose`` of states with exact
 eigenvalue ties, alone and in a stack, what every entry point that
 takes a count or a dimension makes of 2.5, ``True``, ``"3"``, the
-integer just below its floor and ``np.int64`` of a valid value, and the
+integer just below its floor and ``np.int64`` of a valid value, the
+weight vectors that the frame scores refuse (empty, all zero, a sign out
+of place), whose column counts come from their weights, and the
 tomographic reduction: completeness, the map's matrix and pseudoinverse,
 and its ``reconstruct``, ``adjoint`` and ``pinv_adjoint`` of seeded
 inputs for ``canonical_complete(1..4)``, ``standard_pvm(3)`` and a POVM
@@ -33,7 +37,7 @@ code); ``lmsr_cost``, ``maker_loss`` and ``conjugacy_gap`` of seeded
 share matrices at n = 2, 4 and 8; and the JSON of ``run_verify`` and
 ``run_witness`` given a numpy integer seed.  Last of all, the tolerance
 keywords of the checks, of ``ext_dot`` and of ``approx_equal``: one call
-per keyword, passing its default value; the two strict checks that a
+per keyword, passing its default value; the two checks that a
 larger ``margin`` fails with ties between distinct reports; and
 ``ext_dot`` of a weight of 1e-13 on -inf.  Then the knobs that became
 constants: one call per optimizer ``iters``, ``level_set_witness``'s
@@ -100,12 +104,21 @@ def verify_reports() -> None:
             emit(f"run_verify {name} seed={seed}", json.dumps(run_verify(name, [2, 3, 4], 400, seed), sort_keys=True))
 
 
+def weak_listing(report) -> str:
+    # the weak verdict a strict report holds (no gain and no irregular trial), its counts without the ties and its max_gap
+    counts = {kind: c for kind, c in report.kind_counts.items() if kind != "tie"}
+    weak = {"passed": not (counts.get("gain") or counts.get("irregular")), "kind_counts": counts,
+            "max_gap": report.to_json()["max_gap"]}
+    return json.dumps(weak, sort_keys=True)
+
+
 def classical_checks() -> None:
     rules = {"brier": q.brier_rule(), "log": q.log_rule(), "linear": q.linear_rule()}
     for name, rule in rules.items():
         for n in (2, 3, 4):
-            for mode in ("weak", "strict"):
-                emit(f"properness {name} n={n} {mode}", json.dumps(q.properness_check(rule, 300, n, rng=11, mode=mode).to_json(), sort_keys=True))
+            report = q.properness_check(rule, 300, n, rng=11)
+            emit(f"properness {name} n={n} weak", weak_listing(report))
+            emit(f"properness {name} n={n} strict", json.dumps(report.to_json(), sort_keys=True))
     weighted = q.ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="weighted")
     for name, rule in {**rules, "weighted": weighted}.items():
         for n in (2, 3, 4):
@@ -298,9 +311,6 @@ def count_arguments() -> None:
         "optimize_weighted_basis cols": (lambda x: listed(optimize_weighted_basis(rho, [2.0, 1.0], x, rng=0)), 1, 2),
         "optimize_eigen_pair k": (lambda x: listed(optimize_eigen_pair(rho, x, rng=0)), 1, 2),
         "eigen_pair_score k": (lambda x: q.eigen_pair_score(x).expected(q.random_density(3, rank=2, rng=7), rho), 1, 2),
-        "top_k_eigenvector_score k": (lambda x: q.top_k_eigenvector_score(x, [2.0, 1.0]).expected(frame[:, :2], rho), 1, 2),
-        "top_bottom_score k": (lambda x: q.top_bottom_score(x, 1, [1.0, 0.0, -1.0]).expected(frame[:, :2], rho), 0, 1),
-        "top_bottom_score m": (lambda x: q.top_bottom_score(1, x, [1.0, 0.0, -1.0]).expected(frame[:, :2], rho), 0, 1),
         "abstain_score dim": (lambda x: q.abstain_score(0.7, x).expected(None, rho), 1, 3),
         "MarketState dim": (lambda x: q.MarketState(x).price().tolist(), 1, 3),
         "wagering_payoffs outcome": (lambda x: q.wagering_payoffs(wager, "realized", outcome=x).tolist(), 0, 1),
@@ -319,6 +329,18 @@ def count_arguments() -> None:
     for label, (call, floor, valid) in rows.items():
         values = [outcome(call, x) for x in (2.5, True, "3", floor - 1, np.int64(valid))]
         emit(f"count {label}", "\n".join(values))
+
+
+def frame_weights() -> None:
+    # weight vectors that the frame scores refuse, whose column counts are read off their weights
+    cases = {
+        "empty": ([], []),
+        "all zero": ([0.0, 0.0], [0.0, 0.0, 0.0]),
+        "sign out of place": ([2.0, -1.0], [-1.0, 0.0, 1.0]),
+    }
+    for label, (top_k, top_bottom) in cases.items():
+        emit(f"frame weights {label}",
+             f"{outcome(q.top_k_eigenvector_score, top_k)}\n{outcome(q.top_bottom_score, top_bottom)}")
 
 
 def cli_run(argv, stderr: bool = False) -> str:
@@ -386,10 +408,9 @@ def tolerance_keywords() -> None:
         emit(f"keyword {label}", outcome(call))
     # strictly proper scores that a margin above the samplers' near-tie band fails with ties
     emit("properness_check brier n=3 trials=20000 margin=1e-5", outcome(
-        lambda: q.properness_check(brier, 20000, 3, rng=0, mode="strict", margin=1e-5).to_json()))
+        lambda: q.properness_check(brier, 20000, 3, rng=0, margin=1e-5).to_json()))
     emit("truthfulness_check projective-brier trials=8000 margin=1e-6", outcome(
-        lambda: q.truthfulness_check(make_score("projective-brier", 2), 8000, dims=(2, 3), rng=0, mode="strict",
-                                     margin=1e-6).to_json()))
+        lambda: q.truthfulness_check(make_score("projective-brier", 2), 8000, dims=(2, 3), rng=0, margin=1e-6).to_json()))
     emit("ext_dot weight 1e-13 on -inf", outcome(q.ext_dot, [1e-13, 1.0], [q.NEG_INF, 3.0]))
 
 
@@ -483,6 +504,7 @@ if __name__ == "__main__":
     payoffs()
     tied_decompositions()
     count_arguments()
+    frame_weights()
     tomography()
     markets()
     tolerance_keywords()
