@@ -41,9 +41,11 @@ print("\nlog spectral, honest:   ", expected_score(L, truth, truth))
 print("log spectral, pure lie: ", expected_score(L, pure_lie, truth))
 
 # Sampled verification: honest reports win against random and adversarial
-# alternatives, strictly.
-report = truthfulness_check(S, 2000, dims=(2, 3), rng=0, mode="strict")
+# alternatives.  One run gives both verdicts: `passed` is strict (no
+# misreport gains or ties), `weakly_passed` is plain truthfulness (none gains).
+report = truthfulness_check(S, 2000, dims=(2, 3), rng=0)
 print("\nbinary Brier strict truthfulness:", report.verdict)
+print("binary Brier truthfulness:", report.weakly_passed)
 
 # The trace score <report, truth> looks reasonable but is gameable: claim
 # full weight on the top eigenvector and beat the honest report.
@@ -52,4 +54,5 @@ belief = np.diag([0.6, 0.4]).astype(complex)
 exaggerate = np.diag([1.0, 0.0]).astype(complex)
 print("\ntrace score, honest:    ", expected_score(s3, belief, belief))
 print("trace score, exaggerate:", expected_score(s3, exaggerate, belief))
-print("trace score verdict:", truthfulness_check(s3, 500, dims=(2,), rng=1, mode="weak").verdict)
+report = truthfulness_check(s3, 500, dims=(2,), rng=1)
+print("trace score truthfulness:", report.weakly_passed, report.kind_counts)

@@ -37,11 +37,12 @@ print("spectrum:", lam)
 x, value = optimize_top_eigenvector(rho, restarts=25, rng=rng)
 print("\nbest single-direction value:", value, "(top eigenvalue)", lam[0])
 
-# Strictly decreasing payoffs elicit the top-k frame in order.
+# Strictly decreasing payoffs elicit the top-k frame in order; k is the
+# number of weights.
 weights = np.array([2.0, 1.0])
 X, value = optimize_weighted_basis(rho, weights, 2, restarts=25, rng=rng)
 print("best weighted-frame value:", value, "(2 l1 + l2)", weights @ lam[:2])
-print("frame score at report:", top_k_eigenvector_score(2, weights).expected(X, rho))
+print("frame score at report:", top_k_eigenvector_score(weights).expected(X, rho))
 
 # Reporting a rank-k PSD matrix elicits eigenvalues and vectors together.
 A, value = optimize_eigen_pair(rho, 2, restarts=25, rng=rng)

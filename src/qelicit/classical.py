@@ -37,13 +37,13 @@ __all__ = [
 
 PROB_CLIP = 1e-12        # negative entries in [-PROB_CLIP, 0) are clipped to 0
 PROB_ZERO_TOL = EXT_WEIGHT_TOL  # probabilities at or below this count as zero
-PROPERNESS_MARGIN = 1e-9
+PROPERNESS_MARGIN = 1e-9  # a gain above this is a violation; a gap within it, between distinct reports, a tie
 DISTINCT_TOL = 1e-6      # reports farther apart than this count as distinct
 
 
 def _near_tie(d) -> np.ndarray:
     # reports in (DISTINCT_TOL, 1e-4) are distinct by distance yet, for quadratic scores,
-    # tie within PROPERNESS_MARGIN or TRUTH_MARGIN (up to sqrt(1e-9)); samplers redraw them
+    # tie within PROPERNESS_MARGIN (up to sqrt(1e-9)); samplers redraw them
     return (DISTINCT_TOL < d) & (d < 1e-4)
 
 
@@ -229,21 +229,18 @@ def properness_check(
     trials: int,
     dim: int,
     rng=None,
-    mode: str = "strict",
 ) -> ScoreReport:
     """Sample (belief, report) pairs and flag properness failures.
 
-    Flags a truthful expected score that is not finite as
-    ``irregular`` and expected-score gains above PROPERNESS_MARGIN; in
-    strict mode also flags ties (within PROPERNESS_MARGIN) between
-    reports farther apart than DISTINCT_TOL.  Each side of a block of
-    trials is paid in one call, so the rule must pay each row of a stack
-    as it pays that row alone.
+    Flags a truthful expected score that is not finite as ``irregular``,
+    gains above PROPERNESS_MARGIN, and ties within it between reports
+    farther apart than DISTINCT_TOL: ``passed`` is strict properness and
+    ``weakly_passed`` properness.  Each side of a block of trials is paid
+    in one call, so the rule must pay each row of a stack as it pays that
+    row alone.
     """
-    if mode not in ("weak", "strict"):
-        raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
     _require_row_wise(rule, _count(dim, "dim", 2))
-    report = ScoreReport(rule.name or "rule", mode, trials, (dim,))
+    report = ScoreReport(rule.name or "rule", "strict", trials, (dim,))
 
     def draw(dim, trials, rows, spare):
         D, u = rows
@@ -255,7 +252,7 @@ def properness_check(
         P = _clean_rows(beliefs)
         truthful, other = (ext_dot(P, _rule_values(rule, Q)) for Q in (beliefs, reports))
         distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
-        return _classify(truthful, other, distinct, PROPERNESS_MARGIN, mode == "strict")
+        return _classify(truthful, other, distinct, PROPERNESS_MARGIN)
 
     return run_trials(report, _rows, draw, score, _encode_distributions, rng)
 

@@ -144,14 +144,13 @@ class ExtendedHermitian:
 
         On the infinite part's range the value stays -inf (adding a
         finite constant to -inf changes nothing), so the identity is
-        compressed onto the complement before adding; (I - P) B = 0
-        keeps the parts annihilating, so the result is not re-checked.
+        compressed onto the complement before adding (a zero infinite part
+        has no range, so no decomposition); (I - P) B = 0 keeps the parts
+        annihilating, so the result is not re-checked.
         """
         if not np.isfinite(c):
             raise ValueError(f"c must be finite, got {c}")
-        comp = np.eye(self.dim)
-        if self.infinite_part.any():
-            comp = comp - range_projector(self.infinite_part)
+        comp = np.eye(self.dim) - range_projector(self.infinite_part)
         return ExtendedHermitian._unchecked(hermitian_part(self.finite_part + c * comp), self.infinite_part)
 
 

@@ -224,7 +224,7 @@ def _coords(X: np.ndarray) -> np.ndarray:
 
 def is_tomographically_complete(mu: Measurement) -> bool:
     """True iff the elements span the real space of Hermitian matrices: rank n^2 at COMPLETENESS_RTOL."""
-    return int(np.linalg.matrix_rank(_coords(mu.elements), rtol=COMPLETENESS_RTOL)) == mu.dim**2
+    return tomographic_map(mu).rank == mu.dim**2
 
 
 def canonical_complete(n: int) -> Measurement:
@@ -249,20 +249,21 @@ class TomographicMap:
     """The linear map from states to outcome probabilities, with pseudoinverse.
 
     ``matrix`` has one row per outcome holding the real coordinates of
-    that element; ``pinv`` is its Moore-Penrose pseudoinverse, cut at
-    COMPLETENESS_RTOL, the rank rule of ``is_tomographically_complete``.
-    So ``pinv @ matrix`` is the identity on Hermitian coordinates exactly
-    when the measurement is complete, and then ``reconstruct`` inverts
-    ``probs``.  These three maps translate between the two settings: a
-    property of states is one of outcome laws through ``reconstruct``, an
-    outcome-space identification function v pulls back to states as
-    ``adjoint(v)``, and a state-space one V pushes to outcomes as
-    ``pinv_adjoint(V)``.
+    that element; ``pinv`` is its Moore-Penrose pseudoinverse and ``rank``
+    its rank, both cut at COMPLETENESS_RTOL, and a complete measurement
+    has rank n^2.  So ``pinv @ matrix`` is the identity on Hermitian
+    coordinates exactly when the measurement is complete, and then
+    ``reconstruct`` inverts ``probs``.  These three maps translate between
+    the two settings: a property of states is one of outcome laws through
+    ``reconstruct``, an outcome-space identification function v pulls back
+    to states as ``adjoint(v)``, and a state-space one V pushes to
+    outcomes as ``pinv_adjoint(V)``.
     """
 
     measurement: Measurement
     matrix: np.ndarray
     pinv: np.ndarray
+    rank: int
 
     @property
     def dim(self) -> int:
@@ -295,5 +296,9 @@ class TomographicMap:
 
 
 def tomographic_map(mu: Measurement) -> TomographicMap:
+    """The map of ``mu``, with its pseudoinverse and rank from one SVD, cut as ``np.linalg.pinv`` cuts."""
     phi = _coords(mu.elements)
-    return TomographicMap(mu, phi, np.linalg.pinv(phi, rtol=COMPLETENESS_RTOL))
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    large = s > COMPLETENESS_RTOL * s.max()
+    inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    return TomographicMap(mu, phi, vt.T @ (inv[:, None] * u.T), int(large.sum()))

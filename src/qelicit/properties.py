@@ -77,12 +77,12 @@ def _as_unit_vector(x) -> np.ndarray:
     return x / norm
 
 
-def _as_orthonormal(X, cols: int | None = None) -> np.ndarray:
-    """Validate near-orthonormal columns and re-orthonormalize (polar)."""
+def _as_orthonormal(X, cols: int) -> np.ndarray:
+    """Validate ``cols`` near-orthonormal columns and re-orthonormalize (polar)."""
     X = np.asarray(X, dtype=np.complex128)
     if X.ndim != 2:
         raise ValueError(f"report must be a matrix of column vectors, got shape {X.shape}")
-    if cols is not None and X.shape[1] != cols:
+    if X.shape[1] != cols:
         raise ValueError(f"expected {cols} report vectors, got {X.shape[1]}")
     gram = X.conj().T @ X
     dev = float(np.abs(gram - np.eye(X.shape[1])).max())
@@ -138,51 +138,49 @@ def top_eigenvector_score() -> QuantumScore:
     return QuantumScore(payoff, name="eigvec-top")
 
 
-def top_k_eigenvector_score(k: int, v) -> QuantumScore:
-    """Elicits k orthonormal top eigenvectors with strictly decreasing payoffs.
+def top_k_eigenvector_score(v) -> QuantumScore:
+    """Elicits k = len(v) orthonormal top eigenvectors with strictly decreasing payoffs v.
 
     Reports are n x k column matrices; the expected score is
     <sum_i v_i x_i x_i*, rho>, maximized exactly at top-k eigenvector
     tuples because sorted-spectrum pairing is the only way to reach the
     eigenvalue upper bound.
     """
-    _count(k, "k", 1)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (k,) or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
-        raise ValueError("weights must be strictly decreasing and positive")
+    if v.ndim != 1 or not v.size or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
+        raise ValueError(f"weights must be a non-empty vector, strictly decreasing and positive, got {v.tolist()!r}")
 
     def payoff(X):
-        return _frame_payoff(_as_orthonormal(X, cols=k), v)
+        return _frame_payoff(_as_orthonormal(X, len(v)), v)
 
     return QuantumScore(payoff, name="eigvec-topk")
 
 
-def top_bottom_score(k: int, m: int, v) -> QuantumScore:
+def top_bottom_score(v) -> QuantumScore:
     """Elicits the k top and m bottom eigenvectors simultaneously.
 
     The weight vector v has length n: k strictly decreasing positive
-    entries, then zeros, then m strictly decreasing negative entries.
-    Reports supply k + m orthonormal columns (top block first).  The
-    measurement projects onto each column, paying its weight, and onto
-    the rest of the space, paying the middle's zero, so it has k + m + 1
-    outcomes and no completion of the basis is chosen.
+    entries, then zeros, then m strictly decreasing negative entries, so
+    k and m are the numbers of its positive and negative weights, and
+    k + m must be at least 1.  Reports supply k + m orthonormal columns
+    (top block first).  The measurement projects onto each column, paying
+    its weight, and onto the rest of the space, paying the middle's zero,
+    so it has k + m + 1 outcomes and no completion of the basis is chosen.
     """
-    _count(k, "k", 0)
-    _count(m, "m", 0)
     v = np.asarray(v, dtype=np.float64)
-    n = len(v)
-    if not 1 <= k + m <= n:
-        raise ValueError(f"invalid counts k={k}, m={m} for {n} weights: need 1 <= k + m <= {n}")
+    n, k, m = v.size, int(np.sum(v > 0)), int(np.sum(v < 0))
+    if v.ndim != 1 or not k + m:
+        raise ValueError(f"weights must be a vector with a nonzero entry, got {v.tolist()!r}")
     top, mid, bot = v[:k], v[k : n - m], v[n - m :]
-    if k and not (np.all(top > 0) and np.all(np.diff(top) < 0)):
+    if not (np.all(top > 0) and np.all(np.diff(top) < 0)):
         raise ValueError("top weights must be strictly decreasing and positive")
     if np.any(mid != 0):
         raise ValueError("middle weights must be exactly zero")
-    if m and not (np.all(bot < 0) and np.all(np.diff(bot) < 0)):
+    if not (np.all(bot < 0) and np.all(np.diff(bot) < 0)):
         raise ValueError("bottom weights must be strictly decreasing and negative")
 
     def payoff(X):
-        X = _as_orthonormal(X, cols=k + m)
+        X = _as_orthonormal(X, k + m)
         if X.shape[0] != n:
             raise ValueError(f"report vectors have dimension {X.shape[0]}, expected {n}")
         return _frame_payoff(X, np.concatenate([top, bot]))

@@ -56,6 +56,11 @@ class ScoreReport:
         return self.n_violations == 0
 
     @property
+    def weakly_passed(self) -> bool:
+        """No ``gain`` and no ``irregular`` trial: the weak verdict of a check whose ``passed`` also counts ties."""
+        return not (self.kind_counts.get("gain") or self.kind_counts.get("irregular"))
+
+    @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
@@ -161,21 +166,21 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
     return report
 
 
-def _classify(truthful, other, distinct, margin: float, strict: bool):
+def _classify(truthful, other, distinct, margin: float):
     """``(gaps, kinds, values)`` of reports against the truth, one entry per trial.
 
     A truthful expected score that is not finite, or a NaN on either side,
     is ``irregular``, with gap -inf and the NaN (else the truthful value)
     stored.  Otherwise the gap is ``other - truthful`` (-inf when
-    ``other`` is): above ``margin`` it is a ``gain``, and in strict mode a
-    finite gap within ``margin`` is a ``tie`` where ``distinct`` holds.
-    Other trials get kind "".
+    ``other`` is): above ``margin`` it is a ``gain``, and a finite gap
+    within ``margin`` is a ``tie`` where ``distinct`` holds.  Other trials
+    get kind "".
     """
     truthful, other = np.asarray(truthful, dtype=np.float64), np.asarray(other, dtype=np.float64)
     irregular = ~np.isfinite(truthful) | np.isnan(other)
     with np.errstate(invalid="ignore"):
         gaps = np.where(irregular | ~(other > -math.inf), -math.inf, other - truthful)
     gain = gaps > margin
-    tie = strict & np.isfinite(gaps) & (np.abs(gaps) <= margin) & distinct
+    tie = np.isfinite(gaps) & (np.abs(gaps) <= margin) & distinct
     kinds = np.select([irregular, gain, tie], ["irregular", "gain", "tie"], "")
     return gaps, kinds, np.where(irregular, np.where(np.isnan(other), other, truthful), gaps)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .classical import (
     DISTINCT_TOL,
+    PROPERNESS_MARGIN,
     ClassicalScoringRule,
     _bregman_rule,
     _check_convex,
@@ -54,7 +55,6 @@ from .measurement import (
     Measurement,
     _basis_pvm,
     _Bases,
-    is_tomographically_complete,
     tomographic_map,
 )
 from .reports import ScoreReport, _classify, run_trials
@@ -90,7 +90,7 @@ __all__ = [
     "projective_expression",
 ]
 
-TRUTH_MARGIN = 1e-9   # expected-score gain above this flags a truthfulness violation
+TRUTH_MARGIN = PROPERNESS_MARGIN  # expected-score gain above this flags a truthfulness violation
 EQUIV_TOL = 1e-8      # expected-score difference allowed between equivalent scores
 FULL_RANK_TOL = 1e-8  # smallest eigenvalue for "full rank" report domains
 
@@ -521,9 +521,9 @@ def fixed_meas_expression(S: QuantumScore, mu: Measurement) -> QuantumScore:
     Raises on an ``ExpectedScoreFn``, an incomplete measurement or a score that takes -inf.
     """
     _measured(S)
-    if not is_tomographically_complete(mu):
-        raise ValueError("fixed-measurement expression needs a tomographically complete POVM")
     tmap = tomographic_map(mu)
+    if tmap.rank != mu.dim**2:
+        raise ValueError("fixed-measurement expression needs a tomographically complete POVM")
 
     def payoff(rho_p):
         E = score_coefficient(S, rho_p)
@@ -640,26 +640,23 @@ def truthfulness_check(
     trials: int,
     dims=(2, 3, 4),
     rng=None,
-    mode: str = "strict",
 ) -> ScoreReport:
     """Probe S(report; belief) <= S(belief; belief) by sampling.
 
     Beliefs mix full-rank and rank-deficient states; reports cycle
     through random states and targeted adversaries (eigenvalue
     permutations, single-eigenvector mass, spectrum-preserving
-    rotations).  Weak mode flags gains above TRUTH_MARGIN; strict mode
-    additionally flags ties within it between states farther apart than
-    DISTINCT_TOL.  ``S`` is a ``QuantumScore`` or an ``ExpectedScoreFn``;
-    trials are scored in stacks.
+    rotations).  Flags gains above TRUTH_MARGIN and ties within it between
+    states farther apart than DISTINCT_TOL: ``passed`` is strict
+    truthfulness and ``weakly_passed`` truthfulness.  ``S`` is a
+    ``QuantumScore`` or an ``ExpectedScoreFn``; trials are scored in stacks.
     """
-    if mode not in ("weak", "strict"):
-        raise ValueError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    report = ScoreReport(getattr(S, "name", "score"), mode, trials, tuple(dims))
+    report = ScoreReport(getattr(S, "name", "score"), "strict", trials, tuple(dims))
 
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
-        return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL, TRUTH_MARGIN, mode == "strict")
+        return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL, TRUTH_MARGIN)
 
     return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
 

@@ -43,6 +43,7 @@ from qelicit.measurement import (
 )
 from qelicit.properties import (
     ABSTAIN,
+    _shortfall_bound,
     abstain_score,
     eigen_pair_score,
     find_level_set_witness,
@@ -97,12 +98,12 @@ def test_criterion_02_classical_properness():
     with criterion(2, "brier/log strictly proper, linear score fails", 10.0):
         for rule in (brier_rule(), log_rule()):
             for dim in (2, 3, 4, 5, 6):
-                report = properness_check(rule, 2000, dim, rng=dim, mode="strict")
+                report = properness_check(rule, 2000, dim, rng=dim)
                 assert report.passed, (rule.name, dim, report.violations[:2])
-        failing = properness_check(linear_rule(), 2000, 3, rng=0, mode="weak")
-        assert not failing.passed
+        failing = properness_check(linear_rule(), 2000, 3, rng=0)
+        assert not failing.weakly_passed
         recorded = failing.violations[0]
-        assert recorded["gap"] > 1e-9
+        assert recorded["kind"] == "gain" and recorded["gap"] > 1e-9
         assert "belief" in recorded and "report" in recorded
 
 
@@ -117,13 +118,13 @@ def test_criterion_03_quantum_truthfulness_suite():
             make_score("ml:s2", 2),
         ]
         for S in generic:
-            report = truthfulness_check(S, 10_000, dims=(2, 3, 4), rng=41, mode="strict")
+            report = truthfulness_check(S, 10_000, dims=(2, 3, 4), rng=41)
             assert report.passed, (S.name, report.violations[:2])
         # fixed-measurement scores are dimension-specific
         for name in ("fixed:brier", "fixed:log"):
             for dim in (2, 3, 4):
                 S = make_score(name, dim)
-                report = truthfulness_check(S, 3334, dims=(dim,), rng=42 + dim, mode="strict")
+                report = truthfulness_check(S, 3334, dims=(dim,), rng=42 + dim)
                 assert report.passed, (name, dim, report.violations[:2])
 
         ml = ml_scores()
@@ -134,8 +135,8 @@ def test_criterion_03_quantum_truthfulness_suite():
         assert expected_score(ml["s3"], belief, belief) == pytest.approx(0.52, abs=1e-12)
         assert expected_score(ml["s3"], lie, belief) == pytest.approx(0.6, abs=1e-12)
         for key in ("s3", "s4", "s5"):
-            report = truthfulness_check(ml[key], 2000, dims=(2, 3), rng=43, mode="weak")
-            assert not report.passed, key
+            report = truthfulness_check(ml[key], 2000, dims=(2, 3), rng=43)
+            assert not report.weakly_passed and report.kind_counts["gain"] > 0, key
             gap = expected_score(ml[key], lie, belief) - expected_score(ml[key], belief, belief)
             assert gap > 1e-9, key
 
@@ -227,7 +228,7 @@ def test_criterion_08_property_elicitation():
         rng = np.random.default_rng(50)
         top_score = top_eigenvector_score()
         topk_weights = np.array([2.0, 1.0])
-        topk_score = top_k_eigenvector_score(2, topk_weights)
+        topk_score = top_k_eigenvector_score(topk_weights)
         pair_score = eigen_pair_score(2)
         value_score = with_value(top_score, lambda a: a * a, lambda a: 2 * a)
         for i in range(100):
@@ -235,19 +236,23 @@ def test_criterion_08_property_elicitation():
             rho = random_density(dim, rng=rng)
             lam = eigenvalues_desc(rho)
 
+            # each answer's certificate (inf when its gap test fails) is at or above its true shortfall
             x, val = optimize_top_eigenvector(rho, restarts=50, rng=rng)
             assert abs(val - lam[0]) <= 1e-5
             assert abs(top_score.expected(x, rho) - lam[0]) <= 1e-5
+            assert _shortfall_bound(rho, x[:, None], np.ones(1)) >= lam[0] - val
 
             if dim >= 2:
                 X, val = optimize_weighted_basis(rho, topk_weights, 2, restarts=50, rng=rng)
                 assert abs(val - topk_weights @ lam[:2]) <= 1e-5
                 assert abs(topk_score.expected(X, rho) - topk_weights @ lam[:2]) <= 1e-5
+                assert _shortfall_bound(rho, X, topk_weights) >= topk_weights @ lam[:2] - val
 
                 A, val = optimize_eigen_pair(rho, 2, restarts=50, rng=rng)
                 target = lam[:2] @ lam[:2]
                 assert abs(val - target) <= 1e-5
                 assert abs(pair_score.expected(A, rho) - target) <= 1e-5
+                assert _shortfall_bound(rho, spectral_decompose(A).eigenvectors[:, :2]) >= target - val  # A's frame
 
             alpha = top_score.expected(x, rho)  # the augmented report attaches the achieved expected score
             assert abs(alpha - lam[0]) <= 1e-5

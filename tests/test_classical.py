@@ -125,19 +125,20 @@ class TestFromConvex:
 class TestPropernessCheck:
     def test_brier_passes_strict(self):
         for dim in (2, 4, 6):
-            report = properness_check(brier_rule(), 2000, dim, rng=7, mode="strict")
+            report = properness_check(brier_rule(), 2000, dim, rng=7)
             assert report.passed, report.violations[:2]
 
     def test_log_passes_strict(self):
         for dim in (2, 4, 6):
-            report = properness_check(log_rule(), 2000, dim, rng=8, mode="strict")
+            report = properness_check(log_rule(), 2000, dim, rng=8)
             assert report.passed, report.violations[:2]
 
     def test_linear_rule_fails_with_counterexample(self):
-        report = properness_check(linear_rule(), 500, 3, rng=9, mode="weak")
-        assert not report.passed
+        report = properness_check(linear_rule(), 500, 3, rng=9)
+        assert not report.weakly_passed and report.kind_counts["gain"] > 0
         assert report.max_gap > 0
         v = report.violations[0]
+        assert v["kind"] == "gain"
         p = np.array(v["belief"])
         q = np.array(v["report"])
         # replay the recorded counterexample
@@ -151,24 +152,23 @@ class TestPropernessCheck:
         from qelicit.classical import ClassicalScoringRule
 
         const = ClassicalScoringRule(lambda p: np.ones(np.shape(p)), name="const")
-        assert properness_check(const, 300, 3, rng=10, mode="weak").passed
-        strict = properness_check(const, 300, 3, rng=10, mode="strict")
-        assert not strict.passed
-        assert strict.kind_counts.get("tie", 0) > 0
+        report = properness_check(const, 300, 3, rng=10)
+        assert report.weakly_passed
+        assert not report.passed
+        assert report.kind_counts.get("tie", 0) > 0
 
     def test_neg_inf_self_score_is_irregular(self):
         # a rule paying -inf everywhere has no finite truthful score to beat
         from qelicit.classical import ClassicalScoringRule
 
         doomed = ClassicalScoringRule(lambda p: np.full(np.shape(p), NEG_INF), name="doomed")
-        report = properness_check(doomed, 200, 3, rng=1, mode="strict")
-        assert not report.passed
+        report = properness_check(doomed, 200, 3, rng=1)
+        assert not report.passed and not report.weakly_passed
         assert report.kind_counts == {"irregular": 200}
         assert report.violations[0]["gap"] == NEG_INF
 
-    @pytest.mark.parametrize("mode", ["weak", "strict"])
     @pytest.mark.parametrize("name", ["brier", "log", "linear", "const", "doomed"])
-    def test_block_scoring_matches_a_per_trial_reference(self, monkeypatch, name, mode):
+    def test_block_scoring_matches_a_per_trial_reference(self, monkeypatch, name):
         # each block is scored with one pairing per side; a per-trial expected_classical
         # on the same draws must give the same gaps, kinds and values, bit for bit
         rule = {
@@ -182,7 +182,7 @@ class TestPropernessCheck:
             truthful = [expected_classical(rule, p, p) for p in beliefs]
             other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
             distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
-            return _classify(truthful, other, distinct, PROPERNESS_MARGIN, mode == "strict")
+            return _classify(truthful, other, distinct, PROPERNESS_MARGIN)
 
         scored, real = [], classical.run_trials
 
@@ -198,7 +198,7 @@ class TestPropernessCheck:
 
         monkeypatch.setattr(classical, "run_trials", spy)
         for dim in (2, 3, 4):
-            properness_check(rule, 300, dim, rng=11, mode=mode)
+            properness_check(rule, 300, dim, rng=11)
         assert sum(scored) == 900
 
     def test_convex_battery_yields_proper_rules(self, rng):
@@ -222,7 +222,7 @@ class TestPropernessCheck:
             ),
         ]
         for rule in battery:
-            assert properness_check(rule, 800, 3, rng=14, mode="weak").passed
+            assert properness_check(rule, 800, 3, rng=14).weakly_passed
 
 
 class TestPermutationInvariance:
@@ -259,10 +259,9 @@ class TestRuleContract:
     # a rule pays along the last axis; one that takes a single report is refused by name
     ONE_D = ClassicalScoringRule(lambda p: np.ones(len(p)), name="one-d")
 
-    @pytest.mark.parametrize("mode", ["weak", "strict"])
-    def test_properness_check_refuses_a_one_report_rule(self, mode):
+    def test_properness_check_refuses_a_one_report_rule(self):
         with pytest.raises(ValueError, match="rule 'one-d' must pay along the last axis"):
-            properness_check(self.ONE_D, 50, 3, rng=1, mode=mode)
+            properness_check(self.ONE_D, 50, 3, rng=1)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_permutation_check_refuses_a_one_report_rule(self, dim):
@@ -381,7 +380,7 @@ class TestNanPayoffs:
 
     def test_classify_counts_a_nan_on_either_side_as_irregular(self):
         truthful, other = np.array([0.0, np.nan, 0.0]), np.array([np.nan, 0.0, 1.0])
-        gaps, kinds, values = _classify(truthful, other, np.ones(3, dtype=bool), 1e-9, True)
+        gaps, kinds, values = _classify(truthful, other, np.ones(3, dtype=bool), 1e-9)
         assert kinds.tolist() == ["irregular", "irregular", "gain"]
         assert gaps[:2].tolist() == [-np.inf, -np.inf]
         assert np.isnan(values[:2]).all() and values[2] == 1.0

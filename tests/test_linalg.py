@@ -320,7 +320,6 @@ def _report(check, *args):
 
 _RHO = random_density(3, rng=5)
 _RHO2 = random_density(2, rng=4)
-_FRAME = random_unitary(3, rng=6)
 _S = make_score("spectral:log", 2)
 _WAGER = q.WageringRound([random_density(2, rng=s) for s in (1, 2)],
                          q.fixed_measurement_score(q.brier_rule(), q.standard_pvm(2)), random_density(2, rng=3))
@@ -352,10 +351,6 @@ COUNTS = {
     "optimize_weighted_basis cols": (lambda x: optimize_weighted_basis(_RHO, [2.0, 1.0], x, rng=0), "cols", 1, 2),
     "optimize_eigen_pair k": (lambda x: optimize_eigen_pair(_RHO, x, rng=0), "k", 1, 2),
     "eigen_pair_score k": (lambda x: q.eigen_pair_score(x).expected(random_density(3, rank=2, rng=7), _RHO), "k", 1, 2),
-    "top_k_eigenvector_score k": (
-        lambda x: q.top_k_eigenvector_score(x, [2.0, 1.0]).expected(_FRAME[:, :2], _RHO), "k", 1, 2),
-    "top_bottom_score k": (lambda x: q.top_bottom_score(x, 1, [1.0, 0.0, -1.0]).expected(_FRAME[:, :2], _RHO), "k", 0, 1),
-    "top_bottom_score m": (lambda x: q.top_bottom_score(1, x, [1.0, 0.0, -1.0]).expected(_FRAME[:, :2], _RHO), "m", 0, 1),
     "abstain_score dim": (lambda x: q.abstain_score(0.7, x).expected(None, _RHO), "dim", 1, 3),
     "MarketState dim": (lambda x: q.MarketState(x).price(), "dim", 1, 3),
     "wagering_payoffs outcome": (lambda x: q.wagering_payoffs(_WAGER, "realized", outcome=x), "outcome", 0, 1),

@@ -3,6 +3,7 @@ import pytest
 
 from qelicit.linalg import frob_dist, random_density, random_unitary
 from qelicit.measurement import (
+    COMPLETENESS_RTOL,
     PVM_TOL,
     Measurement,
     apply_measurement,
@@ -278,6 +279,19 @@ class TestTomographicMap:
         tmap = tomographic_map(mu)
         inverts = np.abs(tmap.pinv @ tmap.matrix - np.eye(mu.dim**2)).max() <= 1e-8
         assert inverts == is_tomographically_complete(mu)
+
+    @pytest.mark.parametrize("mu", _POVMS.values(), ids=list(_POVMS))
+    def test_one_svd_gives_numpy_pinv_and_matrix_rank(self, mu, monkeypatch):
+        # the map's pseudoinverse is np.linalg.pinv's, bit for bit, and its rank matrix_rank's
+        phi = herm_coords(mu.elements)
+        pinv, rank = np.linalg.pinv(phi, rtol=COMPLETENESS_RTOL), np.linalg.matrix_rank(phi, rtol=COMPLETENESS_RTOL)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        tmap = tomographic_map(mu)
+        assert calls == [1]
+        assert tmap.pinv.tobytes() == pinv.tobytes()
+        assert tmap.rank == rank
+        assert is_tomographically_complete(mu) == (rank == mu.dim**2)
 
     def test_adjoint_maps_take_stacks(self, rng):
         from qelicit.linalg import random_hermitian

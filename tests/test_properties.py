@@ -102,7 +102,7 @@ class TestTopEigenvector:
 class TestTopK:
     def test_k1_scales_top_eigenvector(self, rng):
         s1 = top_eigenvector_score()
-        sk = top_k_eigenvector_score(1, [2.0])
+        sk = top_k_eigenvector_score([2.0])
         rho = random_density(3, rng=rng)
         x = random_pure(3, rng=rng)
         assert sk.expected(x.reshape(-1, 1), rho) == pytest.approx(
@@ -111,22 +111,22 @@ class TestTopK:
 
     def test_diagonal_prefix_is_optimal(self):
         v = np.array([2.0, 1.0])
-        score = top_k_eigenvector_score(2, v)
+        score = top_k_eigenvector_score(v)
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
         X = np.eye(3, dtype=complex)[:, :2]
         assert score.expected(X, rho) == pytest.approx(2.0 * 0.5 + 1.0 * 0.3, abs=1e-12)
 
     def test_rejects_non_orthonormal(self):
-        score = top_k_eigenvector_score(2, [2.0, 1.0])
+        score = top_k_eigenvector_score([2.0, 1.0])
         X = np.ones((3, 2), dtype=complex) / np.sqrt(3)
         with pytest.raises(ValueError, match="orthonormal"):
             score.measure(X)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="decreasing"):
-            top_k_eigenvector_score(2, [1.0, 1.0])
+            top_k_eigenvector_score([1.0, 1.0])
         with pytest.raises(ValueError, match="decreasing"):
-            top_k_eigenvector_score(2, [2.0, -1.0])
+            top_k_eigenvector_score([2.0, -1.0])
 
     def test_optimizer_matches_weighted_eigenvalues(self, rng):
         v = np.array([2.0, 1.0])
@@ -152,15 +152,15 @@ class TestTopK:
 class TestTopBottom:
     def test_m0_reduces_to_top_k(self, rng):
         v = np.array([2.0, 1.0, 0.0])
-        tb = top_bottom_score(2, 0, v)
-        tk = top_k_eigenvector_score(2, [2.0, 1.0])
+        tb = top_bottom_score(v)
+        tk = top_k_eigenvector_score([2.0, 1.0])
         rho = random_density(3, rng=rng)
         X = spectral_decompose(random_density(3, rng=rng)).eigenvectors[:, :2]
         assert tb.expected(X, rho) == pytest.approx(tk.expected(X, rho), abs=1e-10)
 
     def test_optimum_value_n3_k1_m1(self, rng):
         v = np.array([1.0, 0.0, -1.0])
-        score = top_bottom_score(1, 1, v)
+        score = top_bottom_score(v)
         rho = random_density(3, rng=rng)
         lam = eigenvalues_desc(rho)
         dec = spectral_decompose(rho)
@@ -172,7 +172,7 @@ class TestTopBottom:
     def test_value_invariant_to_middle_completion(self, rng):
         # zero middle weights make the arbitrary completion irrelevant
         v = np.array([1.0, 0.0, 0.0, -1.0])
-        score = top_bottom_score(1, 1, v)
+        score = top_bottom_score(v)
         rho = random_density(4, rng=rng)
         dec = spectral_decompose(random_density(4, rng=rng))
         X = dec.eigenvectors[:, [0, 3]]
@@ -187,18 +187,18 @@ class TestTopBottom:
         v = np.r_[np.arange(k, 0, -1.0), np.zeros(n - k - m), -np.arange(1.0, m + 1)]
         X = spectral_decompose(random_density(n, rng=rng)).eigenvectors[:, : k + m]
         rho = random_density(n, rng=rng)
-        mu, s = top_bottom_score(k, m, v).payoff(X)
-        assert len(top_bottom_score(k, m, v).measure(X)) == len(mu) == len(s) == k + m + 1
+        mu, s = top_bottom_score(v).payoff(X)
+        assert len(top_bottom_score(v).measure(X)) == len(mu) == len(s) == k + m + 1
         assert np.abs(mu.elements.sum(axis=0) - np.eye(n)).max() <= 1e-12
         weights = np.r_[v[:k], v[n - m:]]
         direct = sum(w * np.vdot(x, rho @ x).real for w, x in zip(weights, X.T))
-        assert top_bottom_score(k, m, v).expected(X, rho) == pytest.approx(direct, abs=1e-12)
+        assert top_bottom_score(v).expected(X, rho) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="zero"):
-            top_bottom_score(1, 1, [1.0, 0.5, -1.0])
+            top_bottom_score([1.0, -1.0, 0.0])
         with pytest.raises(ValueError, match="negative"):
-            top_bottom_score(1, 1, [1.0, 0.0, 1.0])
+            top_bottom_score([1.0, -2.0, -1.0])
 
 
 class TestEigenPair:
@@ -464,8 +464,8 @@ class TestExpectedClosedForms:
         k = max(1, n - 1)
         scores = {
             "top": top_eigenvector_score(),
-            "topk": top_k_eigenvector_score(2, [2.0, 1.0]),
-            "top-bottom": top_bottom_score(1, 1, weights),
+            "topk": top_k_eigenvector_score([2.0, 1.0]),
+            "top-bottom": top_bottom_score(weights),
             "pair": eigen_pair_score(k),
             "value": with_value(top_eigenvector_score(), lambda a: a * a, lambda a: 2 * a),
             "abstain": abstain_score(0.3, n),
@@ -1074,9 +1074,9 @@ class TestRetraction:
 
 class TestEmptyFrameRefusals:
     def test_top_k_refuses_k_zero(self):
-        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
-            top_k_eigenvector_score(0, [])
+        with pytest.raises(ValueError, match=r"weights must be a non-empty vector, .* got \[\]"):
+            top_k_eigenvector_score([])
 
     def test_top_bottom_refuses_no_columns(self):
-        with pytest.raises(ValueError, match=r"invalid counts k=0, m=0 .*1 <= k \+ m"):
-            top_bottom_score(0, 0, [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"weights must be a vector with a nonzero entry, got \[0\.0, 0\.0\]"):
+            top_bottom_score([0.0, 0.0])

@@ -35,12 +35,6 @@ REFUSALS = {
         lambda: q.clean_probs(np.full((2, 2), 0.25)), ValueError, "probability vector must be 1-d, got shape (2, 2)"),
     "clean_probs of a NaN": (
         lambda: q.clean_probs([np.nan, 1.0]), ValueError, "probability vector has non-finite entries"),
-    "properness_check mode": (
-        lambda: q.properness_check(q.brier_rule(), 8, 3, rng=0, mode="bogus"),
-        ValueError, "mode must be 'weak' or 'strict', got 'bogus'"),
-    "truthfulness_check mode": (
-        lambda: q.truthfulness_check(make_score("spectral:log", 2), 8, dims=(2,), rng=0, mode="bogus"),
-        ValueError, "mode must be 'weak' or 'strict', got 'bogus'"),
     "spectral_decompose of a vector": (
         lambda: q.spectral_decompose(np.ones(3)),
         ValueError, "matrix must be square or a stack of square matrices, got shape (3,)"),
@@ -48,22 +42,40 @@ REFUSALS = {
         lambda: q.tomographic_map(q.canonical_complete(2)).reconstruct(np.zeros(3)),
         ValueError, "expected 4 outcome values"),
     "frame report that is a vector": (
-        lambda: q.top_k_eigenvector_score(2, [2.0, 1.0]).payoff(_FRAME[:, 0]),
+        lambda: q.top_k_eigenvector_score([2.0, 1.0]).payoff(_FRAME[:, 0]),
         ValueError, "report must be a matrix of column vectors, got shape (3,)"),
     "frame report of too few columns": (
-        lambda: q.top_k_eigenvector_score(2, [2.0, 1.0]).payoff(_FRAME[:, :1]),
+        lambda: q.top_k_eigenvector_score([2.0, 1.0]).payoff(_FRAME[:, :1]),
         ValueError, "expected 2 report vectors, got 1"),
     "expectation_property of the wrong z length": (
         lambda: q.expectation_property(np.arange(3.0), q.canonical_complete(2)),
         ValueError, "need one value per outcome: 3 vs 4"),
+    "top_k_eigenvector_score of zero weights": (
+        lambda: q.top_k_eigenvector_score([0.0, 0.0]),
+        ValueError, "weights must be a non-empty vector, strictly decreasing and positive, got [0.0, 0.0]"),
+    "top_k_eigenvector_score of a negative weight": (
+        lambda: q.top_k_eigenvector_score([2.0, -1.0]),
+        ValueError, "weights must be a non-empty vector, strictly decreasing and positive, got [2.0, -1.0]"),
+    "top_k_eigenvector_score of a matrix of weights": (
+        lambda: q.top_k_eigenvector_score([[2.0, 1.0]]),
+        ValueError, "weights must be a non-empty vector, strictly decreasing and positive, got [[2.0, 1.0]]"),
+    "top_bottom_score of no weights": (
+        lambda: q.top_bottom_score([]), ValueError, "weights must be a vector with a nonzero entry, got []"),
+    "top_bottom_score of a scalar weight": (
+        lambda: q.top_bottom_score(1.0), ValueError, "weights must be a vector with a nonzero entry, got 1.0"),
+    "top_bottom_score of a negative weight first": (
+        lambda: q.top_bottom_score([-1.0, 0.0, 1.0]),
+        ValueError, "top weights must be strictly decreasing and positive"),
+    "top_bottom_score of a negative weight before a zero": (
+        lambda: q.top_bottom_score([1.0, -1.0, 0.0]), ValueError, "middle weights must be exactly zero"),
     "top_bottom_score of equal top weights": (
-        lambda: q.top_bottom_score(2, 0, [1.0, 1.0, 0.0]),
+        lambda: q.top_bottom_score([1.0, 1.0, 0.0]),
         ValueError, "top weights must be strictly decreasing and positive"),
     "top_bottom_score of equal bottom weights": (
-        lambda: q.top_bottom_score(0, 2, [0.0, -1.0, -1.0]),
+        lambda: q.top_bottom_score([0.0, -1.0, -1.0]),
         ValueError, "bottom weights must be strictly decreasing and negative"),
     "top_bottom_score report of the wrong dimension": (
-        lambda: q.top_bottom_score(1, 1, [1.0, 0.0, -1.0]).payoff(np.eye(2)),
+        lambda: q.top_bottom_score([1.0, 0.0, -1.0]).payoff(np.eye(2)),
         ValueError, "report vectors have dimension 2, expected 3"),
     "make_property of a score-only entry": (
         lambda: make_property("eigvec-topk", 2),

@@ -5,7 +5,7 @@ import pytest
 
 from qelicit.classical import brier_rule, properness_check
 from qelicit.linalg import hs_inner
-from qelicit.registry import make_score, run_verify, run_witness
+from qelicit.registry import SCORE_REGISTRY, make_score, run_verify, run_witness
 from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, json_safe, run_trials
 from qelicit.scores import (
     equivalence_check,
@@ -184,6 +184,24 @@ class TestScoreReport:
         report.add_violation({"kind": "gain", "gap": 1.0})
         assert not report.passed and report.verdict == "fail"
         assert report.kind_counts == {"gain": 1}
+
+    @pytest.mark.parametrize("kinds, weak", [
+        ((), True), (("tie",), True), (("tie", "tie"), True), (("gain",), False), (("irregular",), False),
+        (("tie", "gain"), False), (("tie", "irregular"), False),
+    ])
+    def test_the_weak_verdict_ignores_ties_alone(self, kinds, weak):
+        report = ScoreReport("s", "strict", 10, (2,))
+        for kind in kinds:
+            report.add_violation({"kind": kind, "gap": 0.0})
+        assert report.weakly_passed is weak
+        assert report.passed == (not kinds)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_run_verify_reads_both_truthfulness_verdicts_off_one_strict_run(self, name):
+        result = run_verify(name, [2, 3], 48, 0)
+        counts = [sub["truthfulness"]["kind_counts"] for sub in result["reports"]]
+        assert result["observed"]["truthful"] == all(not (c.get("gain") or c.get("irregular")) for c in counts)
+        assert result["observed"]["strictly_truthful"] == all(not c for c in counts)
 
     def test_violation_storage_capped(self):
         report = ScoreReport("s", "strict", 10, (2,))

@@ -325,13 +325,13 @@ def _ref_adversarial_report(S, rho, strategy, rank, G, u, spare):
     return rep
 
 
-def _ref_classify(truthful, other, distinct, margin, strict):
+def _ref_classify(truthful, other, distinct, margin):
     if not np.isfinite(truthful):
         return -math.inf, ("irregular", truthful)
     gap = other - truthful if other > -math.inf else -math.inf
     if gap > margin:
         return gap, ("gain", gap)
-    if strict and np.isfinite(gap) and abs(gap) <= margin and distinct:
+    if np.isfinite(gap) and abs(gap) <= margin and distinct:
         return gap, ("tie", gap)
     return gap, None
 
@@ -371,7 +371,7 @@ def _ref_check(S, check, trials, dims, rng):
             b = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
             if check == "truthfulness":
                 gap, v = _ref_classify(expected_score(S, a, a), expected_score(S, b, a),
-                                       frob_dist(a, b) > DISTINCT_TOL, TRUTH_MARGIN, True)
+                                       frob_dist(a, b) > DISTINCT_TOL, TRUTH_MARGIN)
             else:
                 U = _ref_unitary(G[2])
                 rotated = expected_score(S, hermitian_part(U @ b @ U.conj().T),
