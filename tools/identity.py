@@ -54,7 +54,10 @@ order of the ascent directions decides: the eigen pair at two close
 eigenvalues (0.512, 0.444) and at k = n = 8, the weighted basis at
 k = n = 8 with weights 8..1 and its largest deviation from
 orthonormality, and the weighted basis with weights (1, -1), whose
-directions are the weights themselves.  A value is hashed through
+directions are the weights themselves.  Then ``find_level_set_witness``
+for every registry property with an evaluator at n = 2, 3 and 4, with
+1, 20 and 130 probes in turn on one generator per seed (seeds 0-4), each
+search listed with that generator's next draw.  A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -83,7 +86,7 @@ from qelicit.properties import (
     optimize_top_eigenvector,
     optimize_weighted_basis,
 )
-from qelicit.registry import SCORE_REGISTRY, make_property, make_score, run_verify, run_witness
+from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score, run_verify, run_witness
 
 
 def emit(label: str, text: str) -> None:
@@ -491,6 +494,24 @@ def ordered_ascent() -> None:
         emit(f"optimize {label}", outcome(call))
 
 
+def witness_json(w):
+    return None if w is None else w.to_json()
+
+
+def level_set_searches() -> None:
+    # one generator per seed runs the three searches in turn, so each starts where the last left it
+    names = sorted(name for name, entry in PROPERTY_REGISTRY.items() if entry["property"] is not None)
+    for name in names:
+        for n in (2, 3, 4):
+            prop, lines = make_property(name, n), []
+            for seed in range(5):
+                g = np.random.default_rng(seed)
+                for probes in (1, 20, 130):
+                    found = outcome(lambda: json.dumps(witness_json(find_level_set_witness(prop, n, probes, g)), sort_keys=True))
+                    lines.append(f"seed={seed} probes={probes} {found} next {g.standard_normal()!r}")
+            emit(f"find_level_set_witness {name} n={n}", "\n".join(lines))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -512,3 +533,4 @@ if __name__ == "__main__":
     measurement_free_scores()
     cli_refusals()
     ordered_ascent()
+    level_set_searches()
