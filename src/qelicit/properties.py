@@ -18,12 +18,12 @@ import numpy as np
 
 from .linalg import (
     _count,
+    _densities,
     _require_psd,
+    _unitaries,
     as_density,
     hermitian_part,
     matrix_to_json,
-    random_density,
-    random_unitary,
     spectral_decompose,
 )
 from .measurement import Measurement, _basis_pvm, apply_measurement
@@ -53,6 +53,7 @@ ORTHO_TOL = 1e-8     # allowed deviation from orthonormality before rejection
 REPORT_TOL = 1e-8    # reports closer than this count as the same value
 DIFFER_TOL = 1e-6    # property values farther than this count as different
 CERT_TOL = 1e-13     # an optimizer call stops once its best restart is proven this close to the optimum
+_BLOCK = 64          # level-set probes drawn at once, so a long search holds one block of states
 
 ABSTAIN = None  # the abstain report
 
@@ -62,11 +63,16 @@ class QuantumProperty:
     """A statistic of density matrices.
 
     ``eval`` returns a canonical representative (sorted eigenvalues,
-    phase-fixed vectors).
+    phase-fixed vectors).  ``_stack``, if set, maps a stack (N, n, n) of
+    valid, exactly Hermitian states the library built to a sequence of
+    their N values, each equal bit for bit to what ``eval`` returns for
+    that state alone; a level-set search then screens a block of probes
+    with two calls of it.
     """
 
     eval: Callable[[np.ndarray], Any]
     name: str = ""
+    _stack: Callable[[np.ndarray], Any] | None = None
 
 
 def _as_unit_vector(x) -> np.ndarray:
@@ -89,6 +95,13 @@ def _as_orthonormal(X, cols: int) -> np.ndarray:
     if dev > ORTHO_TOL:
         raise ValueError(f"report vectors are not orthonormal: deviation {dev:.3e}")
     return _orthonormalize_plain(X[None])[0]
+
+
+def _finite_weights(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"weights must be finite, got {v.tolist()!r}")
+    return v
 
 
 def _frame_payoff(X, weights):
@@ -119,7 +132,10 @@ def expectation_property(z, mu: Measurement):
         p = apply_measurement(mu, rho)
         return p @ z
 
-    prop = QuantumProperty(evaluate, name="expectation")
+    def stack(rhos):
+        return [p @ z for p in mu._probs(rhos)]  # one product per row, as evaluate forms it
+
+    prop = QuantumProperty(evaluate, name="expectation", _stack=stack)
 
     def payoff(r):
         r = np.asarray(r, dtype=np.float64)
@@ -139,14 +155,14 @@ def top_eigenvector_score() -> QuantumScore:
 
 
 def top_k_eigenvector_score(v) -> QuantumScore:
-    """Elicits k = len(v) orthonormal top eigenvectors with strictly decreasing payoffs v.
+    """Elicits k = len(v) orthonormal top eigenvectors with finite, strictly decreasing payoffs v.
 
     Reports are n x k column matrices; the expected score is
     <sum_i v_i x_i x_i*, rho>, maximized exactly at top-k eigenvector
     tuples because sorted-spectrum pairing is the only way to reach the
     eigenvalue upper bound.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _finite_weights(v)
     if v.ndim != 1 or not v.size or not (np.all(v > 0) and np.all(np.diff(v) < 0)):
         raise ValueError(f"weights must be a non-empty vector, strictly decreasing and positive, got {v.tolist()!r}")
 
@@ -160,14 +176,14 @@ def top_bottom_score(v) -> QuantumScore:
     """Elicits the k top and m bottom eigenvectors simultaneously.
 
     The weight vector v has length n: k strictly decreasing positive
-    entries, then zeros, then m strictly decreasing negative entries, so
-    k and m are the numbers of its positive and negative weights, and
-    k + m must be at least 1.  Reports supply k + m orthonormal columns
+    entries, then zeros, then m strictly decreasing negative entries, all
+    finite, so k and m are the numbers of its positive and negative
+    weights, and k + m must be at least 1.  Reports supply k + m orthonormal columns
     (top block first).  The measurement projects onto each column, paying
     its weight, and onto the rest of the space, paying the middle's zero,
     so it has k + m + 1 outcomes and no completion of the basis is chosen.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _finite_weights(v)
     n, k, m = v.size, int(np.sum(v > 0)), int(np.sum(v < 0))
     if v.ndim != 1 or not k + m:
         raise ValueError(f"weights must be a vector with a nonzero entry, got {v.tolist()!r}")
@@ -343,19 +359,45 @@ def find_level_set_witness(
     which preserves every spectral statistic exactly; the midpoint
     mixture then typically moves the value.  Returns the first
     counterexample or None.  ``probes`` below 1 or ``dim`` below 2 is
-    refused, since the search would test nothing.
+    refused, since the search would test nothing.  A property with
+    ``_stack`` has its probes drawn in blocks of up to _BLOCK and screened
+    by two stacked calls per block, and only the pairs that agree go on to
+    ``_witness``; any other property draws and judges one probe at a time.
+    Either way the draws, the witness and where the generator is left are
+    those of the probe-at-a-time search.
     """
     _count(probes, "probes", 1)
     _count(dim, "dim", 2)
-    rng = np.random.default_rng(rng)
-    for _ in range(probes):
-        rho1 = random_density(dim, rng=rng)
-        U = random_unitary(dim, rng=rng)
-        rho2 = hermitian_part(U @ rho1 @ U.conj().T)
-        w = _witness(prop, rho1, rho2, screen=True)
-        if w is not None and w.is_counterexample:
-            return w
+    g = np.random.default_rng(rng)
+    block = 1 if prop._stack is None else _BLOCK  # judged one by one, a probe is drawn only when it is judged
+    for start in range(0, probes, block):
+        state = g.bit_generator.state
+        rho1, rho2 = _probe_block(g, min(block, probes - start), dim)
+        agree = range(len(rho1))
+        if prop._stack is not None:
+            values = zip(prop._stack(rho1), prop._stack(rho2))
+            agree = [i for i, (a, b) in enumerate(values) if _value_dist(a, b) <= REPORT_TOL]
+        for i in agree:
+            w = _witness(prop, rho1[i], rho2[i], screen=True)
+            if w is not None and w.is_counterexample:
+                if i + 1 < len(rho1):  # redraw only the probes used, leaving g where a probe-at-a-time search does
+                    g.bit_generator.state = state
+                    g.standard_normal((i + 1, 4, dim, dim))
+                return w
     return None
+
+
+def _probe_block(g, b: int, dim: int):
+    """b probes (rho1, rho2), each (b, dim, dim), from one draw of g.
+
+    They are bit for bit the states of b rounds of ``random_density(dim,
+    rng=g)``, ``random_unitary(dim, rng=g)`` and rho2 = U rho1 U*.
+    """
+    Z = g.standard_normal((b, 4, dim, dim))
+    G = np.empty((b, 2, dim, dim), dtype=np.complex128)
+    G.real, G.imag = Z[:, 0::2], Z[:, 1::2]
+    rho1, U = _densities(G[:, 0]), _unitaries(G[:, 1])
+    return rho1, hermitian_part(U @ rho1 @ U.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +603,9 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
     the optimum (``_shortfall_bound``); signed weights get no certificate.
     """
     rho, X0 = _starts(rho, restarts, cols, "cols", rng)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _finite_weights(weights)
     if w.shape != (cols,):
         raise ValueError(f"weights must have one entry per column (cols={cols}), got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"weights must be finite, got {w.tolist()!r}")
 
     c = _ordered_scales(w)
     p = np.argsort(-c, kind="stable")  # the identity for weights that do not rise

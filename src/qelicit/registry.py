@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _count, eigenvalues_desc, hs_inner, spectral_decompose
+from .linalg import _count, _decompose, eigenvalues_desc, hs_inner, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims
@@ -171,7 +171,8 @@ def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
 # either side may be None when the registry only exposes one of the two.
 PROPERTY_REGISTRY: dict[str, dict] = {
     "eigvec-top": {
-        "property": lambda dim: QuantumProperty(lambda rho: spectral_decompose(rho).eigenvectors[:, 0], name="eigvec-top"),
+        "property": lambda dim: QuantumProperty(lambda rho: spectral_decompose(rho).eigenvectors[:, 0], name="eigvec-top",
+                                                _stack=lambda rhos: _decompose(rhos).eigenvectors[:, :, 0]),
         "score": lambda dim: top_eigenvector_score(),
         "elicitable": True,
     },

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import re
 
@@ -12,6 +14,7 @@ from qelicit.linalg import (
     hs_inner,
     random_density,
     random_pure,
+    random_unitary,
     spectral_decompose,
 )
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm, tomographic_map
@@ -378,6 +381,96 @@ class TestLevelSets:
     def test_non_integer_counts_are_refused_and_low_ones_keep_their_messages(self, dim, probes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             find_level_set_witness(make_property("entropy", 2), dim, probes=probes, rng=0)
+
+
+def _one_at_a_time(dim, g):
+    # the pairs a probe-at-a-time search draws from g, as it draws them
+    while True:
+        rho1 = random_density(dim, rng=g)
+        U = random_unitary(dim, rng=g)
+        yield rho1, hermitian_part(U @ rho1 @ U.conj().T)
+
+
+def _reference_search(prop, dim, probes, g):
+    # the probe-at-a-time search: draw one pair, judge it with level_set_witness, stop at a counterexample
+    for i, pair in enumerate(itertools.islice(_one_at_a_time(dim, g), probes)):
+        w = level_set_witness(prop, *pair)
+        if w.is_counterexample:
+            return i, w
+    return None, None
+
+
+def _flag_at(target):
+    # 1.0 on states whose top eigenvalue is within 1e-12 of target, else 0.0: a probe's pair always agrees, and
+    # only the probe whose rho1 has that top eigenvalue is a counterexample (its midpoint's top eigenvalue is lower)
+    return lambda rho: float(abs(eigenvalues_desc(rho)[0] - target) <= 1e-12)
+
+
+class _SpyGenerator(np.random.Generator):
+    """A generator that records the size of each standard_normal call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.sizes = []
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.sizes.append(size)
+        return super().standard_normal(size, *args, **kwargs)
+
+
+class TestBlockSearch:
+    """The search draws its probes in blocks and screens them with a property's stacked evaluator."""
+
+    @pytest.mark.parametrize("probes", [1, 64, 65, 130])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_block_draws_are_the_probe_at_a_time_draws(self, dim, probes):
+        # a stacked evaluator whose values never agree sees every block of rho1 and of rho2, and no witness is found
+        seen = []
+
+        def stack(rhos):
+            seen.append(rhos.copy())
+            return np.arange(len(rhos)) + 1000.0 * len(seen)
+
+        prop = QuantumProperty(lambda rho: 0.0, "spy", _stack=stack)
+        g, ref = np.random.default_rng(dim * 1000 + probes), np.random.default_rng(dim * 1000 + probes)
+        assert find_level_set_witness(prop, dim, probes, g) is None
+        rho1, rho2 = np.array(list(itertools.islice(_one_at_a_time(dim, ref), probes))).swapaxes(0, 1)
+        assert np.concatenate(seen[0::2]).tobytes() == rho1.tobytes()
+        assert np.concatenate(seen[1::2]).tobytes() == rho2.tobytes()
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("at", [5, 100])
+    def test_an_early_return_leaves_the_generator_where_a_probe_at_a_time_search_does(self, at, stacked):
+        # the counterexample is probe 5 (first block) or probe 100 (second block) of a 130-probe search
+        rho1 = list(itertools.islice(_one_at_a_time(3, np.random.default_rng(11)), at + 1))[-1][0]
+        value = _flag_at(eigenvalues_desc(rho1)[0])
+        prop = QuantumProperty(value, "flag", _stack=(lambda rhos: [value(r) for r in rhos]) if stacked else None)
+        g, ref = np.random.default_rng(11), np.random.default_rng(11)
+        found = find_level_set_witness(prop, 3, 130, g)
+        i, w = _reference_search(prop, 3, 130, ref)
+        assert i == at and found.to_json() == w.to_json()
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["eigvec-top", "expectation"])
+    def test_stack_is_eval_bit_for_bit(self, name, dim):
+        prop = make_property(name, dim)
+        for rhos in properties._probe_block(np.random.default_rng(dim), 64, dim):
+            for value, rho in zip(prop._stack(rhos), rhos):
+                a, b = np.asarray(value), np.asarray(prop.eval(rho))
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("name", ["eigvec-top", "expectation"])
+    def test_a_registry_search_screens_by_stacks_alone(self, name):
+        # 200 probes: no per-state evaluation, and no draw of more than one block
+        evals, dim = [], 3
+        base = make_property(name, dim)
+        prop = dataclasses.replace(base, eval=lambda rho: evals.append(1) or base.eval(rho))
+        g = _SpyGenerator(5)
+        assert find_level_set_witness(prop, dim, 200, g) is None
+        assert evals == []
+        assert g.sizes == [(64, 4, dim, dim)] * 3 + [(8, 4, dim, dim)]
 
 
 class TestInducedClassical:

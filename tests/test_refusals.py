@@ -59,6 +59,16 @@ REFUSALS = {
     "top_k_eigenvector_score of a matrix of weights": (
         lambda: q.top_k_eigenvector_score([[2.0, 1.0]]),
         ValueError, "weights must be a non-empty vector, strictly decreasing and positive, got [[2.0, 1.0]]"),
+    "top_k_eigenvector_score of an infinite weight": (
+        lambda: q.top_k_eigenvector_score([np.inf, 1.0]), ValueError, "weights must be finite, got [inf, 1.0]"),
+    "top_k_eigenvector_score of a NaN weight": (
+        lambda: q.top_k_eigenvector_score([2.0, np.nan]), ValueError, "weights must be finite, got [2.0, nan]"),
+    "top_bottom_score of an infinite top weight": (
+        lambda: q.top_bottom_score([np.inf, 0.0, -1.0]), ValueError, "weights must be finite, got [inf, 0.0, -1.0]"),
+    "top_bottom_score of an infinite bottom weight": (
+        lambda: q.top_bottom_score([1.0, 0.0, -np.inf]), ValueError, "weights must be finite, got [1.0, 0.0, -inf]"),
+    "top_bottom_score of a NaN middle weight": (
+        lambda: q.top_bottom_score([1.0, np.nan, -1.0]), ValueError, "weights must be finite, got [1.0, nan, -1.0]"),
     "top_bottom_score of no weights": (
         lambda: q.top_bottom_score([]), ValueError, "weights must be a vector with a nonzero entry, got []"),
     "top_bottom_score of a scalar weight": (
