@@ -31,33 +31,39 @@ whose coordinates are rank-deficient only at 1e-9, then the payoff of
 binary Brier re-expressed over ``canonical_complete(2)``.  Last come
 the market maker and the options around it: the exit code and stdout of
 ``market-sim`` for one seeded scenario whose ``cost`` is ``"lmsr"``,
-absent and ``"quadratic"``, and of ``verify`` for ``ml:s2`` with and
-without ``--tol-overrides`` (an argparse refusal is listed by its exit
-code); ``lmsr_cost``, ``maker_loss`` and ``conjugacy_gap`` of seeded
-share matrices at n = 2, 4 and 8; and the JSON of ``run_verify`` and
-``run_witness`` given a numpy integer seed.  Last of all, the tolerance
-keywords of the checks, of ``ext_dot`` and of ``approx_equal``: one call
-per keyword, passing its default value; the two checks that a
-larger ``margin`` fails with ties between distinct reports; and
-``ext_dot`` of a weight of 1e-13 on -inf.  Then the knobs that became
-constants: one call per optimizer ``iters``, ``level_set_witness``'s
-``t`` and ``is_permutation_invariant``'s ``trials`` at its default,
-one ``ScoreReport`` per counter passed at its empty value, and three
-calls whose value switches a check off (``trials=0`` on a rule that
+absent and ``"quadratic"``, and of ``verify`` for ``ml:s2`` without and
+with ``--tol-overrides``, an option that is gone (an argparse refusal is
+listed by its exit code); ``lmsr_cost``, ``maker_loss`` and
+``conjugacy_gap`` of share matrices traded in seeded bundles (twice a
+``random_hermitian``) at n = 2, 4 and 8; and the JSON of ``run_verify``
+and ``run_witness`` given a numpy integer seed.  Then keywords that are
+gone, each listed as the error its call raises: the tolerance keywords
+of the checks, of ``ext_dot`` and of ``approx_equal`` (one call per
+keyword, passing its old default value) and the ``margin`` of two checks
+that a larger margin once failed with ties between distinct reports;
+then ``ext_dot`` of a weight of 1e-13 on -inf.  Then the knobs that
+became constants, listed as refusals too: one call per optimizer
+``iters``, ``level_set_witness``'s ``t`` and
+``is_permutation_invariant``'s ``trials`` at its old default, one
+``ScoreReport`` per counter passed at its empty value, and three calls
+whose value once switched a check off (``trials=0`` on a rule that
 weights the outcomes, ``t=0`` and ``t=1`` on two states with the same
 spectrum, ``iters=0`` on ``diag(0.6, 0.3, 0.1)``); what five entry
 points that need a measurement make of ``ml:s4`` and ``ml:s5``; the exit
 code, stdout and stderr of ``verify``, ``witness`` and ``measure`` with
-``--seed -1`` and of ``witness --dims 3,7``; and
-``optimize_with_value``.  Last, four optimizer calls that the column
-order of the ascent directions decides: the eigen pair at two close
-eigenvalues (0.512, 0.444) and at k = n = 8, the weighted basis at
-k = n = 8 with weights 8..1 and its largest deviation from
-orthonormality, and the weighted basis with weights (1, -1), whose
+``--seed -1`` and of ``witness --dims 3,7``; and the lookup of
+``optimize_with_value``, a name that is gone.  Last, four optimizer
+calls that the column order of the ascent directions decides: the eigen
+pair at two close eigenvalues (0.512, 0.444) and at k = n = 8, the
+weighted basis at k = n = 8 with weights 8..1 and its largest deviation
+from orthonormality, and the weighted basis with weights (1, -1), whose
 directions are the weights themselves.  Then ``find_level_set_witness``
 for every registry property with an evaluator at n = 2, 3 and 4, with
 1, 20 and 130 probes in turn on one generator per seed (seeds 0-4), each
-search listed with that generator's next draw.  A value is hashed through
+search listed with that generator's next draw.  Then what each entry
+point that validates a matrix makes of a 0x0 one, and ``herm_coords``
+and ``spectral_decompose`` of an empty stack of 3x3 matrices.
+A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
 """
@@ -77,7 +83,9 @@ import qelicit as q
 from qelicit.classical import from_convex, is_permutation_invariant
 from qelicit import properties
 from qelicit.cli import main
+from qelicit.extended import range_projector
 from qelicit.linalg import matrix_to_json
+from qelicit.measurement import herm_coords
 from qelicit.properties import (
     find_level_set_witness,
     level_set_witness,
@@ -302,7 +310,7 @@ def count_arguments() -> None:
         "is_permutation_invariant dim": (lambda x: is_permutation_invariant(brier, x, rng=0), 1, 3),
         "is_permutation_invariant trials": (lambda x: is_permutation_invariant(brier, 3, x, rng=0), 0, 8),
         "from_convex dim": (
-            lambda x: from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)).tolist(), 1, 3),
+            lambda x: from_convex(lambda p: p @ p, lambda p: 2.0 * p, x).values(np.full(3, 1 / 3)).tolist(), 1, 3),
         "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), 1, 8),
         "run_witness trials": (lambda x: run_witness("entropy", [3], x, 0), 1, 5),
         "find_level_set_witness probes": (
@@ -375,7 +383,7 @@ def markets() -> None:
         g = np.random.default_rng(n)
         market = q.MarketState(n)
         for _ in range(3):
-            market.trade(q.random_hermitian(n, rng=g, scale=2.0))
+            market.trade(2.0 * q.random_hermitian(n, rng=g))
         truth = q.random_density(n, rng=g)
         emit(f"market n={n}", repr((q.lmsr_cost(market.shares), market.maker_loss(truth), market.conjugacy_gap())))
     emit("run_verify seed np.int64(0)",
@@ -512,6 +520,33 @@ def level_set_searches() -> None:
             emit(f"find_level_set_witness {name} n={n}", "\n".join(lines))
 
 
+def empty_matrices() -> None:
+    # a 0x0 matrix given to each entry point that validates one, then an empty stack of 3x3 matrices
+    E = np.zeros((0, 0))
+    calls = {
+        "as_hermitian": lambda: q.as_hermitian(E).tolist(),
+        "as_unitary": lambda: q.as_unitary(E).tolist(),
+        "eigenvalues_desc": lambda: q.eigenvalues_desc(E).tolist(),
+        "spectral_decompose": lambda: [x.tolist() for x in q.spectral_decompose(E)],
+        "matrix_to_json": lambda: matrix_to_json(E),
+        "herm_coords": lambda: herm_coords(E).tolist(),
+        "Measurement": lambda: q.Measurement([E]).elements.tolist(),
+        "basis_pvm": lambda: q.basis_pvm(E).elements.tolist(),
+        "range_projector": lambda: range_projector(E).tolist(),
+        "ExtendedHermitian": lambda: q.ExtendedHermitian(E, E).finite_part.tolist(),
+        "ExtendedHermitian.wrap": lambda: q.ExtendedHermitian.wrap(E).finite_part.tolist(),
+        "canonicalize_extended": lambda: q.canonicalize_extended([(E, 1.0)]).finite_part.tolist(),
+        "lmsr_cost": lambda: q.lmsr_cost(E),
+        "market_price_state": lambda: q.market_price_state(E).tolist(),
+        "bundle_cost": lambda: q.bundle_cost(E, E),
+    }
+    for label, call in calls.items():
+        emit(f"0x0 {label}", outcome(call))
+    stack = np.zeros((0, 3, 3))
+    emit("empty stack herm_coords", outcome(lambda: herm_coords(stack).shape))
+    emit("empty stack spectral_decompose", outcome(lambda: [(x.shape, x.dtype.str) for x in q.spectral_decompose(stack)]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -534,3 +569,4 @@ if __name__ == "__main__":
     cli_refusals()
     ordered_ascent()
     level_set_searches()
+    empty_matrices()
