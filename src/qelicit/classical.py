@@ -138,13 +138,14 @@ def _bregman_rule(G, dG, name: str) -> ClassicalScoringRule:
     return ClassicalScoringRule(values, name=name)
 
 
-def _check_convex(G, dG, draw, rng, samples: int) -> None:
+def _check_convex(G, dG, draw, samples: int) -> None:
     """Raise unless G is convex with subgradient dG on ``samples`` pairs (p, q) = draw(g).
 
     Tests the subgradient inequality G(q) >= G(p) + <dG(p), q - p> and
-    midpoint convexity; an unseeded check draws from seed 2024.
+    midpoint convexity; g is seeded with 2024, so a check draws the same
+    pairs at every construction.
     """
-    g = np.random.default_rng(2024 if rng is None else rng)
+    g = np.random.default_rng(2024)
     for _ in range(samples):
         p, q = draw(g)
         gp, gq = float(G(p)), float(G(q))
@@ -155,7 +156,7 @@ def _check_convex(G, dG, draw, rng, samples: int) -> None:
             raise ValueError("midpoint convexity violated; G is not convex")
 
 
-def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
+def from_convex(G, dG, dim: int) -> ClassicalScoringRule:
     """Proper scoring rule s(p, y) = G(p) + <dG(p), 1_y - p>.
 
     G must be convex on the simplex and dG a consistent (extended)
@@ -165,7 +166,7 @@ def from_convex(G, dG, dim: int, rng=None) -> ClassicalScoringRule:
     raises on violation.
     """
     ones = np.ones(_count(dim, "dim", 1))
-    _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), rng, 64)
+    _check_convex(G, dG, lambda g: (g.dirichlet(ones), g.dirichlet(ones)), 64)
     return _bregman_rule(G, dG, "from_convex")
 
 
@@ -240,7 +241,6 @@ def properness_check(
     row alone.
     """
     _require_row_wise(rule, _count(dim, "dim", 2))
-    report = ScoreReport(rule.name or "rule", "strict", trials, (dim,))
 
     def draw(dim, trials, rows, spare):
         D, u = rows
@@ -254,7 +254,7 @@ def properness_check(
         distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
         return _classify(truthful, other, distinct, PROPERNESS_MARGIN)
 
-    return run_trials(report, _rows, draw, score, _encode_distributions, rng)
+    return run_trials(rule.name or "rule", "strict", trials, (dim,), _rows, draw, score, _encode_distributions, rng)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, rng=None) -> bool:

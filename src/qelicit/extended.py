@@ -109,7 +109,7 @@ class ExtendedHermitian:
         if A.shape != B.shape:
             raise ValueError("finite and infinite parts must share a shape")
         _require_psd(B, "infinite part")
-        prod = float(np.abs(A @ B).max()) if A.size else 0.0
+        prod = float(np.abs(A @ B).max())
         if prod > KERNEL_PRODUCT_TOL:
             raise ValueError(f"parts do not annihilate each other: max |AB| = {prod:.3e}")
         object.__setattr__(self, "finite_part", A)

@@ -61,9 +61,11 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def _finite_squares(A: np.ndarray, name: str) -> np.ndarray:
-    # A, a complex128 array (..., n, n), once its matrices are known square and finite
+    # A, a complex128 array (..., n, n), once its matrices are known square, non-empty and finite
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if A.shape[-1] == 0:
+        raise ValueError(f"{name} is empty, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
@@ -106,8 +108,6 @@ def as_hermitian(M, name: str = "matrix") -> np.ndarray:
 def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
     # as_hermitian for each matrix of a finite square (..., n, n) array,
     # each tested against its own scale
-    if not A.size:
-        return A
     dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if not dev.any():
         return A
@@ -235,9 +235,7 @@ def spectral_decompose(A) -> SpectralDecomposition:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim not in (2, 3):
         raise ValueError(f"matrix must be square or a stack of square matrices, got shape {A.shape}")
-    if _finite_squares(A, "matrix").shape[-1] == 0:
-        raise ValueError(f"matrix is empty, got shape {A.shape}")
-    return _decompose(_hermitian(A, "matrix"))
+    return _decompose(_hermitian(_finite_squares(A, "matrix"), "matrix"))
 
 
 def _decompose(A: np.ndarray) -> SpectralDecomposition:
@@ -313,11 +311,11 @@ def random_pure(n: int, rng=None) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_hermitian(n: int, rng=None, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix (GUE-type, entries O(scale))."""
+def random_hermitian(n: int, rng=None) -> np.ndarray:
+    """Random Hermitian matrix (GUE-type, entries O(1))."""
     _count(n, "n", 1)
     rng = np.random.default_rng(rng)
-    return hermitian_part(scale * _complex_gaussian((n, n), rng))
+    return hermitian_part(_complex_gaussian((n, n), rng))
 
 
 def matrix_to_json(M) -> dict:

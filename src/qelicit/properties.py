@@ -331,21 +331,13 @@ def level_set_witness(prop: QuantumProperty, rho1, rho2) -> WitnessResult:
     rho2 = as_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: rho1 {rho1.shape[0]}, rho2 {rho2.shape[0]}")
-    return _witness(prop, rho1, rho2, screen=False)
+    return _witness(prop, rho1, rho2, prop.eval(rho1), prop.eval(rho2))
 
 
-def _witness(prop, rho1, rho2, screen: bool):
-    """level_set_witness of two valid states of one shape; with ``screen``, None once their values differ.
-
-    A pair whose values differ is no counterexample whatever the midpoint's
-    value, so a search skips the midpoint's evaluation for it.
-    """
-    r1 = prop.eval(rho1)
-    r2 = prop.eval(rho2)
-    equal = _value_dist(r1, r2) <= REPORT_TOL
-    if screen and not equal:
-        return None
+def _witness(prop, rho1, rho2, r1, r2):
+    """level_set_witness of two valid states of one shape, given their values r1 and r2."""
     rm = prop.eval(hermitian_part(0.5 * (rho1 + rho2)))
+    equal = _value_dist(r1, r2) <= REPORT_TOL
     differs = _value_dist(rm, r1) > DIFFER_TOL
     return WitnessResult(prop.name, bool(equal and differs), 0.5, r1, r2, rm, rho1, rho2)
 
@@ -360,9 +352,10 @@ def find_level_set_witness(
     mixture then typically moves the value.  Returns the first
     counterexample or None.  ``probes`` below 1 or ``dim`` below 2 is
     refused, since the search would test nothing.  A property with
-    ``_stack`` has its probes drawn in blocks of up to _BLOCK and screened
-    by two stacked calls per block, and only the pairs that agree go on to
-    ``_witness``; any other property draws and judges one probe at a time.
+    ``_stack`` has its probes drawn in blocks of up to _BLOCK and
+    evaluated by two stacked calls per block; any other property draws
+    and evaluates one probe at a time.  Only a pair whose values agree
+    within REPORT_TOL has its midpoint evaluated, by ``_witness``.
     Either way the draws, the witness and where the generator is left are
     those of the probe-at-a-time search.
     """
@@ -370,16 +363,15 @@ def find_level_set_witness(
     _count(dim, "dim", 2)
     g = np.random.default_rng(rng)
     block = 1 if prop._stack is None else _BLOCK  # judged one by one, a probe is drawn only when it is judged
+    values = prop._stack or (lambda rhos: [prop.eval(rho) for rho in rhos])
     for start in range(0, probes, block):
         state = g.bit_generator.state
         rho1, rho2 = _probe_block(g, min(block, probes - start), dim)
-        agree = range(len(rho1))
-        if prop._stack is not None:
-            values = zip(prop._stack(rho1), prop._stack(rho2))
-            agree = [i for i, (a, b) in enumerate(values) if _value_dist(a, b) <= REPORT_TOL]
-        for i in agree:
-            w = _witness(prop, rho1[i], rho2[i], screen=True)
-            if w is not None and w.is_counterexample:
+        for i, (r1, r2) in enumerate(zip(values(rho1), values(rho2))):
+            if _value_dist(r1, r2) > REPORT_TOL:  # no counterexample whatever the midpoint's value
+                continue
+            w = _witness(prop, rho1[i], rho2[i], r1, r2)
+            if w.is_counterexample:
                 if i + 1 < len(rho1):  # redraw only the probes used, leaving g where a probe-at-a-time search does
                     g.bit_generator.state = state
                     g.standard_normal((i + 1, 4, dim, dim))

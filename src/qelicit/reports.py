@@ -95,8 +95,8 @@ def _check_dims(dims) -> list:
     return [int(d) for d in dims]
 
 
-def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> ScoreReport:
-    """Run ``report.trials`` trials in blocks of TRIAL_BLOCK and record them.
+def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) -> ScoreReport:
+    """Run ``trials`` trials in blocks of TRIAL_BLOCK and return their ScoreReport.
 
     Trial i runs at ``dims[j]``, ``j = i % len(dims)``, and reads its row
     of block ``c = i // RNG_BLOCK``, drawn from child c of the root seed
@@ -115,18 +115,13 @@ def run_trials(report: ScoreReport, rows, draw, score, encode, rng=None) -> Scor
     ``max_gap``; each trial of kind not "" is a violation, stored in
     trial order with its index as ``trial``, its value as ``gap`` and
     ``encode(a, b)``, a dict describing its two states, called only for
-    the violations that are stored.  ``report.timing`` gets the seconds
-    spent in all, in scoring, and in the rest, mostly drawing (``draw_s``).
-    A report that holds counts, or whose ``timing`` is set, has run before
-    (perhaps in part, up to an exception) and is refused, since its counts
-    would add up over both runs.
+    the violations that are stored.  The report, named ``name`` and
+    ``mode``, is built here, so each run counts its own trials;
+    ``report.timing`` gets the seconds spent in all, in scoring, and in
+    the rest, mostly drawing (``draw_s``).
     """
-    if report.timing or report.n_violations or report.max_gap > float("-inf"):
-        raise ValueError(f"report {report.name!r} has already run; run_trials needs an empty ScoreReport")
-    report.trials = _count(report.trials, "trials", 0)
-    dims = _check_dims(report.dims)
-    report.dims = tuple(dims)
-    L, root, blocks = len(dims), np.random.default_rng(rng), {}
+    report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
+    dims, L, root, blocks = report.dims, len(report.dims), np.random.default_rng(rng), {}
 
     def take(j, group, key="rows"):
         # the rows (or the spare rows, key "spare") of a group of trials at index j,

@@ -288,7 +288,7 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     return _stacked_score(stack, f"fixed:{rule.name}")
 
 
-def fixed_meas_from_convex(f, df, mu: Measurement, rng=None) -> QuantumScore:
+def fixed_meas_from_convex(f, df, mu: Measurement) -> QuantumScore:
     """Truthful fixed-measurement score from a convex f on outcome distributions.
 
     The fixed measurement of the Bregman rule of f: s(report, y) =
@@ -301,7 +301,7 @@ def fixed_meas_from_convex(f, df, mu: Measurement, rng=None) -> QuantumScore:
     def draw(g):
         return tuple(mu._probs(random_density(mu.dim, rng=g)[None])[0] for _ in range(2))
 
-    _check_convex(f, df, draw, rng, 32)
+    _check_convex(f, df, draw, 32)
     return fixed_measurement_score(_bregman_rule(f, df, "convex"), mu)
 
 
@@ -651,14 +651,13 @@ def truthfulness_check(
     truthfulness and ``weakly_passed`` truthfulness.  ``S`` is a
     ``QuantumScore`` or an ``ExpectedScoreFn``; trials are scored in stacks.
     """
-    report = ScoreReport(getattr(S, "name", "score"), "strict", trials, tuple(dims))
-
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL, TRUTH_MARGIN)
 
-    return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S), score, _encode_states, rng)
+    return run_trials(getattr(S, "name", "score"), "strict", trials, dims, partial(_rows, 2),
+                      partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
 def equivalence_check(
@@ -670,7 +669,6 @@ def equivalence_check(
 ) -> ScoreReport:
     """Compare expected scores pointwise, flagging gaps above EQUIV_TOL; -inf must match -inf."""
     name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
-    report = ScoreReport(name, "equivalence", trials, tuple(dims))
 
     def score(drawn):
         rhos, reps = drawn
@@ -682,7 +680,8 @@ def equivalence_check(
             gaps[keep], kinds[keep], _ = _compare("mismatch", a, b)
         return gaps, kinds, gaps
 
-    return run_trials(report, partial(_rows, 2), partial(_beliefs_and_reports, S1), score, _encode_states, rng)
+    return run_trials(name, "equivalence", trials, dims, partial(_rows, 2),
+                      partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
 def unitary_invariance_check(
@@ -692,8 +691,6 @@ def unitary_invariance_check(
     rng=None,
 ) -> ScoreReport:
     """Flag |S(r; rho) - S(U r U*; U rho U*)| above EQUIV_TOL."""
-    report = ScoreReport(getattr(S, "name", "score"), "unitary-invariance", trials, tuple(dims))
-
     def draw(dim, trials, rows, spare):
         return *_beliefs_and_reports(S, dim, trials, rows, spare), _unitaries(rows[1][:, 2])
 
@@ -704,7 +701,8 @@ def unitary_invariance_check(
         (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b)
 
-    return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
+    return run_trials(getattr(S, "name", "score"), "unitary-invariance", trials, dims, partial(_rows, 3), draw, score,
+                      _encode_states, rng)
 
 
 def implementability_check(
@@ -719,8 +717,6 @@ def implementability_check(
     extended-linear; mixtures are compared against mixed expected
     values under the extended arithmetic, within EQUIV_TOL.
     """
-    report = ScoreReport(getattr(S, "name", "score"), "implementability", trials, tuple(dims))
-
     def draw(dim, trials, rows, spare):
         # the report (state 1 of the row) against the beliefs, states 0 and 2
         ranks, G, u = rows
@@ -735,7 +731,8 @@ def implementability_check(
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
         return _compare("nonlinear", mixed, linear)
 
-    return run_trials(report, partial(_rows, 3), draw, score, _encode_states, rng)
+    return run_trials(getattr(S, "name", "score"), "implementability", trials, dims, partial(_rows, 3), draw, score,
+                      _encode_states, rng)
 
 
 def subgradient_inequality_check(
@@ -751,8 +748,6 @@ def subgradient_inequality_check(
     lower bound passes trivially, and a selection whose infinite part
     overlaps negatively with the direction is itself flagged.
     """
-    report = ScoreReport("subgradient", "inequality", trials, tuple(dims))
-
     def draw(dim, trials, rows, spare):
         # states 0 and 1 of the row, sigma and the base; rho is sigma, or in half the
         # rows (by the last uniform, so in every dimension) 0.99 base + 0.01 sigma, so
@@ -774,4 +769,4 @@ def subgradient_inequality_check(
         kinds = np.select([invalid, gaps > TRUTH_MARGIN], ["invalid-selection", "violated"], "")
         return gaps, kinds, gaps
 
-    return run_trials(report, partial(_rows, 2), draw, score, _encode_states, rng)
+    return run_trials("subgradient", "inequality", trials, dims, partial(_rows, 2), draw, score, _encode_states, rng)

@@ -298,13 +298,13 @@ def test_criterion_10_markets():
             n = int(rng.integers(2, 5))
             market = MarketState(n)
             for _ in range(int(rng.integers(1, 6))):
-                market.trade(random_hermitian(n, rng=rng, scale=2.0))
+                market.trade(2.0 * random_hermitian(n, rng=rng))
             truth = random_density(n, rank=int(rng.integers(1, n + 1)), rng=rng)
             assert market.maker_loss(truth) <= np.log(n) + 1e-9
 
         for _ in range(100):
             n = int(rng.integers(2, 6))
-            Q = random_hermitian(n, rng=rng, scale=2.0)
+            Q = 2.0 * random_hermitian(n, rng=rng)
             rho = market_price_state(Q)
             assert abs(
                 lmsr_cost(Q) - hs_inner(Q, rho) - von_neumann_entropy(rho)
@@ -312,7 +312,7 @@ def test_criterion_10_markets():
         h = 1e-6
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            Q = random_hermitian(n, rng=rng, scale=2.0)
+            Q = 2.0 * random_hermitian(n, rng=rng)
             D = random_hermitian(n, rng=rng)
             fd = (lmsr_cost(Q + h * D) - lmsr_cost(Q - h * D)) / (2 * h)
             assert abs(fd - hs_inner(market_price_state(Q), D)) <= 1e-5

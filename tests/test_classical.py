@@ -80,7 +80,7 @@ class TestExpectedClassical:
 
 class TestFromConvex:
     def test_quadratic_reproduces_brier(self, rng):
-        rule = from_convex(lambda p: p @ p, lambda p: 2 * p, dim=3, rng=1)
+        rule = from_convex(lambda p: p @ p, lambda p: 2 * p, dim=3)
         brier = brier_rule()
         for _ in range(50):
             p = rng.dirichlet(np.ones(3))
@@ -95,7 +95,7 @@ class TestFromConvex:
         def dG(p):
             return np.where(p > 1e-12, 1.0 + np.log(np.clip(p, 1e-300, None)), NEG_INF)
 
-        rule = from_convex(G, dG, dim=3, rng=2)
+        rule = from_convex(G, dG, dim=3)
         ref = log_rule()
         for _ in range(50):
             p = rng.dirichlet(np.ones(3))
@@ -103,23 +103,23 @@ class TestFromConvex:
             assert rule(p, y) == pytest.approx(ref(p, y), abs=1e-10)
 
     def test_constant_function_constant_score(self, rng):
-        rule = from_convex(lambda p: 4.2, lambda p: np.zeros(len(p)), dim=3, rng=3)
+        rule = from_convex(lambda p: 4.2, lambda p: np.zeros(len(p)), dim=3)
         p = rng.dirichlet(np.ones(3))
         assert rule(p, 0) == rule(p, 2) == pytest.approx(4.2)
 
     def test_self_score_equals_g(self, rng):
-        rule = from_convex(lambda p: p @ p, lambda p: 2 * p, dim=4, rng=4)
+        rule = from_convex(lambda p: p @ p, lambda p: 2 * p, dim=4)
         for _ in range(25):
             p = rng.dirichlet(np.ones(4))
             assert expected_classical(rule, p, p) == pytest.approx(p @ p, abs=1e-10)
 
     def test_non_convex_rejected(self):
         with pytest.raises(ValueError, match="convex|subgradient"):
-            from_convex(lambda p: -float(p @ p), lambda p: -2 * p, dim=3, rng=5)
+            from_convex(lambda p: -float(p @ p), lambda p: -2 * p, dim=3)
 
     def test_inconsistent_subgradient_rejected(self):
         with pytest.raises(ValueError, match="subgradient"):
-            from_convex(lambda p: p @ p, lambda p: 5 * p, dim=3, rng=6)
+            from_convex(lambda p: p @ p, lambda p: 5 * p, dim=3)
 
 
 class TestPropernessCheck:
@@ -186,7 +186,7 @@ class TestPropernessCheck:
 
         scored, real = [], classical.run_trials
 
-        def spy(report, rows, draw, score, encode, rng):
+        def spy(name, mode, trials, dims, rows, draw, score, encode, rng):
             def both(drawn):
                 out = score(drawn)
                 for a, b in zip(out, reference(drawn)):
@@ -194,7 +194,7 @@ class TestPropernessCheck:
                 scored.append(len(drawn[0]))
                 return out
 
-            return real(report, rows, draw, both, encode, rng)
+            return real(name, mode, trials, dims, rows, draw, both, encode, rng)
 
         monkeypatch.setattr(classical, "run_trials", spy)
         for dim in (2, 3, 4):
@@ -207,18 +207,16 @@ class TestPropernessCheck:
             return float(p[pos] @ np.log(p[pos]))
 
         battery = [
-            from_convex(lambda p: p @ p, lambda p: 2 * p, dim=3, rng=11),
+            from_convex(lambda p: p @ p, lambda p: 2 * p, dim=3),
             from_convex(
                 neg_entropy,
                 lambda p: np.where(p > 1e-12, 1.0 + np.log(np.clip(p, 1e-300, None)), NEG_INF),
                 dim=3,
-                rng=12,
             ),
             from_convex(
                 lambda p: float(np.max(p)),
                 lambda p: (np.arange(len(p)) == np.argmax(p)).astype(float),
                 dim=3,
-                rng=13,
             ),
         ]
         for rule in battery:
@@ -292,12 +290,11 @@ class TestRuleValues:
             brier_rule(),
             log_rule(),
             linear_rule(),
-            from_convex(lambda p: p @ p, lambda p: 2 * p, dim=4, rng=21),
+            from_convex(lambda p: p @ p, lambda p: 2 * p, dim=4),
             from_convex(
                 neg_entropy,
                 lambda p: np.where(p > 1e-12, 1.0 + np.log(np.clip(p, 1e-300, None)), NEG_INF),
                 dim=4,
-                rng=22,
             ),
         ]
 

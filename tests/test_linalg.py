@@ -23,6 +23,7 @@ from qelicit.linalg import (
     random_unitary,
     spectral_decompose,
 )
+from qelicit.measurement import herm_coords
 from qelicit.properties import (
     find_level_set_witness,
     optimize_eigen_pair,
@@ -194,6 +195,14 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match=r"matrix is empty, got shape \(.*0, 0\)"):
             spectral_decompose(np.zeros(shape))
 
+    def test_an_empty_stack_is_valid(self):
+        # no matrices of a valid size: empty results, where a 0x0 matrix is refused
+        stack = np.zeros((0, 3, 3))
+        assert herm_coords(stack).shape == (0, 9)
+        dec = spectral_decompose(stack)
+        assert dec.eigenvalues.shape == (0, 3) and dec.eigenvalues.dtype == np.float64
+        assert dec.eigenvectors.shape == (0, 3, 3) and dec.eigenvectors.dtype == np.complex128
+
 
 def _stable_descending(A):
     # eigh, a stable descending sort of every row, then the phase fix
@@ -338,7 +347,7 @@ COUNTS = {
     "properness_check dim": (lambda x: q.properness_check(q.brier_rule(), 8, x, rng=0).to_json(), "dim", 2, 3),
     "is_permutation_invariant dim": (lambda x: is_permutation_invariant(q.brier_rule(), x, rng=0), "dim", 1, 3),
     "from_convex dim": (
-        lambda x: q.from_convex(lambda p: p @ p, lambda p: 2.0 * p, x, rng=0).values(np.full(3, 1 / 3)), "dim", 1, 3),
+        lambda x: q.from_convex(lambda p: p @ p, lambda p: 2.0 * p, x).values(np.full(3, 1 / 3)), "dim", 1, 3),
     "run_verify trials": (lambda x: run_verify("fixed:brier", [2], x, 0), "trials", 1, 8),
     "run_witness trials": (lambda x: run_witness("entropy", [3], x, 0), "trials", 1, 5),
     "run_verify seed": (lambda x: run_verify("fixed:brier", [2], 8, x), "seed", 0, 0),

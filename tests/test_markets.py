@@ -163,14 +163,14 @@ class TestLmsr:
             assert lmsr_cost(np.zeros((n, n))) == pytest.approx(np.log(n), abs=1e-12)
 
     def test_identity_translation(self, rng):
-        Q = random_hermitian(4, rng=rng, scale=3.0)
+        Q = 3.0 * random_hermitian(4, rng=rng)
         assert lmsr_cost(Q + 2.5 * np.eye(4)) == pytest.approx(
             lmsr_cost(Q) + 2.5, abs=1e-10
         )
 
     def test_price_state_is_density(self, rng):
         for _ in range(20):
-            as_density(market_price_state(random_hermitian(3, rng=rng, scale=4.0)))
+            as_density(market_price_state(4.0 * random_hermitian(3, rng=rng)))
 
     def test_price_at_zero_is_maximally_mixed(self):
         assert frob_dist(market_price_state(np.zeros((3, 3))), np.eye(3) / 3) <= 1e-12
@@ -181,14 +181,14 @@ class TestLmsr:
 
     def test_conjugacy_identity(self, rng):
         for _ in range(20):
-            Q = random_hermitian(4, rng=rng, scale=2.0)
+            Q = 2.0 * random_hermitian(4, rng=rng)
             rho = market_price_state(Q)
             assert lmsr_cost(Q) == pytest.approx(
                 hs_inner(Q, rho) + von_neumann_entropy(rho), abs=1e-8
             )
 
     def test_finite_difference_gradient_is_price(self, rng):
-        Q = random_hermitian(3, rng=rng, scale=2.0)
+        Q = 2.0 * random_hermitian(3, rng=rng)
         rho = market_price_state(Q)
         h = 1e-6
         for _ in range(10):
@@ -212,7 +212,7 @@ class TestMarketState:
             n = int(rng.integers(2, 5))
             market = MarketState(n)
             for _ in range(int(rng.integers(1, 6))):
-                market.trade(random_hermitian(n, rng=rng, scale=2.0))
+                market.trade(2.0 * random_hermitian(n, rng=rng))
             truth = random_density(n, rank=int(rng.integers(1, n + 1)), rng=rng)
             assert market.maker_loss(truth) <= np.log(n) + 1e-9
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import qelicit as q
+from qelicit.extended import range_projector
+from qelicit.measurement import herm_coords
 from qelicit.registry import make_property, make_score
 
 _FRAME = q.random_unitary(3, rng=6)
@@ -97,6 +99,31 @@ REFUSALS = {
 def test_refusal_names_what_is_wrong(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(repr(message) if error is KeyError else message)}$"):
         call()
+
+
+# each entry point that validates a matrix, given a 0x0 one, and the name its refusal gives that matrix
+TAKES_A_MATRIX = {
+    "as_hermitian": (q.as_hermitian, "matrix"),
+    "as_unitary": (q.as_unitary, "unitary"),
+    "eigenvalues_desc": (q.eigenvalues_desc, "matrix"),
+    "matrix_to_json": (q.matrix_to_json, "matrix"),
+    "herm_coords": (herm_coords, "matrix"),
+    "Measurement": (lambda E: q.Measurement([E]), "element 0"),
+    "basis_pvm": (q.basis_pvm, "unitary"),
+    "range_projector": (range_projector, "matrix"),
+    "ExtendedHermitian": (lambda E: q.ExtendedHermitian(E, E), "finite part"),
+    "ExtendedHermitian.wrap": (q.ExtendedHermitian.wrap, "finite part"),
+    "canonicalize_extended": (lambda E: q.canonicalize_extended([(E, 1.0)]), "pair 0"),
+    "lmsr_cost": (q.lmsr_cost, "matrix"),
+    "market_price_state": (q.market_price_state, "matrix"),
+    "bundle_cost": (lambda E: q.bundle_cost(E, E), "share matrix"),
+}
+
+
+@pytest.mark.parametrize("call, name", TAKES_A_MATRIX.values(), ids=TAKES_A_MATRIX)
+def test_a_0x0_matrix_is_refused_as_empty(call, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is empty, got shape \\(0, 0\\)$"):
+        call(np.zeros((0, 0)))
 
 
 _RHO2 = q.random_density(2, rng=1)

@@ -31,7 +31,7 @@ def _draw(dim, trials, rows, spare):
 
 
 def _run(trials, score, dims=(2,), rng=0, encode=_encode):
-    return run_trials(ScoreReport("s", "strict", trials, dims), _rows, _draw, score, encode, rng)
+    return run_trials("s", "strict", trials, dims, _rows, _draw, score, encode, rng)
 
 
 def _flag_all(kind, value):
@@ -98,42 +98,17 @@ class TestRunTrials:
         assert [v["a"] for v in report.violations] == list(range(n))
         assert [v["b"] for v in report.violations] == [(2, 3)[i % 2] for i in range(n)]
 
-    def test_a_report_that_has_run_is_refused(self):
-        # a second run would add its counts to the first's: 10 violations in 10 trials
+    def test_each_run_builds_its_own_report(self):
+        # two runs of the same arguments give equal but distinct reports: counts never add up across runs
         def flag_even(drawn):
             n = len(drawn[0])
             return np.zeros(n), np.where(drawn[0] % 2 == 0, "gain", ""), np.zeros(n)
 
-        report = _run(10, flag_even)
-        before = report.to_json()
-        with pytest.raises(ValueError, match=r"^report 's' has already run; run_trials needs an empty ScoreReport$"):
-            run_trials(report, _rows, _draw, flag_even, _encode, 0)
-        assert report.to_json() == before
-        assert before["n_violations"] == 5
-
-    @pytest.mark.parametrize("kind", ["", "gain"])
-    def test_a_report_whose_run_raised_partway_is_refused(self, kind):
-        # the first block's gap (and, of kind "gain", its violations) are in before the second block raises
-        def fail_second_block(drawn):
-            if drawn[0][0] > 0:
-                raise RuntimeError("second block")
-            return _flag_all(kind, -1.0)(drawn)
-
-        report = ScoreReport("s", "strict", 300, (2,))
-        with pytest.raises(RuntimeError, match="second block"):
-            run_trials(report, _rows, _draw, fail_second_block, _encode, 0)
-        assert report.max_gap == -1.0 and not report.timing
-        with pytest.raises(ValueError, match=r"^report 's' has already run; run_trials needs an empty ScoreReport$"):
-            run_trials(report, _rows, _draw, _flag_all("", 0.0), _encode, 0)
-
-    def test_a_report_whose_run_raised_before_counting_runs_again(self):
-        def fail(drawn):
-            raise RuntimeError("first block")
-
-        report = ScoreReport("s", "strict", 10, (2,))
-        with pytest.raises(RuntimeError, match="first block"):
-            run_trials(report, _rows, _draw, fail, _encode, 0)
-        assert run_trials(report, _rows, _draw, _flag_all("gain", 1.0), _encode, 0).n_violations == 10
+        first, second = _run(10, flag_even), _run(10, flag_even)
+        assert first is not second
+        assert first == second
+        assert first.to_json() == second.to_json()
+        assert second.n_violations == 5 and second.kind_counts == {"gain": 5}
 
     def test_same_seed_gives_identical_bytes(self):
         S = make_score("ml:s3", 3)

@@ -201,7 +201,7 @@ def _recorded(i, trials, rows, draw, dims=(2, 3, 4), rng=11):
         return np.zeros(len(hit)), np.where(hit, "hit", ""), np.zeros(len(hit))
 
     report = reports.run_trials(
-        reports.ScoreReport("s", "strict", trials, dims), rows,
+        "s", "strict", trials, dims, rows,
         lambda dim, group, r, spare: (*draw(dim, group, r, spare)[:2], group),
         score, lambda a, b: {"a": a, "b": b}, rng,
     )
