@@ -62,7 +62,11 @@ for every registry property with an evaluator at n = 2, 3 and 4, with
 1, 20 and 130 probes in turn on one generator per seed (seeds 0-4), each
 search listed with that generator's next draw.  Then what each entry
 point that validates a matrix makes of a 0x0 one, and ``herm_coords``
-and ``spectral_decompose`` of an empty stack of 3x3 matrices.
+and ``spectral_decompose`` of an empty stack of 3x3 matrices.  Last,
+``hs_inner`` and ``frob_dist`` of a 0x0 matrix, a 2x3 array, a NaN entry
+and two shapes, ``hs_inner`` of the non-Hermitian [[0.5, 0.3], [0, 0.5]]
+with I, and the exit code and stdout of ``market-sim`` for one trade of
+scale 1e5 projected off the truth at n = 4.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -547,6 +551,29 @@ def empty_matrices() -> None:
     emit("empty stack spectral_decompose", outcome(lambda: [(x.shape, x.dtype.str) for x in q.spectral_decompose(stack)]))
 
 
+def pairings() -> None:
+    # edge inputs of the two pairings, then a valid market scenario whose payoff is a large cancellation
+    I2 = np.eye(2)
+    cases = {
+        "0x0": (np.zeros((0, 0)), np.zeros((0, 0))),
+        "2x3": (np.ones((2, 3)), np.ones((2, 3))),
+        "NaN entry": (np.array([[1.0, np.nan], [np.nan, 1.0]]), I2),
+        "two shapes": (I2, np.eye(3)),
+    }
+    for label, args in cases.items():
+        emit(f"hs_inner {label}", outcome(q.hs_inner, *args))
+        emit(f"frob_dist {label}", outcome(q.frob_dist, *args))
+    emit("hs_inner non-Hermitian with I", outcome(q.hs_inner, np.array([[0.5, 0.3], [0.0, 0.5]]), I2))
+    g = np.random.default_rng(0)
+    truth = q.random_density(4, rng=g)
+    R = 1e5 * q.random_hermitian(4, rng=g)
+    R = q.hermitian_part(R - (np.vdot(truth, R).real / np.vdot(truth, truth).real) * truth)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.json")
+        path.write_text(json.dumps({"dim": 4, "trades": [matrix_to_json(R)], "truth": matrix_to_json(truth)}))
+        emit("market-sim trade 1e5 off the truth", cli_run(["market-sim", "--scenario", str(path)]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -570,3 +597,4 @@ if __name__ == "__main__":
     ordered_ascent()
     level_set_searches()
     empty_matrices()
+    pairings()
