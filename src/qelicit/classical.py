@@ -16,7 +16,7 @@ import numpy as np
 
 from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, _ext_log, ext_dot
 from .linalg import _count
-from .reports import ScoreReport, _classify, run_trials
+from .reports import PROPERNESS_MARGIN, ScoreReport, _classify, run_trials
 
 __all__ = [
     "PROB_CLIP",
@@ -37,7 +37,6 @@ __all__ = [
 
 PROB_CLIP = 1e-12        # negative entries in [-PROB_CLIP, 0) are clipped to 0
 PROB_ZERO_TOL = EXT_WEIGHT_TOL  # probabilities at or below this count as zero
-PROPERNESS_MARGIN = 1e-9  # a gain above this is a violation; a gap within it, between distinct reports, a tie
 DISTINCT_TOL = 1e-6      # reports farther apart than this count as distinct
 
 
@@ -252,7 +251,7 @@ def properness_check(
         P = _clean_rows(beliefs)
         truthful, other = (ext_dot(P, _rule_values(rule, Q)) for Q in (beliefs, reports))
         distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
-        return _classify(truthful, other, distinct, PROPERNESS_MARGIN)
+        return _classify(truthful, other, distinct)
 
     return run_trials(rule.name or "rule", "strict", trials, (dim,), _rows, draw, score, _encode_distributions, rng)
 

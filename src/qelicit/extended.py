@@ -18,9 +18,8 @@ from .linalg import (
     _require_psd,
     as_hermitian,
     hermitian_part,
-    hs_inner,
 )
-from .linalg import _decomposed_densities
+from .linalg import _decomposed_densities, _hs
 
 __all__ = [
     "NEG_INF",
@@ -163,14 +162,14 @@ def ext_inner(E: ExtendedHermitian, X) -> float:
     signals inconsistent input).
     """
     X = as_hermitian(X)
-    b = hs_inner(range_projector(E.infinite_part), X)
+    b = _hs(range_projector(E.infinite_part), X)
     if b > EXT_WEIGHT_TOL:
         return NEG_INF
     if b < -EXT_WEIGHT_TOL:
         raise ValueError(
             f"negative overlap {b:.3e} with the infinite part; input not PSD?"
         )
-    return hs_inner(E.finite_part, X)
+    return _hs(E.finite_part, X)
 
 
 def matrix_log(rho) -> ExtendedHermitian:

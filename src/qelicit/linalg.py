@@ -172,28 +172,23 @@ def hermitian_part(M) -> np.ndarray:
 
 
 def hs_inner(A, B) -> float:
-    """Hilbert-Schmidt inner product Tr(A* B), real for Hermitian inputs.
+    """Hilbert-Schmidt inner product Tr(A* B) of two Hermitian matrices (``as_hermitian``) of one shape."""
+    return _hs(as_hermitian(A), as_hermitian(B))
 
-    Computed elementwise as sum(conj(A) * B).  Raises if the imaginary
-    residual exceeds the float-noise budget, which indicates that the
-    inputs were not actually Hermitian.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
+
+def _hs(A, B) -> float:
+    # hs_inner of two Hermitian matrices (not checked), sum(conj(A) * B).real; refused unless their shapes match
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    val = np.sum(np.conjugate(A) * B)
-    scale = max(1.0, abs(float(val.real)))
-    if abs(float(val.imag)) > 1e-12 * scale:
-        raise ValueError(
-            f"inner product has imaginary residual {val.imag:.3e}; inputs not Hermitian?"
-        )
-    return float(val.real)
+    return float(np.sum(np.conjugate(A) * B).real)
 
 
 def frob_dist(A, B) -> float:
-    """Frobenius distance ||A - B||_F."""
-    return float(np.linalg.norm(np.asarray(A) - np.asarray(B)))
+    """Frobenius distance ||A - B||_F of two finite square matrices (``as_complex_matrix``) of one shape."""
+    A, B = as_complex_matrix(A), as_complex_matrix(B)
+    if A.shape != B.shape:
+        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return float(np.linalg.norm(A - B))
 
 
 class SpectralDecomposition(NamedTuple):

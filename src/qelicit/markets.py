@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extended import NEG_INF
-from .linalg import _count, _log_sum_exp, as_density, as_hermitian, hermitian_part, hs_inner
+from .linalg import _count, _hs, _log_sum_exp, as_density, as_hermitian, hermitian_part
 from .measurement import sample_outcome
 from .scores import QuantumScore, _measured, _pair, expected_score, von_neumann_entropy
 
@@ -121,7 +121,7 @@ def bundle_cost(Q, R) -> float:
 
 def bundle_expected_payoff(R, rho) -> float:
     """A bundle pays its overlap with the realized state."""
-    return hs_inner(as_hermitian(R), as_density(rho))
+    return _hs(as_hermitian(R), as_density(rho))
 
 
 @dataclass
@@ -160,7 +160,7 @@ class MarketState:
         """
         truth = as_density(truth)
         return (
-            hs_inner(self.shares, truth)
+            _hs(self.shares, truth)
             - lmsr_cost(self.shares)
             + float(np.log(self.dim))
         )
@@ -168,4 +168,4 @@ class MarketState:
     def conjugacy_gap(self) -> float:
         """Residual of cost(Q) = <Q, price> + entropy(price); zero at optimum."""
         rho = self.price()
-        return abs(lmsr_cost(self.shares) - hs_inner(self.shares, rho) - von_neumann_entropy(rho))
+        return abs(lmsr_cost(self.shares) - _hs(self.shares, rho) - von_neumann_entropy(rho))

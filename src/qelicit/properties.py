@@ -331,15 +331,14 @@ def level_set_witness(prop: QuantumProperty, rho1, rho2) -> WitnessResult:
     rho2 = as_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: rho1 {rho1.shape[0]}, rho2 {rho2.shape[0]}")
-    return _witness(prop, rho1, rho2, prop.eval(rho1), prop.eval(rho2))
+    r1, r2 = prop.eval(rho1), prop.eval(rho2)
+    return _witness(prop, rho1, rho2, r1, r2, _value_dist(r1, r2) <= REPORT_TOL)
 
 
-def _witness(prop, rho1, rho2, r1, r2):
-    """level_set_witness of two valid states of one shape, given their values r1 and r2."""
+def _witness(prop, rho1, rho2, r1, r2, equal: bool):
+    """level_set_witness of two valid states of one shape, given their values r1 and r2 and whether they agree."""
     rm = prop.eval(hermitian_part(0.5 * (rho1 + rho2)))
-    equal = _value_dist(r1, r2) <= REPORT_TOL
-    differs = _value_dist(rm, r1) > DIFFER_TOL
-    return WitnessResult(prop.name, bool(equal and differs), 0.5, r1, r2, rm, rho1, rho2)
+    return WitnessResult(prop.name, bool(equal and _value_dist(rm, r1) > DIFFER_TOL), 0.5, r1, r2, rm, rho1, rho2)
 
 
 def find_level_set_witness(
@@ -370,7 +369,7 @@ def find_level_set_witness(
         for i, (r1, r2) in enumerate(zip(values(rho1), values(rho2))):
             if _value_dist(r1, r2) > REPORT_TOL:  # no counterexample whatever the midpoint's value
                 continue
-            w = _witness(prop, rho1[i], rho2[i], r1, r2)
+            w = _witness(prop, rho1[i], rho2[i], r1, r2, True)
             if w.is_counterexample:
                 if i + 1 < len(rho1):  # redraw only the probes used, leaving g where a probe-at-a-time search does
                     g.bit_generator.state = state

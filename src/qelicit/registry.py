@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _count, _decompose, eigenvalues_desc, hs_inner, spectral_decompose
+from .linalg import _count, _decompose, _hs, eigenvalues_desc, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims
@@ -212,12 +212,12 @@ PROPERTY_REGISTRY: dict[str, dict] = {
         "elicitable": False,
     },
     "tsallis2": {
-        "property": lambda dim: QuantumProperty(lambda rho: 1.0 - hs_inner(rho, rho), name="tsallis2"),
+        "property": lambda dim: QuantumProperty(lambda rho: 1.0 - _hs(rho, rho), name="tsallis2"),
         "score": None,
         "elicitable": False,
     },
     "norm2": {
-        "property": lambda dim: QuantumProperty(lambda rho: float(np.sqrt(hs_inner(rho, rho))), name="norm2"),
+        "property": lambda dim: QuantumProperty(lambda rho: float(np.sqrt(_hs(rho, rho))), name="norm2"),
         "score": None,
         "elicitable": False,
     },

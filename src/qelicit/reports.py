@@ -17,6 +17,7 @@ MAX_STORED_VIOLATIONS = 32
 TRIAL_BLOCK = 256  # trials drawn and scored together; bounds a check's memory for any trial count
 RNG_BLOCK = 64  # trials per seeded block draw, fixed by the "rng": RNG_FORMAT of the verify JSON
 RNG_FORMAT = "block-v1"
+PROPERNESS_MARGIN = 1e-9  # a gain above this is a violation; a gap within it, between distinct reports, a tie
 
 
 def json_safe(x):
@@ -64,13 +65,6 @@ class ScoreReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def add_violation(self, entry: dict):
-        self.n_violations += 1
-        kind = entry.get("kind", "violation")
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        if len(self.violations) < MAX_STORED_VIOLATIONS:
-            self.violations.append(entry)
-
     def to_json(self) -> dict:
         """The report as strict JSON: only the gaps can be non-finite, as the stored states are finite."""
         return {
@@ -111,14 +105,15 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     ``draw(dims[j], trials, rows, spare)`` builds a group from its rows,
     stacked, and ``spare()``, their spare rows, as a tuple of stacks whose
     first two hold the states a trial records; ``score(drawn)`` returns
-    ``(gaps, kinds, values)``, one entry per trial.  Finite gaps feed
-    ``max_gap``; each trial of kind not "" is a violation, stored in
-    trial order with its index as ``trial``, its value as ``gap`` and
-    ``encode(a, b)``, a dict describing its two states, called only for
-    the violations that are stored.  The report, named ``name`` and
-    ``mode``, is built here, so each run counts its own trials;
-    ``report.timing`` gets the seconds spent in all, in scoring, and in
-    the rest, mostly drawing (``draw_s``).
+    ``(kinds, values)``, one entry per trial.  The largest finite value
+    is ``max_gap``; each trial of kind not "" is a violation, counted by
+    kind and stored in trial order, up to MAX_STORED_VIOLATIONS, with its
+    index as ``trial``, its value as ``gap`` and ``encode(a, b)``, a dict
+    describing its two states, called only for the violations that are
+    stored.  The report, named ``name`` and ``mode``, is built here and
+    its counters written once, at the end; ``report.timing`` gets the
+    seconds spent in all, in scoring, and in the rest, mostly drawing
+    (``draw_s``).
     """
     report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
     dims, L, root, blocks = report.dims, len(report.dims), np.random.default_rng(rng), {}
@@ -134,48 +129,48 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
             parts.append([a[group[group // RNG_BLOCK == c] % RNG_BLOCK // L] for a in blocks[c][key][j]])
         return [np.concatenate(p) for p in zip(*parts)]
 
+    max_gap, kind_counts, stored = float("-inf"), {}, []
     score_s, start = 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
         trials = np.arange(first, min(first + TRIAL_BLOCK, report.trials))
         # the blocks this one reads: new ones are spawned in order, so that block c is child c
         blocks = {c: blocks.get(c) or {"gen": root.spawn(1)[0]}
                   for c in range(first // RNG_BLOCK, int(trials[-1]) // RNG_BLOCK + 1)}
-        gaps, found = np.empty(len(trials)), []
+        found = []
         for j in dict.fromkeys((trials % L).tolist()):
             k = np.flatnonzero(trials % L == j)
             drawn = draw(dims[j], trials[k], take(j, trials[k]), partial(take, j, trials[k], "spare"))
             t = perf_counter()
-            gaps[k], kinds, values = score(drawn)
+            kinds, values = score(drawn)
             score_s += perf_counter() - t
+            max_gap = float(np.max(values, initial=max_gap, where=np.isfinite(values)))
             found += [(int(trials[k[x]]), str(kinds[x]), values[x], drawn[0][x], drawn[1][x])
                       for x in np.flatnonzero(kinds != "")]
-        finite = gaps[np.isfinite(gaps)]
-        if finite.size:
-            report.max_gap = max(report.max_gap, float(finite.max()))
         for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
-            # only the violations that will be stored are encoded
-            states = encode(a, b) if len(report.violations) < MAX_STORED_VIOLATIONS else {}
-            report.add_violation({"kind": kind, "gap": float(value), **states, "trial": i})
+            kind_counts[kind] = kind_counts.get(kind, 0) + 1
+            if len(stored) < MAX_STORED_VIOLATIONS:  # only the violations that are stored are encoded
+                stored.append({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+    report.max_gap, report.kind_counts, report.violations = max_gap, kind_counts, stored
+    report.n_violations = sum(kind_counts.values())
     wall_s = perf_counter() - start
     report.timing = {"wall_s": wall_s, "draw_s": wall_s - score_s, "score_s": score_s}
     return report
 
 
-def _classify(truthful, other, distinct, margin: float):
-    """``(gaps, kinds, values)`` of reports against the truth, one entry per trial.
+def _classify(truthful, other, distinct):
+    """``(kinds, values)`` of reports against the truth, one entry per trial.
 
     A truthful expected score that is not finite, or a NaN on either side,
-    is ``irregular``, with gap -inf and the NaN (else the truthful value)
-    stored.  Otherwise the gap is ``other - truthful`` (-inf when
-    ``other`` is): above ``margin`` it is a ``gain``, and a finite gap
-    within ``margin`` is a ``tie`` where ``distinct`` holds.  Other trials
-    get kind "".
+    is ``irregular``, valued at the NaN (else the truthful value), never
+    finite.  Otherwise the value is the gap ``other - truthful`` (-inf
+    when ``other`` is): above PROPERNESS_MARGIN it is a ``gain``, and a
+    finite gap within it is a ``tie`` where ``distinct`` holds.  Other
+    trials get kind "".
     """
     truthful, other = np.asarray(truthful, dtype=np.float64), np.asarray(other, dtype=np.float64)
     irregular = ~np.isfinite(truthful) | np.isnan(other)
     with np.errstate(invalid="ignore"):
-        gaps = np.where(irregular | ~(other > -math.inf), -math.inf, other - truthful)
-    gain = gaps > margin
-    tie = np.isfinite(gaps) & (np.abs(gaps) <= margin) & distinct
-    kinds = np.select([irregular, gain, tie], ["irregular", "gain", "tie"], "")
-    return gaps, kinds, np.where(irregular, np.where(np.isnan(other), other, truthful), gaps)
+        gaps = np.where(other > -math.inf, other - truthful, -math.inf)
+    tie = np.isfinite(gaps) & (np.abs(gaps) <= PROPERNESS_MARGIN) & distinct
+    kinds = np.select([irregular, gaps > PROPERNESS_MARGIN, tie], ["irregular", "gain", "tie"], "")
+    return kinds, np.where(irregular, np.where(np.isnan(other), other, truthful), gaps)

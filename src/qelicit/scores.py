@@ -630,9 +630,9 @@ def _beliefs_and_reports(S, dim, trials, rows, spare):
 
 
 def _compare(kind, a, b):
-    # (gaps, kinds, values) of |a - b| in R u {-inf}, each flagged as ``kind`` above EQUIV_TOL
+    # (kinds, values) of |a - b| in R u {-inf}, each flagged as ``kind`` above EQUIV_TOL
     gaps = _ext_gap(a, b)
-    return gaps, np.where(gaps > EQUIV_TOL, kind, ""), gaps
+    return np.where(gaps > EQUIV_TOL, kind, ""), gaps
 
 
 def truthfulness_check(
@@ -654,9 +654,9 @@ def truthfulness_check(
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
-        return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL, TRUTH_MARGIN)
+        return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL)
 
-    return run_trials(getattr(S, "name", "score"), "strict", trials, dims, partial(_rows, 2),
+    return run_trials(S.name, "strict", trials, dims, partial(_rows, 2),
                       partial(_beliefs_and_reports, S), score, _encode_states, rng)
 
 
@@ -668,19 +668,17 @@ def equivalence_check(
     rng=None,
 ) -> ScoreReport:
     """Compare expected scores pointwise, flagging gaps above EQUIV_TOL; -inf must match -inf."""
-    name = f"{getattr(S1, 'name', 'S1')} == {getattr(S2, 'name', 'S2')}"
-
     def score(drawn):
         rhos, reps = drawn
         # trials outside S2's domain are skipped with gap 0
-        gaps, kinds = np.zeros(len(rhos)), np.full(len(rhos), "", dtype=object)
+        kinds, gaps = np.full(len(rhos), "", dtype=object), np.zeros(len(rhos))
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
             (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
-            gaps[keep], kinds[keep], _ = _compare("mismatch", a, b)
-        return gaps, kinds, gaps
+            kinds[keep], gaps[keep] = _compare("mismatch", a, b)
+        return kinds, gaps
 
-    return run_trials(name, "equivalence", trials, dims, partial(_rows, 2),
+    return run_trials(f"{S1.name} == {S2.name}", "equivalence", trials, dims, partial(_rows, 2),
                       partial(_beliefs_and_reports, S1), score, _encode_states, rng)
 
 
@@ -701,8 +699,7 @@ def unitary_invariance_check(
         (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b)
 
-    return run_trials(getattr(S, "name", "score"), "unitary-invariance", trials, dims, partial(_rows, 3), draw, score,
-                      _encode_states, rng)
+    return run_trials(S.name, "unitary-invariance", trials, dims, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
 def implementability_check(
@@ -731,8 +728,7 @@ def implementability_check(
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
         return _compare("nonlinear", mixed, linear)
 
-    return run_trials(getattr(S, "name", "score"), "implementability", trials, dims, partial(_rows, 3), draw, score,
-                      _encode_states, rng)
+    return run_trials(S.name, "implementability", trials, dims, partial(_rows, 3), draw, score, _encode_states, rng)
 
 
 def subgradient_inequality_check(
@@ -766,7 +762,6 @@ def subgradient_inequality_check(
                 gaps[j], invalid[j] = np.inf, True
                 continue
             gaps[j] = NEG_INF if pairing == NEG_INF else (float(F(base)) + pairing) - float(F(rho))
-        kinds = np.select([invalid, gaps > TRUTH_MARGIN], ["invalid-selection", "violated"], "")
-        return gaps, kinds, gaps
+        return np.select([invalid, gaps > TRUTH_MARGIN], ["invalid-selection", "violated"], ""), gaps
 
     return run_trials("subgradient", "inequality", trials, dims, partial(_rows, 2), draw, score, _encode_states, rng)

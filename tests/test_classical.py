@@ -170,7 +170,7 @@ class TestPropernessCheck:
     @pytest.mark.parametrize("name", ["brier", "log", "linear", "const", "doomed"])
     def test_block_scoring_matches_a_per_trial_reference(self, monkeypatch, name):
         # each block is scored with one pairing per side; a per-trial expected_classical
-        # on the same draws must give the same gaps, kinds and values, bit for bit
+        # on the same draws must give the same kinds and values, bit for bit
         rule = {
             "brier": brier_rule(), "log": log_rule(), "linear": linear_rule(),
             "const": ClassicalScoringRule(lambda p: np.ones(np.shape(p)), name="const"),
@@ -182,7 +182,7 @@ class TestPropernessCheck:
             truthful = [expected_classical(rule, p, p) for p in beliefs]
             other = [expected_classical(rule, q, p) for p, q in zip(beliefs, reports)]
             distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
-            return _classify(truthful, other, distinct, PROPERNESS_MARGIN)
+            return _classify(truthful, other, distinct)
 
         scored, real = [], classical.run_trials
 
@@ -377,7 +377,6 @@ class TestNanPayoffs:
 
     def test_classify_counts_a_nan_on_either_side_as_irregular(self):
         truthful, other = np.array([0.0, np.nan, 0.0]), np.array([np.nan, 0.0, 1.0])
-        gaps, kinds, values = _classify(truthful, other, np.ones(3, dtype=bool), 1e-9)
+        kinds, values = _classify(truthful, other, np.ones(3, dtype=bool))
         assert kinds.tolist() == ["irregular", "irregular", "gain"]
-        assert gaps[:2].tolist() == [-np.inf, -np.inf]
         assert np.isnan(values[:2]).all() and values[2] == 1.0

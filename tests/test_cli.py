@@ -12,7 +12,7 @@ import pytest
 import qelicit
 from qelicit import cli
 from qelicit.cli import example_mixture_state, main, paper_example_rows, run_verify
-from qelicit.linalg import matrix_to_json, random_density, random_hermitian
+from qelicit.linalg import hermitian_part, matrix_to_json, random_density, random_hermitian
 from qelicit.measurement import standard_pvm
 from qelicit.properties import find_level_set_witness
 from qelicit.registry import make_property, make_score, run_witness
@@ -364,6 +364,21 @@ class TestMarketSim:
         code, out, err = run_cli(capsys, "market-sim", "--scenario", self.scenario(tmp_path, 3, "quadratic"))
         assert (code, out) == (2, "")
         assert "scenario cost must be 'lmsr', the only market maker, got 'quadratic'" in err
+
+    def test_a_large_trade_paying_nothing_at_the_truth_runs(self, capsys, tmp_path):
+        # a trade of scale 1e5 projected off the truth: its payoff cancels to float noise of order 1e-11,
+        # whose imaginary part once failed a residual test of the pairing
+        g = np.random.default_rng(0)
+        truth = random_density(4, rng=g)
+        R = 1e5 * random_hermitian(4, rng=g)
+        R = hermitian_part(R - (np.vdot(truth, R).real / np.vdot(truth, truth).real) * truth)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"dim": 4, "trades": [matrix_to_json(R)], "truth": matrix_to_json(truth)}))
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+        assert abs(report["ledger"][0]["expected_payoff"]) <= 1e-9
+        assert report["maker_loss"] <= report["loss_bound"]
 
     def test_dimension_mismatch_names_the_matrix(self, capsys, tmp_path):
         rng = np.random.default_rng(13)

@@ -356,7 +356,7 @@ class TestStackedKernel:
         A = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
         rho = np.outer(plus_i, plus_i.conj())
-        with pytest.raises(ValueError, match="imaginary residual"):
+        with pytest.raises(ValueError, match="not Hermitian"):
             hs_inner(A, rho)
         with pytest.raises(ValueError, match="not Hermitian"):
             Measurement([A, np.eye(2) - A])

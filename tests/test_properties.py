@@ -472,6 +472,14 @@ class TestBlockSearch:
         assert evals == []
         assert g.sizes == [(64, 4, dim, dim)] * 3 + [(8, 4, dim, dim)]
 
+    def test_a_found_pair_is_judged_to_agree_once(self, monkeypatch):
+        # a one-probe search compares the pair's values, then the midpoint's against them: two comparisons
+        calls, real = [], properties._value_dist
+        monkeypatch.setattr(properties, "_value_dist", lambda a, b: calls.append((a, b)) or real(a, b))
+        w = find_level_set_witness(make_property("max-eigenvalue", 3), 3, 1, rng=0)
+        assert w.is_counterexample
+        assert len(calls) == 2
+
 
 class TestInducedClassical:
     """A property of states is one of outcome laws through a complete map's reconstruct."""

@@ -89,6 +89,21 @@ REFUSALS = {
     "top_bottom_score report of the wrong dimension": (
         lambda: q.top_bottom_score([1.0, 0.0, -1.0]).payoff(np.eye(2)),
         ValueError, "report vectors have dimension 2, expected 3"),
+    "hs_inner of a 2x3 array": (
+        lambda: q.hs_inner(np.ones((2, 3)), np.ones((2, 3))), ValueError, "matrix must be square, got shape (2, 3)"),
+    "frob_dist of a 2x3 array": (
+        lambda: q.frob_dist(np.ones((2, 3)), np.ones((2, 3))), ValueError, "matrix must be square, got shape (2, 3)"),
+    "hs_inner of a NaN entry": (
+        lambda: q.hs_inner([[1.0, np.nan], [np.nan, 1.0]], np.eye(2)), ValueError, "matrix has non-finite entries"),
+    "frob_dist of a NaN entry": (
+        lambda: q.frob_dist([[1.0, np.nan], [np.nan, 1.0]], np.eye(2)), ValueError, "matrix has non-finite entries"),
+    "hs_inner of two shapes": (
+        lambda: q.hs_inner(np.eye(2), np.eye(3)), ValueError, "dimension mismatch: (2, 2) vs (3, 3)"),
+    "frob_dist of two shapes": (
+        lambda: q.frob_dist(np.eye(2), np.eye(3)), ValueError, "dimension mismatch: (2, 2) vs (3, 3)"),
+    "hs_inner of a non-Hermitian matrix with I": (
+        lambda: q.hs_inner([[0.5, 0.3], [0.0, 0.5]], np.eye(2)),
+        ValueError, "matrix is not Hermitian: max |M - M*| = 3.000e-01"),
     "make_property of a score-only entry": (
         lambda: make_property("eigvec-topk", 2),
         KeyError, "property 'eigvec-topk' has no level-set evaluator (score-only entry)"),
@@ -117,6 +132,8 @@ TAKES_A_MATRIX = {
     "lmsr_cost": (q.lmsr_cost, "matrix"),
     "market_price_state": (q.market_price_state, "matrix"),
     "bundle_cost": (lambda E: q.bundle_cost(E, E), "share matrix"),
+    "hs_inner": (lambda E: q.hs_inner(E, E), "matrix"),
+    "frob_dist": (lambda E: q.frob_dist(E, E), "matrix"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from qelicit.classical import brier_rule, properness_check
 from qelicit.linalg import hs_inner
 from qelicit.registry import SCORE_REGISTRY, make_score, run_verify, run_witness
-from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, json_safe, run_trials
+from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, _classify, json_safe, run_trials
 from qelicit.scores import (
     equivalence_check,
     implementability_check,
@@ -37,7 +37,15 @@ def _run(trials, score, dims=(2,), rng=0, encode=_encode):
 def _flag_all(kind, value):
     def score(drawn):
         n = len(drawn[0])
-        return np.full(n, value), np.full(n, kind), np.full(n, value)
+        return np.full(n, kind), np.full(n, value)
+
+    return score
+
+
+def _chosen(kinds):
+    # a score giving trial i the kind kinds[i] ("" past the end), each valued 0
+    def score(drawn):
+        return np.array([kinds[i] if i < len(kinds) else "" for i in drawn[0]]), np.zeros(len(drawn[0]))
 
     return score
 
@@ -55,14 +63,23 @@ class TestRunTrials:
 
     def test_finite_gaps_recorded(self):
         gaps = np.array([-1.0, float("-inf"), -0.25, float("inf"), -0.5])
-        report = _run(len(gaps), lambda d: (gaps[d[0]], np.full(len(d[0]), ""), gaps[d[0]]))
+        report = _run(len(gaps), lambda d: (np.full(len(d[0]), ""), gaps[d[0]]))
         assert report.max_gap == -0.25
         assert report.passed
+
+    def test_max_gap_is_the_largest_finite_value_of_a_block_with_irregular_rows(self):
+        # truthful values NaN, +inf and -inf, and a NaN report, are irregular; the two finite gains are 0.5 and 2
+        truthful = np.array([0.0, np.nan, np.inf, -np.inf, 0.0, 0.0])
+        other = np.array([0.5, 0.0, 0.0, 0.0, 2.0, np.nan])
+        report = _run(len(truthful), lambda d: _classify(truthful[d[0]], other[d[0]], np.ones(len(d[0]), dtype=bool)))
+        assert report.max_gap == 2.0
+        assert report.kind_counts == {"gain": 2, "irregular": 4}
+        assert [v["gap"] for v in report.to_json()["violations"]] == [0.5, "nan", "inf", "-inf", 2.0, "nan"]
 
     def test_kinds_counted_and_trial_index_recorded(self):
         def score(drawn):
             t = drawn[0]
-            return np.full(len(t), 0.5), np.where(t % 3 == 0, "gain", "tie"), np.full(len(t), 0.5)
+            return np.where(t % 3 == 0, "gain", "tie"), np.full(len(t), 0.5)
 
         report = _run(9, score)
         assert report.kind_counts == {"gain": 3, "tie": 6}
@@ -101,8 +118,7 @@ class TestRunTrials:
     def test_each_run_builds_its_own_report(self):
         # two runs of the same arguments give equal but distinct reports: counts never add up across runs
         def flag_even(drawn):
-            n = len(drawn[0])
-            return np.zeros(n), np.where(drawn[0] % 2 == 0, "gain", ""), np.zeros(n)
+            return np.where(drawn[0] % 2 == 0, "gain", ""), np.zeros(len(drawn[0]))
 
         first, second = _run(10, flag_even), _run(10, flag_even)
         assert first is not second
@@ -154,9 +170,9 @@ class TestScoreReport:
             ScoreReport("s", "strict", 10, (2,), **{counter: value})
 
     def test_verdict_tracks_violations(self):
-        report = ScoreReport("s", "strict", 10, (2,))
+        report = _run(10, _chosen(()))
         assert report.passed and report.verdict == "pass"
-        report.add_violation({"kind": "gain", "gap": 1.0})
+        report = _run(10, _chosen(("gain",)))
         assert not report.passed and report.verdict == "fail"
         assert report.kind_counts == {"gain": 1}
 
@@ -165,9 +181,7 @@ class TestScoreReport:
         (("tie", "gain"), False), (("tie", "irregular"), False),
     ])
     def test_the_weak_verdict_ignores_ties_alone(self, kinds, weak):
-        report = ScoreReport("s", "strict", 10, (2,))
-        for kind in kinds:
-            report.add_violation({"kind": kind, "gap": 0.0})
+        report = _run(10, _chosen(kinds))
         assert report.weakly_passed is weak
         assert report.passed == (not kinds)
 
@@ -179,9 +193,7 @@ class TestScoreReport:
         assert result["observed"]["strictly_truthful"] == all(not c for c in counts)
 
     def test_violation_storage_capped(self):
-        report = ScoreReport("s", "strict", 10, (2,))
-        for _ in range(100):
-            report.add_violation({"kind": "tie", "gap": 0.0})
+        report = _run(100, _chosen(("tie",) * 100))
         assert report.n_violations == 100
         assert len(report.violations) == 32
 

@@ -198,7 +198,7 @@ def _recorded(i, trials, rows, draw, dims=(2, 3, 4), rng=11):
     # the states trial i records in a run of `trials` trials whose score flags trial i alone
     def score(drawn):
         hit = drawn[2] == i
-        return np.zeros(len(hit)), np.where(hit, "hit", ""), np.zeros(len(hit))
+        return np.where(hit, "hit", ""), np.zeros(len(hit))
 
     report = reports.run_trials(
         "s", "strict", trials, dims, rows,
@@ -346,9 +346,9 @@ def _ref_compare(kind, a, b, tol):
 
 def test_compare_flags_a_gap_above_equiv_tol():
     a = np.array([0.0, 0.0, NEG_INF, NEG_INF])
-    gaps, kinds, values = scores._compare("mismatch", a, np.array([EQUIV_TOL, 2 * EQUIV_TOL, NEG_INF, 0.0]))
+    kinds, values = scores._compare("mismatch", a, np.array([EQUIV_TOL, 2 * EQUIV_TOL, NEG_INF, 0.0]))
     assert kinds.tolist() == ["", "mismatch", "", "mismatch"]
-    assert gaps.tolist() == values.tolist() == [EQUIV_TOL, 2 * EQUIV_TOL, 0.0, math.inf]
+    assert values.tolist() == [EQUIV_TOL, 2 * EQUIV_TOL, 0.0, math.inf]
 
 
 def _ref_check(S, check, trials, dims, rng):
