@@ -66,7 +66,14 @@ and ``spectral_decompose`` of an empty stack of 3x3 matrices.  Last,
 ``hs_inner`` and ``frob_dist`` of a 0x0 matrix, a 2x3 array, a NaN entry
 and two shapes, ``hs_inner`` of the non-Hermitian [[0.5, 0.3], [0, 0.5]]
 with I, and the exit code and stdout of ``market-sim`` for one trade of
-scale 1e5 projected off the truth at n = 4.
+scale 1e5 projected off the truth at n = 4.  Last, the registry verdict
+reports again with their unitary-invariance and implementability
+violations stripped of ``rho`` and ``rho_prime`` (also at dims 8, 16,
+160 trials and seed 3), and the first stored violation of each of those
+two checks for ``fixed:brier``, ``ml:s4`` and ``ml:s5`` at d = 2 and 16
+(160 trials, seed 3): its trial, kind, gap and first two states (belief
+and report; the two beliefs), from ``registry.replay_verify`` where the
+tree has it, else as the violation stored them.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -85,7 +92,7 @@ import numpy as np
 
 import qelicit as q
 from qelicit.classical import from_convex, is_permutation_invariant
-from qelicit import properties
+from qelicit import properties, registry
 from qelicit.cli import main
 from qelicit.extended import range_projector
 from qelicit.linalg import matrix_to_json
@@ -574,6 +581,38 @@ def pairings() -> None:
         emit("market-sim trade 1e5 off the truth", cli_run(["market-sim", "--scenario", str(path)]))
 
 
+def stripped(report) -> dict:
+    # a run_verify report less its unitary-invariance and implementability violations' rho and rho_prime
+    for sub in report["reports"]:
+        for key in ("unitary_invariance", "implementability"):
+            sub[key]["violations"] = [{k: x for k, x in v.items() if k not in ("rho", "rho_prime")}
+                                      for v in sub[key]["violations"]]
+    return report
+
+
+def stripped_verify_reports() -> None:
+    for name in sorted(SCORE_REGISTRY):
+        for dims, trials, seed in (([2, 3, 4], 400, 0), ([2, 3, 4], 400, 7), ([8, 16], 160, 3)):
+            emit(f"run_verify {name} dims={dims} seed={seed} stripped",
+                 json.dumps(stripped(run_verify(name, dims, trials, seed)), sort_keys=True))
+
+
+def replayed_violations() -> None:
+    # the first stored violation of the two checks that store no states, by replay where the tree has one
+    replay = getattr(registry, "replay_verify", None)
+    for name in ("fixed:brier", "ml:s4", "ml:s5"):
+        for d in (2, 16):
+            sub = run_verify(name, [d], 160, 3)["reports"][0]
+            for stream, key, first_two in ((1, "unitary_invariance", ("rho", "rho_prime")),
+                                           (2, "implementability", ("rho_1", "rho_2"))):
+                found = sub[key]["violations"][:1]
+                if found and replay is not None:
+                    r = replay(name, [d], 160, 3, stream, found[0]["trial"])
+                    found = [{"trial": r["trial"], "kind": r["kind"], "gap": r["gap"],
+                              "rho": r[first_two[0]], "rho_prime": r[first_two[1]]}]
+                emit(f"replay {name} d={d} {key}", json.dumps(found, sort_keys=True))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -598,3 +637,5 @@ if __name__ == "__main__":
     level_set_searches()
     empty_matrices()
     pairings()
+    stripped_verify_reports()
+    replayed_violations()
