@@ -31,7 +31,7 @@ from .measurement import (
     standard_pvm,
 )
 from .properties import level_set_witness
-from .registry import make_property, run_verify, run_witness
+from .registry import make_property, replay_verify, run_verify, run_witness
 from .scores import binary_brier, expected_score, ml_scores
 
 __all__ = ["main", "example_mixture_state", "paper_example_rows", "run_verify"]
@@ -145,6 +145,8 @@ def _json_only(args) -> None:
 
 def _cmd_verify(args) -> int:
     _json_only(args)
+    if args.replay is not None:
+        return _replay(args)
     report = run_verify(
         args.score, _parse_dims(args.dims), args.trials, args.seed,
         profile=sys.stderr if args.profile else None,
@@ -155,6 +157,25 @@ def _cmd_verify(args) -> int:
         print(f"profile {args.score} report: {size} bytes encoded and written in "
               f"{time.perf_counter() - start:.4f} s", file=sys.stderr)
     return 0 if report["as_expected"] else 1
+
+
+def _replay(args) -> int:
+    # one violation of the verify run the other arguments name, in full; a --replay that is not two
+    # integers, out of range or no violation is a ValueError naming it
+    dims = _parse_dims(args.dims)
+    try:
+        stream, trial = (int(x) for x in args.replay.split(":"))
+    except ValueError:
+        raise ValueError(f"--replay must be STREAM:TRIAL, two integers, got {args.replay!r}") from None
+    try:
+        replay = replay_verify(args.score, dims, args.trials, args.seed, stream, trial)
+    except ValueError as exc:
+        raise ValueError(f"--replay {args.replay}: {exc}") from None
+    if not replay["kind"]:
+        raise ValueError(f"--replay {args.replay}: trial {trial} of stream {stream} ({replay['check']}) "
+                         f"is not a violation, gap {replay['gap']}")
+    _dump(replay, args.out)
+    return 0
 
 
 def _cmd_paper_examples(args) -> int:
@@ -256,8 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here (JSON only, not .csv)")
     p.add_argument("--profile", action="store_true",
-                   help="print each check's trials, seconds and draw/score split, then the report's bytes "
-                        "and write seconds, on stderr")
+                   help="print each check's trials, seconds, draw/score/encode split and violations, then the "
+                        "report's bytes and write seconds, on stderr")
+    p.add_argument("--replay", default=None, metavar="STREAM:TRIAL",
+                   help="print that violation of the run the other options name in full (its states, unitary or "
+                        "weight, kind and gap) instead of the report")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paper-examples", help="reproduce the worked examples and print pass/fail")

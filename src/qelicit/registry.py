@@ -14,14 +14,16 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _count, _decompose, _hs, eigenvalues_desc, spectral_decompose
+from .linalg import _count, _decompose, _hs, eigenvalues_desc, matrix_to_json, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
-from .reports import RNG_FORMAT, _check_dims
+from .reports import RNG_FORMAT, _check_dims, _replay, json_safe, run_trials
 from .scores import (
+    _implementability,
+    _truthfulness,
+    _unitary_invariance,
     binary_brier,
     fixed_measurement_score,
-    implementability_check,
     log_det_score,
     log_spectral,
     log_trace_exp_score,
@@ -29,12 +31,11 @@ from .scores import (
     projective_brier,
     spectral_score,
     trace_score,
-    truthfulness_check,
-    unitary_invariance_check,
     von_neumann_entropy,
 )
 
-__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "run_verify", "PROPERTY_REGISTRY", "make_property", "run_witness"]
+__all__ = ["ScoreEntry", "SCORE_REGISTRY", "make_score", "run_verify", "replay_verify", "PROPERTY_REGISTRY",
+           "make_property", "run_witness"]
 
 
 @dataclass(frozen=True)
@@ -99,42 +100,61 @@ def make_score(name: str, dim: int):
     return _lookup(SCORE_REGISTRY, name, "score", "scores").make(_count(dim, "dim", 1))
 
 
+# The checks run_verify runs at each dimension, in stream order: the run_trials arguments of each
+# (but trials, dims and rng) for a score, and the names of a replayed trial's parts, in draw order
+_CHECKS = {
+    "truthfulness": (_truthfulness, ("rho", "rho_prime")),
+    "unitary_invariance": (_unitary_invariance, ("rho", "rho_prime", "unitary")),
+    "implementability": (_implementability, ("rho_1", "rho_2", "rho_prime", "t")),
+}
+
+
+def _verify_arguments(score_name, dims, trials, seed) -> tuple:
+    # the registry entry, dims, trials and seed of a verify run, validated; the counts
+    # as Python ints, so that a report serializes
+    entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
+    dims = _check_dims(dims)
+    trials = _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
+    return entry, dims, trials, _count(seed, "seed", 0)
+
+
+def _check_trials(dims, trials) -> list:
+    # each check's trial count, by stream: the trials split over the dimensions as evenly as they
+    # go, the first trials % len(dims) taking one more, and a quarter of those (at least 1) for the last two checks
+    base, extra = divmod(trials, len(dims))
+    per_dim = [base + (i < extra) for i in range(len(dims))]
+    return [n if k == 0 else max(1, n // 4) for n in per_dim for k in range(len(_CHECKS))]
+
+
 def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> dict:
     """Run all checks for one registry score and compare with its expectations.
 
     Fixed-measurement scores are dimension-specific, so each dimension
     gets its own instance.  The trials are split as evenly as they go,
     the first ``trials % len(dims)`` dimensions taking one more, so the
-    per-dimension truthfulness trials add up to ``trials``.  Each check
-    records as ``stream`` the index j of its root seed
-    ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
+    per-dimension truthfulness trials add up to ``trials``; the
+    unitary-invariance and implementability checks run a quarter of them
+    (at least 1).  Each check records as ``stream`` the index j of its
+    root seed ``SeedSequence(seed).spawn(3 * len(dims))[j]``, which
     ``SeedSequence(seed, spawn_key=(j,))`` rebuilds, and draws its trials
-    by the layout ``"rng"`` names (``reports.run_trials``).  Every check
-    runs at its own default tolerances.  With ``profile``, a text stream,
-    each check writes one line to it: its trials, wall seconds, trials/s
-    and the split between drawing and scoring.
+    by the layout ``"rng"`` names (``reports.run_trials``), so
+    ``replay_verify`` rebuilds any of its trials.  Every check runs at
+    its own default tolerances.  With ``profile``, a text stream, each
+    check writes one line to it: its trials, wall seconds, trials/s, the
+    split between drawing, scoring and encoding, and its violations.
     """
-    entry = _lookup(SCORE_REGISTRY, score_name, "score", "scores")
-    dims = _check_dims(dims)
-    trials = _count(trials, "trials", len(dims), floor=f"the number of dimensions ({len(dims)})")
-    seed = _count(seed, "seed", 0)  # a Python int, so the report serializes
-
-    base, extra = divmod(trials, len(dims))
-    children = np.random.SeedSequence(seed).spawn(3 * len(dims))
-    sub_reports, runs = [], []
+    entry, dims, trials, seed = _verify_arguments(score_name, dims, trials, seed)
+    counts, sub_reports, runs = _check_trials(dims, trials), [], []
     for i, dim in enumerate(dims):
-        S = entry.make(dim)
-        per_dim = base + (i < extra)
-        rngs = [np.random.default_rng(children[3 * i + k]) for k in range(3)]
-        truth = truthfulness_check(S, per_dim, dims=(dim,), rng=rngs[0])
-        ui = unitary_invariance_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[1])
-        impl = implementability_check(S, max(1, per_dim // 4), dims=(dim,), rng=rngs[2])
-        runs.append({"truthfulness": truth, "unitary_invariance": ui, "implementability": impl})
-        sub = {"dim": dim}
-        for k, (key, check) in enumerate(runs[-1].items()):
-            sub[key] = {**check.to_json(), "stream": 3 * i + k}
+        S, run, sub = entry.make(dim), {}, {"dim": dim}
+        for k, (key, (arguments, _)) in enumerate(_CHECKS.items()):
+            stream = len(_CHECKS) * i + k
+            root = np.random.SeedSequence(seed, spawn_key=(stream,))
+            run[key] = run_trials(trials=counts[stream], dims=(dim,), rng=root, **arguments(S))
+            sub[key] = {**run[key].to_json(), "stream": stream}
             if profile is not None:
-                _profile_line(profile, score_name, dim, key, check)
+                _profile_line(profile, score_name, dim, key, run[key])
+        runs.append(run)
         sub_reports.append(sub)
 
     observed = {
@@ -157,12 +177,43 @@ def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> d
     }
 
 
+def replay_verify(score_name: str, dims, trials: int, seed: int, stream: int, trial: int) -> dict:
+    """Trial ``trial`` of the check ``run_verify(score_name, dims, trials, seed)`` ran as ``stream``, in full.
+
+    The check runs again on its stream's root seed with ``trials =
+    trial + 1`` (``reports._replay``), so the trial reads the rows it read
+    in the whole run (the ``"rng"`` layout).  Returns the run's arguments,
+    the check's name, ``dim``, the recomputed ``kind`` ("" for a trial
+    that is not a violation) and ``gap``, which equal what the report
+    stores for a violation, and the trial's parts by name, matrices in
+    the wire format: ``rho`` (belief) and ``rho_prime`` (report) for
+    truthfulness; those and ``unitary`` for unitary invariance; ``rho_1``,
+    ``rho_2`` (beliefs), ``rho_prime`` and the weight ``t`` of ``rho_1``
+    in their mixture for implementability.  A stream outside
+    ``0..3 * len(dims) - 1`` or a trial outside its check's trials is a
+    ValueError.
+    """
+    entry, dims, trials, seed = _verify_arguments(score_name, dims, trials, seed)
+    counts = _check_trials(dims, trials)
+    stream = _count(stream, "stream", 0, len(counts) - 1)
+    i, k = divmod(stream, len(_CHECKS))
+    key, (arguments, names) = list(_CHECKS.items())[k]
+    trial = _count(trial, f"trial of stream {stream} ({key}, {counts[stream]} trials)", 0, counts[stream] - 1)
+    root = np.random.SeedSequence(seed, spawn_key=(stream,))
+    kind, value, parts = _replay(arguments(entry.make(dims[i])), trial, (dims[i],), root)
+    parts = {name: matrix_to_json(p) if np.ndim(p) else float(p) for name, p in zip(names, parts)}
+    return {"score": score_name, "dims": dims, "trials": trials, "seed": seed, "rng": RNG_FORMAT, "stream": stream,
+            "check": key, "dim": dims[i], "trial": trial, "kind": kind, "gap": json_safe(float(value)),
+            **parts}
+
+
 def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
     t = check.timing
     rate = check.trials / t["wall_s"] if t["wall_s"] > 0 else float("inf")
     print(
         f"profile {score_name} dim={dim} {key}: {check.trials} trials in {t['wall_s']:.4f} s, "
-        f"{rate:.0f} trials/s (draw {t['draw_s']:.4f} s, score {t['score_s']:.4f} s)",
+        f"{rate:.0f} trials/s (draw {t['draw_s']:.4f} s, score {t['score_s']:.4f} s, "
+        f"encode {t['encode_s']:.4f} s), {check.n_violations} violations",
         file=stream,
     )
 

@@ -38,8 +38,8 @@ class ScoreReport:
     A report starts empty and ``run_trials`` fills it.  ``violations``
     holds at most MAX_STORED_VIOLATIONS entries, each with its trial's
     index as ``trial``; ``n_violations`` counts them all.  ``timing``, the
-    run's wall seconds split into drawing and scoring, is not in the JSON,
-    which stays the same for a fixed seed.
+    run's wall seconds split into drawing, scoring and encoding the stored
+    violations, is not in the JSON, which stays the same for a fixed seed.
     """
 
     name: str
@@ -108,12 +108,12 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     ``(kinds, values)``, one entry per trial.  The largest finite value
     is ``max_gap``; each trial of kind not "" is a violation, counted by
     kind and stored in trial order, up to MAX_STORED_VIOLATIONS, with its
-    index as ``trial``, its value as ``gap`` and ``encode(a, b)``, a dict
-    describing its two states, called only for the violations that are
-    stored.  The report, named ``name`` and ``mode``, is built here and
-    its counters written once, at the end; ``report.timing`` gets the
-    seconds spent in all, in scoring, and in the rest, mostly drawing
-    (``draw_s``).
+    index as ``trial``, its value as ``gap`` and, unless ``encode`` is
+    None, ``encode(a, b)``, a dict describing its two states, called only
+    for the violations that are stored.  The report, named ``name`` and
+    ``mode``, is built here and its counters written once, at the end;
+    ``report.timing`` gets the seconds spent in all, in scoring, in
+    encoding (``encode_s``), and in the rest, mostly drawing (``draw_s``).
     """
     report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
     dims, L, root, blocks = report.dims, len(report.dims), np.random.default_rng(rng), {}
@@ -130,7 +130,7 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
         return [np.concatenate(p) for p in zip(*parts)]
 
     max_gap, kind_counts, stored = float("-inf"), {}, []
-    score_s, start = 0.0, perf_counter()
+    score_s, encode_s, start = 0.0, 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
         trials = np.arange(first, min(first + TRIAL_BLOCK, report.trials))
         # the blocks this one reads: new ones are spawned in order, so that block c is child c
@@ -146,15 +146,38 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
             max_gap = float(np.max(values, initial=max_gap, where=np.isfinite(values)))
             found += [(int(trials[k[x]]), str(kinds[x]), values[x], drawn[0][x], drawn[1][x])
                       for x in np.flatnonzero(kinds != "")]
+        t = perf_counter()
         for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
             if len(stored) < MAX_STORED_VIOLATIONS:  # only the violations that are stored are encoded
-                stored.append({"kind": kind, "gap": float(value), **encode(a, b), "trial": i})
+                stored.append({"kind": kind, "gap": float(value), **(encode(a, b) if encode else {}), "trial": i})
+        encode_s += perf_counter() - t
     report.max_gap, report.kind_counts, report.violations = max_gap, kind_counts, stored
     report.n_violations = sum(kind_counts.values())
     wall_s = perf_counter() - start
-    report.timing = {"wall_s": wall_s, "draw_s": wall_s - score_s, "score_s": score_s}
+    report.timing = {"wall_s": wall_s, "draw_s": wall_s - score_s - encode_s, "score_s": score_s, "encode_s": encode_s}
     return report
+
+
+def _replay(checked: dict, trial: int, dims, rng) -> tuple:
+    """``(kind, value, parts)`` of trial ``trial`` of ``run_trials(trials=..., dims=dims, rng=rng, **checked)``.
+
+    ``parts`` holds the trial's row of each stack ``checked["draw"]``
+    builds.  Its rows depend on neither the trial count nor TRIAL_BLOCK,
+    so a run of ``trial + 1`` trials, in which it is the last, draws it
+    again; that run encodes nothing, and its group is scored once more.
+    """
+    draw, found = checked["draw"], {}
+
+    def keep(dim, trials, rows, spare):
+        drawn = draw(dim, trials, rows, spare)
+        if trials[-1] == trial:  # the group that ends with the trial
+            found["drawn"] = drawn
+        return drawn
+
+    run_trials(trials=trial + 1, dims=dims, rng=rng, **{**checked, "draw": keep, "encode": None})
+    kinds, values = checked["score"](found["drawn"])
+    return str(kinds[-1]), values[-1], [part[-1] for part in found["drawn"]]
 
 
 def _classify(truthful, other, distinct):

@@ -650,14 +650,21 @@ def truthfulness_check(
     states farther apart than DISTINCT_TOL: ``passed`` is strict
     truthfulness and ``weakly_passed`` truthfulness.  ``S`` is a
     ``QuantumScore`` or an ``ExpectedScoreFn``; trials are scored in stacks.
+    A violation stores its belief and report, its whole trial, as ``rho``
+    and ``rho_prime``.
     """
+    return run_trials(trials=trials, dims=dims, rng=rng, **_truthfulness(S))
+
+
+def _truthfulness(S) -> dict:
+    # run_trials' arguments but trials, dims and rng for truthfulness_check of S
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL)
 
-    return run_trials(S.name, "strict", trials, dims, partial(_rows, 2),
-                      partial(_beliefs_and_reports, S), score, _encode_states, rng)
+    return {"name": S.name, "mode": "strict", "rows": partial(_rows, 2), "draw": partial(_beliefs_and_reports, S),
+            "score": score, "encode": _encode_states}
 
 
 def equivalence_check(
@@ -688,7 +695,16 @@ def unitary_invariance_check(
     dims=(2, 3, 4),
     rng=None,
 ) -> ScoreReport:
-    """Flag |S(r; rho) - S(U r U*; U rho U*)| above EQUIV_TOL."""
+    """Flag |S(r; rho) - S(U r U*; U rho U*)| above EQUIV_TOL.
+
+    A violation stores no states: its belief, report and U replay from
+    the seed (``registry.replay_verify`` for a ``verify`` run).
+    """
+    return run_trials(trials=trials, dims=dims, rng=rng, **_unitary_invariance(S))
+
+
+def _unitary_invariance(S) -> dict:
+    # run_trials' arguments but trials, dims and rng for unitary_invariance_check of S
     def draw(dim, trials, rows, spare):
         return *_beliefs_and_reports(S, dim, trials, rows, spare), _unitaries(rows[1][:, 2])
 
@@ -699,7 +715,8 @@ def unitary_invariance_check(
         (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b)
 
-    return run_trials(S.name, "unitary-invariance", trials, dims, partial(_rows, 3), draw, score, _encode_states, rng)
+    return {"name": S.name, "mode": "unitary-invariance", "rows": partial(_rows, 3), "draw": draw,
+            "score": score, "encode": None}
 
 
 def implementability_check(
@@ -712,8 +729,15 @@ def implementability_check(
 
     A score is physically implementable iff rho -> S(report; rho) is
     extended-linear; mixtures are compared against mixed expected
-    values under the extended arithmetic, within EQUIV_TOL.
+    values under the extended arithmetic, within EQUIV_TOL.  A violation
+    stores no states: its two beliefs, report and weight replay from the
+    seed (``registry.replay_verify`` for a ``verify`` run).
     """
+    return run_trials(trials=trials, dims=dims, rng=rng, **_implementability(S))
+
+
+def _implementability(S) -> dict:
+    # run_trials' arguments but trials, dims and rng for implementability_check of S
     def draw(dim, trials, rows, spare):
         # the report (state 1 of the row) against the beliefs, states 0 and 2
         ranks, G, u = rows
@@ -728,7 +752,8 @@ def implementability_check(
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
         return _compare("nonlinear", mixed, linear)
 
-    return run_trials(S.name, "implementability", trials, dims, partial(_rows, 3), draw, score, _encode_states, rng)
+    return {"name": S.name, "mode": "implementability", "rows": partial(_rows, 3), "draw": draw,
+            "score": score, "encode": None}
 
 
 def subgradient_inequality_check(

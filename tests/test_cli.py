@@ -15,7 +15,7 @@ from qelicit.cli import example_mixture_state, main, paper_example_rows, run_ver
 from qelicit.linalg import hermitian_part, matrix_to_json, random_density, random_hermitian
 from qelicit.measurement import standard_pvm
 from qelicit.properties import find_level_set_witness
-from qelicit.registry import make_property, make_score, run_witness
+from qelicit.registry import make_property, make_score, replay_verify, run_witness
 from qelicit.reports import json_safe
 from qelicit.scores import QuantumScore, equivalence_check, log_spectral, projective_brier, truthfulness_check
 
@@ -633,14 +633,56 @@ def test_repeated_main_calls_match_separate_processes(capsys):
 
 
 def test_verify_out_file_holds_the_bytes_of_stdout_on_one_line(capsys, tmp_path):
-    argv = ["verify", "--score", "fixed:brier", "--dims", "2", "--trials", "40", "--seed", "3"]
+    argv = ["verify", "--score", "ml:s3", "--dims", "2", "--trials", "40", "--seed", "3"]
     code, out, _ = run_cli(capsys, *argv)
     path = tmp_path / "r.json"
     assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
     assert code == 0
     assert path.read_bytes() == out.encode()
     assert out.endswith("\n") and out.count("\n") == 1
-    assert json.loads(out)["reports"][0]["unitary_invariance"]["violations"]  # stored matrices are in it
+    assert json.loads(out)["reports"][0]["truthfulness"]["violations"][0]["rho"]  # stored matrices are in it
+
+
+class TestReplay:
+    # fixed:brier at d = 2, 40 trials and seed 3: every one of the 10 unitary-invariance trials (stream 1) is a
+    # violation, and neither the truthfulness (stream 0) nor the implementability trials (stream 2) have one
+    ARGV = ["verify", "--score", "fixed:brier", "--dims", "2", "--trials", "40", "--seed", "3"]
+
+    def test_a_violation_prints_as_one_line_of_strict_json(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *self.ARGV, "--replay", "1:9")
+        assert (code, err) == (0, "") and out.endswith("\n") and out.count("\n") == 1
+        got = json.loads(out)
+        assert got == replay_verify("fixed:brier", [2], 40, 3, 1, 9)
+        stored = run_verify("fixed:brier", [2], 40, 3)["reports"][0]["unitary_invariance"]["violations"][9]
+        assert {k: got[k] for k in stored} == stored
+        path = tmp_path / "r.json"
+        assert run_cli(capsys, *self.ARGV, "--replay", "1:9", "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("value", ["1", "1:", ":9", "a:0", "1:0:0", "1.0:0", ""])
+    def test_a_malformed_value_exits_2(self, capsys, value):
+        code, out, err = run_cli(capsys, *self.ARGV, f"--replay={value}")
+        assert (code, out) == (2, "")
+        assert f"--replay must be STREAM:TRIAL, two integers, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["3:0", "-1:0"])
+    def test_a_stream_outside_the_runs_checks_exits_2(self, capsys, value):
+        code, out, err = run_cli(capsys, *self.ARGV, f"--replay={value}")
+        assert (code, out) == (2, "")
+        assert f"--replay {value}: stream must be an integer in 0..2, got {value.split(':')[0]}" in err
+
+    @pytest.mark.parametrize("value, bound", [("1:10", "(unitary_invariance, 10 trials) must be an integer in 0..9"),
+                                              ("0:40", "(truthfulness, 40 trials) must be an integer in 0..39")])
+    def test_a_trial_outside_the_checks_trials_exits_2(self, capsys, value, bound):
+        code, out, err = run_cli(capsys, *self.ARGV, f"--replay={value}")
+        assert (code, out) == (2, "")
+        assert f"--replay {value}: trial of stream {value[0]} {bound}" in err
+
+    @pytest.mark.parametrize("value, check", [("0:0", "truthfulness"), ("2:3", "implementability")])
+    def test_a_trial_that_is_not_a_violation_exits_2(self, capsys, value, check):
+        code, out, err = run_cli(capsys, *self.ARGV, "--replay", value)
+        assert (code, out) == (2, "")
+        assert f"--replay {value}: trial {value[2:]} of stream {value[0]} ({check}) is not a violation, gap " in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ scalar ones, the check reports to the block size, and the block-wise
 checks to a per-trial copy of the loop they replace.
 """
 
+import json
 import math
 import sys
 from dataclasses import replace
@@ -31,7 +32,7 @@ from qelicit.linalg import (
 )
 from qelicit.classical import ClassicalScoringRule, linear_rule, properness_check
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm
-from qelicit.registry import SCORE_REGISTRY, make_score
+from qelicit.registry import SCORE_REGISTRY, make_score, replay_verify
 from qelicit.scores import (
     DISTINCT_TOL,
     EQUIV_TOL,
@@ -263,7 +264,8 @@ class TestBlockRows:
 def _ref_row(rng, dims, i, k, spare=False):
     """(ranks, Gaussians, uniforms) of trial i's row: of its block's draw, or of its spare draw."""
     b, r = divmod(i, reports.RNG_BLOCK)
-    g = np.random.default_rng(rng).spawn(b + 1)[b]  # block b is child b of the root seed
+    root = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(rng)
+    g = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, b)))  # child b of the root
     if spare:
         g = g.spawn(1)[0]
     at = [(b * reports.RNG_BLOCK + x) % len(dims) for x in range(reports.RNG_BLOCK)]  # each row's index of dims
@@ -351,35 +353,38 @@ def test_compare_flags_a_gap_above_equiv_tol():
     assert values.tolist() == [EQUIV_TOL, 2 * EQUIV_TOL, 0.0, math.inf]
 
 
-def _ref_check(S, check, trials, dims, rng):
-    """(gaps, violations) of the per-trial loop: violations as (trial, kind, value, a, b)."""
-    gaps, found = [], []
+def _ref_trial(S, check, dims, rng, i):
+    """(gap, violation or None, parts) of trial i of the per-trial loop: a violation as (kind, value), the
+    parts in draw order, (belief, report), (belief, report, U) or (belief 1, belief 2, report, t)."""
     k = 2 if check == "truthfulness" else 3
+    ranks, G, u = _ref_row(rng, dims, i, k)
+    spare = lambda: _ref_row(rng, dims, i, k, spare=True)
+    a = _ref_state(S, ranks[0], G[0])
+    if check == "implementability":
+        b = _ref_state(S, ranks[2], G[2])
+        rep = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
+        t = u[-1]
+        e1, e2 = expected_score(S, rep, a), expected_score(S, rep, b)
+        mixed = expected_score(S, rep, hermitian_part(t * a + (1.0 - t) * b))
+        linear = ext_dot([t, 1.0 - t], [e1, e2])
+        return *_ref_compare("nonlinear", mixed, linear, EQUIV_TOL), (a, b, rep, t)
+    b = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
+    if check == "truthfulness":
+        return *_ref_classify(expected_score(S, a, a), expected_score(S, b, a),
+                              frob_dist(a, b) > DISTINCT_TOL, TRUTH_MARGIN), (a, b)
+    U = _ref_unitary(G[2])
+    rotated = expected_score(S, hermitian_part(U @ b @ U.conj().T), hermitian_part(U @ a @ U.conj().T))
+    return *_ref_compare("variance", expected_score(S, b, a), rotated, EQUIV_TOL), (a, b, U)
+
+
+def _ref_check(S, check, trials, dims, rng):
+    """(gaps, violations) of the per-trial loop: violations as (trial, kind, value, parts)."""
+    gaps, found = [], []
     for i in range(trials):
-        ranks, G, u = _ref_row(rng, dims, i, k)
-        spare = lambda i=i: _ref_row(rng, dims, i, k, spare=True)
-        a = _ref_state(S, ranks[0], G[0])
-        if check == "implementability":
-            b = _ref_state(S, ranks[2], G[2])
-            rep = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
-            t = u[-1]
-            e1, e2 = expected_score(S, rep, a), expected_score(S, rep, b)
-            mixed = expected_score(S, rep, hermitian_part(t * a + (1.0 - t) * b))
-            linear = ext_dot([t, 1.0 - t], [e1, e2])
-            gap, v = _ref_compare("nonlinear", mixed, linear, EQUIV_TOL)
-        else:
-            b = _ref_adversarial_report(S, a, i % 4, ranks[1], G[1], u, spare)
-            if check == "truthfulness":
-                gap, v = _ref_classify(expected_score(S, a, a), expected_score(S, b, a),
-                                       frob_dist(a, b) > DISTINCT_TOL, TRUTH_MARGIN)
-            else:
-                U = _ref_unitary(G[2])
-                rotated = expected_score(S, hermitian_part(U @ b @ U.conj().T),
-                                         hermitian_part(U @ a @ U.conj().T))
-                gap, v = _ref_compare("variance", expected_score(S, b, a), rotated, EQUIV_TOL)
+        gap, v, parts = _ref_trial(S, check, dims, rng, i)
         gaps.append(gap)
         if v is not None:
-            found.append((i, *v, a, b))
+            found.append((i, *v, parts))
     return gaps, found
 
 
@@ -387,6 +392,11 @@ CHECKS = {
     "truthfulness": truthfulness_check,
     "unitary_invariance": unitary_invariance_check,
     "implementability": implementability_check,
+}
+ARGUMENTS = {  # each check's run_trials arguments but trials, dims and rng
+    "truthfulness": scores._truthfulness,
+    "unitary_invariance": scores._unitary_invariance,
+    "implementability": scores._implementability,
 }
 
 
@@ -408,9 +418,15 @@ class TestPerTrialReference:
         for _, kind, *_ in found:
             kinds[kind] = kinds.get(kind, 0) + 1
         assert got.kind_counts == kinds
-        for v, (trial, kind, value, a, b) in zip(got.violations, found):
+        for v, (trial, kind, value, parts) in zip(got.violations, found):
             assert (v["trial"], v["kind"]) == (trial, kind)
-            assert v["rho"] == matrix_to_json(a) and v["rho_prime"] == matrix_to_json(b)
+            if check == "truthfulness":
+                assert v["rho"] == matrix_to_json(parts[0]) and v["rho_prime"] == matrix_to_json(parts[1])
+            else:  # no states stored: the replayed trial is the reference's, part for part
+                assert "rho" not in v and "rho_prime" not in v
+                replayed = reports._replay(ARGUMENTS[check](S), trial, dims, 17)
+                assert replayed[:2] == (kind, v["gap"])
+                assert all(np.array_equal(x, y) for x, y in zip(replayed[2], parts, strict=True))
             if math.isfinite(value):
                 _close(v["gap"], value)
             else:
@@ -435,6 +451,100 @@ class TestPerTrialReference:
             mismatched += v is not None
         assert skipped and mismatched
         assert got.n_violations == mismatched
+
+
+# (seed, trial) of an ml:s2 trial at d = 2 whose report is redrawn from its spare row, by check
+SPARE = {"truthfulness": (12, 578), "unitary_invariance": (5, 266), "implementability": (1, 462)}
+PART_NAMES = {
+    "truthfulness": ("rho", "rho_prime"),
+    "unitary_invariance": ("rho", "rho_prime", "unitary"),
+    "implementability": ("rho_1", "rho_2", "rho_prime", "t"),
+}
+
+
+def _reads_spare(S, check, dims, rng, i):
+    # whether trial i's adversarial report (the per-trial loop's) is redrawn from its spare row
+    k = 2 if check == "truthfulness" else 3
+    ranks, G, u = _ref_row(rng, dims, i, k)
+    read = []
+    _ref_adversarial_report(S, _ref_state(S, ranks[0], G[0]), i % 4, ranks[1], G[1], u,
+                            lambda: read.append(i) or _ref_row(rng, dims, i, k, spare=True))
+    return bool(read)
+
+
+def _matrix(wire):
+    return np.array(wire["re"]) + 1j * np.array(wire["im"])
+
+
+class TestReplay:
+    @pytest.mark.parametrize("check", list(ARGUMENTS))  # in stream order
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_replay_is_the_per_trial_reference(self, name, check):
+        stream, (seed, spare) = list(ARGUMENTS).index(check), SPARE[check]
+        S = make_score(name, 2)
+        trials = [5, reports.TRIAL_BLOCK + 44]  # one past the first scoring block
+        if name == "ml:s2":
+            trials.append(spare)
+            assert _reads_spare(S, check, (2,), np.random.SeedSequence(seed, spawn_key=(stream,)), spare)
+        for i in trials:
+            got = replay_verify(name, [2], 2400, seed, stream, i)  # 600 trials in the last two checks
+            gap, v, parts = _ref_trial(S, check, (2,), np.random.SeedSequence(seed, spawn_key=(stream,)), i)
+            assert (got["check"], got["dim"], got["stream"], got["trial"]) == (check, 2, stream, i)
+            assert got["kind"] == (v[0] if v else "")
+            if math.isfinite(gap):
+                _close(got["gap"], gap)
+            else:
+                assert float(got["gap"]) == gap
+            for part, want in zip(PART_NAMES[check], parts, strict=True):
+                assert got[part] == (float(want) if part == "t" else matrix_to_json(want)), part
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("name, stream", [("fixed:brier", 1), ("fixed:log", 1), ("ml:s4", 2), ("ml:s5", 2)])
+    def test_the_replayed_parts_recompute_the_stored_gap(self, name, stream, d):
+        report = run_verify(name, [d], 160, 3)
+        check = list(ARGUMENTS)[stream]
+        stored = report["reports"][0][check]["violations"]
+        assert stored and all(set(v) == {"kind", "gap", "trial"} for v in stored)
+        S = make_score(name, d)
+        for v in stored[:8]:
+            got = replay_verify(name, [d], 160, 3, stream, v["trial"])
+            assert (got["kind"], got["gap"]) == (v["kind"], v["gap"])
+            if check == "unitary_invariance":
+                rho, r, U = (_matrix(got[k]) for k in ("rho", "rho_prime", "unitary"))
+                a = expected_score(S, r, rho)
+                b = expected_score(S, hermitian_part(U @ r @ U.conj().T), hermitian_part(U @ rho @ U.conj().T))
+            else:
+                rho_1, rho_2, r = (_matrix(got[k]) for k in ("rho_1", "rho_2", "rho_prime"))
+                t = got["t"]
+                a = expected_score(S, r, hermitian_part(t * rho_1 + (1.0 - t) * rho_2))
+                b = ext_dot([t, 1.0 - t], [expected_score(S, r, rho_1), expected_score(S, r, rho_2)])
+            if v["gap"] == "inf":  # -inf on one side only
+                assert (a == NEG_INF) != (b == NEG_INF)
+            else:
+                assert v["gap"] > EQUIV_TOL
+                _close(abs(a - b), v["gap"], tol=1e-9)
+
+    def test_truthfulness_violations_keep_their_states(self):
+        report = run_verify("ml:s3", [3], 80, 2)
+        (v, *_) = report["reports"][0]["truthfulness"]["violations"]
+        got = replay_verify("ml:s3", [3], 80, 2, 0, v["trial"])
+        assert {k: got[k] for k in v} == v
+
+    def test_a_d16_report_without_truthfulness_violations_is_small(self):
+        report = run_verify("fixed:brier", [16], 160, 3)
+        assert report["reports"][0]["unitary_invariance"]["n_violations"] == 40
+        assert len(json.dumps(report)) < 5000
+
+    @pytest.mark.parametrize("stream, trial, match", [
+        (3, 0, r"stream must be an integer in 0\.\.2, got 3"),
+        (-1, 0, r"stream must be an integer in 0\.\.2, got -1"),
+        (1, 10, r"trial of stream 1 \(unitary_invariance, 10 trials\) must be an integer in 0\.\.9, got 10"),
+        (0, 40, r"trial of stream 0 \(truthfulness, 40 trials\) must be an integer in 0\.\.39, got 40"),
+        (0, 1.5, r"trial of stream 0 .* got 1\.5"),
+    ])
+    def test_a_stream_or_trial_out_of_range_is_refused(self, stream, trial, match):
+        with pytest.raises(ValueError, match=match):
+            replay_verify("fixed:brier", [2], 40, 3, stream, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -571,3 +681,21 @@ class TestProfile:
         assert len(lines) == 7
         assert all("trials/s" in line and "draw" in line and "score" in line for line in lines[:6])
         assert f"report: {len(plain.out)} bytes" in lines[6]
+
+    def test_each_check_reports_its_encoding_seconds_and_violations(self, capsys):
+        subs = run_verify("ml:s3", [2, 3], 40, 2)["reports"]
+        assert main(["verify", "--score", "ml:s3", "--dims", "2,3", "--trials", "40", "--seed", "2", "--profile"]) == 0
+        lines = capsys.readouterr().err.splitlines()[:6]
+        for line, (sub, key) in zip(lines, [(sub, key) for sub in subs for key in ARGUMENTS], strict=True):
+            assert line.startswith(f"profile ml:s3 dim={sub['dim']} {key}: ")
+            assert " s, encode " in line and line.endswith(f" s), {sub[key]['n_violations']} violations")
+
+    @pytest.mark.parametrize("check, name", [("truthfulness", "ml:s4"), ("unitary_invariance", "fixed:brier"),
+                                             ("implementability", "ml:s4")])
+    def test_timing_splits_the_wall_seconds_and_stays_out_of_the_json(self, check, name):
+        report = CHECKS[check](make_score(name, 3), 40, dims=(3,), rng=4)
+        assert report.n_violations
+        t = report.timing
+        assert set(t) == {"wall_s", "draw_s", "score_s", "encode_s"} and min(t.values()) >= 0
+        assert t["draw_s"] + t["score_s"] + t["encode_s"] == pytest.approx(t["wall_s"])
+        assert "timing" not in report.to_json()
