@@ -17,13 +17,14 @@ from .classical import brier_rule, log_rule
 from .linalg import _count, _decompose, _hs, eigenvalues_desc, matrix_to_json, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
-from .reports import RNG_FORMAT, _check_dims, _replay, json_safe, run_trials
+from .reports import RNG_FORMAT, _check_dims, _replay, json_safe
 from .scores import (
     _implementability,
     _truthfulness,
     _unitary_invariance,
     binary_brier,
     fixed_measurement_score,
+    implementability_check,
     log_det_score,
     log_spectral,
     log_trace_exp_score,
@@ -31,6 +32,8 @@ from .scores import (
     projective_brier,
     spectral_score,
     trace_score,
+    truthfulness_check,
+    unitary_invariance_check,
     von_neumann_entropy,
 )
 
@@ -100,8 +103,9 @@ def make_score(name: str, dim: int):
     return _lookup(SCORE_REGISTRY, name, "score", "scores").make(_count(dim, "dim", 1))
 
 
-# The checks run_verify runs at each dimension, in stream order: the run_trials arguments of each
-# (but trials, dims and rng) for a score, and the names of a replayed trial's parts, in draw order
+# The checks run_verify runs at each dimension, in stream order, as replay_verify runs them: the
+# run_trials arguments of each (but trials, dims and rng) for a score, and the names of a trial's
+# parts, in draw order.  run_verify calls the public checks by name, so that tracing sees them.
 _CHECKS = {
     "truthfulness": (_truthfulness, ("rho", "rho_prime")),
     "unitary_invariance": (_unitary_invariance, ("rho", "rho_prime", "unitary")),
@@ -146,15 +150,17 @@ def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> d
     entry, dims, trials, seed = _verify_arguments(score_name, dims, trials, seed)
     counts, sub_reports, runs = _check_trials(dims, trials), [], []
     for i, dim in enumerate(dims):
-        S, run, sub = entry.make(dim), {}, {"dim": dim}
-        for k, (key, (arguments, _)) in enumerate(_CHECKS.items()):
-            stream = len(_CHECKS) * i + k
-            root = np.random.SeedSequence(seed, spawn_key=(stream,))
-            run[key] = run_trials(trials=counts[stream], dims=(dim,), rng=root, **arguments(S))
-            sub[key] = {**run[key].to_json(), "stream": stream}
+        S = entry.make(dim)
+        n, roots = counts[3 * i:3 * i + 3], [np.random.SeedSequence(seed, spawn_key=(3 * i + k,)) for k in range(3)]
+        truth = truthfulness_check(S, n[0], dims=(dim,), rng=roots[0])
+        ui = unitary_invariance_check(S, n[1], dims=(dim,), rng=roots[1])
+        impl = implementability_check(S, n[2], dims=(dim,), rng=roots[2])
+        runs.append({"truthfulness": truth, "unitary_invariance": ui, "implementability": impl})
+        sub = {"dim": dim}
+        for k, (key, check) in enumerate(runs[-1].items()):
+            sub[key] = {**check.to_json(), "stream": 3 * i + k}
             if profile is not None:
-                _profile_line(profile, score_name, dim, key, run[key])
-        runs.append(run)
+                _profile_line(profile, score_name, dim, key, check)
         sub_reports.append(sub)
 
     observed = {

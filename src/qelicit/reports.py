@@ -165,7 +165,8 @@ def _replay(checked: dict, trial: int, dims, rng) -> tuple:
     ``parts`` holds the trial's row of each stack ``checked["draw"]``
     builds.  Its rows depend on neither the trial count nor TRIAL_BLOCK,
     so a run of ``trial + 1`` trials, in which it is the last, draws it
-    again; that run encodes nothing, and its group is scored once more.
+    again.  That run scores and encodes nothing; the trial's group alone
+    is scored, after it.
     """
     draw, found = checked["draw"], {}
 
@@ -175,7 +176,10 @@ def _replay(checked: dict, trial: int, dims, rng) -> tuple:
             found["drawn"] = drawn
         return drawn
 
-    run_trials(trials=trial + 1, dims=dims, rng=rng, **{**checked, "draw": keep, "encode": None})
+    def unscored(drawn):
+        return np.full(len(drawn[0]), ""), np.zeros(len(drawn[0]))
+
+    run_trials(trials=trial + 1, dims=dims, rng=rng, **{**checked, "draw": keep, "score": unscored, "encode": None})
     kinds, values = checked["score"](found["drawn"])
     return str(kinds[-1]), values[-1], [part[-1] for part in found["drawn"]]
 

@@ -524,6 +524,15 @@ class TestReplay:
                 assert v["gap"] > EQUIV_TOL
                 _close(abs(a - b), v["gap"], tol=1e-9)
 
+    def test_run_verify_calls_the_public_checks_by_name(self, monkeypatch):
+        # the benchmark's tracing wraps the three checks where the registry names them
+        calls = []
+        for check, public in CHECKS.items():
+            monkeypatch.setattr(qelicit.registry, public.__name__,
+                                lambda *a, public=public, check=check, **k: calls.append(check) or public(*a, **k))
+        run_verify("fixed:brier", [2, 3], 8, 0)
+        assert calls == list(CHECKS) * 2
+
     def test_truthfulness_violations_keep_their_states(self):
         report = run_verify("ml:s3", [3], 80, 2)
         (v, *_) = report["reports"][0]["truthfulness"]["violations"]
