@@ -155,7 +155,7 @@ def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> d
         truth = truthfulness_check(S, n[0], dims=(dim,), rng=roots[0])
         ui = unitary_invariance_check(S, n[1], dims=(dim,), rng=roots[1])
         impl = implementability_check(S, n[2], dims=(dim,), rng=roots[2])
-        runs.append({"truthfulness": truth, "unitary_invariance": ui, "implementability": impl})
+        runs.append(dict(zip(_CHECKS, (truth, ui, impl))))
         sub = {"dim": dim}
         for k, (key, check) in enumerate(runs[-1].items()):
             sub[key] = {**check.to_json(), "stream": 3 * i + k}
