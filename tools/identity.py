@@ -73,7 +73,12 @@ violations stripped of ``rho`` and ``rho_prime`` (also at dims 8, 16,
 two checks for ``fixed:brier``, ``ml:s4`` and ``ml:s5`` at d = 2 and 16
 (160 trials, seed 3): its trial, kind, gap and first two states (belief
 and report; the two beliefs), from ``registry.replay_verify`` where the
-tree has it, else as the violation stored them.
+tree has it, else as the violation stored them.  Then, where the tree has
+``replay_verify``, whole replays of trials past the fourth 64-trial
+block: each verify stream of ``fixed:brier``, ``ml:s2`` and ``ml:s5`` at
+d = 2 and 16 (10,000 trials, seed 3) at trials 300 and 2,400, and the
+``ml:s2`` trials of ``tests/test_stacked.py``'s ``SPARE``, whose report
+at d = 2 is redrawn from its spare row (2,400 trials), at d = 2 and 16.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -613,6 +618,23 @@ def replayed_violations() -> None:
                 emit(f"replay {name} d={d} {key}", json.dumps(found, sort_keys=True))
 
 
+def replayed_trials() -> None:
+    # whole replays of trials in late blocks, and of trials whose report reads its spare row
+    replay = getattr(registry, "replay_verify", None)
+    if replay is None:
+        return
+    for name in ("fixed:brier", "ml:s2", "ml:s5"):
+        for d in (2, 16):
+            for stream in range(3):
+                for trial in (300, 2400):
+                    emit(f"replay_verify {name} d={d} stream={stream} trial={trial}",
+                         json.dumps(replay(name, [d], 10000, 3, stream, trial), sort_keys=True))
+    for stream, (seed, trial) in enumerate(((12, 578), (5, 266), (1, 462))):  # SPARE, in stream order
+        for d in (2, 16):
+            emit(f"replay_verify ml:s2 d={d} stream={stream} seed={seed} trial={trial}",
+                 json.dumps(replay("ml:s2", [d], 2400, seed, stream, trial), sort_keys=True))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -639,3 +661,4 @@ if __name__ == "__main__":
     pairings()
     stripped_verify_reports()
     replayed_violations()
+    replayed_trials()
