@@ -122,6 +122,11 @@ def _verify_arguments(score_name, dims, trials, seed) -> tuple:
     return entry, dims, trials, _count(seed, "seed", 0)
 
 
+def _stream_root(seed, stream):
+    # the root seed of verify stream j, SeedSequence(seed).spawn(j + 1)[j], built alone
+    return np.random.SeedSequence(seed, spawn_key=(stream,))
+
+
 def _check_trials(dims, trials) -> list:
     # each check's trial count, by stream: the trials split over the dimensions as evenly as they
     # go, the first trials % len(dims) taking one more, and a quarter of those (at least 1) for the last two checks
@@ -148,17 +153,17 @@ def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> d
     split between drawing, scoring and encoding, and its violations.
     """
     entry, dims, trials, seed = _verify_arguments(score_name, dims, trials, seed)
-    counts, sub_reports, runs = _check_trials(dims, trials), [], []
+    counts, sub_reports, runs, K = _check_trials(dims, trials), [], [], len(_CHECKS)
     for i, dim in enumerate(dims):
         S = entry.make(dim)
-        n, roots = counts[3 * i:3 * i + 3], [np.random.SeedSequence(seed, spawn_key=(3 * i + k,)) for k in range(3)]
+        n, roots = counts[K * i:K * i + K], [_stream_root(seed, K * i + k) for k in range(K)]
         truth = truthfulness_check(S, n[0], dims=(dim,), rng=roots[0])
         ui = unitary_invariance_check(S, n[1], dims=(dim,), rng=roots[1])
         impl = implementability_check(S, n[2], dims=(dim,), rng=roots[2])
         runs.append(dict(zip(_CHECKS, (truth, ui, impl))))
         sub = {"dim": dim}
         for k, (key, check) in enumerate(runs[-1].items()):
-            sub[key] = {**check.to_json(), "stream": 3 * i + k}
+            sub[key] = {**check.to_json(), "stream": K * i + k}
             if profile is not None:
                 _profile_line(profile, score_name, dim, key, check)
         sub_reports.append(sub)
@@ -186,9 +191,9 @@ def run_verify(score_name: str, dims, trials: int, seed: int, profile=None) -> d
 def replay_verify(score_name: str, dims, trials: int, seed: int, stream: int, trial: int) -> dict:
     """Trial ``trial`` of the check ``run_verify(score_name, dims, trials, seed)`` ran as ``stream``, in full.
 
-    The check runs again on its stream's root seed with ``trials =
-    trial + 1`` (``reports._replay``), so the trial reads the rows it read
-    in the whole run (the ``"rng"`` layout).  Returns the run's arguments,
+    Only the trial's block, ``trial // 64`` of its stream's root seed, is
+    drawn (``reports._replay``), so the trial reads the rows it read in the
+    whole run (the ``"rng"`` layout).  Returns the run's arguments,
     the check's name, ``dim``, the recomputed ``kind`` ("" for a trial
     that is not a violation) and ``gap``, which equal what the report
     stores for a violation, and the trial's parts by name, matrices in
@@ -205,8 +210,7 @@ def replay_verify(score_name: str, dims, trials: int, seed: int, stream: int, tr
     i, k = divmod(stream, len(_CHECKS))
     key, (arguments, names) = list(_CHECKS.items())[k]
     trial = _count(trial, f"trial of stream {stream} ({key}, {counts[stream]} trials)", 0, counts[stream] - 1)
-    root = np.random.SeedSequence(seed, spawn_key=(stream,))
-    kind, value, parts = _replay(arguments(entry.make(dims[i])), trial, (dims[i],), root)
+    kind, value, parts = _replay(arguments(entry.make(dims[i])), trial, (dims[i],), _stream_root(seed, stream))
     parts = {name: matrix_to_json(p) if np.ndim(p) else float(p) for name, p in zip(names, parts)}
     return {"score": score_name, "dims": dims, "trials": trials, "seed": seed, "rng": RNG_FORMAT, "stream": stream,
             "check": key, "dim": dims[i], "trial": trial, "kind": kind, "gap": json_safe(float(value)),

@@ -98,8 +98,9 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     turn, ``rows(g, dims[j], m)`` draws the block's m rows at j as arrays
     whose first axis is the row.  The spare rows, for rare resamples, are
     drawn the same way from the first child of the block's stream, when
-    first asked for.  A block is drawn whole, so trial i's rows depend on
-    neither the trial count nor TRIAL_BLOCK: ``trials=i + 1`` replays it.
+    first asked for.  A block is drawn whole, by ``_take``, so trial i's
+    rows depend on neither the trial count nor TRIAL_BLOCK: ``trials=i + 1``
+    replays it, and ``_replay`` draws its block alone.
 
     Each block of trials is split into one group per index j.
     ``draw(dims[j], trials, rows, spare)`` builds a group from its rows,
@@ -117,18 +118,6 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     """
     report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
     dims, L, root, blocks = report.dims, len(report.dims), np.random.default_rng(rng), {}
-
-    def take(j, group, key="rows"):
-        # the rows (or the spare rows, key "spare") of a group of trials at index j,
-        # each block's drawn on first use; row r of a block is its (r // L)-th at j
-        parts = []
-        for c in range(group[0] // RNG_BLOCK, group[-1] // RNG_BLOCK + 1):
-            if key not in blocks[c]:
-                g = blocks[c]["gen"].spawn(1)[0] if key == "spare" else blocks[c]["gen"]
-                blocks[c][key] = [rows(g, dims[i], len(range((i - c * RNG_BLOCK) % L, RNG_BLOCK, L))) for i in range(L)]
-            parts.append([a[group[group // RNG_BLOCK == c] % RNG_BLOCK // L] for a in blocks[c][key][j]])
-        return [np.concatenate(p) for p in zip(*parts)]
-
     max_gap, kind_counts, stored = float("-inf"), {}, []
     score_s, encode_s, start = 0.0, 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
@@ -139,7 +128,8 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
         found = []
         for j in dict.fromkeys((trials % L).tolist()):
             k = np.flatnonzero(trials % L == j)
-            drawn = draw(dims[j], trials[k], take(j, trials[k]), partial(take, j, trials[k], "spare"))
+            take = partial(_take, rows, dims, blocks, j, trials[k])
+            drawn = draw(dims[j], trials[k], take(), partial(take, "spare"))
             t = perf_counter()
             kinds, values = score(drawn)
             score_s += perf_counter() - t
@@ -159,29 +149,33 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     return report
 
 
+def _take(rows, dims, blocks, j, group, key="rows") -> list:
+    # the rows (or the spare rows, key "spare") of a group of trials at index j, the one
+    # reader of the block layout: block c, from generator blocks[c]["gen"], is drawn on first
+    # use as rows(g, dims[i], m) for each index i in turn, and its row r is its (r // L)-th at j
+    L, parts = len(dims), []
+    for c in range(group[0] // RNG_BLOCK, group[-1] // RNG_BLOCK + 1):
+        if key not in blocks[c]:
+            g = blocks[c]["gen"].spawn(1)[0] if key == "spare" else blocks[c]["gen"]
+            blocks[c][key] = [rows(g, dims[i], len(range((i - c * RNG_BLOCK) % L, RNG_BLOCK, L))) for i in range(L)]
+        parts.append([a[group[group // RNG_BLOCK == c] % RNG_BLOCK // L] for a in blocks[c][key][j]])
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
 def _replay(checked: dict, trial: int, dims, rng) -> tuple:
     """``(kind, value, parts)`` of trial ``trial`` of ``run_trials(trials=..., dims=dims, rng=rng, **checked)``.
 
     ``parts`` holds the trial's row of each stack ``checked["draw"]``
     builds.  Its rows depend on neither the trial count nor TRIAL_BLOCK,
-    so a run of ``trial + 1`` trials, in which it is the last, draws it
-    again.  That run scores and encodes nothing; the trial's group alone
-    is scored, after it.
+    so its block, ``c = trial // RNG_BLOCK`` from child c of ``rng``, is
+    drawn alone, and the trial is drawn and scored as a group of one.
     """
-    draw, found = checked["draw"], {}
-
-    def keep(dim, trials, rows, spare):
-        drawn = draw(dim, trials, rows, spare)
-        if trials[-1] == trial:  # the group that ends with the trial
-            found["drawn"] = drawn
-        return drawn
-
-    def unscored(drawn):
-        return np.full(len(drawn[0]), ""), np.zeros(len(drawn[0]))
-
-    run_trials(trials=trial + 1, dims=dims, rng=rng, **{**checked, "draw": keep, "score": unscored, "encode": None})
-    kinds, values = checked["score"](found["drawn"])
-    return str(kinds[-1]), values[-1], [part[-1] for part in found["drawn"]]
+    c, j, group = trial // RNG_BLOCK, trial % len(dims), np.array([trial])
+    blocks = {c: {"gen": np.random.default_rng(rng).spawn(c + 1)[c]}}  # the child run_trials spawns c-th
+    take = partial(_take, checked["rows"], dims, blocks, j, group)
+    drawn = checked["draw"](dims[j], group, take(), partial(take, "spare"))
+    kinds, values = checked["score"](drawn)
+    return str(kinds[0]), values[0], [part[0] for part in drawn]
 
 
 def _classify(truthful, other, distinct):

@@ -498,6 +498,36 @@ class TestReplay:
             for part, want in zip(PART_NAMES[check], parts, strict=True):
                 assert got[part] == (float(want) if part == "t" else matrix_to_json(want)), part
 
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("check", list(ARGUMENTS))  # in stream order
+    def test_a_replay_draws_its_own_block_alone(self, monkeypatch, check, spare):
+        def refused(*args, **kwargs):
+            raise AssertionError("a replay ran the check")
+
+        monkeypatch.setattr(reports, "run_trials", refused)
+        S, stream = make_score("ml:s2", 3), list(ARGUMENTS).index(check)
+        if spare:  # an ml:s2 trial whose report is redrawn from its spare row, in block 4 or later
+            (seed, trial), dims = SPARE[check], (2,)
+            root = lambda: np.random.SeedSequence(seed, spawn_key=(stream,))
+        else:
+            trial, dims, root = 4 * reports.RNG_BLOCK + 7, (2, 3, 4), lambda: 17
+        assert trial // reports.RNG_BLOCK >= 4
+        assert _reads_spare(S, check, dims, root(), trial) == spare
+        checked, calls = ARGUMENTS[check](S), []
+        rows = checked["rows"]
+        checked["rows"] = lambda g, dim, m: calls.append((dim, m)) or rows(g, dim, m)
+        kind, value, parts = reports._replay(checked, trial, dims, root())
+        # one call per index of dims, each the block's rows at that index; as many again for the spare rows
+        assert [dim for dim, _ in calls] == list(dims) * (1 + spare)
+        assert sum(m for _, m in calls) == reports.RNG_BLOCK * (1 + spare)
+        gap, v, want = _ref_trial(S, check, dims, root(), trial)
+        assert kind == (v[0] if v else "")
+        if math.isfinite(gap):
+            _close(value, gap)
+        else:
+            assert value == gap
+        assert all(np.array_equal(x, y) for x, y in zip(parts, want, strict=True))
+
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("name, stream", [("fixed:brier", 1), ("fixed:log", 1), ("ml:s4", 2), ("ml:s5", 2)])
     def test_the_replayed_parts_recompute_the_stored_gap(self, name, stream, d):
