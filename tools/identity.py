@@ -79,6 +79,9 @@ block: each verify stream of ``fixed:brier``, ``ml:s2`` and ``ml:s5`` at
 d = 2 and 16 (10,000 trials, seed 3) at trials 300 and 2,400, and the
 ``ml:s2`` trials of ``tests/test_stacked.py``'s ``SPARE``, whose report
 at d = 2 is redrawn from its spare row (2,400 trials), at d = 2 and 16.
+Last, ``expected_stack`` of ``ml:s4`` and ``ml:s5`` at d = 2, 4 and 16,
+on 16 reports whose ranks cycle through 1..d, against one belief stack,
+three belief stacks and the report stack itself.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -635,6 +638,18 @@ def replayed_trials() -> None:
                  json.dumps(replay("ml:s2", [d], 2400, seed, stream, trial), sort_keys=True))
 
 
+def stacked_closures() -> None:
+    # the one stacked call of each measurement-free score, on stacks whose ranks cycle through 1..d
+    for d in (2, 4, 16):
+        g = np.random.default_rng(d)
+        R, B1, B2, B3 = (np.array([q.random_density(d, rank=1 + k % d, rng=g) for k in range(16)]) for _ in range(4))
+        for name in ("ml:s4", "ml:s5"):
+            S = make_score(name, d)
+            for label, beliefs in (("one", (B1,)), ("three", (B1, B2, B3)), ("self", (R,))):
+                emit(f"expected_stack {name} d={d} {label}",
+                     outcome(lambda: [a.tolist() for a in S.expected_stack(R, *beliefs)]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -662,3 +677,4 @@ if __name__ == "__main__":
     stripped_verify_reports()
     replayed_violations()
     replayed_trials()
+    stacked_closures()
