@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -94,7 +95,8 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
 
     Trial i runs at ``dims[j]``, ``j = i % len(dims)``, and reads its row
     of block ``c = i // RNG_BLOCK``, drawn from child c of the root seed
-    ``rng`` (the child ``SeedSequence.spawn`` gives): for each index j in
+    ``rng`` (the child ``SeedSequence.spawn`` gives; a SeedSequence is only
+    read, while a Generator is a stream and advances): for each index j in
     turn, ``rows(g, dims[j], m)`` draws the block's m rows at j as arrays
     whose first axis is the row.  The spare rows, for rare resamples, are
     drawn the same way from the first child of the block's stream, when
@@ -117,7 +119,7 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     encoding (``encode_s``), and in the rest, mostly drawing (``draw_s``).
     """
     report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
-    dims, L, root, blocks = report.dims, len(report.dims), np.random.default_rng(rng), {}
+    dims, L, root, blocks = report.dims, len(report.dims), _root(rng), {}
     max_gap, kind_counts, stored = float("-inf"), {}, []
     score_s, encode_s, start = 0.0, 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
@@ -149,6 +151,11 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     return report
 
 
+def _root(rng) -> np.random.Generator:
+    # the generator the blocks are spawned from; a SeedSequence is copied, so the caller's is left as it was
+    return np.random.default_rng(copy(rng) if isinstance(rng, np.random.SeedSequence) else rng)
+
+
 def _take(rows, dims, blocks, j, group, key="rows") -> list:
     # the rows (or the spare rows, key "spare") of a group of trials at index j, the one
     # reader of the block layout: block c, from generator blocks[c]["gen"], is drawn on first
@@ -165,13 +172,10 @@ def _take(rows, dims, blocks, j, group, key="rows") -> list:
 def _replay(checked: dict, trial: int, dims, rng) -> tuple:
     """``(kind, value, parts)`` of trial ``trial`` of ``run_trials(trials=..., dims=dims, rng=rng, **checked)``.
 
-    ``parts`` holds the trial's row of each stack ``checked["draw"]``
-    builds.  Its rows depend on neither the trial count nor TRIAL_BLOCK,
-    so its block, ``c = trial // RNG_BLOCK`` from child c of ``rng``, is
-    drawn alone, and the trial is drawn and scored as a group of one.
+    ``parts`` holds the trial's row of each stack ``checked["draw"]`` builds; only the trial's block is drawn.
     """
     c, j, group = trial // RNG_BLOCK, trial % len(dims), np.array([trial])
-    blocks = {c: {"gen": np.random.default_rng(rng).spawn(c + 1)[c]}}  # the child run_trials spawns c-th
+    blocks = {c: {"gen": _root(rng).spawn(c + 1)[c]}}  # the child run_trials spawns c-th
     take = partial(_take, checked["rows"], dims, blocks, j, group)
     drawn = checked["draw"](dims[j], group, take(), partial(take, "spare"))
     kinds, values = checked["score"](drawn)

@@ -217,24 +217,20 @@ class ExpectedScoreFn:
 
     Used for score-like functionals that are not extended-linear in the
     true state and therefore cannot be implemented by any measurement;
-    only their expected values are defined.  ``stack(reports, beliefs)``
-    maps two aligned (N, n, n) stacks of density matrices the library
-    built (not checked) to the (N,) expected scores, and
-    ``expected(report, rho)`` is its N = 1 call on validated inputs.
+    only their expected values are defined.  The closure is its
+    ``expected_stack(reports, *beliefs)``, the stacked contract of both
+    score shapes: one (N,) array per aligned (N, n, n) belief stack, of
+    states the library built (not checked); ``expected`` is its N = 1 call on validated states.
     """
 
-    stack: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    expected_stack: Callable[..., list]
     name: str = ""
 
     def expected(self, report, rho) -> float:
         report, rho = as_density(report), as_density(rho)
         if report.shape != rho.shape:
             raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
-        return float(self.stack(report[None], rho[None])[0])
-
-    def expected_stack(self, reports, *beliefs) -> list:
-        """``stack(reports, b)`` for each (N, n, n) stack b of beliefs."""
-        return [self.stack(reports, b) for b in beliefs]
+        return float(self.expected_stack(report[None], rho[None])[0][0])
 
 
 def _measured(S):
@@ -401,10 +397,10 @@ def trace_score() -> QuantumScore:
 def log_trace_score() -> ExpectedScoreFn:
     """log <report, rho>.  Not extended-linear in rho, hence not implementable."""
 
-    def stack(reports, beliefs):
-        return log_rule().values(_hs_rows(reports, beliefs))
+    def expected_stack(reports, *beliefs):
+        return [log_rule().values(_hs_rows(reports, b)) for b in beliefs]
 
-    return ExpectedScoreFn(stack, name="ml:s4")
+    return ExpectedScoreFn(expected_stack, name="ml:s4")
 
 
 def log_trace_exp_score() -> ExpectedScoreFn:
@@ -414,23 +410,23 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     intersection of the supports (directions where either log is -inf
     contribute exp(-inf) = 0), which reproduces the commuting case
     exactly.  Pairs whose intersection has the same dimension share one
-    eigenvalue solve.
+    eigenvalue solve.  A call decomposes each stack it is given once.
     """
 
-    def stack(reports, beliefs):
-        A_r, B_r = _log_parts(*_decompose(reports))
-        A_b, B_b = _log_parts(*_decompose(beliefs))
-        V, on = _range_split(hermitian_part(B_r + B_b))
-        common = (~on).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
-        finite = A_r + A_b
-        out = np.full(len(reports), NEG_INF)
-        for c in set(common.tolist()) - {0}:
-            k = np.flatnonzero(common == c)
-            Q = V[k, :, :c]
-            out[k] = _log_sum_exp(np.linalg.eigvalsh(hermitian_part(Q.conj().swapaxes(-1, -2) @ finite[k] @ Q)))
-        return out
+    def expected_stack(reports, *beliefs):
+        A_r, B_r = parts = _log_parts(*_decompose(reports))
+        out = np.full((len(beliefs), len(reports)), NEG_INF)
+        for i, b in enumerate(beliefs):
+            A_b, B_b = parts if b is reports else _log_parts(*_decompose(b))
+            V, on = _range_split(hermitian_part(B_r + B_b))
+            common = (~on).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
+            for c in set(common.tolist()) - {0}:
+                k = np.flatnonzero(common == c)
+                Q = V[k, :, :c]
+                out[i, k] = _log_sum_exp(np.linalg.eigvalsh(hermitian_part(Q.conj().swapaxes(-1, -2) @ (A_r[k] + A_b[k]) @ Q)))
+        return list(out)
 
-    return ExpectedScoreFn(stack, name="ml:s5")
+    return ExpectedScoreFn(expected_stack, name="ml:s5")
 
 
 def ml_scores() -> dict:

@@ -135,6 +135,14 @@ class TestRunTrials:
         assert blobs[0] == blobs[1]
         assert '"trial"' in blobs[0]
 
+    def test_a_seed_sequence_is_only_read_while_a_generator_advances(self):
+        S, ss, g = make_score("ml:s3", 3), np.random.SeedSequence(5), np.random.default_rng(5)
+        run = lambda rng: truthfulness_check(S, 160, dims=(3,), rng=rng).to_json()
+        first = run(5)
+        assert run(ss) == run(ss) == first
+        assert ss.n_children_spawned == 0
+        assert run(g) == first and run(g) != first  # a Generator is a stream
+
 
 S = make_score("spectral:log", 3)
 F, DF = (lambda r: hs_inner(r, r)), (lambda r: 2 * r)

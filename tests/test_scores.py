@@ -789,11 +789,11 @@ class TestRefusals:
 class TestNanPayoffs:
     """A NaN payoff is flagged by every sampled check, or refused where a rule pays it."""
 
-    ALL_NAN = ExpectedScoreFn(lambda reports, beliefs: np.full(len(reports), np.nan), name="all-nan")
+    ALL_NAN = ExpectedScoreFn(lambda reports, *beliefs: [np.full(len(reports), np.nan) for _ in beliefs], name="all-nan")
 
     def test_nan_on_every_lie_is_irregular_in_strict_truthfulness(self):
-        def stack(reports, beliefs):
-            return np.where(np.linalg.norm(reports - beliefs, axis=(-2, -1)) == 0, 0.0, np.nan)
+        def stack(reports, *beliefs):
+            return [np.where(np.linalg.norm(reports - b, axis=(-2, -1)) == 0, 0.0, np.nan) for b in beliefs]
 
         report = truthfulness_check(ExpectedScoreFn(stack, name="nan-lies"), 400, dims=(2, 3), rng=0)
         assert report.n_violations == 400

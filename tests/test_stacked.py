@@ -118,6 +118,23 @@ class TestStackedMatchesScalar:
                 _close(stacked[k], ext_dot(apply_measurement(mu, B[k]), v), scale=largest)
 
 
+class TestOneDecompositionPerStack:
+    @pytest.mark.parametrize("n", (2, 4, 16))
+    def test_ml_s5_decomposes_each_stack_of_a_call_once(self, monkeypatch, n):
+        g = np.random.default_rng(n)
+        R, *B = (np.array([random_density(n, rank=1 + k % n, rng=g) for k in range(8)]) for _ in range(4))
+        S = make_score("ml:s5", n)
+        alone = [S.expected_stack(R, b)[0] for b in (*B, R)]
+        calls, decompose = [], scores._decompose
+        monkeypatch.setattr(scores, "_decompose", lambda A: calls.append(len(A)) or decompose(A))
+        stacked = S.expected_stack(R, *B)
+        assert len(calls) == 4  # the reports, then each belief stack
+        stacked += S.expected_stack(R, R)
+        assert len(calls) == 5  # a truthful self-score decomposes its one stack once
+        for got, want in zip(stacked, alone, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestStackedDecomposition:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_stack_matches_each_matrix_bit_for_bit(self, n):
@@ -527,6 +544,17 @@ class TestReplay:
         else:
             assert value == gap
         assert all(np.array_equal(x, y) for x, y in zip(parts, want, strict=True))
+
+    def test_a_seed_sequence_that_spawned_before_replays_the_trial_it_ran(self):
+        ss, S, dims = np.random.SeedSequence(17), make_score("ml:s3", 3), (2, 3)
+        ss.spawn(3)
+        report = truthfulness_check(S, 3 * reports.RNG_BLOCK, dims=dims, rng=ss)
+        assert {v["trial"] // reports.RNG_BLOCK for v in report.violations} == {0, 1, 2}
+        for v in report.violations:
+            kind, value, parts = reports._replay(scores._truthfulness(S), v["trial"], dims, ss)
+            assert (kind, value) == (v["kind"], v["gap"])
+            assert [matrix_to_json(p) for p in parts] == [v["rho"], v["rho_prime"]]
+        assert ss.n_children_spawned == 3
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("name, stream", [("fixed:brier", 1), ("fixed:log", 1), ("ml:s4", 2), ("ml:s5", 2)])
