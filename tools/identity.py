@@ -81,7 +81,9 @@ d = 2 and 16 (10,000 trials, seed 3) at trials 300 and 2,400, and the
 at d = 2 is redrawn from its spare row (2,400 trials), at d = 2 and 16.
 Last, ``expected_stack`` of ``ml:s4`` and ``ml:s5`` at d = 2, 4 and 16,
 on 16 reports whose ranks cycle through 1..d, against one belief stack,
-three belief stacks and the report stack itself.
+three belief stacks and the report stack itself.  Last,
+``optimize_top_eigenvector`` and ``optimize_abstain`` (alpha 0.5) of
+``random_density(n, rng=n)`` at n = 2, 3, 4 and 8, one row per seed 0-4.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -650,6 +652,16 @@ def stacked_closures() -> None:
                      outcome(lambda: [a.tolist() for a in S.expected_stack(R, *beliefs)]))
 
 
+def top_eigenvector_calls() -> None:
+    # the top-eigenvector ascent and the abstain score that reads it, at four dimensions and five seeds
+    for n in (2, 3, 4, 8):
+        rho, S = q.random_density(n, rng=n), q.abstain_score(0.5, n)
+        for seed in range(5):
+            emit(f"optimize top_eigenvector n={n} rng={seed}",
+                 outcome(lambda: listed(optimize_top_eigenvector(rho, rng=seed))))
+            emit(f"optimize abstain n={n} rng={seed}", outcome(lambda: listed(optimize_abstain(S, rho, rng=seed))))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -678,3 +690,4 @@ if __name__ == "__main__":
     replayed_violations()
     replayed_trials()
     stacked_closures()
+    top_eigenvector_calls()
