@@ -59,15 +59,15 @@ def clean_probs(p) -> np.ndarray:
     return _clean_rows(q[None])[0]
 
 
-def _clean_rows(P) -> np.ndarray:
-    # clean_probs of each row of an (N, m) array
+def _clean_rows(P, clip: float = PROB_CLIP, tol: float = 1e-10) -> np.ndarray:
+    # clean_probs of each row of an (N, m) array, entries in [-clip, 0) clipped and totals within tol of 1
     if not np.isfinite(P).all():
         raise ValueError("probability vector has non-finite entries")
-    if (P < -PROB_CLIP).any():
+    if (P < -clip).any():
         raise ValueError(f"probability {P.min():.3e} is negative beyond the clip tolerance")
     q = np.maximum(P, 0.0)
     total = q.sum(axis=-1, keepdims=True)
-    off = np.abs(total - 1.0) > 1e-10
+    off = np.abs(total - 1.0) > tol
     if off.any():
         raise ValueError(f"probabilities sum to {float(total[np.argmax(off), 0])!r}, expected 1")
     return q / total

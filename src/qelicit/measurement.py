@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _clean_rows
+from .classical import PROB_CLIP, _clean_rows
 from .linalg import (
+    PSD_TOL,
+    TRACE_TOL,
     _count,
     _finite_squares,
     _hermitian,
@@ -50,6 +52,21 @@ __all__ = [
 POVM_SUM_TOL = 1e-9       # max-norm bound on sum(mu_y) - I
 PVM_TOL = 1e-8            # idempotence / orthogonality bound for PVMs
 COMPLETENESS_RTOL = 1e-8  # singular values at or below rtol * largest count as zero, for rank and pseudoinverse
+
+
+def _measured_rows(P, n: int) -> np.ndarray:
+    """``_clean_rows`` of an (N, m) stack of outcome distributions of n x n states.
+
+    For a state that ``as_density`` accepts, measured with a POVM that
+    ``Measurement`` accepts (or the {I - r, r} of such a state r), each
+    probability is at least -2 (TRACE_TOL + n PSD_TOL) and the clipped
+    distribution sums to 1 within TRACE_TOL + 2 n POVM_SUM_TOL + m times
+    that clip, for any n and m outcomes with n POVM_SUM_TOL + m PSD_TOL
+    <= 1.  Both bounds add a plain vector's (PROB_CLIP and 1e-10) for
+    rounding.
+    """
+    clip = PROB_CLIP + 2.0 * (TRACE_TOL + n * PSD_TOL)
+    return _clean_rows(P, clip, 1e-10 + TRACE_TOL + 2.0 * n * POVM_SUM_TOL + P.shape[-1] * clip)
 
 
 class Measurement:
@@ -107,7 +124,7 @@ class Measurement:
         # real and imaginary parts laid side by side; each state is its own
         # product, so its distribution does not depend on the stack it is in.
         flat = np.ascontiguousarray(states).reshape(len(states), 1, -1).view(np.float64)
-        return _clean_rows((flat @ self.elements.reshape(len(self), -1).view(np.float64).T)[:, 0])
+        return _measured_rows((flat @ self.elements.reshape(len(self), -1).view(np.float64).T)[:, 0], self.dim)
 
     def _at(self, k: int) -> "Measurement":
         # the POVM of report k of a stack: the same one for every report
@@ -176,7 +193,7 @@ class _Bases:
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         U = self.bases
-        return _clean_rows((U.conj() * (states @ U)).real.sum(axis=-2))
+        return _measured_rows((U.conj() * (states @ U)).real.sum(axis=-2), U.shape[-1])
 
     def _at(self, k: int) -> Measurement:
         return _basis_pvm(self.bases[k])

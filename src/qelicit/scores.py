@@ -25,7 +25,6 @@ from .classical import (
     ClassicalScoringRule,
     _bregman_rule,
     _check_convex,
-    _clean_rows,
     _near_tie,
     _require_row_wise,
     _rule_values,
@@ -55,6 +54,7 @@ from .measurement import (
     Measurement,
     _basis_pvm,
     _Bases,
+    _measured_rows,
     tomographic_map,
 )
 from .reports import ScoreReport, _classify, run_trials
@@ -314,7 +314,8 @@ class _Overlaps:
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         hit = _hs_rows(self.reports, states)
-        return _clean_rows(np.stack([np.trace(states, axis1=-2, axis2=-1).real - hit, hit], axis=-1))
+        trace = np.trace(states, axis1=-2, axis2=-1).real
+        return _measured_rows(np.stack([trace - hit, hit], axis=-1), states.shape[-1])
 
     def _at(self, k: int) -> Measurement:
         return _overlap_measurement(self.reports[k])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qelicit.linalg import frob_dist, random_density, random_unitary
+from qelicit.linalg import PSD_TOL, TRACE_TOL, as_density, frob_dist, random_density, random_unitary
 from qelicit.measurement import (
     COMPLETENESS_RTOL,
+    POVM_SUM_TOL,
     PVM_TOL,
     Measurement,
     apply_measurement,
@@ -18,6 +19,8 @@ from qelicit.measurement import (
     standard_pvm,
     tomographic_map,
 )
+from qelicit.registry import make_score
+from qelicit.scores import binary_brier, expected_score, relative_entropy, von_neumann_entropy
 
 
 class TestMeasurementType:
@@ -392,3 +395,39 @@ class TestStackedKernel:
         shifted = (1.0 - 1e-6) * mu.elements + 1e-6 * np.eye(3) / 3.0
         assert not mu.approx_equal(Measurement(shifted))
         assert not mu.approx_equal(standard_pvm(2))
+
+
+def _boundary_state(n, sign):
+    """diag(a, 0.4, -e, ..., -e): n - 2 eigenvalues at -PSD_TOL and trace 1 + sign TRACE_TOL, each a hair inside."""
+    e = PSD_TOL * (1 - 1e-4)
+    lam = np.array([0.6 + (n - 2) * e + sign * TRACE_TOL * (1 - 1e-4), 0.4] + [-e] * (n - 2))
+    return as_density(np.diag(lam).astype(complex))
+
+
+class TestBoundaryStates:
+    """Every state that as_density accepts is measured and paid, at -PSD_TOL and trace 1 +- TRACE_TOL."""
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_measured_and_scored(self, n, sign):
+        rho, mixed = _boundary_state(n, sign), np.eye(n, dtype=complex) / n
+        halves = Measurement([np.diag([1.0, 1.0] + [0.0] * (n - 2)), np.diag([0.0, 0.0] + [1.0] * (n - 2))])
+        over = Measurement([np.diag([1 + POVM_SUM_TOL * (1 - 1e-6)] + [1.0] * (n - 1)), np.zeros((n, n))])
+        for mu in (standard_pvm(n), halves, over):  # halves' second outcome is -(n - 2) PSD_TOL before the clip
+            p = apply_measurement(mu, rho)
+            assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(von_neumann_entropy(rho))
+        assert np.isfinite(relative_entropy(rho, mixed))
+        assert np.isfinite(expected_score(make_score("spectral:log", n), mixed, rho))
+        assert np.isfinite(expected_score(binary_brier(), rho, rho))  # its element I - rho reaches -TRACE_TOL
+
+    def test_cli_measures_a_boundary_state(self, tmp_path, capsys):
+        import json
+
+        from qelicit.cli import main
+        from qelicit.linalg import matrix_to_json
+
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(matrix_to_json(_boundary_state(3, 1))))
+        assert main(["measure", "--state", str(path), "--trials", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["probs"][2] == 0.0

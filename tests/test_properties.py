@@ -101,6 +101,39 @@ class TestTopEigenvector:
             _, val = optimize_top_eigenvector(rho, restarts=15, rng=rng)
             assert val == pytest.approx(eigenvalues_desc(rho)[0], abs=1e-6)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_certified_within_six_passes(self, n, monkeypatch):
+        # a pass is one evaluation of the live stack after the first; the certificate ends the call
+        for s in range(20):
+            rho, passes, bounds = random_density(n, rng=s), [], []
+
+            def spy(X0, f, iters, cert=None):
+                def counted(X):
+                    passes.append(len(X))
+                    return f(X)
+
+                def read(X):
+                    bounds.append(cert(X))
+                    return bounds[-1]
+
+                return _ascend(X0, counted, iters, read)
+
+            monkeypatch.setattr(properties, "_ascend", spy)
+            _, val = optimize_top_eigenvector(rho, rng=s)
+            assert len(passes) - 1 <= 6, s
+            assert bounds and bounds[-1] <= properties.CERT_TOL, s
+            assert val == pytest.approx(eigenvalues_desc(rho)[0], abs=properties.CERT_TOL), s
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_every_step_size_gains(self, n):
+        # the direction P x rises with rho's eigenvalues, so (I + sP)x is never below x, for any s > 0
+        rho = random_density(n, rng=n)
+        X0, f, _ = _ascent_of(lambda: optimize_top_eigenvector(rho, restarts=20, rng=n))
+        before, G = f(X0)
+        for s in (1e-6, 0.5, 4.0, 64.0, 1e6):
+            after = f(_orthonormalize_plain(X0 + s * G))[0]
+            assert np.all(after >= before - 1e-15), s
+
 
 class TestTopK:
     def test_k1_scales_top_eigenvector(self, rng):
