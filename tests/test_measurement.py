@@ -419,7 +419,9 @@ class TestBoundaryStates:
         assert np.isfinite(von_neumann_entropy(rho))
         assert np.isfinite(relative_entropy(rho, mixed))
         assert np.isfinite(expected_score(make_score("spectral:log", n), mixed, rho))
-        assert np.isfinite(expected_score(binary_brier(), rho, rho))  # its element I - rho reaches -TRACE_TOL
+        pure = as_density(np.diag([1 + sign * TRACE_TOL * (1 - 1e-4)] + [0.0] * (n - 1)).astype(complex))
+        for r in (rho, pure):  # at sign 1, pure's element I - pure reaches -TRACE_TOL
+            assert np.isfinite(expected_score(binary_brier(), r, r))
 
     def test_cli_measures_a_boundary_state(self, tmp_path, capsys):
         import json
