@@ -84,6 +84,10 @@ on 16 reports whose ranks cycle through 1..d, against one belief stack,
 three belief stacks and the report stack itself.  Last,
 ``optimize_top_eigenvector`` and ``optimize_abstain`` (alpha 0.5) of
 ``random_density(n, rng=n)`` at n = 2, 3, 4 and 8, one row per seed 0-4.
+Last, ``optimize_weighted_basis`` with weights (2, 1), (1, -1) and 3..1
+and ``optimize_eigen_pair`` with k = 2 and 3 of ``random_density(n,
+rng=n)`` at n = 2, 4 and 8, one row per seed 0-4, each call whose
+columns fit in n.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -662,6 +666,22 @@ def top_eigenvector_calls() -> None:
             emit(f"optimize abstain n={n} rng={seed}", outcome(lambda: listed(optimize_abstain(S, rho, rng=seed))))
 
 
+def k_column_calls() -> None:
+    # both k-column ascents, with falling, signed and three-column weights, at three dimensions and five seeds
+    for n in (2, 4, 8):
+        rho = q.random_density(n, rng=n)
+        for w in ((2.0, 1.0), (1.0, -1.0), (3.0, 2.0, 1.0)):
+            for seed in range(5):
+                if len(w) <= n:
+                    emit(f"optimize weighted_basis {list(w)} n={n} rng={seed}",
+                         outcome(lambda: listed(optimize_weighted_basis(rho, list(w), len(w), rng=seed))))
+        for k in (2, 3):
+            for seed in range(5):
+                if k <= n:
+                    emit(f"optimize eigen_pair k={k} n={n} rng={seed}",
+                         outcome(lambda: listed(optimize_eigen_pair(rho, k, rng=seed))))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -691,3 +711,4 @@ if __name__ == "__main__":
     replayed_trials()
     stacked_closures()
     top_eigenvector_calls()
+    k_column_calls()
