@@ -54,6 +54,7 @@ REPORT_TOL = 1e-8    # reports closer than this count as the same value
 DIFFER_TOL = 1e-6    # property values farther than this count as different
 CERT_TOL = 1e-13     # an optimizer call stops once its best restart is proven this close to the optimum
 _TOP_SCALE = 128.0   # the top eigenvector's direction is this times rho^16 / tr rho^16 (optimize_top_eigenvector)
+_START_SQUARINGS, _START_STEPS = 3, 3  # k-column starts take 3 steps X <- qr(P X), P = rho^8 / tr rho^8
 _BLOCK = 64          # level-set probes drawn at once, so a long search holds one block of states
 
 ABSTAIN = None  # the abstain report
@@ -481,10 +482,10 @@ def _ascend(X0, f, iters: int, cert=None):
     arrays; a retiring restart writes its frame and value back once.
 
     ``cert``, if given, maps one frame (n, k) to a bound on its shortfall
-    from the optimum.  It is read on a pass where the live restart with the
-    highest value took a step that gained at most 1e-9, for that restart's
-    frame; once it is at most CERT_TOL, the live restarts write back and
-    the call returns.
+    from the optimum.  It is read for the live restart with the highest
+    value on a pass where it took a step that gained at most 1e-9 or failed
+    a flat step from its start, as an optimal start does; once it is at
+    most CERT_TOL, the live restarts write back and the call returns.
     """
     margin = 1e-15
     X = X0.copy()
@@ -502,11 +503,10 @@ def _ascend(X0, f, iters: int, cert=None):
         up3 = up[:, None, None]
         Xl, G = np.where(up3, Xn, Xl), np.where(up3, Gn, G)
         vl, s = np.where(up, vn, vl), np.where(up, np.minimum(s * 2.0, 64.0), s * 0.5)
-        if cert is not None:
-            j = int(np.argmax(vl))
-            if near[j] and cert(Xl[j]) <= CERT_TOL:
-                X[idx], best[idx] = Xl, vl
-                return X, best
+        j = int(np.argmax(vl))
+        if cert is not None and (near[j] or flat[j] and not taken[j]) and cert(Xl[j]) <= CERT_TOL:
+            X[idx], best[idx] = Xl, vl
+            return X, best
         taken = taken + up
         keep = np.where(up, taken < iters, (s >= 1e-12) & (flat < 2))
         if not keep.all():
@@ -558,6 +558,22 @@ def _starts(rho, restarts, k, name, rng):
     return rho, _random_stiefel(restarts, n, k, np.random.default_rng(rng))
 
 
+def _powered(rho, squarings: int):
+    """rho^(2^squarings) / its trace, made by squaring rho, each square divided by its trace."""
+    for _ in range(squarings):
+        rho = rho @ rho
+        rho = rho / rho.trace().real
+    return rho
+
+
+def _subspace_steps(rho, X):
+    """A frame stack (R, n, k) after _START_STEPS steps X <- qr(P X) of subspace iteration, P = rho^8 / tr rho^8."""
+    P = _powered(rho, _START_SQUARINGS)
+    for _ in range(_START_STEPS):
+        X = np.linalg.qr(P @ X)[0]
+    return X
+
+
 def _rayleigh(rho, X):
     """Rayleigh quotients <x_j, rho x_j> of a frame stack's columns (m, k), with rho X from the same product."""
     RX = rho @ X
@@ -584,17 +600,12 @@ def optimize_top_eigenvector(rho, restarts: int = 50, rng=None):
     (``_shortfall_bound``).
     """
     rho, X0 = _starts(rho, restarts, 1, "k", rng)
-    P = rho
-    for _ in range(4):
-        P = P @ P
-        P = P / P.trace().real
-    P = _TOP_SCALE * P
+    P = _TOP_SCALE * _powered(rho, 4)
 
     def f(X):
         return _rayleigh(rho, X)[0][:, 0], P @ X
 
-    one = np.ones(1)
-    X, v = _ascend(X0, f, 200, lambda X: _shortfall_bound(rho, X, one))
+    X, v = _ascend(X0, f, 200, lambda X: _shortfall_bound(rho, X, np.ones(1)))
     i = int(np.argmax(v))
     return X[i, :, 0], float(v[i])
 
@@ -603,13 +614,14 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
     """Ascent of sum_i w_i <x_i, rho x_i> over orthonormal column tuples, at most 300 accepted steps per restart.
 
     Used for the top-k score (all weights positive) and the top+bottom
-    score (signed weights on the reported columns).  Column i ascends
-    along rho x_i times ``_ordered_scales(weights)[i]``; the ascent runs
-    on the columns in falling order of these scales, the order in which
-    the SVD retraction keeps the small columns most accurate, and returns
-    them in the order of the weights.  Weights that are all non-negative
-    stop the call once its best restart is certified within CERT_TOL of
-    the optimum (``_shortfall_bound``); signed weights get no certificate.
+    score (signed weights on the reported columns).  Column i ascends along
+    rho x_i times ``_ordered_scales(weights)[i]``; the ascent runs on the
+    columns in falling order of these scales, the order in which the SVD
+    retraction keeps the small columns most accurate, and returns them in
+    the order of the weights.  Weights all non-negative start from the
+    frames after ``_subspace_steps`` in that order and stop the call once
+    its best restart is certified within CERT_TOL of the optimum
+    (``_shortfall_bound``); signed weights keep the random starts, uncertified.
     """
     rho, X0 = _starts(rho, restarts, cols, "cols", rng)
     w = _finite_weights(weights)
@@ -624,8 +636,10 @@ def optimize_weighted_basis(rho, weights, cols: int, restarts: int = 50, rng=Non
         b, RX = _rayleigh(rho, X)
         return b @ wp, RX * cp
 
-    cert = (lambda X: _shortfall_bound(rho, X, wp)) if np.all(w >= 0) else None  # wp falls
-    X, v = _ascend(X0[:, :, p], f, 300, cert)
+    X0, cert = X0[:, :, p], None
+    if np.all(w >= 0):  # wp falls; signed weights keep their random starts
+        X0, cert = _subspace_steps(rho, X0), lambda X: _shortfall_bound(rho, X, wp)
+    X, v = _ascend(X0, f, 300, cert)
     i = int(np.argmax(v))
     return X[i][:, np.argsort(p)], float(v[i])
 
@@ -640,15 +654,15 @@ def optimize_eigen_pair(rho, k: int, restarts: int = 50, rng=None):
     in the order of their Rayleigh quotients b: the gradient's factors are
     the b_i, so the scales must stand in b's order, which can change
     during the ascent, or the direction would descend within the span.
-    Each start's columns are first sorted by falling b, so that the
-    scales mostly fall from the first column to the last, the order in
-    which the SVD retraction keeps the small columns most accurate.  The
-    call stops once its best restart is certified within CERT_TOL of
-    sum_(i<=k) lambda_i^2 (``_shortfall_bound``).
+    Each start takes the steps of ``_subspace_steps``, then its columns
+    are sorted by falling b, so that the scales mostly fall from the first
+    column to the last, the order in which the SVD retraction keeps the
+    small columns most accurate.  The call stops once its best restart is
+    certified within CERT_TOL of sum_(i<=k) lambda_i^2 (``_shortfall_bound``).
     """
     rho, X0 = _starts(rho, restarts, k, "k", rng)
-    b0 = _rayleigh(rho, X0)[0]
-    X0 = np.take_along_axis(X0, np.argsort(-b0, axis=1, kind="stable")[:, None, :], axis=2)
+    X0 = _subspace_steps(rho, X0)
+    X0 = np.take_along_axis(X0, np.argsort(-_rayleigh(rho, X0)[0], axis=1, kind="stable")[:, None, :], axis=2)
     c = _ordered_scales(np.ones(k))  # falling: 256^(k-1), ..., 1
 
     def f(X):

@@ -230,7 +230,18 @@ class ExpectedScoreFn:
         report, rho = as_density(report), as_density(rho)
         if report.shape != rho.shape:
             raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
-        return float(self.expected_stack(report[None], rho[None])[0][0])
+        return float(_expected_stack(self, report[None], rho[None])[0][0])
+
+
+def _expected_stack(S, reports, *beliefs) -> list:
+    """S.expected_stack(reports, *beliefs); a closure's result other than one (N,) array per belief stack is refused."""
+    out = S.expected_stack(reports, *beliefs)
+    if isinstance(S, ExpectedScoreFn):
+        shapes = [np.shape(a) for a in out] if isinstance(out, (list, tuple)) else np.shape(out)
+        if shapes != [(len(reports),)] * len(beliefs):
+            raise ValueError(f"score {S.name!r}: expected_stack must return one ({len(reports)},) array per belief "
+                             f"stack, {len(beliefs)} here, but returned {type(out).__name__} of shape(s) {shapes}")
+    return out
 
 
 def _measured(S):
@@ -657,7 +668,7 @@ def _truthfulness(S) -> dict:
     # run_trials' arguments but trials, dims and rng for truthfulness_check of S
     def score(drawn):
         rhos, reps = drawn
-        (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
+        (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL)
 
     return {"name": S.name, "mode": "strict", "rows": partial(_rows, 2), "draw": partial(_beliefs_and_reports, S),
@@ -678,7 +689,7 @@ def equivalence_check(
         kinds, gaps = np.full(len(rhos), "", dtype=object), np.zeros(len(rhos))
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
-            (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
+            (a,), (b,) = (_expected_stack(S, reps[keep], rhos[keep]) for S in (S1, S2))
             kinds[keep], gaps[keep] = _compare("mismatch", a, b)
         return kinds, gaps
 
@@ -708,8 +719,8 @@ def _unitary_invariance(S) -> dict:
     def score(drawn):
         rhos, reps, U = drawn
         Uh = U.conj().swapaxes(-1, -2)
-        (a,) = S.expected_stack(reps, rhos)
-        (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
+        (a,) = _expected_stack(S, reps, rhos)
+        (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b)
 
     return {"name": S.name, "mode": "unitary-invariance", "rows": partial(_rows, 3), "draw": draw,
@@ -744,7 +755,7 @@ def _implementability(S) -> dict:
     def score(drawn):
         rho1, rho2, reps, t = drawn
         w = t[:, None, None]
-        e1, e2, mixed = S.expected_stack(reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
+        e1, e2, mixed = _expected_stack(S, reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
         weights = np.stack([t, 1.0 - t], axis=-1)
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
         return _compare("nonlinear", mixed, linear)

@@ -37,6 +37,7 @@ from qelicit.scores import (
     DISTINCT_TOL,
     EQUIV_TOL,
     TRUTH_MARGIN,
+    ExpectedScoreFn,
     QuantumScore,
     binary_brier,
     equivalence_check,
@@ -178,6 +179,30 @@ class TestStackContracts:
             truthfulness_check(S, 10, dims=(3,), rng=0)
         with pytest.raises(ValueError, match="domain of 'per-state'"):
             equivalence_check(log_spectral(), S, 10, dims=(3,), rng=0)
+
+    @pytest.mark.parametrize("check, trials", [
+        (truthfulness_check, 8),
+        (truthfulness_check, 1),  # at one trial a bare (1,) array unpacks as if it were one array per stack
+        (unitary_invariance_check, 8),
+        (implementability_check, 8),
+    ])
+    def test_closure_returning_one_bare_array_is_refused_by_name(self, check, trials):
+        # the two-argument contract's (N,) array, where the stacked one returns one (N,) array per belief stack
+        S = ExpectedScoreFn(lambda reports, *beliefs: np.zeros(len(reports)), name="bare")
+        with pytest.raises(ValueError, match=r"'bare': expected_stack must return one \(\d+,\) array per belief stack"):
+            check(S, trials, dims=(2,), rng=0)
+
+    @pytest.mark.parametrize("returned, shapes", [
+        (lambda n: np.zeros(n), r"ndarray of shape\(s\) \(1,\)"),
+        (lambda n: [0.0], r"list of shape\(s\) \[\(\)\]"),
+        (lambda n: 0.0, r"float of shape\(s\) \(\)"),
+        (lambda n: [np.zeros(n), np.zeros(n)], r"list of shape\(s\) \[\(1,\), \(1,\)\]"),
+    ], ids=["bare-array", "list-of-scalars", "scalar", "two-arrays"])
+    def test_expected_score_names_the_closure_and_what_it_returned(self, returned, shapes):
+        S = ExpectedScoreFn(lambda reports, *beliefs: returned(len(reports)), name="bare")
+        rho = random_density(2, rng=0)
+        with pytest.raises(ValueError, match=r"'bare'.*1 here, but returned " + shapes):
+            expected_score(S, rho, rho)
 
 
 CHECKED = ("spectral:log", "ml:s2", "ml:s3", "ml:s4", "ml:s5", "binary-brier")

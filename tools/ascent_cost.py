@@ -2,7 +2,8 @@
 
     PYTHONPATH=<tree>/src python3 tools/ascent_cost.py [n:k ...]
 
-The cases default to 4:3 4:4 8:3 8:4 8:8.  For each (n, k) and each of
+The cases default to 2:2 3:2 4:2 (the ``elicit`` workload's shapes), 4:3
+4:4 8:3 8:4 8:8.  For each (n, k) and each of
 five states ``random_density(n, rng=s)``, s = 1..5, it runs
 ``optimize_weighted_basis`` with weights k..1 and ``optimize_eigen_pair``
 with 50 restarts at ``rng=0``.  Then, for n = 2-6, 8 and 16 and each of
@@ -93,4 +94,4 @@ def main(cases):
 
 
 if __name__ == "__main__":
-    main([tuple(map(int, a.split(":"))) for a in sys.argv[1:]] or [(4, 3), (4, 4), (8, 3), (8, 4), (8, 8)])
+    main([tuple(map(int, a.split(":"))) for a in sys.argv[1:]] or [(2, 2), (3, 2), (4, 2), (4, 3), (4, 4), (8, 3), (8, 4), (8, 8)])
