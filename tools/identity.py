@@ -88,6 +88,11 @@ Last, ``optimize_weighted_basis`` with weights (2, 1), (1, -1) and 3..1
 and ``optimize_eigen_pair`` with k = 2 and 3 of ``random_density(n,
 rng=n)`` at n = 2, 4 and 8, one row per seed 0-4, each call whose
 columns fit in n.
+Last, the first stored violation, with the violation count, of
+``equivalence_check`` of ``spectral:log`` against ``spectral:brier``
+(40 trials at d = 2, rng 1) and of ``subgradient_inequality_check`` of
+tr r² with the wrong-signed selection -2r (40 trials at d = 2 and 3,
+rng 1), the two storing checks the rows above do not list.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -682,6 +687,18 @@ def k_column_calls() -> None:
                          outcome(lambda: listed(optimize_eigen_pair(rho, k, rng=seed))))
 
 
+def stored_parts() -> None:
+    # the parts that equivalence and subgradient violations store, with their counts
+    for label, report in (
+        ("equivalence spectral:log == spectral:brier d=2",
+         q.equivalence_check(make_score("spectral:log", 2), make_score("spectral:brier", 2), 40, dims=(2,), rng=1)),
+        ("subgradient tr r^2 with -2r dims=(2, 3)",
+         q.subgradient_inequality_check(lambda r: q.hs_inner(r, r), lambda r: -2 * r, 40, dims=(2, 3), rng=1)),
+    ):
+        emit(f"first violation {label}",
+             json.dumps([report.n_violations, report.to_json()["violations"][0]], sort_keys=True))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -712,3 +729,4 @@ if __name__ == "__main__":
     stacked_closures()
     top_eigenvector_calls()
     k_column_calls()
+    stored_parts()
