@@ -220,10 +220,6 @@ def _sample_reports(p, trials, fresh, u, spare):
     return q
 
 
-def _encode_distributions(p, q) -> dict:
-    return {"belief": p.tolist(), "report": q.tolist()}
-
-
 def properness_check(
     rule: ClassicalScoringRule,
     trials: int,
@@ -253,7 +249,8 @@ def properness_check(
         distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
         return _classify(truthful, other, distinct)
 
-    return run_trials(rule.name or "rule", "strict", trials, (dim,), _rows, draw, score, _encode_distributions, rng)
+    return run_trials({"name": rule.name or "rule", "mode": "strict", "rows": _rows, "draw": draw, "score": score,
+                       "parts": ("belief", "report"), "store": True}, trials, (dim,), rng)
 
 
 def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, rng=None) -> bool:

@@ -226,4 +226,6 @@ def canonicalize_extended(pairs) -> ExtendedHermitian:
         raise ValueError("need at least one (matrix, weight) pair")
     elements = np.stack([as_hermitian(Ai, f"pair {i}") for i, (Ai, _) in enumerate(pairs)])
     _require_psd(elements, "pair")
-    return ExtendedHermitian(*_collapse(elements, [alpha for _, alpha in pairs]))
+    A, B = _collapse(elements, [alpha for _, alpha in pairs])
+    # built exactly Hermitian, A off range(B): only finiteness is checked, not |AB|, which grows with the weights
+    return ExtendedHermitian._unchecked(as_hermitian(A, "finite part"), as_hermitian(B, "infinite part"))

@@ -374,21 +374,28 @@ def density_from_json(obj) -> np.ndarray:
 def read_wire(obj, kind: str, *keys: str) -> tuple:
     """Read a wire document ``obj``: its integer "dim", then the matrices under ``keys``.
 
-    A key ending in "s" ("elements", "trades") holds a list of matrices,
-    the i-th called "element i", "trade i" in errors, and a missing one is
-    empty; any other key ("truth") holds one matrix.  Every matrix must be
-    dim x dim.  Returns ``(dim, *values)``, one value per key.
+    A key ending in "s" ("elements", "trades") holds a JSON list of
+    matrices, the i-th named "element i", "trade i", and a missing one is
+    empty; any other key ("truth") holds one matrix, named by its key.
+    Every matrix must be dim x dim, and its errors begin with its name.
+    Returns ``(dim, *values)``, one value per key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{kind} JSON must be an object with dim, {', '.join(keys)}, got {type(obj).__name__}")
     try:
         dim = _wire_dim(obj["dim"])
-        values = [list(obj.get(key, [])) if key.endswith("s") else obj[key] for key in keys]
+        values = [obj.get(key, []) if key.endswith("s") else obj[key] for key in keys]
+        for key, value in zip(keys, values):
+            if key.endswith("s") and not isinstance(value, list):
+                raise TypeError(f"{key} must be a JSON list, got {type(value).__name__}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind}: {exc}") from exc
 
     def read(label, raw):
-        M = matrix_from_json(raw)
+        try:
+            M = matrix_from_json(raw)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
         if M.shape[0] != dim:
             raise ValueError(f"{label} has dimension {M.shape[0]}, but the {kind} dim is {dim}")
         return M

@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _count, _decompose, _hs, eigenvalues_desc, matrix_to_json, spectral_decompose
+from .linalg import _count, _decompose, _hs, eigenvalues_desc, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
-from .reports import RNG_FORMAT, _check_dims, _replay, json_safe
+from .reports import RNG_FORMAT, _check_dims, _replay, _wire_parts, json_safe
 from .scores import (
     _implementability,
     _truthfulness,
@@ -103,14 +103,10 @@ def make_score(name: str, dim: int):
     return _lookup(SCORE_REGISTRY, name, "score", "scores").make(_count(dim, "dim", 1))
 
 
-# The checks run_verify runs at each dimension, in stream order, as replay_verify runs them: the
-# run_trials arguments of each (but trials, dims and rng) for a score, and the names of a trial's
-# parts, in draw order.  run_verify calls the public checks by name, so that tracing sees them.
-_CHECKS = {
-    "truthfulness": (_truthfulness, ("rho", "rho_prime")),
-    "unitary_invariance": (_unitary_invariance, ("rho", "rho_prime", "unitary")),
-    "implementability": (_implementability, ("rho_1", "rho_2", "rho_prime", "t")),
-}
+# The checks run_verify runs at each dimension, in stream order, as replay_verify runs them: each one's
+# description for a score.  run_verify calls the public checks by name, so that tracing sees them.
+_CHECKS = {"truthfulness": _truthfulness, "unitary_invariance": _unitary_invariance,
+           "implementability": _implementability}
 
 
 def _verify_arguments(score_name, dims, trials, seed) -> tuple:
@@ -196,25 +192,24 @@ def replay_verify(score_name: str, dims, trials: int, seed: int, stream: int, tr
     whole run (the ``"rng"`` layout).  Returns the run's arguments,
     the check's name, ``dim``, the recomputed ``kind`` ("" for a trial
     that is not a violation) and ``gap``, which equal what the report
-    stores for a violation, and the trial's parts by name, matrices in
-    the wire format: ``rho`` (belief) and ``rho_prime`` (report) for
-    truthfulness; those and ``unitary`` for unitary invariance; ``rho_1``,
-    ``rho_2`` (beliefs), ``rho_prime`` and the weight ``t`` of ``rho_1``
-    in their mixture for implementability.  A stream outside
-    ``0..3 * len(dims) - 1`` or a trial outside its check's trials is a
-    ValueError.
+    stores for a violation, and the trial's parts, named by its check's
+    description and written as a stored violation writes them
+    (``rho``, ``rho_prime`` and, for unitary invariance, ``unitary``;
+    ``rho_1``, ``rho_2``, ``rho_prime`` and ``t`` for implementability).
+    A stream outside ``0..3 * len(dims) - 1`` or a trial outside its
+    check's trials is a ValueError.
     """
     entry, dims, trials, seed = _verify_arguments(score_name, dims, trials, seed)
     counts = _check_trials(dims, trials)
     stream = _count(stream, "stream", 0, len(counts) - 1)
     i, k = divmod(stream, len(_CHECKS))
-    key, (arguments, names) = list(_CHECKS.items())[k]
+    key, describe = list(_CHECKS.items())[k]
     trial = _count(trial, f"trial of stream {stream} ({key}, {counts[stream]} trials)", 0, counts[stream] - 1)
-    kind, value, parts = _replay(arguments(entry.make(dims[i])), trial, (dims[i],), _stream_root(seed, stream))
-    parts = {name: matrix_to_json(p) if np.ndim(p) else float(p) for name, p in zip(names, parts)}
+    check = describe(entry.make(dims[i]))
+    kind, value, parts = _replay(check, trial, (dims[i],), _stream_root(seed, stream))
     return {"score": score_name, "dims": dims, "trials": trials, "seed": seed, "rng": RNG_FORMAT, "stream": stream,
             "check": key, "dim": dims[i], "trial": trial, "kind": kind, "gap": json_safe(float(value)),
-            **parts}
+            **_wire_parts(check, parts)}
 
 
 def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:

@@ -10,7 +10,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .linalg import _count, _is_int
+from .linalg import _count, _is_int, matrix_to_json
 
 __all__ = ["ScoreReport", "run_trials", "json_safe"]
 
@@ -90,59 +90,40 @@ def _check_dims(dims) -> list:
     return [int(d) for d in dims]
 
 
-def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) -> ScoreReport:
-    """Run ``trials`` trials in blocks of TRIAL_BLOCK and return their ScoreReport.
+def run_trials(check: dict, trials, dims, rng=None) -> ScoreReport:
+    """Run ``trials`` trials of the sampled check ``check`` and return their ScoreReport.
 
-    Trial i runs at ``dims[j]``, ``j = i % len(dims)``, and reads its row
-    of block ``c = i // RNG_BLOCK``, drawn from child c of the root seed
-    ``rng`` (the child ``SeedSequence.spawn`` gives; a SeedSequence is only
-    read, while a Generator is a stream and advances): for each index j in
-    turn, ``rows(g, dims[j], m)`` draws the block's m rows at j as arrays
-    whose first axis is the row.  The spare rows, for rare resamples, are
-    drawn the same way from the first child of the block's stream, when
-    first asked for.  A block is drawn whole, by ``_take``, so trial i's
-    rows depend on neither the trial count nor TRIAL_BLOCK: ``trials=i + 1``
-    replays it, and ``_replay`` draws its block alone.
-
-    Each block of trials is split into one group per index j.
-    ``draw(dims[j], trials, rows, spare)`` builds a group from its rows,
-    stacked, and ``spare()``, their spare rows, as a tuple of stacks whose
-    first two hold the states a trial records; ``score(drawn)`` returns
-    ``(kinds, values)``, one entry per trial.  The largest finite value
-    is ``max_gap``; each trial of kind not "" is a violation, counted by
-    kind and stored in trial order, up to MAX_STORED_VIOLATIONS, with its
-    index as ``trial``, its value as ``gap`` and, unless ``encode`` is
-    None, ``encode(a, b)``, a dict describing its two states, called only
-    for the violations that are stored.  The report, named ``name`` and
-    ``mode``, is built here and its counters written once, at the end;
-    ``report.timing`` gets the seconds spent in all, in scoring, in
-    encoding (``encode_s``), and in the rest, mostly drawing (``draw_s``).
+    ``check`` describes the check: the report's ``name`` and ``mode``;
+    ``rows``, ``draw`` and ``score``, which ``_step`` reads; ``parts``, the
+    names of a trial's parts in the order ``draw`` builds them; and
+    ``store``, whether a violation stores them.  Block c of RNG_BLOCK
+    trials is drawn from child c of the root seed ``rng`` (a SeedSequence
+    is only read, while a Generator is a stream and advances), so the
+    trials, run TRIAL_BLOCK at a time as one ``_step`` each and folded in
+    trial order, depend on neither the trial count nor TRIAL_BLOCK, and
+    ``_replay`` runs one alone.  The largest finite value is ``max_gap``;
+    each trial of kind not "" is a violation, counted by kind and stored
+    in trial order, up to MAX_STORED_VIOLATIONS, with its index, value
+    and, if ``check["store"]``, parts (``_wire_parts``, only for those
+    stored).  ``report.timing`` gets the seconds spent in all, in scoring,
+    in writing stored parts (``encode_s``) and in the rest (``draw_s``).
     """
-    report = ScoreReport(name, mode, _count(trials, "trials", 0), tuple(_check_dims(dims)))
-    dims, L, root, blocks = report.dims, len(report.dims), _root(rng), {}
+    report = ScoreReport(check["name"], check["mode"], _count(trials, "trials", 0), tuple(_check_dims(dims)))
+    seeds = _seeds(rng, -(-report.trials // RNG_BLOCK))
     max_gap, kind_counts, stored = float("-inf"), {}, []
     score_s, encode_s, start = 0.0, 0.0, perf_counter()
     for first in range(0, report.trials, TRIAL_BLOCK):
-        trials = np.arange(first, min(first + TRIAL_BLOCK, report.trials))
-        # the blocks this one reads: new ones are spawned in order, so that block c is child c
-        blocks = {c: blocks.get(c) or {"gen": root.spawn(1)[0]}
-                  for c in range(first // RNG_BLOCK, int(trials[-1]) // RNG_BLOCK + 1)}
-        found = []
-        for j in dict.fromkeys((trials % L).tolist()):
-            k = np.flatnonzero(trials % L == j)
-            take = partial(_take, rows, dims, blocks, j, trials[k])
-            drawn = draw(dims[j], trials[k], take(), partial(take, "spare"))
-            t = perf_counter()
-            kinds, values = score(drawn)
-            score_s += perf_counter() - t
+        groups, seconds = _step(check, report.dims, seeds, np.arange(first, min(first + TRIAL_BLOCK, report.trials)))
+        score_s, found = score_s + seconds, []
+        for group, kinds, values, drawn in groups:
             max_gap = float(np.max(values, initial=max_gap, where=np.isfinite(values)))
-            found += [(int(trials[k[x]]), str(kinds[x]), values[x], drawn[0][x], drawn[1][x])
-                      for x in np.flatnonzero(kinds != "")]
+            found += [(int(group[x]), str(kinds[x]), values[x], drawn, x) for x in np.flatnonzero(kinds != "")]
         t = perf_counter()
-        for i, kind, value, a, b in sorted(found, key=lambda v: v[0]):
+        for i, kind, value, drawn, x in sorted(found, key=lambda v: v[0]):
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
             if len(stored) < MAX_STORED_VIOLATIONS:  # only the violations that are stored are encoded
-                stored.append({"kind": kind, "gap": float(value), **(encode(a, b) if encode else {}), "trial": i})
+                parts = _wire_parts(check, [part[x] for part in drawn]) if check["store"] else {}
+                stored.append({"kind": kind, "gap": float(value), **parts, "trial": i})
         encode_s += perf_counter() - t
     report.max_gap, report.kind_counts, report.violations = max_gap, kind_counts, stored
     report.n_violations = sum(kind_counts.values())
@@ -151,15 +132,36 @@ def run_trials(name, mode, trials, dims, rows, draw, score, encode, rng=None) ->
     return report
 
 
-def _root(rng) -> np.random.Generator:
-    # the generator the blocks are spawned from; a SeedSequence is copied, so the caller's is left as it was
-    return np.random.default_rng(copy(rng) if isinstance(rng, np.random.SeedSequence) else rng)
+def _seeds(rng, n) -> list:
+    # block c's seed, child c of the root seed rng, as a maker of fresh generators on a copy of it of rng's types
+    # (Generator.spawn's children); a SeedSequence rng is copied, left as it was, while a Generator advances
+    root = np.random.default_rng(copy(rng) if isinstance(rng, np.random.SeedSequence) else rng)
+    G, bits = type(root), type(root.bit_generator)
+    return [lambda s=s: G(bits(copy(s))) for s in root.bit_generator.seed_seq.spawn(n)]
+
+
+def _step(check: dict, dims, seeds, trials) -> tuple:
+    # draws and scores a run of ascending trial indices, block c from a fresh generator on its own seed, seeds[c](),
+    # so a trial reads the same rows in any run; the trials at index j of dims form a group, stacked as one array
+    # per part by check["draw"](dims[j], group, rows, spare) and scored by check["score"](drawn) as (kinds, values).
+    # Returns [(group, kinds, values, drawn), ...], in order of first index, and the seconds spent scoring
+    blocks = {c: {"gen": seeds[c]()} for c in range(trials[0] // RNG_BLOCK, trials[-1] // RNG_BLOCK + 1)}
+    groups, score_s = [], 0.0
+    for j in dict.fromkeys((trials % len(dims)).tolist()):
+        group = trials[trials % len(dims) == j]
+        take = partial(_take, check["rows"], dims, blocks, j, group)
+        drawn = check["draw"](dims[j], group, take(), partial(take, "spare"))
+        t = perf_counter()
+        kinds, values = check["score"](drawn)
+        score_s += perf_counter() - t
+        groups.append((group, kinds, values, drawn))
+    return groups, score_s
 
 
 def _take(rows, dims, blocks, j, group, key="rows") -> list:
-    # the rows (or the spare rows, key "spare") of a group of trials at index j, the one
-    # reader of the block layout: block c, from generator blocks[c]["gen"], is drawn on first
-    # use as rows(g, dims[i], m) for each index i in turn, and its row r is its (r // L)-th at j
+    # the rows (or the spare rows, key "spare", from the generator's first child) of a group of trials
+    # at index j, the one reader of the block layout: block c, from generator blocks[c]["gen"], is drawn
+    # on first use as rows(g, dims[i], m) for each index i in turn, and its row r is its (r // L)-th at j
     L, parts = len(dims), []
     for c in range(group[0] // RNG_BLOCK, group[-1] // RNG_BLOCK + 1):
         if key not in blocks[c]:
@@ -169,17 +171,16 @@ def _take(rows, dims, blocks, j, group, key="rows") -> list:
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _replay(checked: dict, trial: int, dims, rng) -> tuple:
-    """``(kind, value, parts)`` of trial ``trial`` of ``run_trials(trials=..., dims=dims, rng=rng, **checked)``.
-
-    ``parts`` holds the trial's row of each stack ``checked["draw"]`` builds; only the trial's block is drawn.
-    """
-    c, j, group = trial // RNG_BLOCK, trial % len(dims), np.array([trial])
-    blocks = {c: {"gen": _root(rng).spawn(c + 1)[c]}}  # the child run_trials spawns c-th
-    take = partial(_take, checked["rows"], dims, blocks, j, group)
-    drawn = checked["draw"](dims[j], group, take(), partial(take, "spare"))
-    kinds, values = checked["score"](drawn)
+def _replay(check: dict, trial: int, dims, rng) -> tuple:
+    # (kind, value, parts) of trial ``trial`` of run_trials(check, trials, dims, rng): one _step, of its block alone
+    [(_, kinds, values, drawn)], _ = _step(check, dims, _seeds(rng, trial // RNG_BLOCK + 1), np.array([trial]))
     return str(kinds[0]), values[0], [part[0] for part in drawn]
+
+
+def _wire_parts(check: dict, parts) -> dict:
+    # a trial's parts named by check["parts"], on the wire: a matrix by matrix_to_json, an array as a list, a number
+    return {name: matrix_to_json(p) if np.ndim(p) == 2 else p.tolist() if np.ndim(p) else float(p)
+            for name, p in zip(check["parts"], parts, strict=True)}
 
 
 def _classify(truthful, other, distinct):

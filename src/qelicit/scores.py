@@ -46,7 +46,6 @@ from .linalg import (
     as_complex_matrix,
     as_density,
     hermitian_part,
-    matrix_to_json,
     random_density,
 )
 from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _log_sum_exp, _unitaries
@@ -626,10 +625,6 @@ def _distance(A, B) -> np.ndarray:
     return np.linalg.norm(A - B, axis=(-2, -1))
 
 
-def _encode_states(rho, rho_prime) -> dict:
-    return {"rho": matrix_to_json(rho), "rho_prime": matrix_to_json(rho_prime)}
-
-
 def _beliefs_and_reports(S, dim, trials, rows, spare):
     # each trial's belief (state 0 of its row), then its adversary's report (state 1)
     ranks, G, u = rows
@@ -661,18 +656,18 @@ def truthfulness_check(
     A violation stores its belief and report, its whole trial, as ``rho``
     and ``rho_prime``.
     """
-    return run_trials(trials=trials, dims=dims, rng=rng, **_truthfulness(S))
+    return run_trials(_truthfulness(S), trials, dims, rng)
 
 
 def _truthfulness(S) -> dict:
-    # run_trials' arguments but trials, dims and rng for truthfulness_check of S
+    # the description of truthfulness_check of S that reports.run_trials reads
     def score(drawn):
         rhos, reps = drawn
         (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL)
 
     return {"name": S.name, "mode": "strict", "rows": partial(_rows, 2), "draw": partial(_beliefs_and_reports, S),
-            "score": score, "encode": _encode_states}
+            "score": score, "parts": ("rho", "rho_prime"), "store": True}
 
 
 def equivalence_check(
@@ -693,8 +688,9 @@ def equivalence_check(
             kinds[keep], gaps[keep] = _compare("mismatch", a, b)
         return kinds, gaps
 
-    return run_trials(f"{S1.name} == {S2.name}", "equivalence", trials, dims, partial(_rows, 2),
-                      partial(_beliefs_and_reports, S1), score, _encode_states, rng)
+    return run_trials({"name": f"{S1.name} == {S2.name}", "mode": "equivalence", "rows": partial(_rows, 2),
+                       "draw": partial(_beliefs_and_reports, S1), "score": score, "parts": ("rho", "rho_prime"),
+                       "store": True}, trials, dims, rng)
 
 
 def unitary_invariance_check(
@@ -708,11 +704,11 @@ def unitary_invariance_check(
     A violation stores no states: its belief, report and U replay from
     the seed (``registry.replay_verify`` for a ``verify`` run).
     """
-    return run_trials(trials=trials, dims=dims, rng=rng, **_unitary_invariance(S))
+    return run_trials(_unitary_invariance(S), trials, dims, rng)
 
 
 def _unitary_invariance(S) -> dict:
-    # run_trials' arguments but trials, dims and rng for unitary_invariance_check of S
+    # the description of unitary_invariance_check of S
     def draw(dim, trials, rows, spare):
         return *_beliefs_and_reports(S, dim, trials, rows, spare), _unitaries(rows[1][:, 2])
 
@@ -724,7 +720,7 @@ def _unitary_invariance(S) -> dict:
         return _compare("variance", a, b)
 
     return {"name": S.name, "mode": "unitary-invariance", "rows": partial(_rows, 3), "draw": draw,
-            "score": score, "encode": None}
+            "score": score, "parts": ("rho", "rho_prime", "unitary"), "store": False}
 
 
 def implementability_check(
@@ -741,11 +737,11 @@ def implementability_check(
     stores no states: its two beliefs, report and weight replay from the
     seed (``registry.replay_verify`` for a ``verify`` run).
     """
-    return run_trials(trials=trials, dims=dims, rng=rng, **_implementability(S))
+    return run_trials(_implementability(S), trials, dims, rng)
 
 
 def _implementability(S) -> dict:
-    # run_trials' arguments but trials, dims and rng for implementability_check of S
+    # the description of implementability_check of S
     def draw(dim, trials, rows, spare):
         # the report (state 1 of the row) against the beliefs, states 0 and 2
         ranks, G, u = rows
@@ -761,7 +757,7 @@ def _implementability(S) -> dict:
         return _compare("nonlinear", mixed, linear)
 
     return {"name": S.name, "mode": "implementability", "rows": partial(_rows, 3), "draw": draw,
-            "score": score, "encode": None}
+            "score": score, "parts": ("rho_1", "rho_2", "rho_prime", "t"), "store": False}
 
 
 def subgradient_inequality_check(
@@ -797,4 +793,5 @@ def subgradient_inequality_check(
             gaps[j] = NEG_INF if pairing == NEG_INF else (float(F(base)) + pairing) - float(F(rho))
         return np.select([invalid, gaps > TRUTH_MARGIN], ["invalid-selection", "violated"], ""), gaps
 
-    return run_trials("subgradient", "inequality", trials, dims, partial(_rows, 2), draw, score, _encode_states, rng)
+    return run_trials({"name": "subgradient", "mode": "inequality", "rows": partial(_rows, 2), "draw": draw,
+                       "score": score, "parts": ("rho", "rho_prime"), "store": True}, trials, dims, rng)

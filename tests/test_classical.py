@@ -186,15 +186,15 @@ class TestPropernessCheck:
 
         scored, real = [], classical.run_trials
 
-        def spy(name, mode, trials, dims, rows, draw, score, encode, rng):
+        def spy(check, trials, dims, rng):
             def both(drawn):
-                out = score(drawn)
+                out = check["score"](drawn)
                 for a, b in zip(out, reference(drawn)):
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
                 scored.append(len(drawn[0]))
                 return out
 
-            return real(name, mode, trials, dims, rows, draw, both, encode, rng)
+            return real({**check, "score": both}, trials, dims, rng)
 
         monkeypatch.setattr(classical, "run_trials", spy)
         for dim in (2, 3, 4):

@@ -303,6 +303,17 @@ class TestMeasure:
         assert (code, out) == (2, "")
         assert "matrix JSON must be an object with dim, re, im" in err
 
+    @pytest.mark.parametrize("elements, message", [
+        ("ab", "malformed measurement: elements must be a JSON list, got str"),
+        ([matrix_to_json(np.eye(2)), [1]], "element 1: matrix JSON must be an object with dim, re, im, got list"),
+    ], ids=["string", "list-element"])
+    def test_malformed_povm_elements_name_their_key_or_element(self, capsys, state_file, tmp_path, elements, message):
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps({"dim": 2, "elements": elements}))
+        code, out, err = run_cli(capsys, "measure", "--state", state_file, "--povm", str(path), "--trials", "10")
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_a_povm_document_that_is_not_an_object_is_refused(self, capsys, state_file, tmp_path):
         path = tmp_path / "povm.json"
         path.write_text(json.dumps([[1, 0]]))
@@ -414,6 +425,20 @@ class TestMarketSim:
         code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert "re entry '1.0' is not a number" in err
+
+    @pytest.mark.parametrize("trades, message", [
+        ("ab", "malformed scenario: trades must be a JSON list, got str"),
+        ({"a": 1}, "malformed scenario: trades must be a JSON list, got dict"),
+        (5, "malformed scenario: trades must be a JSON list, got int"),
+        (None, "malformed scenario: trades must be a JSON list, got NoneType"),
+        ([matrix_to_json(np.diag([1.0, 0.0])), None], "trade 1: matrix JSON must be an object with dim, re, im"),
+    ], ids=["string", "object", "number", "null", "null-trade"])
+    def test_malformed_trades_name_their_key_or_trade(self, capsys, tmp_path, trades, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"dim": 2, "trades": trades, "truth": matrix_to_json(np.diag([0.5, 0.5]))}))
+        code, out, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_a_scenario_that_is_not_an_object_is_refused(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"

@@ -213,6 +213,24 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize_extended([(np.eye(2), np.inf)])
 
+    def test_rejects_a_nan_weight(self):
+        with pytest.raises(ValueError, match="finite part has non-finite entries"):
+            canonicalize_extended([(np.eye(2), np.nan)])
+
+    @pytest.mark.parametrize("w", [1.0, 1e4, 1e8, 1e10])
+    def test_large_weights_collapse_off_the_infinite_direction(self, w):
+        # w rho with -inf on a pure state x: w <rho, Y> on every state Y orthogonal to x, -inf on x itself
+        for s in range(100):
+            g = np.random.default_rng(s)
+            rho, x = random_density(4, rng=g), random_pure(4, rng=g)
+            P = np.outer(x, x.conj())
+            E = canonicalize_extended([(rho, w), (P, NEG_INF)])
+            z = g.normal(size=4) + 1j * g.normal(size=4)
+            z -= x * (x.conj() @ z)
+            Y = np.outer(z, z.conj()) / (z.conj() @ z).real
+            assert ext_inner(E, Y) == pytest.approx(w * hs_inner(rho, Y), rel=1.1e-15, abs=0.0)
+            assert ext_inner(E, P) == NEG_INF
+
 
 class TestExtendedHermitian:
     def test_invariants_enforced(self):
@@ -251,7 +269,10 @@ def _states_of_every_rank(n):
 
 
 class TestLibraryBuiltExtendedMatrices:
-    """matrix_log, score_coefficient and add_scalar build their ExtendedHermitian unchecked; its invariants hold."""
+    """matrix_log, score_coefficient, add_scalar and canonicalize_extended build their ExtendedHermitian unchecked.
+
+    Its invariants hold.
+    """
 
     @staticmethod
     def _assert_invariants(E):
@@ -282,6 +303,13 @@ class TestLibraryBuiltExtendedMatrices:
             reports = reports[S.domain(reports)]
         for report in reports:
             self._assert_invariants(score_coefficient(S, report))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_canonicalize_extended_parts(self, n):
+        for rho in _states_of_every_rank(n):
+            sigma = random_density(n, rng=n)
+            for weights in ((0.7, -2.5), (1.5, NEG_INF), (NEG_INF, 3.0)):
+                self._assert_invariants(canonicalize_extended(zip((sigma, rho), weights)))
 
 
 def test_ext_gap_on_the_half_extended_line():

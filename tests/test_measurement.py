@@ -53,6 +53,22 @@ class TestMeasurementType:
         with pytest.raises(ValueError, match=f"element 0 has dimension 2, but the measurement dim is {dim}"):
             Measurement.from_json(doc)
 
+    @pytest.mark.parametrize("elements, got", [("ab", "str"), ({"a": 1}, "dict"), (5, "int"), (None, "NoneType")])
+    def test_json_elements_that_are_not_a_list_are_named(self, elements, got):
+        with pytest.raises(ValueError, match=f"^malformed measurement: elements must be a JSON list, got {got}$"):
+            Measurement.from_json({"dim": 2, "elements": elements})
+
+    @pytest.mark.parametrize("bad, message", [
+        (None, "matrix JSON must be an object with dim, re, im, got NoneType"),
+        ({"dim": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]}, r"matrix JSON shape mismatch: dim=2, re \(1, 2\)"),
+        ({"dim": 2, "re": [[1, 0], [0, "0"]], "im": [[0, 0], [0, 0]]}, "malformed matrix JSON: re entry '0'"),
+    ], ids=["null", "shape", "string"])
+    def test_json_malformed_element_is_named_by_its_index(self, bad, message):
+        doc = standard_pvm(2).to_json()
+        doc["elements"][1] = bad
+        with pytest.raises(ValueError, match=f"^element 1: {message}"):
+            Measurement.from_json(doc)
+
 
 class TestApplyMeasurement:
     def test_example_standard_basis(self, rho_example):

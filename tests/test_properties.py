@@ -1083,20 +1083,23 @@ class TestCertificate:
             return out
 
         monkeypatch.setattr(properties, "_ascend", spy)
-        eps = np.finfo(float).eps
+        eps, calls = np.finfo(float).eps, []  # (seed, call, value, bound), one per call, in the order of stops
         for seed in range(10):
             rho = random_density(n, rng=seed)
             lam = eigenvalues_desc(rho)
-            for value, bound in (
-                (optimize_top_eigenvector(rho, rng=seed)[1], lam[0]),
-                (optimize_weighted_basis(rho, [2.0, 1.0], 2, rng=seed)[1], 2 * lam[0] + lam[1]),
-                (optimize_eigen_pair(rho, 2, rng=seed)[1], lam[:2] @ lam[:2]),
-                (optimize_abstain(abstain_score(0.05, n), rho, rng=seed)[1], lam[0]),
-            ):
-                # a value at the optimum may land above the eigvalsh bound by its own rounding, that of
-                # the bound and a frame orthonormal to rounding: the 16 eps allowance of _shortfall_bound
-                assert -16 * eps * bound <= bound - value <= properties.CERT_TOL + 1e-15, seed
-        assert stops == [True] * 40
+            calls += [(seed, call, value, bound) for call, (value, bound) in (
+                ("top", (optimize_top_eigenvector(rho, rng=seed)[1], lam[0])),
+                ("weighted", (optimize_weighted_basis(rho, [2.0, 1.0], 2, rng=seed)[1], 2 * lam[0] + lam[1])),
+                ("pair", (optimize_eigen_pair(rho, 2, rng=seed)[1], lam[:2] @ lam[:2])),
+                ("abstain", (optimize_abstain(abstain_score(0.05, n), rho, rng=seed)[1], lam[0])),
+            )]
+        # the stops first, so that a failing run says which calls retired uncertified and how many
+        uncertified = [(seed, call) for (seed, call, _, _), stopped in zip(calls, stops) if not stopped]
+        assert stops == [True] * 40, f"{len(uncertified)} of {len(stops)} calls uncertified: {uncertified}"
+        for seed, call, value, bound in calls:
+            # a value at the optimum may land above the eigvalsh bound by its own rounding, that of
+            # the bound and a frame orthonormal to rounding: the 16 eps allowance of _shortfall_bound
+            assert -16 * eps * bound <= bound - value <= properties.CERT_TOL + 1e-15, (seed, call)
 
     def test_a_stopped_ascent_writes_back_every_live_restart(self):
         # a certificate that always holds stops the call on the first pass on which the best

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qelicit.classical import brier_rule, properness_check
-from qelicit.linalg import hs_inner
+from qelicit import classical, reports, scores
+from qelicit.classical import brier_rule, linear_rule, properness_check
+from qelicit.linalg import hs_inner, matrix_to_json
 from qelicit.registry import SCORE_REGISTRY, make_score, run_verify, run_witness
 from qelicit.reports import MAX_STORED_VIOLATIONS, ScoreReport, _classify, json_safe, run_trials
 from qelicit.scores import (
@@ -14,10 +15,6 @@ from qelicit.scores import (
     truthfulness_check,
     unitary_invariance_check,
 )
-
-
-def _encode(a, b):
-    return {"a": a, "b": b}
 
 
 def _rows(g, dim, m):
@@ -30,8 +27,10 @@ def _draw(dim, trials, rows, spare):
     return trials, np.full(len(trials), dim)
 
 
-def _run(trials, score, dims=(2,), rng=0, encode=_encode):
-    return run_trials("s", "strict", trials, dims, _rows, _draw, score, encode, rng)
+def _run(trials, score, dims=(2,), rng=0):
+    check = {"name": "s", "mode": "strict", "rows": _rows, "draw": _draw, "score": score, "parts": ("a", "b"),
+             "store": True}
+    return run_trials(check, trials, dims, rng)
 
 
 def _flag_all(kind, value):
@@ -94,14 +93,15 @@ class TestRunTrials:
         assert len(report.violations) == MAX_STORED_VIOLATIONS
         assert [v["trial"] for v in report.violations] == list(range(MAX_STORED_VIOLATIONS))
 
-    def test_only_stored_violations_are_encoded(self):
-        calls = []
+    def test_only_stored_violations_are_encoded(self, monkeypatch):
+        calls, real = [], reports._wire_parts
 
-        def encode(a, b):
-            calls.append(a)
-            return _encode(a, b)
+        def encode(check, parts):
+            calls.append(parts[0])
+            return real(check, parts)
 
-        report = _run(100, _flag_all("gain", 1.0), dims=(2, 3), encode=encode)
+        monkeypatch.setattr(reports, "_wire_parts", encode)
+        report = _run(100, _flag_all("gain", 1.0), dims=(2, 3))
         assert report.n_violations == 100
         assert report.kind_counts == {"gain": 100}
         assert len(calls) <= MAX_STORED_VIOLATIONS
@@ -142,6 +142,46 @@ class TestRunTrials:
         assert run(ss) == run(ss) == first
         assert ss.n_children_spawned == 0
         assert run(g) == first and run(g) != first  # a Generator is a stream
+
+
+def _wire(part):
+    # a part as a stored violation writes it: a matrix as matrix_to_json, a vector as a list, a number as a float
+    part = np.asarray(part)
+    return matrix_to_json(part) if part.ndim == 2 else part.tolist() if part.ndim else float(part)
+
+
+SIX_CHECKS = {  # each sampled check, run so that it stores violations, some past the first 64-trial block
+    "truthfulness": lambda: truthfulness_check(make_score("ml:s3", 3), 150, dims=(2, 3), rng=7),
+    "equivalence": lambda: equivalence_check(make_score("spectral:log", 2), make_score("spectral:brier", 2), 150,
+                                             dims=(2, 3), rng=7),
+    "unitary_invariance": lambda: unitary_invariance_check(make_score("fixed:brier", 2), 150, dims=(2,), rng=7),
+    "implementability": lambda: implementability_check(make_score("ml:s4", 3), 150, dims=(2, 3), rng=7),
+    "subgradient": lambda: subgradient_inequality_check(F, lambda r: -2 * r, 150, dims=(2, 3), rng=7),
+    "properness": lambda: properness_check(linear_rule(), 150, 3, rng=7),
+}
+
+
+class TestDescriptions:
+    @pytest.mark.parametrize("name", list(SIX_CHECKS))
+    def test_stored_parts_are_the_parts_replay_rebuilds(self, monkeypatch, name):
+        # the check's own description, as it reaches the runner, replays each stored violation
+        seen, real = [], reports.run_trials
+
+        def spy(check, trials, dims, rng):
+            seen.append((check, dims, rng))
+            return real(check, trials, dims, rng)
+
+        monkeypatch.setattr(scores, "run_trials", spy)
+        monkeypatch.setattr(classical, "run_trials", spy)
+        report = SIX_CHECKS[name]()
+        (check, dims, rng), = seen
+        assert report.violations and len(report.violations) <= report.n_violations
+        for v in report.violations:
+            kind, value, parts = reports._replay(check, v["trial"], dims, rng)
+            assert len(parts) == len(check["parts"])
+            named = dict(zip(check["parts"], map(_wire, parts))) if check["store"] else {}
+            assert v == {"kind": kind, "gap": float(value), **named, "trial": v["trial"]}
+            assert list(v) == ["kind", "gap", *named, "trial"]
 
 
 S = make_score("spectral:log", 3)

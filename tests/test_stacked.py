@@ -243,14 +243,11 @@ def _recorded(i, trials, rows, draw, dims=(2, 3, 4), rng=11):
         hit = drawn[2] == i
         return np.where(hit, "hit", ""), np.zeros(len(hit))
 
-    report = reports.run_trials(
-        "s", "strict", trials, dims, rows,
-        lambda dim, group, r, spare: (*draw(dim, group, r, spare)[:2], group),
-        score, lambda a, b: {"a": a, "b": b}, rng,
-    )
-    (v,) = report.violations
-    assert v["trial"] == i
-    return v["a"], v["b"]
+    check = {"name": "s", "mode": "strict", "rows": rows, "score": score, "parts": ("a", "b", "i"), "store": True,
+             "draw": lambda dim, group, r, spare: (*draw(dim, group, r, spare)[:2], group)}
+    (v,) = reports.run_trials(check, trials, dims, rng).violations
+    assert v["trial"] == v["i"] == i
+    return tuple(_matrix(v[k]) if isinstance(v[k], dict) else np.array(v[k]) for k in ("a", "b"))
 
 
 class TestBlockRows:
@@ -276,6 +273,17 @@ class TestBlockRows:
             spare, common = _recorded(i, i + 10, partial(scores._rows, 2), draw)
             assert np.array_equal(spare, _ref_row(11, (2, 3, 4), i, 2, spare=True)[1])
             assert np.array_equal(common, _ref_row(11, (2, 3, 4), i, 2)[1])
+
+    def test_a_generator_root_draws_each_block_from_the_child_its_spawn_gives(self):
+        # Generator.spawn's child keeps the root's bit generator, here Philox, not the default PCG64
+        def draw(dim, group, rows, spare):
+            return rows[1], rows[2]
+
+        root = lambda: np.random.Generator(np.random.Philox(11))
+        for i in (5, reports.RNG_BLOCK + 2):
+            G, u = _recorded(i, i + 10, partial(scores._rows, 2), draw, dims=(3,), rng=root())
+            _, G_ref, u_ref = scores._rows(2, root().spawn(i // reports.RNG_BLOCK + 1)[-1], 3, reports.RNG_BLOCK)
+            assert np.array_equal(G, G_ref[i % reports.RNG_BLOCK]) and np.array_equal(u, u_ref[i % reports.RNG_BLOCK])
 
     def test_report_in_the_near_window_is_redrawn_from_the_spare_row(self):
         g = np.random.default_rng(3)

@@ -1,4 +1,4 @@
-"""Passes, wall time and distance to the bound of the property optimizers.
+"""Passes and distance to the bound of the property optimizers.
 
     PYTHONPATH=<tree>/src python3 tools/ascent_cost.py [n:k ...]
 
@@ -12,19 +12,20 @@ twenty states ``random_density(n, rng=s)``, s = 0..19, it runs
 case: the calls, the passes of the ascent (one per evaluation of the
 whole live stack after the first) summed over the calls and the most in
 one call, the restart-passes (the live restarts summed over those
-passes), the best of three wall times in ms summed over the calls, the
-largest shortfall from the eigenvalue bound, the calls that stopped on
-their certificate (a last evaluation at or below ``CERT_TOL``) and the
-certificate's evaluations over the calls.  Run it once per tree to
-compare them; the generator use is fixed, so both trees see the same
-starts, and a tree whose optimizers pass no certificate reads 0 in both
-of the last columns.
+passes), the largest shortfall from the eigenvalue bound, the calls that
+stopped on their certificate (a last evaluation at or below
+``CERT_TOL``) and the certificate's evaluations over the calls.  Run it
+once per tree to compare them; the generator use is fixed, so both trees
+see the same starts, and a tree whose optimizers pass no certificate
+reads 0 in both of the last columns.  It lists no wall time: a time per
+tree, taken in runs minutes apart, moves with a shared machine more than
+with the code, so per-call time needs an interleaved A/B of the two
+trees in one process, alternating calls.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _run(name, n, k, rho, seed):
 
 
 def _row(name, n, k, seeds):
-    passes = most = restart_passes = ms = short = certified = evals = 0.0
+    passes = most = restart_passes = short = certified = evals = 0.0
     for s in seeds:
         call, bound = _run(name, n, k, random_density(n, rng=s), s)
         _live.clear()
@@ -72,20 +73,14 @@ def _row(name, n, k, seeds):
         restart_passes += sum(_live[1:])
         certified += bool(_certs) and _certs[-1] <= properties.CERT_TOL
         evals += len(_certs)
-        times = []
-        for _ in range(3):
-            t = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t)
-        ms += 1e3 * min(times)
         short = max(short, bound - value)
-    print(f"{n:<2d} {k:<2d} {name:15s} {len(seeds):5d}  {passes:6.0f}  {most:10.0f}  {restart_passes:14.0f}  {ms:7.1f}"
+    print(f"{n:<2d} {k:<2d} {name:15s} {len(seeds):5d}  {passes:6.0f}  {most:10.0f}  {restart_passes:14.0f}"
           f"  {short:9.1e}      {certified:5.0f}  {evals:10.0f}")
 
 
 def main(cases):
     properties._ascend = _counting_ascend
-    print("n  k  optimizer       calls  passes  max passes  restart-passes  ms      max shortfall  certified  cert evals")
+    print("n  k  optimizer       calls  passes  max passes  restart-passes  max shortfall  certified  cert evals")
     for n, k in cases:
         for name in ("weighted_basis", "eigen_pair"):
             _row(name, n, k, range(1, 6))
