@@ -93,6 +93,17 @@ Last, the first stored violation, with the violation count, of
 (40 trials at d = 2, rng 1) and of ``subgradient_inequality_check`` of
 tr r² with the wrong-signed selection -2r (40 trials at d = 2 and 3,
 rng 1), the two storing checks the rows above do not list.
+Last, the boundaries of the validators a good value passes with one
+test: ``clean_probs`` of a clipped entry, of an entry just below
+-PROB_CLIP, of totals at 1 +- 1e-10 and just outside, of NaN, +-inf, a
++inf beside two 1e308 entries and an empty vector; ``as_density``,
+``as_hermitian`` and ``spectral_decompose`` of a matrix with a NaN, with
++inf on the diagonal (in the real and in the imaginary part), with +inf
+and -inf in a symmetric pair, and with asymmetry at ``HERM_TOL`` and
+just above it; then ``expected_classical`` and ``shannon_entropy`` with a
+zero or clipped weight against -inf, and ``ext_dot`` with a negative
+weight against -inf, alone, beside a +inf value, and with NaN weights
+beside a +inf value or a second shape.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -110,11 +121,11 @@ from pathlib import Path
 import numpy as np
 
 import qelicit as q
-from qelicit.classical import from_convex, is_permutation_invariant
+from qelicit.classical import PROB_CLIP, from_convex, is_permutation_invariant
 from qelicit import properties, registry
 from qelicit.cli import main
 from qelicit.extended import range_projector
-from qelicit.linalg import matrix_to_json
+from qelicit.linalg import HERM_TOL, matrix_to_json
 from qelicit.measurement import herm_coords
 from qelicit.properties import (
     find_level_set_witness,
@@ -699,6 +710,55 @@ def stored_parts() -> None:
              json.dumps([report.n_violations, report.to_json()["violations"][0]], sort_keys=True))
 
 
+def validator_boundaries() -> None:
+    # values on either side of each test that accepts a good value at once, and faults in each order
+    clip, below = PROB_CLIP, np.nextafter(-PROB_CLIP, -1.0)
+    vectors = {"[1 + clip, -clip]": [1.0 + clip, -clip], "[1 + 2 clip, just below -clip]": [1.0 + 2.0 * clip, below]}
+    for sign in (1.0, -1.0):
+        t = 1.0 + sign * 1e-10  # the last total within 1e-10 of 1 on this side, then the next one out
+        while abs(t - 1.0) > 1e-10:
+            t = np.nextafter(t, 1.0)
+        vectors[f"total 1 {sign:+.0f}e-10"] = [0.5, t - 0.5]
+        vectors[f"total just past 1 {sign:+.0f}e-10"] = [0.5, np.nextafter(t, sign * 2.0) - 0.5]
+    vectors |= {
+        "NaN": [np.nan, 1.0],
+        "+inf": [np.inf, 0.0],
+        "-inf": [-np.inf, 1.0],
+        "+inf beside 1e308": [1e308, 1e308, np.inf],
+        "empty": [],
+    }
+    for label, p in vectors.items():
+        emit(f"clean_probs {label}", outcome(lambda: q.clean_probs(p).tolist()))
+    tol = HERM_TOL
+    matrices = {
+        "NaN": [[np.nan, 0.0], [0.0, 1.0]],
+        "+inf on the diagonal": [[np.inf, 0.0], [0.0, 1.0]],
+        "imaginary +inf on the diagonal": [[0.5 + 1j * np.inf, 0.0], [0.0, 0.5]],
+        "+inf symmetric pair": [[0.5, np.inf], [np.inf, 0.5]],
+        "-inf symmetric pair": [[0.5, -np.inf], [-np.inf, 0.5]],
+        "asymmetry HERM_TOL": [[0.5, tol], [0.0, 0.5]],
+        "asymmetry just above HERM_TOL": [[0.5, np.nextafter(tol, 1.0)], [0.0, 0.5]],
+    }
+    for label, M in matrices.items():
+        M = np.array(M, dtype=np.complex128)
+        emit(f"as_density {label}", outcome(lambda: q.as_density(M).tolist()))
+        emit(f"as_hermitian {label}", outcome(lambda: q.as_hermitian(M).tolist()))
+        emit(f"spectral_decompose {label}", outcome(lambda: [x.tolist() for x in q.spectral_decompose(M)]))
+    log = q.log_rule()
+    emit("expected_classical zero weight on -inf", outcome(q.expected_classical, log, [1.0, 0.0], [1.0, 0.0]))
+    emit("expected_classical clipped weight on -inf",
+         outcome(q.expected_classical, log, [1.0, 0.0], [1.0 + clip, -clip]))
+    emit("shannon_entropy clipped weight", outcome(q.shannon_entropy, [1.0 + clip, -clip]))
+    cases = {
+        "negative weight on -inf": ([1.5, -0.5], [0.0, q.NEG_INF]),
+        "negative weight on -inf beside +inf": ([1.5, -0.5, 0.0], [0.0, q.NEG_INF, np.inf]),
+        "NaN weight beside +inf": ([np.nan, 1.0], [np.inf, 0.0]),
+        "NaN weight and a second shape": ([np.nan, 1.0], [0.0, 0.0, 0.0]),
+    }
+    for label, args in cases.items():
+        emit(f"ext_dot {label}", outcome(q.ext_dot, *args))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -730,3 +790,4 @@ if __name__ == "__main__":
     top_eigenvector_calls()
     k_column_calls()
     stored_parts()
+    validator_boundaries()
