@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, _ext_log, ext_dot
+from .extended import EXT_WEIGHT_TOL, NEG_INF, _ext_gap, _ext_log, _ext_pair, ext_dot
 from .linalg import _count
 from .reports import PROPERNESS_MARGIN, ScoreReport, _classify, run_trials
 
@@ -60,7 +60,15 @@ def clean_probs(p) -> np.ndarray:
 
 
 def _clean_rows(P, clip: float = PROB_CLIP, tol: float = 1e-10) -> np.ndarray:
-    # clean_probs of each row of an (N, m) array, entries in [-clip, 0) clipped and totals within tol of 1
+    # clean_probs of each row of an (N, m) array, entries in [-clip, 0) clipped and totals within tol of 1.
+    # A good stack passes one test: its entries lie in [-clip, 1 + tol] (as every entry of a total within
+    # tol of 1 does, and no NaN or inf does; the top bound keeps the sum from overflowing) and its totals
+    # are within tol of 1.  The ordered checks below run only when that fails, to name the fault.
+    if P.min(initial=0.0) >= -clip and P.max(initial=0.0) <= 1.0 + tol:
+        q = np.maximum(P, 0.0)
+        total = q.sum(axis=-1, keepdims=True)
+        if (np.abs(total - 1.0) <= tol).all():
+            return q / total
     if not np.isfinite(P).all():
         raise ValueError("probability vector has non-finite entries")
     if (P < -clip).any():
@@ -192,8 +200,7 @@ def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
 def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
     """Expected score of report q under belief p, in R u {-inf}."""
     q = np.asarray(q, dtype=np.float64)
-    p = clean_probs(p)
-    return ext_dot(p, rule.values(q))
+    return _ext_pair(clean_probs(p), rule.values(q))
 
 
 def _rows(g, dim, m):
@@ -245,7 +252,7 @@ def properness_check(
         # each block's beliefs cleaned once; the rule pays each side in one call
         beliefs, reports = drawn
         P = _clean_rows(beliefs)
-        truthful, other = (ext_dot(P, _rule_values(rule, Q)) for Q in (beliefs, reports))
+        truthful, other = (_ext_pair(P, _rule_values(rule, Q)) for Q in (beliefs, reports))
         distinct = np.linalg.norm(beliefs - reports, axis=1) > DISTINCT_TOL
         return _classify(truthful, other, distinct)
 
@@ -272,4 +279,4 @@ def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, rng=None) -> 
 def shannon_entropy(p) -> float:
     """H(p) = -<p, log p>, the log rule's self-score negated; mass at or below 1e-12 contributes nothing."""
     q = clean_probs(p)
-    return 0.0 - ext_dot(q, log_rule().values(q))
+    return 0.0 - _ext_pair(q, log_rule().values(q))

@@ -49,14 +49,22 @@ def ext_dot(weights, values):
     """
     w = np.asarray(weights, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
+    if w.shape == v.shape:  # _ext_pair names a mismatch, and a +inf value ahead of a negative weight on -inf
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if ((v == NEG_INF) & (w < -EXT_WEIGHT_TOL)).any() and not (v == np.inf).any():
+            raise ValueError("negative weight on a -inf value would produce +inf")
+    return _ext_pair(w, v)
+
+
+def _ext_pair(w: np.ndarray, values):
+    # ext_dot of finite, non-negative float weights w (``_clean_rows``'s, not checked): only the
+    # values, which cleaning does not cover, are checked, for w's shape and for +inf
+    v = np.asarray(values, dtype=np.float64)
     if w.shape != v.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {v.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
     if (v == np.inf).any():
         raise ValueError("+inf is not a valid extended score value")
-    if ((v == NEG_INF) & (w < -EXT_WEIGHT_TOL)).any():
-        raise ValueError("negative weight on a -inf value would produce +inf")
     # weights within EXT_WEIGHT_TOL contribute exact zeros, so 0 * (-inf) never happens
     total = np.multiply(w, v, out=np.zeros(w.shape), where=np.abs(w) > EXT_WEIGHT_TOL).sum(axis=-1)
     return float(total) if total.ndim == 0 else total

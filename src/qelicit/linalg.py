@@ -54,19 +54,29 @@ ZERO_EIG_REL = 1e-12  # eigenvalue == 0 threshold, relative to the trace
 
 def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
+    return _finite_squares(_matrix(M, name), name)
+
+
+def _matrix(M, name: str) -> np.ndarray:
+    # M as a complex128 array, once it is known to be two-dimensional
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    return _finite_squares(A, name)
+    return A
 
 
-def _finite_squares(A: np.ndarray, name: str) -> np.ndarray:
-    # A, a complex128 array (..., n, n), once its matrices are known square, non-empty and finite
+def _squares(A: np.ndarray, name: str) -> np.ndarray:
+    # A, a complex128 array (..., n, n), once its matrices are known square and non-empty
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     if A.shape[-1] == 0:
         raise ValueError(f"{name} is empty, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    return A
+
+
+def _finite_squares(A: np.ndarray, name: str) -> np.ndarray:
+    # A, once its matrices are known square, non-empty and finite
+    if not np.isfinite(_squares(A, name)).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
@@ -102,15 +112,20 @@ def as_hermitian(M, name: str = "matrix") -> np.ndarray:
 
     An exactly Hermitian input is returned as it is, bit for bit.
     """
-    return _hermitian(as_complex_matrix(M, name), name)
+    return _hermitian(_squares(_matrix(M, name), name), name)
 
 
 def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
-    # as_hermitian for each matrix of a finite square (..., n, n) array,
-    # each tested against its own scale
-    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if not dev.any():
+    # as_hermitian for each matrix of a square (..., n, n) array (``_squares``), each tested
+    # against its own scale.  An exactly Hermitian A passes one test, A - A* == 0, which no NaN
+    # or inf passes (inf - inf is NaN, computed here without a warning); the finiteness and
+    # HERM_TOL tests run only when it fails, to accept the near-Hermitian or name the fault.
+    with np.errstate(invalid="ignore"):
+        D = A - A.conj().swapaxes(-1, -2)
+    if not D.any():
         return A
+    _finite_squares(A, name)
+    dev = np.abs(D).max(axis=(-2, -1))
     bad = dev > HERM_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     if bad.any():
         i = int(np.argmax(bad))
@@ -140,7 +155,7 @@ def as_density(M, name: str = "state") -> np.ndarray:
 def _unit_trace(M, name: str) -> np.ndarray:
     # as_density's Hermitian and trace checks
     A = as_hermitian(M, name)
-    tr = float(np.trace(A).real)
+    tr = float(A.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace is {tr!r}, expected 1 within {TRACE_TOL}")
     return A
@@ -213,8 +228,9 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     # columns are unit vectors, so that component is never zero.
     n = V.shape[-1]
     flat = V.reshape(-1, n, n)
-    lead = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
-    return V / (lead / np.abs(lead)).reshape(V.shape[:-2] + (1, n))
+    size = np.abs(flat)
+    at = np.arange(len(flat))[:, None], np.argmax(size, axis=-2), np.arange(n)
+    return V / (flat[at] / size[at]).reshape(V.shape[:-2] + (1, n))
 
 
 def spectral_decompose(A) -> SpectralDecomposition:
@@ -230,7 +246,7 @@ def spectral_decompose(A) -> SpectralDecomposition:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim not in (2, 3):
         raise ValueError(f"matrix must be square or a stack of square matrices, got shape {A.shape}")
-    return _decompose(_hermitian(_finite_squares(A, "matrix"), "matrix"))
+    return _decompose(_hermitian(_squares(A, "matrix"), "matrix"))
 
 
 def _decompose(A: np.ndarray) -> SpectralDecomposition:
@@ -330,11 +346,18 @@ def _wire_dim(raw) -> int:
     return int(raw)
 
 
+def _field(obj: dict, key: str):
+    # obj[key] of a wire document, whose absence is named as a missing key
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
+
+
 def _wire_numbers(obj: dict, key: str) -> np.ndarray:
     # the rows under ``key``: every row as long as the first, every entry a JSON number (never a
     # bool, string, null or list), so numpy never meets a ragged array; a bare number or a flat
     # list passes here and fails the caller's shape test
-    raw = obj[key]
+    raw = _field(obj, key)
     rows = raw if isinstance(raw, list) else [raw]
 
     def size(row):
@@ -354,10 +377,10 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object with dim, re, im, got {type(obj).__name__}")
     try:
-        dim = _wire_dim(obj["dim"])
+        dim = _wire_dim(_field(obj, "dim"))
         re = _wire_numbers(obj, "re")
         im = _wire_numbers(obj, "im")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
@@ -383,12 +406,12 @@ def read_wire(obj, kind: str, *keys: str) -> tuple:
     if not isinstance(obj, dict):
         raise ValueError(f"{kind} JSON must be an object with dim, {', '.join(keys)}, got {type(obj).__name__}")
     try:
-        dim = _wire_dim(obj["dim"])
-        values = [obj.get(key, []) if key.endswith("s") else obj[key] for key in keys]
+        dim = _wire_dim(_field(obj, "dim"))
+        values = [obj.get(key, []) if key.endswith("s") else _field(obj, key) for key in keys]
         for key, value in zip(keys, values):
             if key.endswith("s") and not isinstance(value, list):
                 raise TypeError(f"{key} must be a JSON list, got {type(value).__name__}")
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind}: {exc}") from exc
 
     def read(label, raw):

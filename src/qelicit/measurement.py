@@ -19,8 +19,8 @@ from .linalg import (
     PSD_TOL,
     TRACE_TOL,
     _count,
-    _finite_squares,
     _hermitian,
+    _squares,
     _require_psd,
     as_density,
     as_hermitian,
@@ -227,7 +227,7 @@ def herm_coords(X) -> np.ndarray:
     for j < k.  The map is an isometry: <X, Y> = coords(X) . coords(Y).
     """
     X = np.asarray(X, dtype=np.complex128)
-    return _coords(_hermitian(_finite_squares(X, "matrix"), "matrix"))
+    return _coords(_hermitian(_squares(X, "matrix"), "matrix"))
 
 
 def _coords(X: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from .extended import (
     ExtendedHermitian,
     _collapse,
     _ext_gap,
+    _ext_pair,
     _log_parts,
     _range_split,
     ext_dot,
@@ -198,8 +199,9 @@ def _per_report(payoff, reports):
 
 def _pair(outcomes, values, states) -> np.ndarray:
     # sum_y p_ky values_ky for each report k against state k, under extended
-    # arithmetic: zero-mass outcomes never contribute, even against -inf payoffs
-    return ext_dot(outcomes._probs(states), values)
+    # arithmetic: zero-mass outcomes never contribute, even against -inf payoffs;
+    # the distributions are cleaned by _measured_rows, so only the values are checked
+    return _ext_pair(outcomes._probs(states), values)
 
 
 def _hs_rows(A, B) -> np.ndarray:

@@ -452,7 +452,19 @@ class TestMarketSim:
         path.write_text(json.dumps({"dim": 2, "trades": []}))
         code, _, err = run_cli(capsys, "market-sim", "--scenario", str(path))
         assert code == 2
-        assert "malformed" in err
+        assert "malformed scenario: missing key 'truth'" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"trades": []}, "malformed scenario: missing key 'dim'"),
+        ({"dim": 2, "trades": [], "truth": {"dim": 2, "re": [[1, 0], [0, 0]]}},
+         "truth: malformed matrix JSON: missing key 'im'"),
+    ], ids=["dim", "im"])
+    def test_a_missing_key_is_named(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "market-sim", "--scenario", str(path))
+        assert code == 2
+        assert message in err
 
 
 @pytest.mark.parametrize("argv, missing", [

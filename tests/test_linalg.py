@@ -21,6 +21,7 @@ from qelicit.linalg import (
     random_hermitian,
     random_pure,
     random_unitary,
+    read_wire,
     spectral_decompose,
 )
 from qelicit.measurement import herm_coords
@@ -321,6 +322,16 @@ class TestJson:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("key", ["dim", "re", "im"])
+    def test_a_missing_key_is_named(self, key):
+        doc = {k: v for k, v in matrix_to_json(np.eye(2)).items() if k != key}
+        with pytest.raises(ValueError, match=f"^malformed matrix JSON: missing key '{key}'$"):
+            matrix_from_json(doc)
+
+    def test_a_missing_single_matrix_key_is_named(self):
+        with pytest.raises(ValueError, match="^malformed scenario: missing key 'truth'$"):
+            read_wire({"dim": 2, "trades": []}, "scenario", "trades", "truth")
 
 
 def _report(check, *args):

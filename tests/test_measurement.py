@@ -47,6 +47,19 @@ class TestMeasurementType:
         with pytest.raises(ValueError, match="malformed measurement"):
             Measurement.from_json(doc)
 
+    def test_json_missing_dim_is_named(self):
+        doc = standard_pvm(2).to_json()
+        del doc["dim"]
+        with pytest.raises(ValueError, match="^malformed measurement: missing key 'dim'$"):
+            Measurement.from_json(doc)
+
+    @pytest.mark.parametrize("key", ["dim", "re", "im"])
+    def test_json_element_missing_a_key_is_named(self, key):
+        doc = standard_pvm(2).to_json()
+        del doc["elements"][1][key]
+        with pytest.raises(ValueError, match=f"^element 1: malformed matrix JSON: missing key '{key}'$"):
+            Measurement.from_json(doc)
+
     @pytest.mark.parametrize("dim", [3, -1])
     def test_json_element_of_another_dimension_is_named(self, dim):
         doc = {**standard_pvm(2).to_json(), "dim": dim}
