@@ -61,18 +61,14 @@ def clean_probs(p) -> np.ndarray:
 
 def _clean_rows(P, clip: float = PROB_CLIP, tol: float = 1e-10) -> np.ndarray:
     # clean_probs of each row of an (N, m) array, entries in [-clip, 0) clipped and totals within tol of 1.
-    # A good stack passes one test: its entries lie in [-clip, 1 + tol] (as every entry of a total within
-    # tol of 1 does, and no NaN or inf does; the top bound keeps the sum from overflowing) and its totals
-    # are within tol of 1.  The ordered checks below run only when that fails, to name the fault.
-    if P.min(initial=0.0) >= -clip and P.max(initial=0.0) <= 1.0 + tol:
-        q = np.maximum(P, 0.0)
-        total = q.sum(axis=-1, keepdims=True)
-        if (np.abs(total - 1.0) <= tol).all():
-            return q / total
-    if not np.isfinite(P).all():
-        raise ValueError("probability vector has non-finite entries")
-    if (P < -clip).any():
-        raise ValueError(f"probability {P.min():.3e} is negative beyond the clip tolerance")
+    # Every entry of a good stack lies in [-clip, 1 + tol], and no NaN or inf does: one test of the
+    # smallest and largest entry stands for the finiteness and clip checks, which run only when it
+    # fails, to name the fault.
+    if not (P.min(initial=0.0) >= -clip and P.max(initial=0.0) <= 1.0 + tol):
+        if not np.isfinite(P).all():
+            raise ValueError("probability vector has non-finite entries")
+        if (P < -clip).any():
+            raise ValueError(f"probability {P.min():.3e} is negative beyond the clip tolerance")
     q = np.maximum(P, 0.0)
     total = q.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0) > tol

@@ -119,14 +119,6 @@ class TestCleanRows:
         P = np.zeros(shape)
         assert _result(_clean_rows, P) == _result(_ordered, P)
 
-    def test_a_refusal_warns_of_nothing(self):
-        for label, p in BOUNDARY_ROWS.items():
-            if not np.isfinite(p).all():
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(ValueError, match="^probability vector has non-finite entries$"):
-                        clean_probs(p)
-
 
 NON_FINITE = {
     "NaN": [[np.nan, 0.0], [0.0, 1.0]],
