@@ -228,9 +228,8 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     # columns are unit vectors, so that component is never zero.
     n = V.shape[-1]
     flat = V.reshape(-1, n, n)
-    size = np.abs(flat)
-    at = np.arange(len(flat))[:, None], np.argmax(size, axis=-2), np.arange(n)
-    return V / (flat[at] / size[at]).reshape(V.shape[:-2] + (1, n))
+    lead = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
+    return V / (lead / np.abs(lead)).reshape(V.shape[:-2] + (1, n))
 
 
 def spectral_decompose(A) -> SpectralDecomposition:
