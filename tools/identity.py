@@ -104,6 +104,11 @@ just above it; then ``expected_classical`` and ``shannon_entropy`` with a
 zero or clipped weight against -inf, and ``ext_dot`` with a negative
 weight against -inf, alone, beside a +inf value, and with NaN weights
 beside a +inf value or a second shape.
+Last, the refusals of a rule of one's own by the constructions that
+check it, each built twice in a row: ``spectral_score`` of the
+position-weighted rule ``np.arange(p.shape[-1]) * p``, and
+``spectral_score`` and ``fixed_measurement_score`` of a rule that reduces
+over the whole stack, ``2 * p - np.sum(p * p)``.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -759,6 +764,20 @@ def validator_boundaries() -> None:
         emit(f"ext_dot {label}", outcome(q.ext_dot, *args))
 
 
+def rule_refusals() -> None:
+    # a rule of one's own is checked at every construction, so the second build is refused as the first
+    weighted = q.ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="weighted")
+    whole = q.ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole-array")
+    builds = {
+        "spectral_score weighted": lambda: q.spectral_score(weighted),
+        "spectral_score whole-array": lambda: q.spectral_score(whole),
+        "fixed_measurement_score whole-array": lambda: q.fixed_measurement_score(whole, q.canonical_complete(2)),
+    }
+    for label, build in builds.items():
+        for k in (1, 2):
+            emit(f"{label} build {k}", outcome(build))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -791,3 +810,4 @@ if __name__ == "__main__":
     k_column_calls()
     stored_parts()
     validator_boundaries()
+    rule_refusals()
