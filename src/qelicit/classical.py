@@ -94,18 +94,23 @@ class ClassicalScoringRule:
         return float(self.values(np.asarray(p, dtype=np.float64))[int(y)])
 
 
+def _brier_values(p):
+    return 2.0 * p - np.vecdot(p, p)[..., None]
+
+
+# the library's rules are frozen, so every caller shares one of each
+_BRIER = ClassicalScoringRule(_brier_values, name="brier")
+_LOG = ClassicalScoringRule(_ext_log, name="log")
+
+
 def brier_rule() -> ClassicalScoringRule:
-    """Quadratic score s(p, y) = 2 p_y - ||p||^2; finite everywhere."""
-
-    def values(p):
-        return 2.0 * p - np.vecdot(p, p)[..., None]
-
-    return ClassicalScoringRule(values, name="brier")
+    """Quadratic score s(p, y) = 2 p_y - ||p||^2; finite everywhere.  Every call returns the same rule."""
+    return _BRIER
 
 
 def log_rule() -> ClassicalScoringRule:
-    """Logarithmic score s(p, y) = log p_y, -inf at mass at or below PROB_ZERO_TOL."""
-    return ClassicalScoringRule(_ext_log, name="log")
+    """Logarithmic score s(p, y) = log p_y, -inf at mass at or below PROB_ZERO_TOL.  Every call returns the same rule."""
+    return _LOG
 
 
 def linear_rule() -> ClassicalScoringRule:

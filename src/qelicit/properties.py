@@ -52,6 +52,7 @@ __all__ = [
 ORTHO_TOL = 1e-8     # allowed deviation from orthonormality before rejection
 REPORT_TOL = 1e-8    # reports closer than this count as the same value
 DIFFER_TOL = 1e-6    # property values farther than this count as different
+_SCREEN_TOL = 1e-6   # a stacked search judges exactly only the pairs within this screening distance
 CERT_TOL = 1e-13     # an optimizer call stops once its best restart is proven this close to the optimum
 _TOP_SCALE = 128.0   # the top eigenvector's direction is this times rho^16 / tr rho^16 (optimize_top_eigenvector)
 _START_SQUARINGS, _START_STEPS = 3, 3  # k-column starts take 3 steps X <- qr(P X), P = rho^8 / tr rho^8
@@ -67,9 +68,9 @@ class QuantumProperty:
     ``eval`` returns a canonical representative (sorted eigenvalues,
     phase-fixed vectors).  ``_stack``, if set, maps a stack (N, n, n) of
     valid, exactly Hermitian states the library built to a sequence of
-    their N values, each equal bit for bit to what ``eval`` returns for
-    that state alone; a level-set search then screens a block of probes
-    with two calls of it.
+    their N values of one shape, each equal bit for bit to what ``eval``
+    returns for that state alone; a level-set search then screens a block
+    of probes with two calls of it.
     """
 
     eval: Callable[[np.ndarray], Any]
@@ -356,7 +357,8 @@ def find_level_set_witness(
     ``_stack`` has its probes drawn in blocks of up to _BLOCK and
     evaluated by two stacked calls per block; any other property draws
     and evaluates one probe at a time.  Only a pair whose values agree
-    within REPORT_TOL has its midpoint evaluated, by ``_witness``.
+    within REPORT_TOL has its midpoint evaluated, by ``_witness``; a
+    block's pairs are first screened together by ``_screen``.
     Either way the draws, the witness and where the generator is left are
     those of the probe-at-a-time search.
     """
@@ -368,7 +370,9 @@ def find_level_set_witness(
     for start in range(0, probes, block):
         state = g.bit_generator.state
         rho1, rho2 = _probe_block(g, min(block, probes - start), dim)
-        for i, (r1, r2) in enumerate(zip(values(rho1), values(rho2))):
+        v1, v2 = values(rho1), values(rho2)
+        for i in range(len(rho1)) if prop._stack is None else _screen(v1, v2):
+            r1, r2 = v1[i], v2[i]
             if _value_dist(r1, r2) > REPORT_TOL:  # no counterexample whatever the midpoint's value
                 continue
             w = _witness(prop, rho1[i], rho2[i], r1, r2, True)
@@ -378,6 +382,23 @@ def find_level_set_witness(
                     g.standard_normal((i + 1, 4, dim, dim))
                 return w
     return None
+
+
+def _screen(v1, v2) -> np.ndarray:
+    """The indices, in order, of the pairs of two value stacks that may agree within REPORT_TOL.
+
+    One vectorized distance per pair, as ``_value_dist`` measures it:
+    phase-free for complex values, Euclidean otherwise.  Its rounding
+    differs from ``_value_dist``'s, so it passes pairs within _SCREEN_TOL,
+    far wider than REPORT_TOL, and a NaN distance, which ``_value_dist``'s
+    test also lets through.
+    """
+    a, b = (np.asarray(v).reshape(len(v), -1) for v in (v1, v2))
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        d2 = 2.0 - 2.0 * np.abs(np.sum(a.conj() * b, axis=1))
+    else:
+        d2 = np.sum((a - b) ** 2, axis=1)
+    return np.flatnonzero(~(d2 > _SCREEN_TOL**2))
 
 
 def _probe_block(g, b: int, dim: int):

@@ -14,7 +14,7 @@ invariance, and physical implementability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -353,17 +353,31 @@ def projective_brier() -> QuantumScore:
     return spectral_score(brier_rule(), name="projective-brier")
 
 
+def _require_permutation_invariant(rule: ClassicalScoringRule) -> None:
+    # spectral_score's check of a rule: row-wise and permutation-invariant on stacks at n = 2 and 3
+    for d in (2, 3):
+        if not is_permutation_invariant(rule, d, rng=12345):
+            raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
+
+
+# the library's own spectral rules never change, so each passes the check once per import
+_checked_once = cache(_require_permutation_invariant)
+
+
 def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
     """Measure in the report's eigenbasis, scoring eigenvalues classically.
 
     The rule must pay each row of a stack as it pays that row alone and
     be permutation-invariant, since eigenbases carry no outcome labels of
     their own; ``is_permutation_invariant`` checks both on stacks at
-    n = 2 and 3, at construction.
+    n = 2 and 3.  A rule of one's own is checked at every construction;
+    the library's brier, log and log-det rules, shared by every score
+    built from them, once per import.
     """
-    for d in (2, 3):
-        if not is_permutation_invariant(rule, d, rng=12345):
-            raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
+    if any(rule is r for r in _LIBRARY_RULES):
+        _checked_once(rule)
+    else:
+        _require_permutation_invariant(rule)
 
     def spectral(dec):
         lam, V = dec
@@ -382,19 +396,24 @@ def _full_rank(states) -> np.ndarray:
     return np.linalg.eigvalsh(states)[:, 0] > FULL_RANK_TOL
 
 
+def _log_det_values(lam):
+    # the log-det rule's payoffs n - sum(log lambda) - 1/lambda_y, on full-rank spectra only
+    if (lam.min(axis=-1) <= FULL_RANK_TOL).any():
+        raise ValueError("log-det score requires a full-rank report")
+    return lam.shape[-1] - np.sum(np.log(lam), axis=-1, keepdims=True) - 1.0 / lam
+
+
+_LOG_DET = ClassicalScoringRule(_log_det_values, name="log-det")
+_LIBRARY_RULES = (brier_rule(), log_rule(), _LOG_DET)
+
+
 def log_det_score() -> QuantumScore:
     """Log-determinant score, restricted to full-rank reports.
 
     The spectral score of the Bregman rule of the convex -sum(log p):
     payoff n - sum(log lambda) - 1/lambda_y in the report's eigenbasis.
     """
-
-    def values(lam):
-        if (lam.min(axis=-1) <= FULL_RANK_TOL).any():
-            raise ValueError("log-det score requires a full-rank report")
-        return lam.shape[-1] - np.sum(np.log(lam), axis=-1, keepdims=True) - 1.0 / lam
-
-    spectral = spectral_score(ClassicalScoringRule(values, name="log-det"))
+    spectral = spectral_score(_LOG_DET)
     return replace(spectral, name="ml:s2", domain=_full_rank)
 
 

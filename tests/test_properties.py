@@ -505,6 +505,45 @@ class TestBlockSearch:
         assert evals == []
         assert g.sizes == [(64, 4, dim, dim)] * 3 + [(8, 4, dim, dim)]
 
+    @staticmethod
+    def _phase_direction(rho):
+        # the unit direction of rho's spectrum times a phase that depends on rho's basis: complex values whose
+        # pairs agree up to phase, and whose midpoints differ
+        lam = eigenvalues_desc(rho)
+        return lam / np.linalg.norm(lam) * np.exp(1j * np.angle(rho[0, 1] + 1e-3))
+
+    @pytest.mark.parametrize("name", ["eigvec-top", "expectation", "eigenvalues", "max-eigenvalue", "entropy",
+                                      "tsallis2", "norm2", "phase-direction"])
+    def test_the_screen_keeps_the_per_probe_results(self, name, monkeypatch):
+        # 200 seeded searches at n = 2-4 of 1, 20 and 65 probes, each property stacked so that its blocks are
+        # screened; every witness, every None and the generator's state after match a search that hands every
+        # pair of a block to _value_dist, one by one
+        screen = properties._screen
+        for seed in range(200):
+            dim, probes = 2 + seed % 3, (1, 20, 65)[seed // 3 % 3]
+            if name == "phase-direction":
+                prop = QuantumProperty(self._phase_direction, name)
+            else:
+                prop = make_property(name, dim)
+            stacked = prop if prop._stack else dataclasses.replace(prop, _stack=lambda rhos, f=prop.eval: [f(r) for r in rhos])
+            g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            monkeypatch.setattr(properties, "_screen", screen)
+            found = find_level_set_witness(stacked, dim, probes, g)
+            monkeypatch.setattr(properties, "_screen", lambda v1, v2: range(len(v1)))
+            w = find_level_set_witness(stacked, dim, probes, ref)
+            assert (found and found.to_json()) == (w and w.to_json())
+            assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_the_screen_passes_what_value_dist_passes(self):
+        # pairs within REPORT_TOL, or just outside it, equal up to phase, or NaN reach _value_dist; others do not
+        unit = np.array([0.6, 0.8j])
+        for v1, v2, kept in (
+            ([0.5, 0.2, 0.3], [0.5 + 5e-9, 0.2 + 1e-7, 0.3 + 2e-6], [0, 1]),
+            ([[0.0, 1.0], [np.nan, 0.0]], [[0.0, 1.0 + 2e-6], [0.0, 0.0]], [1]),
+            ([unit, unit, unit], [np.exp(0.7j) * unit, unit[::-1], -unit], [0, 2]),
+        ):
+            assert properties._screen(v1, v2).tolist() == kept
+
     def test_a_found_pair_is_judged_to_agree_once(self, monkeypatch):
         # a one-probe search compares the pair's values, then the midpoint's against them: two comparisons
         calls, real = [], properties._value_dist

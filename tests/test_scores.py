@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from qelicit.classical import ClassicalScoringRule, brier_rule, linear_rule, log_rule, shannon_entropy
+from qelicit import scores
+from qelicit.classical import (
+    ClassicalScoringRule,
+    _require_row_wise,
+    brier_rule,
+    is_permutation_invariant,
+    linear_rule,
+    log_rule,
+    shannon_entropy,
+)
 from qelicit.extended import NEG_INF, ExtendedHermitian, ext_inner, matrix_log
 from qelicit.linalg import (
     HERM_TOL,
@@ -267,6 +276,56 @@ class TestSpectralScore:
     def test_strictly_truthful(self):
         report = truthfulness_check(spectral_score(brier_rule()), 1500, dims=(2, 3, 4), rng=8)
         assert report.passed, report.violations[:2]
+
+
+class TestSharedRules:
+    """The library's brier, log and log-det rules are shared, and spectral_score checks them once per import."""
+
+    LIBRARY = {"brier": brier_rule(), "log": log_rule(), "log-det": scores._LOG_DET}
+
+    def test_each_call_returns_the_same_rule(self):
+        assert brier_rule() is brier_rule()
+        assert log_rule() is log_rule()
+        assert scores._LIBRARY_RULES == tuple(self.LIBRARY.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("name", ["brier", "log", "log-det"])
+    def test_each_library_rule_is_permutation_invariant(self, name, n, seed):
+        assert is_permutation_invariant(self.LIBRARY[name], n, rng=seed)
+
+    @pytest.mark.parametrize("m", [2, 3, *(n * n for n in range(2, 17))])
+    @pytest.mark.parametrize("name", ["brier", "log", "log-det"])
+    def test_each_library_rule_pays_row_wise(self, name, m):
+        _require_row_wise(self.LIBRARY[name], m)
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        # the rules scores.is_permutation_invariant is called with, one entry per call
+        calls, real = [], scores.is_permutation_invariant
+        monkeypatch.setattr(scores, "is_permutation_invariant", lambda rule, *a, **k: calls.append(rule) or real(rule, *a, **k))
+        return calls
+
+    def test_library_rules_are_checked_once_per_import(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        scores._checked_once.cache_clear()
+        for n in range(2, 17):
+            for name in sorted(SCORE_REGISTRY):
+                make_score(name, n)
+        assert {name: sum(r is rule for r in calls) for name, rule in self.LIBRARY.items()} == \
+            {"brier": 2, "log": 2, "log-det": 2}
+        assert len(calls) == 6
+
+    def test_a_rule_of_ones_own_is_checked_at_every_construction(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        mine = ClassicalScoringRule(lambda p: 2.0 * p - np.vecdot(p, p)[..., None], name="mine")
+        spectral_score(mine)
+        spectral_score(mine)
+        assert len(calls) == 4 and all(r is mine for r in calls)
+        biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^rule 'biased' is not permutation-invariant$"):
+                spectral_score(biased)
 
 
 class TestEntropies:
