@@ -6,14 +6,19 @@ One worker process per tree imports ``qelicit`` from that tree's ``src``
 and builds the same inputs.  The layers, each at n = 3 and 16, are
 ``as_density``, ``spectral_decompose``, ``apply_measurement`` with
 ``canonical_complete(n)``, ``expected_score`` of every registry score
-(a full-rank report against a full-rank belief), ``von_neumann_entropy``
-and ``relative_entropy``.  For each layer both workers run batches of the
+(a full-rank report against a full-rank belief), ``von_neumann_entropy``,
+``relative_entropy`` and ``make_score`` of every registry score; then
+``canonical_complete(16)`` and, at n = 3, a 20-probe
+``find_level_set_witness`` of every registry property with an evaluator.
+For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
 layer's row holds each side's per-call time over its batches (median and
 quartiles, in us), the ratio of the medians (change / parent) and the
 batches the change wins.  Each layer's output is hashed once per tree,
-bit for bit, and a row whose outputs differ between the trees is flagged.  The workers
+bit for bit, and a row whose outputs differ between the trees is flagged;
+a made score is hashed as its expected score on the layer's pair, since
+its repr holds function addresses, and a witness as its JSON.  The workers
 run with one BLAS thread, as the benchmark does.
 """
 
@@ -35,12 +40,15 @@ BATCHES = 31
 BATCH_SECONDS = 0.02  # the parent's batch length, which sets each layer's calls per batch
 
 
-def layers() -> dict:
-    """The calls to time, by name: each a function of no arguments, on seeded inputs."""
-    import qelicit as q
-    from qelicit.registry import SCORE_REGISTRY, make_score
+def layers() -> tuple:
+    """The calls to time, by name, each a function of no arguments on seeded inputs, and the views of their outputs.
 
-    calls = {}
+    A view maps a call's output to what is hashed; a call without one is hashed as it is.
+    """
+    import qelicit as q
+    from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score
+
+    calls, views = {}, {}
     for n in (3, 16):
         rho, sigma = q.random_density(n, rng=n), q.random_density(n, rng=n + 1)
         mu = q.canonical_complete(n)
@@ -52,7 +60,16 @@ def layers() -> dict:
             calls[f"expected_score {name} n={n}"] = lambda S=S, rho=rho, sigma=sigma: q.expected_score(S, sigma, rho)
         calls[f"von_neumann_entropy n={n}"] = lambda rho=rho: q.von_neumann_entropy(rho)
         calls[f"relative_entropy n={n}"] = lambda rho=rho, sigma=sigma: q.relative_entropy(rho, sigma)
-    return calls
+        for name in sorted(SCORE_REGISTRY):
+            calls[f"make_score {name} n={n}"] = lambda name=name, n=n: make_score(name, n)
+            views[f"make_score {name} n={n}"] = lambda S, rho=rho, sigma=sigma: q.expected_score(S, sigma, rho)
+    calls["canonical_complete n=16"] = lambda: q.canonical_complete(16)
+    views["canonical_complete n=16"] = lambda mu: mu.elements
+    for name in sorted(p for p, entry in PROPERTY_REGISTRY.items() if entry["property"]):
+        prop = make_property(name, 3)
+        calls[f"find_level_set_witness {name} n=3 probes=20"] = lambda prop=prop: q.find_level_set_witness(prop, 3, 20, 5)
+        views[f"find_level_set_witness {name} n=3 probes=20"] = lambda w: w and json.dumps(w.to_json())
+    return calls, views
 
 
 def exact(x) -> bytes:
@@ -66,8 +83,9 @@ def exact(x) -> bytes:
 
 def worker() -> None:
     """Serve one tree: print each layer's output hash, then time {"layer", "calls"} requests read from stdin."""
-    calls = layers()
-    print(json.dumps({name: hashlib.sha256(exact(f())).hexdigest() for name, f in calls.items()}), flush=True)
+    calls, views = layers()
+    outputs = {name: views.get(name, lambda x: x)(f()) for name, f in calls.items()}
+    print(json.dumps({name: hashlib.sha256(exact(x)).hexdigest() for name, x in outputs.items()}), flush=True)
     for line in sys.stdin:
         request = json.loads(line)
         f, k = calls[request["layer"]], request["calls"]
