@@ -109,6 +109,14 @@ check it, each built twice in a row: ``spectral_score`` of the
 position-weighted rule ``np.arange(p.shape[-1]) * p``, and
 ``spectral_score`` and ``fixed_measurement_score`` of a rule that reduces
 over the whole stack, ``2 * p - np.sum(p * p)``.
+Last, the public ``spectral_score`` and ``fixed_measurement_score``
+(over ``canonical_complete(3)``) of the library's brier, log and log-det
+rules, each built twice and listed by its expected score on one seeded
+pair; ``make_score`` of every registry score at n = 1, listed by its
+expected score at the 1x1 state; ``level_set_witness`` of a
+phase-direction property (the unit spectrum times a phase read off
+rho[0, 1]) on 20 seeded pairs (rho, U rho U*) at n = 3; and
+``expected_classical`` of a rule that pays NaN.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -778,6 +786,40 @@ def rule_refusals() -> None:
             emit(f"{label} build {k}", outcome(build))
 
 
+def library_rule_builds() -> None:
+    # the library's rules through the public constructors, then every registry score at n = 1
+    from qelicit.scores import _LOG_DET
+
+    rho, sigma = q.random_density(3, rng=31), q.random_density(3, rng=32)
+    for rule in (q.brier_rule(), q.log_rule(), _LOG_DET):
+        builds = {"spectral_score": lambda: q.spectral_score(rule),
+                  "fixed_measurement_score": lambda: q.fixed_measurement_score(rule, q.canonical_complete(3))}
+        for label, build in builds.items():
+            for k in (1, 2):
+                emit(f"{label} {rule.name} build {k}", outcome(lambda: q.expected_score(build(), sigma, rho)))
+    for name in sorted(SCORE_REGISTRY):
+        emit(f"make_score {name} n=1", outcome(lambda: q.expected_score(make_score(name, 1), np.eye(1), np.eye(1))))
+
+
+def phase_direction_witnesses() -> None:
+    # pairs whose values agree up to phase and whose midpoints differ
+    def phase_direction(rho):
+        lam = q.eigenvalues_desc(rho)
+        return lam / np.linalg.norm(lam) * np.exp(1j * np.angle(rho[0, 1] + 1e-3))
+
+    prop = q.QuantumProperty(phase_direction, "phase-direction")
+    rho1, rho2 = properties._probe_block(np.random.default_rng(45), 20, 3)
+    for i in range(20):
+        emit(f"level_set_witness phase-direction pair {i}",
+             outcome(lambda: json.dumps(witness_json(level_set_witness(prop, rho1[i], rho2[i])), sort_keys=True)))
+
+
+def nan_rule() -> None:
+    root = q.ClassicalScoringRule(lambda p: np.sqrt(np.asarray(p) - 0.5), name="root")
+    with np.errstate(invalid="ignore"):
+        emit("expected_classical NaN rule", outcome(q.expected_classical, root, [0.2, 0.8], [0.5, 0.5]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -811,3 +853,6 @@ if __name__ == "__main__":
     stored_parts()
     validator_boundaries()
     rule_refusals()
+    library_rule_builds()
+    phase_direction_witnesses()
+    nan_rule()
