@@ -199,9 +199,8 @@ def _require_row_wise(rule: ClassicalScoringRule, m: int) -> None:
 
 
 def expected_classical(rule: ClassicalScoringRule, q, p) -> float:
-    """Expected score of report q under belief p, in R u {-inf}."""
-    q = np.asarray(q, dtype=np.float64)
-    return _ext_pair(clean_probs(p), rule.values(q))
+    """Expected score of report q under belief p, in R u {-inf}; a rule that pays NaN is refused."""
+    return _ext_pair(clean_probs(p), _rule_values(rule, np.asarray(q, dtype=np.float64)))
 
 
 def _rows(g, dim, m):

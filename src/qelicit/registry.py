@@ -19,18 +19,18 @@ from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims, _replay, _wire_parts, json_safe
 from .scores import (
+    _fixed_score,
     _implementability,
+    _spectral_score,
     _truthfulness,
     _unitary_invariance,
     binary_brier,
-    fixed_measurement_score,
     implementability_check,
     log_det_score,
     log_spectral,
     log_trace_exp_score,
     log_trace_score,
     projective_brier,
-    spectral_score,
     trace_score,
     truthfulness_check,
     unitary_invariance_check,
@@ -60,21 +60,21 @@ SCORE_REGISTRY: dict[str, ScoreEntry] = {
         lambda dim: projective_brier(), True, True, True, True
     ),
     "spectral:brier": ScoreEntry(
-        lambda dim: spectral_score(brier_rule()), True, True, True, True
+        lambda dim: _spectral_score(brier_rule(), "spectral:brier"), True, True, True, True
     ),
     "spectral:log": ScoreEntry(
         lambda dim: log_spectral(), True, True, True, True
     ),
     "fixed:brier": ScoreEntry(
-        lambda dim: fixed_measurement_score(brier_rule(), canonical_complete(dim)),
+        lambda dim: _fixed_score(brier_rule(), canonical_complete(dim)),
         True, True, True, False,
     ),
     "fixed:log": ScoreEntry(
-        lambda dim: fixed_measurement_score(log_rule(), canonical_complete(dim)),
+        lambda dim: _fixed_score(log_rule(), canonical_complete(dim)),
         True, True, True, False,
     ),
     "ml:s1": ScoreEntry(
-        lambda dim: spectral_score(log_rule(), name="ml:s1"),
+        lambda dim: _spectral_score(log_rule(), "ml:s1"),
         True, True, True, True,
     ),
     "ml:s2": ScoreEntry(

@@ -14,7 +14,7 @@ invariance, and physical implementability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -283,11 +283,14 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
     through its outcome distribution.  Strictly truthful exactly when the
     rule is strictly proper and the measurement tomographically complete.
     The rule must pay each row of a stack as it pays that row alone; this
-    is checked on a two-row stack at construction.
+    is checked on a two-row stack at every construction.
     """
-
     _require_row_wise(rule, len(mu))
+    return _fixed_score(rule, mu)
 
+
+def _fixed_score(rule: ClassicalScoringRule, mu: Measurement) -> QuantumScore:
+    # fixed_measurement_score of a rule known to pay row-wise, built without the check
     def stack(reports):
         if reports.shape[-1] != mu.dim:
             raise ValueError(f"dimension mismatch: state {reports.shape[-1]}, measurement {mu.dim}")
@@ -350,18 +353,7 @@ def _overlap_measurement(rho_p) -> Measurement:
 
 def projective_brier() -> QuantumScore:
     """Brier score measured in the report's own eigenbasis: the spectral Brier score."""
-    return spectral_score(brier_rule(), name="projective-brier")
-
-
-def _require_permutation_invariant(rule: ClassicalScoringRule) -> None:
-    # spectral_score's check of a rule: row-wise and permutation-invariant on stacks at n = 2 and 3
-    for d in (2, 3):
-        if not is_permutation_invariant(rule, d, rng=12345):
-            raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
-
-
-# the library's own spectral rules never change, so each passes the check once per import
-_checked_once = cache(_require_permutation_invariant)
+    return _spectral_score(brier_rule(), "projective-brier")
 
 
 def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
@@ -370,25 +362,29 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
     The rule must pay each row of a stack as it pays that row alone and
     be permutation-invariant, since eigenbases carry no outcome labels of
     their own; ``is_permutation_invariant`` checks both on stacks at
-    n = 2 and 3.  A rule of one's own is checked at every construction;
-    the library's brier, log and log-det rules, shared by every score
-    built from them, once per import.
+    n = 2 and 3, at every construction.
     """
-    if any(rule is r for r in _LIBRARY_RULES):
-        _checked_once(rule)
-    else:
-        _require_permutation_invariant(rule)
+    for d in (2, 3):
+        if not is_permutation_invariant(rule, d, rng=12345):
+            raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
+    return _spectral_score(rule, name or f"spectral:{rule.name}")
 
-    def spectral(dec):
-        lam, V = dec
-        return _Bases(V), _rule_values(rule, lam)
 
-    return _stacked_score(lambda reports: spectral(_decompose(reports)), name or f"spectral:{rule.name}", spectral)
+def _spectral_score(rule: ClassicalScoringRule, name: str) -> QuantumScore:
+    # spectral_score of a rule known to be row-wise and permutation-invariant, built without the check
+    spectral = partial(_spectral_payoff, rule)
+    return _stacked_score(lambda reports: spectral(_decompose(reports)), name, spectral)
+
+
+def _spectral_payoff(rule: ClassicalScoringRule, dec) -> tuple:
+    # the eigenbasis measurement of decomposed reports (lambda, V) and the rule's payoffs on lambda
+    lam, V = dec
+    return _Bases(V), _rule_values(rule, lam)
 
 
 def log_spectral() -> QuantumScore:
     """Spectral log score; its expected self-score is von Neumann entropy negated."""
-    return spectral_score(log_rule(), name="spectral:log")
+    return _spectral_score(log_rule(), "spectral:log")
 
 
 def _full_rank(states) -> np.ndarray:
@@ -404,7 +400,6 @@ def _log_det_values(lam):
 
 
 _LOG_DET = ClassicalScoringRule(_log_det_values, name="log-det")
-_LIBRARY_RULES = (brier_rule(), log_rule(), _LOG_DET)
 
 
 def log_det_score() -> QuantumScore:
@@ -413,8 +408,7 @@ def log_det_score() -> QuantumScore:
     The spectral score of the Bregman rule of the convex -sum(log p):
     payoff n - sum(log lambda) - 1/lambda_y in the report's eigenbasis.
     """
-    spectral = spectral_score(_LOG_DET)
-    return replace(spectral, name="ml:s2", domain=_full_rank)
+    return replace(_spectral_score(_LOG_DET, "ml:s2"), domain=_full_rank)
 
 
 def trace_score() -> QuantumScore:
@@ -468,9 +462,8 @@ def ml_scores() -> dict:
     are not extended-linear in the true state, so no measurement
     realizes them.
     """
-    s1 = spectral_score(log_rule(), name="ml:s1")
     return {
-        "s1": s1,
+        "s1": _spectral_score(log_rule(), "ml:s1"),
         "s2": log_det_score(),
         "s3": trace_score(),
         "s4": log_trace_score(),
@@ -498,16 +491,13 @@ def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
 
 
 # ---------------------------------------------------------------------------
-# entropies
-
-
-_LOG = log_spectral()  # S, the spectral log score that defines both entropies
+# entropies, each read off S, the spectral log score, paid as _spectral_payoff(log_rule(), ...)
 
 
 def von_neumann_entropy(rho) -> float:
     """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
     states, dec = _decomposed_densities(rho)
-    return 0.0 - float(_pair(*_LOG._spectral(dec), states)[0])
+    return 0.0 - float(_pair(*_spectral_payoff(log_rule(), dec), states)[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -521,7 +511,7 @@ def relative_entropy(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape[0]}, sigma {sigma.shape[0]}")
     states, dec = _decomposed_densities(rho, sigma)
-    scores = _pair(*_LOG._spectral(dec), states[[0, 0]])
+    scores = _pair(*_spectral_payoff(log_rule(), dec), states[[0, 0]])
     return float(scores[0] - scores[1])
 
 

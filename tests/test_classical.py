@@ -367,6 +367,13 @@ def test_near_tie_band_reaches_the_distance_a_quadratic_score_ties_at():
 class TestNanPayoffs:
     ALL_NAN = ClassicalScoringRule(lambda p: np.full(np.shape(p), np.nan), name="all-nan")
 
+    def test_expected_classical_refuses_a_rule_that_pays_nan(self):
+        root = ClassicalScoringRule(lambda p: np.sqrt(np.asarray(p) - 0.5), name="root")
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^rule 'root' pays NaN$"):
+            expected_classical(root, [0.2, 0.8], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^rule 'all-nan' pays NaN$"):
+            expected_classical(self.ALL_NAN, [0.5, 0.5], [1.0, 0.0])
+
     def test_permutation_check_refuses_a_rule_that_pays_nan(self):
         with pytest.raises(ValueError, match="rule 'all-nan' pays NaN"):
             is_permutation_invariant(self.ALL_NAN, 3, rng=0)

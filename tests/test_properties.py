@@ -535,12 +535,13 @@ class TestBlockSearch:
             assert g.bit_generator.state == ref.bit_generator.state
 
     def test_the_screen_passes_what_value_dist_passes(self):
-        # pairs within REPORT_TOL, or just outside it, equal up to phase, or NaN reach _value_dist; others do not
+        # pairs within REPORT_TOL, or just outside it, equal up to phase at any norm, or NaN reach _value_dist; others do not
         unit = np.array([0.6, 0.8j])
         for v1, v2, kept in (
             ([0.5, 0.2, 0.3], [0.5 + 5e-9, 0.2 + 1e-7, 0.3 + 2e-6], [0, 1]),
             ([[0.0, 1.0], [np.nan, 0.0]], [[0.0, 1.0 + 2e-6], [0.0, 0.0]], [1]),
             ([unit, unit, unit], [np.exp(0.7j) * unit, unit[::-1], -unit], [0, 2]),
+            ([0.5 * unit, 2.0 * unit, unit], [0.5j * unit, 2.0 * unit, 0.5 * unit], [0, 1]),
         ):
             assert properties._screen(v1, v2).tolist() == kept
 
@@ -551,6 +552,32 @@ class TestBlockSearch:
         w = find_level_set_witness(make_property("max-eigenvalue", 3), 3, 1, rng=0)
         assert w.is_counterexample
         assert len(calls) == 2
+
+
+class TestValueDistance:
+    """_value_dist tells complex values equal up to phase apart from distinct ones at REPORT_TOL."""
+
+    @staticmethod
+    def _top(n, seed):
+        return spectral_decompose(random_density(n, rng=seed)).eigenvectors[:, 0]
+
+    def test_a_complex_value_is_at_zero_from_itself_and_its_phases(self):
+        for seed in range(200):
+            v = self._top(3, seed)
+            assert properties._value_dist(v, v) == 0.0
+            w = self._top(4, seed)
+            assert properties._value_dist(w, np.exp(0.7j) * w) < 1e-15
+            assert properties._value_dist(2.0 * w, -2.0 * w) < 1e-15
+
+    def test_phase_direction_pairs_of_one_spectrum_are_all_counterexamples(self):
+        # (rho, U rho U*) agree up to phase and their midpoint moves the spectrum
+        prop = QuantumProperty(TestBlockSearch._phase_direction, "phase-direction")
+        for seed in range(200):
+            g = np.random.default_rng(seed)
+            rho = random_density(3, rng=g)
+            U = random_unitary(3, rng=g)
+            assert level_set_witness(prop, rho, U @ rho @ U.conj().T).is_counterexample, seed
+            assert find_level_set_witness(prop, 3, 1, rng=seed) is not None, seed
 
 
 class TestInducedClassical:

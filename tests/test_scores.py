@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qelicit import scores
+from qelicit import classical, scores
 from qelicit.classical import (
     ClassicalScoringRule,
     _require_row_wise,
@@ -45,7 +45,10 @@ from qelicit.scores import (
     fixed_meas_from_convex,
     fixed_measurement_score,
     implementability_check,
+    log_det_score,
     log_spectral,
+    log_trace_exp_score,
+    log_trace_score,
     ml_scores,
     projective_brier,
     projective_expression,
@@ -54,6 +57,7 @@ from qelicit.scores import (
     score_from_convex,
     spectral_score,
     subgradient_inequality_check,
+    trace_score,
     truthfulness_check,
     unitary_invariance_check,
     von_neumann_entropy,
@@ -279,53 +283,78 @@ class TestSpectralScore:
 
 
 class TestSharedRules:
-    """The library's brier, log and log-det rules are shared, and spectral_score checks them once per import."""
+    """The library's brier, log and log-det rules pass the checks a rule of one's own must pass, so the library builds
+    its scores from them unchecked; the public constructors check every rule at every construction."""
 
     LIBRARY = {"brier": brier_rule(), "log": log_rule(), "log-det": scores._LOG_DET}
 
     def test_each_call_returns_the_same_rule(self):
         assert brier_rule() is brier_rule()
         assert log_rule() is log_rule()
-        assert scores._LIBRARY_RULES == tuple(self.LIBRARY.values())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("name", ["brier", "log", "log-det"])
     def test_each_library_rule_is_permutation_invariant(self, name, n, seed):
         assert is_permutation_invariant(self.LIBRARY[name], n, rng=seed)
 
-    @pytest.mark.parametrize("m", [2, 3, *(n * n for n in range(2, 17))])
+    @pytest.mark.parametrize("m", [1, 2, 3, *(n * n for n in range(2, 17))])
     @pytest.mark.parametrize("name", ["brier", "log", "log-det"])
     def test_each_library_rule_pays_row_wise(self, name, m):
         _require_row_wise(self.LIBRARY[name], m)
 
     @staticmethod
     def _counted(monkeypatch) -> list:
-        # the rules scores.is_permutation_invariant is called with, one entry per call
-        calls, real = [], scores.is_permutation_invariant
-        monkeypatch.setattr(scores, "is_permutation_invariant", lambda rule, *a, **k: calls.append(rule) or real(rule, *a, **k))
+        # (check, rule) for each call of a rule check, by the names the constructors call and the one
+        # is_permutation_invariant calls
+        calls = []
+        for module, name in ((scores, "is_permutation_invariant"), (scores, "_require_row_wise"),
+                             (classical, "_require_row_wise")):
+            label = name if name.startswith("is_") else f"{module.__name__.split('.')[-1]}.{name}"
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda rule, *a, label=label, real=real, **k: calls.append((label, rule)) or real(rule, *a, **k))
         return calls
 
-    def test_library_rules_are_checked_once_per_import(self, monkeypatch):
+    def test_the_library_builds_its_scores_without_a_rule_check(self, monkeypatch):
         calls = self._counted(monkeypatch)
-        scores._checked_once.cache_clear()
-        for n in range(2, 17):
+        for n in range(1, 17):
             for name in sorted(SCORE_REGISTRY):
                 make_score(name, n)
-        assert {name: sum(r is rule for r in calls) for name, rule in self.LIBRARY.items()} == \
-            {"brier": 2, "log": 2, "log-det": 2}
-        assert len(calls) == 6
+        for factory in (binary_brier, projective_brier, log_spectral, log_det_score, trace_score, log_trace_score,
+                        log_trace_exp_score, ml_scores):
+            factory()
+        rho, sigma = random_density(3, rng=0), random_density(3, rng=1)
+        von_neumann_entropy(rho)
+        relative_entropy(rho, sigma)
+        assert calls == []
+
+    def test_the_module_holds_no_score_built_at_import(self):
+        assert not [k for k, v in vars(scores).items() if isinstance(v, (QuantumScore, ExpectedScoreFn))]
+
+    @pytest.mark.parametrize("name", ["brier", "log", "log-det"])
+    def test_the_public_constructors_check_each_library_rule_at_every_construction(self, name, monkeypatch):
+        calls, rule = self._counted(monkeypatch), self.LIBRARY[name]
+        for _ in range(2):
+            spectral_score(rule)
+            fixed_measurement_score(rule, canonical_complete(3))
+        built = [("is_permutation_invariant", rule), ("classical._require_row_wise", rule)] * 2
+        assert calls == (built + [("scores._require_row_wise", rule)]) * 2
 
     def test_a_rule_of_ones_own_is_checked_at_every_construction(self, monkeypatch):
         calls = self._counted(monkeypatch)
         mine = ClassicalScoringRule(lambda p: 2.0 * p - np.vecdot(p, p)[..., None], name="mine")
         spectral_score(mine)
         spectral_score(mine)
-        assert len(calls) == 4 and all(r is mine for r in calls)
+        assert calls == [("is_permutation_invariant", mine), ("classical._require_row_wise", mine)] * 4
         biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
+        whole = ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole")
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^rule 'biased' is not permutation-invariant$"):
                 spectral_score(biased)
+            for build in (lambda: spectral_score(whole), lambda: fixed_measurement_score(whole, canonical_complete(2))):
+                with pytest.raises(ValueError, match=r"^rule 'whole' must pay each row of a stack as it pays that row alone$"):
+                    build()
 
 
 class TestEntropies:

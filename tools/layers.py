@@ -9,7 +9,13 @@ and builds the same inputs.  The layers, each at n = 3 and 16, are
 (a full-rank report against a full-rank belief), ``von_neumann_entropy``,
 ``relative_entropy`` and ``make_score`` of every registry score; then
 ``canonical_complete(16)`` and, at n = 3, a 20-probe
-``find_level_set_witness`` of every registry property with an evaluator.
+``find_level_set_witness`` of every registry property with an evaluator;
+then the public ``spectral_score(brier_rule())`` and
+``fixed_measurement_score(brier_rule(), canonical_complete(3))``, which
+check their rule at every construction; ``MarketState.maker_loss`` at
+n = 2, 4 and 8 after three seeded trades; and ``replay_verify`` of trial
+2,400 of stream 0 of a 10,000-trial, seed-3 run of ``fixed:brier``,
+``ml:s2`` and ``ml:s5`` at d = 2 and 16.
 For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
@@ -18,7 +24,7 @@ quartiles, in us), the ratio of the medians (change / parent) and the
 batches the change wins.  Each layer's output is hashed once per tree,
 bit for bit, and a row whose outputs differ between the trees is flagged;
 a made score is hashed as its expected score on the layer's pair, since
-its repr holds function addresses, and a witness as its JSON.  The workers
+its repr holds function addresses, and a witness or a replay as its JSON.  The workers
 run with one BLAS thread, as the benchmark does.
 """
 
@@ -46,7 +52,7 @@ def layers() -> tuple:
     A view maps a call's output to what is hashed; a call without one is hashed as it is.
     """
     import qelicit as q
-    from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score
+    from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score, replay_verify
 
     calls, views = {}, {}
     for n in (3, 16):
@@ -69,6 +75,24 @@ def layers() -> tuple:
         prop = make_property(name, 3)
         calls[f"find_level_set_witness {name} n=3 probes=20"] = lambda prop=prop: q.find_level_set_witness(prop, 3, 20, 5)
         views[f"find_level_set_witness {name} n=3 probes=20"] = lambda w: w and json.dumps(w.to_json())
+    rho, sigma = q.random_density(3, rng=3), q.random_density(3, rng=4)
+    calls["spectral_score brier"] = lambda: q.spectral_score(q.brier_rule())
+    calls["fixed_measurement_score brier canonical_complete n=3"] = \
+        lambda: q.fixed_measurement_score(q.brier_rule(), q.canonical_complete(3))
+    for name in ("spectral_score brier", "fixed_measurement_score brier canonical_complete n=3"):
+        views[name] = lambda S, rho=rho, sigma=sigma: q.expected_score(S, sigma, rho)
+    for n in (2, 4, 8):
+        g = np.random.default_rng(n)
+        market = q.MarketState(n)
+        for _ in range(3):
+            market.trade(2.0 * q.random_hermitian(n, rng=g))
+        calls[f"MarketState.maker_loss n={n}"] = lambda market=market, truth=q.random_density(n, rng=g): \
+            market.maker_loss(truth)
+    for name in ("fixed:brier", "ml:s2", "ml:s5"):
+        for d in (2, 16):
+            layer = f"replay_verify {name} d={d} trial=2400"
+            calls[layer] = lambda name=name, d=d: replay_verify(name, [d], 10000, 3, 0, 2400)
+            views[layer] = lambda r: json.dumps(r, sort_keys=True)
     return calls, views
 
 
