@@ -283,8 +283,8 @@ def _value_dist(a, b) -> float:
     if a.shape != b.shape:
         return float("inf")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        # complex values compare up to phase: |a - e^{i phi} b| at the best phase, that of <b, a>, which
-        # is exact at a == b; the equal form sqrt(2 - 2|<a, b>|) reads a rounding of 1e-16 as up to 6e-8
+        # complex values compare up to phase: |a - e^{i phi} b| at the best phase, that of <b, a>; exact at
+        # a == b, where the unit-vector form sqrt(2 - 2|<a, b>|) reads a rounding of 1e-16 as up to 6e-8
         overlap = np.vdot(b, a)
         if overlap != 0:
             b = b * (overlap / abs(overlap))
@@ -390,17 +390,17 @@ def _screen(v1, v2) -> np.ndarray:
     """The indices, in order, of the pairs of two value stacks that may agree within REPORT_TOL.
 
     One vectorized squared distance per pair, of the distance that
-    ``_value_dist`` measures: |a|^2 + |b|^2 - 2|<a, b>| at the best phase
-    for complex values, Euclidean otherwise.  The complex form rounds to
-    about 1e-16 near an equal pair, the square of a distance near 1e-8, so
-    it passes pairs within _SCREEN_TOL, far wider than REPORT_TOL: a
-    superset of the pairs ``_value_dist`` lets agree.  A NaN distance,
-    which ``_value_dist``'s test also lets through, passes too.
+    ``_value_dist`` measures: 2 - 2|<a, b>|, which is |a - e^{i phi} b|^2
+    at the best phase for the unit vectors that are the only complex
+    values a stacked property gives, and Euclidean otherwise.  The complex
+    form rounds to about 1e-16 near an equal pair, the square of a distance
+    near 1e-8, so it passes pairs within _SCREEN_TOL, far wider than
+    REPORT_TOL: a superset of the pairs ``_value_dist`` lets agree.  A NaN
+    distance, which ``_value_dist``'s test also lets through, passes too.
     """
     a, b = (np.asarray(v).reshape(len(v), -1) for v in (v1, v2))
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        norms = np.sum(np.abs(a) ** 2, axis=1) + np.sum(np.abs(b) ** 2, axis=1)
-        d2 = norms - 2.0 * np.abs(np.sum(a.conj() * b, axis=1))
+        d2 = 2.0 - 2.0 * np.abs(np.sum(a.conj() * b, axis=1))
     else:
         d2 = np.sum((a - b) ** 2, axis=1)
     return np.flatnonzero(~(d2 > _SCREEN_TOL**2))
