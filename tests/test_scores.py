@@ -310,8 +310,7 @@ class TestSharedRules:
         calls = []
         for module, name in ((scores, "is_permutation_invariant"), (scores, "_require_row_wise"),
                              (classical, "_require_row_wise")):
-            label = name if name.startswith("is_") else f"{module.__name__.split('.')[-1]}.{name}"
-            real = getattr(module, name)
+            label, real = f"{module.__name__.removeprefix('qelicit.')}.{name}", getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda rule, *a, label=label, real=real, **k: calls.append((label, rule)) or real(rule, *a, **k))
         return calls
@@ -338,7 +337,7 @@ class TestSharedRules:
         for _ in range(2):
             spectral_score(rule)
             fixed_measurement_score(rule, canonical_complete(3))
-        built = [("is_permutation_invariant", rule), ("classical._require_row_wise", rule)] * 2
+        built = [("scores.is_permutation_invariant", rule), ("classical._require_row_wise", rule)] * 2
         assert calls == (built + [("scores._require_row_wise", rule)]) * 2
 
     def test_a_rule_of_ones_own_is_checked_at_every_construction(self, monkeypatch):
@@ -346,7 +345,7 @@ class TestSharedRules:
         mine = ClassicalScoringRule(lambda p: 2.0 * p - np.vecdot(p, p)[..., None], name="mine")
         spectral_score(mine)
         spectral_score(mine)
-        assert calls == [("is_permutation_invariant", mine), ("classical._require_row_wise", mine)] * 4
+        assert calls == [("scores.is_permutation_invariant", mine), ("classical._require_row_wise", mine)] * 4
         biased = ClassicalScoringRule(lambda p: np.arange(p.shape[-1]) * p, name="biased")
         whole = ClassicalScoringRule(lambda p: 2.0 * p - np.sum(p * p), name="whole")
         for _ in range(2):
