@@ -117,6 +117,14 @@ expected score at the 1x1 state; ``level_set_witness`` of a
 phase-direction property (the unit spectrum times a phase read off
 rho[0, 1]) on 20 seeded pairs (rho, U rho U*) at n = 3; and
 ``expected_classical`` of a rule that pays NaN.
+Last, one call per keyword that is gone, each listed as its value or
+the error it raises: ``QuantumScore`` given both a ``payoff`` paying
+[0, 1] and a ``stack`` paying [1, 0] on ``standard_pvm(2)``, its
+expected score of diag(0.3, 0.7) under diag(0.9, 0.1);
+``spectral_score`` of brier and ``score_from_convex`` of tr r^2, each
+given a ``name``, by their name and expected score on one seeded pair;
+``as_density`` and ``as_unitary`` of the 2x2 identity (halved for the
+state) given a ``name``; then ``rule(p, y)`` of the rule that pays NaN.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -820,6 +828,23 @@ def nan_rule() -> None:
         emit("expected_classical NaN rule", outcome(q.expected_classical, root, [0.2, 0.8], [0.5, 0.5]))
 
 
+def removed_keywords() -> None:
+    mu = q.standard_pvm(2)
+    both = {"payoff": lambda r: (mu, np.array([0.0, 1.0])), "stack": lambda R: (mu, np.tile([1.0, 0.0], (len(R), 1)))}
+    emit("QuantumScore payoff and stack",
+         outcome(lambda: q.QuantumScore(name="both", **both).expected(np.diag([0.3, 0.7]), np.diag([0.9, 0.1]))))
+    rho, sigma = q.random_density(3, rng=41), q.random_density(3, rng=42)
+    builds = {"spectral_score": lambda: q.spectral_score(q.brier_rule(), name="mine"),
+              "score_from_convex": lambda: q.score_from_convex(lambda r: q.hs_inner(r, r), lambda r: 2.0 * r, name="mine")}
+    for label, build in builds.items():
+        emit(f"{label} name", outcome(lambda: (build().name, q.expected_score(build(), sigma, rho))))
+    emit("as_density name", outcome(lambda: q.as_density(np.eye(2) / 2, name="rho").tolist()))
+    emit("as_unitary name", outcome(lambda: q.as_unitary(np.eye(2), name="U").tolist()))
+    root = q.ClassicalScoringRule(lambda p: np.sqrt(np.asarray(p) - 0.5), name="root")
+    with np.errstate(invalid="ignore"):
+        emit("rule(p, y) NaN rule", outcome(root, [0.2, 0.8], 0))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -856,3 +881,4 @@ if __name__ == "__main__":
     library_rule_builds()
     phase_direction_witnesses()
     nan_rule()
+    removed_keywords()
