@@ -91,7 +91,7 @@ class ClassicalScoringRule:
     name: str = ""
 
     def __call__(self, p, y: int) -> float:
-        return float(self.values(np.asarray(p, dtype=np.float64))[int(y)])
+        return float(_rule_values(self, np.asarray(p, dtype=np.float64))[int(y)])
 
 
 def _brier_values(p):

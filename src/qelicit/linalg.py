@@ -145,10 +145,10 @@ def _require_psd(A, name: str, wmin=None) -> None:
         raise ValueError(f"{_label(name, A, i)} is not PSD: min eigenvalue {wmin.flat[i]:.3e}")
 
 
-def as_density(M, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD within PSD_TOL, trace 1."""
-    A = _unit_trace(M, name)
-    _require_psd(A, name)
+def as_density(M) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD within PSD_TOL, trace 1; errors name it "state"."""
+    A = _unit_trace(M, "state")
+    _require_psd(A, "state")
     return A
 
 
@@ -172,11 +172,12 @@ def _decomposed_densities(*states):
     return A, dec
 
 
-def as_unitary(M, name: str = "unitary") -> np.ndarray:
-    U = as_complex_matrix(M, name)
+def as_unitary(M) -> np.ndarray:
+    """Validate a unitary: finite, square, U U* = I within UNITARY_TOL; errors name it "unitary"."""
+    U = as_complex_matrix(M, "unitary")
     dev = float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
     if dev > UNITARY_TOL:
-        raise ValueError(f"{name} is not unitary: max |UU* - I| = {dev:.3e}")
+        raise ValueError(f"unitary is not unitary: max |UU* - I| = {dev:.3e}")
     return U
 
 

@@ -123,6 +123,8 @@ class Measurement:
         # sum(conj(mu_y) * rho) is real, so it is the dot product of the
         # real and imaginary parts laid side by side; each state is its own
         # product, so its distribution does not depend on the stack it is in.
+        if states.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: state {states.shape[-1]}, measurement {self.dim}")
         flat = np.ascontiguousarray(states).reshape(len(states), 1, -1).view(np.float64)
         return _measured_rows((flat @ self.elements.reshape(len(self), -1).view(np.float64).T)[:, 0], self.dim)
 
@@ -150,10 +152,7 @@ class Measurement:
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
     """Outcome distribution p_y = <mu_y, rho> of a validated state, cleaned of float noise."""
-    rho = as_density(rho)
-    if rho.shape[0] != mu.dim:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {mu.dim}")
-    return mu._probs(rho[None])[0]
+    return mu._probs(as_density(rho)[None])[0]
 
 
 def sample_outcome(mu: Measurement, rho, rng=None) -> int:

@@ -27,7 +27,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .measurement import Measurement, _basis_pvm, apply_measurement
-from .scores import QuantumScore, _measured, _overlap_measurement
+from .scores import FULL_RANK_TOL, QuantumScore, _measured, _overlap_measurement
 
 __all__ = [
     "ORTHO_TOL",
@@ -223,7 +223,7 @@ def eigen_pair_score(k: int) -> QuantumScore:
         dec = spectral_decompose(A)
         lam = dec.eigenvalues
         _require_psd(lam, "report", lam[-1])
-        if k < len(lam) and float(lam[k]) > 1e-8:
+        if k < len(lam) and float(lam[k]) > FULL_RANK_TOL:
             raise ValueError(f"report rank exceeds {k}: eigenvalue {lam[k]:.3e} at index {k}")
         alpha = np.clip(lam, 0.0, None)
         return _basis_pvm(dec.eigenvectors), 2.0 * alpha - alpha @ alpha

@@ -109,22 +109,21 @@ class QuantumScore:
     (N, n, n) stack of states to the mask of those that are valid reports
     and beliefs (used by sampled checks).
 
-    ``stack``, when present, is the stack-native payoff: it maps an
-    (N, n, n) stack of density matrices the library built (not checked)
-    to the stacked measurement and the (N, m) payoffs, and ``payoff`` is
-    its N = 1 call on a validated report.  The stacked measurement is
-    never an (N, m, n, n) array: a fixed POVM is shared, an eigenbasis
-    measurement is its bases.  It answers ``_probs(states)``, the (N, m)
-    outcome distributions, and ``_at(k)``, report k's POVM.  A score
-    built from ``payoff`` alone is stacked by calling it once per report.
-    A spectral score's ``stack`` is its private map (lambda, V) -> payoff
-    after ``_decompose``; a report it validates is PSD-tested from that (lambda, V).
+    A score from ``payoff`` alone is stacked one report at a time.  The
+    library builds its own from a private ``_stack``: it maps an (N, n, n)
+    stack of states the library built (not checked) to the stacked
+    measurement (a shared POVM, or the reports' bases; never an (N, m, n,
+    n) array, it answers ``_probs(states)`` and ``_at(k)``) and the (N, m)
+    payoffs, and ``payoff`` is its N = 1 call.  A spectral score's
+    ``_spectral`` is its map (lambda, V) -> payoff after ``_decompose``, so
+    a report is PSD-tested from that (lambda, V).  Rename a score with
+    ``dataclasses.replace(S, name=...)``, which keeps both.
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
     name: str = ""
     domain: Callable[[np.ndarray], np.ndarray] | None = None
-    stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
+    _stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
     _spectral: Callable[[tuple], tuple[object, np.ndarray]] | None = None
 
     def measure(self, report) -> Measurement:
@@ -135,11 +134,11 @@ class QuantumScore:
 
     def expected(self, report, rho) -> float:
         """Expected payoff of ``report`` under belief ``rho``, from one payoff evaluation."""
-        if self.stack is None:
+        if self._stack is None:
             outcomes, values = _per_report(self.payoff, [report])
             dim = outcomes._at(0).dim
         else:
-            dim, outcomes, values = _validated(self.stack, self._spectral, report)
+            dim, outcomes, values = _validated(self._stack, self._spectral, report)
         rho = as_density(rho)
         if rho.shape[0] != dim:
             raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {dim}")
@@ -152,9 +151,9 @@ class QuantumScore:
 
     def _stacked(self, reports):
         # stacked measurement and (N, m) payoffs of validated reports
-        if self.stack is None:
+        if self._stack is None:
             return _per_report(self.payoff, reports)
-        return self.stack(reports)
+        return self._stack(reports)
 
 
 def _stacked_score(stack, name: str, spectral=None) -> QuantumScore:
@@ -163,7 +162,7 @@ def _stacked_score(stack, name: str, spectral=None) -> QuantumScore:
         _, outcomes, values = _validated(stack, spectral, report)
         return outcomes._at(0), values[0]
 
-    return QuantumScore(payoff, name=name, stack=stack, _spectral=spectral)
+    return QuantumScore(payoff, name=name, _stack=stack, _spectral=spectral)
 
 
 def _validated(stack, spectral, report):
@@ -292,8 +291,6 @@ def fixed_measurement_score(rule: ClassicalScoringRule, mu: Measurement) -> Quan
 def _fixed_score(rule: ClassicalScoringRule, mu: Measurement) -> QuantumScore:
     # fixed_measurement_score of a rule known to pay row-wise, built without the check
     def stack(reports):
-        if reports.shape[-1] != mu.dim:
-            raise ValueError(f"dimension mismatch: state {reports.shape[-1]}, measurement {mu.dim}")
         return mu, _rule_values(rule, mu._probs(reports))
 
     return _stacked_score(stack, f"fixed:{rule.name}")
@@ -356,8 +353,8 @@ def projective_brier() -> QuantumScore:
     return _spectral_score(brier_rule(), "projective-brier")
 
 
-def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
-    """Measure in the report's eigenbasis, scoring eigenvalues classically.
+def spectral_score(rule: ClassicalScoringRule) -> QuantumScore:
+    """Measure in the report's eigenbasis, scoring eigenvalues classically; named ``spectral:{rule.name}``.
 
     The rule must pay each row of a stack as it pays that row alone and
     be permutation-invariant, since eigenbases carry no outcome labels of
@@ -367,7 +364,7 @@ def spectral_score(rule: ClassicalScoringRule, name: str = "") -> QuantumScore:
     for d in (2, 3):
         if not is_permutation_invariant(rule, d, rng=12345):
             raise ValueError(f"rule {rule.name!r} is not permutation-invariant")
-    return _spectral_score(rule, name or f"spectral:{rule.name}")
+    return _spectral_score(rule, f"spectral:{rule.name}")
 
 
 def _spectral_score(rule: ClassicalScoringRule, name: str) -> QuantumScore:
@@ -471,7 +468,7 @@ def ml_scores() -> dict:
     }
 
 
-def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
+def score_from_convex(F, dF) -> QuantumScore:
     """Truthful projective score realizing a convex expected-self-score F.
 
     ``dF`` maps a report to a subgradient (plain Hermitian or extended);
@@ -487,7 +484,7 @@ def score_from_convex(F, dF, name: str = "from-convex") -> QuantumScore:
             raise ValueError("subgradient selection is -inf at its own base point")
         return _projective(d.add_scalar(float(F(rho_p)) - anchor))
 
-    return QuantumScore(payoff, name=name)
+    return QuantumScore(payoff, name="from-convex")
 
 
 # ---------------------------------------------------------------------------

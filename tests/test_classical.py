@@ -374,6 +374,13 @@ class TestNanPayoffs:
         with pytest.raises(ValueError, match=r"^rule 'all-nan' pays NaN$"):
             expected_classical(self.ALL_NAN, [0.5, 0.5], [1.0, 0.0])
 
+    def test_a_rule_call_refuses_a_rule_that_pays_nan(self):
+        root = ClassicalScoringRule(lambda p: np.sqrt(np.asarray(p) - 0.5), name="root")
+        for y in (0, 1):  # the NaN is outcome 0's, and the whole payoff vector is refused
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^rule 'root' pays NaN$"):
+                root([0.2, 0.8], y)
+        assert brier_rule()([0.2, 0.8], 0) == brier_rule().values(np.array([0.2, 0.8]))[0]  # a finite rule as before
+
     def test_permutation_check_refuses_a_rule_that_pays_nan(self):
         with pytest.raises(ValueError, match="rule 'all-nan' pays NaN"):
             is_permutation_invariant(self.ALL_NAN, 3, rng=0)

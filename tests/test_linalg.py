@@ -48,15 +48,15 @@ class TestValidation:
             as_hermitian([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"^state trace is 2\.0, expected 1 within 1e-10$"):
             as_density(np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="PSD"):
+        with pytest.raises(ValueError, match=r"^state is not PSD: min eigenvalue -5\.000e-01$"):
             as_density(np.diag([1.5, -0.5]))
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match=r"^unitary is not unitary: max \|UU\* - I\| = 3\.000e\+00$"):
             as_unitary(np.diag([1.0, 2.0]))
 
 

@@ -38,7 +38,7 @@ from qelicit.properties import (
 from qelicit import properties
 from qelicit.properties import _ascend, _orthonormalize_plain
 from qelicit.registry import make_property
-from qelicit.scores import von_neumann_entropy
+from qelicit.scores import FULL_RANK_TOL, von_neumann_entropy
 
 
 class TestExpectationProperty:
@@ -253,6 +253,13 @@ class TestEigenPair:
         score = eigen_pair_score(1)
         with pytest.raises(ValueError, match="rank"):
             score.measure(np.diag([0.6, 0.4]).astype(complex))
+
+    def test_rank_bound_is_full_rank_tol(self):
+        # an eigenvalue past index k counts as zero up to FULL_RANK_TOL, the threshold ml:s2's reports must exceed
+        score = eigen_pair_score(1)
+        score.measure(np.diag([1.0, FULL_RANK_TOL]))
+        with pytest.raises(ValueError, match=r"^report rank exceeds 1: eigenvalue 1\.000e-08 at index 1$"):
+            score.measure(np.diag([1.0, np.nextafter(FULL_RANK_TOL, 1.0)]))
 
     def test_report_that_is_not_psd_refused(self):
         with pytest.raises(ValueError, match=r"^report is not PSD: min eigenvalue -5\.000e-01$"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qelicit.extended import NEG_INF, ExtendedHermitian, ext_inner, matrix_log
 from qelicit.linalg import (
     HERM_TOL,
     as_density,
+    as_unitary,
     eigenvalues_desc,
     frob_dist,
     hermitian_part,
@@ -653,9 +656,7 @@ class TestConvexRepresentation:
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_score_from_convex_is_truthful(self):
-        S = score_from_convex(
-            lambda r: hs_inner(r, r), lambda r: 2 * r, name="purity-score"
-        )
+        S = score_from_convex(lambda r: hs_inner(r, r), lambda r: 2 * r)
         report = truthfulness_check(S, 800, dims=(2, 3), rng=24)
         assert report.passed, report.violations[:2]
 
@@ -663,7 +664,6 @@ class TestConvexRepresentation:
         S = score_from_convex(
             lambda r: -von_neumann_entropy(r),
             lambda r: matrix_log(r).add_scalar(1.0),
-            name="neg-entropy-score",
         )
         # the -1 offset from <dF, rho'> cancels, leaving the log spectral score
         report = equivalence_check(S, log_spectral(), 400, dims=(2, 3), rng=25)
@@ -853,6 +853,38 @@ class TestRefusals:
         S = fixed_measurement_score(brier_rule(), standard_pvm(2))
         with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
             S.payoff(random_density(3, rng=2))
+
+    def test_a_per_report_stack_names_a_belief_of_another_dimension(self):
+        # the measurement refuses the state (Measurement._probs), so a stacked call names it as a scalar one does
+        S = projective_expression(binary_brier())
+        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+            S.expected_stack(random_density(2, rng=1)[None], random_density(3, rng=2)[None])
+        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+            standard_pvm(2)._probs(random_density(3, rng=2)[None])
+
+    @pytest.mark.parametrize("build", [
+        lambda: QuantumScore(lambda r: (standard_pvm(2), np.array([0.0, 1.0])),
+                             stack=lambda R: (standard_pvm(2), np.tile([1.0, 0.0], (len(R), 1)))),
+        lambda: spectral_score(brier_rule(), name="mine"),
+        lambda: score_from_convex(lambda r: hs_inner(r, r), lambda r: 2 * r, name="mine"),
+        lambda: as_density(np.eye(2) / 2, name="rho"),
+        lambda: as_unitary(np.eye(2), name="U"),
+    ], ids=["QuantumScore.stack", "spectral_score.name", "score_from_convex.name", "as_density.name",
+            "as_unitary.name"])
+    def test_a_keyword_that_is_gone_is_refused(self, build):
+        # a score has one payoff, given per report or built by the library from a stack, never both
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
+
+    def test_a_renamed_score_pays_as_the_unnamed_one_bit_for_bit(self):
+        S = spectral_score(brier_rule())
+        mine = dataclasses.replace(S, name="mine")
+        assert (S.name, mine.name) == ("spectral:brier", "mine")
+        R = np.array([random_density(3, rank=r, rng=60 + r) for r in (1, 2, 3)])
+        B = np.array([random_density(3, rng=70 + k) for k in range(3)])
+        assert [mine.expected(r, b) for r, b in zip(R, B)] == [S.expected(r, b) for r, b in zip(R, B)]
+        for a, b in zip(mine.expected_stack(R, B, R), S.expected_stack(R, B, R)):
+            assert np.array_equal(a, b)
 
     def test_relative_entropy_names_states_of_different_dimensions(self):
         with pytest.raises(ValueError, match="^dimension mismatch: rho 2, sigma 3$"):

@@ -103,7 +103,7 @@ class TestStackedMatchesScalar:
         R = _reports(n, g)
         if S.domain is not None:
             R = R[S.domain(R)]
-        outcomes, values = S.stack(R)
+        outcomes, values = S._stacked(R)
         assert values.shape[0] == len(R)
         # beliefs: random states, and the reports themselves (truthful self-scores)
         beliefs = np.array([random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in R])
@@ -748,7 +748,7 @@ class TestValidatedDecomposition:
         S = make_score(name, n)
         R = _reports(n, np.random.default_rng(50 + n))
         R = R[S.domain(R)] if S.domain is not None else R
-        outcomes, values = S.stack(R)
+        outcomes, values = S._stacked(R)
         for k, r in enumerate(R):
             mu, v = S.payoff(r)
             assert np.array_equal(values[k], v)
