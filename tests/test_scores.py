@@ -872,7 +872,7 @@ class TestRefusals:
     ], ids=["QuantumScore.stack", "spectral_score.name", "score_from_convex.name", "as_density.name",
             "as_unitary.name"])
     def test_a_keyword_that_is_gone_is_refused(self, build):
-        # a score has one payoff, given per report or built by the library from a stack, never both
+        # the first built a score with two payoffs that could disagree: expected read the stack's, 0.9, the rest 0.1
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             build()
 
