@@ -250,15 +250,61 @@ def spectral_decompose(A) -> SpectralDecomposition:
 
 
 def _decompose(A: np.ndarray) -> SpectralDecomposition:
-    # spectral_decompose of an exactly Hermitian matrix or stack (not checked)
+    # spectral_decompose of an exactly Hermitian matrix or stack (not checked): _eigh, then
+    # ordered and phase-fixed
     n = A.shape[-1]
-    w, V = np.linalg.eigh(A.reshape(-1, n, n))
+    w, V = _eigh(A) if A.ndim == 3 else np.linalg.eigh(A.reshape(-1, n, n))
     if (w[:, 1:] > w[:, :-1]).all():  # ascending with no exact ties: descending is the reverse
         w, V = w[:, ::-1].copy(), V[..., ::-1].copy()  # C-contiguous, as the gather below returns
     else:  # a stable descending sort keeps the solver's order within exact ties
         order = np.argsort(-w, axis=-1, kind="stable")
         w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None, :], -1)
     return SpectralDecomposition(w.reshape(A.shape[:-1]), _fix_phases(V).reshape(A.shape))
+
+
+class _Drawn(np.ndarray):
+    """A read-only (N, n, n) stack of exactly Hermitian states that a sampled check drew (``_drawn``).
+
+    It carries the raw ``np.linalg.eigh`` rows of its states, each solved
+    on first need by ``_eigh``, and the outcome distributions of its
+    states under the last POVM that measured it (``_measured_once``).  An
+    array derived from it (a slice, a sum, a copy) carries neither.
+    """
+
+    _solved = None
+
+
+def _drawn(states: np.ndarray) -> _Drawn:
+    # the stack states as a drawn stack, none of its rows solved yet
+    D = np.asarray(states).view(_Drawn)
+    D.flags.writeable = False
+    D._solved, D._w, D._V = np.zeros(len(D), dtype=bool), np.empty(D.shape[:-1]), np.empty(D.shape, D.dtype)
+    D._povm = D._probs = None
+    return D
+
+
+def _eigh(A: np.ndarray, rows=None) -> tuple:
+    # np.linalg.eigh of the matrices ``rows`` (an index array; all by default) of an (N, n, n) stack,
+    # eigenvalues ascending.  A drawn stack solves only the rows it has not solved before: eigh treats
+    # each matrix alone, so a row is bit for bit the same whichever call solved it
+    if getattr(A, "_solved", None) is None:
+        return np.linalg.eigh(A if rows is None else A[rows])
+    rows = np.arange(len(A)) if rows is None else rows
+    new = rows[~A._solved[rows]]
+    if new.size:
+        A._w[new], A._V[new] = np.linalg.eigh(A[new])
+        A._solved[new] = True
+    return A._w[rows], A._V[rows]
+
+
+def _measured_once(A: np.ndarray, mu, measure) -> np.ndarray:
+    # measure(), the outcome distributions of the stack A under the POVM mu; a drawn stack keeps them
+    # while mu is the last POVM to measure it, so the checks' scores measure it once per POVM
+    if getattr(A, "_solved", None) is None:
+        return measure()
+    if A._povm is not mu:
+        A._povm, A._probs = mu, measure()
+    return A._probs
 
 
 def eigenvalues_desc(A) -> np.ndarray:

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classical import shannon_entropy
 from .extended import NEG_INF
 from .linalg import _count, _hs, _log_sum_exp, as_density, as_hermitian, hermitian_part
 from .measurement import sample_outcome
-from .scores import QuantumScore, _measured, _pair, expected_score, von_neumann_entropy
+from .scores import QuantumScore, _measured, _pair, expected_score
 
 __all__ = [
     "WageringRound",
@@ -104,11 +105,14 @@ def lmsr_cost(Q) -> float:
 
 def market_price_state(Q) -> np.ndarray:
     """Gradient of the cost: exp(Q) / Tr exp(Q), always a density matrix."""
-    Q = as_hermitian(Q)
-    w, V = np.linalg.eigh(Q)
+    return _price(*np.linalg.eigh(as_hermitian(Q)))[0]
+
+
+def _price(w, V) -> tuple:
+    # market_price_state of Q from its eigh (w ascending, V), and the price's eigenvalues, softmax(w)
     e = np.exp(w - float(w[-1]))
     rho = hermitian_part((V * e) @ V.conj().T)
-    return rho / float(np.trace(rho).real)
+    return rho / float(np.trace(rho).real), e / e.sum()
 
 
 def bundle_cost(Q, R) -> float:
@@ -166,6 +170,11 @@ class MarketState:
         )
 
     def conjugacy_gap(self) -> float:
-        """Residual of cost(Q) = <Q, price> + entropy(price); zero at optimum."""
-        rho = self.price()
-        return abs(lmsr_cost(self.shares) - _hs(self.shares, rho) - von_neumann_entropy(rho))
+        """Residual of cost(Q) = <Q, price> + entropy(price); zero at optimum.
+
+        The cost, the price and its entropy, the Shannon entropy of its
+        eigenvalues, come from one eigendecomposition of Q.
+        """
+        w, V = np.linalg.eigh(self.shares)
+        rho, p = _price(w, V)
+        return abs(float(_log_sum_exp(w)) - _hs(self.shares, rho) - shannon_entropy(p))

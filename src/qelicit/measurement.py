@@ -20,6 +20,7 @@ from .linalg import (
     TRACE_TOL,
     _count,
     _hermitian,
+    _measured_once,
     _squares,
     _require_psd,
     as_density,
@@ -76,9 +77,11 @@ class Measurement:
     m elements in outcome order; indexing, iteration and ``len`` run over
     its first axis.  Each element is validated and stored as its exactly
     Hermitian part; POVMs the library builds come from ``_unchecked``.
+    Both also keep the elements once as the real (n^2, m) matrix
+    ``_folded`` of their ``_fold``, which ``_products`` pairs with states.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_folded")
 
     def __init__(self, elements):
         elements = list(elements)
@@ -93,7 +96,7 @@ class Measurement:
         if dev > POVM_SUM_TOL:
             raise ValueError(f"elements do not sum to identity: max deviation {dev:.3e}")
         elems.flags.writeable = False
-        self.elements = elems
+        self.elements, self._folded = elems, _fold(elems).reshape(len(elems), -1).T
 
     @classmethod
     def _unchecked(cls, elems: np.ndarray) -> "Measurement":
@@ -101,7 +104,7 @@ class Measurement:
         mu = object.__new__(cls)
         elems = np.ascontiguousarray(elems)
         elems.flags.writeable = False
-        mu.elements = elems
+        mu.elements, mu._folded = elems, _fold(elems).reshape(len(elems), -1).T
         return mu
 
     @property
@@ -118,15 +121,17 @@ class Measurement:
         return iter(self.elements)
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
-        # (N, m) outcome distributions of an (N, n, n) stack of exactly
-        # Hermitian states, each measured with this POVM.  <mu_y, rho> =
-        # sum(conj(mu_y) * rho) is real, so it is the dot product of the
-        # real and imaginary parts laid side by side; each state is its own
-        # product, so its distribution does not depend on the stack it is in.
+        # (N, m) outcome distributions of an (N, n, n) stack of exactly Hermitian states, each
+        # measured with this POVM (a drawn stack once, ``_measured_once``)
         if states.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: state {states.shape[-1]}, measurement {self.dim}")
-        flat = np.ascontiguousarray(states).reshape(len(states), 1, -1).view(np.float64)
-        return _measured_rows((flat @ self.elements.reshape(len(self), -1).view(np.float64).T)[:, 0], self.dim)
+        return _measured_once(states, self, lambda: _measured_rows(self._products(states), self.dim))
+
+    def _products(self, X: np.ndarray) -> np.ndarray:
+        # the raw <mu_y, X> of a Hermitian matrix or of each of an (..., n, n) stack, as the last
+        # axis: one product of its _fold with ``_folded`` per matrix, so a matrix's row does not
+        # depend on the stack it is in
+        return (_fold(X).reshape(*X.shape[:-2], 1, -1) @ self._folded)[..., 0, :]
 
     def _at(self, k: int) -> "Measurement":
         # the POVM of report k of a stack: the same one for every report
@@ -148,6 +153,12 @@ class Measurement:
     def from_json(cls, obj) -> "Measurement":
         """Load the wire format {"dim": n, "elements": [matrix, ...]}, each element n x n."""
         return cls(read_wire(obj, "measurement", "elements")[1])
+
+
+def _fold(X: np.ndarray) -> np.ndarray:
+    # Re X + Im X of complex Hermitian matrices, a real stack as it is: <A, B> = sum(fold(A) * fold(B)), as
+    # the cross terms pair a symmetric real part with an antisymmetric imaginary part and cancel
+    return X.real + X.imag if np.iscomplexobj(X) else X
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
@@ -286,8 +297,8 @@ class TomographicMap:
         return self.measurement.dim
 
     def probs(self, X) -> np.ndarray:
-        """Raw linear image <mu, X> (no clipping; X need not be a state)."""
-        return self.matrix @ herm_coords(X)
+        """Raw linear image <mu, X> of a Hermitian matrix (no clipping; X need not be a state), as ``_probs`` forms it."""
+        return self.measurement._products(as_hermitian(X))
 
     def reconstruct(self, p) -> np.ndarray:
         """Lift an outcome vector back to a Hermitian matrix via the pseudoinverse."""

@@ -37,6 +37,7 @@ from .extended import (
     ExtendedHermitian,
     _collapse,
     _ext_gap,
+    _ext_log,
     _ext_pair,
     _log_parts,
     _range_split,
@@ -50,6 +51,7 @@ from .linalg import (
     random_density,
 )
 from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _log_sum_exp, _unitaries
+from .linalg import _drawn, _eigh
 from .measurement import (
     Measurement,
     _basis_pvm,
@@ -117,7 +119,9 @@ class QuantumScore:
     payoffs, and ``payoff`` is its N = 1 call.  A spectral score's
     ``_spectral`` is its map (lambda, V) -> payoff after ``_decompose``, so
     a report is PSD-tested from that (lambda, V).  Rename a score with
-    ``dataclasses.replace(S, name=...)``, which keeps both.
+    ``dataclasses.replace(S, name=...)``, which keeps both; a score given
+    another ``payoff`` (``dataclasses.replace(S, payoff=...)``) drops both,
+    and its payoff is stacked one report at a time.
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
@@ -125,6 +129,11 @@ class QuantumScore:
     domain: Callable[[np.ndarray], np.ndarray] | None = None
     _stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
     _spectral: Callable[[tuple], tuple[object, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        if self._stack is not None and getattr(self.payoff, "_stack", None) is not self._stack:
+            object.__setattr__(self, "_stack", None)
+            object.__setattr__(self, "_spectral", None)
 
     def measure(self, report) -> Measurement:
         return self.payoff(report)[0]
@@ -162,6 +171,7 @@ def _stacked_score(stack, name: str, spectral=None) -> QuantumScore:
         _, outcomes, values = _validated(stack, spectral, report)
         return outcomes._at(0), values[0]
 
+    payoff._stack = stack  # the mark of the N = 1 call of this stack
     return QuantumScore(payoff, name=name, _stack=stack, _spectral=spectral)
 
 
@@ -433,16 +443,21 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     intersection of the supports (directions where either log is -inf
     contribute exp(-inf) = 0), which reproduces the commuting case
     exactly.  Pairs whose intersection has the same dimension share one
-    eigenvalue solve.  A call decomposes each stack it is given once.
+    eigenvalue solve.  A call decomposes each stack it is given once; the
+    stack of reports paired with itself is its own support.
     """
 
     def expected_stack(reports, *beliefs):
-        A_r, B_r = parts = _log_parts(*_decompose(reports))
+        lam, V_r = dec = _decompose(reports)
+        A_r, B_r = _log_parts(*dec)
         out = np.full((len(beliefs), len(reports)), NEG_INF)
         for i, b in enumerate(beliefs):
-            A_b, B_b = parts if b is reports else _log_parts(*_decompose(b))
-            V, on = _range_split(hermitian_part(B_r + B_b))
-            common = (~on).sum(axis=-1)  # eigh sorts ascending: the first `common` columns
+            if b is reports:  # the support, where the log is finite: the first columns, as lam descends
+                A_b, V, common = A_r, V_r, (_ext_log(lam) > NEG_INF).sum(axis=-1)
+            else:  # the kernel of B_r + B_b: eigh sorts ascending, so its first columns
+                A_b, B_b = _log_parts(*_decompose(b))
+                V, on = _range_split(hermitian_part(B_r + B_b))
+                common = (~on).sum(axis=-1)
             for c in set(common.tolist()) - {0}:
                 k = np.flatnonzero(common == c)
                 Q = V[k, :, :c]
@@ -595,13 +610,13 @@ def _states(S, ranks, G):
     outside = ~_in_domain(S, rhos)
     if outside.any():
         rhos[outside] = _blend(_densities(G[outside]))
-    return rhos
+    return _drawn(rhos)
 
 
 def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
     # trial trials[k] reports against belief rhos[k] with adversary trials[k] % 4,
     # reading the state (ranks[k], G[k]) or the rotation G[k] and the uniforms
-    # u[k] of its row; each adversary builds its reports in one stack
+    # u[k] of its row; each adversary builds its reports in one stack, drawn
     dim = rhos.shape[-1]
     strategy = np.asarray(trials) % 4
     reps = np.empty_like(rhos)
@@ -609,7 +624,7 @@ def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
     reps[fresh] = _states(S, ranks[fresh], G[fresh])
     spectral = np.flatnonzero((strategy == 1) | (strategy == 2))
     if spectral.size:  # in the belief's own basis, eigenvalues in ascending order:
-        lam, V = np.linalg.eigh(rhos[spectral])
+        lam, V = _eigh(rhos, spectral)
         # permute the eigenvalues, or put all mass on one eigenvector (the top one half the time)
         perm = np.argsort(u[spectral, :dim], axis=1)
         one = np.where(u[spectral, dim] < 0.5, dim - 1, (u[spectral, dim + 1] * dim).astype(np.intp))
@@ -625,7 +640,7 @@ def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
     if near.any():  # the first state of the spare row
         ranks, G, _ = spare()
         reps[near] = _states(S, ranks[near, 0], G[near, 0])
-    return reps
+    return _drawn(reps)
 
 
 def _distance(A, B) -> np.ndarray:

@@ -7,6 +7,8 @@ import qelicit as q
 from qelicit.classical import is_permutation_invariant
 from qelicit.linalg import (
     _decompose,
+    _drawn,
+    _eigh,
     _fix_phases,
     as_density,
     as_hermitian,
@@ -203,6 +205,43 @@ class TestSpectralDecompose:
         dec = spectral_decompose(stack)
         assert dec.eigenvalues.shape == (0, 3) and dec.eigenvalues.dtype == np.float64
         assert dec.eigenvectors.shape == (0, 3, 3) and dec.eigenvectors.dtype == np.complex128
+
+
+class TestDrawnStack:
+    def _stack(self, n=5):
+        g = np.random.default_rng(n)
+        return np.array([random_density(n, rank=1 + k % n, rng=g) for k in range(9)])
+
+    def test_a_stack_solved_in_two_parts_equals_one_eigh_call(self):
+        A = self._stack()
+        D = _drawn(A.copy())
+        part, rest = np.array([1, 4, 6]), np.array([0, 2, 3, 5, 7, 8])
+        w, V = np.linalg.eigh(A)
+        for rows in (part, rest, None):
+            got = _eigh(D, rows)
+            want = (w, V) if rows is None else (w[rows], V[rows])
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        assert _decompose(D).eigenvectors.tobytes() == _decompose(A).eigenvectors.tobytes()
+
+    def test_a_drawn_stack_solves_each_row_once(self, monkeypatch):
+        D, sizes = _drawn(self._stack()), []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: sizes.append(len(A)) or real(A))
+        _eigh(D, np.array([2, 3]))
+        _decompose(D)
+        _decompose(D)
+        assert sizes == [2, 7]
+
+    def test_a_drawn_stack_is_read_only_and_what_derives_from_it_carries_no_rows(self, monkeypatch):
+        D = _drawn(self._stack())
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0, 0] = 1.0
+        sizes, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: sizes.append(len(A)) or real(A))
+        _decompose(D)
+        for derived in (D[:4], 2.0 * D, D.copy()):
+            _decompose(derived)
+        assert sizes == [9, 4, 9, 9]
 
 
 def _stable_descending(A):

@@ -222,6 +222,20 @@ class TestMarketState:
             market.trade(random_hermitian(3, rng=rng))
         assert market.conjugacy_gap() <= 1e-8
 
+    def test_conjugacy_gap_decomposes_the_shares_once(self, rng, monkeypatch):
+        market = MarketState(4)
+        for _ in range(3):
+            market.trade(2.0 * random_hermitian(4, rng=rng))
+        calls = []
+        for solver in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, solver)
+            monkeypatch.setattr(np.linalg, solver, lambda A, real=real, solver=solver: calls.append(solver) or real(A))
+        gap = market.conjugacy_gap()
+        assert calls == ["eigh"]
+        monkeypatch.undo()
+        cost, price = lmsr_cost(market.shares), market.price()
+        assert gap == pytest.approx(abs(cost - hs_inner(market.shares, price) - von_neumann_entropy(price)), abs=1e-14)
+
     def test_bundle_payoff(self, rng):
         R = random_hermitian(3, rng=rng)
         rho = random_density(3, rng=rng)

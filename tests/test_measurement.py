@@ -417,6 +417,30 @@ class TestStackedKernel:
         with pytest.raises(ValueError, match="element 1 has shape"):
             Measurement([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("n", (2, 3, 8, 16))
+    def test_each_row_of_a_stack_is_measured_as_it_is_alone(self, n):
+        g = np.random.default_rng(n)
+        R = np.array([random_density(n, rank=1 + k % n, rng=g) for k in range(24)])
+        for mu in (canonical_complete(n), _random_rank_one_povm(n, n + 2, g)):
+            P = mu._probs(R)
+            for k in range(len(R)):
+                assert P[k].tobytes() == mu._probs(R[k:k + 1])[0].tobytes()
+
+    def test_a_real_stack_pays_as_its_complex_copy_bit_for_bit(self):
+        R, B = np.diag([0.3, 0.7])[None], np.diag([0.9, 0.1])[None]
+        for S in (make_score("fixed:brier", 2), make_score("fixed:log", 2), binary_brier()):
+            (real,), (copy,) = S.expected_stack(R, B), S.expected_stack(R.astype(complex), B.astype(complex))
+            assert real.tobytes() == copy.tobytes()
+        assert make_score("fixed:brier", 2).expected_stack(R, B)[0].tolist() == [expected_score(
+            make_score("fixed:brier", 2), R[0], B[0])]
+
+    def test_tomographic_probs_is_the_measurements_product(self, rng):
+        mu = canonical_complete(4)
+        tmap = tomographic_map(mu)
+        rho = random_density(4, rng=rng)
+        assert tmap.probs(rho).tobytes() == mu._products(rho[None])[0].tobytes()
+        assert np.abs(tmap.probs(rho) - tmap.matrix @ herm_coords(rho)).max() <= 1e-15
+
     def test_approx_equal_is_elementwise(self, rng):
         mu = basis_pvm(random_unitary(3, rng=rng))
         assert mu.approx_equal(Measurement(mu.elements))

@@ -886,6 +886,18 @@ class TestRefusals:
         for a, b in zip(mine.expected_stack(R, B, R), S.expected_stack(R, B, R)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["fixed:brier", "spectral:brier"])
+    def test_a_replaced_payoff_is_the_one_every_call_pays(self, name):
+        # the library's stack is the old payoff's, so it goes with it
+        def payoff(r):
+            return standard_pvm(2), np.array([1.0, 0.0])
+
+        S = dataclasses.replace(make_score(name, 2), payoff=payoff)
+        r, b = np.diag([0.3, 0.7]), np.diag([0.9, 0.1])
+        assert S.expected(r, b) == S.expected_stack(r[None], b[None])[0][0] == 0.9
+        assert projective_expression(S).expected(r, b) == pytest.approx(0.9, abs=1e-15)
+        assert (S.score(r, 0), S.name) == (1.0, name)
+
     def test_relative_entropy_names_states_of_different_dimensions(self):
         with pytest.raises(ValueError, match="^dimension mismatch: rho 2, sigma 3$"):
             relative_entropy(random_density(2, rng=1), random_density(3, rng=2))

@@ -136,6 +136,50 @@ class TestOneDecompositionPerStack:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _spy(monkeypatch, owner, attr):
+    # a list that gets, per call of owner.attr, the number of matrices its first array argument holds
+    sizes, real = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        A = np.asarray(args[1] if isinstance(owner, type) else args[0])
+        sizes.append(len(A) if A.ndim == 3 else 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return sizes
+
+
+class TestWorkPerDrawnState:
+    """The matrices a verify run decomposes and the states it measures, at d = 16 (160, 40 and 40 trials)."""
+
+    @pytest.mark.parametrize("name, matrices", [
+        ("spectral:log", 480),  # each truthfulness belief solved once, for its adversary and its two scores
+        ("ml:s5", 1000),  # and the self pair's support read from its own kernel
+        ("binary-brier", 120),  # the adversaries alone
+        ("fixed:brier", 121),  # and canonical_complete(16)
+        ("fixed:log", 121),
+    ])
+    def test_eigh_solves_each_drawn_state_once(self, monkeypatch, name, matrices):
+        sizes = _spy(monkeypatch, np.linalg, "eigh")
+        run_verify(name, [16], 160, 3)
+        assert sum(sizes) == matrices
+
+    def test_a_shared_povm_measures_each_drawn_stack_once(self, monkeypatch):
+        # truthfulness 160 beliefs and 160 reports; the other two checks 4 stacks of 40 each
+        sizes = _spy(monkeypatch, qelicit.measurement.Measurement, "_products")
+        run_verify("fixed:brier", [16], 160, 3)
+        assert sum(sizes) == 640
+
+    @pytest.mark.parametrize("n", (2, 4, 16))
+    def test_ml_s5_self_pair_reads_its_support_from_its_own_kernel(self, n):
+        g = np.random.default_rng(n)
+        R = np.array([random_density(n, rank=1 + k % n, rng=g) for k in range(12)])
+        S = make_score("ml:s5", n)
+        (own,), (copied,) = S.expected_stack(R, R), S.expected_stack(R, R.copy())
+        _close(own, copied)
+        _close(own, np.log(np.einsum("kij,kji->k", R, R).real))  # log Tr rho^2
+
+
 class TestStackedDecomposition:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_stack_matches_each_matrix_bit_for_bit(self, n):

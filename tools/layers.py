@@ -13,9 +13,12 @@ and builds the same inputs.  The layers, each at n = 3 and 16, are
 then the public ``spectral_score(brier_rule())`` and
 ``fixed_measurement_score(brier_rule(), canonical_complete(3))``, which
 check their rule at every construction; ``MarketState.maker_loss`` at
-n = 2, 4 and 8 after three seeded trades; and ``replay_verify`` of trial
+n = 2, 4 and 8 after three seeded trades; ``replay_verify`` of trial
 2,400 of stream 0 of a 10,000-trial, seed-3 run of ``fixed:brier``,
-``ml:s2`` and ``ml:s5`` at d = 2 and 16.
+``ml:s2`` and ``ml:s5`` at d = 2 and 16; ``apply_measurement`` with
+``canonical_complete(8)``; and one ``verify-large``-shaped
+``run_verify(name, [16], 160, 3)`` (160 truthfulness trials, 40 of each
+other check) of ``spectral:log``, ``fixed:brier`` and ``ml:s5``.
 For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
@@ -52,7 +55,7 @@ def layers() -> tuple:
     A view maps a call's output to what is hashed; a call without one is hashed as it is.
     """
     import qelicit as q
-    from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score, replay_verify
+    from qelicit.registry import PROPERTY_REGISTRY, SCORE_REGISTRY, make_property, make_score, replay_verify, run_verify
 
     calls, views = {}, {}
     for n in (3, 16):
@@ -93,6 +96,12 @@ def layers() -> tuple:
             layer = f"replay_verify {name} d={d} trial=2400"
             calls[layer] = lambda name=name, d=d: replay_verify(name, [d], 10000, 3, 0, 2400)
             views[layer] = lambda r: json.dumps(r, sort_keys=True)
+    mu, rho = q.canonical_complete(8), q.random_density(8, rng=8)
+    calls["apply_measurement canonical_complete n=8"] = lambda: q.apply_measurement(mu, rho)
+    for name in ("spectral:log", "fixed:brier", "ml:s5"):
+        layer = f"run_verify {name} d=16 trials=160"
+        calls[layer] = lambda name=name: run_verify(name, [16], 160, 3)
+        views[layer] = lambda r: json.dumps(r, sort_keys=True)
     return calls, views
 
 
