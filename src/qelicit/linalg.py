@@ -268,10 +268,16 @@ class _Drawn(np.ndarray):
     It carries the raw ``np.linalg.eigh`` rows of its states, each solved
     on first need by ``_eigh``, and the outcome distributions of its
     states under the last POVM that measured it (``_measured_once``).  An
-    array derived from it (a slice, a sum, a copy) carries neither.
+    array derived from it carries neither: a view (a slice, a part) is a
+    ``_Drawn`` without rows, and what a ufunc or solver makes of it is a
+    plain array, so the subclass goes no further than one step.
     """
 
     _solved = None
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = np.asarray(array)
+        return array[()] if return_scalar else array
 
 
 def _drawn(states: np.ndarray) -> _Drawn:
@@ -286,15 +292,16 @@ def _drawn(states: np.ndarray) -> _Drawn:
 def _eigh(A: np.ndarray, rows=None) -> tuple:
     # np.linalg.eigh of the matrices ``rows`` (an index array; all by default) of an (N, n, n) stack,
     # eigenvalues ascending.  A drawn stack solves only the rows it has not solved before: eigh treats
-    # each matrix alone, so a row is bit for bit the same whichever call solved it
-    if getattr(A, "_solved", None) is None:
+    # each matrix alone, so a row is bit for bit the same whichever call solved it.  All of a drawn
+    # stack's rows are its own arrays, which callers read and never write
+    solved = getattr(A, "_solved", None)
+    if solved is None:
         return np.linalg.eigh(A if rows is None else A[rows])
-    rows = np.arange(len(A)) if rows is None else rows
-    new = rows[~A._solved[rows]]
+    new = np.flatnonzero(~solved) if rows is None else rows[~solved[rows]]
     if new.size:
         A._w[new], A._V[new] = np.linalg.eigh(A[new])
-        A._solved[new] = True
-    return A._w[rows], A._V[rows]
+        solved[new] = True
+    return (A._w, A._V) if rows is None else (A._w[rows], A._V[rows])
 
 
 def _measured_once(A: np.ndarray, mu, measure) -> np.ndarray:

@@ -610,7 +610,7 @@ def _states(S, ranks, G):
     outside = ~_in_domain(S, rhos)
     if outside.any():
         rhos[outside] = _blend(_densities(G[outside]))
-    return _drawn(rhos)
+    return rhos
 
 
 def _adversarial_reports(S, rhos, trials, ranks, G, u, spare):
@@ -649,9 +649,9 @@ def _distance(A, B) -> np.ndarray:
 
 
 def _beliefs_and_reports(S, dim, trials, rows, spare):
-    # each trial's belief (state 0 of its row), then its adversary's report (state 1)
+    # each trial's belief (state 0 of its row), then its adversary's report (state 1), each stack drawn
     ranks, G, u = rows
-    rhos = _states(S, ranks[:, 0], G[:, 0])
+    rhos = _drawn(_states(S, ranks[:, 0], G[:, 0]))
     return rhos, _adversarial_reports(S, rhos, trials, ranks[:, 1], G[:, 1], u, spare)
 
 
@@ -768,7 +768,7 @@ def _implementability(S) -> dict:
     def draw(dim, trials, rows, spare):
         # the report (state 1 of the row) against the beliefs, states 0 and 2
         ranks, G, u = rows
-        rho1, rho2 = (_states(S, ranks[:, j], G[:, j]) for j in (0, 2))
+        rho1, rho2 = (_drawn(_states(S, ranks[:, j], G[:, j])) for j in (0, 2))
         return rho1, rho2, _adversarial_reports(S, rho1, trials, ranks[:, 1], G[:, 1], u, spare), u[:, -1]
 
     def score(drawn):
