@@ -298,9 +298,11 @@ def _eigh(A: np.ndarray, rows=None) -> tuple:
     if solved is None:
         return np.linalg.eigh(A if rows is None else A[rows])
     new = np.flatnonzero(~solved) if rows is None else rows[~solved[rows]]
-    if new.size:
+    if new.size == len(A):  # every row at once: the solver's own arrays, not copied
+        A._w, A._V = np.linalg.eigh(A)
+    elif new.size:
         A._w[new], A._V[new] = np.linalg.eigh(A[new])
-        solved[new] = True
+    solved[new] = True
     return (A._w, A._V) if rows is None else (A._w[rows], A._V[rows])
 
 

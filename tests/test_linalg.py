@@ -222,6 +222,7 @@ class TestDrawnStack:
             want = (w, V) if rows is None else (w[rows], V[rows])
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
         assert _decompose(D).eigenvectors.tobytes() == _decompose(A).eigenvectors.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(_eigh(_drawn(A.copy())), (w, V)))  # all at once
 
     def test_a_drawn_stack_solves_each_row_once(self, monkeypatch):
         D, sizes = _drawn(self._stack()), []
