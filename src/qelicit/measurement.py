@@ -128,10 +128,9 @@ class Measurement:
         return _measured_once(states, self, lambda: _measured_rows(self._products(states), self.dim))
 
     def _products(self, X: np.ndarray) -> np.ndarray:
-        # the raw <mu_y, X> of a Hermitian matrix or of each of an (..., n, n) stack, as the last
-        # axis: one product of its _fold with ``_folded`` per matrix, so a matrix's row does not
-        # depend on the stack it is in
-        return (_fold(X).reshape(*X.shape[:-2], 1, -1) @ self._folded)[..., 0, :]
+        # the (N, m) raw <mu_y, X_k> of an (N, n, n) stack of Hermitian matrices: one product of
+        # _fold(X_k) with ``_folded`` per matrix, so a matrix's row does not depend on the stack it is in
+        return (_fold(X).reshape(len(X), 1, -1) @ self._folded)[:, 0]
 
     def _at(self, k: int) -> "Measurement":
         # the POVM of report k of a stack: the same one for every report
@@ -158,7 +157,7 @@ class Measurement:
 def _fold(X: np.ndarray) -> np.ndarray:
     # Re X + Im X of complex Hermitian matrices, a real stack as it is: <A, B> = sum(fold(A) * fold(B)), as
     # the cross terms pair a symmetric real part with an antisymmetric imaginary part and cancel
-    return X.real + X.imag if np.iscomplexobj(X) else X
+    return X.real + X.imag if X.dtype.kind == "c" else X
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
@@ -298,7 +297,7 @@ class TomographicMap:
 
     def probs(self, X) -> np.ndarray:
         """Raw linear image <mu, X> of a Hermitian matrix (no clipping; X need not be a state), as ``_probs`` forms it."""
-        return self.measurement._products(as_hermitian(X))
+        return self.measurement._products(as_hermitian(X)[None])[0]
 
     def reconstruct(self, p) -> np.ndarray:
         """Lift an outcome vector back to a Hermitian matrix via the pseudoinverse."""
