@@ -125,6 +125,11 @@ expected score of diag(0.3, 0.7) under diag(0.9, 0.1);
 given a ``name``, by their name and expected score on one seeded pair;
 ``as_density`` and ``as_unitary`` of the 2x2 identity (halved for the
 state) given a ``name``; then ``rule(p, y)`` of the rule that pays NaN.
+Last, what the tomographic map of ``canonical_complete(2)`` makes of a
+3x3 matrix (``probs``, ``pinv_adjoint``, alone and in a stack), of three
+outcome values (``adjoint``, ``reconstruct``, alone and in a stack), of
+a bare number and of four outcome values holding NaN, +inf or -inf; and
+the type of ``MarketState(np.int64(2)).dim`` with its JSON.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -845,6 +850,32 @@ def removed_keywords() -> None:
         emit("rule(p, y) NaN rule", outcome(root, [0.2, 0.8], 0))
 
 
+def tomographic_refusals() -> None:
+    # inputs of the wrong dimension, length or kind, and non-finite outcome values, then a numpy integer dim
+    t = q.tomographic_map(q.canonical_complete(2))
+    three, values = np.eye(3), [1.0, 2.0, 3.0]
+    calls = {
+        "probs 3x3": lambda: t.probs(three),
+        "pinv_adjoint 3x3": lambda: t.pinv_adjoint(three),
+        "pinv_adjoint stack of 3x3": lambda: t.pinv_adjoint(np.stack([three, three])),
+        "adjoint 3 values": lambda: t.adjoint(values),
+        "adjoint stack of 3 values": lambda: t.adjoint([values, values]),
+        "reconstruct 3 values": lambda: t.reconstruct(values),
+        "adjoint a number": lambda: t.adjoint(1.0),
+        "reconstruct a number": lambda: t.reconstruct(1.0),
+    }
+    for bad in (np.nan, np.inf, -np.inf):
+        v = [bad, 0.0, 0.0, 1.0]
+        calls[f"reconstruct {bad}"] = lambda v=v: t.reconstruct(v)
+        calls[f"adjoint {bad}"] = lambda v=v: t.adjoint(v)
+        calls[f"adjoint stack with {bad}"] = lambda v=v: t.adjoint([[0.25] * 4, v])
+    for label, call in calls.items():
+        with np.errstate(all="ignore"):
+            emit(f"tomographic_map canonical_complete(2) {label}", outcome(lambda: call().tolist()))
+    emit("MarketState np.int64(2) dim",
+         outcome(lambda: (type(q.MarketState(np.int64(2)).dim).__name__, json.dumps({"dim": q.MarketState(np.int64(2)).dim}))))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -882,3 +913,4 @@ if __name__ == "__main__":
     phase_direction_witnesses()
     nan_rule()
     removed_keywords()
+    tomographic_refusals()
