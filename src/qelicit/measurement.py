@@ -77,8 +77,8 @@ class Measurement:
     m elements in outcome order; indexing, iteration and ``len`` run over
     its first axis.  Each element is validated and stored as its exactly
     Hermitian part; POVMs the library builds come from ``_unchecked``.
-    Both also keep the elements once as the real (n^2, m) matrix
-    ``_folded`` of their ``_fold``, which ``_products`` pairs with states.
+    The first ``_products`` call keeps the elements as the real (n^2, m)
+    matrix ``_folded`` of their ``_fold``, which it pairs with states.
     """
 
     __slots__ = ("elements", "_folded")
@@ -96,7 +96,7 @@ class Measurement:
         if dev > POVM_SUM_TOL:
             raise ValueError(f"elements do not sum to identity: max deviation {dev:.3e}")
         elems.flags.writeable = False
-        self.elements, self._folded = elems, _fold(elems).reshape(len(elems), -1).T
+        self.elements, self._folded = elems, None
 
     @classmethod
     def _unchecked(cls, elems: np.ndarray) -> "Measurement":
@@ -104,7 +104,7 @@ class Measurement:
         mu = object.__new__(cls)
         elems = np.ascontiguousarray(elems)
         elems.flags.writeable = False
-        mu.elements, mu._folded = elems, _fold(elems).reshape(len(elems), -1).T
+        mu.elements, mu._folded = elems, None
         return mu
 
     @property
@@ -130,6 +130,8 @@ class Measurement:
     def _products(self, X: np.ndarray) -> np.ndarray:
         # the (N, m) raw <mu_y, X_k> of an (N, n, n) stack of Hermitian matrices: one product of
         # _fold(X_k) with ``_folded`` per matrix, so a matrix's row does not depend on the stack it is in
+        if self._folded is None:
+            self._folded = _fold(self.elements).reshape(len(self), -1).T
         return (_fold(X).reshape(len(X), 1, -1) @ self._folded)[:, 0]
 
     def _at(self, k: int) -> "Measurement":

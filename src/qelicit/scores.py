@@ -111,29 +111,14 @@ class QuantumScore:
     (N, n, n) stack of states to the mask of those that are valid reports
     and beliefs (used by sampled checks).
 
-    A score from ``payoff`` alone is stacked one report at a time.  The
-    library builds its own from a private ``_stack``: it maps an (N, n, n)
-    stack of states the library built (not checked) to the stacked
-    measurement (a shared POVM, or the reports' bases; never an (N, m, n,
-    n) array, it answers ``_probs(states)`` and ``_at(k)``) and the (N, m)
-    payoffs, and ``payoff`` is its N = 1 call.  A spectral score's
-    ``_spectral`` is its map (lambda, V) -> payoff after ``_decompose``, so
-    a report is PSD-tested from that (lambda, V).  Rename a score with
-    ``dataclasses.replace(S, name=...)``, which keeps both; a score given
-    another ``payoff`` (``dataclasses.replace(S, payoff=...)``) drops both,
-    and its payoff is stacked one report at a time.
+    A score is stacked one report at a time, unless its ``payoff`` is one
+    the library builds (``_Stacked``), which pays a whole stack at once.
+    ``dataclasses.replace`` keeps or drops that with the payoff it keeps.
     """
 
     payoff: Callable[[np.ndarray], tuple[Measurement, np.ndarray]]
     name: str = ""
     domain: Callable[[np.ndarray], np.ndarray] | None = None
-    _stack: Callable[[np.ndarray], tuple[object, np.ndarray]] | None = None
-    _spectral: Callable[[tuple], tuple[object, np.ndarray]] | None = None
-
-    def __post_init__(self):
-        if self._stack is not None and getattr(self.payoff, "_stack", None) is not self._stack:
-            object.__setattr__(self, "_stack", None)
-            object.__setattr__(self, "_spectral", None)
 
     def measure(self, report) -> Measurement:
         return self.payoff(report)[0]
@@ -143,11 +128,11 @@ class QuantumScore:
 
     def expected(self, report, rho) -> float:
         """Expected payoff of ``report`` under belief ``rho``, from one payoff evaluation."""
-        if self._stack is None:
+        if isinstance(self.payoff, _Stacked):
+            dim, outcomes, values = self.payoff._validated(report)
+        else:
             outcomes, values = _per_report(self.payoff, [report])
             dim = outcomes._at(0).dim
-        else:
-            dim, outcomes, values = _validated(self._stack, self._spectral, report)
         rho = as_density(rho)
         if rho.shape[0] != dim:
             raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {dim}")
@@ -160,29 +145,39 @@ class QuantumScore:
 
     def _stacked(self, reports):
         # stacked measurement and (N, m) payoffs of validated reports
-        if self._stack is None:
-            return _per_report(self.payoff, reports)
-        return self._stack(reports)
+        if isinstance(self.payoff, _Stacked):
+            return self.payoff.stack(reports)
+        return _per_report(self.payoff, reports)
 
 
-def _stacked_score(stack, name: str, spectral=None) -> QuantumScore:
-    # a score from its stack-native payoff; the per-report payoff is its N = 1 call
-    def payoff(report):
-        _, outcomes, values = _validated(stack, spectral, report)
+class _Stacked:
+    """The payoff of a score the library builds from ``stack``, which pays a stack of reports at once.
+
+    ``stack`` maps an (N, n, n) stack of states the library built (not
+    checked) to the stacked measurement (a shared POVM, or the reports'
+    bases; never an (N, m, n, n) array, it answers ``_probs(states)`` and
+    ``_at(k)``) and the (N, m) payoffs; a call pays one report, validated,
+    as its N = 1 call.  A spectral score's ``spectral`` is its map
+    (lambda, V) -> payoff after ``_decompose``, so a report is PSD-tested
+    from that (lambda, V).
+    """
+
+    __slots__ = ("stack", "spectral")
+
+    def __init__(self, stack, spectral=None):
+        self.stack, self.spectral = stack, spectral
+
+    def __call__(self, report):
+        _, outcomes, values = self._validated(report)
         return outcomes._at(0), values[0]
 
-    payoff._stack = stack  # the mark of the N = 1 call of this stack
-    return QuantumScore(payoff, name=name, _stack=stack, _spectral=spectral)
-
-
-def _validated(stack, spectral, report):
-    # the dimension, stacked measurement and (1, m) payoffs of one report, validated; a spectral
-    # score's report is PSD-tested from the decomposition its map ``spectral`` pays from
-    if spectral is None:
-        reports = as_density(report)[None]
-        return reports.shape[-1], *stack(reports)
-    states, dec = _decomposed_densities(report)
-    return states.shape[-1], *spectral(dec)
+    def _validated(self, report):
+        # the dimension, stacked measurement and (1, m) payoffs of one report, validated
+        if self.spectral is None:
+            reports = as_density(report)[None]
+            return reports.shape[-1], *self.stack(reports)
+        states, dec = _decomposed_densities(report)
+        return states.shape[-1], *self.spectral(dec)
 
 
 class _PerReport:
@@ -303,7 +298,7 @@ def _fixed_score(rule: ClassicalScoringRule, mu: Measurement) -> QuantumScore:
     def stack(reports):
         return mu, _rule_values(rule, mu._probs(reports))
 
-    return _stacked_score(stack, f"fixed:{rule.name}")
+    return QuantumScore(_Stacked(stack), name=f"fixed:{rule.name}")
 
 
 def fixed_meas_from_convex(f, df, mu: Measurement) -> QuantumScore:
@@ -350,7 +345,7 @@ def binary_brier() -> QuantumScore:
         purity = _hs_rows(reports, reports)
         return _Overlaps(reports), np.stack([-purity, 2.0 - purity], axis=-1)
 
-    return _stacked_score(stack, "binary-brier")
+    return QuantumScore(_Stacked(stack), name="binary-brier")
 
 
 def _overlap_measurement(rho_p) -> Measurement:
@@ -380,7 +375,7 @@ def spectral_score(rule: ClassicalScoringRule) -> QuantumScore:
 def _spectral_score(rule: ClassicalScoringRule, name: str) -> QuantumScore:
     # spectral_score of a rule known to be row-wise and permutation-invariant, built without the check
     spectral = partial(_spectral_payoff, rule)
-    return _stacked_score(lambda reports: spectral(_decompose(reports)), name, spectral)
+    return QuantumScore(_Stacked(lambda reports: spectral(_decompose(reports)), spectral), name=name)
 
 
 def _spectral_payoff(rule: ClassicalScoringRule, dec) -> tuple:
@@ -424,7 +419,7 @@ def trace_score() -> QuantumScore:
     def stack(reports):
         return _Overlaps(reports), np.tile([0.0, 1.0], (len(reports), 1))
 
-    return _stacked_score(stack, "ml:s3")
+    return QuantumScore(_Stacked(stack), name="ml:s3")
 
 
 def log_trace_score() -> ExpectedScoreFn:
@@ -444,20 +439,21 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     contribute exp(-inf) = 0), which reproduces the commuting case
     exactly.  Pairs whose intersection has the same dimension share one
     eigenvalue solve.  A call decomposes each stack it is given once; the
-    stack of reports paired with itself is its own support.
+    stack of reports paired with itself pays log Tr r^2 from its eigenvalues.
     """
 
     def expected_stack(reports, *beliefs):
-        lam, V_r = dec = _decompose(reports)
-        A_r, B_r = _log_parts(*dec)
-        out = np.full((len(beliefs), len(reports)), NEG_INF)
+        out, parts = np.full((len(beliefs), len(reports)), NEG_INF), None
         for i, b in enumerate(beliefs):
-            if b is reports:  # the support, where the log is finite: the first columns, as lam descends
-                A_b, V, common = A_r, V_r, (_ext_log(lam) > NEG_INF).sum(axis=-1)
-            else:  # the kernel of B_r + B_b: eigh sorts ascending, so its first columns
-                A_b, B_b = _log_parts(*_decompose(b))
-                V, on = _range_split(hermitian_part(B_r + B_b))
-                common = (~on).sum(axis=-1)
+            if b is reports:  # log sum lambda^2 over the support, the eigenvalues whose log is finite
+                out[i] = _log_sum_exp(2.0 * _ext_log(_eigh(reports)[0]))
+                continue
+            if parts is None:
+                parts = _log_parts(*_decompose(reports))
+            (A_r, B_r), (A_b, B_b) = parts, _log_parts(*_decompose(b))
+            # the kernel of B_r + B_b: eigh sorts ascending, so its first columns
+            V, on = _range_split(hermitian_part(B_r + B_b))
+            common = (~on).sum(axis=-1)
             for c in set(common.tolist()) - {0}:
                 k = np.flatnonzero(common == c)
                 Q = V[k, :, :c]

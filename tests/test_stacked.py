@@ -131,7 +131,7 @@ class TestOneDecompositionPerStack:
         stacked = S.expected_stack(R, *B)
         assert len(calls) == 4  # the reports, then each belief stack
         stacked += S.expected_stack(R, R)
-        assert len(calls) == 5  # a truthful self-score decomposes its one stack once
+        assert len(calls) == 4  # a truthful self-score decomposes nothing: it reads the eigenvalues
         for got, want in zip(stacked, alone, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -154,7 +154,7 @@ class TestWorkPerDrawnState:
 
     @pytest.mark.parametrize("name, matrices", [
         ("spectral:log", 480),  # each truthfulness belief solved once, for its adversary and its two scores
-        ("ml:s5", 1000),  # and the self pair's support read from its own kernel
+        ("ml:s5", 1000),  # and the kernels of B_r + B_b; the self pair reads its beliefs' eigenvalues
         ("binary-brier", 120),  # the adversaries alone
         ("fixed:brier", 121),  # and canonical_complete(16)
         ("fixed:log", 121),
