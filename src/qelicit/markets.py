@@ -142,7 +142,7 @@ class MarketState:
     history: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        _count(self.dim, "dim", 1)
+        self.dim = _count(self.dim, "dim", 1)
         self.shares = np.zeros((self.dim, self.dim), dtype=np.complex128)
 
     def trade(self, R) -> float:

@@ -123,13 +123,12 @@ class Measurement:
     def _probs(self, states: np.ndarray) -> np.ndarray:
         # (N, m) outcome distributions of an (N, n, n) stack of exactly Hermitian states, each
         # measured with this POVM (a drawn stack once, ``_measured_once``)
-        if states.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: state {states.shape[-1]}, measurement {self.dim}")
         return _measured_once(states, self, lambda: _measured_rows(self._products(states), self.dim))
 
     def _products(self, X: np.ndarray) -> np.ndarray:
         # the (N, m) raw <mu_y, X_k> of an (N, n, n) stack of Hermitian matrices: one product of
         # _fold(X_k) with ``_folded`` per matrix, so a matrix's row does not depend on the stack it is in
+        _same_dim(X.shape[-1], self.dim)
         if self._folded is None:
             self._folded = _fold(self.elements).reshape(len(self), -1).T
         return (_fold(X).reshape(len(X), 1, -1) @ self._folded)[:, 0]
@@ -154,6 +153,12 @@ class Measurement:
     def from_json(cls, obj) -> "Measurement":
         """Load the wire format {"dim": n, "elements": [matrix, ...]}, each element n x n."""
         return cls(read_wire(obj, "measurement", "elements")[1])
+
+
+def _same_dim(n: int, dim: int) -> None:
+    # refuse matrices of dimension n against a measurement of dimension dim
+    if n != dim:
+        raise ValueError(f"dimension mismatch: state {n}, measurement {dim}")
 
 
 def _fold(X: np.ndarray) -> np.ndarray:
@@ -303,10 +308,7 @@ class TomographicMap:
 
     def reconstruct(self, p) -> np.ndarray:
         """Lift an outcome vector back to a Hermitian matrix via the pseudoinverse."""
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (len(self.measurement),):
-            raise ValueError(f"expected {len(self.measurement)} outcome values")
-        c, n = self.pinv @ p, self.dim
+        c, n = self.pinv @ self._outcomes(p, (1,)), self.dim
         j, k = np.triu_indices(n, k=1)
         upper = (c[n : n + len(j)] + 1j * c[n + len(j) :]) / np.sqrt(2.0)
         X = np.diag(c[:n]).astype(np.complex128)
@@ -315,12 +317,22 @@ class TomographicMap:
 
     def adjoint(self, v) -> np.ndarray:
         """Adjoint map: an outcome-weight vector to sum_y v_y mu_y, or a (k, m) stack of them to k matrices."""
-        v = np.asarray(v, dtype=np.float64)
-        return hermitian_part(np.tensordot(v, self.measurement.elements, axes=1))
+        return hermitian_part(np.tensordot(self._outcomes(v, (1, 2)), self.measurement.elements, axes=1))
 
     def pinv_adjoint(self, X) -> np.ndarray:
         """Adjoint of the pseudoinverse: a Hermitian matrix, or each of a stack, to an outcome vector."""
-        return herm_coords(X) @ self.pinv
+        coords = herm_coords(X)
+        _same_dim(np.shape(X)[-1], self.dim)
+        return coords @ self.pinv
+
+    def _outcomes(self, v, ndims: tuple) -> np.ndarray:
+        # v as float64 values of the m outcomes, all finite: one vector (ndims (1,)), or also a (k, m) stack (1, 2)
+        v, m = np.asarray(v, dtype=np.float64), len(self.measurement)
+        if v.ndim not in ndims or v.shape[-1] != m:
+            raise ValueError(f"expected {m} outcome values")
+        if not np.isfinite(v).all():
+            raise ValueError("outcome values must be finite")
+        return v
 
 
 def tomographic_map(mu: Measurement) -> TomographicMap:

@@ -57,6 +57,7 @@ from .measurement import (
     _basis_pvm,
     _Bases,
     _measured_rows,
+    _same_dim,
     tomographic_map,
 )
 from .reports import ScoreReport, _classify, run_trials
@@ -134,8 +135,7 @@ class QuantumScore:
             outcomes, values = _per_report(self.payoff, [report])
             dim = outcomes._at(0).dim
         rho = as_density(rho)
-        if rho.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: state {rho.shape[0]}, measurement {dim}")
+        _same_dim(rho.shape[0], dim)
         return float(_pair(outcomes, values, rho[None])[0])
 
     def expected_stack(self, reports, *beliefs) -> list:

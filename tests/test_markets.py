@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,11 @@ class TestMarketState:
         monkeypatch.undo()
         cost, price = lmsr_cost(market.shares), market.price()
         assert gap == pytest.approx(abs(cost - hs_inner(market.shares, price) - von_neumann_entropy(price)), abs=1e-14)
+
+    def test_a_numpy_integer_dim_is_kept_as_a_python_int(self):
+        market = MarketState(np.int64(2))
+        assert type(market.dim) is int and json.dumps({"dim": market.dim}) == '{"dim": 2}'
+        assert market.shares.shape == (2, 2)
 
     def test_bundle_payoff(self, rng):
         R = random_hermitian(3, rng=rng)

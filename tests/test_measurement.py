@@ -347,6 +347,39 @@ class TestTomographicMap:
         assert hs_inner(tmap.adjoint(v), X) == pytest.approx(v @ tmap.probs(X), abs=1e-10)
 
 
+class TestTomographicRefusals:
+    """The map of canonical_complete(2) refuses a matrix of another dimension and outcome values it cannot pair."""
+
+    tmap = tomographic_map(canonical_complete(2))
+
+    @pytest.mark.parametrize("call", ["probs", "pinv_adjoint"])
+    def test_a_matrix_of_another_dimension_is_named(self, call):
+        for X in (np.eye(3), np.stack([np.eye(3)] * 2)):
+            if call == "probs" and X.ndim == 3:
+                continue  # probs takes one matrix
+            with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+                getattr(self.tmap, call)(X)
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 2, 1.0, np.zeros((1, 1, 4))],
+                             ids=["three", "stack of three", "number", "three axes"])
+    def test_outcome_values_of_another_shape_are_refused(self, v):
+        for call in (self.tmap.adjoint, self.tmap.reconstruct):
+            with pytest.raises(ValueError, match="^expected 4 outcome values$"):
+                call(v)
+
+    def test_reconstruct_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="^expected 4 outcome values$"):
+            self.tmap.reconstruct(np.full((2, 4), 0.25))
+        assert self.tmap.adjoint(np.full((2, 4), 0.25)).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_values_are_refused(self, bad):
+        v = [bad, 0.0, 0.0, 1.0]
+        for call, arg in ((self.tmap.adjoint, v), (self.tmap.adjoint, [[0.25] * 4, v]), (self.tmap.reconstruct, v)):
+            with pytest.raises(ValueError, match="^outcome values must be finite$"):
+                call(arg)
+
+
 def _random_rank_one_povm(n, m, rng):
     # m rank-one elements x x*, normalized by congruence with T^(-1/2)
     X = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -433,6 +466,18 @@ class TestStackedKernel:
             assert real.tobytes() == copy.tobytes()
         assert make_score("fixed:brier", 2).expected_stack(R, B)[0].tolist() == [expected_score(
             make_score("fixed:brier", 2), R[0], B[0])]
+
+    def test_a_povm_folds_its_elements_on_its_first_product(self, rng):
+        # a POVM that is never measured, such as the eigenbasis of a spectral score's scalar payoff, holds no fold
+        r = random_density(3, rng=rng)
+        unmeasured = [canonical_complete(3), basis_pvm(random_unitary(3, rng=rng)), make_score("spectral:log", 3).measure(r),
+                      Measurement(standard_pvm(3).elements)]
+        assert all(mu._folded is None for mu in unmeasured)
+        R = np.array([random_density(3, rank=k, rng=rng) for k in (1, 2, 3)])
+        for mu in unmeasured:
+            first = mu._probs(R)
+            assert mu._folded is not None
+            assert first.tobytes() == mu._probs(R).tobytes() == mu._probs(R.copy()).tobytes()
 
     def test_tomographic_probs_is_the_measurements_product(self, rng):
         mu = canonical_complete(4)

@@ -886,6 +886,21 @@ class TestRefusals:
         for a, b in zip(mine.expected_stack(R, B, R), S.expected_stack(R, B, R)):
             assert np.array_equal(a, b)
 
+    def test_a_quantum_score_holds_its_payoff_name_and_domain_only(self):
+        assert [f.name for f in dataclasses.fields(QuantumScore)] == ["payoff", "name", "domain"]
+
+    @pytest.mark.parametrize("name", sorted(k for k, e in SCORE_REGISTRY.items() if e.implementable))
+    def test_a_score_built_on_a_library_payoff_pays_its_stack_bit_for_bit(self, name):
+        # the stack rides on the payoff, so a new score of that payoff pays a stack as the library's does
+        S = make_score(name, 3)
+        copy = QuantumScore(S.payoff, name="copy")
+        R = np.array([random_density(3, rank=r, rng=80 + r) for r in (1, 2, 3)])
+        B = np.array([random_density(3, rng=90 + k) for k in range(3)])
+        R = R[S.domain(R)] if S.domain is not None else R
+        B = B[:len(R)]
+        for a, b in zip(copy.expected_stack(R, B, R), S.expected_stack(R, B, R), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("name", ["fixed:brier", "spectral:brier"])
     def test_a_replaced_payoff_is_the_one_every_call_pays(self, name):
         # the library's stack is the old payoff's, so it goes with it

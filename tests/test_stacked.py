@@ -170,6 +170,22 @@ class TestWorkPerDrawnState:
         run_verify("fixed:brier", [16], 160, 3)
         assert sum(sizes) == 640
 
+    def test_ml_s5_builds_each_stacks_log_parts_once(self, monkeypatch):
+        # truthfulness 160 beliefs and 160 reports (the self pair builds none), the other two checks 4 x 40 each
+        sizes, log_parts = [], scores._log_parts
+        monkeypatch.setattr(scores, "_log_parts", lambda lam, V: sizes.append(len(lam)) or log_parts(lam, V))
+        run_verify("ml:s5", [16], 160, 3)
+        assert sum(sizes) == 640
+
+    @pytest.mark.parametrize("n", (2, 4, 16))
+    def test_ml_s5_self_pair_is_log_tr_rho_squared_at_every_rank(self, n):
+        # log sum lambda^2 from the eigenvalues against log Tr rho^2 from the entries: both round at
+        # about n eps, so they agree within 1e-13 of max(1, |log Tr rho^2|)
+        g = np.random.default_rng(100 + n)
+        R = np.array([random_density(n, rank=rank, rng=g) for rank in range(1, n + 1) for _ in range(2)])
+        (own,) = make_score("ml:s5", n).expected_stack(R, R)
+        _close(own, np.log(np.einsum("kij,kji->k", R, R).real), tol=1e-13)
+
     @pytest.mark.parametrize("n", (2, 4, 16))
     def test_ml_s5_self_pair_reads_its_support_from_its_own_kernel(self, n):
         g = np.random.default_rng(n)
