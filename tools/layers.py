@@ -18,7 +18,10 @@ n = 2, 4 and 8 after three seeded trades; ``replay_verify`` of trial
 ``ml:s2`` and ``ml:s5`` at d = 2 and 16; ``apply_measurement`` with
 ``canonical_complete(8)``; and one ``verify-large``-shaped
 ``run_verify(name, [16], 160, 3)`` (160 truthfulness trials, 40 of each
-other check) of ``spectral:log``, ``fixed:brier`` and ``ml:s5``.
+other check) of ``spectral:log``, ``fixed:brier`` and ``ml:s5``; at
+n = 3, ``log_spectral().measure(r)`` and ``score_coefficient(log_spectral(),
+r)``, which build one eigenbasis POVM each; and a ``verify-small``-shaped
+``run_verify("ml:s5", [2, 3, 4], 160, 3)``.
 For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
@@ -102,6 +105,13 @@ def layers() -> tuple:
         layer = f"run_verify {name} d=16 trials=160"
         calls[layer] = lambda name=name: run_verify(name, [16], 160, 3)
         views[layer] = lambda r: json.dumps(r, sort_keys=True)
+    S, rho = q.log_spectral(), q.random_density(3, rng=3)
+    calls["log_spectral measure n=3"] = lambda: S.measure(rho)
+    views["log_spectral measure n=3"] = lambda mu: mu.elements
+    calls["score_coefficient log_spectral n=3"] = lambda: q.score_coefficient(S, rho)
+    views["score_coefficient log_spectral n=3"] = lambda E: (E.finite_part, E.infinite_part)
+    calls["run_verify ml:s5 d=2,3,4 trials=160"] = lambda: run_verify("ml:s5", [2, 3, 4], 160, 3)
+    views["run_verify ml:s5 d=2,3,4 trials=160"] = lambda r: json.dumps(r, sort_keys=True)
     return calls, views
 
 
