@@ -105,10 +105,10 @@ def layers() -> tuple:
         layer = f"run_verify {name} d=16 trials=160"
         calls[layer] = lambda name=name: run_verify(name, [16], 160, 3)
         views[layer] = lambda r: json.dumps(r, sort_keys=True)
-    S, rho = q.log_spectral(), q.random_density(3, rng=3)
-    calls["log_spectral measure n=3"] = lambda: S.measure(rho)
+    S, r = q.log_spectral(), q.random_density(3, rng=3)
+    calls["log_spectral measure n=3"] = lambda: S.measure(r)
     views["log_spectral measure n=3"] = lambda mu: mu.elements
-    calls["score_coefficient log_spectral n=3"] = lambda: q.score_coefficient(S, rho)
+    calls["score_coefficient log_spectral n=3"] = lambda: q.score_coefficient(S, r)
     views["score_coefficient log_spectral n=3"] = lambda E: (E.finite_part, E.infinite_part)
     calls["run_verify ml:s5 d=2,3,4 trials=160"] = lambda: run_verify("ml:s5", [2, 3, 4], 160, 3)
     views["run_verify ml:s5 d=2,3,4 trials=160"] = lambda r: json.dumps(r, sort_keys=True)
