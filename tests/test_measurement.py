@@ -352,13 +352,12 @@ class TestTomographicRefusals:
 
     tmap = tomographic_map(canonical_complete(2))
 
-    @pytest.mark.parametrize("call", ["probs", "pinv_adjoint"])
-    def test_a_matrix_of_another_dimension_is_named(self, call):
-        for X in (np.eye(3), np.stack([np.eye(3)] * 2)):
-            if call == "probs" and X.ndim == 3:
-                continue  # probs takes one matrix
-            with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
-                getattr(self.tmap, call)(X)
+    @pytest.mark.parametrize("call, X", [("probs", np.eye(3)), ("pinv_adjoint", np.eye(3)),
+                                         ("pinv_adjoint", np.stack([np.eye(3)] * 2))],
+                             ids=["probs", "pinv_adjoint", "pinv_adjoint of a stack"])
+    def test_a_matrix_of_another_dimension_is_named(self, call, X):
+        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+            getattr(self.tmap, call)(X)
 
     @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 2, 1.0, np.zeros((1, 1, 4))],
                              ids=["three", "stack of three", "number", "three axes"])
