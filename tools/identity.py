@@ -130,6 +130,10 @@ Last, what the tomographic map of ``canonical_complete(2)`` makes of a
 outcome values (``adjoint``, ``reconstruct``, alone and in a stack), of
 a bare number and of four outcome values holding NaN, +inf or -inf; and
 the type of ``MarketState(np.int64(2)).dim`` with its JSON.
+Last, ``expected_stack`` of ``binary-brier``, ``ml:s3`` and ``ml:s4`` on
+a real float64 stack of two states against its complex copy, with the
+reports real and then the beliefs real, and of every registry score on
+a (1, 2, 2) report stack against (1, 3, 3) beliefs.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
@@ -876,6 +880,20 @@ def tomographic_refusals() -> None:
          outcome(lambda: (type(q.MarketState(np.int64(2)).dim).__name__, json.dumps({"dim": q.MarketState(np.int64(2)).dim}))))
 
 
+def mixed_and_mismatched_stacks() -> None:
+    # real float64 stacks paired with complex ones, in both orders, then beliefs of another dimension than the reports
+    real = np.array([np.diag([0.3, 0.7]), [[0.6, 0.2], [0.2, 0.4]]])
+    other = np.array([np.diag([0.9, 0.1]), [[0.5, -0.3], [-0.3, 0.5]]])
+    for name in ("binary-brier", "ml:s3", "ml:s4"):
+        S = make_score(name, 2)
+        for label, R, B in (("real reports", real, other.astype(complex)), ("real beliefs", real.astype(complex), other)):
+            emit(f"expected_stack {name} {label}", outcome(lambda: [a.tolist() for a in S.expected_stack(R, B)]))
+    R, B = q.random_density(2, rng=1)[None], q.random_density(3, rng=2)[None]
+    for name in sorted(SCORE_REGISTRY):
+        S = make_score(name, 2)
+        emit(f"expected_stack {name} 2x2 reports 3x3 beliefs", outcome(lambda: [a.tolist() for a in S.expected_stack(R, B)]))
+
+
 if __name__ == "__main__":
     verify_reports()
     classical_checks()
@@ -914,3 +932,4 @@ if __name__ == "__main__":
     nan_rule()
     removed_keywords()
     tomographic_refusals()
+    mixed_and_mismatched_stacks()

@@ -21,7 +21,10 @@ n = 2, 4 and 8 after three seeded trades; ``replay_verify`` of trial
 other check) of ``spectral:log``, ``fixed:brier`` and ``ml:s5``; at
 n = 3, ``log_spectral().measure(r)`` and ``score_coefficient(log_spectral(),
 r)``, which build one eigenbasis POVM each; and a ``verify-small``-shaped
-``run_verify("ml:s5", [2, 3, 4], 160, 3)``.
+``run_verify("ml:s5", [2, 3, 4], 160, 3)``.  Last, ``hs_inner`` at n = 3;
+``run_verify("binary-brier", [16], 160, 3)`` and ``run_verify("ml:s4",
+[2, 3, 4], 160, 3)``, of the ``verify-large`` and ``verify-small`` shapes;
+and ``reconstruct(probs(rho))`` on ``tomographic_map(canonical_complete(3))``.
 For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
@@ -112,6 +115,14 @@ def layers() -> tuple:
     views["score_coefficient log_spectral n=3"] = lambda E: (E.finite_part, E.infinite_part)
     calls["run_verify ml:s5 d=2,3,4 trials=160"] = lambda: run_verify("ml:s5", [2, 3, 4], 160, 3)
     views["run_verify ml:s5 d=2,3,4 trials=160"] = lambda r: json.dumps(r, sort_keys=True)
+    a, b = q.random_density(3, rng=3), q.random_density(3, rng=4)
+    calls["hs_inner n=3"] = lambda: q.hs_inner(a, b)
+    for layer, args in (("run_verify binary-brier d=16 trials=160", ("binary-brier", [16])),
+                        ("run_verify ml:s4 d=2,3,4 trials=160", ("ml:s4", [2, 3, 4]))):
+        calls[layer] = lambda args=args: run_verify(*args, 160, 3)
+        views[layer] = lambda r: json.dumps(r, sort_keys=True)
+    tmap = q.tomographic_map(q.canonical_complete(3))
+    calls["tomographic_map canonical_complete n=3 reconstruct(probs(rho))"] = lambda: tmap.reconstruct(tmap.probs(a))
     return calls, views
 
 
