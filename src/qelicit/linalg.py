@@ -192,11 +192,14 @@ def hs_inner(A, B) -> float:
     return _hs(as_hermitian(A), as_hermitian(B))
 
 
-def _hs(A, B) -> float:
-    # hs_inner of two Hermitian matrices (not checked), sum(conj(A) * B).real; refused unless their shapes match
+def _hs(A, B):
+    # Re Tr(A* B) of two Hermitian matrices (not checked), a float, or of each pair of two aligned (N, n, n)
+    # stacks, an (N,) array: one vecdot of the n^2 entries; refused unless their shapes match
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return float(np.sum(np.conjugate(A) * B).real)
+    flat = (*A.shape[:-2], A.shape[-1] * A.shape[-1])
+    out = np.vecdot(A.reshape(flat), B.reshape(flat)).real
+    return float(out) if A.ndim == 2 else out
 
 
 def frob_dist(A, B) -> float:

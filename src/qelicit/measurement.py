@@ -130,8 +130,8 @@ class Measurement:
         # _fold(X_k) with ``_folded`` per matrix, so a matrix's row does not depend on the stack it is in
         _same_dim(X.shape[-1], self.dim)
         if self._folded is None:
-            self._folded = _fold(self.elements).reshape(len(self), -1).T
-        return (_fold(X).reshape(len(X), 1, -1) @ self._folded)[:, 0]
+            self._folded = _fold(self.elements).T
+        return (_fold(X)[:, None] @ self._folded)[:, 0]
 
     def _at(self, k: int) -> "Measurement":
         # the POVM of report k of a stack: the same one for every report
@@ -162,9 +162,11 @@ def _same_dim(n: int, dim: int) -> None:
 
 
 def _fold(X: np.ndarray) -> np.ndarray:
-    # Re X + Im X of complex Hermitian matrices, a real stack as it is: <A, B> = sum(fold(A) * fold(B)), as
-    # the cross terms pair a symmetric real part with an antisymmetric imaginary part and cancel
-    return X.real + X.imag if X.dtype.kind == "c" else X
+    # Re X + Im X of Hermitian (..., n, n) matrices (a real stack taken as it is), flattened to n^2: <A, B> =
+    # fold(A) . fold(B), as the cross terms pair a symmetric real part with an antisymmetric imaginary
+    # part and cancel, and every real n x n matrix is the fold of one Hermitian matrix
+    F = X.real + X.imag if X.dtype.kind == "c" else X
+    return F.reshape(*X.shape[:-2], X.shape[-1] * X.shape[-1])
 
 
 def apply_measurement(mu: Measurement, rho) -> np.ndarray:
@@ -239,20 +241,13 @@ def is_pvm(mu: Measurement) -> bool:
 def herm_coords(X) -> np.ndarray:
     """Real coordinates of a Hermitian matrix, or of each of an (..., n, n) stack, in a fixed orthonormal basis.
 
-    Basis: diagonal units; (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
-    for j < k.  The map is an isometry: <X, Y> = coords(X) . coords(Y).
+    The fold basis: the n^2 entries of Re X + Im X in row-major order.
+    Entry (j, k) is <B_jk, X> for B_jj = E_jj and, for j != k, B_jk =
+    (E_jk + E_kj)/2 + i(E_jk - E_kj)/2.  The map is an isometry onto
+    R^(n^2): <X, Y> = coords(X) . coords(Y).
     """
     X = np.asarray(X, dtype=np.complex128)
-    return _coords(_hermitian(_squares(X, "matrix"), "matrix"))
-
-
-def _coords(X: np.ndarray) -> np.ndarray:
-    # herm_coords of an exactly Hermitian (..., n, n) array (not checked)
-    j, k = np.triu_indices(X.shape[-1], k=1)
-    upper = X[..., j, k]
-    return np.concatenate(
-        [np.diagonal(X, axis1=-2, axis2=-1).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1
-    )
+    return _fold(_hermitian(_squares(X, "matrix"), "matrix"))
 
 
 def is_tomographically_complete(mu: Measurement) -> bool:
@@ -308,12 +303,8 @@ class TomographicMap:
 
     def reconstruct(self, p) -> np.ndarray:
         """Lift an outcome vector back to a Hermitian matrix via the pseudoinverse."""
-        c, n = self.pinv @ self._outcomes(p, (1,)), self.dim
-        j, k = np.triu_indices(n, k=1)
-        upper = (c[n : n + len(j)] + 1j * c[n + len(j) :]) / np.sqrt(2.0)
-        X = np.diag(c[:n]).astype(np.complex128)
-        X[j, k], X[k, j] = upper, upper.conj()
-        return X
+        F = (self.pinv @ self._outcomes(p, (1,))).reshape(self.dim, self.dim)
+        return (F + F.T) / 2 + 0.5j * (F - F.T)
 
     def adjoint(self, v) -> np.ndarray:
         """Adjoint map: an outcome-weight vector to sum_y v_y mu_y, or a (k, m) stack of them to k matrices."""
@@ -337,7 +328,7 @@ class TomographicMap:
 
 def tomographic_map(mu: Measurement) -> TomographicMap:
     """The map of ``mu``, with its pseudoinverse and rank from one SVD, cut as ``np.linalg.pinv`` cuts."""
-    phi = _coords(mu.elements)
+    phi = _fold(mu.elements)
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
     large = s > COMPLETENESS_RTOL * s.max()
     inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))

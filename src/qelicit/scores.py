@@ -50,7 +50,7 @@ from .linalg import (
     hermitian_part,
     random_density,
 )
-from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _log_sum_exp, _unitaries
+from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _hs, _log_sum_exp, _unitaries
 from .linalg import _drawn, _eigh
 from .measurement import (
     Measurement,
@@ -208,14 +208,6 @@ def _pair(outcomes, values, states) -> np.ndarray:
     return _ext_pair(outcomes._probs(states), values)
 
 
-def _hs_rows(A, B) -> np.ndarray:
-    # Re <A_k, B_k> for two (N, n, n) stacks: the real and imaginary parts
-    # of each matrix side by side, dotted
-    a = np.ascontiguousarray(A).reshape(len(A), -1).view(np.float64)
-    b = np.ascontiguousarray(B).reshape(len(B), -1).view(np.float64)
-    return np.einsum("ki,ki->k", a, b)
-
-
 @dataclass(frozen=True)
 class ExpectedScoreFn:
     """An expected-score closure with no measurement realization.
@@ -330,7 +322,7 @@ class _Overlaps:
         self.reports = reports
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
-        hit = _hs_rows(self.reports, states)
+        hit = _hs(self.reports, states)
         trace = np.trace(states, axis1=-2, axis2=-1).real
         return _measured_rows(np.stack([trace - hit, hit], axis=-1), states.shape[-1])
 
@@ -342,7 +334,7 @@ def binary_brier() -> QuantumScore:
     """Brier score realized with the two-outcome measurement {I - report, report}."""
 
     def stack(reports):
-        purity = _hs_rows(reports, reports)
+        purity = _hs(reports, reports)
         return _Overlaps(reports), np.stack([-purity, 2.0 - purity], axis=-1)
 
     return QuantumScore(_Stacked(stack), name="binary-brier")
@@ -426,7 +418,7 @@ def log_trace_score() -> ExpectedScoreFn:
     """log <report, rho>.  Not extended-linear in rho, hence not implementable."""
 
     def expected_stack(reports, *beliefs):
-        return [log_rule().values(_hs_rows(reports, b)) for b in beliefs]
+        return [log_rule().values(_hs(reports, b)) for b in beliefs]
 
     return ExpectedScoreFn(expected_stack, name="ml:s4")
 
