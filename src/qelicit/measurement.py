@@ -211,6 +211,7 @@ class _Bases:
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         U = self.bases
+        _same_dim(states.shape[-1], U.shape[-1])
         return _measured_rows((U.conj() * (states @ U)).real.sum(axis=-2), U.shape[-1])
 
     def _at(self, k: int) -> Measurement:

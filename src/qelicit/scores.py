@@ -437,6 +437,8 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     def expected_stack(reports, *beliefs):
         out, parts = np.full((len(beliefs), len(reports)), NEG_INF), None
         for i, b in enumerate(beliefs):
+            if b.shape[-1] != reports.shape[-1]:
+                raise ValueError(f"dimension mismatch: report {reports.shape[-1]}, state {b.shape[-1]}")
             if b is reports:  # log sum lambda^2 over the support, the eigenvalues whose log is finite
                 out[i] = _log_sum_exp(2.0 * _ext_log(_eigh(reports)[0]))
                 continue

@@ -13,7 +13,7 @@ import pytest
 import qelicit as q
 from qelicit.extended import range_projector
 from qelicit.measurement import herm_coords
-from qelicit.registry import make_property, make_score
+from qelicit.registry import SCORE_REGISTRY, make_property, make_score
 
 _FRAME = q.random_unitary(3, rng=6)
 
@@ -162,3 +162,11 @@ def test_a_score_without_a_measurement_is_refused_by_name(call, name):
     message = f"score {name!r} has no measurement: only its expected values are defined"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(make_score(name, 2))
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+def test_a_belief_stack_of_another_dimension_is_refused(name):
+    # the stacked call of every registry score names the mismatch before any product or decomposition
+    reports, beliefs = q.random_density(2, rng=1)[None], q.random_density(3, rng=2)[None]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        make_score(name, 2).expected_stack(reports, beliefs)
