@@ -466,6 +466,17 @@ class TestStackedKernel:
         assert make_score("fixed:brier", 2).expected_stack(R, B)[0].tolist() == [expected_score(
             make_score("fixed:brier", 2), R[0], B[0])]
 
+    @pytest.mark.parametrize("name", ["binary-brier", "ml:s3", "ml:s4"])
+    def test_a_real_stack_beside_a_complex_one_pays_as_its_complex_copy(self, name):
+        # reports real and beliefs complex, then the other way round, each pair one Hilbert-Schmidt pairing
+        g = np.random.default_rng(5)
+        R, B = (np.array([random_density(3, rng=g).real for _ in range(8)]) for _ in range(2))
+        S = make_score(name, 3)
+        (alike,) = S.expected_stack(R.astype(complex), B.astype(complex))
+        for reports, beliefs in ((R, B.astype(complex)), (R.astype(complex), B)):
+            (mixed,) = S.expected_stack(reports, beliefs)
+            assert np.abs(mixed - alike).max() <= 1e-15
+
     def test_a_povm_folds_its_elements_on_its_first_product(self, rng):
         # a POVM that is never measured, such as the eigenbasis of a spectral score's scalar payoff, holds no fold
         r = random_density(3, rng=rng)

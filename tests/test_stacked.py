@@ -264,19 +264,11 @@ class TestStackContracts:
         with pytest.raises(ValueError, match=r"'bare'.*1 here, but returned " + shapes):
             expected_score(S, rho, rho)
 
-
-class TestMixedStacks:
-    """A real float64 stack is paid as its complex copy, beside a complex stack in either place."""
-
-    @pytest.mark.parametrize("name", ["binary-brier", "ml:s3", "ml:s4"])
-    def test_a_real_stack_pays_as_its_complex_copy(self, name):
-        g = np.random.default_rng(5)
-        R, B = (np.array([random_density(3, rng=g).real for _ in range(8)]) for _ in range(2))
-        S = make_score(name, 3)
-        (alike,) = S.expected_stack(R.astype(complex), B.astype(complex))
-        for reports, beliefs in ((R, B.astype(complex)), (R.astype(complex), B)):
-            (mixed,) = S.expected_stack(reports, beliefs)
-            assert np.abs(mixed - alike).max() <= 1e-15
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_a_stack_of_no_states_pays_an_empty_array_per_belief_stack(self, name):
+        # a (0, n, n) stack is valid: every product flattens its matrices to an explicit n^2 entries
+        E = np.zeros((0, 3, 3), dtype=complex)
+        assert [a.shape for a in make_score(name, 3).expected_stack(E, E, E)] == [(0,), (0,)]
 
 
 CHECKED = ("spectral:log", "ml:s2", "ml:s3", "ml:s4", "ml:s5", "binary-brier")
