@@ -166,7 +166,7 @@ def test_a_score_without_a_measurement_is_refused_by_name(call, name):
 
 @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
 def test_a_belief_stack_of_another_dimension_is_refused(name):
-    # the stacked call of every registry score names the mismatch before any product or decomposition
+    # the stacked call of every registry score names the mismatch in its own words
     reports, beliefs = q.random_density(2, rng=1)[None], q.random_density(3, rng=2)[None]
     with pytest.raises(ValueError, match="dimension mismatch"):
         make_score(name, 2).expected_stack(reports, beliefs)

@@ -131,9 +131,9 @@ outcome values (``adjoint``, ``reconstruct``, alone and in a stack), of
 a bare number and of four outcome values holding NaN, +inf or -inf; and
 the type of ``MarketState(np.int64(2)).dim`` with its JSON.
 Last, ``expected_stack`` of ``binary-brier``, ``ml:s3`` and ``ml:s4`` on
-a real float64 stack of two states against its complex copy, with the
-reports real and then the beliefs real, and of every registry score on
-a (1, 2, 2) report stack against (1, 3, 3) beliefs.
+a real float64 stack of two states against a complex stack of two
+others, with the reports real and then the beliefs real, and of every
+registry score on a (1, 2, 2) report stack against (1, 3, 3) beliefs.
 A value is hashed through
 its ``repr`` (floats round-trip exactly, arrays are written as lists), a
 raised error through its type and message.
