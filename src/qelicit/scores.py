@@ -140,6 +140,7 @@ class QuantumScore:
 
     def expected_stack(self, reports, *beliefs) -> list:
         """S(reports[k]; b[k]) for each aligned stack b of unchecked states, from one payoff per report."""
+        _aligned(reports, beliefs)
         outcomes, values = self._stacked(reports)
         return [_pair(outcomes, values, b) for b in beliefs]
 
@@ -208,37 +209,45 @@ def _pair(outcomes, values, states) -> np.ndarray:
     return _ext_pair(outcomes._probs(states), values)
 
 
+def _aligned(reports, beliefs) -> None:
+    # expected_stack pays report k against state k of each belief stack, so every stack is as long as the reports
+    for b in beliefs:
+        if len(b) != len(reports):
+            raise ValueError(f"length mismatch: {len(reports)} report{'s' * (len(reports) != 1)}, "
+                             f"{len(b)} state{'s' * (len(b) != 1)}")
+
+
 @dataclass(frozen=True)
 class ExpectedScoreFn:
     """An expected-score closure with no measurement realization.
 
     Used for score-like functionals that are not extended-linear in the
     true state and therefore cannot be implemented by any measurement;
-    only their expected values are defined.  The closure is its
-    ``expected_stack(reports, *beliefs)``, the stacked contract of both
-    score shapes: one (N,) array per aligned (N, n, n) belief stack, of
-    states the library built (not checked); ``expected`` is its N = 1 call on validated states.
+    only their expected values are defined.  ``closure(reports, *beliefs)``
+    is the stacked contract of both score shapes: one (N,) array per
+    aligned (N, n, n) belief stack, of states the library built (not
+    checked).  ``expected_stack`` calls it on aligned stacks and refuses
+    any other result; ``expected`` is its N = 1 call on validated states.
     """
 
-    expected_stack: Callable[..., list]
+    closure: Callable[..., list]
     name: str = ""
 
     def expected(self, report, rho) -> float:
         report, rho = as_density(report), as_density(rho)
         if report.shape != rho.shape:
             raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
-        return float(_expected_stack(self, report[None], rho[None])[0][0])
+        return float(self.expected_stack(report[None], rho[None])[0][0])
 
-
-def _expected_stack(S, reports, *beliefs) -> list:
-    """S.expected_stack(reports, *beliefs); a closure's result other than one (N,) array per belief stack is refused."""
-    out = S.expected_stack(reports, *beliefs)
-    if isinstance(S, ExpectedScoreFn):
+    def expected_stack(self, reports, *beliefs) -> list:
+        """The closure's arrays for aligned stacks; a result other than one (N,) array per belief stack is refused."""
+        _aligned(reports, beliefs)
+        out = self.closure(reports, *beliefs)
         shapes = [np.shape(a) for a in out] if isinstance(out, (list, tuple)) else np.shape(out)
         if shapes != [(len(reports),)] * len(beliefs):
-            raise ValueError(f"score {S.name!r}: expected_stack must return one ({len(reports)},) array per belief "
-                             f"stack, {len(beliefs)} here, but returned {type(out).__name__} of shape(s) {shapes}")
-    return out
+            raise ValueError(f"score {self.name!r}: expected_stack must return one ({len(reports)},) array per "
+                             f"belief stack, {len(beliefs)} here, but returned {type(out).__name__} of shape(s) {shapes}")
+        return out
 
 
 def _measured(S):
@@ -676,7 +685,7 @@ def _truthfulness(S) -> dict:
     # the description of truthfulness_check of S that reports.run_trials reads
     def score(drawn):
         rhos, reps = drawn
-        (truthful,), (other,) = _expected_stack(S, rhos, rhos), _expected_stack(S, reps, rhos)
+        (truthful,), (other,) = S.expected_stack(rhos, rhos), S.expected_stack(reps, rhos)
         return _classify(truthful, other, _distance(rhos, reps) > DISTINCT_TOL)
 
     return {"name": S.name, "mode": "strict", "rows": partial(_rows, 2), "draw": partial(_beliefs_and_reports, S),
@@ -697,7 +706,7 @@ def equivalence_check(
         kinds, gaps = np.full(len(rhos), "", dtype=object), np.zeros(len(rhos))
         keep = np.flatnonzero(_in_domain(S2, rhos) & _in_domain(S2, reps))
         if keep.size:
-            (a,), (b,) = (_expected_stack(S, reps[keep], rhos[keep]) for S in (S1, S2))
+            (a,), (b,) = (S.expected_stack(reps[keep], rhos[keep]) for S in (S1, S2))
             kinds[keep], gaps[keep] = _compare("mismatch", a, b)
         return kinds, gaps
 
@@ -728,8 +737,8 @@ def _unitary_invariance(S) -> dict:
     def score(drawn):
         rhos, reps, U = drawn
         Uh = U.conj().swapaxes(-1, -2)
-        (a,) = _expected_stack(S, reps, rhos)
-        (b,) = _expected_stack(S, hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
+        (a,) = S.expected_stack(reps, rhos)
+        (b,) = S.expected_stack(hermitian_part(U @ reps @ Uh), hermitian_part(U @ rhos @ Uh))
         return _compare("variance", a, b)
 
     return {"name": S.name, "mode": "unitary-invariance", "rows": partial(_rows, 3), "draw": draw,
@@ -764,7 +773,7 @@ def _implementability(S) -> dict:
     def score(drawn):
         rho1, rho2, reps, t = drawn
         w = t[:, None, None]
-        e1, e2, mixed = _expected_stack(S, reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
+        e1, e2, mixed = S.expected_stack(reps, rho1, rho2, hermitian_part(w * rho1 + (1.0 - w) * rho2))
         weights = np.stack([t, 1.0 - t], axis=-1)
         linear = ext_dot(weights, np.stack([e1, e2], axis=-1))
         return _compare("nonlinear", mixed, linear)
