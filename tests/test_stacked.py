@@ -8,7 +8,9 @@ checks to a per-trial copy of the loop they replace.
 
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -32,7 +34,7 @@ from qelicit.linalg import (
 )
 from qelicit.classical import ClassicalScoringRule, linear_rule, properness_check
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm
-from qelicit.registry import SCORE_REGISTRY, make_score, replay_verify
+from qelicit.registry import THREADED_DIM, SCORE_REGISTRY, make_score, replay_verify
 from qelicit.scores import (
     DISTINCT_TOL,
     EQUIV_TOL,
@@ -269,6 +271,24 @@ class TestStackContracts:
         # a (0, n, n) stack is valid: every product flattens its matrices to an explicit n^2 entries
         E = np.zeros((0, 3, 3), dtype=complex)
         assert [a.shape for a in make_score(name, 3).expected_stack(E, E, E)] == [(0,), (0,)]
+
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_a_belief_stack_of_another_length_is_refused_by_its_lengths(self, name):
+        g = np.random.default_rng(5)
+        R, S = np.array([random_density(2, rng=g) for _ in range(4)]), make_score(name, 2)
+        for args, match in (((R, R[:1]), "4 reports, 1 state"), ((R[:1], R), "1 report, 4 states"),
+                            ((R, R, R[:2]), "4 reports, 2 states")):
+            with pytest.raises(ValueError, match=f"^length mismatch: {match}$"):
+                S.expected_stack(*args)
+
+    def test_a_closure_is_called_on_aligned_stacks_only(self):
+        calls = []
+        S = ExpectedScoreFn(lambda reports, *beliefs: calls.append(1) or [np.zeros(len(reports))] * len(beliefs),
+                            name="mine")
+        R = np.zeros((3, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="length mismatch: 3 reports, 2 states"):
+            S.expected_stack(R, R, R[:2])
+        assert calls == []
 
 
 CHECKED = ("spectral:log", "ml:s2", "ml:s3", "ml:s4", "ml:s5", "binary-brier")
@@ -713,6 +733,93 @@ class TestReplay:
             replay_verify("fixed:brier", [2], 40, 3, stream, trial)
 
 
+def _affinity(monkeypatch, cpus):
+    # the CPUs run_verify reads as usable, as if the process's affinity held that many
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _verify_json(monkeypatch, cpus, *args):
+    _affinity(monkeypatch, cpus)
+    return json.dumps(run_verify(*args))
+
+
+def _watch_checks(monkeypatch, seen, fail=()):
+    # wrap the registry's three checks: each records its name, thread and the running thread count, and
+    # the checks named in fail raise a ValueError naming themselves
+    for key, public in CHECKS.items():
+        def watched(*a, key=key, public=public, **k):
+            seen.append((key, threading.get_ident(), threading.active_count(), np.geterr()["over"]))
+            if key in fail:
+                raise ValueError(f"{key} failed")
+            return public(*a, **k)
+
+        monkeypatch.setattr(qelicit.registry, public.__name__, watched)
+
+
+class TestThreadedChecks:
+    # trial counts that end mid-block: 70 truthfulness trials and 17 of each other check per dimension
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_a_threaded_report_is_the_serial_report_byte_for_byte(self, monkeypatch, name):
+        args = (name, [THREADED_DIM], 70, 4)
+        assert _verify_json(monkeypatch, 2, *args) == _verify_json(monkeypatch, 1, *args)
+
+    def test_a_mixed_call_threads_only_its_large_dimension(self, monkeypatch):
+        args, seen = ("ml:s5", [3, THREADED_DIM], 140, 4), []
+        serial = _verify_json(monkeypatch, 1, *args)
+        _watch_checks(monkeypatch, seen)
+        assert _verify_json(monkeypatch, 2, *args) == serial
+        main_thread = threading.get_ident()
+        assert [key for key, *_ in seen[:3]] == list(CHECKS)  # n = 3 runs in order on this thread
+        assert {ident for _, ident, *_ in seen[:3]} == {main_thread}
+        threaded = {key: ident for key, ident, *_ in seen[3:]}
+        assert threaded["truthfulness"] != main_thread
+        assert threaded["unitary_invariance"] == threaded["implementability"] == main_thread
+
+    def test_no_more_than_two_threads_run(self, monkeypatch):
+        seen = []
+        _watch_checks(monkeypatch, seen)
+        _affinity(monkeypatch, 64)
+        before = threading.active_count()
+        run_verify("spectral:log", [THREADED_DIM, THREADED_DIM + 1, 16], 30, 2)
+        assert len(seen) == 9 and max(count for *_, count, _ in seen) == 2
+        assert threading.active_count() == before  # each dimension's worker is joined
+
+    def test_one_cpu_runs_every_check_on_the_calling_thread(self, monkeypatch):
+        seen = []
+        _watch_checks(monkeypatch, seen)
+        _affinity(monkeypatch, 1)
+        run_verify("fixed:brier", [THREADED_DIM, 16], 30, 2)
+        assert [key for key, *_ in seen] == list(CHECKS) * 2
+        assert {ident for _, ident, *_ in seen} == {threading.get_ident()}
+
+    def test_the_worker_runs_in_the_callers_errstate(self, monkeypatch):
+        seen = []
+        _watch_checks(monkeypatch, seen)
+        _affinity(monkeypatch, 2)
+        with np.errstate(over="raise"):
+            run_verify("ml:s3", [THREADED_DIM], 8, 2)
+        assert [over for *_, over in seen] == ["raise"] * 3
+
+    @pytest.mark.parametrize("fail", [("truthfulness",), ("unitary_invariance",), ("implementability",),
+                                      ("truthfulness", "implementability")])
+    def test_a_failing_check_raises_what_it_raises_serially(self, monkeypatch, fail):
+        raised = []
+        for cpus in (1, 2):
+            _watch_checks(monkeypatch, [], fail)
+            _affinity(monkeypatch, cpus)
+            with pytest.raises(ValueError) as info:
+                run_verify("ml:s4", [THREADED_DIM], 8, 2)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (ValueError, f"{fail[0]} failed")
+
+    def test_a_failing_threaded_check_exits_2_from_the_cli(self, monkeypatch, capsys):
+        _watch_checks(monkeypatch, [], ("truthfulness",))
+        _affinity(monkeypatch, 2)
+        assert main(["verify", "--score", "ml:s4", "--dims", str(THREADED_DIM), "--trials", "8", "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "truthfulness failed" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # validation counts, markets, profiling
 
@@ -844,17 +951,29 @@ class TestProfile:
         assert profiled.out == plain.out
         assert plain.err == ""
         lines = profiled.err.splitlines()
-        assert len(lines) == 7
-        assert all("trials/s" in line and "draw" in line and "score" in line for line in lines[:6])
-        assert f"report: {len(plain.out)} bytes" in lines[6]
+        assert len(lines) == 9  # per dimension, one line per check and one for the three together
+        assert all("trials/s" in line and "draw" in line and "score" in line for line in lines[0:3] + lines[4:7])
+        assert [lines[3].rpartition(": ")[0], lines[7].rpartition(": ")[0]] == ["profile ml:s3 dim=2 checks",
+                                                                                "profile ml:s3 dim=3 checks"]
+        assert f"report: {len(plain.out)} bytes" in lines[8]
 
     def test_each_check_reports_its_encoding_seconds_and_violations(self, capsys):
         subs = run_verify("ml:s3", [2, 3], 40, 2)["reports"]
         assert main(["verify", "--score", "ml:s3", "--dims", "2,3", "--trials", "40", "--seed", "2", "--profile"]) == 0
-        lines = capsys.readouterr().err.splitlines()[:6]
+        lines = [line for line in capsys.readouterr().err.splitlines()[:8] if " checks: " not in line]
         for line, (sub, key) in zip(lines, [(sub, key) for sub in subs for key in ARGUMENTS], strict=True):
             assert line.startswith(f"profile ml:s3 dim={sub['dim']} {key}: ")
             assert " s, encode " in line and line.endswith(f" s), {sub[key]['n_violations']} violations")
+
+    @pytest.mark.parametrize("cpus, threads", [(1, "1 thread"), (2, "2 threads")])
+    def test_each_dimension_reports_its_checks_wall_seconds_and_threads(self, monkeypatch, capsys, cpus, threads):
+        _affinity(monkeypatch, cpus)
+        argv = ["verify", "--score", "ml:s3", "--dims", f"2,{THREADED_DIM}", "--trials", "40", "--seed", "2"]
+        assert main(argv + ["--profile"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        for line, dim, on in ((lines[3], 2, "1 thread"), (lines[7], THREADED_DIM, threads)):
+            head, seconds, tail = line.rpartition(": ")[0], *line.rpartition(": ")[2].split(" s on ")
+            assert (head, tail) == (f"profile ml:s3 dim={dim} checks", on) and float(seconds) >= 0
 
     @pytest.mark.parametrize("check, name", [("truthfulness", "ml:s4"), ("unitary_invariance", "fixed:brier"),
                                              ("implementability", "ml:s4")])

@@ -217,7 +217,8 @@ def main(argv=None) -> int:
                 f"first alternates), one worker process per tree with one BLAS thread; a batch holds the calls "
                 f"the parent makes in about {BATCH_SECONDS * 1e3:.0f} ms; us per call, median and quartiles "
                 f"over the batches",
-        "machine": {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+        "machine": {"cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "numpy": np.__version__},
         "differing_outputs": [layer for layer, r in rows.items() if not r["same_output"]],
         "rows": rows,
     }

@@ -125,7 +125,8 @@ def main(argv=None) -> int:
                 f"{seconds}`, one run at a time; pair i uses seed {FIRST_SEED - 1} + i (i = 1..{PAIRS}) on both "
                 f"sides, and the side that runs first alternates (parent first on odd i); then one `--trace 1` "
                 f"run per side at seed {TRACE_SEED}. Times are in reference-machine units (benchmark/calibration.py).",
-        "machine": {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+        "machine": {"cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "numpy": np.__version__},
         "workloads": workloads,
         f"traced_seed_{TRACE_SEED}": traced,
     }
