@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
@@ -213,6 +212,8 @@ def _run_checks(calls, threads: int) -> list:
     # raised before the others', as it is when they run one after another
     if threads == 1:
         return [call() for call in calls]
+    from concurrent.futures import ThreadPoolExecutor  # here, so that a serial run's memory does not grow by it
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         first = pool.submit(contextvars.copy_context().run, calls[0])
         try:
