@@ -763,6 +763,18 @@ class TestThreadedChecks:
         args = (name, [THREADED_DIM], 70, 4)
         assert _verify_json(monkeypatch, 2, *args) == _verify_json(monkeypatch, 1, *args)
 
+    @pytest.mark.parametrize("name", ["fixed:brier", "fixed:log"])
+    def test_a_shared_povm_folded_under_a_short_switch_interval_pays_as_serially(self, monkeypatch, name):
+        # the checks of a fixed score share one POVM, which folds its elements on its first product; both
+        # threads may fold it, and either fold is the same
+        args, interval = (name, [THREADED_DIM, 16], 60, 7), sys.getswitchinterval()
+        serial = _verify_json(monkeypatch, 1, *args)
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _verify_json(monkeypatch, 2, *args) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_a_mixed_call_threads_only_its_large_dimension(self, monkeypatch):
         args, seen = ("ml:s5", [3, THREADED_DIM], 140, 4), []
         serial = _verify_json(monkeypatch, 1, *args)
