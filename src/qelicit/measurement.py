@@ -201,7 +201,8 @@ class _Bases:
 
     Outcome y of report k projects onto column y of ``bases[k]``, so the
     outcome distribution of a state rho is diag(U* rho U); the (N, n, n, n)
-    stack of projectors is never formed.
+    stack of projectors is never formed.  ``_probs`` takes states of the
+    bases' dimension, not checked: ``expected_stack`` refuses any other.
     """
 
     __slots__ = ("bases",)
@@ -211,7 +212,6 @@ class _Bases:
 
     def _probs(self, states: np.ndarray) -> np.ndarray:
         U = self.bases
-        _same_dim(states.shape[-1], U.shape[-1])
         return _measured_rows((U.conj() * (states @ U)).real.sum(axis=-2), U.shape[-1])
 
     def _at(self, k: int) -> Measurement:

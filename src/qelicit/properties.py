@@ -478,7 +478,11 @@ def _shortfall_bound(rho, X, w=None) -> float:
     RX = rho @ X
     theta = X.conj().T @ RX  # eigvalsh reads its lower triangle
     R = RX - X @ theta
-    mu, rr = np.linalg.eigvalsh(np.array([theta, R.conj().T @ R]))  # Theta's spectrum and |R|_2^2, in one call
+    RR = R.conj().T @ R
+    if X.shape[1] == 1:  # a 1 x 1 matrix's eigenvalue is its real entry, bit for bit as eigvalsh returns it
+        mu, rr = theta.real[0], RR.real[0]
+    else:  # Theta's spectrum and |R|_2^2, in one call
+        mu, rr = np.linalg.eigvalsh(np.array([theta, RR]))
     mu, r2, b = mu[::-1], max(rr[-1], 0.0), theta.diagonal().real
     c_fro2 = np.vdot(rho, rho).real - 2.0 * np.vdot(RX, RX).real + mu @ mu
     c_max = min(np.sqrt(max(c_fro2, 0.0)), max(rho.trace().real - b.sum(), 0.0))
@@ -543,9 +547,10 @@ def _ascend(X0, f, iters: int, cert=None):
 
 
 def _random_stiefel(R, n, k, g):
-    """R random orthonormal frames (n, k), drawn as one block from g."""
+    """R random orthonormal frames (n, k), drawn as one block from g: one column normalized, a wider frame QR-factored."""
     Z = g.standard_normal((R, 2, n, k))
-    return np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
+    Z = Z[:, 0] + 1j * Z[:, 1]
+    return _orthonormalize_plain(Z) if k == 1 else np.linalg.qr(Z)[0]
 
 
 def _ordered_scales(w):

@@ -51,7 +51,7 @@ from .linalg import (
     random_density,
 )
 from .linalg import _complex_gaussian, _decompose, _decomposed_densities, _densities, _hs, _log_sum_exp, _unitaries
-from .linalg import _drawn, _eigh
+from .linalg import _drawn, _eigh, _require_psd, _unit_trace
 from .measurement import (
     Measurement,
     _basis_pvm,
@@ -210,11 +210,17 @@ def _pair(outcomes, values, states) -> np.ndarray:
 
 
 def _aligned(reports, beliefs) -> None:
-    # expected_stack pays report k against state k of each belief stack, so every stack is as long as the reports
+    # expected_stack pays report k against state k of each belief stack, so every stack is an (N, n, n) stack of
+    # square matrices, and each belief stack is as long as the reports and of their dimension
+    for kind, X in (("reports", reports), *(("states", b) for b in beliefs)):
+        if np.ndim(X) != 3 or np.shape(X)[-1] != np.shape(X)[-2]:
+            raise ValueError(f"dimension mismatch: {kind} of shape {np.shape(X)}, expected an (N, n, n) stack")
     for b in beliefs:
         if len(b) != len(reports):
             raise ValueError(f"length mismatch: {len(reports)} report{'s' * (len(reports) != 1)}, "
                              f"{len(b)} state{'s' * (len(b) != 1)}")
+        if np.shape(b)[-1] != np.shape(reports)[-1]:
+            raise ValueError(f"dimension mismatch: report {np.shape(reports)[-1]}, state {np.shape(b)[-1]}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,6 @@ class ExpectedScoreFn:
 
     def expected(self, report, rho) -> float:
         report, rho = as_density(report), as_density(rho)
-        if report.shape != rho.shape:
-            raise ValueError(f"dimension mismatch: report {report.shape[0]}, state {rho.shape[0]}")
         return float(self.expected_stack(report[None], rho[None])[0][0])
 
     def expected_stack(self, reports, *beliefs) -> list:
@@ -446,8 +450,6 @@ def log_trace_exp_score() -> ExpectedScoreFn:
     def expected_stack(reports, *beliefs):
         out, parts = np.full((len(beliefs), len(reports)), NEG_INF), None
         for i, b in enumerate(beliefs):
-            if b.shape[-1] != reports.shape[-1]:
-                raise ValueError(f"dimension mismatch: report {reports.shape[-1]}, state {b.shape[-1]}")
             if b is reports:  # log sum lambda^2 over the support, the eigenvalues whose log is finite
                 out[i] = _log_sum_exp(2.0 * _ext_log(_eigh(reports)[0]))
                 continue
@@ -502,13 +504,21 @@ def score_from_convex(F, dF) -> QuantumScore:
 
 
 # ---------------------------------------------------------------------------
-# entropies, each read off S, the spectral log score, paid as _spectral_payoff(log_rule(), ...)
+# entropies, each read off S, the spectral log score: its self-score is the log rule's on the spectrum
 
 
 def von_neumann_entropy(rho) -> float:
-    """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing."""
-    states, dec = _decomposed_densities(rho)
-    return 0.0 - float(_pair(*_spectral_payoff(log_rule(), dec), states)[0])
+    """H(rho) = -S(rho; rho) = -<log rho, rho>; zero eigenvalues contribute nothing.
+
+    The log rule's self-score on rho's eigenvalues, in non-increasing order
+    and cleaned as a measured distribution (``_measured_rows``), negated: no
+    eigenvectors are formed.
+    """
+    A = _unit_trace(rho, "state")
+    w = np.linalg.eigvalsh(A)
+    _require_psd(A, "state", w[0])
+    p = _measured_rows(w[None, ::-1], len(w))
+    return 0.0 - float(_ext_pair(p, log_rule().values(p))[0])
 
 
 def relative_entropy(rho, sigma) -> float:

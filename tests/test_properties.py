@@ -501,6 +501,21 @@ class TestBlockSearch:
                 a, b = np.asarray(value), np.asarray(prop.eval(rho))
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_eigvec_top_stack_is_eval_bit_for_bit_on_ties_and_rank_deficient_states(self, dim):
+        # an exact top tie takes the first tied column in the solver's order, as eval's stable sort does
+        g = np.random.default_rng(52)
+        half = np.diag(np.r_[0.5, 0.5, np.zeros(dim - 2)]).astype(complex)
+        U = random_unitary(dim, rng=g)
+        rhos = np.array([half, np.eye(dim, dtype=complex) / dim, hermitian_part(U @ half @ U.conj().T),
+                         *(random_density(dim, rank=1 + k % dim, rng=g) for k in range(12))])
+        prop = make_property("eigvec-top", dim)
+        stacked = np.asarray(prop._stack(rhos))
+        assert stacked.tobytes() == spectral_decompose(rhos).eigenvectors[:, :, 0].tobytes()
+        for value, rho in zip(stacked, rhos):
+            a, b = np.asarray(value), np.asarray(prop.eval(rho))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
     @pytest.mark.parametrize("name", ["eigvec-top", "expectation"])
     def test_a_registry_search_screens_by_stacks_alone(self, name):
         # 200 probes: no per-state evaluation, and no draw of more than one block
@@ -657,7 +672,11 @@ def _overlaps(X, rho):
 
 
 def _random_frame(n, k, rng):
-    return np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    # one column is the normalized draw, a wider frame the Q of its QR
+    Z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    if k == 1:
+        return Z / np.sqrt(np.maximum(np.einsum("ij,ij->j", Z.conj(), Z).real, 1e-14))
+    return np.linalg.qr(Z)[0]
 
 
 class TestExpectedClosedForms:
@@ -1127,6 +1146,29 @@ class TestCertificate:
         for Y in (X, *_random_stiefel_stack(n, k, 3)):
             assert properties._shortfall_bound(rho, Y, np.arange(k, 0, -1.0)) == np.inf
             assert properties._shortfall_bound(rho, Y) == np.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_a_one_column_bound_reads_its_1x1_matrices_as_eigvalsh_does(self, n):
+        # the bound paid with eigvalsh of the stacked 1 x 1 Theta and R*R, bit for bit, on frames near and far
+        # from the top eigenvector, certified or not
+        rho, eps = random_density(n, rng=70 + n), np.finfo(float).eps
+        top = spectral_decompose(rho).eigenvectors[:, :1]
+        near = _orthonormalize_plain(top + 1e-6 * _random_stiefel_stack(n, 1, 1))[0]
+        frames = [*_random_stiefel_stack(n, 1, 4), top, near]
+        finite = 0
+        for X in frames:
+            RX = rho @ X
+            theta = X.conj().T @ RX
+            R = RX - X @ theta
+            mu, rr = np.linalg.eigvalsh(np.array([theta, R.conj().T @ R]))
+            b, r2 = theta.diagonal().real, max(rr[-1], 0.0)
+            c_fro2 = np.vdot(rho, rho).real - 2.0 * np.vdot(RX, RX).real + mu @ mu
+            delta = mu[-1] - min(np.sqrt(max(c_fro2, 0.0)), max(rho.trace().real - b.sum(), 0.0)) - np.sqrt(r2)
+            top_mu = mu + r2 / delta
+            want = float(top_mu.sum() - b.sum() + 16 * eps * top_mu.sum()) if delta > 0 else np.inf
+            assert properties._shortfall_bound(rho, X, np.ones(1)) == want
+            finite += np.isfinite(want)
+        assert finite >= 2
 
     def test_signed_weights_get_no_certificate(self):
         # the (1, -1) call that stops 3.9e-6 short of its bound keeps its uncertified ascent, bit for bit

@@ -8,6 +8,7 @@ from qelicit.classical import (
     ClassicalScoringRule,
     _require_row_wise,
     brier_rule,
+    clean_probs,
     is_permutation_invariant,
     linear_rule,
     log_rule,
@@ -25,6 +26,7 @@ from qelicit.linalg import (
     random_density,
     random_hermitian,
     random_pure,
+    random_unitary,
     spectral_decompose,
 )
 from qelicit.measurement import (
@@ -376,6 +378,27 @@ class TestEntropies:
             assert von_neumann_entropy(np.diag(p).astype(complex)) == pytest.approx(
                 shannon_entropy(p), abs=1e-10
             )
+
+    def test_rank_deficient_entropy_is_that_of_the_spectrum(self):
+        # non-diagonal states of every rank below n: -sum lambda log lambda over the eigenvalues above 1e-12
+        g = np.random.default_rng(52)
+        for n in (2, 3, 4, 8):
+            for rank in range(1, n):
+                for _ in range(5):
+                    rho = random_density(n, rank=rank, rng=g)
+                    assert np.abs(rho - np.diag(np.diag(rho))).max() > 1e-3
+                    lam = eigenvalues_desc(rho)
+                    lam = lam[lam > 1e-12]
+                    assert abs(von_neumann_entropy(rho) + np.sum(lam * np.log(lam))) <= 1e-14
+
+    def test_an_eigenvalue_of_minus_5e_11_is_accepted(self):
+        # PSD_TOL (1e-10) accepts it, and it is cleaned as a measured distribution would be; clean_probs, whose
+        # clip is 1e-12, would refuse it
+        U = random_unitary(3, rng=5)
+        rho = hermitian_part(U @ np.diag([0.6 + 5e-11, 0.4, -5e-11]) @ U.conj().T)
+        with pytest.raises(ValueError, match="negative beyond the clip tolerance"):
+            clean_probs(eigenvalues_desc(rho))
+        assert von_neumann_entropy(rho) == pytest.approx(-(0.6 * np.log(0.6) + 0.4 * np.log(0.4)), abs=1e-9)
 
     def test_relative_entropy_nonnegative_and_faithful(self, rng):
         for _ in range(200):
@@ -855,9 +878,10 @@ class TestRefusals:
             S.payoff(random_density(3, rng=2))
 
     def test_a_per_report_stack_names_a_belief_of_another_dimension(self):
-        # the measurement refuses the state (Measurement._probs), so a stacked call names it as a scalar one does
+        # the stacked call refuses the belief stack before paying (scores._aligned), as every score's stacked
+        # call does; the measurement still refuses the state on its own (Measurement._probs)
         S = projective_expression(binary_brier())
-        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
+        with pytest.raises(ValueError, match="^dimension mismatch: report 2, state 3$"):
             S.expected_stack(random_density(2, rng=1)[None], random_density(3, rng=2)[None])
         with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
             standard_pvm(2)._probs(random_density(3, rng=2)[None])

@@ -9,6 +9,7 @@ checks to a per-trial copy of the loop they replace.
 import json
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -23,6 +24,7 @@ from qelicit.cli import main, run_verify
 from qelicit.extended import NEG_INF, ext_dot
 from qelicit.linalg import (
     as_hermitian,
+    eigenvalues_desc,
     frob_dist,
     hermitian_part,
     hs_inner,
@@ -279,6 +281,26 @@ class TestStackContracts:
         for args, match in (((R, R[:1]), "4 reports, 1 state"), ((R[:1], R), "1 report, 4 states"),
                             ((R, R, R[:2]), "4 reports, 2 states")):
             with pytest.raises(ValueError, match=f"^length mismatch: {match}$"):
+                S.expected_stack(*args)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_a_matrix_or_a_stack_of_non_square_matrices_is_refused_by_its_shape(self, name):
+        S, rho = make_score(name, 2), random_density(2, rng=3)
+        R = rho[None]
+        for args, kind, shape in (((rho, rho), "reports", (2, 2)), ((R, rho), "states", (2, 2)),
+                                  ((R[None], R[None]), "reports", (1, 1, 2, 2)), ((R[:, :1], R), "reports", (1, 1, 2)),
+                                  ((R, R, R[:, :, :1]), "states", (1, 2, 1))):
+            message = f"dimension mismatch: {kind} of shape {shape}, expected an (N, n, n) stack"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                S.expected_stack(*args)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_REGISTRY))
+    def test_a_belief_stack_of_another_dimension_is_refused_by_its_dimensions(self, name):
+        R2, R3 = random_density(2, rng=1)[None], random_density(3, rng=2)[None]
+        S = make_score(name, 2)
+        for args, match in (((R2, R3), "report 2, state 3"), ((R3, R2), "report 3, state 2"),
+                            ((R2, R2, R3), "report 2, state 3")):
+            with pytest.raises(ValueError, match=f"^dimension mismatch: {match}$"):
                 S.expected_stack(*args)
 
     def test_a_closure_is_called_on_aligned_stacks_only(self):
@@ -880,18 +902,27 @@ class TestValidationCounts:
             assert relative_entropy(rho, sigma) == L.expected(rho, rho) - L.expected(sigma, rho)
 
     def test_entropies_are_the_log_scores_expected_values_bit_for_bit(self, monkeypatch):
-        # H(rho) = -S(rho; rho) and D(rho || sigma) = S(rho; rho) - S(sigma; rho)
-        # for the spectral log score S, from one validation per state
+        # H(rho) = -S(rho; rho) for the spectral log score S, paid as the Shannon entropy of rho's spectrum
+        # bit for bit, from one Hermitian and trace check and one eigvalsh, with no eigenvectors (so within
+        # rounding of S's eigenbasis payoff); D(rho || sigma) = S(rho; rho) - S(sigma; rho), from one
+        # validation per state
         g = np.random.default_rng(14)
         L = log_spectral()
         calls = _count_as_density(monkeypatch)
+        solves = []
+        for attr in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, attr, partial(lambda f, attr, *a: solves.append(attr) or f(*a),
+                                                         getattr(np.linalg, attr), attr))
+        checked = []
+        monkeypatch.setattr(scores, "_unit_trace", lambda *a: checked.append(1) or qelicit.linalg._unit_trace(*a))
         for n in (2, 3, 4, 8):
             for _ in range(10):
                 rho, sigma = (random_density(n, rank=int(g.integers(1, n + 1)), rng=g) for _ in range(2))
-                calls.clear()
+                calls.clear(), solves.clear(), checked.clear()
                 H = von_neumann_entropy(rho)
-                assert len(calls) == 1
-                assert H == -L.expected(rho, rho)
+                assert (calls, solves, checked) == ([], ["eigvalsh"], [1])
+                assert H == classical.shannon_entropy(eigenvalues_desc(rho))
+                assert H == pytest.approx(-L.expected(rho, rho), rel=0, abs=1e-14)
                 want = L.expected(rho, rho) - L.expected(sigma, rho)
                 assert relative_entropy(rho, sigma) == want
 
