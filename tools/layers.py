@@ -25,6 +25,11 @@ r)``, which build one eigenbasis POVM each; and a ``verify-small``-shaped
 ``run_verify("binary-brier", [16], 160, 3)`` and ``run_verify("ml:s4",
 [2, 3, 4], 160, 3)``, of the ``verify-large`` and ``verify-small`` shapes;
 and ``reconstruct(probs(rho))`` on ``tomographic_map(canonical_complete(3))``.
+Then the optimizers at the ``elicit`` shape, each at n = 2, 3 and 4 with
+50 restarts on a seeded full-rank state: ``optimize_top_eigenvector``,
+``optimize_abstain`` of ``abstain_score(0.5, n)``,
+``optimize_weighted_basis`` with weights [2, 1] on 2 columns and
+``optimize_eigen_pair`` with k = 2.
 For each layer both workers run batches of the
 same number of calls in turn, the side that goes first alternating, so a
 slower or faster spell of the machine falls on both sides alike.  A
@@ -123,6 +128,15 @@ def layers() -> tuple:
         views[layer] = lambda r: json.dumps(r, sort_keys=True)
     tmap = q.tomographic_map(q.canonical_complete(3))
     calls["tomographic_map canonical_complete n=3 reconstruct(probs(rho))"] = lambda: tmap.reconstruct(tmap.probs(a))
+    for n in (2, 3, 4):  # the closures above read rho, S and the rest when called, so these take their own names
+        state, P = q.random_density(n, rng=30 + n), q.properties
+        for layer, f in ((f"optimize_top_eigenvector n={n}", lambda x=state: P.optimize_top_eigenvector(x, 50, 7)),
+                         (f"optimize_abstain n={n}",
+                          lambda x=state, A=q.abstain_score(0.5, n): P.optimize_abstain(A, x, 50, 7)),
+                         (f"optimize_weighted_basis [2, 1] n={n}",
+                          lambda x=state: P.optimize_weighted_basis(x, [2.0, 1.0], 2, 50, 7)),
+                         (f"optimize_eigen_pair k=2 n={n}", lambda x=state: P.optimize_eigen_pair(x, 2, 50, 7))):
+            calls[f"{layer} restarts=50"] = f
     return calls, views
 
 
