@@ -278,5 +278,9 @@ def is_permutation_invariant(rule: ClassicalScoringRule, dim: int, rng=None) -> 
 
 def shannon_entropy(p) -> float:
     """H(p) = -<p, log p>, the log rule's self-score negated; mass at or below 1e-12 contributes nothing."""
-    q = clean_probs(p)
+    return _log_self_entropy(clean_probs(p))
+
+
+def _log_self_entropy(q):
+    # -<q, log q>, the log rule's self-score negated, of a cleaned distribution or of each row of a cleaned stack
     return 0.0 - _ext_pair(q, log_rule().values(q))

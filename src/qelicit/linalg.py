@@ -229,12 +229,11 @@ class SpectralDecomposition(NamedTuple):
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     # Make each column's largest-magnitude component real and positive so
     # decompositions are deterministic despite the phase freedom.  The
-    # columns of an n x k frame (or of each of a stack) are unit vectors, so
-    # that component is never zero; each column is fixed on its own.
-    n, k = V.shape[-2:]
-    flat = V.reshape(-1, n, k)
-    lead = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(k)]
-    return V / (lead / np.abs(lead)).reshape(V.shape[:-2] + (1, k))
+    # columns are unit vectors, so that component is never zero.
+    n = V.shape[-1]
+    flat = V.reshape(-1, n, n)
+    lead = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
+    return V / (lead / np.abs(lead)).reshape(V.shape[:-2] + (1, n))
 
 
 def spectral_decompose(A) -> SpectralDecomposition:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import brier_rule, log_rule
-from .linalg import _count, _eigh, _fix_phases, _hs, eigenvalues_desc, spectral_decompose
+from .linalg import _count, _decompose, _hs, eigenvalues_desc, spectral_decompose
 from .measurement import canonical_complete
 from .properties import QuantumProperty, abstain_score, eigen_pair_score, expectation_property, find_level_set_witness, top_eigenvector_score, top_k_eigenvector_score
 from .reports import RNG_FORMAT, _check_dims, _replay, _wire_parts, json_safe
@@ -262,20 +262,12 @@ def _profile_line(stream, score_name: str, dim: int, key: str, check) -> None:
     )
 
 
-def _top_eigenvectors(rhos) -> np.ndarray:
-    # spectral_decompose(rho).eigenvectors[:, 0] of each state of an (N, n, n) stack, bit for bit, from that column
-    # alone: the column of its largest eigenvalue, on an exact tie the first in the solver's order, as the stable
-    # descending sort of _decompose takes it, phase-fixed on its own
-    w, V = _eigh(rhos)
-    return _fix_phases(np.take_along_axis(V, np.argmax(w, axis=-1)[:, None, None], axis=-1))[..., 0]
-
-
 # Factories keyed by CLI name.  Entries are (property factory, score factory);
 # either side may be None when the registry only exposes one of the two.
 PROPERTY_REGISTRY: dict[str, dict] = {
     "eigvec-top": {
         "property": lambda dim: QuantumProperty(lambda rho: spectral_decompose(rho).eigenvectors[:, 0], name="eigvec-top",
-                                                _stack=_top_eigenvectors),
+                                                _stack=lambda rhos: _decompose(rhos).eigenvectors[:, :, 0]),
         "score": lambda dim: top_eigenvector_score(),
         "elicitable": True,
     },

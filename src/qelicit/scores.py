@@ -25,6 +25,7 @@ from .classical import (
     ClassicalScoringRule,
     _bregman_rule,
     _check_convex,
+    _log_self_entropy,
     _near_tie,
     _require_row_wise,
     _rule_values,
@@ -139,8 +140,14 @@ class QuantumScore:
         return float(_pair(outcomes, values, rho[None])[0])
 
     def expected_stack(self, reports, *beliefs) -> list:
-        """S(reports[k]; b[k]) for each aligned stack b of unchecked states, from one payoff per report."""
-        _aligned(reports, beliefs)
+        """S(reports[k]; b[k]) for each aligned stack b of unchecked states, from one payoff per report.
+
+        Every score takes (N, n, n) belief stacks.  A score the library
+        builds (``_Stacked``) takes an (N, n, n) stack of states as its
+        reports; any other pays its reports one at a time, so a property
+        score's vectors, frames, pairs or ABSTAIN are passed as they are.
+        """
+        _aligned(reports, beliefs, isinstance(self.payoff, _Stacked))
         outcomes, values = self._stacked(reports)
         return [_pair(outcomes, values, b) for b in beliefs]
 
@@ -209,17 +216,18 @@ def _pair(outcomes, values, states) -> np.ndarray:
     return _ext_pair(outcomes._probs(states), values)
 
 
-def _aligned(reports, beliefs) -> None:
-    # expected_stack pays report k against state k of each belief stack, so every stack is an (N, n, n) stack of
-    # square matrices, and each belief stack is as long as the reports and of their dimension
-    for kind, X in (("reports", reports), *(("states", b) for b in beliefs)):
+def _aligned(reports, beliefs, states: bool) -> None:
+    # expected_stack pays report k against state k of each belief stack, so every belief stack is an (N, n, n) stack
+    # of square matrices as long as the reports; where the reports are states too (``states``), they are such a
+    # stack and the beliefs are of their dimension
+    for kind, X in (("reports", reports),) * states + tuple(("states", b) for b in beliefs):
         if np.ndim(X) != 3 or np.shape(X)[-1] != np.shape(X)[-2]:
             raise ValueError(f"dimension mismatch: {kind} of shape {np.shape(X)}, expected an (N, n, n) stack")
     for b in beliefs:
         if len(b) != len(reports):
             raise ValueError(f"length mismatch: {len(reports)} report{'s' * (len(reports) != 1)}, "
                              f"{len(b)} state{'s' * (len(b) != 1)}")
-        if np.shape(b)[-1] != np.shape(reports)[-1]:
+        if states and np.shape(b)[-1] != np.shape(reports)[-1]:
             raise ValueError(f"dimension mismatch: report {np.shape(reports)[-1]}, state {np.shape(b)[-1]}")
 
 
@@ -245,7 +253,7 @@ class ExpectedScoreFn:
 
     def expected_stack(self, reports, *beliefs) -> list:
         """The closure's arrays for aligned stacks; a result other than one (N,) array per belief stack is refused."""
-        _aligned(reports, beliefs)
+        _aligned(reports, beliefs, True)
         out = self.closure(reports, *beliefs)
         shapes = [np.shape(a) for a in out] if isinstance(out, (list, tuple)) else np.shape(out)
         if shapes != [(len(reports),)] * len(beliefs):
@@ -517,8 +525,7 @@ def von_neumann_entropy(rho) -> float:
     A = _unit_trace(rho, "state")
     w = np.linalg.eigvalsh(A)
     _require_psd(A, "state", w[0])
-    p = _measured_rows(w[None, ::-1], len(w))
-    return 0.0 - float(_ext_pair(p, log_rule().values(p))[0])
+    return float(_log_self_entropy(_measured_rows(w[None, ::-1], len(w)))[0])
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -878,10 +878,9 @@ class TestRefusals:
             S.payoff(random_density(3, rng=2))
 
     def test_a_per_report_stack_names_a_belief_of_another_dimension(self):
-        # the stacked call refuses the belief stack before paying (scores._aligned), as every score's stacked
-        # call does; the measurement still refuses the state on its own (Measurement._probs)
+        # the measurement refuses the state (Measurement._probs), so a stacked call names it as a scalar one does
         S = projective_expression(binary_brier())
-        with pytest.raises(ValueError, match="^dimension mismatch: report 2, state 3$"):
+        with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
             S.expected_stack(random_density(2, rng=1)[None], random_density(3, rng=2)[None])
         with pytest.raises(ValueError, match="^dimension mismatch: state 3, measurement 2$"):
             standard_pvm(2)._probs(random_density(3, rng=2)[None])

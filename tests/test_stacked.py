@@ -36,6 +36,7 @@ from qelicit.linalg import (
 )
 from qelicit.classical import ClassicalScoringRule, linear_rule, properness_check
 from qelicit.measurement import apply_measurement, canonical_complete, standard_pvm
+from qelicit.properties import ABSTAIN, abstain_score, top_eigenvector_score, top_k_eigenvector_score
 from qelicit.registry import THREADED_DIM, SCORE_REGISTRY, make_score, replay_verify
 from qelicit.scores import (
     DISTINCT_TOL,
@@ -302,6 +303,22 @@ class TestStackContracts:
                             ((R2, R2, R3), "report 2, state 3")):
             with pytest.raises(ValueError, match=f"^dimension mismatch: {match}$"):
                 S.expected_stack(*args)
+
+    def test_a_property_scores_reports_are_paid_as_they_are(self):
+        # vectors, frames and ABSTAIN are no (N, n, n) stack: only the belief stacks' shapes and lengths are checked,
+        # and each report is paid as its scalar call pays it
+        g = np.random.default_rng(24)
+        B = np.array([random_density(3, rng=g) for _ in range(3)])
+        vectors = [np.linalg.qr(g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3)))[0] for _ in range(3)]
+        for S, reports in ((top_eigenvector_score(), np.array([V[:, 0] for V in vectors])),
+                           (top_k_eigenvector_score([2.0, 1.0]), np.array([V[:, :2] for V in vectors])),
+                           (abstain_score(0.5, 3), [ABSTAIN] * 3)):
+            (got,) = S.expected_stack(reports, B)
+            assert got.tolist() == [S.expected(r, b) for r, b in zip(reports, B)]
+            with pytest.raises(ValueError, match=re.escape("dimension mismatch: states of shape (3, 3), expected")):
+                S.expected_stack(reports, B[0])
+            with pytest.raises(ValueError, match="^length mismatch: 3 reports, 2 states$"):
+                S.expected_stack(reports, B[:2])
 
     def test_a_closure_is_called_on_aligned_stacks_only(self):
         calls = []
@@ -901,7 +918,7 @@ class TestValidationCounts:
             rho, sigma = random_density(3, rank=2, rng=g), random_density(3, rng=g)
             assert relative_entropy(rho, sigma) == L.expected(rho, rho) - L.expected(sigma, rho)
 
-    def test_entropies_are_the_log_scores_expected_values_bit_for_bit(self, monkeypatch):
+    def test_entropies_are_the_spectrums_bit_for_bit_and_the_log_scores_within_rounding(self, monkeypatch):
         # H(rho) = -S(rho; rho) for the spectral log score S, paid as the Shannon entropy of rho's spectrum
         # bit for bit, from one Hermitian and trace check and one eigvalsh, with no eigenvectors (so within
         # rounding of S's eigenbasis payoff); D(rho || sigma) = S(rho; rho) - S(sigma; rho), from one
